@@ -23,7 +23,7 @@ from .errors import ArgumentError, DegenerateGapError, PairingError
 from .linalg import (
     Interval,
     hermitian_eig,
-    operator_norm,
+    hermitian_eigvals,
     spectral_projector,
 )
 from .subspaces import AngularOperator, GraphSubspace
@@ -107,16 +107,16 @@ def riesz_check(block: BlockOperatorMatrix, subspace: GraphSubspace,
     matrix with eigenvalues above max sigma(C); anything else is an input
     error.
     """
-    full = assemble(block)
     stacked = subspace.stacked()
     if stacked.shape[1] == 0:
         raise ArgumentError("subspace must contain at least one eigenvector")
-    c = float(hermitian_eig(block.C).eigenvalues[-1])
-    scale = max(operator_norm(full), 1.0)
-    for j in range(stacked.shape[1]):
-        w = stacked[:, j]
-        rayleigh = float(np.real(w.conj() @ (full @ w)))
-        residual = float(np.linalg.norm(full @ w - rayleigh * w))
+    c = float(block.eig_c.eigenvalues[-1])
+    # ‖M‖ = max|eigenvalue| for Hermitian M
+    scale = max(float(np.max(np.abs(block.eig_m.eigenvalues))), 1.0)
+    mw = assemble(block) @ stacked
+    rayleighs = np.real(np.sum(stacked.conj() * mw, axis=0))
+    residuals = np.linalg.norm(mw - stacked * rayleighs, axis=0)
+    for j, (rayleigh, residual) in enumerate(zip(rayleighs, residuals)):
         if residual > residual_tol * scale:
             raise ArgumentError(
                 f"column {j} is not an eigenvector (residual {residual:.3e})")
@@ -124,7 +124,7 @@ def riesz_check(block: BlockOperatorMatrix, subspace: GraphSubspace,
             raise ArgumentError(
                 f"column {j} has eigenvalue {rayleigh:.6g} <= c = {c:.6g}")
     gram = subspace.basis_first.conj().T @ subspace.basis_first
-    gram_eigs = hermitian_eig(gram).eigenvalues
+    gram_eigs = hermitian_eigvals(gram)
     gram_min = float(gram_eigs[0])
     gram_max = float(gram_eigs[-1])
     riesz_lower = 1.0 / (1.0 + k_op.norm ** 2)
@@ -166,15 +166,14 @@ def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
         raise ArgumentError(
             f"only {marks.lambda_above_c.size} eigenvalues above c, "
             f"need {n_max}")
-    dec_a = hermitian_eig(block.A)
+    dec_a = block.eig_a
     spec_a = dec_a.eigenvalues
     if spec_a.size < marks.kappa + n_max:
         raise ArgumentError("not enough eigenvalues of A for the requested range")
     if rb is None:
         rb = best_relative_bound(block)
-    full = assemble(block)
-    spec_m = hermitian_eig(full).eigenvalues
-    tol_full = matrix_tol(full)
+    spec_m = block.eig_m.eigenvalues
+    tol_full = block.assembled_tol()
     tol_a = matrix_tol(block.A)
     angles = 2.0 * np.pi * np.arange(2 * circle_points) / (2 * circle_points)
     records = []
@@ -191,7 +190,8 @@ def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
         f_proj = spectral_projector(
             hermitian_eig(s), Interval(-gamma, gamma, open_lo=True, open_hi=True))
         e_proj = _cluster_projector(dec_a, mu, tol_a)
-        diff_norm = operator_norm(e_proj - f_proj)
+        # E - F is Hermitian, so its norm is its largest |eigenvalue|
+        diff_norm = float(np.max(np.abs(hermitian_eigvals(e_proj - f_proj))))
         zs = lam + gamma * np.exp(1j * angles)
         dists = np.abs(zs[:, None] - spec_a[None, :]).min(axis=1)
         delta = float(np.max(
@@ -241,13 +241,12 @@ def bari_sum(block: BlockOperatorMatrix, marks: SpectralLandmarks, n_max: int,
         raise ArgumentError(
             f"only {marks.lambda_above_c.size} eigenvalues above c, "
             f"need {n_max}")
-    dec_a = hermitian_eig(block.A)
+    dec_a = block.eig_a
     spec_a = dec_a.eigenvalues
     if spec_a.size < marks.kappa + n_max:
         raise ArgumentError("not enough eigenvalues of A for the requested range")
-    full = assemble(block)
-    dec_m = hermitian_eig(full)
-    tol_full = matrix_tol(full)
+    dec_m = block.eig_m
+    tol_full = block.assembled_tol()
     tol_a = matrix_tol(block.A)
     above_idx = np.nonzero(dec_m.eigenvalues > marks.c + tol_full)[0]
     n1 = block.n1

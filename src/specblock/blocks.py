@@ -9,13 +9,16 @@ checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ArgumentError, LandmarkError, SingularShiftError
 from .linalg import (
+    SpectralDecomposition,
     as_matrix,
     hermitian_eig,
+    hermitian_eigvals,
     require_hermitian,
     spectral_distance,
 )
@@ -35,9 +38,26 @@ __all__ = [
 ]
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _frozen_eig(mat) -> SpectralDecomposition:
+    dec = hermitian_eig(mat)
+    _frozen(dec.eigenvalues)
+    _frozen(dec.vectors)
+    return dec
+
+
 @dataclass(frozen=True)
 class BlockOperatorMatrix:
-    """Hermitian 2x2 block matrix with diagonal blocks A (n1), C (n2) and coupling B."""
+    """Hermitian 2x2 block matrix with diagonal blocks A (n1), C (n2) and coupling B.
+
+    The blocks are stored as read-only arrays that share no memory with the
+    caller's, so the decompositions below are computed at most once per
+    block, on first use, and stay valid for the life of the block.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -47,13 +67,15 @@ class BlockOperatorMatrix:
         a = require_hermitian(self.A)
         c = require_hermitian(self.C)
         b = as_matrix(self.B)
+        if np.may_share_memory(b, self.B):
+            b = b.copy()
         if b.shape != (a.shape[0], c.shape[0]):
             raise ArgumentError(
                 f"coupling block has shape {b.shape}, expected "
                 f"({a.shape[0]}, {c.shape[0]})")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "C", c)
+        object.__setattr__(self, "A", _frozen(a))
+        object.__setattr__(self, "B", _frozen(b))
+        object.__setattr__(self, "C", _frozen(c))
 
     @property
     def n1(self) -> int:
@@ -63,9 +85,47 @@ class BlockOperatorMatrix:
     def n2(self) -> int:
         return self.C.shape[0]
 
+    @cached_property
+    def eig_a(self) -> SpectralDecomposition:
+        """Eigendecomposition of A."""
+        return _frozen_eig(self.A)
+
+    @cached_property
+    def eig_c(self) -> SpectralDecomposition:
+        """Eigendecomposition of C."""
+        return _frozen_eig(self.C)
+
+    @cached_property
+    def eig_m(self) -> SpectralDecomposition:
+        """Eigendecomposition of the assembled matrix."""
+        return _frozen_eig(assemble(self))
+
+    @cached_property
+    def coupling_in_c_basis(self) -> np.ndarray:
+        """B V_C, the coupling in the eigenbasis of C."""
+        return _frozen(self.B @ self.eig_c.vectors)
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.B @ self.B.conj().T
+        if gram.size and not np.all(np.isfinite(gram)):
+            raise ArgumentError(
+                "the coupling Gram matrix B B* overflows: entries of B are "
+                "too large for double precision")
+        return _frozen(gram)
+
     def coupling_gram(self) -> np.ndarray:
         """B B*, the Hermitian form behind ‖B*x‖²."""
-        return self.B @ self.B.conj().T
+        return self._gram
+
+    def assembled_tol(self) -> float:
+        """matrix_tol of the assembled matrix, without assembling it."""
+        parts = [float(np.max(np.abs(x))) for x in (self.A, self.B, self.C)
+                 if x.size]
+        if not parts:
+            return base_tol()
+        return base_tol() * (self.n1 + self.n2) * max(parts)
 
 
 @dataclass(frozen=True)
@@ -100,17 +160,19 @@ def schur_complement(block: BlockOperatorMatrix, lam: float,
     """First Schur complement A - lam I - B (C - lam I)^{-1} B* at a real shift.
 
     The shift must keep its distance from sigma(C); zero eigenvalues of the
-    result detect spectrum of the assembled matrix away from sigma(C).
+    result detect spectrum of the assembled matrix away from sigma(C).  The
+    inverse is applied in the eigenbasis of C:
+    B (C - lam I)^{-1} B* = (B V) diag(1/(gamma_i - lam)) (B V)*.
     """
     lam = float(lam)
-    spec_c = hermitian_eig(block.C).eigenvalues
+    spec_c = block.eig_c.eigenvalues
     if tol is None:
         tol = matrix_tol(block.C)
     if spectral_distance(lam, spec_c) <= tol:
         raise SingularShiftError(
             f"shift {lam:.12g} is within {tol:.3e} of sigma(C)")
-    solved = np.linalg.solve(block.C - lam * np.eye(block.n2), block.B.conj().T)
-    s = block.A - lam * np.eye(block.n1) - block.B @ solved
+    bv = block.coupling_in_c_basis
+    s = block.A - lam * np.eye(block.n1) - (bv / (spec_c - lam)) @ bv.conj().T
     return 0.5 * (s + s.conj().T)
 
 
@@ -119,30 +181,27 @@ def resolvent_block(block: BlockOperatorMatrix, alpha: float,
     """Resolvent of the assembled matrix at ``alpha``, built Schur-block by block.
 
     Assembles [[S⁻¹, -S⁻¹F], [-(C-αI)⁻¹B*S⁻¹, (C-αI)⁻¹ + (C-αI)⁻¹B*S⁻¹F]]
-    with S = S(alpha) and F = B(C-αI)⁻¹ rather than inverting directly.
+    with S = S(alpha) and F = B(C-αI)⁻¹ rather than inverting directly;
+    (C-αI)⁻¹ comes from the eigendecomposition of C.
     """
     alpha = float(alpha)
-    full = assemble(block)
     if tol is None:
-        tol = matrix_tol(full)
-    spec_m = hermitian_eig(full).eigenvalues
-    if spectral_distance(alpha, spec_m) <= tol:
+        tol = block.assembled_tol()
+    if spectral_distance(alpha, block.eig_m.eigenvalues) <= tol:
         raise SingularShiftError(
             f"shift {alpha:.12g} is within {tol:.3e} of the assembled spectrum")
     s = schur_complement(block, alpha, tol=tol)
-    s_eig = hermitian_eig(s).eigenvalues
-    if float(np.min(np.abs(s_eig))) <= matrix_tol(s):
+    if float(np.min(np.abs(hermitian_eigvals(s)))) <= matrix_tol(s):
         raise SingularShiftError("Schur complement is singular at this shift")
-    n2 = block.n2
     s_inv = np.linalg.inv(s)
-    c_shift = block.C - alpha * np.eye(n2)
-    f = np.linalg.solve(c_shift, block.B.conj().T).conj().T  # B (C - alpha I)^{-1}
-    top_left = s_inv
+    vecs = block.eig_c.vectors
+    c_inv = (vecs / (block.eig_c.eigenvalues - alpha)) @ vecs.conj().T
+    b_star = block.B.conj().T
+    f = block.B @ c_inv  # B (C - alpha I)^{-1}
     top_right = -s_inv @ f
-    bottom_left = -np.linalg.solve(c_shift, block.B.conj().T @ s_inv)
-    bottom_right = np.linalg.solve(
-        c_shift, np.eye(n2) + block.B.conj().T @ s_inv @ f)
-    return np.block([[top_left, top_right], [bottom_left, bottom_right]])
+    bottom_left = -c_inv @ (b_star @ s_inv)
+    bottom_right = c_inv + c_inv @ (b_star @ s_inv @ f)
+    return np.block([[s_inv, top_right], [bottom_left, bottom_right]])
 
 
 def minimal_b_for_a(block: BlockOperatorMatrix, a: float) -> RelativeBound:
@@ -152,7 +211,7 @@ def minimal_b_for_a(block: BlockOperatorMatrix, a: float) -> RelativeBound:
     if block.n1 == 0:
         return RelativeBound(float(a), 0.0)
     gap = block.coupling_gram() - a * block.A
-    lam_max = float(hermitian_eig(gap).eigenvalues[-1])
+    lam_max = float(hermitian_eigvals(gap)[-1])
     return RelativeBound(float(a), max(0.0, lam_max))
 
 
@@ -174,12 +233,11 @@ def best_relative_bound(block: BlockOperatorMatrix,
     a_max = lambda_max(BB*) / max(lambda_min(A), tol); the window width is
     evaluated at mu = min sigma(A).  Ties resolve to the smallest a.
     """
-    lam_bbs = float(hermitian_eig(block.coupling_gram()).eigenvalues[-1])
+    lam_bbs = float(hermitian_eigvals(block.coupling_gram())[-1])
     if lam_bbs <= 0.0:
         return RelativeBound(0.0, 0.0)
-    spec_a = hermitian_eig(block.A).eigenvalues
-    mu = float(spec_a[0])
-    c = float(hermitian_eig(block.C).eigenvalues[-1])
+    mu = float(block.eig_a.eigenvalues[0])
+    c = float(block.eig_c.eigenvalues[-1])
     denom = max(mu, matrix_tol(block.A), base_tol())
     a_max = lam_bbs / denom
     best = None
@@ -202,18 +260,16 @@ def landmarks(block: BlockOperatorMatrix, tol: float | None = None) -> SpectralL
     assembled eigenvalue above c; kappa counts the negative eigenvalues of the
     Schur complement at c_tilde.
     """
-    full = assemble(block)
     if tol is None:
-        tol = matrix_tol(full)
-    c = float(hermitian_eig(block.C).eigenvalues[-1])
-    spec_m = hermitian_eig(full).eigenvalues
+        tol = block.assembled_tol()
+    c = float(block.eig_c.eigenvalues[-1])
+    spec_m = block.eig_m.eigenvalues
     above = spec_m[spec_m > c + tol]
     if above.size == 0:
         raise LandmarkError("no spectrum of the assembled matrix above max sigma(C)")
     c_tilde = 0.5 * (c + float(above[0]))
     s = schur_complement(block, c_tilde)
-    s_eig = hermitian_eig(s).eigenvalues
-    kappa = int(np.sum(s_eig < -matrix_tol(s)))
+    kappa = int(np.sum(hermitian_eigvals(s) < -matrix_tol(s)))
     return SpectralLandmarks(
         c=c, c_tilde=c_tilde, kappa=kappa,
         lambda_above_c=np.array(above, dtype=float))

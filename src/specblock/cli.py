@@ -23,7 +23,6 @@ from . import __version__
 from .basis import bari_sum, projection_decay, riesz_check
 from .blocks import (
     BlockOperatorMatrix,
-    assemble,
     best_relative_bound,
     landmarks,
 )
@@ -50,7 +49,7 @@ from .errors import (
     SingularShiftError,
     SpecblockError,
 )
-from .linalg import hermitian_eig, operator_norm
+from .linalg import operator_norm
 from .mhd import discretize, run_report, trial_space
 from .problems import ProblemFile, load_problem
 from .report import (
@@ -70,6 +69,7 @@ from .subspaces import (
     graph_test,
     spectral_subspace,
 )
+from .tolerance import base_tol
 from . import selftest as selftest_module
 
 DEFAULT_MHD_N = 64
@@ -98,9 +98,9 @@ def cmd_enclose(problem: ProblemFile, n_interior: int = DEFAULT_MHD_N) -> list[C
     the dimension count over the whole spectrum of one problem."""
     block, _ = _require_block(problem, n_interior)
     rb = _relative_bound(problem, block)
-    spec_a = hermitian_eig(block.A).eigenvalues
-    spec_c = hermitian_eig(block.C).eigenvalues
-    spec_m = hermitian_eig(assemble(block)).eigenvalues
+    spec_a = block.eig_a.eigenvalues
+    spec_c = block.eig_c.eigenvalues
+    spec_m = block.eig_m.eigenvalues
     c = float(spec_c[-1])
     checks = []
 
@@ -227,8 +227,8 @@ def cmd_angular(problem: ProblemFile, alpha: float | None,
     """Graph test, angular operator and the delta condition at one alpha."""
     block, _ = _require_block(problem, n_interior)
     rb = _relative_bound(problem, block)
-    spec_a = hermitian_eig(block.A).eigenvalues
-    c = float(hermitian_eig(block.C).eigenvalues[-1])
+    spec_a = block.eig_a.eigenvalues
+    c = float(block.eig_c.eigenvalues[-1])
     checks = []
     marks = None
     try:
@@ -381,9 +381,9 @@ def cmd_soq(problem: ProblemFile, subspace_dim: int | None,
     """Second-order-spectrum enclosures on a deterministic trial subspace."""
     block, disc = _require_block(problem, n_interior)
     rb = _relative_bound(problem, block)
-    spec_a = hermitian_eig(block.A).eigenvalues
-    c = float(hermitian_eig(block.C).eigenvalues[-1])
-    spec_m = hermitian_eig(assemble(block)).eigenvalues
+    spec_a = block.eig_a.eigenvalues
+    c = float(block.eig_c.eigenvalues[-1])
+    spec_m = block.eig_m.eigenvalues
     anchor = ("sigma(M) ∩ [Re z - |Im z|^2/(b4p - Re z), "
               "Re z + |Im z|^2/(Re z - a1p)] nonempty for admitted z")
     dim_full = block.n1 + block.n2
@@ -498,6 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        base_tol()
+    except ValueError as exc:
+        print(f"specblock: error: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.command == "selftest":
             report = selftest_module.run(args.seed)

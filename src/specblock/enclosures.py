@@ -20,7 +20,6 @@ from .linalg import (
     Interval,
     as_matrix,
     general_eig,
-    hermitian_eig,
     orthonormality_defect,
     spectral_distance,
 )
@@ -189,8 +188,8 @@ def subspace_dim_check(block: BlockOperatorMatrix, b2p: float,
     """
     if not b2p < a3p:
         raise ArgumentError("need b2p < a3p")
-    spec_m = hermitian_eig(assemble(block)).eigenvalues
-    spec_a = hermitian_eig(block.A).eigenvalues
+    spec_m = block.eig_m.eigenvalues
+    spec_a = block.eig_a.eigenvalues
     count_m = int(np.sum((spec_m >= b2p) & (spec_m <= a3p)))
     count_a = int(np.sum((spec_a >= b2p) & (spec_a <= a3p)))
     return count_m, count_a

@@ -23,6 +23,7 @@ __all__ = [
     "require_hermitian",
     "hermitian_defect",
     "hermitian_eig",
+    "hermitian_eigvals",
     "spectral_projector",
     "pseudo_inverse",
     "general_eig",
@@ -54,9 +55,13 @@ class Interval:
                 f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
     def contains(self, x: float) -> bool:
+        return bool(self.mask(x))
+
+    def mask(self, x):
+        """Membership of ``x``, elementwise when ``x`` is an array."""
         above_lo = x > self.lo if self.open_lo else x >= self.lo
         below_hi = x < self.hi if self.open_hi else x <= self.hi
-        return bool(above_lo and below_hi)
+        return above_lo & below_hi
 
     @property
     def width(self) -> float:
@@ -123,20 +128,31 @@ class SpectralDecomposition:
         return int(self.eigenvalues.size)
 
     def window_mask(self, window: Interval) -> np.ndarray:
-        return np.fromiter(
-            (window.contains(float(ev)) for ev in self.eigenvalues),
-            dtype=bool, count=self.dim)
+        return np.asarray(window.mask(self.eigenvalues), dtype=bool)
 
 
 def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
-    out = np.array(vectors, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nonzero = np.nonzero(np.abs(col) > _PHASE_ZERO_TOL)[0]
-        if nonzero.size == 0:
-            continue
-        pivot = col[nonzero[0]]
-        out[:, j] = col * (pivot.conjugate() / abs(pivot))
+    """Rotate each column so its first component above _PHASE_ZERO_TOL is
+    real positive; columns without one are returned unchanged.
+
+    The factor conj(p)/|p| is formed exactly as a numpy complex scalar
+    divided by a real one would be, (conj(p) + 0i) * (1/|p|), so the result
+    does not depend on whether columns are rotated one at a time or together.
+    """
+    vectors = np.asarray(vectors)
+    if vectors.size == 0:
+        return np.array(vectors, copy=True)
+    big = np.abs(vectors) > _PHASE_ZERO_TOL
+    found = big.any(axis=0)
+    pivots = vectors[big.argmax(axis=0), np.arange(vectors.shape[1])]
+    pivots[~found] = 1.0
+    recip = 1.0 / np.hypot(pivots.real, pivots.imag)
+    re, im = pivots.real, -pivots.imag
+    factors = np.empty_like(pivots)
+    factors.real = (re + im * 0.0) * recip
+    factors.imag = (im - re * 0.0) * recip
+    out = vectors * factors
+    out[:, ~found] = vectors[:, ~found]
     return out
 
 
@@ -154,6 +170,20 @@ def hermitian_eig(mat, tol: float | None = None) -> SpectralDecomposition:
     return SpectralDecomposition(
         eigenvalues=np.asarray(eigvals, dtype=float),
         vectors=_normalize_phases(eigvecs))
+
+
+def hermitian_eigvals(mat, tol: float | None = None) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
+
+    Validates like hermitian_eig.  The values come from a different LAPACK
+    path than hermitian_eig's and may differ from them in the last digits.
+    """
+    herm = require_hermitian(mat, tol=tol)
+    try:
+        eigvals = np.linalg.eigvalsh(herm)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
+    return np.asarray(eigvals, dtype=float)
 
 
 def spectral_projector(dec: SpectralDecomposition, window: Interval) -> np.ndarray:

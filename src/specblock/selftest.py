@@ -16,6 +16,7 @@ import os
 
 import numpy as np
 
+from . import __version__
 from .basis import aligned_term, bari_sum, projection_decay, riesz_check
 from .blocks import (
     BlockOperatorMatrix,
@@ -69,7 +70,6 @@ from .subspaces import (
     shifted_matrix,
     spectral_subspace,
 )
-from .tolerance import matrix_tol
 
 __all__ = ["run", "random_block", "separated_block", "ladder_block"]
 
@@ -117,7 +117,7 @@ def separated_block(rng, max_halvings: int = 40):
     for _ in range(max_halvings):
         block = BlockOperatorMatrix(A=a_mat, B=b_mat, C=c_mat)
         rb = best_relative_bound(block)
-        spec_a = hermitian_eig(block.A).eigenvalues
+        spec_a = block.eig_a.eigenvalues
         valid = sum(
             resolvent_interval(float(spec_a[i]), float(spec_a[i + 1]), c, rb)
             .hypothesis_ok
@@ -215,10 +215,9 @@ def schur_suite(rng, count: int = 200) -> list[Check]:
     scanned = 0
     for _ in range(count):
         block = random_block(rng)
-        full = assemble(block)
-        spec_m = hermitian_eig(full).eigenvalues
-        spec_c = hermitian_eig(block.C).eigenvalues
-        tol = matrix_tol(full)
+        spec_m = block.eig_m.eigenvalues
+        spec_c = block.eig_c.eigenvalues
+        tol = block.assembled_tol()
         for lam in spec_m:
             if spectral_distance(float(lam), spec_c) <= 10.0 * tol:
                 continue
@@ -251,8 +250,8 @@ def resolvent_suite(rng, count: int = 50) -> list[Check]:
     for _ in range(count):
         block = random_block(rng)
         full = assemble(block)
-        spec_m = hermitian_eig(full).eigenvalues
-        spec_c = hermitian_eig(block.C).eigenvalues
+        spec_m = block.eig_m.eigenvalues
+        spec_c = block.eig_c.eigenvalues
         alpha = float(spec_m[-1] + rng.uniform(0.5, 3.0))
         for candidate in (alpha, float(spec_m[0] - rng.uniform(0.5, 3.0))):
             if (spectral_distance(candidate, spec_m) <= 1e-3
@@ -303,9 +302,9 @@ def dist_bound_suite(rng, count: int = 500) -> list[Check]:
     checked = 0
     for _ in range(count):
         block = random_block(rng)
-        spec_a = hermitian_eig(block.A).eigenvalues
-        spec_c = hermitian_eig(block.C).eigenvalues
-        spec_m = hermitian_eig(assemble(block)).eigenvalues
+        spec_a = block.eig_a.eigenvalues
+        spec_c = block.eig_c.eigenvalues
+        spec_m = block.eig_m.eigenvalues
         rb = minimal_b_for_a(block, 0.0)
         for lam in spec_m:
             if spectral_distance(float(lam), spec_c) <= rb.a + 1e-6:
@@ -352,9 +351,9 @@ def window_suite(rng, count: int = 200) -> list[Check]:
         else:
             block = random_block(rng)
             rb = minimal_b_for_a(block, 0.0)
-            c = float(hermitian_eig(block.C).eigenvalues[-1])
-        spec_a = hermitian_eig(block.A).eigenvalues
-        spec_m = hermitian_eig(assemble(block)).eigenvalues
+            c = float(block.eig_c.eigenvalues[-1])
+        spec_a = block.eig_a.eigenvalues
+        spec_m = block.eig_m.eigenvalues
         for lam in spec_m[spec_m > c + rb.a + 1e-9]:
             lam = float(lam)
             mu_in = inclusion_reference(spec_a, lam)
@@ -444,7 +443,7 @@ def dim_check_suite(rng, count: int = 100) -> list[Check]:
     nonempty = 0
     for _ in range(count):
         block, rb, c = separated_block(rng)
-        spec_a = hermitian_eig(block.A).eigenvalues
+        spec_a = block.eig_a.eigenvalues
         valid = [i for i in range(spec_a.size - 1)
                  if resolvent_interval(float(spec_a[i]), float(spec_a[i + 1]),
                                        c, rb).hypothesis_ok]
@@ -472,13 +471,13 @@ def soq_suite(rng, count: int = 100) -> list[Check]:
     admitted_total = 0
     for _ in range(count):
         block, rb, c = separated_block(rng)
-        spec_a = hermitian_eig(block.A).eigenvalues
+        spec_a = block.eig_a.eigenvalues
         bracket = soq_bracket(spec_a, c, rb)
         if bracket is None:
             continue
         a1p, b4m, b4p = bracket
         full = assemble(block)
-        spec_m = hermitian_eig(full).eigenvalues
+        spec_m = block.eig_m.eigenvalues
         n = full.shape[0]
         noise = _random_hermitian(rng, n, 1.0) / np.sqrt(n)
         pert = full + 0.02 * operator_norm(full) * noise
@@ -502,8 +501,8 @@ def soq_suite(rng, count: int = 100) -> list[Check]:
     disc = discretize(constant_profile(), 64)
     a, b, c = constants(constant_profile())
     rb = RelativeBound(a, b)
-    spec_a = hermitian_eig(disc.block.A).eigenvalues
-    spec_m = hermitian_eig(assemble(disc.block)).eigenvalues
+    spec_a = disc.block.eig_a.eigenvalues
+    spec_m = disc.block.eig_m.eigenvalues
     bracket = soq_bracket(spec_a, c, rb)
     mhd_admitted = 0
     if bracket is not None:
@@ -570,8 +569,8 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
                     and rep.gram_max <= 1.0 + 1e-8):
                 gram_fail += 1
 
-        spec_a = hermitian_eig(block.A).eigenvalues
-        full_spec = hermitian_eig(assemble(block)).eigenvalues
+        spec_a = block.eig_a.eigenvalues
+        full_spec = block.eig_m.eigenvalues
         above = full_spec[full_spec > marks.c]
         rb = minimal_b_for_a(block, 0.0)
         candidates = [0.5 * (above[i] + above[i + 1]) for i in range(len(above) - 1)]
@@ -612,10 +611,10 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
             mu = lam_min_a + float(rng.uniform(0.3, 0.9)) * max(
                 float(spec_a[-1]) - lam_min_a, 1.0)
             shifted = shifted_matrix(block, mu)
-            tilde_a_min = float(hermitian_eig(shifted.A).eigenvalues[0])
+            tilde_a_min = float(shifted.eig_a.eigenvalues[0])
             scale = max(1.0, abs(mu))
             shift_worst = max(shift_worst, (mu - tilde_a_min) / scale)
-            tilde_spec = hermitian_eig(assemble(shifted)).eigenvalues
+            tilde_spec = shifted.eig_m.eigenvalues
             shift_worst = max(shift_worst,
                               (float(spec_full[0]) - float(tilde_spec[0])) / scale)
     checks.append(_check(
@@ -686,7 +685,7 @@ def basis_suite(rng, count: int = 60) -> list[Check]:
         if np.any(np.diff(bari.partial_sums) < -1e-15):
             nondec_fail += 1
         # Alignment invariance under a random phase.
-        dec_a = hermitian_eig(block.A)
+        dec_a = block.eig_a
         mu = float(dec_a.eigenvalues[marks.kappa]) if dec_a.eigenvalues.size \
             else 0.0
         proj = dec_a.vectors[:, [marks.kappa]] @ \
@@ -740,7 +739,7 @@ def mhd_suite() -> list[Check]:
         {"exact": 1e-12}))
 
     disc = discretize(profile, 128)
-    spec_a = hermitian_eig(disc.block.A).eigenvalues
+    spec_a = disc.block.eig_a.eigenvalues
     continuum = np.array([2.0 * np.pi ** 2 * n ** 2 + 2.0 for n in (1, 2, 3)])
     rel = np.abs(spec_a[:3] - continuum) / continuum
     checks.append(_check(
@@ -753,7 +752,7 @@ def mhd_suite() -> list[Check]:
     rb = RelativeBound(a, b)
     slack = 10.0 / disc.N
     marks = landmarks(disc.block)
-    spec_c = hermitian_eig(disc.block.C).eigenvalues
+    spec_c = disc.block.eig_c.eigenvalues
     worst = -np.inf
     for lam in marks.lambda_above_c:
         rep = dist_bound(float(lam), spec_a, spec_c, rb)
@@ -859,11 +858,11 @@ def fixture_suite() -> list[Check]:
     if corrupt:
         block = BlockOperatorMatrix(A=np.diag([2.0, 10.5]),
                                     B=block.B, C=block.C)
-    spec_m = hermitian_eig(assemble(block)).eigenvalues
+    spec_m = block.eig_m.eigenvalues
     eig_gap = float(np.max(np.abs(spec_m - np.array(FIXTURE_EIGS))))
     marks = landmarks(block)
     rb = minimal_b_for_a(block, 0.0)
-    spec_a = hermitian_eig(block.A).eigenvalues
+    spec_a = block.eig_a.eigenvalues
     delta6 = delta_condition(6.0, marks.c, spec_a, rb)
     k_op = angular_operator(spectral_subspace(block, marks.c_tilde))
     ok = (eig_gap <= 1e-9
@@ -903,7 +902,7 @@ def variational_suite(rng, count: int = 80) -> list[Check]:
             marks = landmarks(block)
         except LandmarkError:
             continue
-        spec_a = hermitian_eig(block.A).eigenvalues
+        spec_a = block.eig_a.eigenvalues
         n_avail = min(int(marks.lambda_above_c.size),
                       int(spec_a.size) - marks.kappa)
         if n_avail < 1:
@@ -939,5 +938,5 @@ def run(seed: int = 42) -> Report:
     checks += subspace_suite(rng)
     checks += basis_suite(rng)
     checks += mhd_suite()
-    return Report(tool="specblock", version="0.1.0", command="selftest",
+    return Report(tool="specblock", version=__version__, command="selftest",
                   input_digest=f"selftest-seed-{seed}", checks=checks)

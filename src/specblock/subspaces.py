@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockOperatorMatrix, RelativeBound, assemble
+from .blocks import BlockOperatorMatrix, RelativeBound
 from .errors import ArgumentError, HypothesisError, NotAGraphError
 from .linalg import (
     Interval,
-    hermitian_eig,
     operator_norm,
     pseudo_inverse,
     spectral_distance,
@@ -93,10 +92,9 @@ def spectral_subspace(block: BlockOperatorMatrix, alpha: float,
                       tol: float | None = None) -> GraphSubspace:
     """Orthonormal basis of the subspace spanned by eigenvalues above alpha."""
     alpha = float(alpha)
-    full = assemble(block)
     if tol is None:
-        tol = matrix_tol(full)
-    dec = hermitian_eig(full)
+        tol = block.assembled_tol()
+    dec = block.eig_m
     if spectral_distance(alpha, dec.eigenvalues) <= tol:
         raise ArgumentError(
             f"alpha = {alpha:.12g} is within {tol:.3e} of an eigenvalue of "
@@ -182,7 +180,7 @@ def shifted_matrix(block: BlockOperatorMatrix, mu: float) -> BlockOperatorMatrix
     spectrum of the shifted assembly.
     """
     mu = float(mu)
-    dec = hermitian_eig(block.A)
+    dec = block.eig_a
     lam_min = float(dec.eigenvalues[0])
     if mu - lam_min <= scalar_tol(mu, lam_min):
         raise ArgumentError("mu must exceed min sigma(A)")
@@ -203,10 +201,9 @@ def smallest_graph_beta(block: BlockOperatorMatrix, betas=None,
     threshold.  The default grid takes the midpoints of the spectral gaps
     above max sigma(C) and one point beyond the top of the spectrum.
     """
-    dec = hermitian_eig(assemble(block))
-    spec_m = dec.eigenvalues
+    spec_m = block.eig_m.eigenvalues
     if betas is None:
-        c = float(hermitian_eig(block.C).eigenvalues[-1])
+        c = float(block.eig_c.eigenvalues[-1])
         above = spec_m[spec_m > c + matrix_tol(block.C)]
         pts = np.concatenate(([c], above))
         mids = [0.5 * (pts[i] + pts[i + 1]) for i in range(len(pts) - 1)]

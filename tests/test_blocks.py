@@ -35,6 +35,36 @@ class TestBlockOperatorMatrix:
             BlockOperatorMatrix(A=[[0.0, 1.0], [0.0, 0.0]], B=np.ones((2, 1)),
                                 C=np.eye(1))
 
+    def test_caller_arrays_cannot_reach_the_cache(self):
+        a = np.diag([2.0, 10.0]).astype(complex)
+        b = np.array([[1.0], [1.0]], dtype=complex)  # as_matrix would alias it
+        block = BlockOperatorMatrix(A=a, B=b, C=[[-1.0]])
+        b[0, 0] = 100.0
+        a[0, 0] = 50.0
+        assert block.B[0, 0] == 1.0 and block.A[0, 0] == 2.0
+        # computed after the caller's writes, from the blocks as constructed
+        assert np.allclose(block.eig_m.eigenvalues, cubic_fixture_roots(),
+                           atol=1e-9)
+
+    def test_blocks_and_cached_spectra_are_read_only(self, m3):
+        for arr in (m3.A, m3.B, m3.C, m3.coupling_gram(), m3.eig_a.vectors,
+                    m3.eig_m.eigenvalues, m3.coupling_in_c_basis):
+            with pytest.raises(ValueError):
+                arr[0, ...] = 0.0
+
+    def test_decompositions_are_cached_per_block(self, m3):
+        assert m3.eig_m is m3.eig_m
+        assert m3.coupling_gram() is m3.coupling_gram()
+        twin = BlockOperatorMatrix(A=m3.A, B=m3.B, C=m3.C)
+        assert twin.eig_m is not m3.eig_m
+        assert np.array_equal(twin.eig_m.vectors, m3.eig_m.vectors)
+
+    def test_assembled_tol_matches_matrix_tol(self, rng):
+        from specblock.tolerance import matrix_tol
+        for _ in range(5):
+            block = random_block(rng)
+            assert block.assembled_tol() == matrix_tol(assemble(block))
+
 
 class TestAssemble:
     def test_cubic_fixture_block_placement(self, m3):
@@ -81,6 +111,19 @@ class TestSchurComplement:
     def test_singular_shift_rejected(self, m3):
         with pytest.raises(SingularShiftError):
             schur_complement(m3, -1.0)
+
+    def test_matches_linear_solve(self, rng):
+        for _ in range(20):
+            block = random_block(rng)
+            lam = float(rng.uniform(-20.0, 20.0))
+            c_shift = block.C - lam * np.eye(block.n2)
+            if np.linalg.cond(c_shift) > 1e6:
+                continue
+            direct = (block.A - lam * np.eye(block.n1)
+                      - block.B @ np.linalg.solve(c_shift, block.B.conj().T))
+            scale = max(1.0, np.linalg.norm(direct, 2))
+            assert np.linalg.norm(schur_complement(block, lam) - direct, 2) \
+                <= 1e-9 * scale
 
 
 class TestResolventBlock:

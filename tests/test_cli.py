@@ -44,6 +44,33 @@ class TestExitCodes:
         assert main(["enclose", "--input", "/nonexistent.json"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    @pytest.mark.parametrize("command", ["enclose", "selftest"])
+    def test_bad_tolerance_setting_exits_2(self, tmp_path, monkeypatch, capsys,
+                                           value, command):
+        monkeypatch.setenv("SPECBLOCK_TOL", value)
+        if command == "selftest":
+            args = ["selftest", "--seed", "1"]
+        else:
+            path = write_problem(tmp_path, "m3.json", M3_PROBLEM)
+            args = ["enclose", "--input", path]
+        assert main(args + ["--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specblock: error: SPECBLOCK_TOL")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["enclose", "angular", "basis"])
+    def test_coupling_gram_overflow_exits_2(self, tmp_path, capsys, command):
+        payload = {"blocks": {"A": [[2, 0], [0, 10]], "B": [[1e200], [1]],
+                              "C": [[-1]]}}
+        path = write_problem(tmp_path, "big.json", payload)
+        assert main([command, "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert "coupling Gram matrix B B* overflows" in err
+        assert "finite" not in err
+        assert err.count("\n") == 1
+
     def test_corrupted_selftest_exits_1(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPECBLOCK_SELFTEST_CORRUPT", "1")
         out = tmp_path / "r.json"

@@ -1,0 +1,87 @@
+"""Golden verdicts and decomposition counts.
+
+``data/golden_verdicts.json`` holds the exit code and the (name, status) list
+of every check for fixed inputs: ``selftest --seed 42``, ``mhd`` at N = 64 on
+two profiles, and the four block commands on ``data/golden_block.json``.
+Refactors must reproduce them; a changed verdict has to be a named bug fix.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from specblock import assemble, discretize, linalg, run_report
+from specblock.cli import main
+from specblock.mhd import profile_from_functions
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden_verdicts.json").read_text())
+
+MHD_PROBLEMS = {
+    "mhd-constant-64": {
+        "grid_n": 65, "rho": "constant", "va2": "constant",
+        "vs2": "constant", "kperp": "constant", "kpar": "constant", "g": 0.0},
+    "mhd-linear-sinusoidal-64": {
+        "grid_n": 65, "rho": "linear", "va2": "sinusoidal",
+        "vs2": "constant", "kperp": "constant", "kpar": "constant", "g": 0.3},
+}
+
+
+def run_cli(tmp_path, args):
+    out = tmp_path / "report.json"
+    code = main(args + ["--out", str(out)])
+    checks = json.loads(out.read_text())["checks"]
+    return {"exit": code,
+            "verdicts": [[c["name"], c["status"]] for c in checks]}
+
+
+def test_selftest_seed_42(tmp_path):
+    assert run_cli(tmp_path, ["selftest", "--seed", "42"]) \
+        == GOLDEN["selftest-42"]
+
+
+@pytest.mark.parametrize("name", sorted(MHD_PROBLEMS))
+def test_mhd_profiles(tmp_path, name):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"mhd": MHD_PROBLEMS[name]}))
+    assert run_cli(tmp_path, ["mhd", "--input", str(path), "--n", "64"]) \
+        == GOLDEN[name]
+
+
+@pytest.mark.parametrize("command", ["enclose", "angular", "basis", "soq"])
+def test_block_commands(tmp_path, command):
+    args = [command, "--input", str(DATA / "golden_block.json")]
+    assert run_cli(tmp_path, args) == GOLDEN[f"block-{command}"]
+
+
+def test_run_report_decomposes_a_c_and_m_once_per_call(monkeypatch):
+    seen = []
+    original = linalg.hermitian_eig
+
+    def counting(mat, tol=None):
+        seen.append(np.array(mat, copy=True))
+        return original(mat, tol=tol)
+
+    # Modules import the function by name; rebind it wherever it is held.
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("specblock")
+                and getattr(module, "hermitian_eig", None) is original):
+            monkeypatch.setattr(module, "hermitian_eig", counting)
+
+    profile = profile_from_functions(lambda x: 1.0 + x, 1.0, 1.0, 1.0, 1.0,
+                                     g=0.3, grid_n=33)
+    ref = discretize(profile, 32).block
+    targets = {"A": ref.A, "C": ref.C, "M": assemble(ref)}
+
+    def counts():
+        return {key: sum(x.shape == t.shape and np.array_equal(x, t)
+                         for x in seen)
+                for key, t in targets.items()}
+
+    run_report(profile, 32, 4)
+    assert counts() == {"A": 1, "C": 1, "M": 1}
+    run_report(profile, 32, 4)
+    assert counts() == {"A": 2, "C": 2, "M": 2}

@@ -7,12 +7,15 @@ from specblock import (
     Interval,
     general_eig,
     hermitian_eig,
+    hermitian_eigvals,
     operator_norm,
     orthonormality_defect,
     pseudo_inverse,
     spectral_distance,
     spectral_projector,
 )
+
+from specblock.linalg import _PHASE_ZERO_TOL, _normalize_phases
 
 from oracles import cubic_fixture_roots, eigvec3
 
@@ -92,6 +95,79 @@ class TestHermitianEig:
             assert np.max(np.abs(shifted - dec.eigenvalues - eps)) <= 1e-12
         assert np.trace(h).real == pytest.approx(np.sum(dec.eigenvalues),
                                                  rel=1e-9, abs=1e-9)
+
+
+def loop_normalize_phases(vectors):
+    """Column-by-column reference for the phase convention."""
+    out = np.array(vectors, copy=True)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nonzero = np.nonzero(np.abs(col) > _PHASE_ZERO_TOL)[0]
+        if nonzero.size == 0:
+            continue
+        pivot = col[nonzero[0]]
+        out[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return out
+
+
+class TestPhaseNormalization:
+    def test_matches_column_loop_bytes(self):
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            n, m = int(rng.integers(1, 24)), int(rng.integers(1, 24))
+            v = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+            v *= 10.0 ** rng.uniform(-14.0, 3.0, (n, m))
+            # leading entries below the threshold, then a vanishing column
+            v[:int(rng.integers(0, n + 1)), int(rng.integers(0, m))] = \
+                0.5 * _PHASE_ZERO_TOL * (1.0 - 1.0j)
+            zero = complex(-0.0, -0.0) if trial % 3 else 0.0
+            v[:, int(rng.integers(0, m))] = zero
+            if trial % 2:
+                v = np.asfortranarray(v)
+            got = _normalize_phases(v)
+            want = loop_normalize_phases(v)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_general_eig_vectors_match_column_loop(self):
+        rng = np.random.default_rng(32)
+        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        _, vecs = np.linalg.eig(g)
+        assert (_normalize_phases(vecs).tobytes()
+                == loop_normalize_phases(vecs).tobytes())
+
+    def test_empty(self):
+        empty = np.zeros((0, 0), dtype=complex)
+        assert _normalize_phases(empty).shape == (0, 0)
+
+
+class TestWindowMask:
+    def test_matches_pointwise_contains(self):
+        dec = hermitian_eig(np.diag([-1.0, 0.0, 0.0, 2.0, 3.5]))
+        for lo, hi in ((0.0, 2.0), (-np.inf, 0.0), (0.0, np.inf), (5.0, 6.0)):
+            for open_lo in (False, True):
+                for open_hi in (False, True):
+                    iv = Interval(lo, hi, open_lo=open_lo, open_hi=open_hi)
+                    want = [iv.contains(float(ev)) for ev in dec.eigenvalues]
+                    got = dec.window_mask(iv)
+                    assert got.dtype == bool
+                    assert got.tolist() == want
+
+
+class TestHermitianEigvals:
+    def test_agrees_with_full_decomposition(self):
+        for seed in range(6):
+            h = random_hermitian(seed, 2 + seed)
+            vals = hermitian_eigvals(h)
+            full = hermitian_eig(h).eigenvalues
+            scale = max(1.0, float(np.max(np.abs(full))))
+            assert np.max(np.abs(vals - full)) <= 1e-12 * scale
+
+    def test_validates_like_hermitian_eig(self):
+        with pytest.raises(ArgumentError):
+            hermitian_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ArgumentError):
+            hermitian_eigvals(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestSpectralProjector:
