@@ -63,7 +63,6 @@ from .subspaces import (
     delta_condition,
     graph_test,
     shifted_matrix,
-    smallest_graph_beta,
     spectral_subspace,
 )
 from .basis import (

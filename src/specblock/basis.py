@@ -27,7 +27,14 @@ from .linalg import (
     spectral_projector,
 )
 from .subspaces import AngularOperator, GraphSubspace
-from .tolerance import matrix_tol
+from .tolerance import (
+    BARI_DIP,
+    EIGVEC_RESIDUAL_REL,
+    PAIR_TOL,
+    RIESZ_TOL,
+    SLACK,
+    ZERO_DECAY,
+)
 
 __all__ = [
     "BasisReport",
@@ -73,11 +80,32 @@ class DecayRecord:
     circle_dist_a: float
     a_points_inside: int
 
+    @property
+    def within_bound(self) -> bool:
+        """delta < 1 implies ||E - F_n|| <= bound + SLACK."""
+        return self.delta >= 1.0 or self.proj_diff_norm <= self.bound + SLACK
+
 
 @dataclass(frozen=True)
 class DecayReport:
     records: tuple
     m_constant: float
+
+    @property
+    def norms(self) -> list[float]:
+        return [r.proj_diff_norm for r in self.records]
+
+    @property
+    def within_bound(self) -> bool:
+        """Every record with delta < 1 stays within its explicit bound."""
+        return all(r.within_bound for r in self.records)
+
+    @property
+    def decreasing(self) -> bool:
+        """The norms strictly decrease, or all vanish (a decoupled problem)."""
+        norms = self.norms
+        return (max(norms) <= ZERO_DECAY
+                or all(b < a for a, b in zip(norms, norms[1:])))
 
 
 @dataclass(frozen=True)
@@ -86,8 +114,6 @@ class BariRecord:
     lam: float
     mu: float
     term: float
-    overlap: float
-    simple: bool
 
 
 @dataclass(frozen=True)
@@ -97,11 +123,16 @@ class BariReport:
     gap_sum: float
     converged: bool
 
+    @property
+    def nondecreasing(self) -> bool:
+        """The partial sums never dip by more than BARI_DIP."""
+        return bool(np.all(np.diff(self.partial_sums) >= -BARI_DIP))
+
 
 def riesz_check(block: BlockOperatorMatrix, subspace: GraphSubspace,
-                k_op: AngularOperator, tol: float = 1e-8,
-                residual_tol: float = 1e-6) -> BasisReport:
-    """Frame bounds of the first components against [1/(1 + ‖K‖²), 1].
+                k_op: AngularOperator) -> BasisReport:
+    """Frame bounds of the first components against [1/(1 + ‖K‖²), 1],
+    up to RIESZ_TOL.
 
     The subspace columns must be orthonormal eigenvectors of the assembled
     matrix with eigenvalues above max sigma(C); anything else is an input
@@ -117,7 +148,7 @@ def riesz_check(block: BlockOperatorMatrix, subspace: GraphSubspace,
     rayleighs = np.real(np.sum(stacked.conj() * mw, axis=0))
     residuals = np.linalg.norm(mw - stacked * rayleighs, axis=0)
     for j, (rayleigh, residual) in enumerate(zip(rayleighs, residuals)):
-        if residual > residual_tol * scale:
+        if residual > EIGVEC_RESIDUAL_REL * scale:
             raise ArgumentError(
                 f"column {j} is not an eigenvector (residual {residual:.3e})")
         if rayleigh <= c:
@@ -128,7 +159,7 @@ def riesz_check(block: BlockOperatorMatrix, subspace: GraphSubspace,
     gram_min = float(gram_eigs[0])
     gram_max = float(gram_eigs[-1])
     riesz_lower = 1.0 / (1.0 + k_op.norm ** 2)
-    passed = gram_min >= riesz_lower - tol and gram_max <= 1.0 + tol
+    passed = gram_min >= riesz_lower - RIESZ_TOL and gram_max <= 1.0 + RIESZ_TOL
     return BasisReport(gram_min=gram_min, gram_max=gram_max, k_norm=k_op.norm,
                        riesz_lower=riesz_lower, passed=bool(passed))
 
@@ -142,40 +173,43 @@ def _isolation_radius(value: float, spectrum: np.ndarray) -> float:
     return 0.5 * float(np.min(np.abs(rest - value)))
 
 
-def _cluster_projector(dec, value: float, tol: float) -> np.ndarray:
-    mask = np.abs(dec.eigenvalues - value) <= tol
-    cols = dec.vectors[:, mask]
+def _cluster_projector(block: BlockOperatorMatrix, index: int) -> np.ndarray:
+    """Eigenprojector of A onto the cluster of its index-th eigenvalue."""
+    labels = block.a_clusters
+    cols = block.eig_a.vectors[:, labels == labels[index]]
     return cols @ cols.conj().T
 
 
-def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
-                     n_max: int, rb: RelativeBound | None = None,
-                     circle_points: int = 64) -> DecayReport:
-    """Compare eigenprojectors of A with Schur-complement spectral projectors.
-
-    For each of the first ``n_max`` eigenvalues above c: the isolation radius
-    gamma_n, the projector of the Schur complement at lambda_n onto
-    (-gamma_n, gamma_n), the eigenprojector of A at mu_{kappa+n}, the operator
-    norm of their difference, and the circle-maximized delta_n.  The circle is
-    sampled at 2 * circle_points angles (a refinement of the circle_points
-    grid, so the reported maximum dominates the coarse one).
-    """
+def _check_range(block: BlockOperatorMatrix, marks: SpectralLandmarks,
+                 n_max: int) -> None:
+    """The first n_max eigenvalues above c and their partners in sigma(A) exist."""
     if n_max < 1:
         raise ArgumentError("n_max must be at least 1")
     if marks.lambda_above_c.size < n_max:
         raise ArgumentError(
             f"only {marks.lambda_above_c.size} eigenvalues above c, "
             f"need {n_max}")
-    dec_a = block.eig_a
-    spec_a = dec_a.eigenvalues
-    if spec_a.size < marks.kappa + n_max:
+    if block.n1 < marks.kappa + n_max:
         raise ArgumentError("not enough eigenvalues of A for the requested range")
+
+
+def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
+                     n_max: int, rb: RelativeBound | None = None) -> DecayReport:
+    """Compare eigenprojectors of A with Schur-complement spectral projectors.
+
+    For each of the first ``n_max`` eigenvalues above c: the isolation radius
+    gamma_n, the projector of the Schur complement at lambda_n onto
+    (-gamma_n, gamma_n), the eigenprojector of A at mu_{kappa+n}, the operator
+    norm of their difference, and the circle-maximized delta_n.  The circle is
+    sampled at 128 equally spaced angles.
+    """
+    _check_range(block, marks, n_max)
+    spec_a = block.eig_a.eigenvalues
     if rb is None:
         rb = best_relative_bound(block)
     spec_m = block.eig_m.eigenvalues
     tol_full = block.assembled_tol()
-    tol_a = matrix_tol(block.A)
-    angles = 2.0 * np.pi * np.arange(2 * circle_points) / (2 * circle_points)
+    angles = 2.0 * np.pi * np.arange(128) / 128
     records = []
     m_constant = 0.0
     for n in range(1, n_max + 1):
@@ -189,7 +223,7 @@ def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
         s = schur_complement(block, lam)
         f_proj = spectral_projector(
             hermitian_eig(s), Interval(-gamma, gamma, open_lo=True, open_hi=True))
-        e_proj = _cluster_projector(dec_a, mu, tol_a)
+        e_proj = _cluster_projector(block, marks.kappa + n - 1)
         # E - F is Hermitian, so its norm is its largest |eigenvalue|
         diff_norm = float(np.max(np.abs(hermitian_eigvals(e_proj - f_proj))))
         zs = lam + gamma * np.exp(1j * angles)
@@ -209,24 +243,23 @@ def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
     return DecayReport(records=tuple(records), m_constant=m_constant)
 
 
-def aligned_term(x: np.ndarray, projector: np.ndarray,
-                 pair_tol: float = 1e-8) -> tuple[float, float]:
-    """‖y - x‖² for the aligned unit vector y = Px/‖Px‖ of a unit vector x.
+def aligned_term(x: np.ndarray, projector: np.ndarray) -> tuple[float, float]:
+    """‖y - x‖² and ‖Px‖ for a unit vector x and its aligned y = Px/‖Px‖.
 
     The alignment absorbs any phase of x, so the term is invariant under
-    x -> e^{i theta} x.  Raises PairingError when ‖Px‖ falls below pair_tol.
+    x -> e^{i theta} x.  Raises PairingError when ‖Px‖ falls below PAIR_TOL.
     """
     px = projector @ x
     overlap = float(np.linalg.norm(px))
-    if overlap < pair_tol:
+    if overlap < PAIR_TOL:
         raise PairingError(
             f"projected component has norm {overlap:.3e}; cannot align")
     y = px / overlap
     return float(np.linalg.norm(y - x) ** 2), overlap
 
 
-def bari_sum(block: BlockOperatorMatrix, marks: SpectralLandmarks, n_max: int,
-             pair_tol: float = 1e-8) -> BariReport:
+def bari_sum(block: BlockOperatorMatrix, marks: SpectralLandmarks,
+             n_max: int) -> BariReport:
     """Partial sums of ‖y_{kappa+n} - x_n‖² with aligned eigenvectors of A.
 
     x_n is the normalized first component of the n-th eigenvector above c;
@@ -235,19 +268,10 @@ def bari_sum(block: BlockOperatorMatrix, marks: SpectralLandmarks, n_max: int,
     leading gaps of sigma(A); ``converged`` flags that the last three
     increments each dropped below 1e-3 of the first.
     """
-    if n_max < 1:
-        raise ArgumentError("n_max must be at least 1")
-    if marks.lambda_above_c.size < n_max:
-        raise ArgumentError(
-            f"only {marks.lambda_above_c.size} eigenvalues above c, "
-            f"need {n_max}")
-    dec_a = block.eig_a
-    spec_a = dec_a.eigenvalues
-    if spec_a.size < marks.kappa + n_max:
-        raise ArgumentError("not enough eigenvalues of A for the requested range")
+    _check_range(block, marks, n_max)
+    spec_a = block.eig_a.eigenvalues
     dec_m = block.eig_m
     tol_full = block.assembled_tol()
-    tol_a = matrix_tol(block.A)
     above_idx = np.nonzero(dec_m.eigenvalues > marks.c + tol_full)[0]
     n1 = block.n1
     records = []
@@ -258,17 +282,13 @@ def bari_sum(block: BlockOperatorMatrix, marks: SpectralLandmarks, n_max: int,
         vec = dec_m.vectors[:, idx]
         x = vec[:n1]
         x_norm = float(np.linalg.norm(x))
-        if x_norm < pair_tol:
+        if x_norm < PAIR_TOL:
             raise PairingError(
                 f"eigenvector at {lam:.12g} has vanishing first component")
         x = x / x_norm
         mu = float(spec_a[marks.kappa + n - 1])
-        e_proj = _cluster_projector(dec_a, mu, tol_a)
-        term, overlap = aligned_term(x, e_proj, pair_tol=pair_tol)
-        simple = bool(np.sum(np.abs(spec_a - mu) <= tol_a) == 1
-                      and _isolation_radius(mu, spec_a) > tol_a)
-        records.append(BariRecord(n=n, lam=lam, mu=mu, term=term,
-                                  overlap=overlap, simple=simple))
+        term, _ = aligned_term(x, _cluster_projector(block, marks.kappa + n - 1))
+        records.append(BariRecord(n=n, lam=lam, mu=mu, term=term))
         terms.append(term)
     partial_sums = np.cumsum(terms)
     gap_count = min(spec_a.size - 1, marks.kappa + n_max)

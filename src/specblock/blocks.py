@@ -91,6 +91,14 @@ class BlockOperatorMatrix:
         return _frozen_eig(self.A)
 
     @cached_property
+    def a_clusters(self) -> np.ndarray:
+        """Cluster label of each eigenvalue of A, ascending from 0: neighbours
+        at most matrix_tol(A) apart share a label and one eigenprojector."""
+        spec = self.eig_a.eigenvalues
+        gaps = np.diff(spec, prepend=spec[:1]) > matrix_tol(self.A)
+        return _frozen(np.cumsum(gaps))
+
+    @cached_property
     def eig_c(self) -> SpectralDecomposition:
         """Eigendecomposition of C."""
         return _frozen_eig(self.C)
@@ -176,8 +184,7 @@ def schur_complement(block: BlockOperatorMatrix, lam: float,
     return 0.5 * (s + s.conj().T)
 
 
-def resolvent_block(block: BlockOperatorMatrix, alpha: float,
-                    tol: float | None = None) -> np.ndarray:
+def resolvent_block(block: BlockOperatorMatrix, alpha: float) -> np.ndarray:
     """Resolvent of the assembled matrix at ``alpha``, built Schur-block by block.
 
     Assembles [[S⁻¹, -S⁻¹F], [-(C-αI)⁻¹B*S⁻¹, (C-αI)⁻¹ + (C-αI)⁻¹B*S⁻¹F]]
@@ -185,8 +192,7 @@ def resolvent_block(block: BlockOperatorMatrix, alpha: float,
     (C-αI)⁻¹ comes from the eigendecomposition of C.
     """
     alpha = float(alpha)
-    if tol is None:
-        tol = block.assembled_tol()
+    tol = block.assembled_tol()
     if spectral_distance(alpha, block.eig_m.eigenvalues) <= tol:
         raise SingularShiftError(
             f"shift {alpha:.12g} is within {tol:.3e} of the assembled spectrum")
@@ -226,9 +232,9 @@ def relative_bound_margin(block: BlockOperatorMatrix, rb: RelativeBound):
     return float(dec.eigenvalues[0]), dec.vectors[:, 0]
 
 
-def best_relative_bound(block: BlockOperatorMatrix,
-                        grid_points: int = 21) -> RelativeBound:
-    """Scan a over [0, a_max] and keep the pair with the tightest inclusion window.
+def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
+    """Scan a over 21 points of [0, a_max] and keep the pair with the tightest
+    inclusion window.
 
     a_max = lambda_max(BB*) / max(lambda_min(A), tol); the window width is
     evaluated at mu = min sigma(A).  Ties resolve to the smallest a.
@@ -242,7 +248,7 @@ def best_relative_bound(block: BlockOperatorMatrix,
     a_max = lam_bbs / denom
     best = None
     best_width = np.inf
-    for a in np.linspace(0.0, a_max, grid_points):
+    for a in np.linspace(0.0, a_max, 21):
         rb = minimal_b_for_a(block, float(a))
         disc = ((mu - c) / 2.0) ** 2 + rb.a * (rb.a + c) + rb.b
         if disc < 0.0:
@@ -253,18 +259,16 @@ def best_relative_bound(block: BlockOperatorMatrix,
     return best if best is not None else minimal_b_for_a(block, 0.0)
 
 
-def landmarks(block: BlockOperatorMatrix, tol: float | None = None) -> SpectralLandmarks:
+def landmarks(block: BlockOperatorMatrix) -> SpectralLandmarks:
     """Locate c = max sigma(C), the first gap above it, and count kappa there.
 
     c_tilde is fixed deterministically as the midpoint of c and the smallest
     assembled eigenvalue above c; kappa counts the negative eigenvalues of the
     Schur complement at c_tilde.
     """
-    if tol is None:
-        tol = block.assembled_tol()
     c = float(block.eig_c.eigenvalues[-1])
     spec_m = block.eig_m.eigenvalues
-    above = spec_m[spec_m > c + tol]
+    above = spec_m[spec_m > c + block.assembled_tol()]
     if above.size == 0:
         raise LandmarkError("no spectrum of the assembled matrix above max sigma(C)")
     c_tilde = 0.5 * (c + float(above[0]))

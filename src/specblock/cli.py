@@ -35,6 +35,7 @@ from .enclosures import (
     resolvent_interval,
     soq_bracket,
     soq_enclosure,
+    soq_misses,
     subspace_dim_check,
     variational_bounds,
 )
@@ -60,6 +61,8 @@ from .report import (
     Report,
     digest_bytes,
     emit_json,
+    not_applicable,
+    verdict,
 )
 from .subspaces import (
     GRAPH,
@@ -69,7 +72,14 @@ from .subspaces import (
     graph_test,
     spectral_subspace,
 )
-from .tolerance import base_tol
+from .tolerance import (
+    GRAPH_RESIDUAL_TOL,
+    GRAPH_TOL,
+    RIESZ_TOL,
+    SLACK,
+    SOQ_MARGIN_REL,
+    base_tol,
+)
 from . import selftest as selftest_module
 
 DEFAULT_MHD_N = 64
@@ -88,11 +98,6 @@ def _relative_bound(problem: ProblemFile, block: BlockOperatorMatrix):
     return problem.rb if problem.rb is not None else best_relative_bound(block)
 
 
-def _not_applicable(name, anchor, reason):
-    return Check(name=name, anchor=anchor, inputs={}, outputs={"reason": reason},
-                 status=NOT_APPLICABLE, tolerances={})
-
-
 def cmd_enclose(problem: ProblemFile, n_interior: int = DEFAULT_MHD_N) -> list[Check]:
     """Distance bound, windows, resolvent intervals, variational bounds and
     the dimension count over the whole spectrum of one problem."""
@@ -106,76 +111,82 @@ def cmd_enclose(problem: ProblemFile, n_interior: int = DEFAULT_MHD_N) -> list[C
 
     dist_anchor = ("dist[lambda, sigma(A)] <= |a lambda + b| / "
                    "(dist[lambda, sigma(C)] - a)")
-    above = spec_m[spec_m > c + rb.a + 1e-9]
+    above = spec_m[spec_m > c + rb.a + SLACK]
     for lam in above:
         lam = float(lam)
         try:
             rep = dist_bound(lam, spec_a, spec_c, rb)
         except HypothesisError as exc:
-            checks.append(_not_applicable(f"dist-bound/lambda={lam:.6g}",
-                                          dist_anchor, str(exc)))
+            checks.append(not_applicable(f"dist-bound/lambda={lam:.6g}",
+                                         dist_anchor, str(exc)))
             continue
         checks.append(Check(
             name=f"dist-bound/lambda={lam:.6g}", anchor=dist_anchor,
             inputs={"lambda": lam, "a": rb.a, "b": rb.b},
             outputs={"dist_to_A": rep.dist_to_A, "bound": rep.bound},
-            status=PASS if rep.satisfied else FAIL,
-            tolerances={"slack": 1e-9}))
+            status=verdict(rep.satisfied),
+            tolerances={"slack": SLACK}))
+
+    # sigma(A) up to round-off: each cluster is represented by its lowest point
+    labels = block.a_clusters
+    _, first = np.unique(labels, return_index=True)
+    mus = [float(spec_a[i]) for i in first]
+    incl_lams = [[] for _ in mus]
+    excl_lams = [[] for _ in mus]
+    for lam in above:
+        lam = float(lam)
+        mu = inclusion_reference(spec_a, lam)
+        if mu is not None:
+            incl_lams[labels[np.searchsorted(spec_a, mu)]].append(lam)
+        mu = exclusion_reference(spec_a, lam)
+        if mu is not None:
+            excl_lams[labels[np.searchsorted(spec_a, mu)]].append(lam)
 
     incl_anchor = ("alpha± = (mu + c + 2a)/2 ± "
                    "sqrt(((mu - c)/2)^2 + a(a + c) + b)")
     excl_anchor = "beta± = (mu + c)/2 ± sqrt(((mu - c)/2)^2 - (a mu + b))"
-    for mu in np.unique(spec_a):
-        mu = float(mu)
+    for mu, incl, excl in zip(mus, incl_lams, excl_lams):
         win = eigenvalue_window(mu, c, rb)
-        applicable = [float(lam) for lam in above
-                      if inclusion_reference(spec_a, float(lam)) == mu]
-        status = (PASS if all(win.lo - 1e-9 <= lam <= win.hi + 1e-9
-                              for lam in applicable)
-                  else FAIL) if applicable else NOT_APPLICABLE
+        status = verdict(all(win.lo - SLACK <= lam <= win.hi + SLACK
+                             for lam in incl)) if incl else NOT_APPLICABLE
         checks.append(Check(
             name=f"inclusion-window/mu={mu:.6g}", anchor=incl_anchor,
             inputs={"mu": mu, "c": c, "a": rb.a, "b": rb.b},
-            outputs={"lo": win.lo, "hi": win.hi, "applicable": applicable},
-            status=status, tolerances={"margin": 1e-9}))
+            outputs={"lo": win.lo, "hi": win.hi, "applicable": incl},
+            status=status, tolerances={"margin": SLACK}))
 
         exw = exclusion_window(mu, c, rb)
         if not exw.hypothesis_ok:
-            checks.append(_not_applicable(f"exclusion-window/mu={mu:.6g}",
-                                          excl_anchor, exw.reason))
-        else:
-            applicable = [float(lam) for lam in above
-                          if exclusion_reference(spec_a, float(lam)) == mu]
-            intruding = [lam for lam in applicable
-                         if exw.lo + 1e-9 < lam < exw.hi - 1e-9]
-            status = (PASS if not intruding else FAIL) if applicable \
-                else NOT_APPLICABLE
-            checks.append(Check(
-                name=f"exclusion-window/mu={mu:.6g}", anchor=excl_anchor,
-                inputs={"mu": mu, "c": c, "a": rb.a, "b": rb.b},
-                outputs={"lo": exw.lo, "hi": exw.hi,
-                         "applicable": applicable, "intruding": intruding},
-                status=status, tolerances={"margin": 1e-9}))
+            checks.append(not_applicable(f"exclusion-window/mu={mu:.6g}",
+                                         excl_anchor, exw.reason))
+            continue
+        intruding = [lam for lam in excl
+                     if exw.lo + SLACK < lam < exw.hi - SLACK]
+        checks.append(Check(
+            name=f"exclusion-window/mu={mu:.6g}", anchor=excl_anchor,
+            inputs={"mu": mu, "c": c, "a": rb.a, "b": rb.b},
+            outputs={"lo": exw.lo, "hi": exw.hi,
+                     "applicable": excl, "intruding": intruding},
+            status=verdict(not intruding) if excl else NOT_APPLICABLE,
+            tolerances={"margin": SLACK}))
 
     res_anchor = "mu1 <= alpha1+ < beta2+ <= mu2 and (alpha1+, beta2+) in rho(M)"
-    distinct = np.unique(spec_a)
     valid_pairs = []
-    for i in range(distinct.size - 1):
-        mu1, mu2 = float(distinct[i]), float(distinct[i + 1])
+    for mu1, mu2 in zip(mus, mus[1:]):
         win = resolvent_interval(mu1, mu2, c, rb)
         name = f"resolvent-interval/mu1={mu1:.6g}"
         if not win.hypothesis_ok:
-            checks.append(_not_applicable(name, res_anchor, win.reason))
+            checks.append(not_applicable(name, res_anchor, win.reason))
             continue
-        valid_pairs.append(i)
+        valid_pairs.append((mu1, mu2))
         inside = [float(lam) for lam in spec_m
-                  if win.lo + 1e-9 < lam < win.hi - 1e-9]
+                  if win.lo + SLACK < lam < win.hi - SLACK]
         checks.append(Check(
             name=name, anchor=res_anchor,
             inputs={"mu1": mu1, "mu2": mu2},
             outputs={"lo": win.lo, "hi": win.hi, "eigenvalues_inside": inside},
-            status=PASS if not inside else FAIL,
-            tolerances={"margin": 1e-9}))
+            status=verdict(not inside),
+            tolerances={"margin": SLACK}))
 
     var_anchor = ("mu_{kappa+n} <= lambda_n <= (mu_{kappa+n} + c)/2 + "
                   "sqrt(((mu_{kappa+n} - c)/2)^2 + a mu_{kappa+n} + b)")
@@ -187,38 +198,37 @@ def cmd_enclose(problem: ProblemFile, n_interior: int = DEFAULT_MHD_N) -> list[C
         escapes = []
         for n in range(n_var):
             lam = float(marks.lambda_above_c[n])
-            if not (intervals[n].lo - 1e-9 <= lam <= intervals[n].hi + 1e-9):
+            if not (intervals[n].lo - SLACK <= lam <= intervals[n].hi + SLACK):
                 escapes.append(lam)
         checks.append(Check(
             name="variational-bounds/ladder", anchor=var_anchor,
             inputs={"kappa": marks.kappa, "n": n_var},
             outputs={"escapes": escapes,
                      "intervals": [[iv.lo, iv.hi] for iv in intervals]},
-            status=PASS if not escapes else FAIL,
-            tolerances={"margin": 1e-9}))
+            status=verdict(not escapes),
+            tolerances={"margin": SLACK}))
     except (LandmarkError, SingularShiftError) as exc:
-        checks.append(_not_applicable("variational-bounds/ladder", var_anchor,
-                                      str(exc)))
+        checks.append(not_applicable("variational-bounds/ladder", var_anchor,
+                                     str(exc)))
 
     dim_anchor = "dim L_[beta2+, alpha3+](M) = dim L_[beta2+, alpha3+](A)"
     if len(valid_pairs) >= 2:
-        i, j = valid_pairs[0], valid_pairs[-1]
-        b2p = exclusion_window(float(distinct[i + 1]), c, rb).hi
-        a3p = eigenvalue_window(float(distinct[j]), c, rb).hi
+        b2p = exclusion_window(valid_pairs[0][1], c, rb).hi
+        a3p = eigenvalue_window(valid_pairs[-1][0], c, rb).hi
         if b2p < a3p:
             count_m, count_a = subspace_dim_check(block, b2p, a3p)
             checks.append(Check(
                 name="dim-check/bracket", anchor=dim_anchor,
                 inputs={"b2p": b2p, "a3p": a3p},
                 outputs={"count_M": count_m, "count_A": count_a},
-                status=PASS if count_m == count_a else FAIL,
+                status=verdict(count_m == count_a),
                 tolerances={}))
         else:
-            checks.append(_not_applicable("dim-check/bracket", dim_anchor,
-                                          "bracket endpoints out of order"))
+            checks.append(not_applicable("dim-check/bracket", dim_anchor,
+                                         "bracket endpoints out of order"))
     else:
-        checks.append(_not_applicable("dim-check/bracket", dim_anchor,
-                                      "fewer than two valid pair windows"))
+        checks.append(not_applicable("dim-check/bracket", dim_anchor,
+                                     "fewer than two valid pair windows"))
     return checks
 
 
@@ -240,7 +250,7 @@ def cmd_angular(problem: ProblemFile, alpha: float | None,
     if alpha is None and marks is not None:
         alpha = marks.c_tilde
     if alpha is None:
-        return [_not_applicable(
+        return [not_applicable(
             "angular/subspace", "L_(alpha, inf)(M) = {(x, K x)}",
             "no alpha given and no spectrum above c to pick one from")]
     alpha = float(alpha)
@@ -257,32 +267,32 @@ def cmd_angular(problem: ProblemFile, alpha: float | None,
             status=PASS if delta < 0.5 else NOT_APPLICABLE,
             tolerances={}))
     except HypothesisError as exc:
-        checks.append(_not_applicable("angular/delta", delta_anchor, str(exc)))
+        checks.append(not_applicable("angular/delta", delta_anchor, str(exc)))
 
     graph_anchor = "L_(alpha, inf)(M) is the graph of an operator"
     op_anchor = "K = V U+; codim(Dom(K)) = n1 - dim; ||K|| from the restriction"
     try:
         sub = spectral_subspace(block, alpha)
     except ArgumentError as exc:
-        checks.append(_not_applicable("angular/graph", graph_anchor, str(exc)))
+        checks.append(not_applicable("angular/graph", graph_anchor, str(exc)))
         return checks
-    verdict = graph_test(sub)
-    if verdict.verdict == GRAPH:
+    graph = graph_test(sub)
+    if graph.verdict == GRAPH:
         graph_status = PASS
-    elif verdict.verdict == NOT_GRAPH and delta is not None and delta < 0.5:
+    elif graph.verdict == NOT_GRAPH and delta is not None and delta < 0.5:
         graph_status = FAIL  # contradicts the sufficient condition
     else:
         graph_status = NOT_APPLICABLE
     checks.append(Check(
         name="angular/graph", anchor=graph_anchor,
         inputs={"alpha": alpha},
-        outputs={"verdict": verdict.verdict, "sigma_min": verdict.sigma_min,
+        outputs={"verdict": graph.verdict, "sigma_min": graph.sigma_min,
                  "dim": sub.dim},
-        status=graph_status, tolerances={"graph_tol": 1e-8}))
+        status=graph_status, tolerances={"graph_tol": GRAPH_TOL}))
     try:
         k_op = angular_operator(sub)
     except NotAGraphError as exc:
-        checks.append(_not_applicable("angular/operator", op_anchor, str(exc)))
+        checks.append(not_applicable("angular/operator", op_anchor, str(exc)))
         return checks
     residual = operator_norm(k_op.K @ sub.basis_first - sub.basis_second)
     checks.append(Check(
@@ -290,18 +300,18 @@ def cmd_angular(problem: ProblemFile, alpha: float | None,
         inputs={"alpha": alpha},
         outputs={"norm": k_op.norm, "codim": k_op.codim,
                  "graph_residual": residual},
-        status=PASS if residual <= 1e-8 else FAIL,
-        tolerances={"residual": 1e-8}))
+        status=verdict(residual <= GRAPH_RESIDUAL_TOL),
+        tolerances={"residual": GRAPH_RESIDUAL_TOL}))
     codim_anchor = "codim(Dom(K_c)) = kappa"
     if marks is not None and sub.dim == int(marks.lambda_above_c.size):
         checks.append(Check(
             name="angular/codim-kappa", anchor=codim_anchor,
             inputs={"alpha": alpha},
             outputs={"codim": k_op.codim, "kappa": marks.kappa},
-            status=PASS if k_op.codim == marks.kappa else FAIL,
+            status=verdict(k_op.codim == marks.kappa),
             tolerances={}))
     else:
-        checks.append(_not_applicable(
+        checks.append(not_applicable(
             "angular/codim-kappa", codim_anchor,
             "alpha does not isolate the full half line above c"))
     return checks
@@ -316,8 +326,8 @@ def cmd_basis(problem: ProblemFile, n_max: int | None,
     try:
         marks = landmarks(block)
     except (LandmarkError, SingularShiftError) as exc:
-        return [_not_applicable("basis/landmarks",
-                                "c = max sigma(C); kappa at c~", str(exc))]
+        return [not_applicable("basis/landmarks",
+                               "c = max sigma(C); kappa at c~", str(exc))]
     if n_max is None:
         n_max = problem.n_max or DEFAULT_N_MAX
     n_avail = min(n_max, int(marks.lambda_above_c.size),
@@ -333,46 +343,44 @@ def cmd_basis(problem: ProblemFile, n_max: int | None,
             inputs={"dim": sub.dim, "kappa": marks.kappa},
             outputs={"gram_min": rep.gram_min, "gram_max": rep.gram_max,
                      "riesz_lower": rep.riesz_lower, "k_norm": rep.k_norm},
-            status=PASS if rep.passed else FAIL,
-            tolerances={"margin": 1e-8}))
+            status=verdict(rep.passed),
+            tolerances={"margin": RIESZ_TOL}))
     except (NotAGraphError, ArgumentError) as exc:
-        checks.append(_not_applicable("basis/riesz", riesz_anchor, str(exc)))
+        checks.append(not_applicable("basis/riesz", riesz_anchor, str(exc)))
 
     decay_anchor = "||E({mu_{kappa+n}}) - F_n(Delta_n)|| -> 0"
     bari_anchor = ("sum ||y_{kappa+n} - x_n||^2 < inf with "
                    "sum 1/(mu_{n+1} - mu_n)^2 < inf")
     if n_avail < 1:
-        checks.append(_not_applicable("basis/decay", decay_anchor,
-                                      "no eigenvalues above c to track"))
+        checks.append(not_applicable("basis/decay", decay_anchor,
+                                     "no eigenvalues above c to track"))
         return checks
     try:
         decay = projection_decay(block, marks, n_avail, rb=rb)
-        bound_ok = all(r.proj_diff_norm <= r.bound + 1e-9
-                       for r in decay.records if r.delta < 1.0)
+        # for a general block monotone decay is no theorem: the bound decides
         checks.append(Check(
             name="basis/decay", anchor=decay_anchor,
             inputs={"n_max": n_avail},
-            outputs={"norms": [r.proj_diff_norm for r in decay.records],
+            outputs={"norms": decay.norms,
                      "deltas": [r.delta for r in decay.records],
                      "bounds": [r.bound for r in decay.records],
                      "m_constant": decay.m_constant},
-            status=PASS if bound_ok else FAIL,
-            tolerances={"slack": 1e-9}))
+            status=verdict(decay.within_bound),
+            tolerances={"slack": SLACK}))
     except (DegenerateGapError, SingularShiftError) as exc:
-        checks.append(_not_applicable("basis/decay", decay_anchor, str(exc)))
+        checks.append(not_applicable("basis/decay", decay_anchor, str(exc)))
     try:
         bari = bari_sum(block, marks, n_avail)
-        nondecreasing = bool(np.all(np.diff(bari.partial_sums) >= -1e-15))
         checks.append(Check(
             name="basis/bari", anchor=bari_anchor,
             inputs={"n_max": n_avail},
             outputs={"terms": [r.term for r in bari.records],
                      "partial_sum": float(bari.partial_sums[-1]),
                      "gap_sum": bari.gap_sum, "converged": bari.converged},
-            status=PASS if nondecreasing else FAIL,
+            status=verdict(bari.nondecreasing),
             tolerances={}))
     except (PairingError, SingularShiftError) as exc:
-        checks.append(_not_applicable("basis/bari", bari_anchor, str(exc)))
+        checks.append(not_applicable("basis/bari", bari_anchor, str(exc)))
     return checks
 
 
@@ -383,15 +391,14 @@ def cmd_soq(problem: ProblemFile, subspace_dim: int | None,
     rb = _relative_bound(problem, block)
     spec_a = block.eig_a.eigenvalues
     c = float(block.eig_c.eigenvalues[-1])
-    spec_m = block.eig_m.eigenvalues
     anchor = ("sigma(M) ∩ [Re z - |Im z|^2/(b4p - Re z), "
               "Re z + |Im z|^2/(Re z - a1p)] nonempty for admitted z")
     dim_full = block.n1 + block.n2
     m = min(subspace_dim or dim_full, dim_full)
     bracket = soq_bracket(spec_a, c, rb)
     if bracket is None:
-        return [_not_applicable("soq/enclosures", anchor,
-                                "fewer than two valid pair windows")]
+        return [not_applicable("soq/enclosures", anchor,
+                               "fewer than two valid pair windows")]
     a1p, b4m, b4p = bracket
     if disc is not None:
         q = trial_space(disc, m)
@@ -399,15 +406,8 @@ def cmd_soq(problem: ProblemFile, subspace_dim: int | None,
         q = np.eye(dim_full, dtype=complex)[:, :m]
     enclosures = soq_enclosure(block, q, a1p, b4m, b4p)
     admitted = [e for e in enclosures if e.admitted]
-    misses = []
-    for encl in admitted:
-        margin = 1e-6 * max(1.0, abs(encl.z.real))
-        near = any(encl.interval.contains(float(lam))
-                   or min(abs(lam - encl.interval.lo),
-                          abs(lam - encl.interval.hi)) <= margin
-                   for lam in spec_m)
-        if not near:
-            misses.append({"re": encl.z.real, "im": encl.z.imag})
+    misses = [{"re": e.z.real, "im": e.z.imag}
+              for e in soq_misses(enclosures, block.eig_m.eigenvalues)]
     return [Check(
         name="soq/enclosures", anchor=anchor,
         inputs={"subspace_dim": m, "a1p": a1p, "b4m": b4m, "b4p": b4p},
@@ -419,8 +419,8 @@ def cmd_soq(problem: ProblemFile, subspace_dim: int | None,
                        for e in enclosures],
             "admitted_count": len(admitted),
             "misses": misses},
-        status=(PASS if not misses else FAIL) if admitted else NOT_APPLICABLE,
-        tolerances={"intersection_margin_rel": 1e-6})]
+        status=verdict(not misses) if admitted else NOT_APPLICABLE,
+        tolerances={"intersection_margin_rel": SOQ_MARGIN_REL})]
 
 
 def cmd_mhd(problem: ProblemFile, n_interior: int, n_max: int) -> list[Check]:
@@ -449,6 +449,16 @@ def _write_csv(report: Report, directory: Path) -> None:
                                  emit_json(check.tolerances)])
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below {minimum}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specblock",
@@ -465,33 +475,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enclose", help="spectral enclosure checks")
     common(p)
-    p.add_argument("--n", type=int, default=DEFAULT_MHD_N,
+    p.add_argument("--n", type=_at_least(1), default=DEFAULT_MHD_N,
                    help="interior points when the input is a profile")
 
     p = sub.add_parser("angular", help="graph subspace and angular operator")
     common(p)
     p.add_argument("--alpha", type=float, help="cut point above max sigma(C)")
-    p.add_argument("--n", type=int, default=DEFAULT_MHD_N)
+    p.add_argument("--n", type=_at_least(1), default=DEFAULT_MHD_N)
 
     p = sub.add_parser("basis", help="Riesz/Bari basis diagnostics")
     common(p)
-    p.add_argument("--n-max", type=int, help="how many eigenvalues above c")
-    p.add_argument("--n", type=int, default=DEFAULT_MHD_N)
+    p.add_argument("--n-max", type=_at_least(1), help="how many eigenvalues above c")
+    p.add_argument("--n", type=_at_least(1), default=DEFAULT_MHD_N)
 
     p = sub.add_parser("soq", help="second-order-spectrum enclosures")
     common(p)
-    p.add_argument("--subspace-dim", type=int, help="trial space dimension")
-    p.add_argument("--n", type=int, default=DEFAULT_MHD_N)
+    p.add_argument("--subspace-dim", type=_at_least(1), help="trial space dimension")
+    p.add_argument("--n", type=_at_least(1), default=DEFAULT_MHD_N)
 
     p = sub.add_parser("mhd", help="full magnetohydrodynamics pipeline")
     common(p)
-    p.add_argument("--n", type=int, default=DEFAULT_MHD_N,
+    p.add_argument("--n", type=_at_least(1), default=DEFAULT_MHD_N,
                    help="interior points of the discretization")
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+    p.add_argument("--n-max", type=_at_least(1), help="how many eigenvalues above c")
 
     p = sub.add_parser("selftest", help="run the built-in property suite")
     common(p, needs_input=False)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_at_least(0), default=42)
     return parser
 
 

@@ -23,12 +23,9 @@ from .linalg import (
     orthonormality_defect,
     spectral_distance,
 )
-from .tolerance import scalar_tol
+from .tolerance import ORTH_TOL, REAL_AXIS_REL, SLACK, SOQ_MARGIN_REL, scalar_tol
 
 __all__ = [
-    "INCLUSION",
-    "EXCLUSION",
-    "RESOLVENT",
     "EnclosureReport",
     "Window",
     "QepEnclosure",
@@ -42,18 +39,15 @@ __all__ = [
     "inclusion_reference",
     "exclusion_reference",
     "soq_bracket",
+    "resolvent_pairs",
+    "soq_misses",
 ]
-
-INCLUSION = "inclusion"
-EXCLUSION = "exclusion"
-RESOLVENT = "resolvent"
 
 
 @dataclass(frozen=True)
 class EnclosureReport:
     """dist[lam, sigma(A)] versus its certified bound at a single point."""
 
-    lam: float
     dist_to_A: float
     bound: float
     satisfied: bool
@@ -67,10 +61,8 @@ class Window:
     which check failed.  Inclusion windows are closed, the other two open.
     """
 
-    kind: str
     lo: float | None
     hi: float | None
-    mu_refs: tuple
     hypothesis_ok: bool
     reason: str = ""
 
@@ -87,14 +79,12 @@ class QepEnclosure:
 
     z: complex
     interval: Interval | None
-    disc_center: float
-    disc_radius: float
     admitted: bool
 
 
-def dist_bound(lam: float, spec_a, spec_c, rb: RelativeBound,
-               tol: float = 1e-9) -> EnclosureReport:
-    """Check dist[lam, sigma(A)] <= |a lam + b| / (dist[lam, sigma(C)] - a).
+def dist_bound(lam: float, spec_a, spec_c, rb: RelativeBound) -> EnclosureReport:
+    """Check dist[lam, sigma(A)] <= |a lam + b| / (dist[lam, sigma(C)] - a),
+    up to SLACK.
 
     Requires dist[lam, sigma(C)] > a (with margin); otherwise the hypothesis
     is violated and HypothesisError is raised.
@@ -106,8 +96,8 @@ def dist_bound(lam: float, spec_a, spec_c, rb: RelativeBound,
             f"dist[lam, sigma(C)] = {d_c:.6g} does not exceed a = {rb.a:.6g}")
     bound = abs(rb.a * lam + rb.b) / (d_c - rb.a)
     d_a = spectral_distance(lam, spec_a)
-    return EnclosureReport(lam=lam, dist_to_A=d_a, bound=bound,
-                           satisfied=bool(d_a <= bound + tol))
+    return EnclosureReport(dist_to_A=d_a, bound=bound,
+                           satisfied=bool(d_a <= bound + SLACK))
 
 
 def eigenvalue_window(mu: float, c: float, rb: RelativeBound) -> Window:
@@ -125,8 +115,7 @@ def eigenvalue_window(mu: float, c: float, rb: RelativeBound) -> Window:
         disc = 0.0
     root = math.sqrt(disc)
     mid = (mu + c + 2.0 * rb.a) / 2.0
-    return Window(kind=INCLUSION, lo=mid - root, hi=mid + root,
-                  mu_refs=(mu,), hypothesis_ok=True)
+    return Window(lo=mid - root, hi=mid + root, hypothesis_ok=True)
 
 
 def exclusion_window(mu: float, c: float, rb: RelativeBound) -> Window:
@@ -139,13 +128,11 @@ def exclusion_window(mu: float, c: float, rb: RelativeBound) -> Window:
     lhs = (mu - c) ** 2
     rhs = 4.0 * (rb.a * mu + rb.b)
     if lhs <= rhs + scalar_tol(lhs, rhs):
-        return Window(kind=EXCLUSION, lo=None, hi=None, mu_refs=(mu,),
-                      hypothesis_ok=False,
+        return Window(lo=None, hi=None, hypothesis_ok=False,
                       reason="(mu - c)^2 does not exceed 4 a mu + 4 b")
     root = math.sqrt(((mu - c) / 2.0) ** 2 - (rb.a * mu + rb.b))
     mid = (mu + c) / 2.0
-    return Window(kind=EXCLUSION, lo=mid - root, hi=mid + root,
-                  mu_refs=(mu,), hypothesis_ok=True)
+    return Window(lo=mid - root, hi=mid + root, hypothesis_ok=True)
 
 
 def resolvent_interval(mu1: float, mu2: float, c: float,
@@ -157,11 +144,9 @@ def resolvent_interval(mu1: float, mu2: float, c: float,
     failed hypothesis returns hypothesis_ok = False with the reason.
     """
     mu1, mu2, c = float(mu1), float(mu2), float(c)
-    refs = (mu1, mu2)
 
     def fail(reason: str) -> Window:
-        return Window(kind=RESOLVENT, lo=None, hi=None, mu_refs=refs,
-                      hypothesis_ok=False, reason=reason)
+        return Window(lo=None, hi=None, hypothesis_ok=False, reason=reason)
 
     if not mu1 < mu2:
         return fail("mu1 must be below mu2")
@@ -175,8 +160,7 @@ def resolvent_interval(mu1: float, mu2: float, c: float,
         return fail("beta2- must lie below the midpoint of (mu1, mu2)")
     if not upper.hi < lower.hi:
         return fail("alpha1+ must lie below beta2+")
-    return Window(kind=RESOLVENT, lo=upper.hi, hi=lower.hi,
-                  mu_refs=refs, hypothesis_ok=True)
+    return Window(lo=upper.hi, hi=lower.hi, hypothesis_ok=True)
 
 
 def subspace_dim_check(block: BlockOperatorMatrix, b2p: float,
@@ -270,26 +254,28 @@ def exclusion_reference(spec_a, lam: float) -> float | None:
     return None
 
 
+def resolvent_pairs(spec, c: float, rb: RelativeBound) -> list[tuple[float, float]]:
+    """The consecutive points (mu1, mu2) of sorted ``spec`` whose
+    resolvent-interval hypotheses hold, in ascending order."""
+    spec = np.sort(np.asarray(spec, dtype=float)).tolist()
+    return [(mu1, mu2) for mu1, mu2 in zip(spec, spec[1:])
+            if resolvent_interval(mu1, mu2, c, rb).hypothesis_ok]
+
+
 def soq_bracket(spec_a, c: float, rb: RelativeBound):
     """Disc geometry (a1p, b4m, b4p) from the first and last valid pair windows.
 
-    Scans consecutive pairs of sigma(A); needs at least two pairs passing the
+    Needs at least two consecutive pairs of sigma(A) passing the
     resolvent-interval hypotheses.  b4m falls back onto b4p whenever the
     lower exclusion endpoint sits left of a1p (the usual case for separated
     spectra), keeping the disc over (a1p, b4p).  Returns None when fewer than
     two pairs validate.
     """
-    spec_a = np.sort(np.asarray(spec_a, dtype=float))
-    valid = []
-    for i in range(spec_a.size - 1):
-        win = resolvent_interval(float(spec_a[i]), float(spec_a[i + 1]), c, rb)
-        if win.hypothesis_ok:
-            valid.append(i)
-    if len(valid) < 2:
+    pairs = resolvent_pairs(spec_a, c, rb)
+    if len(pairs) < 2:
         return None
-    first, last = valid[0], valid[-1]
-    a1p = eigenvalue_window(float(spec_a[first]), c, rb).hi
-    ex = exclusion_window(float(spec_a[last + 1]), c, rb)
+    a1p = eigenvalue_window(pairs[0][0], c, rb).hi
+    ex = exclusion_window(pairs[-1][1], c, rb)
     b4m = ex.lo if ex.lo is not None and ex.lo > a1p else ex.hi
     return float(a1p), float(b4m), float(ex.hi)
 
@@ -303,7 +289,7 @@ def _merge_conjugates(values: np.ndarray) -> list[complex]:
     kept = []
     for z in values:
         z = complex(z)
-        if abs(z.imag) <= 1e-12 * max(1.0, abs(z)):
+        if abs(z.imag) <= REAL_AXIS_REL * max(1.0, abs(z)):
             z = complex(z.real, 0.0)
         if z.imag >= 0.0:
             kept.append(z)
@@ -311,8 +297,7 @@ def _merge_conjugates(values: np.ndarray) -> list[complex]:
 
 
 def soq_enclosure(block: BlockOperatorMatrix, subspace, a1p: float,
-                  b4m: float, b4p: float,
-                  orth_tol: float = 1e-8) -> list[QepEnclosure]:
+                  b4m: float, b4p: float) -> list[QepEnclosure]:
     """Second-order-spectrum enclosures on a trial subspace.
 
     Solves z²u - 2z S1 u + S2 u = 0 with S1, S2 the compressions of the
@@ -328,7 +313,7 @@ def soq_enclosure(block: BlockOperatorMatrix, subspace, a1p: float,
             f"subspace lives in dimension {q.shape[0]}, expected {full.shape[0]}")
     if q.shape[1] == 0:
         raise ArgumentError("subspace must have at least one column")
-    if orthonormality_defect(q) > orth_tol:
+    if orthonormality_defect(q) > ORTH_TOL:
         raise ArgumentError("subspace columns must be orthonormal")
     a1p, b4m, b4p = float(a1p), float(b4m), float(b4p)
     if not (a1p < b4m <= b4p):
@@ -356,6 +341,25 @@ def soq_enclosure(block: BlockOperatorMatrix, subspace, a1p: float,
                     "(a1p, b4p); the disc geometry excludes this")
             interval = Interval(re - im * im / (b4p - re),
                                 re + im * im / (re - a1p))
-        out.append(QepEnclosure(z=z, interval=interval, disc_center=center,
-                                disc_radius=radius, admitted=admitted))
+        out.append(QepEnclosure(z=z, interval=interval, admitted=admitted))
     return out
+
+
+def soq_misses(enclosures, spectrum) -> list[QepEnclosure]:
+    """The admitted enclosures whose interval meets no point of ``spectrum``.
+
+    A point within SOQ_MARGIN_REL * max(1, |Re z|) of an interval endpoint
+    counts as meeting it; points that were not admitted never miss.
+    """
+    spectrum = np.asarray(spectrum, dtype=float)
+    misses = []
+    for encl in enclosures:
+        if not encl.admitted:
+            continue
+        iv = encl.interval
+        margin = SOQ_MARGIN_REL * max(1.0, abs(encl.z.real))
+        near = iv.mask(spectrum) | (np.minimum(np.abs(spectrum - iv.lo),
+                                               np.abs(spectrum - iv.hi)) <= margin)
+        if not np.any(near):
+            misses.append(encl)
+    return misses

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericError
+from .tolerance import HERMITIAN_REL, PINV_REL
+from .tolerance import PHASE_ZERO_TOL as _PHASE_ZERO_TOL
 
 __all__ = [
     "Interval",
@@ -31,12 +33,6 @@ __all__ = [
     "operator_norm",
     "orthonormality_defect",
 ]
-
-# Phase convention: first component of each eigenvector whose modulus exceeds
-# this is rotated to the real positive axis.  Columns are unit vectors, so
-# every column has a component well above the threshold.
-_PHASE_ZERO_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -96,14 +92,14 @@ def hermitian_defect(mat) -> float:
 def require_hermitian(mat, tol: float | None = None) -> np.ndarray:
     """Check Hermiticity within ``tol`` and return the exact Hermitian part.
 
-    The default tolerance is 1e-12 * max|entry|, matching the stored-type
-    invariant.  The returned matrix is (H + H*)/2, so downstream code can rely
-    on exact symmetry.
+    The default tolerance is HERMITIAN_REL * max|entry|, matching the
+    stored-type invariant.  The returned matrix is (H + H*)/2, so downstream
+    code can rely on exact symmetry.
     """
     arr = as_matrix(mat, square=True)
     scale = float(np.max(np.abs(arr))) if arr.size else 0.0
     if tol is None:
-        tol = 1e-12 * scale
+        tol = HERMITIAN_REL * scale
     defect = hermitian_defect(arr)
     if defect > tol:
         raise ArgumentError(
@@ -133,7 +129,8 @@ class SpectralDecomposition:
 
 def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first component above _PHASE_ZERO_TOL is
-    real positive; columns without one are returned unchanged.
+    real positive; columns without one are returned unchanged.  Columns are
+    unit vectors, so every column has a component well above the threshold.
 
     The factor conj(p)/|p| is formed exactly as a numpy complex scalar
     divided by a real one would be, (conj(p) + 0i) * (1/|p|), so the result
@@ -192,7 +189,7 @@ def spectral_projector(dec: SpectralDecomposition, window: Interval) -> np.ndarr
     return cols @ cols.conj().T
 
 
-def pseudo_inverse(mat, tol: float = 1e-12) -> np.ndarray:
+def pseudo_inverse(mat, tol: float = PINV_REL) -> np.ndarray:
     """Moore-Penrose inverse; singular values below tol * sigma_max are dropped."""
     arr = as_matrix(mat)
     if not tol > 0.0:

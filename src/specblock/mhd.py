@@ -29,9 +29,9 @@ from .basis import bari_sum, projection_decay, riesz_check
 from .enclosures import dist_bound, variational_bounds
 from .errors import ArgumentError, HypothesisError, ProfileError
 from .linalg import Interval, hermitian_eigvals
-from .report import Check, FAIL, NOT_APPLICABLE, PASS
-from .subspaces import angular_operator, graph_test, spectral_subspace
-from .tolerance import scalar_tol
+from .report import Check, NOT_APPLICABLE, PASS, verdict
+from .subspaces import GRAPH, angular_operator, graph_test, spectral_subspace
+from .tolerance import RIESZ_TOL, scalar_tol
 
 __all__ = [
     "PlasmaProfile",
@@ -138,14 +138,12 @@ def profile_from_functions(rho, va2, vs2, kperp, kpar, g: float = 0.0,
 
 @dataclass(frozen=True)
 class MhdDiscretization:
-    """Discretized blocks plus the grid and weight-similarity record."""
+    """Discretized blocks plus the grid."""
 
     N: int
     block: BlockOperatorMatrix
     x: np.ndarray
     h: float
-    weight_first: np.ndarray
-    weight_second: np.ndarray
 
 
 def _coupling_matrix(rho_i, coeff_i, mult_i, g, h):
@@ -210,10 +208,7 @@ def discretize(profile: PlasmaProfile, n_interior: int) -> MhdDiscretization:
                       [np.diag(c12), np.diag(c22)]])
 
     block = BlockOperatorMatrix(A=a_mat, B=b_mat, C=c_mat)
-    weight_first = np.sqrt(rho_i * h)
-    return MhdDiscretization(
-        N=n, block=block, x=xi, h=h, weight_first=weight_first,
-        weight_second=np.concatenate([weight_first, weight_first]))
+    return MhdDiscretization(N=n, block=block, x=xi, h=h)
 
 
 def constants(profile: PlasmaProfile) -> tuple[float, float, float]:
@@ -288,10 +283,6 @@ def trial_space(disc: MhdDiscretization, m: int) -> np.ndarray:
     return q.astype(complex)
 
 
-def _status(ok: bool) -> str:
-    return PASS if ok else FAIL
-
-
 def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
                squared_bands: bool = True) -> list[Check]:
     """Full pipeline: discretize, constants, landmarks, variational bounds,
@@ -318,7 +309,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
         inputs={"a": a_const, "b": b_const, "N": disc.N},
         outputs={"lambda_min(aA + bI - BB*)": margin,
                  "discrete_minimal_b": b_disc},
-        status=_status(margin >= -slack * scale),
+        status=verdict(margin >= -slack * scale),
         tolerances={"slack": slack * scale}))
 
     bands = essential_bands(profile, squared=squared_bands)
@@ -340,7 +331,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
         outputs={"c_discrete": marks.c, "c_tilde": marks.c_tilde,
                  "kappa": marks.kappa,
                  "eigenvalues_above_c": int(marks.lambda_above_c.size)},
-        status=_status(abs(marks.c - c_const) <= slack * max(1.0, abs(c_const))),
+        status=verdict(abs(marks.c - c_const) <= slack * max(1.0, abs(c_const))),
         tolerances={"slack": slack * max(1.0, abs(c_const))}))
 
     spec_a = block.eig_a.eigenvalues
@@ -364,7 +355,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
                "(dist[lambda, sigma(C)] - a)",
         inputs={"a": a_const, "b": b_const, "checked": applicable},
         outputs={"worst_excess": worst_slack},
-        status=_status(dist_ok) if applicable else NOT_APPLICABLE,
+        status=verdict(dist_ok) if applicable else NOT_APPLICABLE,
         tolerances={"relative_slack": slack}))
 
     n_above = int(marks.lambda_above_c.size)
@@ -382,7 +373,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
                "sqrt(((mu_{kappa+n} - c)/2)^2 + a mu_{kappa+n} + b)",
         inputs={"n_checked": n_var},
         outputs={"first_upper": intervals[0].hi if intervals else None},
-        status=_status(var_ok) if n_var else NOT_APPLICABLE,
+        status=verdict(var_ok) if n_var else NOT_APPLICABLE,
         tolerances={"relative_slack": slack}))
 
     resolved = max(2, disc.N // 4)
@@ -394,20 +385,20 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
         inputs={"resolved_range": int(gaps.size)},
         outputs={"first_gap": float(gaps[0]) if gaps.size else None,
                  "last_gap": float(gaps[-1]) if gaps.size else None},
-        status=_status(gaps_increasing),
+        status=verdict(gaps_increasing),
         tolerances={}))
 
     subspace = spectral_subspace(block, marks.c_tilde)
-    verdict = graph_test(subspace)
+    graph = graph_test(subspace)
     k_op = angular_operator(subspace)
     checks.append(Check(
         name="mhd/angular-operator",
         anchor="codim(Dom(K_c)) = kappa",
         inputs={"alpha": marks.c_tilde},
-        outputs={"graph_verdict": verdict.verdict, "sigma_min": verdict.sigma_min,
+        outputs={"graph_verdict": graph.verdict, "sigma_min": graph.sigma_min,
                  "k_norm": k_op.norm, "codim": k_op.codim,
                  "kappa": marks.kappa},
-        status=_status(verdict.verdict == "graph" and k_op.codim == marks.kappa),
+        status=verdict(graph.verdict == GRAPH and k_op.codim == marks.kappa),
         tolerances={}))
 
     riesz = riesz_check(block, subspace, k_op)
@@ -418,33 +409,26 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
         inputs={},
         outputs={"gram_min": riesz.gram_min, "gram_max": riesz.gram_max,
                  "riesz_lower": riesz.riesz_lower},
-        status=_status(riesz.passed),
-        tolerances={"tol": 1e-8}))
+        status=verdict(riesz.passed),
+        tolerances={"tol": RIESZ_TOL}))
 
     n_decay = min(n_max, n_above, spec_a.size - marks.kappa)
     if n_decay >= 1:
         decay = projection_decay(block, marks, n_decay, rb=rb)
-        norms = [r.proj_diff_norm for r in decay.records]
-        # decoupled problems produce identically zero differences
-        decreasing = (max(norms) <= 1e-12
-                      or all(norms[i + 1] < norms[i]
-                             for i in range(len(norms) - 1)))
-        bound_ok = all(r.proj_diff_norm <= r.bound + 1e-9
-                       for r in decay.records if r.delta < 1.0)
+        # ||E - F_n|| -> 0 read at finite n: within the bound and decreasing
         checks.append(Check(
             name="mhd/projection-decay",
             anchor="||E({mu_{kappa+n}}) - F_n(Delta_n)|| -> 0",
             inputs={"n_max": n_decay},
-            outputs={"norms": norms,
+            outputs={"norms": decay.norms,
                      "deltas": [r.delta for r in decay.records],
                      "m_constant": decay.m_constant},
-            status=_status(decreasing and bound_ok),
+            status=verdict(decay.decreasing and decay.within_bound),
             tolerances={"bound": "(gamma/dist[circle, sigma(A)]) "
                                  "delta/(1 - delta)"}))
 
         bari = bari_sum(block, marks, n_decay)
         terms = [r.term for r in bari.records]
-        nondecreasing = bool(np.all(np.diff(bari.partial_sums) >= -1e-15))
         checks.append(Check(
             name="mhd/bari-sums",
             anchor="sum ||y_{kappa+n} - x_n||^2 < inf; "
@@ -454,6 +438,6 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
                      "partial_sum": float(bari.partial_sums[-1]),
                      "gap_sum": bari.gap_sum,
                      "converged": bari.converged},
-            status=_status(nondecreasing),
+            status=verdict(bari.nondecreasing),
             tolerances={}))
     return checks

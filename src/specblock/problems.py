@@ -10,7 +10,8 @@ A problem file is a JSON object with exactly one of:
   name of a built-in shape ("constant", "linear", "sinusoidal").
 
 Optional keys: ``rb`` = [a, b] overriding the relative-bound scan, ``alpha``,
-``window`` = [lo, hi], ``n_max``, and a free-form ``flags`` object.
+``n_max``, and a free-form ``flags`` object.  JSON booleans are not numbers
+here: ``true`` where a number is expected is a parse error.
 """
 
 from __future__ import annotations
@@ -36,17 +37,21 @@ class ProblemFile:
     profile: PlasmaProfile | None
     rb: RelativeBound | None
     alpha: float | None
-    window: tuple[float, float] | None
     n_max: int | None
     flags: dict = field(default_factory=dict)
     raw: bytes = b""
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_entry(entry) -> complex:
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         return complex(entry)
     if (isinstance(entry, (list, tuple)) and len(entry) == 2
-            and all(isinstance(p, (int, float)) for p in entry)):
+            and all(_is_number(p) for p in entry)):
         return complex(entry[0], entry[1])
     raise ParseError(f"matrix entry must be a number or [re, im] pair, got {entry!r}")
 
@@ -55,7 +60,7 @@ def parse_matrix_entries(rows) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ParseError("matrix must be a non-empty list of rows")
     # A flat list of scalars is accepted as a single row.
-    if all(isinstance(e, (int, float)) for e in rows):
+    if all(_is_number(e) for e in rows):
         rows = [rows]
     width = None
     parsed = []
@@ -129,6 +134,8 @@ def _parse_profile_field(name: str, value, grid_n: int) -> np.ndarray:
                 f"choose from {sorted(BUILTIN_FIELDS)}")
         return BUILTIN_FIELDS[value](np.linspace(0.0, 1.0, grid_n))
     if isinstance(value, list):
+        if not all(_is_number(v) for v in value):
+            raise ParseError(f"{name} samples must be numbers")
         arr = np.asarray(value, dtype=float)
         if arr.size != grid_n:
             raise ParseError(f"{name} has {arr.size} samples, expected {grid_n}")
@@ -139,6 +146,8 @@ def _parse_profile_field(name: str, value, grid_n: int) -> np.ndarray:
 def _parse_mhd(data) -> PlasmaProfile:
     if not isinstance(data, dict):
         raise ParseError("'mhd' must be an object")
+    if isinstance(data.get("grid_n"), bool):
+        raise ParseError("'mhd' needs an integer grid_n")
     try:
         grid_n = int(data["grid_n"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -149,7 +158,7 @@ def _parse_mhd(data) -> PlasmaProfile:
             raise ParseError(f"'mhd' is missing {name}")
         fields[name] = _parse_profile_field(name, data[name], grid_n)
     g = data.get("g", 0.0)
-    if not isinstance(g, (int, float)):
+    if not _is_number(g):
         raise ParseError("g must be a number")
     try:
         return PlasmaProfile(g=float(g), **fields)
@@ -181,7 +190,7 @@ def load_problem(path) -> ProblemFile:
     if "rb" in data:
         pair = data["rb"]
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
+                or not all(_is_number(v) for v in pair)):
             raise ParseError("'rb' must be a pair [a, b]")
         try:
             rb = RelativeBound(float(pair[0]), float(pair[1]))
@@ -189,20 +198,12 @@ def load_problem(path) -> ProblemFile:
             raise ParseError(f"invalid rb: {exc}") from exc
 
     alpha = data.get("alpha")
-    if alpha is not None and not isinstance(alpha, (int, float)):
+    if alpha is not None and not _is_number(alpha):
         raise ParseError("'alpha' must be a number")
-
-    window = None
-    if "window" in data:
-        pair = data["window"]
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
-            raise ParseError("'window' must be a pair [lo, hi]")
-        window = (float(pair[0]), float(pair[1]))
 
     n_max = data.get("n_max")
     if n_max is not None:
-        if not isinstance(n_max, int) or n_max < 1:
+        if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
             raise ParseError("'n_max' must be a positive integer")
 
     flags = data.get("flags", {})
@@ -211,4 +212,4 @@ def load_problem(path) -> ProblemFile:
 
     return ProblemFile(block=block, profile=profile, rb=rb,
                        alpha=None if alpha is None else float(alpha),
-                       window=window, n_max=n_max, flags=flags, raw=raw)
+                       n_max=n_max, flags=flags, raw=raw)

@@ -40,6 +40,17 @@ class Check:
         return self.name.split("/", 1)[0]
 
 
+def verdict(ok: bool) -> str:
+    """PASS when a theorem check holds, FAIL when it does not."""
+    return PASS if ok else FAIL
+
+
+def not_applicable(name: str, anchor: str, reason: str) -> Check:
+    """A check whose hypotheses do not hold; ``reason`` says which failed."""
+    return Check(name=name, anchor=anchor, inputs={}, outputs={"reason": reason},
+                 status=NOT_APPLICABLE, tolerances={})
+
+
 @dataclass
 class Report:
     """A full run: tool identity, input digest, and the list of checks."""

@@ -36,8 +36,10 @@ from .enclosures import (
     exclusion_window,
     inclusion_reference,
     resolvent_interval,
+    resolvent_pairs,
     soq_bracket,
     soq_enclosure,
+    soq_misses,
     subspace_dim_check,
     variational_bounds,
 )
@@ -61,7 +63,7 @@ from .linalg import (
     spectral_projector,
 )
 from .mhd import constant_profile, constants, discretize, trial_space
-from .report import Check, FAIL, PASS, Report
+from .report import Check, Report, verdict
 from .subspaces import (
     GRAPH,
     angular_operator,
@@ -70,6 +72,7 @@ from .subspaces import (
     shifted_matrix,
     spectral_subspace,
 )
+from .tolerance import RIESZ_TOL, SLACK, SOQ_MARGIN_REL
 
 __all__ = ["run", "random_block", "separated_block", "ladder_block"]
 
@@ -117,12 +120,7 @@ def separated_block(rng, max_halvings: int = 40):
     for _ in range(max_halvings):
         block = BlockOperatorMatrix(A=a_mat, B=b_mat, C=c_mat)
         rb = best_relative_bound(block)
-        spec_a = block.eig_a.eigenvalues
-        valid = sum(
-            resolvent_interval(float(spec_a[i]), float(spec_a[i + 1]), c, rb)
-            .hypothesis_ok
-            for i in range(n1 - 1))
-        if valid >= 2:
+        if len(resolvent_pairs(block.eig_a.eigenvalues, c, rb)) >= 2:
             return block, rb, c
         b_mat = 0.5 * b_mat
     raise RuntimeError("failed to build a separated instance")
@@ -140,11 +138,6 @@ def ladder_block(rng) -> BlockOperatorMatrix:
     c_mat = c0 - (top - (shift - rng.uniform(1.0, 5.0))) * np.eye(n2)
     b_mat = rng.uniform(-2, 2, (n1, n2)) + 1j * rng.uniform(-2, 2, (n1, n2))
     return BlockOperatorMatrix(A=a_mat, B=b_mat, C=c_mat)
-
-
-def _check(name, anchor, ok, outputs, tolerances):
-    return Check(name=name, anchor=anchor, inputs={}, outputs=outputs,
-                 status=PASS if ok else FAIL, tolerances=tolerances)
 
 
 def numeric_core_suite(rng, count: int = 50) -> list[Check]:
@@ -195,15 +188,16 @@ def numeric_core_suite(rng, count: int = 50) -> list[Check]:
     ok = (worst_orth <= 1e-10 and worst_trace <= 1e-9 and worst_weyl <= 1e-12
           and worst_proj <= 1e-10 and worst_pinv <= 1e-8
           and worst_agree <= 1e-8 and worst_residual <= 1e-8)
-    return [_check(
+    return [Check(
         "numeric-core/contracts",
         "Q*Q = I; trace(H) = sum of eigenvalues; eig(H + eI) = eig(H) + e; "
         "P² = P = P*; Moore-Penrose identities; residual ||Av - lv|| small",
-        ok,
-        {"instances": count, "orthonormality": worst_orth,
-         "trace_rel": worst_trace, "weyl_shift": worst_weyl,
-         "projector": worst_proj, "pseudo_inverse_rel": worst_pinv,
-         "hermitian_vs_general": worst_agree, "general_residual_rel": worst_residual},
+        {}, {"instances": count, "orthonormality": worst_orth,
+             "trace_rel": worst_trace, "weyl_shift": worst_weyl,
+             "projector": worst_proj, "pseudo_inverse_rel": worst_pinv,
+             "hermitian_vs_general": worst_agree,
+             "general_residual_rel": worst_residual},
+        verdict(ok),
         {"orthonormality": 1e-10, "trace_rel": 1e-9, "weyl_shift": 1e-12,
          "projector": 1e-10, "pseudo_inverse_rel": 1e-8,
          "hermitian_vs_general": 1e-8, "general_residual_rel": 1e-8})]
@@ -235,12 +229,12 @@ def schur_suite(rng, count: int = 200) -> list[Check]:
                 worst_converse = max(worst_converse,
                                      spectral_distance(float(lam), spec_m))
     ok = worst_forward <= 1e-6 and worst_converse <= 1e-6
-    return [_check(
+    return [Check(
         "block-model/schur-spectrum",
         "sigma(S) ∩ rho(C) = sigma(M) ∩ rho(C)",
-        ok,
-        {"instances": count, "worst_zero_eig": worst_forward,
-         "scan_points": scanned, "worst_converse_dist": worst_converse},
+        {}, {"instances": count, "worst_zero_eig": worst_forward,
+             "scan_points": scanned, "worst_converse_dist": worst_converse},
+        verdict(ok),
         {"forward": 1e-6, "converse": 1e-6})]
 
 
@@ -265,12 +259,12 @@ def resolvent_suite(rng, count: int = 50) -> list[Check]:
             checked += 1
             worst = max(worst, operator_norm(res - direct)
                         / max(operator_norm(direct), 1e-30))
-    return [_check(
+    return [Check(
         "block-model/resolvent-blocks",
         "(M - aI)^{-1} = [[S^{-1}, -S^{-1}F], [-(C-aI)^{-1}B*S^{-1}, "
         "(C-aI)^{-1} + (C-aI)^{-1}B*S^{-1}F]]",
-        worst <= 1e-8,
-        {"checked": checked, "worst_rel_err": worst},
+        {}, {"checked": checked, "worst_rel_err": worst},
+        verdict(worst <= 1e-8),
         {"rel": 1e-8})]
 
 
@@ -286,12 +280,12 @@ def relative_bound_suite(rng, count: int = 100) -> list[Check]:
             if rb.b > 0.0:
                 worst_tight = max(worst_tight, abs(margin))
     ok = worst_low <= 1e-9 and worst_tight <= 1e-6
-    return [_check(
+    return [Check(
         "block-model/relative-bound",
         "B B* ⪯ a A + b I with b minimal",
-        ok,
-        {"instances": count, "worst_violation": worst_low,
-         "worst_tightness": worst_tight},
+        {}, {"instances": count, "worst_violation": worst_low,
+             "worst_tightness": worst_tight},
+        verdict(ok),
         {"validity": 1e-9, "tightness": 1e-6})]
 
 
@@ -315,13 +309,13 @@ def dist_bound_suite(rng, count: int = 500) -> list[Check]:
                 continue
             checked += 1
             worst_slack = max(worst_slack, rep.dist_to_A - rep.bound)
-    return [_check(
+    return [Check(
         "enclosures/dist-bound",
         "dist[lambda, sigma(A)] <= |a lambda + b| / (dist[lambda, sigma(C)] - a)",
-        worst_slack <= 1e-9,
-        {"instances": count, "eigenvalues_checked": checked,
-         "worst_excess": worst_slack},
-        {"slack": 1e-9})]
+        {}, {"instances": count, "eigenvalues_checked": checked,
+             "worst_excess": worst_slack},
+        verdict(worst_slack <= SLACK),
+        {"slack": SLACK})]
 
 
 def window_suite(rng, count: int = 200) -> list[Check]:
@@ -354,7 +348,7 @@ def window_suite(rng, count: int = 200) -> list[Check]:
             c = float(block.eig_c.eigenvalues[-1])
         spec_a = block.eig_a.eigenvalues
         spec_m = block.eig_m.eigenvalues
-        for lam in spec_m[spec_m > c + rb.a + 1e-9]:
+        for lam in spec_m[spec_m > c + rb.a + SLACK]:
             lam = float(lam)
             mu_in = inclusion_reference(spec_a, lam)
             if mu_in is not None:
@@ -368,7 +362,7 @@ def window_suite(rng, count: int = 200) -> list[Check]:
                     excl_checked += 1
                     # positive when lam intrudes into the open window
                     intrusion = min(lam - win.lo, win.hi - lam)
-                    if intrusion > 1e-9:
+                    if intrusion > SLACK:
                         worst_excl = max(worst_excl, intrusion)
         for i in range(spec_a.size - 1):
             win = resolvent_interval(float(spec_a[i]), float(spec_a[i + 1]), c, rb)
@@ -376,31 +370,31 @@ def window_suite(rng, count: int = 200) -> list[Check]:
                 continue
             res_checked += 1
             for lam in spec_m:
-                if win.lo + 1e-9 < lam < win.hi - 1e-9:
+                if win.lo + SLACK < lam < win.hi - SLACK:
                     worst_res = max(worst_res,
                                     min(lam - win.lo, win.hi - lam))
-    checks.append(_check(
+    checks.append(Check(
         "enclosures/inclusion-windows",
         "lambda in [mu, mu + r], (mu, mu + 2r) in rho(A) => "
         "lambda in [alpha-, alpha+]",
-        worst_incl <= 1e-9,
-        {"instances": count, "checked": incl_checked, "worst_escape": worst_incl},
-        {"margin": 1e-9}))
-    checks.append(_check(
+        {}, {"instances": count, "checked": incl_checked, "worst_escape": worst_incl},
+        verdict(worst_incl <= SLACK),
+        {"margin": SLACK}))
+    checks.append(Check(
         "enclosures/exclusion-windows",
         "lambda in (mu - r, mu], (mu - 2r, mu) in rho(A), "
         "(mu - c)^2 > 4 a mu + 4b => lambda not in (beta-, beta+)",
-        worst_excl <= 0.0,
-        {"instances": count, "checked": excl_checked,
-         "worst_intrusion": worst_excl},
-        {"margin": 1e-9}))
-    checks.append(_check(
+        {}, {"instances": count, "checked": excl_checked,
+             "worst_intrusion": worst_excl},
+        verdict(worst_excl <= 0.0),
+        {"margin": SLACK}))
+    checks.append(Check(
         "enclosures/resolvent-windows",
         "(alpha1+, beta2+) in rho(M)",
-        worst_res <= 0.0,
-        {"instances": count, "windows": res_checked,
-         "worst_intrusion": worst_res},
-        {"margin": 1e-9}))
+        {}, {"instances": count, "windows": res_checked,
+             "worst_intrusion": worst_res},
+        verdict(worst_res <= 0.0),
+        {"margin": SLACK}))
 
     # Degenerate a = b = 0 forms collapse exactly, and the inclusion window
     # endpoint is monotone in b.
@@ -425,16 +419,16 @@ def window_suite(rng, count: int = 200) -> list[Check]:
             continue
         worst_mono = max(worst_mono, lo_big.lo - lo_small.lo,
                          lo_small.hi - lo_big.hi)
-    checks.append(_check(
+    checks.append(Check(
         "enclosures/degenerate-forms",
         "a = b = 0: [alpha-, alpha+] = [c, mu] and (beta-, beta+) = (c, mu)",
-        worst_deg <= 1e-12,
-        {"worst_gap": worst_deg}, {"exact": 1e-12}))
-    checks.append(_check(
+        {}, {"worst_gap": worst_deg},
+        verdict(worst_deg <= 1e-12), {"exact": 1e-12}))
+    checks.append(Check(
         "enclosures/window-monotonicity",
         "enlarging b never shrinks the inclusion window",
-        worst_mono <= 1e-12,
-        {"worst_shrink": worst_mono}, {"exact": 1e-12}))
+        {}, {"worst_shrink": worst_mono},
+        verdict(worst_mono <= 1e-12), {"exact": 1e-12}))
     return checks
 
 
@@ -443,13 +437,9 @@ def dim_check_suite(rng, count: int = 100) -> list[Check]:
     nonempty = 0
     for _ in range(count):
         block, rb, c = separated_block(rng)
-        spec_a = block.eig_a.eigenvalues
-        valid = [i for i in range(spec_a.size - 1)
-                 if resolvent_interval(float(spec_a[i]), float(spec_a[i + 1]),
-                                       c, rb).hypothesis_ok]
-        first, last = valid[0], valid[-1]
-        b2p = exclusion_window(float(spec_a[first + 1]), c, rb).hi
-        a3p = eigenvalue_window(float(spec_a[last]), c, rb).hi
+        pairs = resolvent_pairs(block.eig_a.eigenvalues, c, rb)
+        b2p = exclusion_window(pairs[0][1], c, rb).hi
+        a3p = eigenvalue_window(pairs[-1][0], c, rb).hi
         if not b2p < a3p:
             continue
         count_m, count_a = subspace_dim_check(block, b2p, a3p)
@@ -457,12 +447,12 @@ def dim_check_suite(rng, count: int = 100) -> list[Check]:
             mismatches += 1
         if count_m:
             nonempty += 1
-    return [_check(
+    return [Check(
         "enclosures/dim-check",
         "dim L_[beta2+, alpha3+](M) = dim L_[beta2+, alpha3+](A), nonempty",
-        mismatches == 0 and nonempty > 0,
-        {"instances": count, "mismatches": mismatches,
-         "nonempty_counts": nonempty},
+        {}, {"instances": count, "mismatches": mismatches,
+             "nonempty_counts": nonempty},
+        verdict(mismatches == 0 and nonempty > 0),
         {})]
 
 
@@ -486,17 +476,9 @@ def soq_suite(rng, count: int = 100) -> list[Check]:
         if not np.any(sel):
             continue
         q, _ = np.linalg.qr(dec.vectors[:, sel])
-        for encl in soq_enclosure(block, q, a1p, b4m, b4p):
-            if not encl.admitted:
-                continue
-            admitted_total += 1
-            margin = 1e-6 * max(1.0, abs(encl.z.real))
-            near = any(encl.interval.contains(float(lam))
-                       or min(abs(lam - encl.interval.lo),
-                              abs(lam - encl.interval.hi)) <= margin
-                       for lam in spec_m)
-            if not near:
-                misses += 1
+        enclosures = soq_enclosure(block, q, a1p, b4m, b4p)
+        admitted_total += sum(e.admitted for e in enclosures)
+        misses += len(soq_misses(enclosures, spec_m))
     # The magnetohydrodynamics discretization with a 20-mode trial space.
     disc = discretize(constant_profile(), 64)
     a, b, c = constants(constant_profile())
@@ -507,26 +489,18 @@ def soq_suite(rng, count: int = 100) -> list[Check]:
     mhd_admitted = 0
     if bracket is not None:
         a1p, b4m, b4p = bracket
-        for encl in soq_enclosure(disc.block, trial_space(disc, 20), a1p, b4m, b4p):
-            if not encl.admitted:
-                continue
-            mhd_admitted += 1
-            admitted_total += 1
-            margin = 1e-6 * max(1.0, abs(encl.z.real))
-            near = any(encl.interval.contains(float(lam))
-                       or min(abs(lam - encl.interval.lo),
-                              abs(lam - encl.interval.hi)) <= margin
-                       for lam in spec_m)
-            if not near:
-                misses += 1
-    return [_check(
+        enclosures = soq_enclosure(disc.block, trial_space(disc, 20), a1p, b4m, b4p)
+        mhd_admitted = sum(e.admitted for e in enclosures)
+        admitted_total += mhd_admitted
+        misses += len(soq_misses(enclosures, spec_m))
+    return [Check(
         "enclosures/soq",
         "sigma(M) ∩ [Re z - |Im z|²/(b4p - Re z), Re z + |Im z|²/(Re z - a1p)] "
         "nonempty for admitted z",
-        misses == 0 and admitted_total > 0,
-        {"instances": count, "admitted": admitted_total,
-         "mhd_admitted": mhd_admitted, "misses": misses},
-        {"intersection_margin_rel": 1e-6})]
+        {}, {"instances": count, "admitted": admitted_total,
+             "mhd_admitted": mhd_admitted, "misses": misses},
+        verdict(misses == 0 and admitted_total > 0),
+        {"intersection_margin_rel": SOQ_MARGIN_REL})]
 
 
 def subspace_suite(rng, count: int = 300) -> list[Check]:
@@ -561,13 +535,10 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
         if k_op.codim != marks.kappa:
             codim_fail += 1
         try:
-            rep = riesz_check(block, sub, k_op)
+            if not riesz_check(block, sub, k_op).passed:
+                gram_fail += 1
         except Exception:
             gram_fail += 1
-        else:
-            if not (rep.gram_min >= rep.riesz_lower - 1e-8
-                    and rep.gram_max <= 1.0 + 1e-8):
-                gram_fail += 1
 
         spec_a = block.eig_a.eigenvalues
         full_spec = block.eig_m.eigenvalues
@@ -584,11 +555,11 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
                 continue
             delta_checked += 1
             try:
-                verdict = graph_test(spectral_subspace(block, float(alpha))).verdict
+                kind = graph_test(spectral_subspace(block, float(alpha))).verdict
             except Exception:
                 delta_fail += 1
                 continue
-            if verdict != GRAPH:
+            if kind != GRAPH:
                 delta_fail += 1
 
         # Extension consistency: the angular operator above the first gap
@@ -617,36 +588,36 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
             tilde_spec = shifted.eig_m.eigenvalues
             shift_worst = max(shift_worst,
                               (float(spec_full[0]) - float(tilde_spec[0])) / scale)
-    checks.append(_check(
+    checks.append(Check(
         "invariant-subspace/codim-kappa",
         "codim(Dom(K_c)) = kappa = dim L_(-inf,0)(S(c~))",
-        codim_fail == 0 and examined > 0,
-        {"examined": examined, "skipped_no_spectrum_above_c": skipped,
-         "failures": codim_fail},
+        {}, {"examined": examined, "skipped_no_spectrum_above_c": skipped,
+             "failures": codim_fail},
+        verdict(codim_fail == 0 and examined > 0),
         {}))
-    checks.append(_check(
+    checks.append(Check(
         "invariant-subspace/gram-bounds",
         "eigenvalues of U*U in [1/(1 + ||K||²), 1]",
-        gram_fail == 0,
-        {"examined": examined, "failures": gram_fail},
-        {"margin": 1e-8}))
-    checks.append(_check(
+        {}, {"examined": examined, "failures": gram_fail},
+        verdict(gram_fail == 0),
+        {"margin": RIESZ_TOL}))
+    checks.append(Check(
         "invariant-subspace/delta-soundness",
         "delta < 1/2 => the subspace above alpha is a graph",
-        delta_fail == 0 and delta_checked > 0,
-        {"alphas_checked": delta_checked, "failures": delta_fail},
+        {}, {"alphas_checked": delta_checked, "failures": delta_fail},
+        verdict(delta_fail == 0 and delta_checked > 0),
         {}))
-    checks.append(_check(
+    checks.append(Check(
         "invariant-subspace/extension-consistency",
         "K_c restricted to Dom(K_alpha) agrees with K_alpha",
-        ext_worst <= 1e-8,
-        {"worst_rel_gap": ext_worst},
+        {}, {"worst_rel_gap": ext_worst},
+        verdict(ext_worst <= 1e-8),
         {"rel": 1e-8}))
-    checks.append(_check(
+    checks.append(Check(
         "invariant-subspace/shifted-family",
         "A + tE((-inf, mu)) ⪰ mu I and min sigma(M~) >= min sigma(M)",
-        shift_worst <= 1e-9,
-        {"worst_rel_defect": shift_worst},
+        {}, {"worst_rel_defect": shift_worst},
+        verdict(shift_worst <= 1e-9),
         {"rel": 1e-9}))
     return checks
 
@@ -675,14 +646,14 @@ def basis_suite(rng, count: int = 60) -> list[Check]:
         for rec in decay.records:
             if rec.delta < 1.0 and rec.a_points_inside == 1:
                 decay_checked += 1
-                if rec.proj_diff_norm > rec.bound + 1e-9:
+                if not rec.within_bound:
                     decay_fail += 1
         for b_rec, d_rec in zip(bari.records, decay.records):
             if d_rec.delta < 1.0 and d_rec.a_points_inside == 1:
                 limit = (2.0 * d_rec.bound) ** 2
-                if b_rec.term > limit + 1e-9:
+                if b_rec.term > limit + SLACK:
                     term_fail += 1
-        if np.any(np.diff(bari.partial_sums) < -1e-15):
+        if not bari.nondecreasing:
             nondec_fail += 1
         # Alignment invariance under a random phase.
         dec_a = block.eig_a
@@ -700,25 +671,25 @@ def basis_suite(rng, count: int = 60) -> list[Check]:
             continue
         phase_worst = max(phase_worst, abs(base - rotated))
     return [
-        _check(
+        Check(
             "basis-analysis/decay-bound",
             "||E - F_n|| <= (gamma_n / dist[circle, sigma(A)]) "
             "delta_n/(1 - delta_n)",
-            decay_fail == 0 and decay_checked > 0,
-            {"checked": decay_checked, "failures": decay_fail},
-            {"slack": 1e-9}),
-        _check(
+            {}, {"checked": decay_checked, "failures": decay_fail},
+            verdict(decay_fail == 0 and decay_checked > 0),
+            {"slack": SLACK}),
+        Check(
             "basis-analysis/bari-terms",
             "||y_{kappa+n} - x_n||² <= (2 M delta_n/(1 - delta_n))²; "
             "partial sums nondecreasing",
-            term_fail == 0 and nondec_fail == 0,
-            {"term_failures": term_fail, "nondecreasing_failures": nondec_fail},
-            {"slack": 1e-9}),
-        _check(
+            {}, {"term_failures": term_fail, "nondecreasing_failures": nondec_fail},
+            verdict(term_fail == 0 and nondec_fail == 0),
+            {"slack": SLACK}),
+        Check(
             "basis-analysis/phase-invariance",
             "||y - x|| is invariant under x -> e^{i theta} x",
-            phase_worst <= 1e-12,
-            {"worst_gap": phase_worst},
+            {}, {"worst_gap": phase_worst},
+            verdict(phase_worst <= 1e-12),
             {"exact": 1e-12}),
     ]
 
@@ -730,23 +701,23 @@ def mhd_suite() -> list[Check]:
     exact_c = 2.0 + np.sqrt(2.0)
     closed = (abs(a - 2.5) <= 1e-12 and abs(b) <= 1e-12
               and abs(c - exact_c) <= 1e-12)
-    checks.append(_check(
+    checks.append(Check(
         "mhd/closed-form-constants",
         "c = k²(va² + vs²)/2 + sqrt(k⁴(va² + vs²)²/4 - k² kpar² va² vs²); "
         "a = ((va² + vs²)² kperp² + vs⁴ kpar²)/(va² + vs²); b-display",
-        closed,
-        {"a": a, "b": b, "c": c},
+        {}, {"a": a, "b": b, "c": c},
+        verdict(closed),
         {"exact": 1e-12}))
 
     disc = discretize(profile, 128)
     spec_a = disc.block.eig_a.eigenvalues
     continuum = np.array([2.0 * np.pi ** 2 * n ** 2 + 2.0 for n in (1, 2, 3)])
     rel = np.abs(spec_a[:3] - continuum) / continuum
-    checks.append(_check(
+    checks.append(Check(
         "mhd/sturm-liouville-eigs",
         "A-block eigenvalues approach 2 pi² n² + 2 for the uniform slab",
-        bool(np.all(rel <= 0.02)),
-        {"relative_errors": rel.tolist()},
+        {}, {"relative_errors": rel.tolist()},
+        verdict(bool(np.all(rel <= 0.02))),
         {"rel": 0.02}))
 
     rb = RelativeBound(a, b)
@@ -757,54 +728,50 @@ def mhd_suite() -> list[Check]:
     for lam in marks.lambda_above_c:
         rep = dist_bound(float(lam), spec_a, spec_c, rb)
         worst = max(worst, (rep.dist_to_A - rep.bound) / max(1.0, rep.bound))
-    checks.append(_check(
+    checks.append(Check(
         "mhd/dist-bound-continuum",
         "dist[lambda, sigma(A)] <= |a lambda + b| / (dist[lambda, sigma(C)] - a) "
         "with closed-form constants",
-        worst <= slack,
-        {"worst_relative_excess": worst, "N": disc.N},
+        {}, {"worst_relative_excess": worst, "N": disc.N},
+        verdict(worst <= slack),
         {"relative_slack": slack}))
 
     margin, _ = relative_bound_margin(disc.block, rb)
     gram_top = float(hermitian_eig(disc.block.coupling_gram()).eigenvalues[-1])
-    checks.append(_check(
+    checks.append(Check(
         "mhd/constants-soundness",
         "B B* ⪯ a A + b I with closed-form constants, up to O(h)",
-        margin >= -slack * max(1.0, gram_top),
-        {"margin": margin, "discrete_minimal_b": minimal_b_for_a(disc.block, a).b},
+        {}, {"margin": margin, "discrete_minimal_b": minimal_b_for_a(disc.block, a).b},
+        verdict(margin >= -slack * max(1.0, gram_top)),
         {"slack": slack * max(1.0, gram_top)}))
 
     resolved = disc.N // 4
     gaps = np.diff(spec_a)[:resolved]
-    checks.append(_check(
+    checks.append(Check(
         "mhd/gap-growth",
         "mu_{n+1} - mu_n increases over the resolved range",
-        bool(np.all(np.diff(gaps) > 0.0)),
-        {"resolved": int(resolved)},
+        {}, {"resolved": int(resolved)},
+        verdict(bool(np.all(np.diff(gaps) > 0.0))),
         {}))
 
     sub = spectral_subspace(disc.block, marks.c_tilde)
     k_op = angular_operator(sub)
-    checks.append(_check(
+    checks.append(Check(
         "mhd/codim-kappa",
         "codim(Dom(K_c)) = kappa",
-        k_op.codim == marks.kappa,
-        {"codim": k_op.codim, "kappa": marks.kappa, "k_norm": k_op.norm},
+        {}, {"codim": k_op.codim, "kappa": marks.kappa, "k_norm": k_op.norm},
+        verdict(k_op.codim == marks.kappa),
         {}))
 
     decay = projection_decay(disc.block, marks, 8, rb=rb)
-    norms = [r.proj_diff_norm for r in decay.records]
-    decreasing = all(norms[i + 1] < norms[i] for i in range(len(norms) - 1))
-    bound_ok = all(r.proj_diff_norm <= r.bound + 1e-9
-                   for r in decay.records if r.delta < 1.0)
-    checks.append(_check(
+    checks.append(Check(
         "mhd/projection-decay",
         "||E({mu_{kappa+n}}) - F_n(Delta_n)|| strictly decreasing and within "
         "the explicit chain",
-        decreasing and bound_ok,
-        {"norms": norms, "deltas": [r.delta for r in decay.records],
-         "bounds": [r.bound for r in decay.records]},
-        {"slack": 1e-9}))
+        {}, {"norms": decay.norms, "deltas": [r.delta for r in decay.records],
+             "bounds": [r.bound for r in decay.records]},
+        verdict(decay.decreasing and decay.within_bound),
+        {"slack": SLACK}))
 
     bari = bari_sum(disc.block, marks, 8)
     terms = np.array([r.term for r in bari.records])
@@ -816,12 +783,12 @@ def mhd_suite() -> list[Check]:
         quotients.append(float(q))
         if not (1.0 / 3.0 <= q <= 3.0):
             ratio_ok = False
-    checks.append(_check(
+    checks.append(Check(
         "mhd/bari-ratio",
         "increments of sum ||y_{kappa+n} - x_n||² track 1/(mu_{n+1} - mu_n)²",
-        ratio_ok,
-        {"terms": terms.tolist(), "ratio_quotients": quotients,
-         "gap_sum": bari.gap_sum},
+        {}, {"terms": terms.tolist(), "ratio_quotients": quotients,
+             "gap_sum": bari.gap_sum},
+        verdict(ratio_ok),
         {"factor": 3.0}))
 
     disc64 = discretize(profile, 64)
@@ -829,11 +796,11 @@ def mhd_suite() -> list[Check]:
     lead128 = marks.lambda_above_c[:5]
     lead64 = marks64.lambda_above_c[:5]
     agree = np.abs(lead128 - lead64) / np.abs(lead128)
-    checks.append(_check(
+    checks.append(Check(
         "mhd/resolution-consistency",
         "leading eigenvalues above c agree across N = 64 and N = 128",
-        bool(np.all(agree <= 0.01)),
-        {"relative_gaps": agree.tolist()},
+        {}, {"relative_gaps": agree.tolist()},
+        verdict(bool(np.all(agree <= 0.01))),
         {"rel": 0.01}))
 
     # Decoupled profile: no coupling, angular operator vanishes.
@@ -843,11 +810,11 @@ def mhd_suite() -> list[Check]:
     marks_deg = landmarks(disc_deg.block)
     sub_deg = spectral_subspace(disc_deg.block, marks_deg.c_tilde)
     k_deg = angular_operator(sub_deg)
-    checks.append(_check(
+    checks.append(Check(
         "mhd/decoupled-degenerate",
         "kperp = kpar = 0, g = 0: B = 0 and K = 0",
-        b_norm == 0.0 and k_deg.norm <= 1e-12 and marks_deg.kappa == 0,
-        {"coupling_norm": b_norm, "k_norm": k_deg.norm, "kappa": marks_deg.kappa},
+        {}, {"coupling_norm": b_norm, "k_norm": k_deg.norm, "kappa": marks_deg.kappa},
+        verdict(b_norm == 0.0 and k_deg.norm <= 1e-12 and marks_deg.kappa == 0),
         {}))
     return checks
 
@@ -881,15 +848,15 @@ def fixture_suite() -> list[Check]:
     s_diag = (0.5 - ct - 4.0 / (-2.0 - ct), 20.0 - ct)
     kappa_oracle = sum(1 for v in s_diag if v < 0.0)
     ok = ok and gm.kappa == kappa_oracle == 0
-    return [_check(
+    return [Check(
         "fixtures/cubic",
         "eigenvalues solve x³ - 11x² + 6x + 32 = 0; c = -1; b_min(0) = 2; "
         "kappa = 0; codim(Dom(K_c)) = 0; delta(6) = 1/14",
-        ok,
-        {"eig_gap": eig_gap, "c": marks.c, "c_tilde": marks.c_tilde,
-         "b_min": rb.b, "kappa": marks.kappa, "codim": k_op.codim,
-         "delta_at_6": delta6, "guard_kappa": gm.kappa,
-         "corrupted": corrupt},
+        {}, {"eig_gap": eig_gap, "c": marks.c, "c_tilde": marks.c_tilde,
+             "b_min": rb.b, "kappa": marks.kappa, "codim": k_op.codim,
+             "delta_at_6": delta6, "guard_kappa": gm.kappa,
+             "corrupted": corrupt},
+        verdict(ok),
         {"eigs": 1e-9, "derived": 1e-6})]
 
 
@@ -912,13 +879,13 @@ def variational_suite(rng, count: int = 80) -> list[Check]:
             lam = float(marks.lambda_above_c[n])
             checked += 1
             worst = max(worst, intervals[n].lo - lam, lam - intervals[n].hi)
-    return [_check(
+    return [Check(
         "enclosures/variational-bounds",
         "mu_{kappa+n} <= lambda_n <= (mu_{kappa+n} + c)/2 + "
         "sqrt(((mu_{kappa+n} - c)/2)² + a mu_{kappa+n} + b)",
-        worst <= 1e-9 and checked > 0,
-        {"checked": checked, "worst_escape": worst},
-        {"margin": 1e-9})]
+        {}, {"checked": checked, "worst_escape": worst},
+        verdict(worst <= SLACK and checked > 0),
+        {"margin": SLACK})]
 
 
 def run(seed: int = 42) -> Report:

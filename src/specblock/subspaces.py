@@ -10,6 +10,7 @@ above a target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .linalg import (
     spectral_distance,
     spectral_projector,
 )
-from .tolerance import matrix_tol, scalar_tol
+from .tolerance import GRAPH_TOL, INDETERMINATE_TOL, scalar_tol
 
 __all__ = [
     "GRAPH",
@@ -36,7 +37,6 @@ __all__ = [
     "angular_operator",
     "delta_condition",
     "shifted_matrix",
-    "smallest_graph_beta",
 ]
 
 GRAPH = "graph"
@@ -46,19 +46,22 @@ INDETERMINATE = "indeterminate"
 
 @dataclass(frozen=True)
 class GraphSubspace:
-    """Orthonormal basis of a spectral subspace, split into component blocks.
+    """Orthonormal basis of a subspace, split into component blocks.
 
-    The stacked columns [basis_first; basis_second] are orthonormal; the
-    subspace is the range of the spectral projector for ``window``.
+    The stacked columns [basis_first; basis_second] are orthonormal.
     """
 
     basis_first: np.ndarray
     basis_second: np.ndarray
-    window: Interval
 
     @property
     def dim(self) -> int:
         return self.basis_first.shape[1]
+
+    @cached_property
+    def first_singular_values(self) -> np.ndarray:
+        """Singular values of the first-component block, computed once."""
+        return np.linalg.svd(self.basis_first, compute_uv=False)
 
     def stacked(self) -> np.ndarray:
         return np.vstack((self.basis_first, self.basis_second))
@@ -88,42 +91,35 @@ class AngularOperator:
     codim: int
 
 
-def spectral_subspace(block: BlockOperatorMatrix, alpha: float,
-                      tol: float | None = None) -> GraphSubspace:
+def spectral_subspace(block: BlockOperatorMatrix, alpha: float) -> GraphSubspace:
     """Orthonormal basis of the subspace spanned by eigenvalues above alpha."""
     alpha = float(alpha)
-    if tol is None:
-        tol = block.assembled_tol()
+    tol = block.assembled_tol()
     dec = block.eig_m
     if spectral_distance(alpha, dec.eigenvalues) <= tol:
         raise ArgumentError(
             f"alpha = {alpha:.12g} is within {tol:.3e} of an eigenvalue of "
             "the assembled matrix")
     cols = dec.vectors[:, dec.eigenvalues > alpha]
-    return GraphSubspace(
-        basis_first=cols[:block.n1],
-        basis_second=cols[block.n1:],
-        window=Interval(alpha, float("inf"), open_lo=True, open_hi=True))
+    return GraphSubspace(basis_first=cols[:block.n1], basis_second=cols[block.n1:])
 
 
-def graph_test(subspace: GraphSubspace, graph_tol: float = 1e-8,
-               indeterminate_tol: float = 1e-10) -> GraphTest:
+def graph_test(subspace: GraphSubspace) -> GraphTest:
     """Decide whether the subspace is the graph of an operator on its first block.
 
     The subspace is a graph iff the first-component block has full column
-    rank; sigma_min in [indeterminate_tol, graph_tol] is reported as
-    indeterminate rather than classified.
+    rank, read as sigma_min > GRAPH_TOL; sigma_min in [INDETERMINATE_TOL,
+    GRAPH_TOL] is reported as indeterminate rather than classified.
     """
-    u = subspace.basis_first
-    n1, m = u.shape
+    n1, m = subspace.basis_first.shape
     if m == 0:
         return GraphTest(verdict=GRAPH, sigma_min=float("inf"),
                          singular_values=np.array([]))
-    svals = np.linalg.svd(u, compute_uv=False)
+    svals = subspace.first_singular_values
     sigma_min = float(svals[-1]) if m <= n1 else 0.0
-    if sigma_min > graph_tol:
+    if sigma_min > GRAPH_TOL:
         verdict = GRAPH
-    elif sigma_min < indeterminate_tol:
+    elif sigma_min < INDETERMINATE_TOL:
         verdict = NOT_GRAPH
     else:
         verdict = INDETERMINATE
@@ -131,24 +127,22 @@ def graph_test(subspace: GraphSubspace, graph_tol: float = 1e-8,
                      singular_values=np.asarray(svals, dtype=float))
 
 
-def angular_operator(subspace: GraphSubspace,
-                     graph_tol: float = 1e-8) -> AngularOperator:
+def angular_operator(subspace: GraphSubspace) -> AngularOperator:
     """Angular operator K = V U⁺ of a (possibly partial-domain) graph subspace.
 
-    U must have full column rank: a rank drop means the subspace contains a
+    U must pass the graph test: a rank drop means the subspace contains a
     vector with vanishing first component and no angular operator exists.
     The domain of K is range(U), of codimension n1 - dim(subspace).
     """
     u, v = subspace.basis_first, subspace.basis_second
     n1, m = u.shape
-    if m:
-        svals = np.linalg.svd(u, compute_uv=False)
-        rank = int(np.sum(svals > graph_tol)) if m <= n1 else 0
-        if rank < m:
-            raise NotAGraphError(
-                "subspace contains a vector with vanishing first component "
-                f"(first-block rank {rank} < subspace dimension {m})")
-    u_pinv = pseudo_inverse(u, tol=graph_tol) if m else np.zeros((0, n1))
+    test = graph_test(subspace)
+    if test.verdict != GRAPH:
+        rank = int(np.sum(test.singular_values > GRAPH_TOL)) if m <= n1 else 0
+        raise NotAGraphError(
+            "subspace contains a vector with vanishing first component "
+            f"(first-block rank {rank} < subspace dimension {m})")
+    u_pinv = pseudo_inverse(u, tol=GRAPH_TOL) if m else np.zeros((0, n1))
     proj = u @ u_pinv
     proj = 0.5 * (proj + proj.conj().T)
     k = v @ u_pinv
@@ -191,32 +185,3 @@ def shifted_matrix(block: BlockOperatorMatrix, mu: float) -> BlockOperatorMatrix
     return BlockOperatorMatrix(A=0.5 * (shifted + shifted.conj().T),
                                B=block.B, C=block.C)
 
-
-def smallest_graph_beta(block: BlockOperatorMatrix, betas=None,
-                        graph_tol: float = 1e-8):
-    """Scan candidate beta values; return the smallest whose half-line subspace
-    is a graph, plus all per-beta verdicts.
-
-    The scan answers on its grid only; it makes no claim about the true
-    threshold.  The default grid takes the midpoints of the spectral gaps
-    above max sigma(C) and one point beyond the top of the spectrum.
-    """
-    spec_m = block.eig_m.eigenvalues
-    if betas is None:
-        c = float(block.eig_c.eigenvalues[-1])
-        above = spec_m[spec_m > c + matrix_tol(block.C)]
-        pts = np.concatenate(([c], above))
-        mids = [0.5 * (pts[i] + pts[i + 1]) for i in range(len(pts) - 1)]
-        top = float(spec_m[-1])
-        span = max(top - float(spec_m[0]), 1.0)
-        betas = np.array(mids + [top + 0.05 * span])
-    records = []
-    for beta in np.asarray(betas, dtype=float):
-        try:
-            verdict = graph_test(spectral_subspace(block, float(beta)),
-                                 graph_tol=graph_tol).verdict
-        except ArgumentError:
-            verdict = "skipped"
-        records.append((float(beta), verdict))
-    hit = next((b for b, v in records if v == GRAPH), None)
-    return hit, records

@@ -15,7 +15,9 @@ from specblock import (
     riesz_check,
     spectral_subspace,
 )
+from specblock.basis import BariReport, DecayRecord, DecayReport
 from specblock.selftest import separated_block
+from specblock.tolerance import SLACK
 
 from oracles import cubic_fixture_roots, eigvec3
 
@@ -51,8 +53,7 @@ class TestRieszCheck:
         from specblock import GraphSubspace, Interval
         q, _ = np.linalg.qr(np.arange(6.0).reshape(3, 2) + 1.0)
         fake = GraphSubspace(basis_first=q[:2].astype(complex),
-                             basis_second=q[2:].astype(complex),
-                             window=Interval(0.0, np.inf))
+                             basis_second=q[2:].astype(complex))
         k = angular_operator(spectral_subspace(m3, 0.645))
         with pytest.raises(ArgumentError):
             riesz_check(m3, fake, k)
@@ -159,3 +160,43 @@ class TestBariSum:
         bari = bari_sum(m3, marks, 2)
         for d_rec, b_rec in zip(decay.records, bari.records):
             assert b_rec.term <= (2.0 * d_rec.proj_diff_norm) ** 2 + 1e-9
+
+
+def decay_report(*records):
+    """DecayReport from (norm, delta, bound) triples."""
+    return DecayReport(records=tuple(
+        DecayRecord(n=n, lam=0.0, mu=0.0, gamma=1.0, delta=delta,
+                    proj_diff_norm=norm, bound=bound, circle_dist_a=1.0,
+                    a_points_inside=1)
+        for n, (norm, delta, bound) in enumerate(records, start=1)),
+        m_constant=1.0)
+
+
+class TestVerdictRules:
+    @pytest.mark.parametrize("norms, decreasing", [
+        ([3e-3, 2e-3, 1e-3], True),
+        ([0.0, 0.0, 0.0], True),   # decoupled problem
+        ([1e-3, 1e-3], False),
+        ([1e-3, 2e-3], False),
+    ])
+    def test_decreasing(self, norms, decreasing):
+        rep = decay_report(*[(x, 0.5, 1.0) for x in norms])
+        assert rep.decreasing is decreasing
+
+    @pytest.mark.parametrize("record, within", [
+        ((1.0, 0.5, 1.0), True),
+        ((1.0 + 0.5 * SLACK, 0.5, 1.0), True),
+        ((1.0 + 2.0 * SLACK, 0.5, 1.0), False),
+        ((5.0, 1.0, float("inf")), True),  # delta >= 1: no bound to keep
+        ((5.0, 2.0, 0.0), True),
+    ])
+    def test_within_bound(self, record, within):
+        assert decay_report(record).records[0].within_bound is within
+        assert decay_report((0.0, 0.5, 1.0), record).within_bound is within
+
+    @pytest.mark.parametrize("dip, nondecreasing", [
+        (0.0, True), (-1e-16, True), (-1e-14, False)])
+    def test_bari_nondecreasing(self, dip, nondecreasing):
+        rep = BariReport(records=(), partial_sums=np.cumsum([0.2, 0.1, dip]),
+                         gap_sum=0.0, converged=False)
+        assert rep.nondecreasing is nondecreasing

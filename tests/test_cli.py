@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from specblock.cli import main
 from specblock.report import emit_json
+
+GOLDEN_BLOCK = str(Path(__file__).parent / "data" / "golden_block.json")
 
 
 def write_problem(tmp_path, name, payload):
@@ -71,6 +74,40 @@ class TestExitCodes:
         assert "finite" not in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("args, problem", [
+        (["selftest", "--seed", "-1"], None),
+        (["soq", "--input", GOLDEN_BLOCK, "--subspace-dim", "-5"], None),
+        (["soq", "--input", GOLDEN_BLOCK, "--subspace-dim", "0"], None),
+        (["basis", "--input", GOLDEN_BLOCK, "--n-max", "-2"], None),
+        (["basis", "--input", GOLDEN_BLOCK, "--n-max", "two"], None),
+        (["enclose", "--input", GOLDEN_BLOCK, "--n", "0"], None),
+        (["mhd"], dict(MHD_PROBLEM, n_max=True)),
+        (["basis"], dict(M3_PROBLEM, n_max=True)),
+        (["angular"], dict(M3_PROBLEM, alpha=True)),
+        (["enclose"], dict(M3_PROBLEM, rb=[True, False])),
+        (["enclose"], {"blocks": {"A": [[True, 0], [0, 10]], "B": [[1], [1]],
+                                  "C": [[-1]]}}),
+        (["enclose"], {"blocks": {"A": [[2, 0], [0, 10]], "B": [[1], [1]],
+                                  "C": [[[True, 0.0]]]}}),
+        (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], g=True)}),
+        (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n=True)}),
+        (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n=3,
+                               rho=[1.0, True, 1.0])}),
+        (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n=3,
+                               rho=[1.0, "dense", 1.0])}),
+    ])
+    def test_invalid_numbers_exit_2(self, tmp_path, capsys, args, problem):
+        if problem is not None:
+            args = args + ["--input", write_problem(tmp_path, "p.json", problem)]
+        try:
+            code = main(args + ["--out", str(tmp_path / "r.json")])
+        except SystemExit as exc:  # argparse rejects the option value
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_corrupted_selftest_exits_1(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPECBLOCK_SELFTEST_CORRUPT", "1")
         out = tmp_path / "r.json"
@@ -92,6 +129,21 @@ class TestEnclose:
         win = names["inclusion-window/mu=2"]
         assert win["outputs"]["lo"] == pytest.approx(-1.0)
         assert win["outputs"]["hi"] == pytest.approx(2.0)
+
+    def test_near_equal_points_of_sigma_a_share_checks(self, tmp_path):
+        # 2 and 2 + 1e-14 are one point of sigma(A) up to round-off
+        verdicts = []
+        for second in (2.0, 2.0 + 1e-14):
+            payload = {"blocks": {
+                "A": [[2, 0, 0, 0], [0, second, 0, 0], [0, 0, 10, 0],
+                      [0, 0, 0, 30]],
+                "B": [[0.3], [0.3], [0.3], [0.3]], "C": [[-1]]}}
+            path = write_problem(tmp_path, "p.json", payload)
+            _, rep = run_to_file(tmp_path, ["enclose", "--input", path])
+            verdicts.append([(c["name"], c["status"]) for c in rep["checks"]])
+        assert verdicts[0] == verdicts[1]
+        names = [name for name, _ in verdicts[1]]
+        assert len(names) == len(set(names))
 
     def test_every_check_carries_anchor(self, tmp_path):
         path = write_problem(tmp_path, "m3.json", M3_PROBLEM)
@@ -156,6 +208,14 @@ class TestBasisSoqMhd:
         assert code == 0
         assert rep["summary"]["fail"] == 0
         assert any(c["name"] == "mhd/projection-decay" for c in rep["checks"])
+
+    def test_mhd_reads_n_max_from_the_problem_file(self, tmp_path):
+        path = write_problem(tmp_path, "mhd.json", dict(MHD_PROBLEM, n_max=2))
+        code, rep = run_to_file(tmp_path, ["mhd", "--input", path, "--n", "32"])
+        assert code == 0
+        names = {c["name"]: c for c in rep["checks"]}
+        assert names["mhd/bari-sums"]["inputs"]["n_max"] == 2
+        assert names["mhd/projection-decay"]["inputs"]["n_max"] == 2
 
     def test_mhd_command_requires_profile(self, tmp_path, capsys):
         path = write_problem(tmp_path, "m3.json", M3_PROBLEM)

@@ -17,10 +17,15 @@ from specblock import (
     variational_bounds,
 )
 from specblock.enclosures import (
+    QepEnclosure,
     exclusion_reference,
     inclusion_reference,
+    resolvent_pairs,
     soq_bracket,
+    soq_misses,
 )
+from specblock.linalg import Interval
+from specblock.tolerance import SOQ_MARGIN_REL
 from specblock.selftest import separated_block
 
 from oracles import cubic_fixture_roots, poly_roots_durand_kerner
@@ -165,6 +170,16 @@ class TestSubspaceDimCheck:
         assert count_a == 2  # the levels 10 and 40
         assert count_m == count_a
 
+    def test_resolvent_pairs_on_ladder(self):
+        # the ladder of test_four_level_ladder, given unsorted: every
+        # consecutive pair validates; a level at 10.05 breaks the pair it
+        # opens with 10 (alpha1+ would pass beta2+)
+        rb = RelativeBound(0.0, 4 * 0.09)
+        assert resolvent_pairs([90.0, 2.0, 40.0, 10.0], -1.0, rb) \
+            == [(2.0, 10.0), (10.0, 40.0), (40.0, 90.0)]
+        assert resolvent_pairs([2.0, 10.0, 10.05, 40.0, 90.0], -1.0, rb) \
+            == [(2.0, 10.0), (10.05, 40.0), (40.0, 90.0)]
+
     def test_separated_instances(self, rng):
         for _ in range(25):
             block, rb, c = separated_block(rng)
@@ -290,6 +305,48 @@ class TestSoqEnclosure:
                            abs(lam - e.interval.hi)) <= margin
                     for lam in spec_m)
         assert hits > 0
+
+
+class TestSoqMisses:
+    # z = 100 + 0.5i with the admitted interval [99, 101]
+    MARGIN = SOQ_MARGIN_REL * 100.0
+
+    @pytest.mark.parametrize("lam, admitted, missed", [
+        (100.5, True, False),                 # inside the interval
+        (101.0 + 0.5 * MARGIN, True, False),  # within the margin of an end
+        (101.0 + 2.0 * MARGIN, True, True),   # beyond the margin
+        (99.0 - 2.0 * MARGIN, True, True),
+        (101.0 + 2.0 * MARGIN, False, False),  # not admitted: never a miss
+    ])
+    def test_margin_and_admission(self, lam, admitted, missed):
+        encl = QepEnclosure(z=100.0 + 0.5j,
+                            interval=Interval(99.0, 101.0) if admitted else None,
+                            admitted=admitted)
+        assert soq_misses([encl], [lam]) == ([encl] if missed else [])
+
+    def test_matches_pointwise_rule(self, rng):
+        # interval ends just inside or outside the margin of a point
+        spectrum = np.sort(rng.uniform(0.0, 50.0, 20))
+        encls = []
+        for k in range(40):
+            mu = float(spectrum[k % 20])
+            margin = SOQ_MARGIN_REL * max(1.0, mu)
+            lo = mu + float(rng.choice([-0.5, 0.5, 2.0, 3.0])) * margin
+            encls.append(QepEnclosure(
+                z=complex(lo + 1e-3, 0.1), interval=Interval(lo, lo + 2e-3),
+                admitted=bool(k % 5)))
+
+        def missed(e):
+            margin = SOQ_MARGIN_REL * max(1.0, abs(e.z.real))
+            return e.admitted and not any(
+                e.interval.contains(float(lam))
+                or min(abs(lam - e.interval.lo),
+                       abs(lam - e.interval.hi)) <= margin
+                for lam in spectrum)
+
+        expected = [e for e in encls if missed(e)]
+        assert expected and len(expected) < sum(e.admitted for e in encls)
+        assert soq_misses(encls, spectrum) == expected
 
 
 class TestPairingHelpers:

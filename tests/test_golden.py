@@ -1,9 +1,12 @@
-"""Golden verdicts and decomposition counts.
+"""Golden verdicts, report schemas and decomposition counts.
 
 ``data/golden_verdicts.json`` holds the exit code and the (name, status) list
 of every check for fixed inputs: ``selftest --seed 42``, ``mhd`` at N = 64 on
 two profiles, and the four block commands on ``data/golden_block.json``.
 Refactors must reproduce them; a changed verdict has to be a named bug fix.
+``data/golden_schema.json`` holds, for the same runs, each check's name,
+anchor and the sorted keys of its inputs, outputs and tolerances: no floats,
+so it holds on every platform.
 """
 
 import json
@@ -19,6 +22,7 @@ from specblock.mhd import profile_from_functions
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_verdicts.json").read_text())
+SCHEMA = json.loads((DATA / "golden_schema.json").read_text())
 
 MHD_PROBLEMS = {
     "mhd-constant-64": {
@@ -55,6 +59,29 @@ def test_mhd_profiles(tmp_path, name):
 def test_block_commands(tmp_path, command):
     args = [command, "--input", str(DATA / "golden_block.json")]
     assert run_cli(tmp_path, args) == GOLDEN[f"block-{command}"]
+
+
+def golden_args(tmp_path, name):
+    """The command line of one golden run."""
+    if name == "selftest-42":
+        return ["selftest", "--seed", "42"]
+    if name in MHD_PROBLEMS:
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"mhd": MHD_PROBLEMS[name]}))
+        return ["mhd", "--input", str(path), "--n", "64"]
+    return [name.removeprefix("block-"), "--input",
+            str(DATA / "golden_block.json")]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA))
+def test_report_schema(tmp_path, name):
+    out = tmp_path / "report.json"
+    main(golden_args(tmp_path, name) + ["--out", str(out)])
+    schema = [{"name": c["name"], "anchor": c["anchor"],
+               "inputs": sorted(c["inputs"]), "outputs": sorted(c["outputs"]),
+               "tolerances": sorted(c["tolerances"])}
+              for c in json.loads(out.read_text())["checks"]]
+    assert schema == SCHEMA[name]
 
 
 def test_run_report_decomposes_a_c_and_m_once_per_call(monkeypatch):

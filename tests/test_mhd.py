@@ -168,8 +168,7 @@ class TestRieszOnLeadingModes:
         idx = np.nonzero(dec.eigenvalues > marks.c + 1e-9)[0][:10]
         cols = dec.vectors[:, idx]
         sub = GraphSubspace(basis_first=cols[:block.n1],
-                            basis_second=cols[block.n1:],
-                            window=Interval(marks.c, float(dec.eigenvalues[idx[-1]])))
+                            basis_second=cols[block.n1:])
         k = angular_operator(sub)
         rep = riesz_check(block, sub, k)
         assert rep.passed

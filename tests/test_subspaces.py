@@ -17,7 +17,6 @@ from specblock import (
     landmarks,
     operator_norm,
     shifted_matrix,
-    smallest_graph_beta,
     spectral_subspace,
 )
 from specblock.selftest import random_block
@@ -66,8 +65,7 @@ class TestGraphTest:
 
     def test_pure_second_component_is_not_a_graph(self):
         sub = GraphSubspace(basis_first=np.zeros((2, 1), dtype=complex),
-                            basis_second=np.array([[1.0], [0.0]], dtype=complex),
-                            window=Interval(0.0, np.inf))
+                            basis_second=np.array([[1.0], [0.0]], dtype=complex))
         rep = graph_test(sub)
         assert rep.verdict == "not-graph"
         assert rep.sigma_min == 0.0
@@ -111,8 +109,7 @@ class TestAngularOperator:
 
     def test_not_a_graph_raises(self):
         sub = GraphSubspace(basis_first=np.zeros((2, 1), dtype=complex),
-                            basis_second=np.array([[1.0], [0.0]], dtype=complex),
-                            window=Interval(0.0, np.inf))
+                            basis_second=np.array([[1.0], [0.0]], dtype=complex))
         with pytest.raises(NotAGraphError):
             angular_operator(sub)
 
@@ -171,16 +168,3 @@ class TestShiftedMatrix:
             before = hermitian_eig(assemble(block)).eigenvalues[0]
             after = hermitian_eig(assemble(shifted)).eigenvalues[0]
             assert after >= before - 1e-9 * max(1.0, abs(before))
-
-
-class TestBetaScan:
-    def test_cubic_fixture_hits_first_midpoint(self, m3):
-        marks = landmarks(m3)
-        beta, records = smallest_graph_beta(m3)
-        assert beta == pytest.approx(marks.c_tilde, abs=1e-9)
-        assert records[0][1] == "graph"
-
-    def test_explicit_grid(self, m3):
-        beta, records = smallest_graph_beta(m3, betas=[0.0, 6.0])
-        assert beta == 0.0
-        assert [v for _, v in records] == ["graph", "graph"]
