@@ -16,7 +16,6 @@ from .blocks import (
     RelativeBound,
     SpectralLandmarks,
     assemble,
-    best_relative_bound,
     schur_complement,
 )
 from .errors import ArgumentError, DegenerateGapError, PairingError
@@ -180,21 +179,15 @@ def _cluster_projector(block: BlockOperatorMatrix, index: int) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def _check_range(block: BlockOperatorMatrix, marks: SpectralLandmarks,
-                 n_max: int) -> None:
+def _check_range(marks: SpectralLandmarks, n_max: int) -> None:
     """The first n_max eigenvalues above c and their partners in sigma(A) exist."""
-    if n_max < 1:
-        raise ArgumentError("n_max must be at least 1")
-    if marks.lambda_above_c.size < n_max:
+    if not 1 <= n_max <= marks.rungs:
         raise ArgumentError(
-            f"only {marks.lambda_above_c.size} eigenvalues above c, "
-            f"need {n_max}")
-    if block.n1 < marks.kappa + n_max:
-        raise ArgumentError("not enough eigenvalues of A for the requested range")
+            f"n_max = {n_max} is outside 1..{marks.rungs}, the rungs above c")
 
 
 def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
-                     n_max: int, rb: RelativeBound | None = None) -> DecayReport:
+                     n_max: int, rb: RelativeBound) -> DecayReport:
     """Compare eigenprojectors of A with Schur-complement spectral projectors.
 
     For each of the first ``n_max`` eigenvalues above c: the isolation radius
@@ -203,10 +196,8 @@ def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
     norm of their difference, and the circle-maximized delta_n.  The circle is
     sampled at 128 equally spaced angles.
     """
-    _check_range(block, marks, n_max)
+    _check_range(marks, n_max)
     spec_a = block.eig_a.eigenvalues
-    if rb is None:
-        rb = best_relative_bound(block)
     spec_m = block.eig_m.eigenvalues
     tol_full = block.assembled_tol()
     angles = 2.0 * np.pi * np.arange(128) / 128
@@ -268,16 +259,14 @@ def bari_sum(block: BlockOperatorMatrix, marks: SpectralLandmarks,
     leading gaps of sigma(A); ``converged`` flags that the last three
     increments each dropped below 1e-3 of the first.
     """
-    _check_range(block, marks, n_max)
+    _check_range(marks, n_max)
     spec_a = block.eig_a.eigenvalues
     dec_m = block.eig_m
-    tol_full = block.assembled_tol()
-    above_idx = np.nonzero(dec_m.eigenvalues > marks.c + tol_full)[0]
     n1 = block.n1
     records = []
     terms = []
     for n in range(1, n_max + 1):
-        idx = int(above_idx[n - 1])
+        idx = marks.first_above + n - 1
         lam = float(dec_m.eigenvalues[idx])
         vec = dec_m.vectors[:, idx]
         x = vec[:n1]

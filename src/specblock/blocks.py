@@ -150,12 +150,18 @@ class RelativeBound:
 
 @dataclass(frozen=True)
 class SpectralLandmarks:
-    """max sigma(C), the mid-gap point above it, kappa, and the spectrum above c."""
+    """max sigma(C), the mid-gap point above it, kappa, and the spectrum above c.
+
+    ``rungs`` = min(len(lambda_above_c), n1 - kappa) counts the rungs of the
+    variational ladder; ``first_above`` indexes lambda_above_c[0] in eig(M).
+    """
 
     c: float
     c_tilde: float
     kappa: int
     lambda_above_c: np.ndarray
+    rungs: int
+    first_above: int
 
 
 def assemble(block: BlockOperatorMatrix) -> np.ndarray:
@@ -276,4 +282,6 @@ def landmarks(block: BlockOperatorMatrix) -> SpectralLandmarks:
     kappa = int(np.sum(hermitian_eigvals(s) < -matrix_tol(s)))
     return SpectralLandmarks(
         c=c, c_tilde=c_tilde, kappa=kappa,
-        lambda_above_c=np.array(above, dtype=float))
+        lambda_above_c=np.array(above, dtype=float),
+        rungs=min(int(above.size), block.n1 - kappa),
+        first_above=int(spec_m.size - above.size))

@@ -21,24 +21,9 @@ import numpy as np
 
 from . import __version__
 from .basis import bari_sum, projection_decay, riesz_check
-from .blocks import (
-    BlockOperatorMatrix,
-    best_relative_bound,
-    landmarks,
-)
-from .enclosures import (
-    dist_bound,
-    eigenvalue_window,
-    exclusion_reference,
-    exclusion_window,
-    inclusion_reference,
-    resolvent_interval,
-    soq_bracket,
-    soq_enclosure,
-    soq_misses,
-    subspace_dim_check,
-    variational_bounds,
-)
+from .blocks import best_relative_bound, landmarks
+from .checks import ENCLOSE
+from .enclosures import soq_bracket, soq_enclosure, soq_misses
 from .errors import (
     ArgumentError,
     DegenerateGapError,
@@ -86,157 +71,28 @@ DEFAULT_MHD_N = 64
 DEFAULT_N_MAX = 6
 
 
-def _require_block(problem: ProblemFile, n_interior: int):
-    """The working block matrix: direct blocks, or a discretized profile."""
-    if problem.block is not None:
-        return problem.block, None
-    disc = discretize(problem.profile, n_interior)
-    return disc.block, disc
-
-
-def _relative_bound(problem: ProblemFile, block: BlockOperatorMatrix):
-    return problem.rb if problem.rb is not None else best_relative_bound(block)
+def _resolve(problem: ProblemFile, n_interior: int):
+    """The working block (direct blocks, or a discretized profile), the
+    discretization if there is one, and the relative bound in force."""
+    block, disc = problem.block, None
+    if block is None:
+        disc = discretize(problem.profile, n_interior)
+        block = disc.block
+    rb = problem.rb if problem.rb is not None else best_relative_bound(block)
+    return block, disc, rb
 
 
 def cmd_enclose(problem: ProblemFile, n_interior: int = DEFAULT_MHD_N) -> list[Check]:
     """Distance bound, windows, resolvent intervals, variational bounds and
     the dimension count over the whole spectrum of one problem."""
-    block, _ = _require_block(problem, n_interior)
-    rb = _relative_bound(problem, block)
-    spec_a = block.eig_a.eigenvalues
-    spec_c = block.eig_c.eigenvalues
-    spec_m = block.eig_m.eigenvalues
-    c = float(spec_c[-1])
-    checks = []
-
-    dist_anchor = ("dist[lambda, sigma(A)] <= |a lambda + b| / "
-                   "(dist[lambda, sigma(C)] - a)")
-    above = spec_m[spec_m > c + rb.a + SLACK]
-    for lam in above:
-        lam = float(lam)
-        try:
-            rep = dist_bound(lam, spec_a, spec_c, rb)
-        except HypothesisError as exc:
-            checks.append(not_applicable(f"dist-bound/lambda={lam:.6g}",
-                                         dist_anchor, str(exc)))
-            continue
-        checks.append(Check(
-            name=f"dist-bound/lambda={lam:.6g}", anchor=dist_anchor,
-            inputs={"lambda": lam, "a": rb.a, "b": rb.b},
-            outputs={"dist_to_A": rep.dist_to_A, "bound": rep.bound},
-            status=verdict(rep.satisfied),
-            tolerances={"slack": SLACK}))
-
-    # sigma(A) up to round-off: each cluster is represented by its lowest point
-    labels = block.a_clusters
-    _, first = np.unique(labels, return_index=True)
-    mus = [float(spec_a[i]) for i in first]
-    incl_lams = [[] for _ in mus]
-    excl_lams = [[] for _ in mus]
-    for lam in above:
-        lam = float(lam)
-        mu = inclusion_reference(spec_a, lam)
-        if mu is not None:
-            incl_lams[labels[np.searchsorted(spec_a, mu)]].append(lam)
-        mu = exclusion_reference(spec_a, lam)
-        if mu is not None:
-            excl_lams[labels[np.searchsorted(spec_a, mu)]].append(lam)
-
-    incl_anchor = ("alpha± = (mu + c + 2a)/2 ± "
-                   "sqrt(((mu - c)/2)^2 + a(a + c) + b)")
-    excl_anchor = "beta± = (mu + c)/2 ± sqrt(((mu - c)/2)^2 - (a mu + b))"
-    for mu, incl, excl in zip(mus, incl_lams, excl_lams):
-        win = eigenvalue_window(mu, c, rb)
-        status = verdict(all(win.lo - SLACK <= lam <= win.hi + SLACK
-                             for lam in incl)) if incl else NOT_APPLICABLE
-        checks.append(Check(
-            name=f"inclusion-window/mu={mu:.6g}", anchor=incl_anchor,
-            inputs={"mu": mu, "c": c, "a": rb.a, "b": rb.b},
-            outputs={"lo": win.lo, "hi": win.hi, "applicable": incl},
-            status=status, tolerances={"margin": SLACK}))
-
-        exw = exclusion_window(mu, c, rb)
-        if not exw.hypothesis_ok:
-            checks.append(not_applicable(f"exclusion-window/mu={mu:.6g}",
-                                         excl_anchor, exw.reason))
-            continue
-        intruding = [lam for lam in excl
-                     if exw.lo + SLACK < lam < exw.hi - SLACK]
-        checks.append(Check(
-            name=f"exclusion-window/mu={mu:.6g}", anchor=excl_anchor,
-            inputs={"mu": mu, "c": c, "a": rb.a, "b": rb.b},
-            outputs={"lo": exw.lo, "hi": exw.hi,
-                     "applicable": excl, "intruding": intruding},
-            status=verdict(not intruding) if excl else NOT_APPLICABLE,
-            tolerances={"margin": SLACK}))
-
-    res_anchor = "mu1 <= alpha1+ < beta2+ <= mu2 and (alpha1+, beta2+) in rho(M)"
-    valid_pairs = []
-    for mu1, mu2 in zip(mus, mus[1:]):
-        win = resolvent_interval(mu1, mu2, c, rb)
-        name = f"resolvent-interval/mu1={mu1:.6g}"
-        if not win.hypothesis_ok:
-            checks.append(not_applicable(name, res_anchor, win.reason))
-            continue
-        valid_pairs.append((mu1, mu2))
-        inside = [float(lam) for lam in spec_m
-                  if win.lo + SLACK < lam < win.hi - SLACK]
-        checks.append(Check(
-            name=name, anchor=res_anchor,
-            inputs={"mu1": mu1, "mu2": mu2},
-            outputs={"lo": win.lo, "hi": win.hi, "eigenvalues_inside": inside},
-            status=verdict(not inside),
-            tolerances={"margin": SLACK}))
-
-    var_anchor = ("mu_{kappa+n} <= lambda_n <= (mu_{kappa+n} + c)/2 + "
-                  "sqrt(((mu_{kappa+n} - c)/2)^2 + a mu_{kappa+n} + b)")
-    try:
-        marks = landmarks(block)
-        n_var = min(int(marks.lambda_above_c.size),
-                    int(spec_a.size) - marks.kappa)
-        intervals = variational_bounds(spec_a, marks.c, rb, marks.kappa, n_var)
-        escapes = []
-        for n in range(n_var):
-            lam = float(marks.lambda_above_c[n])
-            if not (intervals[n].lo - SLACK <= lam <= intervals[n].hi + SLACK):
-                escapes.append(lam)
-        checks.append(Check(
-            name="variational-bounds/ladder", anchor=var_anchor,
-            inputs={"kappa": marks.kappa, "n": n_var},
-            outputs={"escapes": escapes,
-                     "intervals": [[iv.lo, iv.hi] for iv in intervals]},
-            status=verdict(not escapes),
-            tolerances={"margin": SLACK}))
-    except (LandmarkError, SingularShiftError) as exc:
-        checks.append(not_applicable("variational-bounds/ladder", var_anchor,
-                                     str(exc)))
-
-    dim_anchor = "dim L_[beta2+, alpha3+](M) = dim L_[beta2+, alpha3+](A)"
-    if len(valid_pairs) >= 2:
-        b2p = exclusion_window(valid_pairs[0][1], c, rb).hi
-        a3p = eigenvalue_window(valid_pairs[-1][0], c, rb).hi
-        if b2p < a3p:
-            count_m, count_a = subspace_dim_check(block, b2p, a3p)
-            checks.append(Check(
-                name="dim-check/bracket", anchor=dim_anchor,
-                inputs={"b2p": b2p, "a3p": a3p},
-                outputs={"count_M": count_m, "count_A": count_a},
-                status=verdict(count_m == count_a),
-                tolerances={}))
-        else:
-            checks.append(not_applicable("dim-check/bracket", dim_anchor,
-                                         "bracket endpoints out of order"))
-    else:
-        checks.append(not_applicable("dim-check/bracket", dim_anchor,
-                                     "fewer than two valid pair windows"))
-    return checks
+    block, _, rb = _resolve(problem, n_interior)
+    return [check for build in ENCLOSE for check in build(block, rb)]
 
 
 def cmd_angular(problem: ProblemFile, alpha: float | None,
                 n_interior: int = DEFAULT_MHD_N) -> list[Check]:
     """Graph test, angular operator and the delta condition at one alpha."""
-    block, _ = _require_block(problem, n_interior)
-    rb = _relative_bound(problem, block)
+    block, _, rb = _resolve(problem, n_interior)
     spec_a = block.eig_a.eigenvalues
     c = float(block.eig_c.eigenvalues[-1])
     checks = []
@@ -320,18 +176,14 @@ def cmd_angular(problem: ProblemFile, alpha: float | None,
 def cmd_basis(problem: ProblemFile, n_max: int | None,
               n_interior: int = DEFAULT_MHD_N) -> list[Check]:
     """Riesz frame bounds, projection decay and Bari sums for one problem."""
-    block, _ = _require_block(problem, n_interior)
-    rb = _relative_bound(problem, block)
+    block, _, rb = _resolve(problem, n_interior)
     checks = []
     try:
         marks = landmarks(block)
     except (LandmarkError, SingularShiftError) as exc:
         return [not_applicable("basis/landmarks",
                                "c = max sigma(C); kappa at c~", str(exc))]
-    if n_max is None:
-        n_max = problem.n_max or DEFAULT_N_MAX
-    n_avail = min(n_max, int(marks.lambda_above_c.size),
-                  block.n1 - marks.kappa)
+    n_avail = min(n_max or problem.n_max or DEFAULT_N_MAX, marks.rungs)
     sub = spectral_subspace(block, marks.c_tilde)
     riesz_anchor = ("(1 + ||K_c||^2)^{-1} sum |beta_n|^2 <= "
                     "||sum beta_n x_n||^2 <= sum |beta_n|^2")
@@ -387,8 +239,7 @@ def cmd_basis(problem: ProblemFile, n_max: int | None,
 def cmd_soq(problem: ProblemFile, subspace_dim: int | None,
             n_interior: int = DEFAULT_MHD_N) -> list[Check]:
     """Second-order-spectrum enclosures on a deterministic trial subspace."""
-    block, disc = _require_block(problem, n_interior)
-    rb = _relative_bound(problem, block)
+    block, disc, rb = _resolve(problem, n_interior)
     spec_a = block.eig_a.eigenvalues
     c = float(block.eig_c.eigenvalues[-1])
     anchor = ("sigma(M) ∩ [Re z - |Im z|^2/(b4p - Re z), "
@@ -535,10 +386,7 @@ def main(argv=None) -> int:
             report = Report(tool="specblock", version=__version__,
                             command=args.command, input_digest=digest,
                             checks=checks)
-    except (ParseError, ArgumentError, OSError) as exc:
-        print(f"specblock: error: {exc}", file=sys.stderr)
-        return 2
-    except SpecblockError as exc:
+    except (SpecblockError, OSError) as exc:
         print(f"specblock: error: {exc}", file=sys.stderr)
         return 2
 

@@ -89,17 +89,16 @@ def hermitian_defect(mat) -> float:
     return float(np.max(np.abs(arr - arr.conj().T)))
 
 
-def require_hermitian(mat, tol: float | None = None) -> np.ndarray:
-    """Check Hermiticity within ``tol`` and return the exact Hermitian part.
+def require_hermitian(mat) -> np.ndarray:
+    """Check Hermiticity within HERMITIAN_REL * max|entry| and return the
+    exact Hermitian part.
 
-    The default tolerance is HERMITIAN_REL * max|entry|, matching the
-    stored-type invariant.  The returned matrix is (H + H*)/2, so downstream
-    code can rely on exact symmetry.
+    The returned matrix is (H + H*)/2, so downstream code can rely on exact
+    symmetry.
     """
     arr = as_matrix(mat, square=True)
     scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-    if tol is None:
-        tol = HERMITIAN_REL * scale
+    tol = HERMITIAN_REL * scale
     defect = hermitian_defect(arr)
     if defect > tol:
         raise ArgumentError(
@@ -153,13 +152,13 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermitian_eig(mat, tol: float | None = None) -> SpectralDecomposition:
+def hermitian_eig(mat) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
     Raises ArgumentError for non-Hermitian input and NumericError if the
     underlying iteration fails to converge.
     """
-    herm = require_hermitian(mat, tol=tol)
+    herm = require_hermitian(mat)
     try:
         eigvals, eigvecs = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:
@@ -169,13 +168,13 @@ def hermitian_eig(mat, tol: float | None = None) -> SpectralDecomposition:
         vectors=_normalize_phases(eigvecs))
 
 
-def hermitian_eigvals(mat, tol: float | None = None) -> np.ndarray:
+def hermitian_eigvals(mat) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
 
     Validates like hermitian_eig.  The values come from a different LAPACK
     path than hermitian_eig's and may differ from them in the last digits.
     """
-    herm = require_hermitian(mat, tol=tol)
+    herm = require_hermitian(mat)
     try:
         eigvals = np.linalg.eigvalsh(herm)
     except np.linalg.LinAlgError as exc:

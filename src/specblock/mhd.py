@@ -358,22 +358,17 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
         status=verdict(dist_ok) if applicable else NOT_APPLICABLE,
         tolerances={"relative_slack": slack}))
 
-    n_above = int(marks.lambda_above_c.size)
-    n_var = min(n_above, spec_a.size - marks.kappa)
-    intervals = variational_bounds(spec_a, marks.c, rb, marks.kappa, n_var)
-    var_ok = True
-    for n in range(n_var):
-        lam = float(marks.lambda_above_c[n])
-        lo, hi = intervals[n].lo, intervals[n].hi
-        if lam < lo - slack * max(1.0, abs(lo)) or lam > hi + slack * max(1.0, abs(hi)):
-            var_ok = False
+    intervals = variational_bounds(spec_a, marks.c, rb, marks.kappa, marks.rungs)
+    var_ok = all(iv.lo - slack * max(1.0, abs(iv.lo)) <= lam
+                 <= iv.hi + slack * max(1.0, abs(iv.hi))
+                 for lam, iv in zip(marks.lambda_above_c.tolist(), intervals))
     checks.append(Check(
         name="mhd/variational-bounds",
         anchor="mu_{kappa+n} <= lambda_n <= (mu_{kappa+n} + c)/2 + "
                "sqrt(((mu_{kappa+n} - c)/2)^2 + a mu_{kappa+n} + b)",
-        inputs={"n_checked": n_var},
+        inputs={"n_checked": marks.rungs},
         outputs={"first_upper": intervals[0].hi if intervals else None},
-        status=verdict(var_ok) if n_var else NOT_APPLICABLE,
+        status=verdict(var_ok) if marks.rungs else NOT_APPLICABLE,
         tolerances={"relative_slack": slack}))
 
     resolved = max(2, disc.N // 4)
@@ -412,7 +407,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
         status=verdict(riesz.passed),
         tolerances={"tol": RIESZ_TOL}))
 
-    n_decay = min(n_max, n_above, spec_a.size - marks.kappa)
+    n_decay = min(n_max, marks.rungs)
     if n_decay >= 1:
         decay = projection_decay(block, marks, n_decay, rb=rb)
         # ||E - F_n|| -> 0 read at finite n: within the bound and decreasing

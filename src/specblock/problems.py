@@ -11,7 +11,8 @@ A problem file is a JSON object with exactly one of:
 
 Optional keys: ``rb`` = [a, b] overriding the relative-bound scan, ``alpha``,
 ``n_max``, and a free-form ``flags`` object.  JSON booleans are not numbers
-here: ``true`` where a number is expected is a parse error.
+here: ``true`` where a number is expected is a parse error.  ``grid_n`` and
+``n_max`` must be JSON integers (``65``, not ``65.0`` or ``"65"``).
 """
 
 from __future__ import annotations
@@ -146,12 +147,9 @@ def _parse_profile_field(name: str, value, grid_n: int) -> np.ndarray:
 def _parse_mhd(data) -> PlasmaProfile:
     if not isinstance(data, dict):
         raise ParseError("'mhd' must be an object")
-    if isinstance(data.get("grid_n"), bool):
+    grid_n = data.get("grid_n")
+    if not isinstance(grid_n, int) or isinstance(grid_n, bool):
         raise ParseError("'mhd' needs an integer grid_n")
-    try:
-        grid_n = int(data["grid_n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("'mhd' needs an integer grid_n") from exc
     fields = {}
     for name in ("rho", "va2", "vs2", "kperp", "kpar"):
         if name not in data:

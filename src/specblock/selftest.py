@@ -29,19 +29,15 @@ from .blocks import (
     resolvent_block,
     schur_complement,
 )
+from .checks import dim_bracket, resolvent_intervals, variational_ladder, windows
 from .enclosures import (
     dist_bound,
     eigenvalue_window,
-    exclusion_reference,
     exclusion_window,
-    inclusion_reference,
-    resolvent_interval,
     resolvent_pairs,
     soq_bracket,
     soq_enclosure,
     soq_misses,
-    subspace_dim_check,
-    variational_bounds,
 )
 from .errors import (
     ArgumentError,
@@ -63,7 +59,7 @@ from .linalg import (
     spectral_projector,
 )
 from .mhd import constant_profile, constants, discretize, trial_space
-from .report import Check, Report, verdict
+from .report import FAIL, NOT_APPLICABLE, Check, Report, verdict
 from .subspaces import (
     GRAPH,
     angular_operator,
@@ -330,7 +326,7 @@ def window_suite(rng, count: int = 200) -> list[Check]:
         # cycle dense, weak and single-channel "pushed" couplings so the
         # exclusion and resolvent hypotheses all actually fire
         if idx % 3 == 1:
-            block, rb, c = separated_block(rng)
+            block, rb, _ = separated_block(rng)
         elif idx % 3 == 2:
             c = float(rng.uniform(-10.0, 5.0))
             d = float(rng.uniform(0.5, 2.0))
@@ -345,34 +341,25 @@ def window_suite(rng, count: int = 200) -> list[Check]:
         else:
             block = random_block(rng)
             rb = minimal_b_for_a(block, 0.0)
-            c = float(block.eig_c.eigenvalues[-1])
-        spec_a = block.eig_a.eigenvalues
-        spec_m = block.eig_m.eigenvalues
-        for lam in spec_m[spec_m > c + rb.a + SLACK]:
-            lam = float(lam)
-            mu_in = inclusion_reference(spec_a, lam)
-            if mu_in is not None:
-                win = eigenvalue_window(mu_in, c, rb)
-                incl_checked += 1
-                worst_incl = max(worst_incl, win.lo - lam, lam - win.hi)
-            mu_ex = exclusion_reference(spec_a, lam)
-            if mu_ex is not None:
-                win = exclusion_window(mu_ex, c, rb)
-                if win.hypothesis_ok:
-                    excl_checked += 1
-                    # positive when lam intrudes into the open window
-                    intrusion = min(lam - win.lo, win.hi - lam)
-                    if intrusion > SLACK:
-                        worst_excl = max(worst_excl, intrusion)
-        for i in range(spec_a.size - 1):
-            win = resolvent_interval(float(spec_a[i]), float(spec_a[i + 1]), c, rb)
-            if not win.hypothesis_ok:
+        for check in windows(block, rb):
+            out = check.outputs
+            if check.family == "inclusion-window":
+                incl_checked += len(out["applicable"])
+                for lam in out["applicable"]:
+                    worst_incl = max(worst_incl, out["lo"] - lam, lam - out["hi"])
+            elif check.status != NOT_APPLICABLE:
+                excl_checked += len(out["applicable"])
+                # positive when lam intrudes into the open window
+                for lam in out["intruding"]:
+                    worst_excl = max(worst_excl,
+                                     min(lam - out["lo"], out["hi"] - lam))
+        for check in resolvent_intervals(block, rb):
+            if check.status == NOT_APPLICABLE:
                 continue
+            out = check.outputs
             res_checked += 1
-            for lam in spec_m:
-                if win.lo + SLACK < lam < win.hi - SLACK:
-                    worst_res = max(worst_res,
-                                    min(lam - win.lo, win.hi - lam))
+            for lam in out["eigenvalues_inside"]:
+                worst_res = max(worst_res, min(lam - out["lo"], out["hi"] - lam))
     checks.append(Check(
         "enclosures/inclusion-windows",
         "lambda in [mu, mu + r], (mu, mu + 2r) in rho(A) => "
@@ -436,17 +423,12 @@ def dim_check_suite(rng, count: int = 100) -> list[Check]:
     mismatches = 0
     nonempty = 0
     for _ in range(count):
-        block, rb, c = separated_block(rng)
-        pairs = resolvent_pairs(block.eig_a.eigenvalues, c, rb)
-        b2p = exclusion_window(pairs[0][1], c, rb).hi
-        a3p = eigenvalue_window(pairs[-1][0], c, rb).hi
-        if not b2p < a3p:
+        block, rb, _ = separated_block(rng)
+        check, = dim_bracket(block, rb)
+        if check.status == NOT_APPLICABLE:
             continue
-        count_m, count_a = subspace_dim_check(block, b2p, a3p)
-        if count_m != count_a:
-            mismatches += 1
-        if count_m:
-            nonempty += 1
+        mismatches += check.status == FAIL
+        nonempty += check.outputs["count_M"] > 0
     return [Check(
         "enclosures/dim-check",
         "dim L_[beta2+, alpha3+](M) = dim L_[beta2+, alpha3+](A), nonempty",
@@ -634,8 +616,7 @@ def basis_suite(rng, count: int = 60) -> list[Check]:
             marks = landmarks(block)
         except LandmarkError:
             continue
-        n_avail = min(int(marks.lambda_above_c.size),
-                      block.n1 - marks.kappa, 4)
+        n_avail = min(marks.rungs, 4)
         if n_avail < 1:
             continue
         try:
@@ -864,21 +845,14 @@ def variational_suite(rng, count: int = 80) -> list[Check]:
     worst = 0.0
     checked = 0
     for _ in range(count):
-        block, rb, c = separated_block(rng)
-        try:
-            marks = landmarks(block)
-        except LandmarkError:
+        block, rb, _ = separated_block(rng)
+        check, = variational_ladder(block, rb)
+        if check.status == NOT_APPLICABLE:
             continue
-        spec_a = block.eig_a.eigenvalues
-        n_avail = min(int(marks.lambda_above_c.size),
-                      int(spec_a.size) - marks.kappa)
-        if n_avail < 1:
-            continue
-        intervals = variational_bounds(spec_a, c, rb, marks.kappa, n_avail)
-        for n in range(n_avail):
-            lam = float(marks.lambda_above_c[n])
-            checked += 1
-            worst = max(worst, intervals[n].lo - lam, lam - intervals[n].hi)
+        checked += check.inputs["n"]
+        ladder = landmarks(block).lambda_above_c.tolist()
+        for lam, (lo, hi) in zip(ladder, check.outputs["intervals"]):
+            worst = max(worst, lo - lam, lam - hi)
     return [Check(
         "enclosures/variational-bounds",
         "mu_{kappa+n} <= lambda_n <= (mu_{kappa+n} + c)/2 + "

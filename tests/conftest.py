@@ -19,3 +19,18 @@ def m3():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture(scope="session")
+def selftest_42_runs(tmp_path_factory):
+    """Two runs of ``specblock selftest --seed 42``: (exit code, report path)
+    each, shared by the tests that read the seed-42 report."""
+    from specblock.cli import main
+
+    out = tmp_path_factory.mktemp("selftest-42")
+    runs = []
+    for name in ("a.json", "b.json"):
+        path = out / name
+        runs.append((main(["selftest", "--seed", "42", "--out", str(path)]),
+                     path))
+    return runs

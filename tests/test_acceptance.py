@@ -25,7 +25,6 @@ from specblock import (
     bari_sum,
     spectral_subspace,
 )
-from specblock.cli import main
 from specblock import selftest
 
 from oracles import cubic_fixture_roots
@@ -184,11 +183,8 @@ def test_criterion_8_mhd_decay_and_bari():
                   f"{max(quotients):.2f}] ⊂ [1/3, 3]")
 
 
-def test_criterion_9_selftest_determinism(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    code_a = main(["selftest", "--seed", "42", "--out", str(a)])
-    code_b = main(["selftest", "--seed", "42", "--out", str(b)])
+def test_criterion_9_selftest_determinism(selftest_42_runs):
+    (code_a, a), (code_b, b) = selftest_42_runs
     identical = a.read_bytes() == b.read_bytes()
     ok = identical and code_a == code_b == 0
     report(9, ok, f"two runs with --seed 42: byte-identical = {identical}, "

@@ -99,7 +99,7 @@ class TestProjectionDecay:
     def test_range_validation(self, m3):
         marks = landmarks(m3)
         with pytest.raises(ArgumentError):
-            projection_decay(m3, marks, 5)
+            projection_decay(m3, marks, 5, rb=RelativeBound(0.0, 2.0))
 
 
 class TestAlignedTerm:

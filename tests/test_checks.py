@@ -1,0 +1,199 @@
+"""The selftest suites that aggregate the enclosure checks, and the rung count
+of the variational ladder.
+
+``reference_*`` below evaluate the window, dimension and variational
+statements point by point, independently of ``specblock.checks``.  The
+selftest suites, which aggregate the checks ``specblock enclose`` reports,
+must reproduce their outputs and consume the same random stream.
+"""
+
+import numpy as np
+import pytest
+
+from specblock import BlockOperatorMatrix, RelativeBound, landmarks, selftest
+from specblock.blocks import minimal_b_for_a
+from specblock.checks import variational_ladder
+from specblock.enclosures import (
+    eigenvalue_window,
+    exclusion_reference,
+    exclusion_window,
+    inclusion_reference,
+    resolvent_interval,
+    resolvent_pairs,
+    subspace_dim_check,
+    variational_bounds,
+)
+from specblock.errors import HypothesisError, LandmarkError
+from specblock.report import PASS
+from specblock.tolerance import SLACK
+
+
+def reference_window_suite(rng, count):
+    worst_incl = worst_excl = worst_res = 0.0
+    incl_checked = excl_checked = res_checked = 0
+    for idx in range(count):
+        if idx % 3 == 1:
+            block, rb, c = selftest.separated_block(rng)
+        elif idx % 3 == 2:
+            c = float(rng.uniform(-10.0, 5.0))
+            d = float(rng.uniform(0.5, 2.0))
+            g = float(rng.uniform(2.0, 5.0))
+            mu1 = c + d
+            lo = g * g / 4.0 + g * d / 2.0
+            hi = (g + d) ** 2 / 4.0
+            beta = np.sqrt(rng.uniform(lo, hi))
+            block = BlockOperatorMatrix(A=np.diag([mu1, mu1 + g]),
+                                        B=[[beta], [0.0]], C=[[c]])
+            rb = minimal_b_for_a(block, 0.0)
+        else:
+            block = selftest.random_block(rng)
+            rb = minimal_b_for_a(block, 0.0)
+            c = float(block.eig_c.eigenvalues[-1])
+        spec_a = block.eig_a.eigenvalues
+        spec_m = block.eig_m.eigenvalues
+        for lam in spec_m[spec_m > c + rb.a + SLACK]:
+            lam = float(lam)
+            mu_in = inclusion_reference(spec_a, lam)
+            if mu_in is not None:
+                win = eigenvalue_window(mu_in, c, rb)
+                incl_checked += 1
+                worst_incl = max(worst_incl, win.lo - lam, lam - win.hi)
+            mu_ex = exclusion_reference(spec_a, lam)
+            if mu_ex is not None:
+                win = exclusion_window(mu_ex, c, rb)
+                if win.hypothesis_ok:
+                    excl_checked += 1
+                    intrusion = min(lam - win.lo, win.hi - lam)
+                    if intrusion > SLACK:
+                        worst_excl = max(worst_excl, intrusion)
+        for i in range(spec_a.size - 1):
+            win = resolvent_interval(float(spec_a[i]), float(spec_a[i + 1]), c, rb)
+            if not win.hypothesis_ok:
+                continue
+            res_checked += 1
+            for lam in spec_m:
+                if win.lo + SLACK < lam < win.hi - SLACK:
+                    worst_res = max(worst_res, min(lam - win.lo, win.hi - lam))
+    outputs = [
+        {"instances": count, "checked": incl_checked, "worst_escape": worst_incl},
+        {"instances": count, "checked": excl_checked,
+         "worst_intrusion": worst_excl},
+        {"instances": count, "windows": res_checked, "worst_intrusion": worst_res},
+    ]
+    # the degenerate-form and monotonicity draws, unchanged
+    rb0 = RelativeBound(0.0, 0.0)
+    worst_deg = worst_mono = 0.0
+    for _ in range(50):
+        mu = float(rng.uniform(-10.0, 10.0))
+        c = mu - float(rng.uniform(0.1, 10.0))
+        win = eigenvalue_window(mu, c, rb0)
+        worst_deg = max(worst_deg, abs(win.lo - c), abs(win.hi - mu))
+        exw = exclusion_window(mu, c, rb0)
+        worst_deg = max(worst_deg, abs(exw.lo - c), abs(exw.hi - mu))
+        a = float(rng.uniform(0.0, 1.0))
+        b = float(rng.uniform(0.0, 5.0))
+        db = float(rng.uniform(0.0, 5.0))
+        try:
+            lo_small = eigenvalue_window(mu, c, RelativeBound(a, b))
+            lo_big = eigenvalue_window(mu, c, RelativeBound(a, b + db))
+        except HypothesisError:
+            continue
+        worst_mono = max(worst_mono, lo_big.lo - lo_small.lo,
+                         lo_small.hi - lo_big.hi)
+    return outputs + [{"worst_gap": worst_deg}, {"worst_shrink": worst_mono}]
+
+
+def reference_dim_check_suite(rng, count):
+    mismatches = nonempty = 0
+    for _ in range(count):
+        block, rb, c = selftest.separated_block(rng)
+        pairs = resolvent_pairs(block.eig_a.eigenvalues, c, rb)
+        b2p = exclusion_window(pairs[0][1], c, rb).hi
+        a3p = eigenvalue_window(pairs[-1][0], c, rb).hi
+        if not b2p < a3p:
+            continue
+        count_m, count_a = subspace_dim_check(block, b2p, a3p)
+        mismatches += count_m != count_a
+        nonempty += bool(count_m)
+    return [{"instances": count, "mismatches": mismatches,
+             "nonempty_counts": nonempty}]
+
+
+def reference_variational_suite(rng, count):
+    worst = 0.0
+    checked = 0
+    for _ in range(count):
+        block, rb, c = selftest.separated_block(rng)
+        try:
+            marks = landmarks(block)
+        except LandmarkError:
+            continue
+        spec_a = block.eig_a.eigenvalues
+        n_avail = min(int(marks.lambda_above_c.size),
+                      int(spec_a.size) - marks.kappa)
+        if n_avail < 1:
+            continue
+        intervals = variational_bounds(spec_a, c, rb, marks.kappa, n_avail)
+        for n in range(n_avail):
+            lam = float(marks.lambda_above_c[n])
+            checked += 1
+            worst = max(worst, intervals[n].lo - lam, lam - intervals[n].hi)
+    return [{"checked": checked, "worst_escape": worst}]
+
+
+SUITES = [
+    (selftest.window_suite, reference_window_suite),
+    (selftest.dim_check_suite, reference_dim_check_suite),
+    (selftest.variational_suite, reference_variational_suite),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("suite, reference", SUITES,
+                         ids=["window", "dim-check", "variational"])
+def test_suite_matches_the_per_point_reference(suite, reference, seed):
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    checks = suite(rng, count=30)
+    assert [c.outputs for c in checks] == reference(rng_ref, count=30)
+    assert all(c.status == PASS for c in checks)
+    # the builders draw nothing: later suites see the same stream
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+class TestRungs:
+    def test_equal_counts(self, m3):
+        # two eigenvalues above c = -1, kappa = 0, n1 = 2
+        marks = landmarks(m3)
+        assert (marks.lambda_above_c.size, m3.n1 - marks.kappa) == (2, 2)
+        assert marks.rungs == 2
+        assert marks.first_above == 1
+
+    def test_fewer_eigenvalues_above_c_than_n1_minus_kappa(self):
+        # The uncoupled point -2 = c of sigma(A) gives S(c~) the eigenvalue
+        # c - c~ = -0.006, inside matrix_tol(S(c~)) = 0.04 (the strong
+        # coupling makes S large), so kappa counts 0 instead of 1.
+        block = BlockOperatorMatrix(A=np.diag([-2.0, -1.0, -2.0]),
+                                    B=[[0.0], [900.0], [100.0]], C=[[-2.0]])
+        marks = landmarks(block)
+        assert marks.kappa == 0
+        assert marks.lambda_above_c.size == 2 < block.n1 - marks.kappa
+        assert marks.rungs == 2
+        assert marks.first_above == 2
+        check, = variational_ladder(block, minimal_b_for_a(block, 0.0))
+        assert check.inputs["n"] == 2 and len(check.outputs["intervals"]) == 2
+
+    def test_never_more_eigenvalues_above_c_than_n1_minus_kappa(self, rng):
+        # By inertia, sigma(M) ∩ (c~, inf) has n1 - kappa - dim ker S(c~)
+        # points; the kappa threshold only ever drops a negative eigenvalue
+        # of S(c~), so the count above c cannot exceed n1 - kappa.
+        for _ in range(200):
+            block = selftest.random_block(rng)
+            try:
+                marks = landmarks(block)
+            except LandmarkError:
+                continue
+            assert marks.lambda_above_c.size <= block.n1 - marks.kappa
+            assert marks.rungs == marks.lambda_above_c.size
+            assert np.array_equal(
+                block.eig_m.eigenvalues[marks.first_above:],
+                marks.lambda_above_c)

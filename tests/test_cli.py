@@ -91,6 +91,9 @@ class TestExitCodes:
                                   "C": [[[True, 0.0]]]}}),
         (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], g=True)}),
         (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n=True)}),
+        (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n=9.7)}),
+        (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n="65")}),
+        (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n=65.0)}),
         (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n=3,
                                rho=[1.0, True, 1.0])}),
         (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n=3,
@@ -106,6 +109,8 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err
+        if problem is not None:  # past argparse: one line of our own
+            assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
     def test_corrupted_selftest_exits_1(self, tmp_path, monkeypatch):
