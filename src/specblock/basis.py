@@ -140,7 +140,7 @@ def riesz_check(block: BlockOperatorMatrix, subspace: GraphSubspace,
     stacked = subspace.stacked()
     if stacked.shape[1] == 0:
         raise ArgumentError("subspace must contain at least one eigenvector")
-    c = float(block.eig_c.eigenvalues[-1])
+    c = block.c
     # ‖M‖ = max|eigenvalue| for Hermitian M
     scale = max(float(np.max(np.abs(block.eig_m.eigenvalues))), 1.0)
     mw = assemble(block) @ stacked

@@ -103,6 +103,11 @@ class BlockOperatorMatrix:
         """Eigendecomposition of C."""
         return _frozen_eig(self.C)
 
+    @property
+    def c(self) -> float:
+        """c = max sigma(C), the top of the spectrum of C."""
+        return float(self.eig_c.eigenvalues[-1])
+
     @cached_property
     def eig_m(self) -> SpectralDecomposition:
         """Eigendecomposition of the assembled matrix."""
@@ -249,7 +254,7 @@ def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
     if lam_bbs <= 0.0:
         return RelativeBound(0.0, 0.0)
     mu = float(block.eig_a.eigenvalues[0])
-    c = float(block.eig_c.eigenvalues[-1])
+    c = block.c
     denom = max(mu, matrix_tol(block.A), base_tol())
     a_max = lam_bbs / denom
     best = None
@@ -272,7 +277,7 @@ def landmarks(block: BlockOperatorMatrix) -> SpectralLandmarks:
     assembled eigenvalue above c; kappa counts the negative eigenvalues of the
     Schur complement at c_tilde.
     """
-    c = float(block.eig_c.eigenvalues[-1])
+    c = block.c
     spec_m = block.eig_m.eigenvalues
     above = spec_m[spec_m > c + block.assembled_tol()]
     if above.size == 0:

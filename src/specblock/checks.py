@@ -1,14 +1,18 @@
-"""The enclosure checks of ``specblock enclose``, one builder per family.
+"""The checks of the block commands, one builder per family.
 
-Each builder takes a block and the relative bound (a, b) in force and returns
-the checks of one family.  ``cli.cmd_enclose`` concatenates them in ENCLOSE
-order; the selftest aggregates the same checks over its random instances.
+Each builder takes a block and what the command resolved for it (the relative
+bound (a, b) in force, a cut point, a rung count, a trial space) and returns
+the checks of one family.  ``cli.cmd_enclose`` concatenates the ENCLOSE
+builders in that order; ``cli.cmd_angular``, ``cmd_basis`` and ``cmd_soq``
+return ``angular``, ``basis`` and ``soq``.  The selftest aggregates the same
+checks over its random instances, and ``mhd.run_report`` shares the anchors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .basis import bari_sum, projection_decay, riesz_check
 from .blocks import BlockOperatorMatrix, RelativeBound, landmarks
 from .enclosures import (
     dist_bound,
@@ -18,12 +22,37 @@ from .enclosures import (
     inclusion_reference,
     resolvent_interval,
     resolvent_pairs,
+    soq_enclosure,
+    soq_misses,
     subspace_dim_check,
     variational_bounds,
 )
-from .errors import HypothesisError, LandmarkError, SingularShiftError
-from .report import NOT_APPLICABLE, Check, not_applicable, verdict
-from .tolerance import SLACK
+from .errors import (
+    ArgumentError,
+    DegenerateGapError,
+    HypothesisError,
+    LandmarkError,
+    NotAGraphError,
+    PairingError,
+    SingularShiftError,
+)
+from .linalg import operator_norm
+from .report import FAIL, NOT_APPLICABLE, PASS, Check, not_applicable, verdict
+from .subspaces import (
+    GRAPH,
+    NOT_GRAPH,
+    angular_operator,
+    delta_condition,
+    graph_test,
+    spectral_subspace,
+)
+from .tolerance import (
+    GRAPH_RESIDUAL_TOL,
+    GRAPH_TOL,
+    RIESZ_TOL,
+    SLACK,
+    SOQ_MARGIN_REL,
+)
 
 DIST_ANCHOR = ("dist[lambda, sigma(A)] <= |a lambda + b| / "
                "(dist[lambda, sigma(C)] - a)")
@@ -34,13 +63,26 @@ RES_ANCHOR = "mu1 <= alpha1+ < beta2+ <= mu2 and (alpha1+, beta2+) in rho(M)"
 VAR_ANCHOR = ("mu_{kappa+n} <= lambda_n <= (mu_{kappa+n} + c)/2 + "
               "sqrt(((mu_{kappa+n} - c)/2)^2 + a mu_{kappa+n} + b)")
 DIM_ANCHOR = "dim L_[beta2+, alpha3+](M) = dim L_[beta2+, alpha3+](A)"
+SUBSPACE_ANCHOR = "L_(alpha, inf)(M) = {(x, K x)}"
+DELTA_ANCHOR = ("delta = a/(alpha - c) + |a alpha + b| / "
+                "(dist[alpha, sigma(A)] (alpha - c)) < 1/2")
+GRAPH_ANCHOR = "L_(alpha, inf)(M) is the graph of an operator"
+OP_ANCHOR = "K = V U+; codim(Dom(K)) = n1 - dim; ||K|| from the restriction"
+CODIM_ANCHOR = "codim(Dom(K_c)) = kappa"
+LANDMARKS_ANCHOR = "c = max sigma(C); kappa at c~"
+RIESZ_ANCHOR = ("(1 + ||K_c||^2)^{-1} sum |beta_n|^2 <= "
+                "||sum beta_n x_n||^2 <= sum |beta_n|^2")
+DECAY_ANCHOR = "||E({mu_{kappa+n}}) - F_n(Delta_n)|| -> 0"
+BARI_ANCHOR = ("sum ||y_{kappa+n} - x_n||^2 < inf with "
+               "sum 1/(mu_{n+1} - mu_n)^2 < inf")
+SOQ_ANCHOR = ("sigma(M) ∩ [Re z - |Im z|^2/(b4p - Re z), "
+              "Re z + |Im z|^2/(Re z - a1p)] nonempty for admitted z")
 
 
 def _above_c_plus_a(block: BlockOperatorMatrix, rb: RelativeBound) -> list[float]:
     """The eigenvalues of M above c + a: the distance bound and windows apply."""
     spec_m = block.eig_m.eigenvalues
-    c = float(block.eig_c.eigenvalues[-1])
-    return [float(lam) for lam in spec_m[spec_m > c + rb.a + SLACK]]
+    return [float(lam) for lam in spec_m[spec_m > block.c + rb.a + SLACK]]
 
 
 def _cluster_points(block: BlockOperatorMatrix) -> list[float]:
@@ -74,7 +116,6 @@ def windows(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
     """The inclusion and the exclusion window of each cluster of sigma(A),
     interleaved, with the eigenvalues of M above c + a each one applies to."""
     spec_a = block.eig_a.eigenvalues
-    c = float(block.eig_c.eigenvalues[-1])
     labels = block.a_clusters
     mus = _cluster_points(block)
     incl_lams = [[] for _ in mus]
@@ -89,16 +130,16 @@ def windows(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
 
     checks = []
     for mu, incl, excl in zip(mus, incl_lams, excl_lams):
-        win = eigenvalue_window(mu, c, rb)
+        win = eigenvalue_window(mu, block.c, rb)
         status = verdict(all(win.lo - SLACK <= lam <= win.hi + SLACK
                              for lam in incl)) if incl else NOT_APPLICABLE
         checks.append(Check(
             name=f"inclusion-window/mu={mu:.6g}", anchor=INCL_ANCHOR,
-            inputs={"mu": mu, "c": c, "a": rb.a, "b": rb.b},
+            inputs={"mu": mu, "c": block.c, "a": rb.a, "b": rb.b},
             outputs={"lo": win.lo, "hi": win.hi, "applicable": incl},
             status=status, tolerances={"margin": SLACK}))
 
-        exw = exclusion_window(mu, c, rb)
+        exw = exclusion_window(mu, block.c, rb)
         if not exw.hypothesis_ok:
             checks.append(not_applicable(f"exclusion-window/mu={mu:.6g}",
                                          EXCL_ANCHOR, exw.reason))
@@ -107,7 +148,7 @@ def windows(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
                      if exw.lo + SLACK < lam < exw.hi - SLACK]
         checks.append(Check(
             name=f"exclusion-window/mu={mu:.6g}", anchor=EXCL_ANCHOR,
-            inputs={"mu": mu, "c": c, "a": rb.a, "b": rb.b},
+            inputs={"mu": mu, "c": block.c, "a": rb.a, "b": rb.b},
             outputs={"lo": exw.lo, "hi": exw.hi,
                      "applicable": excl, "intruding": intruding},
             status=verdict(not intruding) if excl else NOT_APPLICABLE,
@@ -119,11 +160,10 @@ def resolvent_intervals(block: BlockOperatorMatrix,
                         rb: RelativeBound) -> list[Check]:
     """One resolvent-interval check per consecutive pair of cluster points."""
     spec_m = block.eig_m.eigenvalues
-    c = float(block.eig_c.eigenvalues[-1])
     mus = _cluster_points(block)
     checks = []
     for mu1, mu2 in zip(mus, mus[1:]):
-        win = resolvent_interval(mu1, mu2, c, rb)
+        win = resolvent_interval(mu1, mu2, block.c, rb)
         name = f"resolvent-interval/mu1={mu1:.6g}"
         if not win.hypothesis_ok:
             checks.append(not_applicable(name, RES_ANCHOR, win.reason))
@@ -163,13 +203,12 @@ def variational_ladder(block: BlockOperatorMatrix,
 def dim_bracket(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
     """The dimension count between the first and last valid resolvent pair."""
     name = "dim-check/bracket"
-    c = float(block.eig_c.eigenvalues[-1])
-    pairs = resolvent_pairs(_cluster_points(block), c, rb)
+    pairs = resolvent_pairs(_cluster_points(block), block.c, rb)
     if len(pairs) < 2:
         return [not_applicable(name, DIM_ANCHOR,
                                "fewer than two valid pair windows")]
-    b2p = exclusion_window(pairs[0][1], c, rb).hi
-    a3p = eigenvalue_window(pairs[-1][0], c, rb).hi
+    b2p = exclusion_window(pairs[0][1], block.c, rb).hi
+    a3p = eigenvalue_window(pairs[-1][0], block.c, rb).hi
     if not b2p < a3p:
         return [not_applicable(name, DIM_ANCHOR,
                                "bracket endpoints out of order")]
@@ -185,3 +224,161 @@ def dim_bracket(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
 # The families in the order ``specblock enclose`` reports them.
 ENCLOSE = (distance_bounds, windows, resolvent_intervals, variational_ladder,
            dim_bracket)
+
+
+def angular(block: BlockOperatorMatrix, rb: RelativeBound,
+            alpha: float | None) -> list[Check]:
+    """Delta condition, graph test, angular operator and codim = kappa at the
+    cut point alpha; None cuts at c~."""
+    try:
+        marks = landmarks(block)
+    except (LandmarkError, SingularShiftError):
+        marks = None
+    if alpha is None:
+        if marks is None:
+            return [not_applicable(
+                "angular/subspace", SUBSPACE_ANCHOR,
+                "no alpha given and no spectrum above c to pick one from")]
+        alpha = marks.c_tilde
+    alpha = float(alpha)
+
+    checks = []
+    delta = None
+    try:
+        delta = delta_condition(alpha, block.c, block.eig_a.eigenvalues, rb)
+        checks.append(Check(
+            name="angular/delta", anchor=DELTA_ANCHOR,
+            inputs={"alpha": alpha, "c": block.c, "a": rb.a, "b": rb.b},
+            outputs={"delta": delta},
+            status=PASS if delta < 0.5 else NOT_APPLICABLE,
+            tolerances={}))
+    except HypothesisError as exc:
+        checks.append(not_applicable("angular/delta", DELTA_ANCHOR, str(exc)))
+
+    try:
+        sub = spectral_subspace(block, alpha)
+    except ArgumentError as exc:
+        checks.append(not_applicable("angular/graph", GRAPH_ANCHOR, str(exc)))
+        return checks
+    graph = graph_test(sub)
+    if graph.verdict == GRAPH:
+        graph_status = PASS
+    elif graph.verdict == NOT_GRAPH and delta is not None and delta < 0.5:
+        graph_status = FAIL  # contradicts the sufficient condition
+    else:
+        graph_status = NOT_APPLICABLE
+    checks.append(Check(
+        name="angular/graph", anchor=GRAPH_ANCHOR,
+        inputs={"alpha": alpha},
+        outputs={"verdict": graph.verdict, "sigma_min": graph.sigma_min,
+                 "dim": sub.dim},
+        status=graph_status, tolerances={"graph_tol": GRAPH_TOL}))
+    try:
+        k_op = angular_operator(sub)
+    except NotAGraphError as exc:
+        checks.append(not_applicable("angular/operator", OP_ANCHOR, str(exc)))
+        return checks
+    residual = operator_norm(k_op.K @ sub.basis_first - sub.basis_second)
+    checks.append(Check(
+        name="angular/operator", anchor=OP_ANCHOR,
+        inputs={"alpha": alpha},
+        outputs={"norm": k_op.norm, "codim": k_op.codim,
+                 "graph_residual": residual},
+        status=verdict(residual <= GRAPH_RESIDUAL_TOL),
+        tolerances={"residual": GRAPH_RESIDUAL_TOL}))
+    if marks is not None and sub.dim == int(marks.lambda_above_c.size):
+        checks.append(Check(
+            name="angular/codim-kappa", anchor=CODIM_ANCHOR,
+            inputs={"alpha": alpha},
+            outputs={"codim": k_op.codim, "kappa": marks.kappa},
+            status=verdict(k_op.codim == marks.kappa),
+            tolerances={}))
+    else:
+        checks.append(not_applicable(
+            "angular/codim-kappa", CODIM_ANCHOR,
+            "alpha does not isolate the full half line above c"))
+    return checks
+
+
+def basis(block: BlockOperatorMatrix, rb: RelativeBound,
+          n_max: int) -> list[Check]:
+    """Riesz frame bounds, projection decay and Bari sums on the first n_max
+    rungs above c (fewer when the ladder is shorter)."""
+    try:
+        marks = landmarks(block)
+    except (LandmarkError, SingularShiftError) as exc:
+        return [not_applicable("basis/landmarks", LANDMARKS_ANCHOR, str(exc))]
+    n_avail = min(n_max, marks.rungs)
+    sub = spectral_subspace(block, marks.c_tilde)
+    checks = []
+    try:
+        k_op = angular_operator(sub)
+        rep = riesz_check(block, sub, k_op)
+        checks.append(Check(
+            name="basis/riesz", anchor=RIESZ_ANCHOR,
+            inputs={"dim": sub.dim, "kappa": marks.kappa},
+            outputs={"gram_min": rep.gram_min, "gram_max": rep.gram_max,
+                     "riesz_lower": rep.riesz_lower, "k_norm": rep.k_norm},
+            status=verdict(rep.passed),
+            tolerances={"margin": RIESZ_TOL}))
+    except (NotAGraphError, ArgumentError) as exc:
+        checks.append(not_applicable("basis/riesz", RIESZ_ANCHOR, str(exc)))
+
+    if n_avail < 1:
+        checks.append(not_applicable("basis/decay", DECAY_ANCHOR,
+                                     "no eigenvalues above c to track"))
+        return checks
+    try:
+        decay = projection_decay(block, marks, n_avail, rb=rb)
+        # for a general block monotone decay is no theorem: the bound decides
+        checks.append(Check(
+            name="basis/decay", anchor=DECAY_ANCHOR,
+            inputs={"n_max": n_avail},
+            outputs={"norms": decay.norms,
+                     "deltas": [r.delta for r in decay.records],
+                     "bounds": [r.bound for r in decay.records],
+                     "m_constant": decay.m_constant},
+            status=verdict(decay.within_bound),
+            tolerances={"slack": SLACK}))
+    except (DegenerateGapError, SingularShiftError) as exc:
+        checks.append(not_applicable("basis/decay", DECAY_ANCHOR, str(exc)))
+    try:
+        bari = bari_sum(block, marks, n_avail)
+        checks.append(Check(
+            name="basis/bari", anchor=BARI_ANCHOR,
+            inputs={"n_max": n_avail},
+            outputs={"terms": [r.term for r in bari.records],
+                     "partial_sum": float(bari.partial_sums[-1]),
+                     "gap_sum": bari.gap_sum, "converged": bari.converged},
+            status=verdict(bari.nondecreasing),
+            tolerances={}))
+    except (PairingError, SingularShiftError) as exc:
+        checks.append(not_applicable("basis/bari", BARI_ANCHOR, str(exc)))
+    return checks
+
+
+def soq(block: BlockOperatorMatrix, q: np.ndarray, bracket) -> list[Check]:
+    """Second-order-spectrum enclosures on the trial space spanned by the
+    orthonormal columns of q, inside the disc of bracket = (a1p, b4m, b4p)
+    from ``enclosures.soq_bracket``; None has no disc."""
+    if bracket is None:
+        return [not_applicable("soq/enclosures", SOQ_ANCHOR,
+                               "fewer than two valid pair windows")]
+    a1p, b4m, b4p = bracket
+    enclosures = soq_enclosure(block, q, a1p, b4m, b4p)
+    admitted = [e for e in enclosures if e.admitted]
+    misses = [{"re": e.z.real, "im": e.z.imag}
+              for e in soq_misses(enclosures, block.eig_m.eigenvalues)]
+    return [Check(
+        name="soq/enclosures", anchor=SOQ_ANCHOR,
+        inputs={"subspace_dim": q.shape[1], "a1p": a1p, "b4m": b4m, "b4p": b4p},
+        outputs={
+            "points": [{"re": e.z.real, "im": e.z.imag,
+                        "admitted": e.admitted,
+                        "interval": None if e.interval is None
+                        else [e.interval.lo, e.interval.hi]}
+                       for e in enclosures],
+            "admitted_count": len(admitted),
+            "misses": misses},
+        status=verdict(not misses) if admitted else NOT_APPLICABLE,
+        tolerances={"intersection_margin_rel": SOQ_MARGIN_REL})]

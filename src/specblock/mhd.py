@@ -26,6 +26,13 @@ from .blocks import (
     relative_bound_margin,
 )
 from .basis import bari_sum, projection_decay, riesz_check
+from .checks import (
+    CODIM_ANCHOR,
+    DECAY_ANCHOR,
+    DIST_ANCHOR,
+    RIESZ_ANCHOR,
+    VAR_ANCHOR,
+)
 from .enclosures import dist_bound, variational_bounds
 from .errors import ArgumentError, HypothesisError, ProfileError
 from .linalg import Interval, hermitian_eigvals
@@ -351,8 +358,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
             dist_ok = False
     checks.append(Check(
         name="mhd/dist-bound",
-        anchor="dist[lambda, sigma(A)] <= |a lambda + b| / "
-               "(dist[lambda, sigma(C)] - a)",
+        anchor=DIST_ANCHOR,
         inputs={"a": a_const, "b": b_const, "checked": applicable},
         outputs={"worst_excess": worst_slack},
         status=verdict(dist_ok) if applicable else NOT_APPLICABLE,
@@ -364,8 +370,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
                  for lam, iv in zip(marks.lambda_above_c.tolist(), intervals))
     checks.append(Check(
         name="mhd/variational-bounds",
-        anchor="mu_{kappa+n} <= lambda_n <= (mu_{kappa+n} + c)/2 + "
-               "sqrt(((mu_{kappa+n} - c)/2)^2 + a mu_{kappa+n} + b)",
+        anchor=VAR_ANCHOR,
         inputs={"n_checked": marks.rungs},
         outputs={"first_upper": intervals[0].hi if intervals else None},
         status=verdict(var_ok) if marks.rungs else NOT_APPLICABLE,
@@ -388,7 +393,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
     k_op = angular_operator(subspace)
     checks.append(Check(
         name="mhd/angular-operator",
-        anchor="codim(Dom(K_c)) = kappa",
+        anchor=CODIM_ANCHOR,
         inputs={"alpha": marks.c_tilde},
         outputs={"graph_verdict": graph.verdict, "sigma_min": graph.sigma_min,
                  "k_norm": k_op.norm, "codim": k_op.codim,
@@ -399,8 +404,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
     riesz = riesz_check(block, subspace, k_op)
     checks.append(Check(
         name="mhd/riesz-bounds",
-        anchor="(1 + ||K_c||^2)^{-1} sum |beta_n|^2 <= ||sum beta_n x_n||^2 "
-               "<= sum |beta_n|^2",
+        anchor=RIESZ_ANCHOR,
         inputs={},
         outputs={"gram_min": riesz.gram_min, "gram_max": riesz.gram_max,
                  "riesz_lower": riesz.riesz_lower},
@@ -413,7 +417,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
         # ||E - F_n|| -> 0 read at finite n: within the bound and decreasing
         checks.append(Check(
             name="mhd/projection-decay",
-            anchor="||E({mu_{kappa+n}}) - F_n(Delta_n)|| -> 0",
+            anchor=DECAY_ANCHOR,
             inputs={"n_max": n_decay},
             outputs={"norms": decay.norms,
                      "deltas": [r.delta for r in decay.records],

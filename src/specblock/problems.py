@@ -12,7 +12,8 @@ A problem file is a JSON object with exactly one of:
 Optional keys: ``rb`` = [a, b] overriding the relative-bound scan, ``alpha``,
 ``n_max``, and a free-form ``flags`` object.  JSON booleans are not numbers
 here: ``true`` where a number is expected is a parse error.  ``grid_n`` and
-``n_max`` must be JSON integers (``65``, not ``65.0`` or ``"65"``).
+``n_max`` must be JSON integers (``65``, not ``65.0`` or ``"65"``).  The
+``mhd`` command reads ``flags.squared_bands``, which must be a JSON boolean.
 """
 
 from __future__ import annotations

@@ -29,15 +29,21 @@ from .blocks import (
     resolvent_block,
     schur_complement,
 )
-from .checks import dim_bracket, resolvent_intervals, variational_ladder, windows
+from .checks import (
+    CODIM_ANCHOR,
+    DIST_ANCHOR,
+    dim_bracket,
+    resolvent_intervals,
+    soq,
+    variational_ladder,
+    windows,
+)
 from .enclosures import (
     dist_bound,
     eigenvalue_window,
     exclusion_window,
     resolvent_pairs,
     soq_bracket,
-    soq_enclosure,
-    soq_misses,
 )
 from .errors import (
     ArgumentError,
@@ -112,12 +118,11 @@ def separated_block(rng, max_halvings: int = 40):
     top = float(hermitian_eig(c0).eigenvalues[-1])
     c_mat = c0 - (top - (mus[0] - rng.uniform(4.0, 8.0))) * np.eye(n2)
     b_mat = rng.uniform(-3, 3, (n1, n2)) + 1j * rng.uniform(-3, 3, (n1, n2))
-    c = float(hermitian_eig(c_mat).eigenvalues[-1])
     for _ in range(max_halvings):
         block = BlockOperatorMatrix(A=a_mat, B=b_mat, C=c_mat)
         rb = best_relative_bound(block)
-        if len(resolvent_pairs(block.eig_a.eigenvalues, c, rb)) >= 2:
-            return block, rb, c
+        if len(resolvent_pairs(block.eig_a.eigenvalues, block.c, rb)) >= 2:
+            return block, rb, block.c
         b_mat = 0.5 * b_mat
     raise RuntimeError("failed to build a separated instance")
 
@@ -306,8 +311,7 @@ def dist_bound_suite(rng, count: int = 500) -> list[Check]:
             checked += 1
             worst_slack = max(worst_slack, rep.dist_to_A - rep.bound)
     return [Check(
-        "enclosures/dist-bound",
-        "dist[lambda, sigma(A)] <= |a lambda + b| / (dist[lambda, sigma(C)] - a)",
+        "enclosures/dist-bound", DIST_ANCHOR,
         {}, {"instances": count, "eigenvalues_checked": checked,
              "worst_excess": worst_slack},
         verdict(worst_slack <= SLACK),
@@ -439,17 +443,14 @@ def dim_check_suite(rng, count: int = 100) -> list[Check]:
 
 
 def soq_suite(rng, count: int = 100) -> list[Check]:
-    misses = 0
-    admitted_total = 0
+    found = []
     for _ in range(count):
         block, rb, c = separated_block(rng)
-        spec_a = block.eig_a.eigenvalues
-        bracket = soq_bracket(spec_a, c, rb)
+        bracket = soq_bracket(block.eig_a.eigenvalues, c, rb)
         if bracket is None:
             continue
-        a1p, b4m, b4p = bracket
+        a1p, _, b4p = bracket
         full = assemble(block)
-        spec_m = block.eig_m.eigenvalues
         n = full.shape[0]
         noise = _random_hermitian(rng, n, 1.0) / np.sqrt(n)
         pert = full + 0.02 * operator_norm(full) * noise
@@ -458,30 +459,23 @@ def soq_suite(rng, count: int = 100) -> list[Check]:
         if not np.any(sel):
             continue
         q, _ = np.linalg.qr(dec.vectors[:, sel])
-        enclosures = soq_enclosure(block, q, a1p, b4m, b4p)
-        admitted_total += sum(e.admitted for e in enclosures)
-        misses += len(soq_misses(enclosures, spec_m))
+        found += soq(block, q, bracket)
     # The magnetohydrodynamics discretization with a 20-mode trial space.
     disc = discretize(constant_profile(), 64)
     a, b, c = constants(constant_profile())
-    rb = RelativeBound(a, b)
-    spec_a = disc.block.eig_a.eigenvalues
-    spec_m = disc.block.eig_m.eigenvalues
-    bracket = soq_bracket(spec_a, c, rb)
-    mhd_admitted = 0
-    if bracket is not None:
-        a1p, b4m, b4p = bracket
-        enclosures = soq_enclosure(disc.block, trial_space(disc, 20), a1p, b4m, b4p)
-        mhd_admitted = sum(e.admitted for e in enclosures)
-        admitted_total += mhd_admitted
-        misses += len(soq_misses(enclosures, spec_m))
+    bracket = soq_bracket(disc.block.eig_a.eigenvalues, c, RelativeBound(a, b))
+    mhd, = soq(disc.block, trial_space(disc, 20), bracket)
+    found.append(mhd)
+    admitted = sum(ch.outputs.get("admitted_count", 0) for ch in found)
+    misses = sum(len(ch.outputs.get("misses", ())) for ch in found)
     return [Check(
         "enclosures/soq",
         "sigma(M) ∩ [Re z - |Im z|²/(b4p - Re z), Re z + |Im z|²/(Re z - a1p)] "
         "nonempty for admitted z",
-        {}, {"instances": count, "admitted": admitted_total,
-             "mhd_admitted": mhd_admitted, "misses": misses},
-        verdict(misses == 0 and admitted_total > 0),
+        {}, {"instances": count, "admitted": admitted,
+             "mhd_admitted": mhd.outputs.get("admitted_count", 0),
+             "misses": misses},
+        verdict(misses == 0 and admitted > 0),
         {"intersection_margin_rel": SOQ_MARGIN_REL})]
 
 
@@ -738,8 +732,7 @@ def mhd_suite() -> list[Check]:
     sub = spectral_subspace(disc.block, marks.c_tilde)
     k_op = angular_operator(sub)
     checks.append(Check(
-        "mhd/codim-kappa",
-        "codim(Dom(K_c)) = kappa",
+        "mhd/codim-kappa", CODIM_ANCHOR,
         {}, {"codim": k_op.codim, "kappa": marks.kappa, "k_norm": k_op.norm},
         verdict(k_op.codim == marks.kappa),
         {}))

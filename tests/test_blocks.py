@@ -59,6 +59,13 @@ class TestBlockOperatorMatrix:
         assert twin.eig_m is not m3.eig_m
         assert np.array_equal(twin.eig_m.vectors, m3.eig_m.vectors)
 
+    def test_c_is_the_top_of_sigma_c(self, m3, rng):
+        assert m3.c == -1.0
+        for _ in range(5):
+            block = random_block(rng)
+            assert type(block.c) is float
+            assert block.c == block.eig_c.eigenvalues.max()
+
     def test_assembled_tol_matches_matrix_tol(self, rng):
         from specblock.tolerance import matrix_tol
         for _ in range(5):

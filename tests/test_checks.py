@@ -1,17 +1,19 @@
-"""The selftest suites that aggregate the enclosure checks, and the rung count
-of the variational ladder.
+"""The selftest suites that aggregate the block-command checks, the rung count
+of the variational ladder, and where checks are built.
 
-``reference_*`` below evaluate the window, dimension and variational
-statements point by point, independently of ``specblock.checks``.  The
-selftest suites, which aggregate the checks ``specblock enclose`` reports,
+``reference_*`` below evaluate the window, dimension, variational and
+second-order statements point by point, independently of ``specblock.checks``.
+The selftest suites, which aggregate the checks the block commands report,
 must reproduce their outputs and consume the same random stream.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
-from specblock import BlockOperatorMatrix, RelativeBound, landmarks, selftest
-from specblock.blocks import minimal_b_for_a
+from specblock import BlockOperatorMatrix, RelativeBound, cli, landmarks, selftest
+from specblock.blocks import assemble, minimal_b_for_a
 from specblock.checks import variational_ladder
 from specblock.enclosures import (
     eigenvalue_window,
@@ -20,12 +22,17 @@ from specblock.enclosures import (
     inclusion_reference,
     resolvent_interval,
     resolvent_pairs,
+    soq_bracket,
+    soq_enclosure,
+    soq_misses,
     subspace_dim_check,
     variational_bounds,
 )
 from specblock.errors import HypothesisError, LandmarkError
-from specblock.report import PASS
-from specblock.tolerance import SLACK
+from specblock.linalg import hermitian_eig, operator_norm
+from specblock.mhd import constant_profile, constants, discretize, trial_space
+from specblock.report import PASS, Check, verdict
+from specblock.tolerance import SLACK, SOQ_MARGIN_REL
 
 
 def reference_window_suite(rng, count):
@@ -141,6 +148,52 @@ def reference_variational_suite(rng, count):
     return [{"checked": checked, "worst_escape": worst}]
 
 
+def reference_soq_suite(rng, count):
+    misses = 0
+    admitted_total = 0
+    for _ in range(count):
+        block, rb, c = selftest.separated_block(rng)
+        spec_a = block.eig_a.eigenvalues
+        bracket = soq_bracket(spec_a, c, rb)
+        if bracket is None:
+            continue
+        a1p, b4m, b4p = bracket
+        full = assemble(block)
+        spec_m = block.eig_m.eigenvalues
+        n = full.shape[0]
+        noise = selftest._random_hermitian(rng, n, 1.0) / np.sqrt(n)
+        pert = full + 0.02 * operator_norm(full) * noise
+        dec = hermitian_eig(0.5 * (pert + pert.conj().T))
+        sel = (dec.eigenvalues > a1p - 5.0) & (dec.eigenvalues < b4p + 5.0)
+        if not np.any(sel):
+            continue
+        q, _ = np.linalg.qr(dec.vectors[:, sel])
+        enclosures = soq_enclosure(block, q, a1p, b4m, b4p)
+        admitted_total += sum(e.admitted for e in enclosures)
+        misses += len(soq_misses(enclosures, spec_m))
+    disc = discretize(constant_profile(), 64)
+    a, b, c = constants(constant_profile())
+    rb = RelativeBound(a, b)
+    spec_a = disc.block.eig_a.eigenvalues
+    spec_m = disc.block.eig_m.eigenvalues
+    bracket = soq_bracket(spec_a, c, rb)
+    mhd_admitted = 0
+    if bracket is not None:
+        a1p, b4m, b4p = bracket
+        enclosures = soq_enclosure(disc.block, trial_space(disc, 20), a1p, b4m, b4p)
+        mhd_admitted = sum(e.admitted for e in enclosures)
+        admitted_total += mhd_admitted
+        misses += len(soq_misses(enclosures, spec_m))
+    return [Check(
+        "enclosures/soq",
+        "sigma(M) ∩ [Re z - |Im z|²/(b4p - Re z), Re z + |Im z|²/(Re z - a1p)] "
+        "nonempty for admitted z",
+        {}, {"instances": count, "admitted": admitted_total,
+             "mhd_admitted": mhd_admitted, "misses": misses},
+        verdict(misses == 0 and admitted_total > 0),
+        {"intersection_margin_rel": SOQ_MARGIN_REL})]
+
+
 SUITES = [
     (selftest.window_suite, reference_window_suite),
     (selftest.dim_check_suite, reference_dim_check_suite),
@@ -158,6 +211,19 @@ def test_suite_matches_the_per_point_reference(suite, reference, seed):
     assert all(c.status == PASS for c in checks)
     # the builders draw nothing: later suites see the same stream
     assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_soq_suite_matches_the_inline_reference(seed):
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert selftest.soq_suite(rng, count=30) == reference_soq_suite(rng_ref, count=30)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_cli_builds_no_check():
+    source = inspect.getsource(cli)
+    for call in ("Check(", "not_applicable(", "verdict("):
+        assert call not in source
 
 
 class TestRungs:

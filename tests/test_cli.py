@@ -98,6 +98,9 @@ class TestExitCodes:
                                rho=[1.0, True, 1.0])}),
         (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n=3,
                                rho=[1.0, "dense", 1.0])}),
+        (["mhd"], dict(MHD_PROBLEM, flags={"squared_bands": "false"})),
+        (["mhd"], dict(MHD_PROBLEM, flags={"squared_bands": 0})),
+        (["mhd"], dict(MHD_PROBLEM, flags={"squared_bands": [1]})),
     ])
     def test_invalid_numbers_exit_2(self, tmp_path, capsys, args, problem):
         if problem is not None:
@@ -112,6 +115,15 @@ class TestExitCodes:
         if problem is not None:  # past argparse: one line of our own
             assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_squared_bands_flag(self, tmp_path, flag):
+        path = write_problem(tmp_path, "p.json",
+                             dict(MHD_PROBLEM, flags={"squared_bands": flag}))
+        code, rep = run_to_file(tmp_path, ["mhd", "--input", path, "--n", "16"])
+        bands, = [c for c in rep["checks"]
+                  if c["name"] == "mhd/essential-bands"]
+        assert bands["inputs"]["squared_variant"] is flag
 
     def test_corrupted_selftest_exits_1(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPECBLOCK_SELFTEST_CORRUPT", "1")
@@ -262,9 +274,7 @@ class TestOutputPlumbing:
         header = (csv_dir / "dist-bound.csv").read_text().splitlines()[0]
         assert header.split(",")[:3] == ["name", "status", "anchor"]
 
-    def test_selftest_deterministic_bytes(self, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        assert main(["selftest", "--seed", "7", "--out", str(a)]) in (0, 1)
-        assert main(["selftest", "--seed", "7", "--out", str(b)]) in (0, 1)
+    def test_selftest_deterministic_bytes(self, selftest_42_runs):
+        (code_a, a), (code_b, b) = selftest_42_runs
+        assert code_a == code_b
         assert a.read_bytes() == b.read_bytes()
