@@ -17,6 +17,7 @@ from .errors import ArgumentError, LandmarkError, SingularShiftError
 from .linalg import (
     SpectralDecomposition,
     as_matrix,
+    diagonal_similarity,
     hermitian_eig,
     hermitian_eigvals,
     require_hermitian,
@@ -43,8 +44,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _frozen_eig(mat) -> SpectralDecomposition:
-    dec = hermitian_eig(mat)
+def _frozen_eig(dec: SpectralDecomposition) -> SpectralDecomposition:
     _frozen(dec.eigenvalues)
     _frozen(dec.vectors)
     return dec
@@ -88,7 +88,7 @@ class BlockOperatorMatrix:
     @cached_property
     def eig_a(self) -> SpectralDecomposition:
         """Eigendecomposition of A."""
-        return _frozen_eig(self.A)
+        return _frozen_eig(hermitian_eig(self.A))
 
     @cached_property
     def a_clusters(self) -> np.ndarray:
@@ -101,7 +101,7 @@ class BlockOperatorMatrix:
     @cached_property
     def eig_c(self) -> SpectralDecomposition:
         """Eigendecomposition of C."""
-        return _frozen_eig(self.C)
+        return _frozen_eig(hermitian_eig(self.C))
 
     @property
     def c(self) -> float:
@@ -110,8 +110,20 @@ class BlockOperatorMatrix:
 
     @cached_property
     def eig_m(self) -> SpectralDecomposition:
-        """Eigendecomposition of the assembled matrix."""
-        return _frozen_eig(assemble(self))
+        """Eigendecomposition of the assembled matrix.
+
+        When A and C are real and B = iR is purely imaginary, M = D M' D*
+        with D = diag(I, iI) and the real symmetric M' = [[A, -R], [-R^T, C]];
+        M' is solved instead and each eigenvector w maps to [w1; i w2].  A
+        real B makes M itself real, which hermitian_eig solves as such.
+        """
+        r = self.B.imag
+        if (np.count_nonzero(self.A.imag) or np.count_nonzero(self.C.imag)
+                or np.count_nonzero(self.B.real) or not np.count_nonzero(r)):
+            return _frozen_eig(hermitian_eig(assemble(self)))
+        similar = np.block([[self.A.real, -r], [-r.T, self.C.real]])
+        diagonal = np.concatenate([np.ones(self.n1), np.full(self.n2, 1j)])
+        return _frozen_eig(diagonal_similarity(hermitian_eig(similar), diagonal))
 
     @cached_property
     def coupling_in_c_basis(self) -> np.ndarray:
@@ -232,15 +244,15 @@ def minimal_b_for_a(block: BlockOperatorMatrix, a: float) -> RelativeBound:
     return RelativeBound(float(a), max(0.0, lam_max))
 
 
-def relative_bound_margin(block: BlockOperatorMatrix, rb: RelativeBound):
-    """lambda_min(aA + bI - BB*) together with its witness eigenvector.
+def relative_bound_margin(block: BlockOperatorMatrix,
+                          rb: RelativeBound) -> float:
+    """lambda_min(aA + bI - BB*).
 
     Nonnegative (up to round-off) iff (a, b) is a valid relative bound; near
     zero iff b is minimal for this a.
     """
     mat = rb.a * block.A + rb.b * np.eye(block.n1) - block.coupling_gram()
-    dec = hermitian_eig(mat)
-    return float(dec.eigenvalues[0]), dec.vectors[:, 0]
+    return float(hermitian_eigvals(mat)[0])
 
 
 def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:

@@ -1,10 +1,16 @@
-"""Dense complex linear algebra kernel.
+"""Dense linear algebra kernel on complex matrices.
 
 Hermitian eigendecomposition with a reproducible phase convention, spectral
 projectors, an SVD pseudo-inverse, and a general eigensolver used for
 companion-linearized quadratic eigenproblems.  LAPACK (through numpy)
 supplies the factorizations; this module owns validation, ordering and phase
 normalization so that results are deterministic for fixed input.
+
+Matrices are complex128 throughout.  A Hermitian eigensolve whose validated
+Hermitian part has an all-zero imaginary part runs the real symmetric LAPACK
+driver on the real part; its eigenvalues and vectors may differ from the
+complex driver's in the last digits, and the vectors are returned as
+complex128 under the same phase convention.
 """
 
 from __future__ import annotations
@@ -15,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericError
-from .tolerance import HERMITIAN_REL, PINV_REL
-from .tolerance import PHASE_ZERO_TOL as _PHASE_ZERO_TOL
+from .tolerance import HERMITIAN_REL, PHASE_ZERO_TOL, PINV_REL
 
 __all__ = [
     "Interval",
@@ -26,6 +31,7 @@ __all__ = [
     "hermitian_defect",
     "hermitian_eig",
     "hermitian_eigvals",
+    "diagonal_similarity",
     "spectral_projector",
     "pseudo_inverse",
     "general_eig",
@@ -127,7 +133,7 @@ class SpectralDecomposition:
 
 
 def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first component above _PHASE_ZERO_TOL is
+    """Rotate each column so its first component above PHASE_ZERO_TOL is
     real positive; columns without one are returned unchanged.  Columns are
     unit vectors, so every column has a component well above the threshold.
 
@@ -138,7 +144,7 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     vectors = np.asarray(vectors)
     if vectors.size == 0:
         return np.array(vectors, copy=True)
-    big = np.abs(vectors) > _PHASE_ZERO_TOL
+    big = np.abs(vectors) > PHASE_ZERO_TOL
     found = big.any(axis=0)
     pivots = vectors[big.argmax(axis=0), np.arange(vectors.shape[1])]
     pivots[~found] = 1.0
@@ -152,20 +158,28 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _solver_input(mat) -> np.ndarray:
+    """The validated Hermitian part of ``mat``, as float64 when its imaginary
+    part is all zero (-0.0 included), so LAPACK runs the real symmetric driver."""
+    herm = require_hermitian(mat)
+    return herm if np.count_nonzero(herm.imag) else herm.real
+
+
 def hermitian_eig(mat) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
     Raises ArgumentError for non-Hermitian input and NumericError if the
-    underlying iteration fails to converge.
+    underlying iteration fails to converge.  Real-valued input is solved by
+    the real driver; the vectors are complex128 either way.
     """
-    herm = require_hermitian(mat)
+    herm = _solver_input(mat)
     try:
         eigvals, eigvecs = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
     return SpectralDecomposition(
         eigenvalues=np.asarray(eigvals, dtype=float),
-        vectors=_normalize_phases(eigvecs))
+        vectors=_normalize_phases(eigvecs.astype(np.complex128, copy=False)))
 
 
 def hermitian_eigvals(mat) -> np.ndarray:
@@ -174,12 +188,22 @@ def hermitian_eigvals(mat) -> np.ndarray:
     Validates like hermitian_eig.  The values come from a different LAPACK
     path than hermitian_eig's and may differ from them in the last digits.
     """
-    herm = require_hermitian(mat)
+    herm = _solver_input(mat)
     try:
         eigvals = np.linalg.eigvalsh(herm)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
     return np.asarray(eigvals, dtype=float)
+
+
+def diagonal_similarity(dec: SpectralDecomposition,
+                        diagonal) -> SpectralDecomposition:
+    """Decomposition of D H D* from ``dec`` = eig(H), for the diagonal unitary
+    D = diag(diagonal): the same eigenvalues, eigenvectors D v under the
+    phase convention."""
+    vectors = np.asarray(diagonal)[:, None] * dec.vectors
+    return SpectralDecomposition(eigenvalues=dec.eigenvalues,
+                                 vectors=_normalize_phases(vectors))
 
 
 def spectral_projector(dec: SpectralDecomposition, window: Interval) -> np.ndarray:

@@ -306,7 +306,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
 
     a_const, b_const, c_const = constants(profile)
     rb = RelativeBound(a_const, b_const)
-    margin, _ = relative_bound_margin(block, rb)
+    margin = relative_bound_margin(block, rb)
     b_disc = minimal_b_for_a(block, a_const).b
     gram_top = float(hermitian_eigvals(block.coupling_gram())[-1])
     scale = max(1.0, gram_top)

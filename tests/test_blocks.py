@@ -18,7 +18,11 @@ from specblock import (
     schur_complement,
     spectral_distance,
 )
+from specblock import blocks as blocks_module
+from specblock.linalg import orthonormality_defect
+from specblock.mhd import constant_profile, discretize, profile_from_functions
 from specblock.selftest import random_block
+from specblock.tolerance import PHASE_ZERO_TOL
 
 from oracles import cubic_fixture_roots, herm2x2_eigs
 
@@ -205,11 +209,14 @@ class TestRelativeBound:
         for _ in range(30):
             block = random_block(rng)
             rb = minimal_b_for_a(block, float(rng.uniform(0.0, 2.0)))
-            margin, witness = relative_bound_margin(block, rb)
+            margin = relative_bound_margin(block, rb)
             assert margin >= -1e-9
             if rb.b > 0.0:
                 assert abs(margin) <= 1e-6
                 # the witness achieves near equality in the quadratic form
+                gap = (rb.a * block.A + rb.b * np.eye(block.n1)
+                       - block.B @ block.B.conj().T)
+                witness = np.linalg.eigh(gap)[1][:, 0]
                 lhs = np.linalg.norm(block.B.conj().T @ witness) ** 2
                 rhs = (rb.a * np.real(witness.conj() @ (block.A @ witness))
                        + rb.b)
@@ -217,7 +224,7 @@ class TestRelativeBound:
 
     def test_best_scan_beats_or_ties_zero(self, m3):
         rb = best_relative_bound(m3)
-        margin, _ = relative_bound_margin(m3, rb)
+        margin = relative_bound_margin(m3, rb)
         assert margin >= -1e-9
         mu = 2.0
         c = -1.0
@@ -297,3 +304,81 @@ def test_schur_spectrum_equivalence(rng):
             s_eigs = hermitian_eig(schur_complement(block, float(lam))).eigenvalues
             if np.min(np.abs(s_eigs)) <= 1e-9:
                 assert spectral_distance(float(lam), spec_m) <= 1e-6
+
+
+def _symmetric(rng, n):
+    x = rng.uniform(-10.0, 10.0, (n, n))
+    return 0.5 * (x + x.T)
+
+
+def _imaginary_coupling_blocks(rng):
+    yield discretize(constant_profile(), 24).block
+    profile = profile_from_functions(lambda x: 1.0 + x, 1.0, 1.0, 1.0, 1.0,
+                                     g=0.3, grid_n=33)
+    yield discretize(profile, 32).block
+    for n1, n2 in ((1, 1), (3, 5), (8, 2), (12, 12)):
+        yield BlockOperatorMatrix(A=_symmetric(rng, n1),
+                                  B=1j * rng.uniform(-10.0, 10.0, (n1, n2)),
+                                  C=_symmetric(rng, n2))
+
+
+def _solved_matrices(monkeypatch, block):
+    """The matrices eig_m hands to hermitian_eig."""
+    seen = []
+    original = blocks_module.hermitian_eig
+
+    def spy(mat):
+        seen.append(np.array(mat, copy=True))
+        return original(mat)
+
+    monkeypatch.setattr(blocks_module, "hermitian_eig", spy)
+    block.eig_m
+    return seen
+
+
+class TestImaginaryCoupling:
+    """Real A, C and B = iR: eig(M) comes from the real symmetric
+    [[A, -R], [-R^T, C]] under diag(I, iI)."""
+
+    def test_eigenpairs_of_the_assembled_matrix(self, rng, monkeypatch):
+        for block in _imaginary_coupling_blocks(rng):
+            assert not np.count_nonzero(block.B.real)
+            r = block.B.imag
+            similar = np.block([[block.A.real, -r], [-r.T, block.C.real]])
+            solved = _solved_matrices(monkeypatch, block)
+            assert len(solved) == 1 and np.array_equal(solved[0], similar)
+            dec = block.eig_m
+            full = assemble(block)
+            tol = block.assembled_tol()
+            assert np.max(np.abs(dec.eigenvalues
+                                 - np.linalg.eigvalsh(full))) <= tol
+            residual = full @ dec.vectors - dec.vectors * dec.eigenvalues
+            assert np.linalg.norm(residual, 2) <= tol
+            assert orthonormality_defect(dec.vectors) <= 1e-12 * full.shape[0]
+            assert dec.vectors.dtype == np.complex128
+            for arr in (dec.eigenvalues, dec.vectors):
+                with pytest.raises(ValueError):
+                    arr[0, ...] = 0.0
+
+    def test_phase_rule_holds_after_the_mapping(self, rng):
+        for block in _imaginary_coupling_blocks(rng):
+            for col in block.eig_m.vectors.T:
+                pivot = col[np.nonzero(np.abs(col) > PHASE_ZERO_TOL)[0][0]]
+                assert pivot.imag == 0.0 and pivot.real > 0.0
+
+    def test_mixed_input_takes_the_complex_path(self, rng, monkeypatch):
+        a, c = _symmetric(rng, 4), _symmetric(rng, 3)
+        r = rng.uniform(-10.0, 10.0, (4, 3))
+        skew_a, skew_c = (1j * (x - x.T) for x in (rng.uniform(size=(4, 4)),
+                                                   rng.uniform(size=(3, 3))))
+        for block in (BlockOperatorMatrix(A=a, B=r + 1j * r, C=c),
+                      BlockOperatorMatrix(A=a + skew_a, B=1j * r, C=c),
+                      BlockOperatorMatrix(A=a, B=1j * r, C=c + skew_c)):
+            solved = _solved_matrices(monkeypatch, block)
+            assert len(solved) == 1
+            assert np.array_equal(solved[0], assemble(block))
+            assert np.count_nonzero(solved[0].imag)
+
+    def test_real_coupling_solves_the_assembled_matrix(self, m3, monkeypatch):
+        solved = _solved_matrices(monkeypatch, m3)
+        assert len(solved) == 1 and np.array_equal(solved[0], assemble(m3))

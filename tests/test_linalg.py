@@ -15,7 +15,12 @@ from specblock import (
     spectral_projector,
 )
 
-from specblock.linalg import _PHASE_ZERO_TOL, _normalize_phases
+from specblock.linalg import (
+    _normalize_phases,
+    diagonal_similarity,
+    require_hermitian,
+)
+from specblock.tolerance import PHASE_ZERO_TOL, matrix_tol
 
 from oracles import cubic_fixture_roots, eigvec3
 
@@ -102,7 +107,7 @@ def loop_normalize_phases(vectors):
     out = np.array(vectors, copy=True)
     for j in range(out.shape[1]):
         col = out[:, j]
-        nonzero = np.nonzero(np.abs(col) > _PHASE_ZERO_TOL)[0]
+        nonzero = np.nonzero(np.abs(col) > PHASE_ZERO_TOL)[0]
         if nonzero.size == 0:
             continue
         pivot = col[nonzero[0]]
@@ -119,7 +124,7 @@ class TestPhaseNormalization:
             v *= 10.0 ** rng.uniform(-14.0, 3.0, (n, m))
             # leading entries below the threshold, then a vanishing column
             v[:int(rng.integers(0, n + 1)), int(rng.integers(0, m))] = \
-                0.5 * _PHASE_ZERO_TOL * (1.0 - 1.0j)
+                0.5 * PHASE_ZERO_TOL * (1.0 - 1.0j)
             zero = complex(-0.0, -0.0) if trial % 3 else 0.0
             v[:, int(rng.integers(0, m))] = zero
             if trial % 2:
@@ -168,6 +173,76 @@ class TestHermitianEigvals:
             hermitian_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ArgumentError):
             hermitian_eigvals(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def random_symmetric(seed, n):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-10, 10, (n, n))
+    return 0.5 * (x + x.T)
+
+
+def assert_phase_rule(vectors):
+    for col in vectors.T:
+        pivot = col[np.nonzero(np.abs(col) > PHASE_ZERO_TOL)[0][0]]
+        assert pivot.imag == 0.0 and pivot.real > 0.0
+
+
+class TestRealPath:
+    """Hermitian input with an all-zero imaginary part is solved by the real
+    symmetric driver; callers see the complex path's contract."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
+    def test_real_input_matches_complex_path(self, n):
+        h = random_symmetric(n, n)
+        dec = hermitian_eig(h)
+        want = np.linalg.eigvalsh(h.astype(np.complex128))
+        tol = matrix_tol(h)
+        assert np.max(np.abs(dec.eigenvalues - want)) <= tol
+        assert np.max(np.abs(hermitian_eigvals(h) - want)) <= tol
+        assert dec.vectors.dtype == np.complex128
+        residual = h @ dec.vectors - dec.vectors * dec.eigenvalues
+        assert np.linalg.norm(residual, 2) <= tol
+        assert orthonormality_defect(dec.vectors) <= 1e-12 * n
+        assert_phase_rule(dec.vectors)
+        assert np.array_equal(dec.vectors, loop_normalize_phases(dec.vectors))
+
+    def test_solvers_receive_float64_for_real_input(self, monkeypatch):
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def spy(a, *args, _original=original, **kwargs):
+                seen.append(np.asarray(a).dtype)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        real = random_symmetric(3, 6)
+        signed = real.astype(np.complex128)
+        signed.imag[np.triu_indices(6, 1)] = -0.0
+        assert np.signbit(require_hermitian(signed).imag).any()
+        for mat in (real, signed):
+            hermitian_eig(mat)
+            hermitian_eigvals(mat)
+        assert seen == [np.float64] * 4
+        seen.clear()
+        tiny = 1e-300j * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        for mat in (random_hermitian(4, 6), tiny):
+            hermitian_eig(mat)
+            hermitian_eigvals(mat)
+        assert seen == [np.complex128] * 4
+
+
+class TestDiagonalSimilarity:
+    def test_maps_eigenpairs_of_the_similar_matrix(self):
+        h = random_symmetric(6, 7)
+        d = np.array([1, 1, 1, 1j, 1j, -1, -1j])
+        m = d[:, None] * h * d.conj()[None, :]
+        dec = diagonal_similarity(hermitian_eig(h), d)
+        assert np.array_equal(dec.eigenvalues, hermitian_eig(h).eigenvalues)
+        residual = m @ dec.vectors - dec.vectors * dec.eigenvalues
+        assert np.linalg.norm(residual, 2) <= matrix_tol(h)
+        assert orthonormality_defect(dec.vectors) <= 1e-12 * 7
+        assert_phase_rule(dec.vectors)
 
 
 class TestSpectralProjector:

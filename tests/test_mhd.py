@@ -151,7 +151,7 @@ class TestContinuumConstantsOnDiscretization:
         p = constant_profile()
         a, b, _ = constants(p)
         disc = discretize(p, 64)
-        margin, _ = relative_bound_margin(disc.block, RelativeBound(a, b))
+        margin = relative_bound_margin(disc.block, RelativeBound(a, b))
         top = float(hermitian_eig(disc.block.coupling_gram()).eigenvalues[-1])
         assert margin >= -(10.0 / 64) * max(1.0, top)
         assert minimal_b_for_a(disc.block, a).b <= b + (10.0 / 64) * max(1.0, top)
