@@ -22,6 +22,7 @@ from .linalg import (
     hermitian_eigvals,
     require_hermitian,
     spectral_distance,
+    stack_chunks,
 )
 from .tolerance import base_tol, matrix_tol
 
@@ -186,7 +187,7 @@ def assemble(block: BlockOperatorMatrix) -> np.ndarray:
     return np.block([[block.A, block.B], [block.B.conj().T, block.C]])
 
 
-def schur_complement(block: BlockOperatorMatrix, lam: float,
+def schur_complement(block: BlockOperatorMatrix, lam,
                      tol: float | None = None) -> np.ndarray:
     """First Schur complement A - lam I - B (C - lam I)^{-1} B* at a real shift.
 
@@ -194,17 +195,30 @@ def schur_complement(block: BlockOperatorMatrix, lam: float,
     result detect spectrum of the assembled matrix away from sigma(C).  The
     inverse is applied in the eigenbasis of C:
     B (C - lam I)^{-1} B* = (B V) diag(1/(gamma_i - lam)) (B V)*.
+
+    ``lam`` may be a 1-D array of shifts: the result is then the stack
+    (k, n1, n1) of the Schur complements, each equal bit for bit to the one
+    at that scalar shift, and every shift is checked for singularity.
     """
-    lam = float(lam)
+    shifts = np.asarray(lam, dtype=float)
+    if shifts.ndim > 1:
+        raise ArgumentError("shifts must be a scalar or a 1-D array")
+    lams = shifts.reshape(-1)
     spec_c = block.eig_c.eigenvalues
     if tol is None:
         tol = matrix_tol(block.C)
-    if spectral_distance(lam, spec_c) <= tol:
-        raise SingularShiftError(
-            f"shift {lam:.12g} is within {tol:.3e} of sigma(C)")
+    if spec_c.size:
+        near = np.min(np.abs(spec_c - lams[:, None]), axis=1) <= tol
+        if near.any():
+            raise SingularShiftError(
+                f"shift {float(lams[near.argmax()]):.12g} is within {tol:.3e} "
+                "of sigma(C)")
     bv = block.coupling_in_c_basis
-    s = block.A - lam * np.eye(block.n1) - (bv / (spec_c - lam)) @ bv.conj().T
-    return 0.5 * (s + s.conj().T)
+    gaps = spec_c - lams[:, None]
+    s = (block.A - lams[:, None, None] * np.eye(block.n1)
+         - (bv / gaps[:, None, :]) @ bv.conj().T)
+    s = 0.5 * (s + s.conj().swapaxes(-2, -1))
+    return s if shifts.ndim else s[0]
 
 
 def resolvent_block(block: BlockOperatorMatrix, alpha: float) -> np.ndarray:
@@ -233,14 +247,18 @@ def resolvent_block(block: BlockOperatorMatrix, alpha: float) -> np.ndarray:
     return np.block([[s_inv, top_right], [bottom_left, bottom_right]])
 
 
+def _gram_gap(block: BlockOperatorMatrix, a) -> np.ndarray:
+    """B B* - a A; an array ``a`` of shape (k, 1, 1) gives the stack."""
+    return block.coupling_gram() - a * block.A
+
+
 def minimal_b_for_a(block: BlockOperatorMatrix, a: float) -> RelativeBound:
     """Least b ≥ 0 with B B* ⪯ a A + b I, i.e. max(0, lambda_max(BB* - aA))."""
     if a < 0.0:
         raise ArgumentError("a must be nonnegative")
     if block.n1 == 0:
         return RelativeBound(float(a), 0.0)
-    gap = block.coupling_gram() - a * block.A
-    lam_max = float(hermitian_eigvals(gap)[-1])
+    lam_max = float(hermitian_eigvals(_gram_gap(block, a))[-1])
     return RelativeBound(float(a), max(0.0, lam_max))
 
 
@@ -260,7 +278,8 @@ def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
     inclusion window.
 
     a_max = lambda_max(BB*) / max(lambda_min(A), tol); the window width is
-    evaluated at mu = min sigma(A).  Ties resolve to the smallest a.
+    evaluated at mu = min sigma(A).  Ties resolve to the smallest a.  Each
+    point's b is minimal_b_for_a's, from stacked eigensolves of BB* - aA.
     """
     lam_bbs = float(hermitian_eigvals(block.coupling_gram())[-1])
     if lam_bbs <= 0.0:
@@ -269,17 +288,22 @@ def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
     c = block.c
     denom = max(mu, matrix_tol(block.A), base_tol())
     a_max = lam_bbs / denom
+    grid = np.linspace(0.0, a_max, 21)
+    lam_max = np.concatenate([
+        hermitian_eigvals(_gram_gap(block, grid[part, None, None]))[:, -1]
+        for part in stack_chunks(grid.size, block.n1)])
+    bounds = [RelativeBound(float(a), max(0.0, float(top)))
+              for a, top in zip(grid, lam_max)]
     best = None
     best_width = np.inf
-    for a in np.linspace(0.0, a_max, 21):
-        rb = minimal_b_for_a(block, float(a))
+    for rb in bounds:
         disc = ((mu - c) / 2.0) ** 2 + rb.a * (rb.a + c) + rb.b
         if disc < 0.0:
             continue
         width = 2.0 * np.sqrt(disc)
         if width < best_width:
             best, best_width = rb, width
-    return best if best is not None else minimal_b_for_a(block, 0.0)
+    return best if best is not None else bounds[0]
 
 
 def landmarks(block: BlockOperatorMatrix) -> SpectralLandmarks:

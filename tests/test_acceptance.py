@@ -114,7 +114,8 @@ def test_criterion_5_invariant_subspaces():
 def test_criterion_6_soq_suite():
     rng = np.random.default_rng(42)
     start = time.monotonic()
-    checks = selftest.soq_suite(rng, count=100)
+    checks = selftest.soq_suite(rng, discretize(constant_profile(), 64),
+                                count=100)
     elapsed = time.monotonic() - start
     out = checks[0].outputs
     ok = (checks[0].status == "pass" and elapsed < 120.0

@@ -19,10 +19,10 @@ from specblock import (
     spectral_distance,
 )
 from specblock import blocks as blocks_module
-from specblock.linalg import orthonormality_defect
+from specblock.linalg import hermitian_eigvals, orthonormality_defect
 from specblock.mhd import constant_profile, discretize, profile_from_functions
 from specblock.selftest import random_block
-from specblock.tolerance import PHASE_ZERO_TOL
+from specblock.tolerance import PHASE_ZERO_TOL, base_tol, matrix_tol
 
 from oracles import cubic_fixture_roots, herm2x2_eigs
 
@@ -137,6 +137,25 @@ class TestSchurComplement:
                 <= 1e-9 * scale
 
 
+    def test_array_of_shifts_equals_scalar_calls(self, rng):
+        for _ in range(30):
+            block = random_block(rng)
+            spec_m = block.eig_m.eigenvalues
+            shifts = np.concatenate([spec_m, rng.uniform(-30.0, 30.0, 4)])
+            stack = schur_complement(block, shifts)
+            assert stack.shape == (shifts.size, block.n1, block.n1)
+            for lam, s in zip(shifts, stack):
+                single = schur_complement(block, float(lam))
+                assert np.array_equal(s.view(np.uint64), single.view(np.uint64))
+        assert schur_complement(block, shifts[:0]).shape == (0, block.n1, block.n1)
+
+    def test_singular_shift_in_an_array_rejected(self, m3):
+        with pytest.raises(SingularShiftError, match="shift -1 is within"):
+            schur_complement(m3, np.array([0.5, -1.0, 3.0]))
+        with pytest.raises(ArgumentError):
+            schur_complement(m3, np.ones((2, 2)))
+
+
 class TestResolventBlock:
     def test_decoupled_block_diagonal(self):
         a = np.diag([1.0, 4.0])
@@ -237,6 +256,51 @@ class TestRelativeBound:
                                     C=[[0.0]])
         rb = best_relative_bound(block)
         assert rb.a == 0.0 and rb.b == 0.0
+
+
+def reference_best_relative_bound(block):
+    """The scan one a at a time through minimal_b_for_a."""
+    lam_bbs = float(hermitian_eigvals(block.coupling_gram())[-1])
+    if lam_bbs <= 0.0:
+        return RelativeBound(0.0, 0.0)
+    mu = float(block.eig_a.eigenvalues[0])
+    c = block.c
+    denom = max(mu, matrix_tol(block.A), base_tol())
+    best, best_width = None, np.inf
+    for a in np.linspace(0.0, lam_bbs / denom, 21):
+        rb = minimal_b_for_a(block, float(a))
+        disc = ((mu - c) / 2.0) ** 2 + rb.a * (rb.a + c) + rb.b
+        if disc >= 0.0 and 2.0 * np.sqrt(disc) < best_width:
+            best, best_width = rb, 2.0 * np.sqrt(disc)
+    return best if best is not None else minimal_b_for_a(block, 0.0)
+
+
+class TestStackedRelativeBoundScan:
+    def test_matches_the_per_a_loop(self, rng):
+        interior = 0
+        for idx in range(50):
+            block = random_block(rng)
+            if idx % 2:
+                # a positive definite A puts the best a inside the grid
+                lift = float(rng.uniform(1.0, 60.0)) - block.eig_a.eigenvalues[0]
+                block = BlockOperatorMatrix(A=block.A + lift * np.eye(block.n1),
+                                            B=block.B, C=block.C)
+            rb = best_relative_bound(block)
+            assert rb == reference_best_relative_bound(block)
+            interior += rb.a > 0.0
+        assert interior >= 10
+
+    def test_matches_the_per_a_loop_on_a_large_block(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((200, 200))
+        c = rng.standard_normal((100, 100))
+        block = BlockOperatorMatrix(
+            A=a + a.T + 100.0 * np.eye(200),
+            B=rng.standard_normal((200, 100)) + 1j * rng.standard_normal((200, 100)),
+            C=c + c.T)
+        rb = best_relative_bound(block)
+        assert rb == reference_best_relative_bound(block)
+        assert rb.a > 0.0 and rb.b > 0.0
 
 
 class TestLandmarks:

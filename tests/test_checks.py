@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from specblock import BlockOperatorMatrix, RelativeBound, cli, landmarks, selftest
-from specblock.blocks import assemble, minimal_b_for_a
+from specblock.blocks import assemble, minimal_b_for_a, schur_complement
 from specblock.checks import variational_ladder
 from specblock.enclosures import (
     eigenvalue_window,
@@ -29,7 +29,7 @@ from specblock.enclosures import (
     variational_bounds,
 )
 from specblock.errors import HypothesisError, LandmarkError
-from specblock.linalg import hermitian_eig, operator_norm
+from specblock.linalg import hermitian_eig, operator_norm, spectral_distance
 from specblock.mhd import constant_profile, constants, discretize, trial_space
 from specblock.report import PASS, Check, verdict
 from specblock.tolerance import SLACK, SOQ_MARGIN_REL
@@ -194,6 +194,37 @@ def reference_soq_suite(rng, count):
         {"intersection_margin_rel": SOQ_MARGIN_REL})]
 
 
+def reference_schur_suite(rng, count):
+    """One full decomposition per shift: the forward direction at the
+    eigenvalues of M, the converse on the grid, both away from sigma(C)."""
+    worst_forward = worst_converse = 0.0
+    scanned = 0
+    for _ in range(count):
+        block = selftest.random_block(rng)
+        spec_m = block.eig_m.eigenvalues
+        spec_c = block.eig_c.eigenvalues
+        tol = block.assembled_tol()
+        for lam in spec_m:
+            if spectral_distance(float(lam), spec_c) <= 10.0 * tol:
+                continue
+            s_eig = hermitian_eig(schur_complement(block, float(lam))).eigenvalues
+            worst_forward = max(worst_forward, float(np.min(np.abs(s_eig))))
+        grid = np.concatenate([
+            spec_m,
+            np.linspace(float(spec_m[0]) - 1.0, float(spec_m[-1]) + 1.0, 7)])
+        for lam in grid:
+            if spectral_distance(float(lam), spec_c) <= 10.0 * tol:
+                continue
+            scanned += 1
+            s_eig = hermitian_eig(schur_complement(block, float(lam))).eigenvalues
+            if float(np.min(np.abs(s_eig))) <= 1e-9:
+                worst_converse = max(worst_converse,
+                                     spectral_distance(float(lam), spec_m))
+    ok = worst_forward <= 1e-6 and worst_converse <= 1e-6
+    return {"instances": count, "worst_zero_eig": worst_forward,
+            "scan_points": scanned, "worst_converse_dist": worst_converse}, ok
+
+
 SUITES = [
     (selftest.window_suite, reference_window_suite),
     (selftest.dim_check_suite, reference_dim_check_suite),
@@ -216,8 +247,50 @@ def test_suite_matches_the_per_point_reference(suite, reference, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_soq_suite_matches_the_inline_reference(seed):
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert selftest.soq_suite(rng, count=30) == reference_soq_suite(rng_ref, count=30)
+    disc64 = discretize(constant_profile(), 64)
+    assert (selftest.soq_suite(rng, disc64, count=30)
+            == reference_soq_suite(rng_ref, count=30))
     assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def decoupled_random_block(rng, _draw=selftest.random_block):
+    """A random block whose coupling misses one eigenvector v of C, so the
+    eigenvalue of v lies in sigma(M) ∩ sigma(C) and the suite skips it."""
+    block = _draw(rng)
+    v = block.eig_c.vectors[:, :1]
+    return BlockOperatorMatrix(A=block.A, B=block.B - (block.B @ v) @ v.conj().T,
+                               C=block.C)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("decoupled", [False, True], ids=["random", "decoupled"])
+def test_schur_suite_matches_the_per_shift_reference(seed, decoupled, monkeypatch):
+    if decoupled:
+        monkeypatch.setattr(selftest, "random_block", decoupled_random_block)
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    check, = selftest.schur_suite(rng, count=30)
+    want, ok = reference_schur_suite(rng_ref, count=30)
+    got = check.outputs
+    # eigvalsh and eigh round differently: the worst near-zero eigenvalue
+    # moves by up to 1.2e-12 at these seeds (1.5e-11 over a full selftest),
+    # against a check bound of 1e-6
+    assert abs(got["worst_zero_eig"] - want["worst_zero_eig"]) <= 1e-11
+    assert {k: v for k, v in got.items() if k != "worst_zero_eig"} == {
+        k: v for k, v in want.items() if k != "worst_zero_eig"}
+    assert check.status == verdict(ok) == PASS
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_selftest_discretizes_each_profile_once(monkeypatch):
+    sizes = []
+
+    def spy(profile, n_interior):
+        sizes.append(n_interior)
+        return discretize(profile, n_interior)
+
+    monkeypatch.setattr(selftest, "discretize", spy)
+    selftest.run(seed=1)
+    assert sorted(sizes) == [32, 64, 128]
 
 
 def test_cli_builds_no_check():

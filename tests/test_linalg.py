@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,9 +19,11 @@ from specblock import (
 )
 
 from specblock.linalg import (
+    STACK_BYTES,
     _normalize_phases,
     diagonal_similarity,
     require_hermitian,
+    stack_chunks,
 )
 from specblock.tolerance import PHASE_ZERO_TOL, matrix_tol
 
@@ -230,6 +235,167 @@ class TestRealPath:
             hermitian_eig(mat)
             hermitian_eigvals(mat)
         assert seen == [np.complex128] * 4
+
+
+def reference_require_hermitian(mat):
+    """The complex128 validation rule, one matrix at a time."""
+    arr = np.asarray(mat, dtype=np.complex128)
+    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
+    tol = 1e-12 * scale
+    defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+    if defect > tol:
+        raise ArgumentError(
+            f"matrix is not Hermitian: defect {defect:.3e} exceeds tol {tol:.3e}")
+    return 0.5 * (arr + arr.conj().T)
+
+
+def error_text(fn, mat):
+    with pytest.raises(ArgumentError) as info:
+        fn(mat)
+    return str(info.value)
+
+
+class TestRealValidation:
+    """Real input, and complex input with an all-zero imaginary part, is
+    validated in float64 under the complex rule's defect, scale and bits."""
+
+    def zero_imaginary(self, real, signed):
+        mat = real.astype(np.complex128)
+        if signed:
+            mat.imag[np.triu_indices(real.shape[0], 1)] = -0.0
+        return mat
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17])
+    def test_same_bits_as_the_complex_rule(self, n):
+        real = random_symmetric(n, n)
+        real[0, -1] = -0.0
+        real[-1, 0] = 0.0
+        for mat in (real, self.zero_imaginary(real, False),
+                    self.zero_imaginary(real, True)):
+            got = require_hermitian(mat)
+            want = reference_require_hermitian(mat)
+            assert got.dtype == np.complex128
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_same_error_texts(self):
+        real = random_symmetric(2, 6)
+        real[1, 4] += 1e-9 * np.max(np.abs(real))
+        for mat in (real, self.zero_imaginary(real, True)):
+            want = error_text(reference_require_hermitian, mat)
+            assert error_text(require_hermitian, mat) == want
+        real[2, 3] = np.nan
+        assert (error_text(require_hermitian, real)
+                == "matrix entries must be finite (no NaN/Inf)")
+        assert (error_text(require_hermitian, np.ones((2, 3)))
+                == "expected a square matrix, got shape (2, 3)")
+
+    def test_real_input_allocates_no_complex_temporary(self):
+        n = 300
+        real = random_symmetric(9, n)
+        tracemalloc.start()
+        try:
+            out = require_hermitian(real)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == np.complex128
+        assert peak - out.nbytes < 16 * n * n
+
+
+def hermitian_stack(seed, k, n):
+    """k Hermitian matrices of order n: complex, real stored as complex,
+    real with -0.0 imaginary parts, in turn."""
+    stack = np.empty((k, n, n), dtype=np.complex128)
+    for i in range(k):
+        if i % 3 == 0:
+            stack[i] = random_hermitian(seed + i, n)
+        else:
+            stack[i] = random_symmetric(seed + i, n)
+            if i % 3 == 2:
+                stack[i].imag[np.triu_indices(n, 1)] = -0.0
+    return stack
+
+
+class TestStackedSolves:
+    """A stack (k, n, n) is validated and solved slice by slice, bit for bit
+    like k single calls."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_equals_single_calls(self, k, n):
+        stack = hermitian_stack(10 * n + k, k, n)
+        vals = hermitian_eigvals(stack)
+        herm = require_hermitian(stack)
+        assert vals.shape == (k, n)
+        for i in range(k):
+            assert np.array_equal(vals[i], hermitian_eigvals(stack[i]))
+            assert np.array_equal(herm[i].view(np.uint64),
+                                  require_hermitian(stack[i]).view(np.uint64))
+        real = stack.real.copy()
+        for i in range(k):
+            assert np.array_equal(hermitian_eigvals(real)[i],
+                                  hermitian_eigvals(real[i]))
+
+    def test_each_slice_gets_its_own_solver(self, monkeypatch):
+        seen = []
+        original = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            seen.append((np.asarray(a).dtype, np.asarray(a).shape[0]))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        hermitian_eigvals(hermitian_stack(3, 6, 4))
+        assert sorted(seen, key=str) == sorted(
+            [(np.complex128, 2), (np.float64, 4)], key=str)
+
+    def test_empty_stack(self):
+        assert hermitian_eigvals(np.zeros((0, 3, 3))).shape == (0, 3)
+        assert require_hermitian(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        with pytest.raises(ArgumentError):
+            hermitian_eigvals(np.zeros((0, 2, 3)))
+
+    def test_bad_slice_raises_the_single_call_text(self):
+        stack = hermitian_stack(5, 4, 5)
+        stack[2, 0, 1] += 1e-6
+        want = error_text(hermitian_eigvals, stack[2])
+        assert want.startswith("matrix is not Hermitian")
+        assert error_text(hermitian_eigvals, stack) == want
+        assert error_text(require_hermitian, stack) == want
+        stack = hermitian_stack(5, 4, 5)
+        stack[3, 2, 2] = np.inf
+        assert (error_text(hermitian_eigvals, stack)
+                == error_text(hermitian_eigvals, stack[3]))
+
+    def test_full_decomposition_takes_one_matrix(self):
+        with pytest.raises(ArgumentError, match=re.escape("ndim = 3")):
+            hermitian_eig(hermitian_stack(1, 2, 3))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_no_solve_exceeds_the_byte_budget(self, monkeypatch, dtype):
+        sizes = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def spy(a, *args, _original=original, **kwargs):
+                sizes.append(np.asarray(a).nbytes)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        n, k = 200, 21
+        stack = hermitian_stack(8, k, n)
+        if dtype == np.float64:
+            stack = stack.real.copy()
+        vals = hermitian_eigvals(stack)
+        assert max(sizes) <= STACK_BYTES
+        # one complex matrix fills a chunk at this order
+        assert stack_chunks(k, n) == [slice(i, i + 1) for i in range(k)]
+        assert len(sizes) == k
+        assert np.array_equal(vals[5], hermitian_eigvals(stack[5]))
+
+    def test_small_stacks_take_one_chunk(self):
+        assert stack_chunks(21, 16) == [slice(0, STACK_BYTES // (16 * 256))]
+        assert stack_chunks(0, 5) == [slice(0, STACK_BYTES // (16 * 25))]
 
 
 class TestDiagonalSimilarity:
