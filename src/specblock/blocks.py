@@ -20,6 +20,7 @@ from .linalg import (
     diagonal_similarity,
     hermitian_eig,
     hermitian_eigvals,
+    hermitian_part_eig,
     require_hermitian,
     spectral_distance,
     stack_chunks,
@@ -57,7 +58,9 @@ class BlockOperatorMatrix:
 
     The blocks are stored as read-only arrays that share no memory with the
     caller's, so the decompositions below are computed at most once per
-    block, on first use, and stay valid for the life of the block.
+    block, on first use, and stay valid for the life of the block.  A and C
+    are validated here and stored as their exact Hermitian parts, which
+    eig_a and eig_c solve without checking them again.
     """
 
     A: np.ndarray
@@ -89,7 +92,7 @@ class BlockOperatorMatrix:
     @cached_property
     def eig_a(self) -> SpectralDecomposition:
         """Eigendecomposition of A."""
-        return _frozen_eig(hermitian_eig(self.A))
+        return _frozen_eig(hermitian_part_eig(self.A))
 
     @cached_property
     def a_clusters(self) -> np.ndarray:
@@ -102,7 +105,7 @@ class BlockOperatorMatrix:
     @cached_property
     def eig_c(self) -> SpectralDecomposition:
         """Eigendecomposition of C."""
-        return _frozen_eig(hermitian_eig(self.C))
+        return _frozen_eig(hermitian_part_eig(self.C))
 
     @property
     def c(self) -> float:

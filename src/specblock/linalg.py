@@ -43,8 +43,8 @@ __all__ = [
     "as_matrix",
     "require_hermitian",
     "stack_chunks",
-    "hermitian_defect",
     "hermitian_eig",
+    "hermitian_part_eig",
     "hermitian_eigvals",
     "diagonal_similarity",
     "spectral_projector",
@@ -100,14 +100,6 @@ def as_matrix(x, square: bool = False) -> np.ndarray:
     if square and mat.shape[0] != mat.shape[1]:
         raise ArgumentError(f"expected a square matrix, got shape {mat.shape}")
     return mat
-
-
-def hermitian_defect(mat) -> float:
-    """Entrywise max of |H - H*|."""
-    arr = np.asarray(mat)
-    if arr.size == 0:
-        return 0.0
-    return float(np.max(np.abs(arr - arr.conj().T)))
 
 
 def _square_stack(x) -> np.ndarray:
@@ -216,10 +208,9 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solver_input(mat) -> np.ndarray:
-    """The validated Hermitian part of ``mat``, as float64 when its imaginary
-    part is all zero (-0.0 included), so LAPACK runs the real symmetric driver."""
-    herm = require_hermitian(mat)
+def _solver_input(herm: np.ndarray) -> np.ndarray:
+    """An exact Hermitian part as float64 when its imaginary part is all zero
+    (-0.0 included), so LAPACK runs the real symmetric driver."""
     return herm if np.count_nonzero(herm.imag) else herm.real
 
 
@@ -230,6 +221,16 @@ def _eigvalsh(herm: np.ndarray) -> np.ndarray:
         raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
 
 
+def _decompose(herm: np.ndarray) -> SpectralDecomposition:
+    try:
+        eigvals, eigvecs = np.linalg.eigh(_solver_input(herm))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
+    return SpectralDecomposition(
+        eigenvalues=np.asarray(eigvals, dtype=float),
+        vectors=_normalize_phases(eigvecs.astype(np.complex128, copy=False)))
+
+
 def hermitian_eig(mat) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
@@ -237,16 +238,17 @@ def hermitian_eig(mat) -> SpectralDecomposition:
     underlying iteration fails to converge.  Real-valued input is solved by
     the real driver; the vectors are complex128 either way.
     """
-    herm = _solver_input(mat)
+    herm = require_hermitian(mat)
     if herm.ndim != 2:
         raise ArgumentError(f"expected a 2-D array, got ndim = {herm.ndim}")
-    try:
-        eigvals, eigvecs = np.linalg.eigh(herm)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
-    return SpectralDecomposition(
-        eigenvalues=np.asarray(eigvals, dtype=float),
-        vectors=_normalize_phases(eigvecs.astype(np.complex128, copy=False)))
+    return _decompose(herm)
+
+
+def hermitian_part_eig(herm: np.ndarray) -> SpectralDecomposition:
+    """hermitian_eig of a matrix that already is the exact Hermitian part
+    require_hermitian returned, such as a stored block of a
+    BlockOperatorMatrix, without validating it again."""
+    return _decompose(herm)
 
 
 def hermitian_eigvals(mat) -> np.ndarray:
@@ -260,7 +262,7 @@ def hermitian_eigvals(mat) -> np.ndarray:
     """
     arr = np.asarray(mat)
     if arr.ndim != 3:
-        return _eigvalsh(_solver_input(arr))
+        return _eigvalsh(_solver_input(require_hermitian(arr)))
     vals = np.empty(arr.shape[:2])
     for part in stack_chunks(*arr.shape[:2]):
         herm = require_hermitian(arr[part])

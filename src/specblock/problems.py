@@ -9,17 +9,23 @@ A problem file is a JSON object with exactly one of:
   "kpar": ..., "g": x} where each field is an array of length grid_n or the
   name of a built-in shape ("constant", "linear", "sinusoidal").
 
+A row of a matrix may mix numbers and [re, im] pairs.
+
 Optional keys: ``rb`` = [a, b] overriding the relative-bound scan, ``alpha``,
 ``n_max``, and a free-form ``flags`` object.  JSON booleans are not numbers
-here: ``true`` where a number is expected is a parse error.  ``grid_n`` and
-``n_max`` must be JSON integers (``65``, not ``65.0`` or ``"65"``).  The
-``mhd`` command reads ``flags.squared_bands``, which must be a JSON boolean.
+here: ``true`` where a number is expected is a parse error.  Matrix entries,
+samples, ``rb``, ``alpha`` and ``g`` become doubles, so an integer outside
+double range (such as a 401-digit ``10**400``) is a parse error too.
+``grid_n`` and ``n_max`` must be JSON integers (``65``, not ``65.0`` or
+``"65"``).  The ``mhd`` command reads ``flags.squared_bands``, which must be
+a JSON boolean.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,38 +50,62 @@ class ProblemFile:
     raw: bytes = b""
 
 
+# The types json.loads gives a JSON number; bool, a subclass of int, is not one.
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _is_number(value) -> bool:
-    """A JSON number: int or float, but not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) in _NUMBER_TYPES
+
+
+def _all_numbers(values) -> bool:
+    return set(map(type, values)) <= _NUMBER_TYPES
 
 
 def _parse_entry(entry) -> complex:
     if _is_number(entry):
         return complex(entry)
     if (isinstance(entry, (list, tuple)) and len(entry) == 2
-            and all(_is_number(p) for p in entry)):
+            and _all_numbers(entry)):
         return complex(entry[0], entry[1])
     raise ParseError(f"matrix entry must be a number or [re, im] pair, got {entry!r}")
+
+
+def _parse_row(row: list) -> np.ndarray:
+    """One matrix row as complex128.  A row of numbers, or of [re, im] pairs,
+    is converted by one numpy call; the pairs are flattened to re, im, re, ...
+    and reinterpreted in place, so signed zeros keep their sign.  Any other
+    row goes entry by entry."""
+    kinds = set(map(type, row))
+    try:
+        if kinds <= _NUMBER_TYPES:
+            return np.array(row, dtype=float).astype(complex)
+        if kinds == {list} and set(map(len, row)) == {2}:
+            flat = list(chain.from_iterable(row))
+            if _all_numbers(flat):
+                return np.array(flat, dtype=float).view(np.complex128)
+        return np.array([_parse_entry(e) for e in row], dtype=complex)
+    except OverflowError as exc:
+        raise ParseError(f"invalid matrix entry: {exc}") from exc
 
 
 def parse_matrix_entries(rows) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ParseError("matrix must be a non-empty list of rows")
     # A flat list of scalars is accepted as a single row.
-    if all(_is_number(e) for e in rows):
+    if _all_numbers(rows):
         rows = [rows]
-    width = None
-    parsed = []
-    for row in rows:
+    out = None
+    for i, row in enumerate(rows):
         if not isinstance(row, list) or not row:
             raise ParseError("matrix rows must be non-empty lists")
-        values = [_parse_entry(e) for e in row]
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
+        values = _parse_row(row)
+        if out is None:
+            out = np.empty((len(rows), values.size), dtype=complex)
+        elif values.size != out.shape[1]:
             raise ParseError("matrix rows have inconsistent lengths")
-        parsed.append(values)
-    return np.array(parsed, dtype=complex)
+        out[i] = values
+    return out
 
 
 def read_csv_matrix(path: Path) -> np.ndarray:
@@ -136,9 +166,12 @@ def _parse_profile_field(name: str, value, grid_n: int) -> np.ndarray:
                 f"choose from {sorted(BUILTIN_FIELDS)}")
         return BUILTIN_FIELDS[value](np.linspace(0.0, 1.0, grid_n))
     if isinstance(value, list):
-        if not all(_is_number(v) for v in value):
+        if not _all_numbers(value):
             raise ParseError(f"{name} samples must be numbers")
-        arr = np.asarray(value, dtype=float)
+        try:
+            arr = np.asarray(value, dtype=float)
+        except OverflowError as exc:
+            raise ParseError(f"invalid {name} samples: {exc}") from exc
         if arr.size != grid_n:
             raise ParseError(f"{name} has {arr.size} samples, expected {grid_n}")
         return arr
@@ -149,7 +182,7 @@ def _parse_mhd(data) -> PlasmaProfile:
     if not isinstance(data, dict):
         raise ParseError("'mhd' must be an object")
     grid_n = data.get("grid_n")
-    if not isinstance(grid_n, int) or isinstance(grid_n, bool):
+    if type(grid_n) is not int:
         raise ParseError("'mhd' needs an integer grid_n")
     fields = {}
     for name in ("rho", "va2", "vs2", "kperp", "kpar"):
@@ -173,7 +206,9 @@ def load_problem(path) -> ProblemFile:
         raise ParseError(f"cannot read problem file {path}: {exc}") from exc
     try:
         data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides JSONDecodeError and UnicodeDecodeError (both ValueErrors):
+        # an integer literal over Python's digit limit, and nesting too deep.
         raise ParseError(f"problem file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("problem file must contain a JSON object")
@@ -189,7 +224,7 @@ def load_problem(path) -> ProblemFile:
     if "rb" in data:
         pair = data["rb"]
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(_is_number(v) for v in pair)):
+                or not _all_numbers(pair)):
             raise ParseError("'rb' must be a pair [a, b]")
         try:
             rb = RelativeBound(float(pair[0]), float(pair[1]))
@@ -197,12 +232,17 @@ def load_problem(path) -> ProblemFile:
             raise ParseError(f"invalid rb: {exc}") from exc
 
     alpha = data.get("alpha")
-    if alpha is not None and not _is_number(alpha):
-        raise ParseError("'alpha' must be a number")
+    if alpha is not None:
+        if not _is_number(alpha):
+            raise ParseError("'alpha' must be a number")
+        try:
+            alpha = float(alpha)
+        except OverflowError as exc:
+            raise ParseError(f"invalid alpha: {exc}") from exc
 
     n_max = data.get("n_max")
     if n_max is not None:
-        if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
+        if type(n_max) is not int or n_max < 1:
             raise ParseError("'n_max' must be a positive integer")
 
     flags = data.get("flags", {})
@@ -210,5 +250,5 @@ def load_problem(path) -> ProblemFile:
         raise ParseError("'flags' must be an object")
 
     return ProblemFile(block=block, profile=profile, rb=rb,
-                       alpha=None if alpha is None else float(alpha),
+                       alpha=alpha,
                        n_max=n_max, flags=flags, raw=raw)

@@ -116,6 +116,29 @@ class TestExitCodes:
             assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("text", [
+        # A 401-digit integer as a matrix entry, alpha and a rho sample.
+        json.dumps({"blocks": {"A": [[2, 0], [0, 10 ** 400]], "B": [[1], [1]],
+                               "C": [[-1]]}}),
+        json.dumps(dict(M3_PROBLEM, alpha=10 ** 400)),
+        json.dumps({"mhd": dict(MHD_PROBLEM["mhd"], grid_n=3,
+                                rho=[1.0, 10 ** 400, 1.0])}),
+        # Over Python's limit of 4300 digits for an integer literal.
+        '{"blocks": {"A": [[' + "1" * 5001 + ']], "B": [[0]], "C": [[0]]}}',
+        # Nesting deeper than the JSON decoder recurses.
+        '{"blocks": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ], ids=["matrix-entry", "alpha", "rho-sample", "digit-limit", "nesting"])
+    def test_unrepresentable_input_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        out = tmp_path / "r.json"
+        assert main(["enclose", "--input", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specblock: error: ")
+        assert err.count("\n") == 1
+        assert "0" * 40 not in err and "1" * 40 not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", [True, False])
     def test_squared_bands_flag(self, tmp_path, flag):
         path = write_problem(tmp_path, "p.json",

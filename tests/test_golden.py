@@ -87,20 +87,23 @@ def test_report_schema(tmp_path, selftest_42_runs, name):
     assert schema == SCHEMA[name]
 
 
-def test_run_report_decomposes_a_c_and_m_once_per_call(monkeypatch):
-    seen = []
-    original = linalg.hermitian_eig
-
-    def counting(mat):
+def spy_on(monkeypatch, function, seen):
+    """Append a copy of the matrix of every call of ``function`` to ``seen``.
+    Modules import functions by name; rebind it wherever it is held."""
+    def recording(mat):
         seen.append(np.array(mat, copy=True))
-        return original(mat)
+        return function(mat)
 
-    # Modules import the function by name; rebind it wherever it is held.
     for name, module in list(sys.modules.items()):
-        if (name.startswith("specblock")
-                and getattr(module, "hermitian_eig", None) is original):
-            monkeypatch.setattr(module, "hermitian_eig", counting)
+        if name.startswith("specblock"):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, recording)
 
+
+def block_forms():
+    """The seeded profile run_report gets below, and the forms in which its
+    blocks A, C and M can reach the linear algebra."""
     profile = profile_from_functions(lambda x: 1.0 + x, 1.0, 1.0, 1.0, 1.0,
                                      g=0.3, grid_n=33)
     ref = discretize(profile, 32).block
@@ -108,15 +111,36 @@ def test_run_report_decomposes_a_c_and_m_once_per_call(monkeypatch):
     # diag(I, iI)* M diag(I, iI) = [[A, -Im B], [-Im B^T, C]] instead of M.
     r = ref.B.imag
     similar = np.block([[ref.A.real, -r], [-r.T, ref.C.real]])
-    targets = {"A": [ref.A], "C": [ref.C], "M": [assemble(ref), similar]}
+    return profile, {"A": [ref.A], "C": [ref.C], "M": [assemble(ref), similar]}
 
-    def counts():
-        return {key: sum(any(x.shape == t.shape and np.array_equal(x, t)
-                             for t in forms)
-                         for x in seen)
-                for key, forms in targets.items()}
+
+def count_forms(seen, targets):
+    return {key: sum(any(x.shape == t.shape and np.array_equal(x, t)
+                         for t in forms)
+                     for x in seen)
+            for key, forms in targets.items()}
+
+
+def test_run_report_decomposes_a_c_and_m_once_per_call(monkeypatch):
+    profile, targets = block_forms()
+    seen = []
+    # eig_a and eig_c solve the stored Hermitian parts of A and C.
+    spy_on(monkeypatch, linalg.hermitian_eig, seen)
+    spy_on(monkeypatch, linalg.hermitian_part_eig, seen)
 
     run_report(profile, 32, 4)
-    assert counts() == {"A": 1, "C": 1, "M": 1}
+    assert count_forms(seen, targets) == {"A": 1, "C": 1, "M": 1}
     run_report(profile, 32, 4)
-    assert counts() == {"A": 2, "C": 2, "M": 2}
+    assert count_forms(seen, targets) == {"A": 2, "C": 2, "M": 2}
+
+
+def test_run_report_validates_a_and_c_once_per_call(monkeypatch):
+    profile, targets = block_forms()
+    del targets["M"]
+    seen = []
+    spy_on(monkeypatch, linalg.require_hermitian, seen)
+
+    run_report(profile, 32, 4)
+    assert count_forms(seen, targets) == {"A": 1, "C": 1}
+    run_report(profile, 32, 4)
+    assert count_forms(seen, targets) == {"A": 2, "C": 2}

@@ -1,9 +1,10 @@
 import json
+import random
 
 import numpy as np
 import pytest
 
-from specblock import ParseError
+from specblock import ParseError, problems
 from specblock.problems import load_problem, parse_matrix_entries, read_csv_matrix
 
 
@@ -33,6 +34,160 @@ class TestMatrixParsing:
     def test_bad_entry_rejected(self):
         with pytest.raises(ParseError):
             parse_matrix_entries([["x"]])
+
+    def test_mixed_row(self):
+        mat = parse_matrix_entries([[1, [0.5, -2]], [[3, 0], 4.25]])
+        assert mat.tolist() == [[1, 0.5 - 2j], [3, 4.25]]
+
+    def test_negative_zero_imaginary_part_keeps_its_sign(self):
+        for rows, signs in (([[1.0, [2.0, -0.0]]], [False, True]),
+                            ([[[2.0, -0.0], [1.0, 0.0]]], [True, False])):
+            mat = parse_matrix_entries(rows)
+            assert np.signbit(mat[0].imag).tolist() == signs
+
+    def test_negative_zero_real_part_keeps_its_sign(self):
+        mat = parse_matrix_entries([[-0.0, [-0.0, 1.0]]])
+        assert np.signbit(mat.real).all()
+
+    @pytest.mark.parametrize("value", [2 ** 53 + 1, 2 ** 64 + 1, 10 ** 30,
+                                       -(2 ** 63) - 1])
+    def test_large_integers_round_like_complex(self, value):
+        for rows in ([[value, 1]], [[[value, value], [1, 0]]],
+                     [[value, [1, value]]]):
+            mat = parse_matrix_entries(rows)
+            expected = [complex(*e) if isinstance(e, list) else complex(e)
+                        for e in rows[0]]
+            assert mat[0].tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("rows", [
+        [[10 ** 400]], [[1, 10 ** 400]], [[[1, 10 ** 400]]],
+        [[[1, 0], 10 ** 400]]])
+    def test_integer_outside_double_range_rejected(self, rows):
+        with pytest.raises(ParseError, match="invalid matrix entry"):
+            parse_matrix_entries(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[[True, 1]]], [[[1, 0], [True, 1]]], [[2, [True, 1]]]])
+    def test_boolean_inside_a_pair_rejected(self, rows):
+        with pytest.raises(ParseError, match=r"got \[True, 1\]"):
+            parse_matrix_entries(rows)
+
+    def test_ragged_row_before_a_bad_entry_raises_the_length_error(self):
+        with pytest.raises(ParseError, match="inconsistent lengths"):
+            parse_matrix_entries([[1, 2], [3], ["x", 4]])
+        with pytest.raises(ParseError, match="inconsistent lengths"):
+            parse_matrix_entries([[[1, 0], [2, 0]], [[3, 0]], [[True, 0]]])
+
+    def test_rows_of_pairs_skip_the_entry_loop(self, monkeypatch):
+        calls = []
+        original = problems._parse_entry
+
+        def counting(entry):
+            calls.append(entry)
+            return original(entry)
+
+        monkeypatch.setattr(problems, "_parse_entry", counting)
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((200, 200, 2))
+        mat = parse_matrix_entries(values.tolist())
+        assert calls == []
+        assert mat.tobytes() == values.tobytes()
+        parse_matrix_entries([[1, [2, 3]]])
+        assert calls == [1, [2, 3]]
+
+
+def reference_parse(rows):
+    """The matrix parser before rows were converted whole: entry by entry."""
+    def is_number(value):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    def parse_entry(entry):
+        if is_number(entry):
+            return complex(entry)
+        if (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and all(is_number(p) for p in entry)):
+            return complex(entry[0], entry[1])
+        raise ParseError(
+            f"matrix entry must be a number or [re, im] pair, got {entry!r}")
+
+    if not isinstance(rows, list) or not rows:
+        raise ParseError("matrix must be a non-empty list of rows")
+    if all(is_number(e) for e in rows):
+        rows = [rows]
+    width = None
+    parsed = []
+    for row in rows:
+        if not isinstance(row, list) or not row:
+            raise ParseError("matrix rows must be non-empty lists")
+        values = [parse_entry(e) for e in row]
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ParseError("matrix rows have inconsistent lengths")
+        parsed.append(values)
+    return np.array(parsed, dtype=complex)
+
+
+NUMBERS = [0, 1, -7, 2 ** 53 + 1, 2 ** 60, 2 ** 64 + 1, -(10 ** 30), 0.0, -0.0,
+           0.5, -2.75, 1e300, -1e-300, 5e-324, float("inf"), float("nan")]
+NOT_NUMBERS = [True, False, None, "1", "x", [], [1], [1, 2, 3], [True, 1],
+               [1, None], ["1", 2], [[1, 2]], {}, {"re": 1}]
+
+
+def random_entry(rng: random.Random, bad: float):
+    roll = rng.random()
+    if roll < bad:
+        return rng.choice(NOT_NUMBERS)
+    if roll < 0.5:
+        return rng.choice(NUMBERS)
+    return [rng.choice(NUMBERS), rng.choice(NUMBERS)]
+
+
+def random_rows(rng: random.Random):
+    """A matrix-like value: rows of numbers, of pairs or mixed, now and then
+    a bad entry, a ragged or empty row, a non-list row or a flat list."""
+    shape = rng.random()
+    bad = rng.choice([0.0, 0.0, 0.02, 0.2])
+    if shape < 0.03:
+        return rng.choice([[], None, 3, "rows", {}])
+    if shape < 0.12:
+        return [random_entry(rng, bad) for _ in range(rng.randint(1, 4))]
+    width = rng.randint(1, 4)
+    kind = rng.random()
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        n = width if rng.random() > 0.05 else rng.randint(0, 5)
+        if kind < 0.35:
+            row = [rng.choice(NUMBERS) for _ in range(n)]
+        elif kind < 0.7:
+            row = [[rng.choice(NUMBERS), rng.choice(NUMBERS)]
+                   for _ in range(n)]
+        else:
+            row = [random_entry(rng, 0.0) for _ in range(n)]
+        if row and rng.random() < bad:
+            row[rng.randrange(len(row))] = rng.choice(NOT_NUMBERS)
+        rows.append(row if rng.random() > 0.02 else rng.choice(NUMBERS))
+    return rows
+
+
+def outcome(parse, rows):
+    try:
+        mat = parse(rows)
+    except ParseError as exc:
+        return "error", str(exc)
+    return mat.shape, mat.dtype, mat.tobytes()
+
+
+def test_matches_the_entry_by_entry_parser():
+    rng = random.Random(20261018)
+    errors = 0
+    for _ in range(20_000):
+        rows = random_rows(rng)
+        expected = outcome(reference_parse, rows)
+        assert outcome(parse_matrix_entries, rows) == expected, rows
+        errors += expected[0] == "error"
+    # Both outcomes are exercised.
+    assert 2_000 < errors < 18_000
 
 
 class TestCsvMatrix:
