@@ -221,7 +221,11 @@ def _eigvalsh(herm: np.ndarray) -> np.ndarray:
         raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
 
 
-def _decompose(herm: np.ndarray) -> SpectralDecomposition:
+def hermitian_part_eig(herm: np.ndarray) -> SpectralDecomposition:
+    """Full eigendecomposition of ``herm``, which must already be the exact
+    Hermitian part require_hermitian returned, such as a stored block of a
+    BlockOperatorMatrix; it is not validated again.  hermitian_eig validates
+    its input and then solves it here."""
     try:
         eigvals, eigvecs = np.linalg.eigh(_solver_input(herm))
     except np.linalg.LinAlgError as exc:
@@ -241,14 +245,7 @@ def hermitian_eig(mat) -> SpectralDecomposition:
     herm = require_hermitian(mat)
     if herm.ndim != 2:
         raise ArgumentError(f"expected a 2-D array, got ndim = {herm.ndim}")
-    return _decompose(herm)
-
-
-def hermitian_part_eig(herm: np.ndarray) -> SpectralDecomposition:
-    """hermitian_eig of a matrix that already is the exact Hermitian part
-    require_hermitian returned, such as a stored block of a
-    BlockOperatorMatrix, without validating it again."""
-    return _decompose(herm)
+    return hermitian_part_eig(herm)
 
 
 def hermitian_eigvals(mat) -> np.ndarray:

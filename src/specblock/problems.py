@@ -72,15 +72,12 @@ def _parse_entry(entry) -> complex:
 
 
 def _parse_row(row: list) -> np.ndarray:
-    """One matrix row as complex128.  A row of numbers, or of [re, im] pairs,
-    is converted by one numpy call; the pairs are flattened to re, im, re, ...
-    and reinterpreted in place, so signed zeros keep their sign.  Any other
-    row goes entry by entry."""
-    kinds = set(map(type, row))
+    """One matrix row as complex128.  A row of [re, im] pairs is converted by
+    one numpy call: the pairs are flattened to re, im, re, ... and
+    reinterpreted in place, so signed zeros keep their sign.  Any other row
+    goes entry by entry."""
     try:
-        if kinds <= _NUMBER_TYPES:
-            return np.array(row, dtype=float).astype(complex)
-        if kinds == {list} and set(map(len, row)) == {2}:
+        if set(map(type, row)) == {list} and set(map(len, row)) == {2}:
             flat = list(chain.from_iterable(row))
             if _all_numbers(flat):
                 return np.array(flat, dtype=float).view(np.complex128)

@@ -124,8 +124,9 @@ def count_forms(seen, targets):
 def test_run_report_decomposes_a_c_and_m_once_per_call(monkeypatch):
     profile, targets = block_forms()
     seen = []
-    # eig_a and eig_c solve the stored Hermitian parts of A and C.
-    spy_on(monkeypatch, linalg.hermitian_eig, seen)
+    # Every full eigendecomposition ends in hermitian_part_eig: eig_a and
+    # eig_c call it on the stored Hermitian parts of A and C, hermitian_eig
+    # on the validated M.
     spy_on(monkeypatch, linalg.hermitian_part_eig, seen)
 
     run_report(profile, 32, 4)
