@@ -277,36 +277,68 @@ def relative_bound_margin(block: BlockOperatorMatrix,
 
 
 def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
-    """Scan a over 21 points of [0, a_max] and keep the pair with the tightest
-    inclusion window.
+    """The pair (a, b) with the tightest inclusion window over 21 points of
+    [0, a_max], found without solving the points that cannot win.
 
-    a_max = lambda_max(BB*) / max(lambda_min(A), tol); the window width is
-    evaluated at mu = min sigma(A).  Ties resolve to the smallest a.  Each
-    point's b is minimal_b_for_a's, from stacked eigensolves of BB* - aA.
+    a_max = lambda_max(BB*) / max(lambda_min(A), tol).  Point a gets
+    minimal_b_for_a's b(a) = max(0, lambda_max(BB* - aA)) and the window
+    width 2 sqrt(disc(a)) at mu = min sigma(A), where
+    disc(a) = ((mu - c)/2)^2 + a(a + c) + b(a).  Points with disc < 0 are
+    skipped, ties go to the smallest a, and with no valid point the result
+    is the pair at a = 0.  An empty A or a zero coupling gives (0, 0).
+
+    disc is convex in a: lambda_max of the affine family BB* - aA is
+    convex, and so are max(0, .) of it and a(a + c).  The grid is solved
+    left to right in the chunks of stack_chunks (one chunk up to n1 = 55),
+    and the scan stops after the chunk in which disc rises by more than
+    4 eps_s from one point to a valid next point k, with
+    eps_s = (n1 + 4) eps S and
+    S = lambda_max(BB*) + a_max max|sigma(A)| + ((mu - c)/2)^2
+        + a_max (a_max + |c|),
+    a bound on every term of every disc on the grid.  Each computed disc is
+    within (n1 + 3) eps S of the exact one: n1 eps S for the eigensolve
+    (LAPACK's backward error, taken as n1 eps ||BB* - aA||) and under
+    3 eps S for forming BB* - aA and the sums.  So the exact rise into k
+    exceeds (2 n1 + 10) eps S.  The steps of the grid agree to a relative
+    21 eps, so by convexity every later exact disc exceeds disc(k) by more
+    than 2 (n1 + 3) eps S, and every later computed disc is above the
+    computed disc(k) the scan has already seen.  The result is therefore
+    the full scan's (a, b) bit for bit.  If S overflows, the scan is full.
     """
+    if block.n1 == 0:
+        return RelativeBound(0.0, 0.0)
     lam_bbs = float(hermitian_eigvals(block.coupling_gram())[-1])
     if lam_bbs <= 0.0:
         return RelativeBound(0.0, 0.0)
-    mu = float(block.eig_a.eigenvalues[0])
+    spec_a = block.eig_a.eigenvalues
+    mu = float(spec_a[0])
     c = block.c
     denom = max(mu, matrix_tol(block.A), base_tol())
     a_max = lam_bbs / denom
     grid = np.linspace(0.0, a_max, 21)
-    lam_max = np.concatenate([
-        hermitian_eigvals(_gram_gap(block, grid[part, None, None]))[:, -1]
-        for part in stack_chunks(grid.size, block.n1)])
-    bounds = [RelativeBound(float(a), max(0.0, float(top)))
-              for a, top in zip(grid, lam_max)]
-    best = None
-    best_width = np.inf
-    for rb in bounds:
-        disc = ((mu - c) / 2.0) ** 2 + rb.a * (rb.a + c) + rb.b
-        if disc < 0.0:
-            continue
-        width = 2.0 * np.sqrt(disc)
-        if width < best_width:
-            best, best_width = rb, width
-    return best if best is not None else bounds[0]
+    offset = ((mu - c) / 2.0) ** 2
+    scale = (lam_bbs + a_max * max(-mu, float(spec_a[-1])) + offset
+             + a_max * (a_max + abs(c)))
+    stop_rise = 4.0 * (block.n1 + 4) * np.finfo(float).eps * scale
+    tops = np.empty(grid.size)
+    best, best_width, prev = 0, np.inf, np.nan
+    for part in stack_chunks(grid.size, block.n1):
+        a = grid[part]
+        top = hermitian_eigvals(_gram_gap(block, a[:, None, None]))[:, -1]
+        tops[part] = top
+        # disc overflows to inf at extreme scales; such a point cannot win.
+        with np.errstate(over="ignore", invalid="ignore"):
+            disc = offset + a * (a + c) + np.where(top > 0.0, top, 0.0)
+            valid = disc >= 0.0
+            width = 2.0 * np.sqrt(np.where(valid, disc, np.inf))
+            rises = np.diff(disc, prepend=prev)
+        i = int(np.argmin(width))
+        if width[i] < best_width:
+            best, best_width = part.start + i, width[i]
+        if np.any(valid & (rises > stop_rise)):
+            break
+        prev = disc[-1]
+    return RelativeBound(float(grid[best]), max(0.0, float(tops[best])))
 
 
 def landmarks(block: BlockOperatorMatrix) -> SpectralLandmarks:

@@ -44,6 +44,7 @@ __all__ = [
     "PlasmaProfile",
     "MhdDiscretization",
     "BUILTIN_FIELDS",
+    "check_grid_n",
     "constant_profile",
     "profile_from_functions",
     "discretize",
@@ -59,6 +60,12 @@ BUILTIN_FIELDS = {
     "linear": lambda x: 1.0 + x,
     "sinusoidal": lambda x: 1.0 + 0.5 * np.sin(np.pi * x),
 }
+
+
+def check_grid_n(grid_n: int) -> None:
+    """Raise ProfileError unless a profile grid of grid_n points is long enough."""
+    if grid_n < 3:
+        raise ProfileError("profile grid needs at least 3 points")
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,7 @@ class PlasmaProfile:
             if arr.size and not np.all(np.isfinite(arr)):
                 raise ProfileError(f"{name} contains non-finite samples")
             fields[name] = arr
-        if length is None or length < 3:
-            raise ProfileError("profile grid needs at least 3 points")
+        check_grid_n(length)
         if not np.isfinite(self.g):
             raise ProfileError("g must be finite")
         if np.min(fields["rho"]) <= 0.0:

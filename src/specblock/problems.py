@@ -17,7 +17,7 @@ here: ``true`` where a number is expected is a parse error.  Matrix entries,
 samples, ``rb``, ``alpha`` and ``g`` become doubles, so an integer outside
 double range (such as a 401-digit ``10**400``) is a parse error too.
 ``grid_n`` and ``n_max`` must be JSON integers (``65``, not ``65.0`` or
-``"65"``).  The ``mhd`` command reads ``flags.squared_bands``, which must be
+``"65"``), and ``grid_n`` at least 3.  The ``mhd`` command reads ``flags.squared_bands``, which must be
 a JSON boolean.
 """
 
@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .blocks import BlockOperatorMatrix, RelativeBound
-from .errors import ParseError
-from .mhd import BUILTIN_FIELDS, PlasmaProfile
+from .errors import ParseError, ProfileError
+from .mhd import BUILTIN_FIELDS, PlasmaProfile, check_grid_n
 
 __all__ = ["ProblemFile", "load_problem", "parse_matrix_entries", "read_csv_matrix"]
 
@@ -161,7 +161,11 @@ def _parse_profile_field(name: str, value, grid_n: int) -> np.ndarray:
             raise ParseError(
                 f"unknown built-in {value!r} for {name}; "
                 f"choose from {sorted(BUILTIN_FIELDS)}")
-        return BUILTIN_FIELDS[value](np.linspace(0.0, 1.0, grid_n))
+        try:
+            x = np.linspace(0.0, 1.0, grid_n)
+        except ValueError as exc:  # a grid numpy cannot allocate
+            raise ParseError(f"cannot sample {name}: {exc}") from exc
+        return BUILTIN_FIELDS[value](x)
     if isinstance(value, list):
         if not _all_numbers(value):
             raise ParseError(f"{name} samples must be numbers")
@@ -181,6 +185,10 @@ def _parse_mhd(data) -> PlasmaProfile:
     grid_n = data.get("grid_n")
     if type(grid_n) is not int:
         raise ParseError("'mhd' needs an integer grid_n")
+    try:
+        check_grid_n(grid_n)
+    except ProfileError as exc:
+        raise ParseError(f"invalid profile: {exc}") from exc
     fields = {}
     for name in ("rho", "va2", "vs2", "kperp", "kpar"):
         if name not in data:

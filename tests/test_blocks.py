@@ -257,22 +257,65 @@ class TestRelativeBound:
         rb = best_relative_bound(block)
         assert rb.a == 0.0 and rb.b == 0.0
 
+    def test_best_scan_empty_a(self):
+        block = BlockOperatorMatrix(A=np.zeros((0, 0)), B=np.zeros((0, 2)),
+                                    C=np.eye(2))
+        assert best_relative_bound(block) == RelativeBound(0.0, 0.0)
 
-def reference_best_relative_bound(block):
-    """The scan one a at a time through minimal_b_for_a."""
+
+def scan_grid(block):
+    """The 21 grid points of the scan and disc at each, one a at a time
+    through minimal_b_for_a."""
     lam_bbs = float(hermitian_eigvals(block.coupling_gram())[-1])
-    if lam_bbs <= 0.0:
-        return RelativeBound(0.0, 0.0)
     mu = float(block.eig_a.eigenvalues[0])
     c = block.c
     denom = max(mu, matrix_tol(block.A), base_tol())
-    best, best_width = None, np.inf
+    points = []
     for a in np.linspace(0.0, lam_bbs / denom, 21):
         rb = minimal_b_for_a(block, float(a))
-        disc = ((mu - c) / 2.0) ** 2 + rb.a * (rb.a + c) + rb.b
+        points.append((rb, ((mu - c) / 2.0) ** 2 + rb.a * (rb.a + c) + rb.b))
+    return points
+
+
+def reference_best_relative_bound(block):
+    """The full scan, one a at a time through minimal_b_for_a."""
+    if float(hermitian_eigvals(block.coupling_gram())[-1]) <= 0.0:
+        return RelativeBound(0.0, 0.0)
+    points = scan_grid(block)
+    best, best_width = points[0][0], np.inf
+    for rb, disc in points:
         if disc >= 0.0 and 2.0 * np.sqrt(disc) < best_width:
             best, best_width = rb, 2.0 * np.sqrt(disc)
-    return best if best is not None else minimal_b_for_a(block, 0.0)
+    return best
+
+
+def scan_block(seed, spectrum_a, top_c, n2=20, coupling=0.3):
+    """A with the given spectrum in a random unitary basis, a complex
+    Gaussian B of the given scale and a diagonal C with max sigma(C) = top_c."""
+    rng = np.random.default_rng(seed)
+    n1 = spectrum_a.size
+    q, _ = np.linalg.qr(rng.standard_normal((n1, n1))
+                        + 1j * rng.standard_normal((n1, n1)))
+    b = coupling * (rng.standard_normal((n1, n2))
+                    + 1j * rng.standard_normal((n1, n2)))
+    return BlockOperatorMatrix(A=(q * spectrum_a) @ q.conj().T, B=b,
+                               C=np.diag(top_c - np.arange(n2, dtype=float)))
+
+
+def count_grid_solves(monkeypatch, block):
+    """best_relative_bound(block) and the number of matrices it hands to
+    eigvalsh besides B B*."""
+    solved = []
+    original = np.linalg.eigvalsh
+
+    def spy(mat, *args, **kwargs):
+        solved.append(1 if np.ndim(mat) == 2 else len(mat))
+        return original(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    rb = best_relative_bound(block)
+    monkeypatch.undo()
+    return rb, sum(solved) - 1
 
 
 class TestStackedRelativeBoundScan:
@@ -301,6 +344,74 @@ class TestStackedRelativeBoundScan:
         rb = best_relative_bound(block)
         assert rb == reference_best_relative_bound(block)
         assert rb.a > 0.0 and rb.b > 0.0
+
+    # Chunks of 18, 4 and 1 grid matrices; top_c places the argmin of disc
+    # at the first point, inside the grid or at the last point.
+    @pytest.mark.parametrize("n1", [60, 120, 200])
+    @pytest.mark.parametrize("top_c, where", [(50.0, "first"),
+                                              (-20.0, "interior"),
+                                              (-1000.0, "last")])
+    def test_several_chunks(self, monkeypatch, n1, top_c, where):
+        block = scan_block(n1, np.linspace(1.0, 10.0, n1), top_c)
+        rb, solved = count_grid_solves(monkeypatch, block)
+        assert rb == reference_best_relative_bound(block)
+        index = [p.a for p, _ in scan_grid(block)].index(rb.a)
+        assert {"first": index == 0, "interior": 0 < index < 20,
+                "last": index == 20}[where]
+        assert solved == 21 if where == "last" else solved < 21
+
+    @pytest.mark.parametrize("n1", [60, 120, 200])
+    def test_negative_disc_points_are_skipped(self, n1):
+        # A has -1 in a channel that B does not reach, and c < 0 puts the
+        # exact zero of disc at grid point 1, where rounding makes it < 0
+        # for this seed.
+        rng = np.random.default_rng(6)
+        a = np.diag(np.concatenate([[-1.0], rng.uniform(1.0, 10.0, n1 - 1)]))
+        b = rng.standard_normal((n1, 6))
+        b[0] = 0.0
+        a_max = float(hermitian_eigvals(b @ b.T)[-1]) / matrix_tol(a)
+        top = 1.0 + 2.0 * np.linspace(0.0, a_max, 21)[1]
+        block = BlockOperatorMatrix(A=a, B=b,
+                                    C=np.diag(-top - np.arange(6.0)))
+        assert block.c < 0.0
+        discs = [disc for _, disc in scan_grid(block)]
+        assert discs[1] < 0.0 and min(discs[2:]) > 0.0
+        rb = best_relative_bound(block)
+        assert rb == reference_best_relative_bound(block)
+        assert rb.a == scan_grid(block)[2][0].a
+
+    @pytest.mark.parametrize("n1", [120, 200])
+    def test_rises_at_rounding_level_do_not_end_the_scan(self, n1):
+        # A = 1e8 I and c = 1e8 - a_max: the exact disc varies by about
+        # 1e-13 over the grid, so the computed one rises and falls with
+        # rounding before its minimum.
+        block = scan_block(n1, np.full(n1, 1e8), 0.0)
+        a_max = scan_grid(block)[-1][0].a
+        block = BlockOperatorMatrix(
+            A=block.A, B=block.B, C=np.diag(1e8 - a_max - np.arange(20.0)))
+        rb = best_relative_bound(block)
+        assert rb == reference_best_relative_bound(block)
+        points = scan_grid(block)
+        index = [p.a for p, _ in points].index(rb.a)
+        assert np.any(np.diff([disc for _, disc in points])[:index] > 0.0)
+
+    @pytest.mark.parametrize("n1", [8, 60, 200])
+    def test_tiny_coupling(self, n1):
+        block = scan_block(n1, 1.0 + np.arange(n1) ** 2 / 2.0, -2.0,
+                           coupling=1e-5)
+        assert scan_grid(block)[-1][0].a <= 1e-6
+        assert best_relative_bound(block) == reference_best_relative_bound(block)
+
+    def test_block_sweep_shape_solves_three_grid_points(self, monkeypatch):
+        # The shape of the benchmark's block-sweep input: A with the ladder
+        # 1 + k^2/2, max sigma(C) = -2 and B of scale 0.3.  The minimum of
+        # disc is at grid point 1, and the rise to point 2 ends the scan.
+        block = scan_block(43, 1.0 + np.arange(200) ** 2 / 2.0, -2.0,
+                           n2=100, coupling=0.3 / np.sqrt(2.0))
+        rb, solved = count_grid_solves(monkeypatch, block)
+        assert rb == reference_best_relative_bound(block)
+        assert rb.a == scan_grid(block)[1][0].a
+        assert solved <= 3
 
 
 class TestLandmarks:

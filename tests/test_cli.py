@@ -101,6 +101,10 @@ class TestExitCodes:
         (["mhd"], dict(MHD_PROBLEM, flags={"squared_bands": "false"})),
         (["mhd"], dict(MHD_PROBLEM, flags={"squared_bands": 0})),
         (["mhd"], dict(MHD_PROBLEM, flags={"squared_bands": [1]})),
+        # Grids numpy rejects before allocating anything.
+        (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n=-1)}),
+        (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n=2 ** 62)}),
+        (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n=10 ** 400)}),
     ])
     def test_invalid_numbers_exit_2(self, tmp_path, capsys, args, problem):
         if problem is not None:
