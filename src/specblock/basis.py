@@ -23,7 +23,7 @@ from .linalg import (
     Interval,
     hermitian_eig,
     hermitian_eigvals,
-    spectral_projector,
+    operator_norm,
 )
 from .subspaces import AngularOperator, GraphSubspace
 from .tolerance import (
@@ -42,6 +42,7 @@ __all__ = [
     "BariRecord",
     "BariReport",
     "riesz_check",
+    "projector_distance",
     "projection_decay",
     "aligned_term",
     "bari_sum",
@@ -172,10 +173,16 @@ def _isolation_radius(value: float, spectrum: np.ndarray) -> float:
     return 0.5 * float(np.min(np.abs(rest - value)))
 
 
+def _cluster_columns(block: BlockOperatorMatrix, index: int) -> np.ndarray:
+    """Orthonormal eigenvectors of A spanning the cluster of its index-th
+    eigenvalue."""
+    labels = block.a_clusters
+    return block.eig_a.vectors[:, labels == labels[index]]
+
+
 def _cluster_projector(block: BlockOperatorMatrix, index: int) -> np.ndarray:
     """Eigenprojector of A onto the cluster of its index-th eigenvalue."""
-    labels = block.a_clusters
-    cols = block.eig_a.vectors[:, labels == labels[index]]
+    cols = _cluster_columns(block, index)
     return cols @ cols.conj().T
 
 
@@ -186,15 +193,41 @@ def _check_range(marks: SpectralLandmarks, n_max: int) -> None:
             f"n_max = {n_max} is outside 1..{marks.rungs}, the rungs above c")
 
 
+def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """‖E - F‖ for the orthogonal projectors E = UU* and F = VV* onto the
+    spans of the orthonormal columns ``u`` and ``v``, without forming them.
+
+    For subspaces of equal dimension r, ‖E - F‖ = ‖(I - F)E‖ = sin of the
+    largest principal angle (Golub-Van Loan, Matrix Computations, 2.5.3),
+    and ‖(I - F)E‖ = ‖(I - F)U‖ = ‖U - V(V*U)‖ because U is an isometry:
+    a vector norm for r = 1 and the largest singular value of an n x r
+    matrix otherwise.  Subspaces of different dimensions are at distance
+    exactly 1 (Kato, Perturbation Theory, I 6.8).  The residual U - V(V*U)
+    keeps small angles accurate, which sqrt(1 - sigma_min(V*U)^2) would
+    lose to cancellation.
+    """
+    if u.shape[1] != v.shape[1]:
+        return 1.0
+    resid = u - v @ (v.conj().T @ u)
+    if u.shape[1] == 1:
+        return float(np.linalg.norm(resid))
+    return operator_norm(resid)
+
+
 def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
                      n_max: int, rb: RelativeBound) -> DecayReport:
     """Compare eigenprojectors of A with Schur-complement spectral projectors.
 
     For each of the first ``n_max`` eigenvalues above c: the isolation radius
-    gamma_n, the projector of the Schur complement at lambda_n onto
-    (-gamma_n, gamma_n), the eigenprojector of A at mu_{kappa+n}, the operator
-    norm of their difference, and the circle-maximized delta_n.  The circle is
-    sampled at 128 equally spaced angles.
+    gamma_n, the projector F of the Schur complement at lambda_n onto
+    (-gamma_n, gamma_n), the eigenprojector E of A at mu_{kappa+n}, the
+    operator norm of their difference, and the circle-maximized delta_n.  The
+    circle is sampled at 128 equally spaced angles.
+
+    ‖E - F‖ comes from the bases alone (projector_distance): the
+    eigenvectors V of the Schur complement in the window and the cluster
+    columns U of A give ‖U - V(V*U)‖ when they have as many columns, and
+    exactly 1 when they do not; no n1 x n1 projector is formed.
     """
     _check_range(marks, n_max)
     spec_a = block.eig_a.eigenvalues
@@ -211,12 +244,11 @@ def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
                 f"eigenvalue {lam:.12g} collides with a neighbour "
                 f"(gamma = {gamma:.3e})")
         mu = float(spec_a[marks.kappa + n - 1])
-        s = schur_complement(block, lam)
-        f_proj = spectral_projector(
-            hermitian_eig(s), Interval(-gamma, gamma, open_lo=True, open_hi=True))
-        e_proj = _cluster_projector(block, marks.kappa + n - 1)
-        # E - F is Hermitian, so its norm is its largest |eigenvalue|
-        diff_norm = float(np.max(np.abs(hermitian_eigvals(e_proj - f_proj))))
+        s_dec = hermitian_eig(schur_complement(block, lam))
+        window = Interval(-gamma, gamma, open_lo=True, open_hi=True)
+        diff_norm = projector_distance(
+            _cluster_columns(block, marks.kappa + n - 1),
+            s_dec.vectors[:, s_dec.window_mask(window)])
         zs = lam + gamma * np.exp(1j * angles)
         dists = np.abs(zs[:, None] - spec_a[None, :]).min(axis=1)
         delta = float(np.max(

@@ -113,17 +113,26 @@ class BlockOperatorMatrix:
         return float(self.eig_c.eigenvalues[-1])
 
     @cached_property
+    def real_form(self) -> bool:
+        """A and C are real and B is purely real or purely imaginary (B = R or
+        B = iR with R real); -0.0 counts as zero."""
+        return not (np.count_nonzero(self.A.imag)
+                    or np.count_nonzero(self.C.imag)
+                    or (np.count_nonzero(self.B.real)
+                        and np.count_nonzero(self.B.imag)))
+
+    @cached_property
     def eig_m(self) -> SpectralDecomposition:
         """Eigendecomposition of the assembled matrix.
 
-        When A and C are real and B = iR is purely imaginary, M = D M' D*
+        For a real-form block with B = iR purely imaginary, M = D M' D*
         with D = diag(I, iI) and the real symmetric M' = [[A, -R], [-R^T, C]];
         M' is solved instead and each eigenvector w maps to [w1; i w2].  A
         real B makes M itself real, which hermitian_eig solves as such.
         """
         r = self.B.imag
-        if (np.count_nonzero(self.A.imag) or np.count_nonzero(self.C.imag)
-                or np.count_nonzero(self.B.real) or not np.count_nonzero(r)):
+        if (not self.real_form or np.count_nonzero(self.B.real)
+                or not np.count_nonzero(r)):
             return _frozen_eig(hermitian_eig(assemble(self)))
         similar = np.block([[self.A.real, -r], [-r.T, self.C.real]])
         diagonal = np.concatenate([np.ones(self.n1), np.full(self.n2, 1j)])
@@ -131,8 +140,16 @@ class BlockOperatorMatrix:
 
     @cached_property
     def coupling_in_c_basis(self) -> np.ndarray:
-        """B V_C, the coupling in the eigenbasis of C."""
-        return _frozen(self.B @ self.eig_c.vectors)
+        """A factor W with W diag(d) W* = (B V_C) diag(d) (B V_C)* for real d.
+
+        W = B V_C, the coupling in the eigenbasis of C, in complex128.  A
+        real-form block has real eigenvectors V_C, and W is the float64
+        R Re(V_C) for B = R or B = iR: the factor i cancels in W diag(d) W*.
+        """
+        if not self.real_form:
+            return _frozen(self.B @ self.eig_c.vectors)
+        r = self.B.imag if np.count_nonzero(self.B.imag) else self.B.real
+        return _frozen(r @ self.eig_c.vectors.real)
 
     @cached_property
     def _gram(self) -> np.ndarray:
@@ -197,7 +214,10 @@ def schur_complement(block: BlockOperatorMatrix, lam,
     The shift must keep its distance from sigma(C); zero eigenvalues of the
     result detect spectrum of the assembled matrix away from sigma(C).  The
     inverse is applied in the eigenbasis of C:
-    B (C - lam I)^{-1} B* = (B V) diag(1/(gamma_i - lam)) (B V)*.
+    B (C - lam I)^{-1} B* = W diag(1/(gamma_i - lam)) W* with W the
+    block's coupling_in_c_basis.  For a real-form block W and A are real and
+    the result is float64, otherwise complex128; the real arithmetic may
+    differ from the complex one in the last digits.
 
     ``lam`` may be a 1-D array of shifts: the result is then the stack
     (k, n1, n1) of the Schur complements, each equal bit for bit to the one
@@ -216,10 +236,11 @@ def schur_complement(block: BlockOperatorMatrix, lam,
             raise SingularShiftError(
                 f"shift {float(lams[near.argmax()]):.12g} is within {tol:.3e} "
                 "of sigma(C)")
-    bv = block.coupling_in_c_basis
+    w = block.coupling_in_c_basis
+    a = block.A.real if w.dtype == np.float64 else block.A
     gaps = spec_c - lams[:, None]
-    s = (block.A - lams[:, None, None] * np.eye(block.n1)
-         - (bv / gaps[:, None, :]) @ bv.conj().T)
+    s = (a - lams[:, None, None] * np.eye(block.n1)
+         - (w / gaps[:, None, :]) @ w.conj().T)
     s = 0.5 * (s + s.conj().swapaxes(-2, -1))
     return s if shifts.ndim else s[0]
 

@@ -11,7 +11,11 @@ Hermitian part has an all-zero imaginary part runs the real symmetric LAPACK
 driver on the real part; its eigenvalues and vectors may differ from the
 complex driver's in the last digits, and the vectors are returned as
 complex128 under the same phase convention.  Real input, and complex input
-with an all-zero imaginary part, is validated in float64.
+with an all-zero imaginary part, is validated in float64.  The SVDs behind
+``pseudo_inverse`` and ``operator_norm`` follow the same rule (the norm of a
+purely imaginary iY is taken from Y), with the same last-digit caveat and
+unchanged return types.  Blocks in real form also get float64 Schur
+complements (``blocks.schur_complement``).
 
 ``require_hermitian`` and ``hermitian_eigvals`` also take a stack (k, n, n)
 of matrices, such as one matrix per shift of a scan.  Each matrix is checked
@@ -208,10 +212,10 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solver_input(herm: np.ndarray) -> np.ndarray:
-    """An exact Hermitian part as float64 when its imaginary part is all zero
-    (-0.0 included), so LAPACK runs the real symmetric driver."""
-    return herm if np.count_nonzero(herm.imag) else herm.real
+def _solver_input(mat: np.ndarray) -> np.ndarray:
+    """``mat`` as float64 when its imaginary part is all zero (-0.0
+    included), so LAPACK runs its real driver."""
+    return mat if np.count_nonzero(mat.imag) else mat.real
 
 
 def _eigvalsh(herm: np.ndarray) -> np.ndarray:
@@ -295,11 +299,12 @@ def pseudo_inverse(mat, tol: float = PINV_REL) -> np.ndarray:
         raise ArgumentError("pseudo-inverse tolerance must be positive")
     if arr.size == 0:
         return np.zeros((arr.shape[1], arr.shape[0]), dtype=np.complex128)
-    u, s, vh = np.linalg.svd(arr, full_matrices=False)
+    u, s, vh = np.linalg.svd(_solver_input(arr), full_matrices=False)
     keep = s > tol * s[0] if s[0] > 0.0 else np.zeros(s.shape, dtype=bool)
     if not np.any(keep):
         return np.zeros((arr.shape[1], arr.shape[0]), dtype=np.complex128)
-    return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+    pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+    return pinv.astype(np.complex128, copy=False)
 
 
 def general_eig(mat, return_vectors: bool = False):
@@ -330,10 +335,14 @@ def spectral_distance(x, spectrum) -> float:
 
 
 def operator_norm(mat) -> float:
-    """Largest singular value."""
+    """Largest singular value; a purely imaginary iY has the norm of Y."""
     arr = as_matrix(mat)
     if arr.size == 0:
         return 0.0
+    if not np.count_nonzero(arr.imag):
+        arr = arr.real
+    elif not np.count_nonzero(arr.real):
+        arr = arr.imag
     return float(np.linalg.norm(arr, 2))
 
 

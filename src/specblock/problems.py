@@ -174,7 +174,9 @@ def _parse_profile_field(name: str, value, grid_n: int) -> np.ndarray:
         except OverflowError as exc:
             raise ParseError(f"invalid {name} samples: {exc}") from exc
         if arr.size != grid_n:
-            raise ParseError(f"{name} has {arr.size} samples, expected {grid_n}")
+            # grid_n may be any JSON integer; one that long is not echoed.
+            expected = grid_n if grid_n <= 10 ** 9 else "more than 10^9"
+            raise ParseError(f"{name} has {arr.size} samples, expected {expected}")
         return arr
     raise ParseError(f"{name} must be an array or a built-in name")
 

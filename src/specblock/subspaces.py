@@ -18,6 +18,7 @@ from .blocks import BlockOperatorMatrix, RelativeBound
 from .errors import ArgumentError, HypothesisError, NotAGraphError
 from .linalg import (
     Interval,
+    _solver_input,
     operator_norm,
     pseudo_inverse,
     spectral_distance,
@@ -60,8 +61,9 @@ class GraphSubspace:
 
     @cached_property
     def first_singular_values(self) -> np.ndarray:
-        """Singular values of the first-component block, computed once."""
-        return np.linalg.svd(self.basis_first, compute_uv=False)
+        """Singular values of the first-component block, computed once; a
+        block with an all-zero imaginary part is solved in float64."""
+        return np.linalg.svd(_solver_input(self.basis_first), compute_uv=False)
 
     def stacked(self) -> np.ndarray:
         return np.vstack((self.basis_first, self.basis_second))

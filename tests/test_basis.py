@@ -15,7 +15,20 @@ from specblock import (
     riesz_check,
     spectral_subspace,
 )
-from specblock.basis import BariReport, DecayRecord, DecayReport
+from pathlib import Path
+
+import mpmath
+
+from specblock.basis import (
+    BariReport,
+    DecayRecord,
+    DecayReport,
+    projector_distance,
+)
+from specblock.blocks import best_relative_bound, schur_complement
+from specblock.linalg import Interval, hermitian_eig
+from specblock.mhd import discretize, profile_from_functions
+from specblock.problems import load_problem
 from specblock.selftest import separated_block
 from specblock.tolerance import SLACK
 
@@ -100,6 +113,107 @@ class TestProjectionDecay:
         marks = landmarks(m3)
         with pytest.raises(ArgumentError):
             projection_decay(m3, marks, 5, rb=RelativeBound(0.0, 2.0))
+
+
+def dense_projector_distance(u, v):
+    """The former dense rule: max |eigvalsh(E - F)| for E = UU*, F = VV*."""
+    diff = u @ u.conj().T - v @ v.conj().T
+    return float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def random_isometry(rng, n, r):
+    z = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    return np.linalg.qr(z)[0]
+
+
+class TestProjectorDistance:
+    """‖E - F‖ from the bases of E and F against the dense eigensolve."""
+
+    @pytest.mark.parametrize("n, ranks", [
+        pytest.param(n, ranks, id=f"n{n}-rank{ranks[0]}x{ranks[1]}")
+        for n in (1, 2, 5, 40)
+        for ranks in ((1, 1), (2, 2), (1, 2), (2, 0)) if max(ranks) <= n])
+    def test_matches_the_dense_norm(self, rng, n, ranks):
+        for _ in range(5):
+            u = random_isometry(rng, n, ranks[0])
+            v = random_isometry(rng, n, ranks[1])
+            got = projector_distance(u, v)
+            if ranks[0] != ranks[1]:
+                assert got == 1.0
+                assert dense_projector_distance(u, v) == pytest.approx(
+                    1.0, abs=1e-13)
+            else:
+                assert abs(got - dense_projector_distance(u, v)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_nearby_subspaces(self, rng, n):
+        u = random_isometry(rng, n, 2)
+        for eps in (1e-2, 1e-5):
+            v = np.linalg.qr(u + eps * random_isometry(rng, n, 2))[0]
+            assert abs(projector_distance(u, v)
+                       - dense_projector_distance(u, v)) <= 1e-13
+
+    def test_small_angle_against_mpmath(self):
+        # u and v at the angle theta: ‖E - F‖ = sin(theta) exactly.
+        theta = 1e-7
+        u = np.array([[1.0], [0.0], [0.0]], dtype=complex)
+        v = np.array([[np.cos(theta)], [1j * np.sin(theta)], [0.0]])
+        with mpmath.workdps(50):
+            uu = mpmath.matrix([[1], [0], [0]])
+            vv = mpmath.matrix([[mpmath.mpf(float(v[0, 0].real))],
+                                [mpmath.mpc(0, float(v[1, 0].imag))], [0]])
+            vv = vv / mpmath.norm(vv)
+            overlap = sum(mpmath.conj(vv[i]) * uu[i] for i in range(3))
+            want = mpmath.norm(uu - vv * overlap)
+            want = float(want)
+        got = projector_distance(u, v)
+        assert abs(got - want) <= 1e-15 * want
+        assert abs(dense_projector_distance(u, v) - want) > abs(got - want)
+
+    def test_empty_subspaces_coincide(self):
+        assert projector_distance(np.zeros((3, 0)), np.zeros((3, 0))) == 0.0
+
+
+def reference_decay_norms(block, marks, n_max):
+    """proj_diff_norm of each rung from dense projectors E and F."""
+    norms = []
+    spec_m = block.eig_m.eigenvalues
+    for n in range(1, n_max + 1):
+        lam = float(marks.lambda_above_c[n - 1])
+        rest = np.delete(spec_m, np.argmin(np.abs(spec_m - lam)))
+        gamma = 0.5 * float(np.min(np.abs(rest - lam)))
+        dec = hermitian_eig(schur_complement(block, lam))
+        v = dec.vectors[:, dec.window_mask(
+            Interval(-gamma, gamma, open_lo=True, open_hi=True))]
+        labels = block.a_clusters
+        u = block.eig_a.vectors[:, labels == labels[marks.kappa + n - 1]]
+        norms.append(dense_projector_distance(u, v))
+    return norms
+
+
+def golden_block():
+    path = Path(__file__).parent / "data" / "golden_block.json"
+    return load_problem(path).block
+
+
+def mhd_block():
+    profile = profile_from_functions(lambda x: 1.0 + x,
+                                     lambda x: 1.0 + 0.3 * np.sin(np.pi * x),
+                                     1.0, 1.0, 1.0, g=0.3, grid_n=65)
+    return discretize(profile, 64).block
+
+
+@pytest.mark.parametrize("make_block", [golden_block, mhd_block],
+                         ids=["golden", "mhd-64"])
+def test_projection_decay_matches_dense_projectors(make_block):
+    block = make_block()
+    marks = landmarks(block)
+    n_max = min(8, marks.rungs)
+    rep = projection_decay(block, marks, n_max, rb=best_relative_bound(block))
+    want = reference_decay_norms(block, marks, n_max)
+    assert len(rep.records) == n_max >= 4
+    for got, ref in zip(rep.norms, want):
+        assert abs(got - ref) <= 1e-12
 
 
 class TestAlignedTerm:

@@ -557,3 +557,77 @@ class TestImaginaryCoupling:
     def test_real_coupling_solves_the_assembled_matrix(self, m3, monkeypatch):
         solved = _solved_matrices(monkeypatch, m3)
         assert len(solved) == 1 and np.array_equal(solved[0], assemble(m3))
+
+
+def complex_schur(block, shifts):
+    """The complex128 Schur formula: (B V_C) diag(1/(gamma - lam)) (B V_C)*."""
+    lams = np.asarray(shifts, dtype=float)
+    bv = block.B @ block.eig_c.vectors
+    gaps = block.eig_c.eigenvalues - lams[:, None]
+    s = (block.A - lams[:, None, None] * np.eye(block.n1)
+         - (bv / gaps[:, None, :]) @ bv.conj().T)
+    return 0.5 * (s + s.conj().swapaxes(-2, -1))
+
+
+def _real_form_blocks(rng):
+    """Blocks with B = iR (MHD and random) and with a real B."""
+    yield from _imaginary_coupling_blocks(rng)
+    for n1, n2 in ((1, 1), (3, 5), (8, 2), (12, 12)):
+        yield BlockOperatorMatrix(A=_symmetric(rng, n1),
+                                  B=rng.uniform(-10.0, 10.0, (n1, n2)),
+                                  C=_symmetric(rng, n2))
+
+
+def _shifts_off_sigma_c(block, rng):
+    spec_c = block.eig_c.eigenvalues
+    shifts = np.concatenate([[spec_c[0] - 0.7, spec_c[-1] + 0.3],
+                             block.c + rng.uniform(0.5, 20.0, 3)])
+    keep = [lam for lam in shifts
+            if np.min(np.abs(spec_c - lam)) > 1e-3 * max(1.0, abs(lam))]
+    return np.array(keep)
+
+
+class TestRealFormSchur:
+    """Real A and C with B = R or B = iR: the Schur complement is formed
+    from the real factor R Re(V_C) and returned as float64."""
+
+    def test_real_form_predicate(self, rng, m3):
+        for block in _real_form_blocks(rng):
+            assert block.real_form
+        assert m3.real_form
+        a, c = _symmetric(rng, 4), _symmetric(rng, 3)
+        r = rng.uniform(-10.0, 10.0, (4, 3))
+        x = rng.uniform(size=(4, 4))
+        skew = 1j * (x - x.T)
+        for block in (BlockOperatorMatrix(A=a, B=r + 1j * r, C=c),
+                      BlockOperatorMatrix(A=a + skew, B=r, C=c),
+                      random_block(rng)):
+            assert not block.real_form
+
+    def test_float64_within_matrix_tol_of_the_complex_formula(self, rng):
+        for block in _real_form_blocks(rng):
+            shifts = _shifts_off_sigma_c(block, rng)
+            w = block.coupling_in_c_basis
+            assert w.dtype == np.float64
+            bv = block.B @ block.eig_c.vectors
+            d = rng.uniform(-1.0, 1.0, block.n2)
+            gram = (bv * d) @ bv.conj().T
+            assert np.max(np.abs((w * d) @ w.T - gram)) <= matrix_tol(gram)
+            stack = schur_complement(block, shifts)
+            want = complex_schur(block, shifts)
+            assert stack.dtype == np.float64
+            for lam, s, ref in zip(shifts, stack, want):
+                single = schur_complement(block, float(lam))
+                assert single.dtype == np.float64
+                assert np.array_equal(single, s)
+                assert np.array_equal(single, single.T)
+                assert np.max(np.abs(single - ref)) <= matrix_tol(ref)
+
+    def test_complex_blocks_keep_the_complex_arithmetic(self, rng):
+        for _ in range(10):
+            block = random_block(rng)
+            shifts = _shifts_off_sigma_c(block, rng)
+            assert block.coupling_in_c_basis.dtype == np.complex128
+            stack = schur_complement(block, shifts)
+            assert stack.dtype == np.complex128
+            assert np.array_equal(stack, complex_schur(block, shifts))

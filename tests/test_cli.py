@@ -127,11 +127,15 @@ class TestExitCodes:
         json.dumps(dict(M3_PROBLEM, alpha=10 ** 400)),
         json.dumps({"mhd": dict(MHD_PROBLEM["mhd"], grid_n=3,
                                 rho=[1.0, 10 ** 400, 1.0])}),
+        # A 401-digit grid_n against 3 rho samples: rejected unallocated.
+        json.dumps({"mhd": dict(MHD_PROBLEM["mhd"], grid_n=10 ** 400,
+                                rho=[1.0, 1.0, 1.0])}),
         # Over Python's limit of 4300 digits for an integer literal.
         '{"blocks": {"A": [[' + "1" * 5001 + ']], "B": [[0]], "C": [[0]]}}',
         # Nesting deeper than the JSON decoder recurses.
         '{"blocks": ' + "[" * 100_000 + "]" * 100_000 + "}",
-    ], ids=["matrix-entry", "alpha", "rho-sample", "digit-limit", "nesting"])
+    ], ids=["matrix-entry", "alpha", "rho-sample", "grid-n-samples",
+            "digit-limit", "nesting"])
     def test_unrepresentable_input_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "p.json"
         path.write_text(text)

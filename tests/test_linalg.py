@@ -471,6 +471,113 @@ class TestPseudoInverse:
         assert operator_norm(pinv @ x - (pinv @ x).conj().T) <= 1e-8 * scale
 
 
+def spy_solvers(monkeypatch, names=("svd", "eigh", "eigvalsh")):
+    """Record the dtype of every matrix handed to the named numpy.linalg
+    solvers, also when numpy.linalg.norm calls svd from inside numpy."""
+    seen = []
+    inner = getattr(np.linalg, "_linalg", None)
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def spy(a, *args, _original=original, _name=name, **kwargs):
+            seen.append((_name, np.asarray(a).dtype))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+        if inner is not None:
+            monkeypatch.setattr(inner, name, spy)
+    return seen
+
+
+class TestRealSingularValues:
+    """pseudo_inverse, operator_norm and first_singular_values hand LAPACK
+    float64 when the imaginary part is all zero, and operator_norm the
+    imaginary part when the real part is; return types are unchanged."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5), (40, 7)])
+    def test_real_valued_input_matches_the_complex_path(self, monkeypatch,
+                                                        shape):
+        from specblock.subspaces import GraphSubspace
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        real = rng.uniform(-5.0, 5.0, shape)
+        want_s = np.linalg.svd(real.astype(complex), compute_uv=False)
+        want_pinv = np.linalg.pinv(real.astype(complex), rcond=1e-12)
+        signed = real.astype(np.complex128)
+        signed.imag[:] = -0.0
+        seen = spy_solvers(monkeypatch, ("svd",))
+        for mat in (real, signed):
+            pinv = pseudo_inverse(mat)
+            norm = operator_norm(mat)
+            svals = GraphSubspace(basis_first=mat,
+                                  basis_second=np.zeros((0, shape[1])))
+            svals = svals.first_singular_values
+            assert pinv.dtype == np.complex128
+            assert type(norm) is float
+            assert svals.dtype == np.float64
+            tol = 1e-12 * want_s[0]
+            assert np.max(np.abs(pinv - want_pinv)) <= 1e-10 * np.max(
+                np.abs(want_pinv))
+            assert abs(norm - want_s[0]) <= tol
+            assert np.max(np.abs(svals - want_s)) <= tol
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
+
+    def test_imaginary_norm_takes_the_imaginary_part(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        y = rng.uniform(-5.0, 5.0, (6, 4))
+        want = float(np.linalg.norm(y.astype(complex), 2))
+        seen = spy_solvers(monkeypatch, ("svd",))
+        assert operator_norm(1j * y) == operator_norm(y)
+        assert abs(operator_norm(-1j * y) - want) <= 1e-12 * want
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
+
+    def test_complex_input_keeps_the_complex_driver(self, monkeypatch):
+        from specblock.subspaces import GraphSubspace
+        x = random_hermitian(3, 5)[:, :3]
+        seen = spy_solvers(monkeypatch, ("svd",))
+        pseudo_inverse(x)
+        operator_norm(x)
+        GraphSubspace(basis_first=x,
+                      basis_second=np.zeros((0, 3))).first_singular_values
+        assert [dtype for _, dtype in seen] == [np.dtype(np.complex128)] * 3
+
+
+class TestRealFormPipeline:
+    """A real-form block sends only float64 to the SVD and Hermitian
+    eigensolvers from landmarks through projection_decay; a complex block
+    still sends complex128."""
+
+    @staticmethod
+    def run_stages(block, rb):
+        from specblock import (angular_operator, landmarks, projection_decay,
+                               spectral_subspace)
+        marks = landmarks(block)
+        angular_operator(spectral_subspace(block, marks.c_tilde))
+        projection_decay(block, marks, min(4, marks.rungs), rb=rb)
+
+    def test_mhd_block_sends_float64(self, monkeypatch):
+        from specblock import RelativeBound
+        from specblock.mhd import discretize, profile_from_functions
+        profile = profile_from_functions(lambda x: 1.0 + x, 1.0, 1.0, 1.0,
+                                         1.0, g=0.3, grid_n=33)
+        block = discretize(profile, 32).block
+        seen = spy_solvers(monkeypatch)
+        self.run_stages(block, RelativeBound(1.0, 1.0))
+        assert {name for name, _ in seen} == {"svd", "eigh", "eigvalsh"}
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
+
+    def test_complex_block_sends_complex128(self, monkeypatch):
+        from specblock import best_relative_bound
+        from specblock.selftest import separated_block
+        block, _, _ = separated_block(np.random.default_rng(5))
+        rb = best_relative_bound(block)
+        seen = spy_solvers(monkeypatch)
+        self.run_stages(block, rb)
+        assert {name for name, _ in seen} == {"svd", "eigh", "eigvalsh"}
+        assert np.dtype(np.complex128) in {dtype for _, dtype in seen}
+        svd_inputs = {dtype for name, dtype in seen if name == "svd"}
+        assert svd_inputs == {np.dtype(np.complex128)}
+
+
 class TestGeneralEig:
     def test_diagonal_complex(self):
         vals = general_eig(np.diag([1.0, 2.0j]))
