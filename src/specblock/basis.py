@@ -15,7 +15,6 @@ from .blocks import (
     BlockOperatorMatrix,
     RelativeBound,
     SpectralLandmarks,
-    assemble,
     schur_complement,
 )
 from .errors import ArgumentError, DegenerateGapError, PairingError
@@ -129,6 +128,34 @@ class BariReport:
         return bool(np.all(np.diff(self.partial_sums) >= -BARI_DIP))
 
 
+def _real_product(mat: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """mat @ w for a real mat and a complex w, as one real product with the
+    interleaved real and imaginary parts of w."""
+    w = np.ascontiguousarray(w, dtype=np.complex128)
+    return (mat @ w.view(np.float64)).view(np.complex128)
+
+
+def _assembled_product(block: BlockOperatorMatrix, first: np.ndarray,
+                       second: np.ndarray) -> np.ndarray:
+    """M W for the assembled M and W = [first; second], from the stored
+    blocks: [A W1 + B W2; B* W1 + C W2].  A real-form block multiplies by the
+    real A, C and R (B = R or B = iR) only."""
+    if not block.real_form:
+        top = block.A @ first + block.B @ second
+        bottom = block.B.conj().T @ first + block.C @ second
+        return np.vstack((top, bottom))
+    imaginary = bool(np.count_nonzero(block.B.imag))
+    r = block.B.imag if imaginary else block.B.real
+    b_w2 = _real_product(r, second)
+    bstar_w1 = _real_product(r.T, first)
+    if imaginary:
+        b_w2 *= 1j
+        bstar_w1 *= -1j
+    top = _real_product(block.A.real, first) + b_w2
+    bottom = bstar_w1 + _real_product(block.C.real, second)
+    return np.vstack((top, bottom))
+
+
 def riesz_check(block: BlockOperatorMatrix, subspace: GraphSubspace,
                 k_op: AngularOperator) -> BasisReport:
     """Frame bounds of the first components against [1/(1 + ‖K‖²), 1],
@@ -144,7 +171,7 @@ def riesz_check(block: BlockOperatorMatrix, subspace: GraphSubspace,
     c = block.c
     # ‖M‖ = max|eigenvalue| for Hermitian M
     scale = max(float(np.max(np.abs(block.eig_m.eigenvalues))), 1.0)
-    mw = assemble(block) @ stacked
+    mw = _assembled_product(block, subspace.basis_first, subspace.basis_second)
     rayleighs = np.real(np.sum(stacked.conj() * mw, axis=0))
     residuals = np.linalg.norm(mw - stacked * rayleighs, axis=0)
     for j, (rayleigh, residual) in enumerate(zip(rayleighs, residuals)):

@@ -129,6 +129,12 @@ class BlockOperatorMatrix:
         with D = diag(I, iI) and the real symmetric M' = [[A, -R], [-R^T, C]];
         M' is solved instead and each eigenvector w maps to [w1; i w2].  A
         real B makes M itself real, which hermitian_eig solves as such.
+
+        M' is not validated: A and C are stored as exact Hermitian parts and
+        its off-diagonal blocks are -R and its transpose, so M' equals its
+        transpose entry for entry, and require_hermitian would return
+        (M' + M'^T) / 2 = M', the same matrix bit for bit wherever 2 M' does
+        not overflow.
         """
         r = self.B.imag
         if (not self.real_form or np.count_nonzero(self.B.real)
@@ -136,7 +142,8 @@ class BlockOperatorMatrix:
             return _frozen_eig(hermitian_eig(assemble(self)))
         similar = np.block([[self.A.real, -r], [-r.T, self.C.real]])
         diagonal = np.concatenate([np.ones(self.n1), np.full(self.n2, 1j)])
-        return _frozen_eig(diagonal_similarity(hermitian_eig(similar), diagonal))
+        return _frozen_eig(diagonal_similarity(hermitian_part_eig(similar),
+                                               diagonal))
 
     @cached_property
     def coupling_in_c_basis(self) -> np.ndarray:

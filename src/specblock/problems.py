@@ -19,6 +19,28 @@ double range (such as a 401-digit ``10**400``) is a parse error too.
 ``grid_n`` and ``n_max`` must be JSON integers (``65``, not ``65.0`` or
 ``"65"``), and ``grid_n`` at least 3.  The ``mhd`` command reads ``flags.squared_bands``, which must be
 a JSON boolean.
+
+The stdlib decoder, ``json.loads`` of the UTF-8 text, defines the format:
+what it accepts, the values it gives and every error text.  When orjson is
+installed (the ``fast`` extra), it decodes first, and its tree is used only
+when building from it succeeds.  If orjson rejects the bytes, or building
+raises ParseError or RecursionError, the stdlib decoder runs on the same
+bytes and its result or error is returned.  The two decoders differ in
+three ways, none of which shows in a result:
+
+* orjson rejects NaN, Infinity, lone surrogates and numbers beyond double
+  range, which the stdlib decoder accepts or rejects with its own text;
+* orjson reads integer literals outside [-2^63, 2^64) as doubles, which
+  ``grid_n`` and ``n_max`` refuse; matrix entries, samples, ``rb``,
+  ``alpha`` and ``g`` become the same doubles either way;
+* the stdlib decoder raises RecursionError near the interpreter's
+  recursion limit, and orjson accepts any nesting.
+
+Matrices, samples and ``rb`` are bounded in depth by their type checks.
+The values the builder does not look into, ``flags`` and unknown keys at
+the top level and inside ``blocks``/``mhd``, are walked: if one nests more
+than 100 levels deep or holds a double of magnitude 2^63 or more (which may
+have been an integer literal), the stdlib decoder decides.
 """
 
 from __future__ import annotations
@@ -33,6 +55,11 @@ import numpy as np
 from .blocks import BlockOperatorMatrix, RelativeBound
 from .errors import ParseError, ProfileError
 from .mhd import BUILTIN_FIELDS, PlasmaProfile, check_grid_n
+
+try:
+    import orjson
+except ImportError:  # the optional "fast" extra is not installed
+    orjson = None
 
 __all__ = ["ProblemFile", "load_problem", "parse_matrix_entries", "read_csv_matrix"]
 
@@ -49,6 +76,15 @@ class ProblemFile:
     flags: dict = field(default_factory=dict)
     raw: bytes = b""
 
+
+# The keys the builder reads; it accepts the values of any other key, and
+# of "flags", without looking into them.
+_TOP_KEYS = frozenset({"blocks", "mhd", "rb", "alpha", "n_max"})
+_BLOCK_KEYS = ("A", "B", "C")
+_PROFILE_FIELDS = ("rho", "va2", "vs2", "kperp", "kpar")
+_MHD_KEYS = frozenset({"grid_n", "g", *_PROFILE_FIELDS})
+# Far below the nesting the stdlib decoder reaches before RecursionError.
+_UNCHECKED_DEPTH = 100
 
 # The types json.loads gives a JSON number; bool, a subclass of int, is not one.
 _NUMBER_TYPES = frozenset({int, float})
@@ -143,12 +179,10 @@ def _parse_block_matrix(value, base_dir: Path) -> np.ndarray:
 def _parse_blocks(data, base_dir: Path) -> BlockOperatorMatrix:
     if not isinstance(data, dict):
         raise ParseError("'blocks' must be an object with keys A, B, C")
-    missing = {"A", "B", "C"} - set(data)
+    missing = set(_BLOCK_KEYS) - set(data)
     if missing:
         raise ParseError(f"'blocks' is missing {sorted(missing)}")
-    a = _parse_block_matrix(data["A"], base_dir)
-    b = _parse_block_matrix(data["B"], base_dir)
-    c = _parse_block_matrix(data["C"], base_dir)
+    a, b, c = (_parse_block_matrix(data[key], base_dir) for key in _BLOCK_KEYS)
     try:
         return BlockOperatorMatrix(A=a, B=b, C=c)
     except Exception as exc:
@@ -192,7 +226,7 @@ def _parse_mhd(data) -> PlasmaProfile:
     except ProfileError as exc:
         raise ParseError(f"invalid profile: {exc}") from exc
     fields = {}
-    for name in ("rho", "va2", "vs2", "kperp", "kpar"):
+    for name in _PROFILE_FIELDS:
         if name not in data:
             raise ParseError(f"'mhd' is missing {name}")
         fields[name] = _parse_profile_field(name, data[name], grid_n)
@@ -205,18 +239,60 @@ def _parse_mhd(data) -> PlasmaProfile:
         raise ParseError(f"invalid profile: {exc}") from exc
 
 
+def _stdlib_decides(value, depth: int = _UNCHECKED_DEPTH) -> bool:
+    """Whether the stdlib decoder may decode an unchecked value otherwise
+    than orjson did: it nests lists and objects more than ``depth`` deep, or
+    holds a float of magnitude 2^63 or more, which orjson also makes of an
+    integer literal outside [-2^63, 2^64)."""
+    if type(value) is float:
+        return abs(value) >= 2.0 ** 63
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, list):
+        return False
+    return depth == 0 or any(_stdlib_decides(v, depth - 1) for v in value)
+
+
+def _unchecked_values(data):
+    """The values _build accepts without looking into them."""
+    if not isinstance(data, dict):
+        return
+    for key, value in data.items():
+        if key not in _TOP_KEYS:
+            yield value
+    for key, known in (("blocks", _BLOCK_KEYS), ("mhd", _MHD_KEYS)):
+        inner = data.get(key)
+        if isinstance(inner, dict):
+            yield from (v for k, v in inner.items() if k not in known)
+
+
 def load_problem(path) -> ProblemFile:
     path = Path(path)
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read problem file {path}: {exc}") from exc
+    if orjson is not None:
+        try:
+            data = orjson.loads(raw)
+            if not any(map(_stdlib_decides, _unchecked_values(data))):
+                return _build(data, raw, path)
+        except (orjson.JSONDecodeError, ParseError, RecursionError):
+            pass
+    # The stdlib decoder runs in this frame, as it always has: how deep it
+    # may nest depends on the depth of the stack it starts from.
     try:
         data = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         # Besides JSONDecodeError and UnicodeDecodeError (both ValueErrors):
         # an integer literal over Python's digit limit, and nesting too deep.
         raise ParseError(f"problem file {path} is not valid JSON: {exc}") from exc
+    return _build(data, raw, path)
+
+
+def _build(data, raw: bytes, path: Path) -> ProblemFile:
+    """The ProblemFile of a decoded document; every check of the format
+    outside JSON syntax is made here."""
     if not isinstance(data, dict):
         raise ParseError("problem file must contain a JSON object")
     has_blocks = "blocks" in data

@@ -71,6 +71,42 @@ class TestRieszCheck:
         with pytest.raises(ArgumentError):
             riesz_check(m3, fake, k)
 
+    @pytest.mark.parametrize("kind", ["imaginary-coupling", "real-coupling",
+                                      "complex"])
+    def test_perturbed_or_low_columns_rejected(self, kind, m3):
+        from specblock import GraphSubspace
+        if kind == "imaginary-coupling":
+            profile = profile_from_functions(lambda x: 1.0 + x, 1.0, 1.0, 1.0,
+                                             1.0, g=0.3, grid_n=17)
+            block = discretize(profile, 16).block
+        elif kind == "real-coupling":
+            block = m3
+        else:
+            block, _, _ = separated_block(np.random.default_rng(5))
+        assert block.real_form == (kind != "complex")
+        marks = landmarks(block)
+        dec = block.eig_m
+        above = np.nonzero(dec.eigenvalues > marks.c_tilde)[0]
+        k = angular_operator(spectral_subspace(block, marks.c_tilde))
+
+        def check(cols):
+            sub = GraphSubspace(basis_first=cols[:block.n1],
+                                basis_second=cols[block.n1:])
+            return riesz_check(block, sub, k)
+
+        assert check(dec.vectors[:, above]).passed
+        cols = dec.vectors[:, above]
+        j = cols.shape[1] - 1
+        cols[:, j] += 1e-2 * dec.vectors[:, 0]
+        cols[:, j] /= np.linalg.norm(cols[:, j])
+        with pytest.raises(ArgumentError,
+                           match=f"column {j} is not an eigenvector"):
+            check(cols)
+        cols = dec.vectors[:, above]
+        cols[:, j] = dec.vectors[:, 0]
+        with pytest.raises(ArgumentError, match=f"column {j} has eigenvalue"):
+            check(cols)
+
 
 class TestProjectionDecay:
     def test_decoupled_difference_vanishes(self):

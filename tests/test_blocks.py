@@ -19,6 +19,7 @@ from specblock import (
     spectral_distance,
 )
 from specblock import blocks as blocks_module
+from specblock import linalg as linalg_module
 from specblock.linalg import hermitian_eigvals, orthonormality_defect
 from specblock.mhd import constant_profile, discretize, profile_from_functions
 from specblock.selftest import random_block
@@ -498,15 +499,29 @@ def _imaginary_coupling_blocks(rng):
 
 
 def _solved_matrices(monkeypatch, block):
-    """The matrices eig_m hands to hermitian_eig."""
+    """The matrices eig_m hands to hermitian_eig or hermitian_part_eig."""
     seen = []
-    original = blocks_module.hermitian_eig
+    for name in ("hermitian_eig", "hermitian_part_eig"):
+        def spy(mat, original=getattr(blocks_module, name)):
+            seen.append(np.array(mat, copy=True))
+            return original(mat)
+
+        monkeypatch.setattr(blocks_module, name, spy)
+    block.eig_m
+    return seen
+
+
+def _validated_matrices(monkeypatch, block):
+    """The matrices require_hermitian checks while eig_m runs."""
+    seen = []
+    original = linalg_module.require_hermitian
 
     def spy(mat):
         seen.append(np.array(mat, copy=True))
         return original(mat)
 
-    monkeypatch.setattr(blocks_module, "hermitian_eig", spy)
+    monkeypatch.setattr(linalg_module, "require_hermitian", spy)
+    monkeypatch.setattr(blocks_module, "require_hermitian", spy)
     block.eig_m
     return seen
 
@@ -535,6 +550,11 @@ class TestImaginaryCoupling:
                 with pytest.raises(ValueError):
                     arr[0, ...] = 0.0
 
+    def test_the_similar_matrix_is_not_validated_again(self, rng,
+                                                       monkeypatch):
+        for block in _imaginary_coupling_blocks(rng):
+            assert _validated_matrices(monkeypatch, block) == []
+
     def test_phase_rule_holds_after_the_mapping(self, rng):
         for block in _imaginary_coupling_blocks(rng):
             for col in block.eig_m.vectors.T:
@@ -557,6 +577,15 @@ class TestImaginaryCoupling:
     def test_real_coupling_solves_the_assembled_matrix(self, m3, monkeypatch):
         solved = _solved_matrices(monkeypatch, m3)
         assert len(solved) == 1 and np.array_equal(solved[0], assemble(m3))
+
+    def test_assembled_matrices_are_validated(self, rng, m3, monkeypatch):
+        block = BlockOperatorMatrix(A=_symmetric(rng, 4),
+                                    B=(1.0 + 1j) * rng.uniform(size=(4, 3)),
+                                    C=_symmetric(rng, 3))
+        for blk in (m3, block):
+            validated = _validated_matrices(monkeypatch, blk)
+            assert len(validated) == 1
+            assert np.array_equal(validated[0], assemble(blk))
 
 
 def complex_schur(block, shifts):

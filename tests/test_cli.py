@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from specblock import problems
 from specblock.cli import main
 from specblock.report import emit_json
 
@@ -21,6 +22,33 @@ M3_PROBLEM = {"blocks": {"A": [[2, 0], [0, 10]], "B": [[1], [1]],
 MHD_PROBLEM = {"mhd": {"grid_n": 33, "rho": "constant", "va2": "constant",
                        "vs2": "constant", "kperp": "constant",
                        "kpar": "constant", "g": 0.0}}
+
+
+DEEP = "[" * 2000 + "]" * 2000
+
+# Valid JSON text whose numbers or nesting the program cannot take.
+UNREPRESENTABLE = {
+    # A 401-digit integer as a matrix entry, alpha and a rho sample.
+    "matrix-entry": json.dumps({"blocks": {"A": [[2, 0], [0, 10 ** 400]],
+                                           "B": [[1], [1]], "C": [[-1]]}}),
+    "alpha": json.dumps(dict(M3_PROBLEM, alpha=10 ** 400)),
+    "rho-sample": json.dumps({"mhd": dict(MHD_PROBLEM["mhd"], grid_n=3,
+                                          rho=[1.0, 10 ** 400, 1.0])}),
+    # A 401-digit grid_n against 3 rho samples: rejected unallocated.
+    "grid-n-samples": json.dumps({"mhd": dict(MHD_PROBLEM["mhd"],
+                                              grid_n=10 ** 400,
+                                              rho=[1.0, 1.0, 1.0])}),
+    # Over Python's limit of 4300 digits for an integer literal.
+    "digit-limit": '{"blocks": {"A": [[' + "1" * 5001
+                   + ']], "B": [[0]], "C": [[0]]}}',
+    # Nesting deeper than the JSON decoder recurses: directly under blocks,
+    # as a matrix entry and as a value the builder does not look into.
+    "nesting": '{"blocks": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    "nesting-entry": '{"blocks": {"A": [[' + DEEP + ']], "B": [[0]], '
+                     '"C": [[0]]}}',
+    "nesting-flags": '{"blocks": {"A": [[1]], "B": [[0]], "C": [[0]]}, '
+                     '"flags": {"x": ' + DEEP + '}}',
+}
 
 
 def run_to_file(tmp_path, args):
@@ -120,22 +148,8 @@ class TestExitCodes:
             assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("text", [
-        # A 401-digit integer as a matrix entry, alpha and a rho sample.
-        json.dumps({"blocks": {"A": [[2, 0], [0, 10 ** 400]], "B": [[1], [1]],
-                               "C": [[-1]]}}),
-        json.dumps(dict(M3_PROBLEM, alpha=10 ** 400)),
-        json.dumps({"mhd": dict(MHD_PROBLEM["mhd"], grid_n=3,
-                                rho=[1.0, 10 ** 400, 1.0])}),
-        # A 401-digit grid_n against 3 rho samples: rejected unallocated.
-        json.dumps({"mhd": dict(MHD_PROBLEM["mhd"], grid_n=10 ** 400,
-                                rho=[1.0, 1.0, 1.0])}),
-        # Over Python's limit of 4300 digits for an integer literal.
-        '{"blocks": {"A": [[' + "1" * 5001 + ']], "B": [[0]], "C": [[0]]}}',
-        # Nesting deeper than the JSON decoder recurses.
-        '{"blocks": ' + "[" * 100_000 + "]" * 100_000 + "}",
-    ], ids=["matrix-entry", "alpha", "rho-sample", "grid-n-samples",
-            "digit-limit", "nesting"])
+    @pytest.mark.parametrize("text", UNREPRESENTABLE.values(),
+                             ids=UNREPRESENTABLE.keys())
     def test_unrepresentable_input_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "p.json"
         path.write_text(text)
@@ -146,6 +160,17 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "0" * 40 not in err and "1" * 40 not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", UNREPRESENTABLE.values(),
+                             ids=UNREPRESENTABLE.keys())
+    def test_unrepresentable_input_same_without_orjson(
+            self, tmp_path, capsys, monkeypatch, text):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        argv = ["enclose", "--input", str(path), "--out", str(tmp_path / "r")]
+        fast = main(argv), capsys.readouterr().err
+        monkeypatch.setattr(problems, "orjson", None)
+        assert (main(argv), capsys.readouterr().err) == fast
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_squared_bands_flag(self, tmp_path, flag):

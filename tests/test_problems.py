@@ -1,8 +1,11 @@
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from specblock import ParseError, problems
 from specblock.problems import load_problem, parse_matrix_entries, read_csv_matrix
@@ -291,3 +294,114 @@ class TestProblemFiles:
             "blocks": {"A": [[1, 0], [0, 1]], "B": [[1]], "C": [[0]]}})
         with pytest.raises(ParseError):
             load_problem(path)
+
+
+def decoded(path):
+    """What load_problem makes of a file: its arrays as bytes and the repr
+    of its other fields, or the ParseError text."""
+    try:
+        prob = load_problem(path)
+    except ParseError as exc:
+        return "error", str(exc)
+    arrays = []
+    if prob.block is not None:
+        arrays += [prob.block.A, prob.block.B, prob.block.C]
+    if prob.profile is not None:
+        arrays += [prob.profile.rho, prob.profile.va2, prob.profile.vs2,
+                   prob.profile.kperp, prob.profile.kpar]
+        arrays.append(np.float64(prob.profile.g))
+    return ([a.tobytes() for a in arrays],
+            repr((prob.rb, prob.alpha, prob.n_max, prob.flags)))
+
+
+def both_decoders(monkeypatch, path):
+    """decoded(path) as loaded, and with the orjson fast path removed."""
+    fast = decoded(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(problems, "orjson", None)
+        return fast, decoded(path)
+
+
+BLOCKS = '"blocks": {"A": [[2, 0], [0, 10]], "B": [[1], [1]], "C": [[-1]]}'
+PROFILE = ('"mhd": {"grid_n": 9, "rho": "linear", "va2": "constant", '
+           '"vs2": "constant", "kperp": "constant", "kpar": "constant"}')
+
+
+def deep(depth):
+    return "[" * depth + "]" * depth
+
+
+DECODER_INPUTS = {
+    "grid-n-2^64": "{" + PROFILE.replace("9", str(2 ** 64)) + "}",
+    "n-max-2^64": "{" + BLOCKS + f', "n_max": {2 ** 64}}}',
+    "alpha-2^64": "{" + BLOCKS + f', "alpha": {2 ** 64 + 1}}}',
+    "entry-2^70": "{" + BLOCKS.replace("10]", f"{2 ** 70}]") + "}",
+    "entry-2^70+1": "{" + BLOCKS.replace("[[1], [1]]",
+                                         f"[[{2 ** 70 + 1}], [1]]") + "}",
+    "entry-near-overflow": "{" + BLOCKS.replace(
+        "[[1], [1]]", f"[[{2 ** 1024 - 2 ** 970 - 1}], [1]]") + "}",
+    "entry-overflow": "{" + BLOCKS.replace(
+        "[[1], [1]]", f"[[{2 ** 1024 - 2 ** 970}], [1]]") + "}",
+    "nan": "{" + BLOCKS.replace("[[1], [1]]", "[[NaN], [1]]") + "}",
+    "1e400": "{" + BLOCKS.replace("[[1], [1]]", "[[1e400], [1]]") + "}",
+    "lone-surrogate-key": "{" + BLOCKS + ', "\\ud800": 1}',
+    "lone-surrogate-flag": "{" + BLOCKS + ', "flags": {"x": "\\udc00"}}',
+    "bom": "﻿{" + BLOCKS + "}",
+    "trailing-data": "{" + BLOCKS + "} x",
+    "duplicate-keys": "{" + BLOCKS + ', "alpha": 1, "alpha": 2.5}',
+    "minus-zero": "{" + BLOCKS.replace("[[1], [1]]", "[[-0], [-0.0]]") + "}",
+    "minus-zero-pairs": "{" + BLOCKS.replace(
+        "[[1], [1]]", "[[[-0, -0.0]], [[-0.0, -0]]]") + "}",
+    "profile-samples": "{" + PROFILE.replace(
+        '"linear"', "[1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 1e2]") + "}",
+    "flags": "{" + BLOCKS + ', "flags": {"squared_bands": false, "e": 1e19, '
+                            f'"n": {2 ** 64}}}}}',
+    "not-utf-8": "{" + BLOCKS + ', "x": "\udcff"}',
+}
+for _depth in (50, 101, 900, 2000):
+    DECODER_INPUTS.update({
+        f"depth-{_depth}-entry": "{" + BLOCKS.replace(
+            "[[1], [1]]", f"[[{deep(_depth)}], [1]]") + "}",
+        f"depth-{_depth}-flags": "{" + BLOCKS + f', "flags": {{"x": {deep(_depth)}}}}}',
+        f"depth-{_depth}-unknown-key": "{" + BLOCKS + f', "x": {deep(_depth)}}}',
+        f"depth-{_depth}-blocks-key": "{" + BLOCKS[:-1] + f', "D": {deep(_depth)}}}}}',
+        f"depth-{_depth}-mhd-key": "{" + PROFILE[:-1] + f', "D": {deep(_depth)}}}}}',
+        f"depth-{_depth}-rb": "{" + BLOCKS + f', "rb": [1, {deep(_depth)}]}}',
+    })
+
+
+class TestDecoders:
+    """The orjson fast path gives what the stdlib decoder gives: the same
+    arrays bit for bit, the same fields and the same error texts."""
+
+    @pytest.mark.parametrize("name", DECODER_INPUTS)
+    def test_same_outcome_without_orjson(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "p.json"
+        path.write_bytes(DECODER_INPUTS[name].encode("utf-8", "surrogatepass"))
+        fast, slow = both_decoders(monkeypatch, path)
+        assert fast == slow
+
+    @pytest.mark.skipif(problems.orjson is None, reason="orjson not installed")
+    def test_valid_files_skip_the_stdlib_decoder(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stdlib decoder ran")
+
+        monkeypatch.setattr(problems.json, "loads", refuse)
+        prob = load_problem(Path(__file__).parent / "data" / "golden_block.json")
+        assert prob.block.n1 > 0
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.builds("{}{}.{:024d}e{}".format, st.sampled_from(["", "-"]),
+                  st.integers(0, 9), st.integers(0, 10 ** 24 - 1),
+                  st.integers(-345, 310))), min_size=7, max_size=7))
+    def test_same_numbers_without_orjson(self, tmp_path, monkeypatch, numbers):
+        a, b, c, d, e, f, g = numbers
+        path = tmp_path / "p.json"
+        path.write_text(
+            f'{{"blocks": {{"A": [[1, 0], [0, 2]], "B": [[{a}, [{b}, {c}]], '
+            f'[[{d}, {e}], {f}]], "C": [[0, 0], [0, 0]]}}, "alpha": {g}}}')
+        fast, slow = both_decoders(monkeypatch, path)
+        assert fast == slow
