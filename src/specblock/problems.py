@@ -145,7 +145,8 @@ def read_csv_matrix(path: Path) -> np.ndarray:
     """CSV matrix with entries like ``1.5`` or ``0.5+0.25j``."""
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL in the path, or bytes that are not text.
         raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):

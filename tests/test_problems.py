@@ -210,6 +210,12 @@ class TestCsvMatrix:
         with pytest.raises(ParseError):
             read_csv_matrix(path)
 
+    def test_unreadable_file_rejected(self, tmp_path):
+        (tmp_path / "m.csv").write_bytes(b"\xff\xfe1,2\n")
+        for path in (tmp_path / "m.csv", tmp_path / "m\x00.csv"):
+            with pytest.raises(ParseError, match="cannot read matrix file"):
+                read_csv_matrix(path)
+
 
 class TestProblemFiles:
     def test_blocks_inline(self, tmp_path):
