@@ -280,8 +280,8 @@ def load_problem(path) -> ProblemFile:
                 return _build(data, raw, path)
         except (orjson.JSONDecodeError, ParseError, RecursionError):
             pass
-    # The stdlib decoder runs in this frame, as it always has: how deep it
-    # may nest depends on the depth of the stack it starts from.
+    # The stdlib decoder runs in this frame, not in a helper: how deep it may
+    # nest depends on the depth of the stack it starts from.
     try:
         data = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
