@@ -207,12 +207,6 @@ def _cluster_columns(block: BlockOperatorMatrix, index: int) -> np.ndarray:
     return block.eig_a.vectors[:, labels == labels[index]]
 
 
-def _cluster_projector(block: BlockOperatorMatrix, index: int) -> np.ndarray:
-    """Eigenprojector of A onto the cluster of its index-th eigenvalue."""
-    cols = _cluster_columns(block, index)
-    return cols @ cols.conj().T
-
-
 def _check_range(marks: SpectralLandmarks, n_max: int) -> None:
     """The first n_max eigenvalues above c and their partners in sigma(A) exist."""
     if not 1 <= n_max <= marks.rungs:
@@ -293,18 +287,22 @@ def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
     return DecayReport(records=tuple(records), m_constant=m_constant)
 
 
-def aligned_term(x: np.ndarray, projector: np.ndarray) -> tuple[float, float]:
-    """‖y - x‖² and ‖Px‖ for a unit vector x and its aligned y = Px/‖Px‖.
+def aligned_term(x: np.ndarray, cols: np.ndarray) -> tuple[float, float]:
+    """‖y - x‖² and ‖Ex‖ for a unit vector x and its aligned y = Ex/‖Ex‖,
+    where E = UU* projects onto the span of the orthonormal columns U.
 
-    The alignment absorbs any phase of x, so the term is invariant under
-    x -> e^{i theta} x.  Raises PairingError when ‖Px‖ falls below PAIR_TOL.
+    With c = U*x, ‖Ex‖ = ‖c‖ and y = Uc/‖c‖, so no n x n projector is
+    formed.  The term is the norm of the vector y - x: the closed form
+    2 - 2‖c‖ cancels when y is close to x.  The alignment absorbs any phase
+    of x, so the term is invariant under x -> e^{i theta} x.  Raises
+    PairingError when ‖Ex‖ falls below PAIR_TOL.
     """
-    px = projector @ x
-    overlap = float(np.linalg.norm(px))
+    coeffs = cols.conj().T @ x
+    overlap = float(np.linalg.norm(coeffs))
     if overlap < PAIR_TOL:
         raise PairingError(
             f"projected component has norm {overlap:.3e}; cannot align")
-    y = px / overlap
+    y = (cols @ coeffs) / overlap
     return float(np.linalg.norm(y - x) ** 2), overlap
 
 
@@ -335,7 +333,8 @@ def bari_sum(block: BlockOperatorMatrix, marks: SpectralLandmarks,
                 f"eigenvector at {lam:.12g} has vanishing first component")
         x = x / x_norm
         mu = float(spec_a[marks.kappa + n - 1])
-        term, _ = aligned_term(x, _cluster_projector(block, marks.kappa + n - 1))
+        cols = _cluster_columns(block, marks.kappa + n - 1)
+        term, _ = aligned_term(x, cols)
         records.append(BariRecord(n=n, lam=lam, mu=mu, term=term))
         terms.append(term)
     partial_sums = np.cumsum(terms)

@@ -25,7 +25,7 @@ from .linalg import (
     spectral_distance,
     stack_chunks,
 )
-from .tolerance import base_tol, matrix_tol
+from .tolerance import BASE_TOL, matrix_tol
 
 __all__ = [
     "BlockOperatorMatrix",
@@ -177,8 +177,8 @@ class BlockOperatorMatrix:
         parts = [float(np.max(np.abs(x))) for x in (self.A, self.B, self.C)
                  if x.size]
         if not parts:
-            return base_tol()
-        return base_tol() * (self.n1 + self.n2) * max(parts)
+            return BASE_TOL
+        return BASE_TOL * (self.n1 + self.n2) * max(parts)
 
 
 @dataclass(frozen=True)
@@ -341,7 +341,7 @@ def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
     spec_a = block.eig_a.eigenvalues
     mu = float(spec_a[0])
     c = block.c
-    denom = max(mu, matrix_tol(block.A), base_tol())
+    denom = max(mu, matrix_tol(block.A), BASE_TOL)
     a_max = lam_bbs / denom
     grid = np.linspace(0.0, a_max, 21)
     offset = ((mu - c) / 2.0) ** 2

@@ -26,7 +26,6 @@ from .errors import ParseError, SpecblockError
 from .mhd import discretize, run_report, trial_space
 from .problems import ProblemFile, load_problem
 from .report import FAIL, Check, Report, digest_bytes, emit_json
-from .tolerance import base_tol
 from . import selftest as selftest_module
 
 DEFAULT_MHD_N = 64
@@ -158,11 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        base_tol()
-    except ValueError as exc:
-        print(f"specblock: error: {exc}", file=sys.stderr)
-        return 2
     try:
         if args.command == "selftest":
             report = selftest_module.run(args.seed)

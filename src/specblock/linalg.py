@@ -292,15 +292,14 @@ def spectral_projector(dec: SpectralDecomposition, window: Interval) -> np.ndarr
     return cols @ cols.conj().T
 
 
-def pseudo_inverse(mat, tol: float = PINV_REL) -> np.ndarray:
-    """Moore-Penrose inverse; singular values below tol * sigma_max are dropped."""
+def pseudo_inverse(mat) -> np.ndarray:
+    """Moore-Penrose inverse; singular values below PINV_REL * sigma_max are
+    dropped."""
     arr = as_matrix(mat)
-    if not tol > 0.0:
-        raise ArgumentError("pseudo-inverse tolerance must be positive")
     if arr.size == 0:
         return np.zeros((arr.shape[1], arr.shape[0]), dtype=np.complex128)
     u, s, vh = np.linalg.svd(_solver_input(arr), full_matrices=False)
-    keep = s > tol * s[0] if s[0] > 0.0 else np.zeros(s.shape, dtype=bool)
+    keep = s > PINV_REL * s[0] if s[0] > 0.0 else np.zeros(s.shape, dtype=bool)
     if not np.any(keep):
         return np.zeros((arr.shape[1], arr.shape[0]), dtype=np.complex128)
     pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T

@@ -46,6 +46,7 @@ have been an integer literal), the stdlib decoder decides.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -98,13 +99,26 @@ def _all_numbers(values) -> bool:
     return set(map(type, values)) <= _NUMBER_TYPES
 
 
+# The echo of a bad matrix entry in its one-line error: two levels, three
+# list items or two dict items per level, and 16 characters per scalar (12
+# per string) at most, so an entry of any size or depth prints at most 218
+# characters.
+_ENTRY_ECHO = reprlib.Repr()
+_ENTRY_ECHO.maxlevel = 2
+_ENTRY_ECHO.maxlist = 3
+_ENTRY_ECHO.maxdict = 2
+_ENTRY_ECHO.maxstring = 12
+_ENTRY_ECHO.maxlong = _ENTRY_ECHO.maxother = 16
+
+
 def _parse_entry(entry) -> complex:
     if _is_number(entry):
         return complex(entry)
     if (isinstance(entry, (list, tuple)) and len(entry) == 2
             and _all_numbers(entry)):
         return complex(entry[0], entry[1])
-    raise ParseError(f"matrix entry must be a number or [re, im] pair, got {entry!r}")
+    raise ParseError("matrix entry must be a number or [re, im] pair, got "
+                     + _ENTRY_ECHO.repr(entry))
 
 
 def _parse_row(row: list) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Spectral subspaces of the assembled matrix for half-lines (alpha, inf), the
 graph test on their first components, the angular operator K with domain
-projector / norm / codimension, the delta sufficient condition for graph
+basis / norm / codimension, the delta sufficient condition for graph
 subspaces, and the diagonal-shift construction that pushes spectrum of A
-above a target.
+above a target.  The graph test and the angular operator read one thin SVD
+of the first-component block, computed once per subspace.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .linalg import (
     Interval,
     _solver_input,
     operator_norm,
-    pseudo_inverse,
     spectral_distance,
     spectral_projector,
 )
@@ -60,10 +60,12 @@ class GraphSubspace:
         return self.basis_first.shape[1]
 
     @cached_property
-    def first_singular_values(self) -> np.ndarray:
-        """Singular values of the first-component block, computed once; a
-        block with an all-zero imaginary part is solved in float64."""
-        return np.linalg.svd(_solver_input(self.basis_first), compute_uv=False)
+    def first_svd(self):
+        """Thin SVD U = P diag(s) Q* of the first-component block U, computed
+        once as numpy's (P, s, Q*); a block with an all-zero imaginary part is
+        solved in float64."""
+        return np.linalg.svd(_solver_input(self.basis_first),
+                             full_matrices=False)
 
     def stacked(self) -> np.ndarray:
         return np.vstack((self.basis_first, self.basis_second))
@@ -71,24 +73,24 @@ class GraphSubspace:
 
 @dataclass(frozen=True)
 class GraphTest:
-    """Verdict of the graph test plus the singular values of the first block."""
+    """Verdict of the graph test and the smallest singular value it read."""
 
     verdict: str
     sigma_min: float
-    singular_values: np.ndarray
 
 
 @dataclass(frozen=True)
 class AngularOperator:
     """Operator K whose graph realizes a spectral subspace.
 
-    ``domain_projector`` projects onto Dom(K) = range of the first-component
-    block; ``norm`` is the largest singular value of K restricted there;
-    ``codim`` is the codimension of Dom(K) in the first component space.
+    ``domain`` is an orthonormal basis (n1 x dim) of Dom(K) = range of the
+    first-component block; ``norm`` is the largest singular value of K, which
+    vanishes off its domain; ``codim`` is the codimension of Dom(K) in the
+    first component space.
     """
 
     K: np.ndarray
-    domain_projector: np.ndarray
+    domain: np.ndarray
     norm: float
     codim: int
 
@@ -115,18 +117,15 @@ def graph_test(subspace: GraphSubspace) -> GraphTest:
     """
     n1, m = subspace.basis_first.shape
     if m == 0:
-        return GraphTest(verdict=GRAPH, sigma_min=float("inf"),
-                         singular_values=np.array([]))
-    svals = subspace.first_singular_values
-    sigma_min = float(svals[-1]) if m <= n1 else 0.0
+        return GraphTest(verdict=GRAPH, sigma_min=float("inf"))
+    sigma_min = float(subspace.first_svd[1][-1]) if m <= n1 else 0.0
     if sigma_min > GRAPH_TOL:
         verdict = GRAPH
     elif sigma_min < INDETERMINATE_TOL:
         verdict = NOT_GRAPH
     else:
         verdict = INDETERMINATE
-    return GraphTest(verdict=verdict, sigma_min=sigma_min,
-                     singular_values=np.asarray(svals, dtype=float))
+    return GraphTest(verdict=verdict, sigma_min=sigma_min)
 
 
 def angular_operator(subspace: GraphSubspace) -> AngularOperator:
@@ -134,22 +133,21 @@ def angular_operator(subspace: GraphSubspace) -> AngularOperator:
 
     U must pass the graph test: a rank drop means the subspace contains a
     vector with vanishing first component and no angular operator exists.
-    The domain of K is range(U), of codimension n1 - dim(subspace).
+    The domain of K is range(U), of codimension n1 - dim(subspace).  With
+    U = P diag(s) Q* from the subspace's SVD, K = (V Q diag(s)⁻¹) P*: the
+    graph test keeps every s above GRAPH_TOL, so nothing is truncated, and
+    P is the domain basis.
     """
-    u, v = subspace.basis_first, subspace.basis_second
-    n1, m = u.shape
-    test = graph_test(subspace)
-    if test.verdict != GRAPH:
-        rank = int(np.sum(test.singular_values > GRAPH_TOL)) if m <= n1 else 0
+    v = subspace.basis_second
+    n1, m = subspace.basis_first.shape
+    p, s, qh = subspace.first_svd
+    if graph_test(subspace).verdict != GRAPH:
         raise NotAGraphError(
             "subspace contains a vector with vanishing first component "
-            f"(first-block rank {rank} < subspace dimension {m})")
-    u_pinv = pseudo_inverse(u, tol=GRAPH_TOL) if m else np.zeros((0, n1))
-    proj = u @ u_pinv
-    proj = 0.5 * (proj + proj.conj().T)
-    k = v @ u_pinv
-    return AngularOperator(K=k, domain_projector=proj,
-                           norm=operator_norm(k @ proj), codim=n1 - m)
+            f"(first-block rank {int(np.sum(s > GRAPH_TOL))} < subspace "
+            f"dimension {m})")
+    k = ((v @ qh.conj().T) / s) @ p.conj().T
+    return AngularOperator(K=k, domain=p, norm=operator_norm(k), codim=n1 - m)
 
 
 def delta_condition(alpha: float, c: float, spec_a,

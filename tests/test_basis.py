@@ -252,22 +252,76 @@ def test_projection_decay_matches_dense_projectors(make_block):
         assert abs(got - ref) <= 1e-12
 
 
+def dense_aligned_term(x, cols):
+    """The former dense rule: y = Ex/‖Ex‖ with the n x n projector E = UU*."""
+    px = (cols @ cols.conj().T) @ x
+    y = px / np.linalg.norm(px)
+    return float(np.linalg.norm(y - x) ** 2)
+
+
+def near_unit_vector(rng, cols, eps):
+    """A unit vector at distance about eps from its aligned projection onto
+    the span of ``cols``."""
+    n, r = cols.shape
+    inside = cols @ (rng.standard_normal(r) + 1j * rng.standard_normal(r))
+    off = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    off -= cols @ (cols.conj().T @ off)
+    x = inside / np.linalg.norm(inside) + eps * off / np.linalg.norm(off)
+    return x / np.linalg.norm(x)
+
+
+def mp_aligned_distance(x, cols):
+    """‖y - x‖ for y = Uc/‖c‖, c = U*x, at 50 digits from the float data."""
+    with mpmath.workdps(50):
+        u = mpmath.matrix([[mpmath.mpc(float(z.real), float(z.imag))
+                            for z in row] for row in cols])
+        xx = mpmath.matrix([mpmath.mpc(float(z.real), float(z.imag))
+                            for z in x])
+        c = u.H * xx
+        y = u * c / mpmath.norm(c)
+        return float(mpmath.norm(y - xx))
+
+
 class TestAlignedTerm:
     def test_phase_invariance(self, rng):
-        proj = np.zeros((3, 3), dtype=complex)
-        proj[0, 0] = 1.0
+        cols = np.eye(3, dtype=complex)[:, [0]]
         x = rng.normal(size=3) + 1j * rng.normal(size=3)
         x = x / np.linalg.norm(x)
-        base, _ = aligned_term(x, proj)
+        base, _ = aligned_term(x, cols)
         for theta in rng.uniform(0.0, 2 * np.pi, 5):
-            rotated, _ = aligned_term(np.exp(1j * theta) * x, proj)
+            rotated, _ = aligned_term(np.exp(1j * theta) * x, cols)
             assert rotated == pytest.approx(base, abs=1e-12)
 
     def test_orthogonal_projection_fails_pairing(self):
-        proj = np.zeros((2, 2), dtype=complex)
-        proj[0, 0] = 1.0
+        cols = np.eye(2, dtype=complex)[:, [0]]
         with pytest.raises(PairingError):
-            aligned_term(np.array([0.0, 1.0], dtype=complex), proj)
+            aligned_term(np.array([0.0, 1.0], dtype=complex), cols)
+
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    def test_matches_the_dense_projector(self, rng, rank):
+        for n in (rank, rank + 1, 12):
+            cols = random_isometry(rng, n, rank)
+            for eps in (1.0, 1e-3, 1e-6):
+                x = near_unit_vector(rng, cols, eps)
+                term, overlap = aligned_term(x, cols)
+                want = dense_aligned_term(x, cols)
+                assert abs(np.sqrt(term) - np.sqrt(want)) <= 1e-14
+                assert overlap == pytest.approx(
+                    np.linalg.norm(cols @ (cols.conj().T @ x)), abs=1e-15)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    def test_small_distance_against_mpmath(self, rng, eps):
+        # 2 - 2‖c‖ equals ‖y - x‖² in exact arithmetic, but ‖c‖ rounds to
+        # within 1.1e-16 of 1 and the small difference is lost.
+        for rank in (1, 3):
+            cols = random_isometry(rng, 8, rank)
+            x = near_unit_vector(rng, cols, eps)
+            want = mp_aligned_distance(x, cols)
+            assert want == pytest.approx(eps, rel=0.1)
+            term, overlap = aligned_term(x, cols)
+            assert abs(np.sqrt(term) - want) <= 1e-15
+            shortcut = np.sqrt(max(2.0 - 2.0 * overlap, 0.0))
+            assert abs(shortcut - want) > 1e-15
 
 
 class TestBariSum:
@@ -310,6 +364,40 @@ class TestBariSum:
         bari = bari_sum(m3, marks, 2)
         for d_rec, b_rec in zip(decay.records, bari.records):
             assert b_rec.term <= (2.0 * d_rec.proj_diff_norm) ** 2 + 1e-9
+
+
+def dense_bari_terms(block, marks, n_max):
+    """Bari terms from the former dense rule: the n1 x n1 eigenprojector of
+    A's cluster applied to the normalized first component."""
+    labels = block.a_clusters
+    terms = []
+    for n in range(1, n_max + 1):
+        x = block.eig_m.vectors[:block.n1, marks.first_above + n - 1]
+        x = x / np.linalg.norm(x)
+        cols = block.eig_a.vectors[:, labels == labels[marks.kappa + n - 1]]
+        terms.append(dense_aligned_term(x, cols))
+    return terms
+
+
+def random_complex_blocks():
+    rng = np.random.default_rng(61)
+    return [separated_block(rng)[0] for _ in range(12)]
+
+
+@pytest.mark.parametrize("make_blocks", [
+    lambda: [golden_block()], lambda: [mhd_block()], random_complex_blocks,
+], ids=["golden", "mhd-64", "random-complex"])
+def test_bari_terms_match_dense_projectors(make_blocks):
+    checked = 0
+    for block in make_blocks():
+        marks = landmarks(block)
+        n_max = min(6, marks.rungs)
+        rep = bari_sum(block, marks, n_max)
+        want = dense_bari_terms(block, marks, n_max)
+        for rec, ref in zip(rep.records, want):
+            assert abs(np.sqrt(rec.term) - np.sqrt(ref)) <= 1e-13
+            checked += 1
+    assert checked >= 4
 
 
 def decay_report(*records):

@@ -23,7 +23,7 @@ from specblock import linalg as linalg_module
 from specblock.linalg import hermitian_eigvals, orthonormality_defect
 from specblock.mhd import constant_profile, discretize, profile_from_functions
 from specblock.selftest import random_block
-from specblock.tolerance import PHASE_ZERO_TOL, base_tol, matrix_tol
+from specblock.tolerance import BASE_TOL, PHASE_ZERO_TOL, matrix_tol
 
 from oracles import cubic_fixture_roots, herm2x2_eigs
 
@@ -270,7 +270,7 @@ def scan_grid(block):
     lam_bbs = float(hermitian_eigvals(block.coupling_gram())[-1])
     mu = float(block.eig_a.eigenvalues[0])
     c = block.c
-    denom = max(mu, matrix_tol(block.A), base_tol())
+    denom = max(mu, matrix_tol(block.A), BASE_TOL)
     points = []
     for a in np.linspace(0.0, lam_bbs / denom, 21):
         rb = minimal_b_for_a(block, float(a))

@@ -1,11 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from specblock import problems
+from specblock import BlockOperatorMatrix, problems, selftest
 from specblock.cli import main
 from specblock.report import emit_json
+from specblock.selftest import fixture_block
 
 GOLDEN_BLOCK = str(Path(__file__).parent / "data" / "golden_block.json")
 
@@ -74,22 +76,6 @@ class TestExitCodes:
     def test_missing_file_exits_2(self, capsys):
         assert main(["enclose", "--input", "/nonexistent.json"]) == 2
         capsys.readouterr()
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
-    @pytest.mark.parametrize("command", ["enclose", "selftest"])
-    def test_bad_tolerance_setting_exits_2(self, tmp_path, monkeypatch, capsys,
-                                           value, command):
-        monkeypatch.setenv("SPECBLOCK_TOL", value)
-        if command == "selftest":
-            args = ["selftest", "--seed", "1"]
-        else:
-            path = write_problem(tmp_path, "m3.json", M3_PROBLEM)
-            args = ["enclose", "--input", path]
-        assert main(args + ["--out", str(tmp_path / "r.json")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("specblock: error: SPECBLOCK_TOL")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("command", ["enclose", "angular", "basis"])
     def test_coupling_gram_overflow_exits_2(self, tmp_path, capsys, command):
@@ -172,6 +158,25 @@ class TestExitCodes:
         monkeypatch.setattr(problems, "orjson", None)
         assert (main(argv), capsys.readouterr().err) == fast
 
+    @pytest.mark.parametrize("entry", [
+        "[" * 900 + "]" * 900,
+        "[" + ", ".join(["1"] * 99_999) + ', "x"]',
+    ], ids=["depth-900", "100000-elements"])
+    def test_bad_entry_echo_is_bounded(self, tmp_path, capsys, monkeypatch,
+                                       entry):
+        path = tmp_path / "p.json"
+        path.write_text('{"blocks": {"A": [[2, 0], [0, 10]], "B": [[' + entry
+                        + '], [1]], "C": [[-1]]}}')
+        argv = ["enclose", "--input", str(path), "--out", str(tmp_path / "r")]
+        fast = main(argv), capsys.readouterr().err
+        monkeypatch.setattr(problems, "orjson", None)
+        assert (main(argv), capsys.readouterr().err) == fast
+        code, err = fast
+        assert code == 2
+        assert err.startswith("specblock: error: matrix entry must be")
+        assert err.count("\n") == 1
+        assert len(err.encode("utf-8")) < 300
+
     @pytest.mark.parametrize("flag", [True, False])
     def test_squared_bands_flag(self, tmp_path, flag):
         path = write_problem(tmp_path, "p.json",
@@ -182,7 +187,13 @@ class TestExitCodes:
         assert bands["inputs"]["squared_variant"] is flag
 
     def test_corrupted_selftest_exits_1(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPECBLOCK_SELFTEST_CORRUPT", "1")
+        # The cubic fixture with A = diag(2, 10.5) misses its own eigenvalues.
+        def corrupted():
+            block = fixture_block()
+            return BlockOperatorMatrix(A=np.diag([2.0, 10.5]), B=block.B,
+                                       C=block.C)
+
+        monkeypatch.setattr(selftest, "fixture_block", corrupted)
         out = tmp_path / "r.json"
         code = main(["selftest", "--seed", "7", "--out", str(out)])
         assert code == 1
@@ -304,6 +315,26 @@ class TestBasisSoqMhd:
 
 
 class TestOutputPlumbing:
+    def test_environment_does_not_change_reports(self, tmp_path, monkeypatch):
+        mhd = write_problem(tmp_path, "mhd.json", MHD_PROBLEM)
+        runs = [["enclose", "--input", GOLDEN_BLOCK],
+                ["mhd", "--input", mhd, "--n", "16"]]
+
+        def reports(tag):
+            out = []
+            for i, argv in enumerate(runs):
+                path = tmp_path / f"{tag}-{i}.json"
+                out.append((main(argv + ["--out", str(path)]),
+                            path.read_bytes()))
+            return out
+
+        for name in ("SPECBLOCK_TOL", "SPECBLOCK_SELFTEST_CORRUPT"):
+            monkeypatch.delenv(name, raising=False)
+        unset = reports("unset")
+        monkeypatch.setenv("SPECBLOCK_TOL", "1e-3")
+        monkeypatch.setenv("SPECBLOCK_SELFTEST_CORRUPT", "1")
+        assert reports("set") == unset
+
     def test_stdout_report(self, tmp_path, capsys):
         path = write_problem(tmp_path, "m3.json", M3_PROBLEM)
         code = main(["enclose", "--input", path])

@@ -1,5 +1,6 @@
 import json
 import random
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,16 @@ class TestMatrixParsing:
         assert calls == [1, [2, 3]]
 
 
+# A bad entry is echoed to two levels, three list items or two dict items
+# per level, 12 characters of a string and 16 of any other scalar.
+ECHO = reprlib.Repr()
+ECHO.maxlevel = 2
+ECHO.maxlist = 3
+ECHO.maxdict = 2
+ECHO.maxstring = 12
+ECHO.maxlong = ECHO.maxother = 16
+
+
 def reference_parse(rows):
     """The matrix parser before rows were converted whole: entry by entry."""
     def is_number(value):
@@ -110,8 +121,8 @@ def reference_parse(rows):
         if (isinstance(entry, (list, tuple)) and len(entry) == 2
                 and all(is_number(p) for p in entry)):
             return complex(entry[0], entry[1])
-        raise ParseError(
-            f"matrix entry must be a number or [re, im] pair, got {entry!r}")
+        raise ParseError("matrix entry must be a number or [re, im] pair, "
+                         f"got {ECHO.repr(entry)}")
 
     if not isinstance(rows, list) or not rows:
         raise ParseError("matrix must be a non-empty list of rows")

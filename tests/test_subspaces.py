@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,14 @@ from specblock import (
     shifted_matrix,
     spectral_subspace,
 )
+from specblock import checks
+from specblock.blocks import best_relative_bound
+from specblock.errors import LandmarkError, SingularShiftError
+from specblock.linalg import _solver_input
+from specblock.mhd import discretize, profile_from_functions
+from specblock.problems import load_problem
 from specblock.selftest import random_block
+from specblock.tolerance import GRAPH_TOL
 
 from oracles import cubic_fixture_roots
 
@@ -87,7 +96,7 @@ class TestAngularOperator:
         k = angular_operator(sub)
         assert k.norm == pytest.approx(0.0, abs=1e-12)
         assert k.codim == 0
-        assert np.allclose(k.domain_projector, np.eye(2), atol=1e-10)
+        assert np.allclose(k.domain @ k.domain.conj().T, np.eye(2), atol=1e-10)
 
     def test_decoupled_partial_domain(self):
         sub = spectral_subspace(decoupled_block(), 5.0)
@@ -112,6 +121,119 @@ class TestAngularOperator:
                             basis_second=np.array([[1.0], [0.0]], dtype=complex))
         with pytest.raises(NotAGraphError):
             angular_operator(sub)
+
+    def test_empty_subspace(self, m3):
+        sub = spectral_subspace(m3, cubic_fixture_roots()[2] + 1.0)
+        k = angular_operator(sub)
+        assert k.K.shape == (1, 2)
+        assert not k.K.any()
+        assert k.norm == 0.0
+        assert k.codim == 2
+        assert k.domain.shape == (2, 0)
+
+    def test_more_columns_than_the_first_block_raises(self, rng):
+        # Three orthonormal columns in C^(2+1): the first block has rank 2.
+        q = np.linalg.qr(rng.standard_normal((3, 3))
+                         + 1j * rng.standard_normal((3, 3)))[0]
+        sub = GraphSubspace(basis_first=q[:2], basis_second=q[2:])
+        assert graph_test(sub).verdict == "not-graph"
+        with pytest.raises(NotAGraphError,
+                           match="first-block rank 2 < subspace dimension 3"):
+            angular_operator(sub)
+
+    def test_first_block_factored_once(self, monkeypatch):
+        block = golden_block()
+        sub = spectral_subspace(block, landmarks(block).c_tilde)
+        u = _solver_input(sub.basis_first)
+        seen = []
+        original = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            seen.append(np.array(a, copy=True))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        inner = getattr(np.linalg, "_linalg", None)
+        if inner is not None:  # numpy.linalg.norm calls svd from in here
+            monkeypatch.setattr(inner, "svd", spy)
+
+        def factorings_of_u():
+            return sum(x.shape == u.shape and np.array_equal(x, u)
+                       for x in seen)
+
+        graph_test(sub)
+        angular_operator(sub)
+        assert factorings_of_u() == 1
+        checks.angular(block, best_relative_bound(block), None)
+        assert factorings_of_u() == 2
+        assert len(seen) > 2  # the spy also sees operator_norm's SVDs
+
+
+def former_angular_operator(sub):
+    """K, ‖K‖ and the domain projector from the former dense rule: the
+    pseudo-inverse of U and the n1 x n1 projector UU⁺."""
+    u, v = sub.basis_first, sub.basis_second
+    p, s, qh = np.linalg.svd(u, full_matrices=False)
+    keep = s > GRAPH_TOL * s[0]
+    u_pinv = (qh[keep].conj().T / s[keep]) @ p[:, keep].conj().T
+    proj = u @ u_pinv
+    proj = 0.5 * (proj + proj.conj().T)
+    k = v @ u_pinv
+    return k, operator_norm(k @ proj), proj
+
+
+def golden_block():
+    return load_problem(Path(__file__).parent / "data" / "golden_block.json").block
+
+
+def mhd_block():
+    profile = profile_from_functions(lambda x: 1.0 + x,
+                                     lambda x: 1.0 + 0.3 * np.sin(np.pi * x),
+                                     1.0, 1.0, 1.0, g=0.3, grid_n=65)
+    return discretize(profile, 64).block
+
+
+def random_complex_blocks():
+    rng = np.random.default_rng(62)
+    return [random_block(rng) for _ in range(30)]
+
+
+@pytest.mark.parametrize("make_blocks", [
+    lambda: [golden_block()], lambda: [mhd_block()], random_complex_blocks,
+], ids=["golden", "mhd-64", "random-complex"])
+def test_angular_operator_matches_the_dense_formulas(make_blocks):
+    """K, ‖K‖ and the extension gap ‖(K_c - K_alpha) P_alpha‖ against the
+    former pseudo-inverse and n1 x n1 domain projector."""
+    compared = 0
+    for block in make_blocks():
+        try:
+            marks = landmarks(block)
+        except (LandmarkError, SingularShiftError):
+            continue
+        above = marks.lambda_above_c
+        alphas = [marks.c_tilde]
+        if above.size >= 2:
+            alphas.append(0.5 * (above[0] + above[1]))
+        ops = []
+        for alpha in alphas:
+            sub = spectral_subspace(block, alpha)
+            if graph_test(sub).verdict != "graph":
+                break
+            k_op = angular_operator(sub)
+            k_ref, norm_ref, proj_ref = former_angular_operator(sub)
+            scale = max(1.0, norm_ref)
+            assert np.max(np.abs(k_op.K - k_ref), initial=0.0) <= 1e-12 * scale
+            assert abs(k_op.norm - norm_ref) <= 1e-12 * scale
+            assert np.allclose(k_op.domain @ k_op.domain.conj().T, proj_ref,
+                               rtol=0.0, atol=1e-12)
+            ops.append((k_op, proj_ref))
+            compared += 1
+        if len(ops) == 2:
+            (k_c, _), (k_hi, proj_hi) = ops
+            gap = operator_norm((k_c.K - k_hi.K) @ k_hi.domain)
+            gap_ref = operator_norm((k_c.K - k_hi.K) @ proj_hi)
+            assert abs(gap - gap_ref) <= 1e-12 * max(1.0, k_c.norm, k_hi.norm)
+    assert compared >= 1
 
 
 class TestDeltaCondition:

@@ -1,35 +1,20 @@
 import numpy as np
 import pytest
 
-from specblock.tolerance import base_tol, matrix_tol, scalar_tol
+from specblock.tolerance import BASE_TOL, matrix_tol, scalar_tol
 
 
 def test_default_base_tol(monkeypatch):
-    monkeypatch.delenv("SPECBLOCK_TOL", raising=False)
-    assert base_tol() == 1e-10
+    # The base tolerance is a constant: no environment setting moves it.
+    monkeypatch.setenv("SPECBLOCK_TOL", "1e-3")
+    assert BASE_TOL == 1e-10
+    assert matrix_tol(np.ones((4, 4))) == pytest.approx(4e-10)
 
 
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("SPECBLOCK_TOL", "1e-6")
-    assert base_tol() == 1e-6
-    assert matrix_tol(np.ones((4, 4))) == pytest.approx(4e-6)
-
-
-def test_env_override_validation(monkeypatch):
-    monkeypatch.setenv("SPECBLOCK_TOL", "zero")
-    with pytest.raises(ValueError):
-        base_tol()
-    monkeypatch.setenv("SPECBLOCK_TOL", "-1e-9")
-    with pytest.raises(ValueError):
-        base_tol()
-
-
-def test_matrix_tol_scales_with_dim_and_entries(monkeypatch):
-    monkeypatch.delenv("SPECBLOCK_TOL", raising=False)
+def test_matrix_tol_scales_with_dim_and_entries():
     assert matrix_tol(10.0 * np.ones((5, 5))) == pytest.approx(5e-9)
 
 
-def test_scalar_tol_floors_at_one(monkeypatch):
-    monkeypatch.delenv("SPECBLOCK_TOL", raising=False)
+def test_scalar_tol_floors_at_one():
     assert scalar_tol(0.5) == pytest.approx(1e-10)
     assert scalar_tol(100.0) == pytest.approx(1e-8)
