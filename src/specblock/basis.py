@@ -1,8 +1,9 @@
 """Basis diagnostics for first components of eigenvectors above max sigma(C).
 
 Riesz frame bounds through the Gram matrix, the projection-decay comparison
-between eigenprojectors of A and spectral projectors of the Schur complement,
-and Bari partial sums against aligned eigenvectors of A.
+between eigenprojectors of A and spectral projectors of the Schur complement
+(read from the eigenvectors of the assembled matrix), and Bari partial sums
+against aligned eigenvectors of A.
 """
 
 from __future__ import annotations
@@ -11,19 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (
-    BlockOperatorMatrix,
-    RelativeBound,
-    SpectralLandmarks,
-    schur_complement,
-)
+from .blocks import BlockOperatorMatrix, RelativeBound, SpectralLandmarks
 from .errors import ArgumentError, DegenerateGapError, PairingError
-from .linalg import (
-    Interval,
-    hermitian_eig,
-    hermitian_eigvals,
-    operator_norm,
-)
+from .linalg import hermitian_eigvals, operator_norm
 from .subspaces import AngularOperator, GraphSubspace
 from .tolerance import (
     BARI_DIP,
@@ -235,20 +226,46 @@ def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
     return operator_norm(resid)
 
 
+def _first_component(block: BlockOperatorMatrix, marks: SpectralLandmarks,
+                     n: int) -> tuple[float, np.ndarray]:
+    """lambda_n, the n-th eigenvalue above c, and x_n, the normalized first
+    component of its eigenvector in eig(M).  Raises PairingError when that
+    component falls below PAIR_TOL."""
+    dec_m = block.eig_m
+    idx = marks.first_above + n - 1
+    lam = float(dec_m.eigenvalues[idx])
+    x = dec_m.vectors[:block.n1, idx]
+    x_norm = float(np.linalg.norm(x))
+    if x_norm < PAIR_TOL:
+        raise PairingError(
+            f"eigenvector at {lam:.12g} has vanishing first component")
+    return lam, x / x_norm
+
+
 def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
                      n_max: int, rb: RelativeBound) -> DecayReport:
     """Compare eigenprojectors of A with Schur-complement spectral projectors.
 
-    For each of the first ``n_max`` eigenvalues above c: the isolation radius
-    gamma_n, the projector F of the Schur complement at lambda_n onto
-    (-gamma_n, gamma_n), the eigenprojector E of A at mu_{kappa+n}, the
-    operator norm of their difference, and the circle-maximized delta_n.  The
-    circle is sampled at 128 equally spaced angles.
+    For each of the first ``n_max`` eigenvalues lambda_n above c: the
+    isolation radius gamma_n, the spectral projector F_n of the Schur
+    complement S(lambda_n) onto (-gamma_n, gamma_n), the eigenprojector E of
+    A at mu_{kappa+n}, the operator norm of their difference, and the
+    circle-maximized delta_n.  The circle is sampled at 128 equally spaced
+    angles.  Raises DegenerateGapError when gamma_n < assembled_tol, and
+    PairingError as bari_sum does.
 
-    ‖E - F‖ comes from the bases alone (projector_distance): the
-    eigenvectors V of the Schur complement in the window and the cluster
-    columns U of A give ‖U - V(V*U)‖ when they have as many columns, and
-    exactly 1 when they do not; no n1 x n1 projector is formed.
+    F_n is the projector onto span{x_n}, the normalized first component of
+    the eigenvector of M at lambda_n, so S(lambda_n) is neither formed nor
+    solved.  Off sigma(C), S'(lambda) = -I - B (C - lambda)^{-2} B* <= -I,
+    so every eigenvalue curve of S falls at slope <= -1.  A curve at
+    s != 0 in (-gamma_n, gamma_n) at lambda_n would therefore vanish within
+    |s| of lambda_n (followed to the left it rises at least as fast, to +inf
+    at a pole of C or on through it), at a second eigenvalue of M closer
+    than gamma_n, half the gap to lambda_n's neighbours.  So the window
+    holds only ker S(lambda_n) = span{x_n}: gamma_n >= assembled_tol > 0
+    makes lambda_n simple, and F_n has rank 1.  ‖E - F_n‖ comes from the
+    bases alone (projector_distance): the cluster columns U of A and x_n give
+    ‖U - x_n(x_n* U)‖ when U is one column and exactly 1 otherwise.
     """
     _check_range(marks, n_max)
     spec_a = block.eig_a.eigenvalues
@@ -265,11 +282,9 @@ def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
                 f"eigenvalue {lam:.12g} collides with a neighbour "
                 f"(gamma = {gamma:.3e})")
         mu = float(spec_a[marks.kappa + n - 1])
-        s_dec = hermitian_eig(schur_complement(block, lam))
-        window = Interval(-gamma, gamma, open_lo=True, open_hi=True)
+        _, x = _first_component(block, marks, n)
         diff_norm = projector_distance(
-            _cluster_columns(block, marks.kappa + n - 1),
-            s_dec.vectors[:, s_dec.window_mask(window)])
+            _cluster_columns(block, marks.kappa + n - 1), x[:, None])
         zs = lam + gamma * np.exp(1j * angles)
         dists = np.abs(zs[:, None] - spec_a[None, :]).min(axis=1)
         delta = float(np.max(
@@ -318,20 +333,10 @@ def bari_sum(block: BlockOperatorMatrix, marks: SpectralLandmarks,
     """
     _check_range(marks, n_max)
     spec_a = block.eig_a.eigenvalues
-    dec_m = block.eig_m
-    n1 = block.n1
     records = []
     terms = []
     for n in range(1, n_max + 1):
-        idx = marks.first_above + n - 1
-        lam = float(dec_m.eigenvalues[idx])
-        vec = dec_m.vectors[:, idx]
-        x = vec[:n1]
-        x_norm = float(np.linalg.norm(x))
-        if x_norm < PAIR_TOL:
-            raise PairingError(
-                f"eigenvector at {lam:.12g} has vanishing first component")
-        x = x / x_norm
+        lam, x = _first_component(block, marks, n)
         mu = float(spec_a[marks.kappa + n - 1])
         cols = _cluster_columns(block, marks.kappa + n - 1)
         term, _ = aligned_term(x, cols)

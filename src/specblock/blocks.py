@@ -21,6 +21,7 @@ from .linalg import (
     hermitian_eig,
     hermitian_eigvals,
     hermitian_part_eig,
+    hermitian_part_eig_by_components,
     require_hermitian,
     spectral_distance,
     stack_chunks,
@@ -104,8 +105,16 @@ class BlockOperatorMatrix:
 
     @cached_property
     def eig_c(self) -> SpectralDecomposition:
-        """Eigendecomposition of C."""
-        return _frozen_eig(hermitian_part_eig(self.C))
+        """Eigendecomposition of C.
+
+        A C whose nonzero pattern falls apart into decoupled blocks, such as
+        the pointwise 2x2 multiplication block of the MHD discretization, is
+        solved block by block (hermitian_part_eig_by_components): its
+        eigenvectors are zero off their block, and its eigenvalues may
+        differ from the dense solve's in the last digits.  Any other C is
+        solved densely by hermitian_part_eig.
+        """
+        return _frozen_eig(hermitian_part_eig_by_components(self.C))
 
     @property
     def c(self) -> float:

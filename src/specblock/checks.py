@@ -340,7 +340,7 @@ def basis(block: BlockOperatorMatrix, rb: RelativeBound,
                      "m_constant": decay.m_constant},
             status=verdict(decay.within_bound),
             tolerances={"slack": SLACK}))
-    except (DegenerateGapError, SingularShiftError) as exc:
+    except (DegenerateGapError, PairingError) as exc:
         checks.append(not_applicable("basis/decay", DECAY_ANCHOR, str(exc)))
     try:
         bari = bari_sum(block, marks, n_avail)

@@ -17,6 +17,10 @@ purely imaginary iY is taken from Y), with the same last-digit caveat and
 unchanged return types.  Blocks in real form also get float64 Schur
 complements (``blocks.schur_complement``).
 
+``hermitian_part_eig_by_components`` solves a matrix whose nonzero pattern
+falls apart into decoupled blocks one block at a time, and any other matrix
+as ``hermitian_part_eig`` does.
+
 ``require_hermitian`` and ``hermitian_eigvals`` also take a stack (k, n, n)
 of matrices, such as one matrix per shift of a scan.  Each matrix is checked
 on its own scale and solved by the LAPACK routine it would get alone, and the
@@ -49,6 +53,7 @@ __all__ = [
     "stack_chunks",
     "hermitian_eig",
     "hermitian_part_eig",
+    "hermitian_part_eig_by_components",
     "hermitian_eigvals",
     "diagonal_similarity",
     "spectral_projector",
@@ -237,6 +242,79 @@ def hermitian_part_eig(herm: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(
         eigenvalues=np.asarray(eigvals, dtype=float),
         vectors=_normalize_phases(eigvecs.astype(np.complex128, copy=False)))
+
+
+def _pattern_labels(herm: np.ndarray) -> np.ndarray | None:
+    """The connected component of each index in the graph of the nonzero
+    pattern of the square ``herm`` (i ~ j when herm[i, j] != 0), labelled by
+    its smallest index; None when the pattern is connected.
+
+    Every label starts at its own index, drops to the least label among
+    itself and its neighbours, then jumps to the label of that label, until
+    no label moves.  A label only falls and always names an index of the
+    same component, and at the fixed point neighbours share their label.
+    """
+    n = herm.shape[0]
+    pattern = herm != 0
+    if n < 2 or pattern.all():
+        return None
+    pattern[np.diag_indices(n)] = True
+    rows, cols = np.nonzero(pattern)
+    starts = np.searchsorted(rows, np.arange(n))
+    labels = np.arange(n)
+    while True:
+        hooked = np.minimum.reduceat(labels[cols], starts)
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            break
+        labels = hooked
+    return labels if labels.any() else None
+
+
+def hermitian_part_eig_by_components(herm: np.ndarray) -> SpectralDecomposition:
+    """hermitian_part_eig for an exact Hermitian part whose nonzero pattern
+    may fall apart into decoupled diagonal blocks, such as a pointwise 2x2
+    multiplication operator stored as one dense matrix.
+
+    A connected pattern goes to hermitian_part_eig, so the result is its
+    result bit for bit.  Otherwise each connected component of the pattern
+    is solved on its own, all components of one size by one stacked LAPACK
+    call, and each eigenvector is zero off its component.  The eigenvalues
+    are sorted stably and the vectors phase-normalized as hermitian_part_eig
+    does; both may differ from the dense solve's in the last digits, and
+    eigenvalues shared by two components get eigenvectors confined to one.
+    """
+    labels = _pattern_labels(herm)
+    if labels is None:
+        return hermitian_part_eig(herm)
+    solver_input = _solver_input(herm)
+    n = herm.shape[0]
+    # Indices grouped by component, ascending within each; firsts[k] is where
+    # component k starts in members.  (np.unique would import numpy.ma.)
+    members = np.argsort(labels, kind="stable")
+    firsts = np.flatnonzero(np.diff(labels[members], prepend=-1))
+    sizes = np.diff(firsts, append=n)
+    values = np.empty(n)
+    solved = []
+    for size in sorted(set(sizes.tolist())):
+        # idx[k] holds the indices of the k-th component of this size, in
+        # ascending order; its eigenvalues take the slots idx[k] of values.
+        idx = members[firsts[sizes == size][:, None] + np.arange(size)]
+        try:
+            eigvals, eigvecs = np.linalg.eigh(
+                solver_input[idx[:, :, None], idx[:, None, :]])
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
+        values[idx] = eigvals
+        solved.append((idx, eigvecs))
+    order = np.argsort(values, kind="stable")
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    vectors = np.zeros((n, n), dtype=np.complex128)
+    for idx, eigvecs in solved:
+        vectors[idx[:, :, None], column[idx][:, None, :]] = eigvecs
+    return SpectralDecomposition(eigenvalues=values[order],
+                                 vectors=_normalize_phases(vectors))
 
 
 def hermitian_eig(mat) -> SpectralDecomposition:

@@ -99,10 +99,10 @@ def _all_numbers(values) -> bool:
     return set(map(type, values)) <= _NUMBER_TYPES
 
 
-# The echo of a bad matrix entry in its one-line error: two levels, three
-# list items or two dict items per level, and 16 characters per scalar (12
-# per string) at most, so an entry of any size or depth prints at most 218
-# characters.
+# The echo of a bad matrix entry, CSV cell or built-in profile name in its
+# one-line error: two levels, three list items or two dict items per level,
+# and 16 characters per scalar (12 per string) at most, so a value of any
+# size or depth prints at most 218 characters.
 _ENTRY_ECHO = reprlib.Repr()
 _ENTRY_ECHO.maxlevel = 2
 _ENTRY_ECHO.maxlist = 3
@@ -175,7 +175,8 @@ def read_csv_matrix(path: Path) -> np.ndarray:
                 values.append(complex(cell))
             except ValueError as exc:
                 raise ParseError(
-                    f"{path}:{line_no}: cannot parse entry {cell!r}") from exc
+                    f"{path}:{line_no}: cannot parse entry "
+                    f"{_ENTRY_ECHO.repr(cell)}") from exc
         rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no rows")
@@ -208,7 +209,7 @@ def _parse_profile_field(name: str, value, grid_n: int) -> np.ndarray:
     if isinstance(value, str):
         if value not in BUILTIN_FIELDS:
             raise ParseError(
-                f"unknown built-in {value!r} for {name}; "
+                f"unknown built-in {_ENTRY_ECHO.repr(value)} for {name}; "
                 f"choose from {sorted(BUILTIN_FIELDS)}")
         try:
             x = np.linspace(0.0, 1.0, grid_n)

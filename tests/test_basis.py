@@ -25,7 +25,7 @@ from specblock.basis import (
     DecayReport,
     projector_distance,
 )
-from specblock.blocks import best_relative_bound, schur_complement
+from specblock.blocks import assemble, best_relative_bound, schur_complement
 from specblock.linalg import Interval, hermitian_eig
 from specblock.mhd import discretize, profile_from_functions
 from specblock.problems import load_problem
@@ -211,8 +211,11 @@ class TestProjectorDistance:
 
 
 def reference_decay_norms(block, marks, n_max):
-    """proj_diff_norm of each rung from dense projectors E and F."""
-    norms = []
+    """proj_diff_norm of each rung from dense projectors E and F, with F the
+    spectral projector of the Schur complement S(lambda_n) on
+    (-gamma_n, gamma_n), and the number of eigenvalues of S(lambda_n) in
+    that window."""
+    norms, counts = [], []
     spec_m = block.eig_m.eigenvalues
     for n in range(1, n_max + 1):
         lam = float(marks.lambda_above_c[n - 1])
@@ -224,7 +227,23 @@ def reference_decay_norms(block, marks, n_max):
         labels = block.a_clusters
         u = block.eig_a.vectors[:, labels == labels[marks.kappa + n - 1]]
         norms.append(dense_projector_distance(u, v))
-    return norms
+        counts.append(v.shape[1])
+    return norms, counts
+
+
+def random_hermitian(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (z + z.conj().T)
+
+
+def random_complex_block(n1=10, n2=6, seed=97):
+    """Dense complex A, B and C, with sigma(A) spread over [0, 8 n1] and C
+    below it."""
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(rng, n1) + np.diag(np.linspace(0.0, 8.0 * n1, n1))
+    c = random_hermitian(rng, n2) - 6.0 * np.eye(n2)
+    b = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
+    return BlockOperatorMatrix(A=a, B=b, C=c)
 
 
 def golden_block():
@@ -239,17 +258,46 @@ def mhd_block():
     return discretize(profile, 64).block
 
 
-@pytest.mark.parametrize("make_block", [golden_block, mhd_block],
-                         ids=["golden", "mhd-64"])
+@pytest.mark.parametrize("make_block",
+                         [golden_block, mhd_block, random_complex_block],
+                         ids=["golden", "mhd-64", "random-complex"])
 def test_projection_decay_matches_dense_projectors(make_block):
+    # F_n is read from eig(M); the reference solves S(lambda_n) and keeps
+    # its eigenvectors in (-gamma_n, gamma_n), which must be exactly one.
     block = make_block()
     marks = landmarks(block)
     n_max = min(8, marks.rungs)
     rep = projection_decay(block, marks, n_max, rb=best_relative_bound(block))
-    want = reference_decay_norms(block, marks, n_max)
+    want, counts = reference_decay_norms(block, marks, n_max)
     assert len(rep.records) == n_max >= 4
+    assert counts == [1] * n_max
     for got, ref in zip(rep.norms, want):
         assert abs(got - ref) <= 1e-12
+
+
+def test_projection_decay_against_mpmath():
+    # ‖E - F_n‖ at 50 digits from the float entries: eigenvectors of A and
+    # of M by mp.eighe, F_n onto the first component of M's eigenvector.
+    block = random_complex_block(n1=3, n2=2)
+    marks = landmarks(block)
+    n_max = marks.rungs
+    rep = projection_decay(block, marks, n_max, rb=best_relative_bound(block))
+    assert n_max >= 2
+
+    def mp_matrix(arr):
+        return mpmath.matrix([[mpmath.mpc(float(z.real), float(z.imag))
+                               for z in row] for row in arr])
+
+    with mpmath.workdps(50):
+        _, q_a = mpmath.eighe(mp_matrix(block.A))
+        _, q_m = mpmath.eighe(mp_matrix(assemble(block)))
+        for n, got in enumerate(rep.norms, start=1):
+            u = q_a[:, marks.kappa + n - 1]
+            x = q_m[:block.n1, marks.first_above + n - 1]
+            x = x / mpmath.norm(x)
+            overlap = sum(mpmath.conj(x[i]) * u[i] for i in range(block.n1))
+            want = float(mpmath.norm(u - x * overlap))
+            assert abs(got - want) <= 1e-13
 
 
 def dense_aligned_term(x, cols):

@@ -177,6 +177,29 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert len(err.encode("utf-8")) < 300
 
+    @pytest.mark.parametrize("where", ["csv-cell", "rho-name"])
+    def test_long_echo_is_bounded(self, tmp_path, capsys, monkeypatch, where):
+        long = "x" * 100_000
+        if where == "csv-cell":
+            (tmp_path / "b.csv").write_text(long + "\n1\n")
+            payload = {"blocks": {"A": [[2, 0], [0, 10]], "B": "b.csv",
+                                  "C": [[-1]]}}
+            command, start = "enclose", "cannot parse entry 'xxx...xxxx'"
+        else:
+            payload = {"mhd": dict(MHD_PROBLEM["mhd"], rho=long)}
+            command, start = "mhd", "unknown built-in 'xxx...xxxx' for rho"
+        path = write_problem(tmp_path, "p.json", payload)
+        argv = [command, "--input", path, "--out", str(tmp_path / "r")]
+        fast = main(argv), capsys.readouterr().err
+        monkeypatch.setattr(problems, "orjson", None)
+        assert (main(argv), capsys.readouterr().err) == fast
+        code, err = fast
+        assert code == 2
+        assert err.startswith("specblock: error: ")
+        assert start in err
+        assert err.count("\n") == 1
+        assert len(err.encode("utf-8")) < 300
+
     @pytest.mark.parametrize("flag", [True, False])
     def test_squared_bands_flag(self, tmp_path, flag):
         path = write_problem(tmp_path, "p.json",

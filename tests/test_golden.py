@@ -124,10 +124,14 @@ def count_forms(seen, targets):
 def test_run_report_decomposes_a_c_and_m_once_per_call(monkeypatch):
     profile, targets = block_forms()
     seen = []
-    # Every full eigendecomposition ends in hermitian_part_eig: eig_a and
-    # eig_c call it on the stored Hermitian parts of A and C, hermitian_eig
-    # on the validated M.
+    # Every full eigendecomposition ends in hermitian_part_eig or in the
+    # block-wise hermitian_part_eig_by_components: eig_a calls the first on
+    # the stored Hermitian part of A, hermitian_eig on the validated M, and
+    # eig_c the second on C.  This C is the pointwise 2x2 block, so its
+    # block-wise solve never reaches hermitian_part_eig; a dense fallback
+    # would count C twice.
     spy_on(monkeypatch, linalg.hermitian_part_eig, seen)
+    spy_on(monkeypatch, linalg.hermitian_part_eig_by_components, seen)
 
     run_report(profile, 32, 4)
     assert count_forms(seen, targets) == {"A": 1, "C": 1, "M": 1}

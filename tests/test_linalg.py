@@ -22,6 +22,8 @@ from specblock.linalg import (
     STACK_BYTES,
     _normalize_phases,
     diagonal_similarity,
+    hermitian_part_eig,
+    hermitian_part_eig_by_components,
     require_hermitian,
     stack_chunks,
 )
@@ -572,6 +574,97 @@ class TestRealFormPipeline:
         assert np.dtype(np.complex128) in {dtype for _, dtype in seen}
         svd_inputs = {dtype for name, dtype in seen if name == "svd"}
         assert svd_inputs == {np.dtype(np.complex128)}
+
+
+def scattered_blocks(seed, sizes, complex_entries=True):
+    """Exact Hermitian part with dense random blocks of the given sizes on
+    scattered index sets, zero between them; returns it and the index sets."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    herm = np.zeros((n, n), dtype=complex)
+    groups = np.split(perm, np.cumsum(sizes)[:-1])
+    for group in groups:
+        k = group.size
+        z = rng.uniform(-5, 5, (k, k))
+        if complex_entries:
+            z = z + 1j * rng.uniform(-5, 5, (k, k))
+        herm[np.ix_(group, group)] = 0.5 * (z + z.conj().T)
+    return require_hermitian(herm), groups
+
+
+class TestComponentEig:
+    """hermitian_part_eig_by_components solves the connected components of
+    the nonzero pattern on their own, and a connected pattern densely."""
+
+    @pytest.mark.parametrize("sizes", [(1, 2, 2, 3, 3), (4, 1, 1, 6),
+                                       (2,) * 9])
+    @pytest.mark.parametrize("complex_entries", [True, False])
+    def test_mixed_components(self, sizes, complex_entries):
+        herm, groups = scattered_blocks(sum(sizes), sizes, complex_entries)
+        dec = hermitian_part_eig_by_components(herm)
+        want = np.linalg.eigvalsh(herm)
+        scale = np.max(np.abs(want))
+        assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+        assert np.max(np.abs(dec.eigenvalues - want)) <= 1e-13 * scale
+        assert dec.vectors.dtype == np.complex128
+        residual = herm @ dec.vectors - dec.vectors * dec.eigenvalues
+        assert np.max(np.abs(residual)) <= 1e-13 * scale
+        assert orthonormality_defect(dec.vectors) <= 1e-14
+        assert_phase_rule(dec.vectors)
+        # Each eigenvector lives on one component, and each component
+        # carries as many eigenvectors as it has indices.
+        support = np.abs(dec.vectors) > 0.0
+        owners = [int(np.argmax([support[g, j].any() for g in groups]))
+                  for j in range(herm.shape[0])]
+        for j, owner in enumerate(owners):
+            outside = np.setdiff1d(np.arange(herm.shape[0]), groups[owner])
+            assert not support[outside, j].any()
+        assert sorted(np.bincount(owners, minlength=len(groups))) \
+            == sorted(g.size for g in groups)
+
+    def test_diagonal(self):
+        diag = np.array([3.0, -1.0, 2.0, -1.0, 0.0, 7.5])
+        dec = hermitian_part_eig_by_components(np.diag(diag).astype(complex))
+        assert np.array_equal(dec.eigenvalues, np.sort(diag))
+        # Ties keep the index order: -1.0 at index 1 comes before index 3.
+        order = np.argsort(diag, kind="stable")
+        assert np.array_equal(dec.vectors, np.eye(6)[:, order])
+
+    @pytest.mark.parametrize("kind", ["dense", "scattered-path", "one", "empty"])
+    def test_connected_pattern_is_the_dense_solve(self, kind):
+        if kind == "dense":
+            herm = require_hermitian(random_hermitian(4, 9))
+        elif kind == "scattered-path":
+            # a path i ~ i+1 under a permutation: connected, mostly zero
+            n = 12
+            perm = np.random.default_rng(8).permutation(n)
+            path = (np.diag(np.arange(1.0, n + 1))
+                    + np.diag(np.full(n - 1, 0.5 + 0.25j), 1)
+                    + np.diag(np.full(n - 1, 0.5 - 0.25j), -1))
+            herm = require_hermitian(path[np.ix_(perm, perm)])
+        elif kind == "one":
+            herm = np.array([[2.5 + 0j]])
+        else:
+            herm = np.zeros((0, 0), dtype=complex)
+        got = hermitian_part_eig_by_components(herm)
+        want = hermitian_part_eig(herm)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.vectors, want.vectors)
+
+    def test_mhd_coupling_block(self):
+        from specblock.mhd import discretize, profile_from_functions
+        profile = profile_from_functions(
+            lambda x: 1.0 + x, lambda x: 1.0 + 0.3 * np.sin(np.pi * x),
+            1.0, 1.0, 1.0, g=0.3, grid_n=129)
+        block = discretize(profile, 128).block
+        dec = block.eig_c
+        want = np.linalg.eigvalsh(block.C)
+        assert np.max(np.abs(dec.eigenvalues - want)) \
+            <= 1e-13 * np.max(np.abs(want))
+        # pointwise 2x2: every eigenvector has exactly two nonzero entries
+        assert np.array_equal(np.count_nonzero(dec.vectors, axis=0),
+                              np.full(block.n2, 2))
 
 
 class TestGeneralEig:
