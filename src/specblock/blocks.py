@@ -18,7 +18,7 @@ from .linalg import (
     SpectralDecomposition,
     as_matrix,
     diagonal_similarity,
-    hermitian_eig,
+    hermitian_eig,  # noqa: F401  (bench/test_bench.py reads blocks.hermitian_eig)
     hermitian_eigvals,
     hermitian_part_eig,
     hermitian_part_eig_by_components,
@@ -137,18 +137,18 @@ class BlockOperatorMatrix:
         For a real-form block with B = iR purely imaginary, M = D M' D*
         with D = diag(I, iI) and the real symmetric M' = [[A, -R], [-R^T, C]];
         M' is solved instead and each eigenvector w maps to [w1; i w2].  A
-        real B makes M itself real, which hermitian_eig solves as such.
+        real B makes M itself real, which hermitian_part_eig solves as such.
 
-        M' is not validated: A and C are stored as exact Hermitian parts and
-        its off-diagonal blocks are -R and its transpose, so M' equals its
-        transpose entry for entry, and require_hermitian would return
-        (M' + M'^T) / 2 = M', the same matrix bit for bit wherever 2 M' does
-        not overflow.
+        Neither M nor M' is validated: A and C are stored as exact Hermitian
+        parts and the off-diagonal blocks are B and B* (or -R and -R^T), so
+        the matrix solved equals its adjoint entry for entry, and
+        require_hermitian would return (M + M*) / 2 = M, the same matrix bit
+        for bit wherever 2 M does not overflow.
         """
         r = self.B.imag
         if (not self.real_form or np.count_nonzero(self.B.real)
                 or not np.count_nonzero(r)):
-            return _frozen_eig(hermitian_eig(assemble(self)))
+            return _frozen_eig(hermitian_part_eig(assemble(self)))
         similar = np.block([[self.A.real, -r], [-r.T, self.C.real]])
         diagonal = np.concatenate([np.ones(self.n1), np.full(self.n2, 1j)])
         return _frozen_eig(diagonal_similarity(hermitian_part_eig(similar),

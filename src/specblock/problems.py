@@ -41,10 +41,16 @@ The values the builder does not look into, ``flags`` and unknown keys at
 the top level and inside ``blocks``/``mhd``, are walked: if one nests more
 than 100 levels deep or holds a double of magnitude 2^63 or more (which may
 have been an integer literal), the stdlib decoder decides.
+
+The cyclic garbage collector is paused while a file is decoded and built,
+and left as it was found.  A decoded document holds no cycles and reference
+counting frees it, but without the pause its many lists set off dozens of
+collections per megabyte, which find nothing to free.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import reprlib
 from dataclasses import dataclass, field
@@ -109,6 +115,8 @@ _ENTRY_ECHO.maxlist = 3
 _ENTRY_ECHO.maxdict = 2
 _ENTRY_ECHO.maxstring = 12
 _ENTRY_ECHO.maxlong = _ENTRY_ECHO.maxother = 16
+# The most characters of a CSV path that an error prints.
+_PATH_ECHO = 200
 
 
 def _parse_entry(entry) -> complex:
@@ -155,13 +163,26 @@ def parse_matrix_entries(rows) -> np.ndarray:
     return out
 
 
+def _path_echo(path: Path) -> str:
+    """A CSV path as its errors print it: whole up to _PATH_ECHO characters,
+    otherwise its start and end around "..."."""
+    text = str(path)
+    if len(text) <= _PATH_ECHO:
+        return text
+    half = (_PATH_ECHO - 3) // 2
+    return f"{text[:half]}...{text[-half:]}"
+
+
 def read_csv_matrix(path: Path) -> np.ndarray:
     """CSV matrix with entries like ``1.5`` or ``0.5+0.25j``."""
+    name = _path_echo(path)
     try:
         text = path.read_text()
     except (OSError, ValueError) as exc:
-        # ValueError: a NUL in the path, or bytes that are not text.
-        raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
+        # ValueError: a NUL in the path, or bytes that are not text.  The
+        # text of an OSError repeats the path; its strerror does not.
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(f"cannot read matrix file {name}: {reason}") from exc
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -170,19 +191,19 @@ def read_csv_matrix(path: Path) -> np.ndarray:
         for cell in line.split(","):
             cell = cell.strip().replace(" ", "")
             if not cell:
-                raise ParseError(f"{path}:{line_no}: empty cell")
+                raise ParseError(f"{name}:{line_no}: empty cell")
             try:
                 values.append(complex(cell))
             except ValueError as exc:
                 raise ParseError(
-                    f"{path}:{line_no}: cannot parse entry "
+                    f"{name}:{line_no}: cannot parse entry "
                     f"{_ENTRY_ECHO.repr(cell)}") from exc
         rows.append(values)
     if not rows:
-        raise ParseError(f"{path}: no rows")
+        raise ParseError(f"{name}: no rows")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        raise ParseError(f"{path}: rows have inconsistent lengths")
+        raise ParseError(f"{name}: rows have inconsistent lengths")
     return np.array(rows, dtype=complex)
 
 
@@ -288,22 +309,32 @@ def load_problem(path) -> ProblemFile:
         raw = path.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read problem file {path}: {exc}") from exc
-    if orjson is not None:
-        try:
-            data = orjson.loads(raw)
-            if not any(map(_stdlib_decides, _unchecked_values(data))):
-                return _build(data, raw, path)
-        except (orjson.JSONDecodeError, ParseError, RecursionError):
-            pass
-    # The stdlib decoder runs in this frame, not in a helper: how deep it may
-    # nest depends on the depth of the stack it starts from.
+    # The decoded tree holds no cycles and reference counting frees it, but
+    # its lists would set off many collections while it is built.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        data = json.loads(raw.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # Besides JSONDecodeError and UnicodeDecodeError (both ValueErrors):
-        # an integer literal over Python's digit limit, and nesting too deep.
-        raise ParseError(f"problem file {path} is not valid JSON: {exc}") from exc
-    return _build(data, raw, path)
+        if orjson is not None:
+            try:
+                data = orjson.loads(raw)
+                if not any(map(_stdlib_decides, _unchecked_values(data))):
+                    return _build(data, raw, path)
+            except (orjson.JSONDecodeError, ParseError, RecursionError):
+                pass
+        # The stdlib decoder runs in this frame, not in a helper: how deep it
+        # may nest depends on the depth of the stack it starts from.
+        try:
+            data = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            # Besides JSONDecodeError and UnicodeDecodeError (both
+            # ValueErrors): an integer literal over Python's digit limit, and
+            # nesting too deep.
+            raise ParseError(
+                f"problem file {path} is not valid JSON: {exc}") from exc
+        return _build(data, raw, path)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _build(data, raw: bytes, path: Path) -> ProblemFile:

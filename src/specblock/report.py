@@ -137,44 +137,52 @@ def sanitize(value):
     return str(value)
 
 
+# json.dumps(s, ensure_ascii=False) of a str s, without building an encoder.
+_quote = json.encoder.encode_basestring
+
+
 def _emit(value, pieces: list):
-    if value is None:
-        pieces.append("null")
-    elif value is True:
-        pieces.append("true")
-    elif value is False:
-        pieces.append("false")
-    elif isinstance(value, str):
-        pieces.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, int):
-        pieces.append(str(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError("non-finite float reached the serializer; "
-                             "sanitize() must run first")
-        pieces.append(format(value, ".17g"))
-    elif isinstance(value, dict):
+    """Append the JSON text of ``value`` to ``pieces`` as emitting
+    sanitize(value) would.  Exact floats, strings, dicts with str keys,
+    lists, tuples, ints, bools and None are written as they are; any other
+    value is sanitized first."""
+    kind = type(value)
+    if kind is float:
+        pieces.append(format(value, ".17g") if math.isfinite(value)
+                      else _quote(repr(value)))
+    elif kind is str:
+        pieces.append(_quote(value))
+    elif kind is dict:
+        if not {str}.issuperset(map(type, value)):
+            # str() may map two keys to one; sanitize keeps the last value.
+            value = {str(k): v for k, v in value.items()}
         pieces.append("{")
         for i, (key, item) in enumerate(value.items()):
-            if i:
-                pieces.append(",")
-            pieces.append(json.dumps(str(key), ensure_ascii=False))
-            pieces.append(":")
+            pieces.append(f",{_quote(key)}:" if i else f"{_quote(key)}:")
             _emit(item, pieces)
         pieces.append("}")
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         pieces.append("[")
         for i, item in enumerate(value):
             if i:
                 pieces.append(",")
             _emit(item, pieces)
         pieces.append("]")
+    elif kind is int:
+        pieces.append(str(value))
+    elif value is None:
+        pieces.append("null")
+    elif kind is bool:
+        pieces.append("true" if value else "false")
+    elif isinstance(value, str):  # sanitize returns a str subclass as is
+        pieces.append(_quote(value))
     else:
-        raise TypeError(f"cannot serialize {type(value)!r}")
+        _emit(sanitize(value), pieces)
 
 
 def emit_json(value) -> str:
-    """Canonical JSON text: insertion-ordered keys, floats at 17 significant digits."""
+    """Canonical JSON text of sanitize(value): insertion-ordered keys, floats
+    at 17 significant digits."""
     pieces: list = []
-    _emit(sanitize(value), pieces)
+    _emit(value, pieces)
     return "".join(pieces)

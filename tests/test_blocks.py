@@ -578,14 +578,48 @@ class TestImaginaryCoupling:
         solved = _solved_matrices(monkeypatch, m3)
         assert len(solved) == 1 and np.array_equal(solved[0], assemble(m3))
 
-    def test_assembled_matrices_are_validated(self, rng, m3, monkeypatch):
-        block = BlockOperatorMatrix(A=_symmetric(rng, 4),
-                                    B=(1.0 + 1j) * rng.uniform(size=(4, 3)),
-                                    C=_symmetric(rng, 3))
-        for blk in (m3, block):
-            validated = _validated_matrices(monkeypatch, blk)
-            assert len(validated) == 1
-            assert np.array_equal(validated[0], assemble(blk))
+    def test_assembled_matrices_are_validated(self, rng, monkeypatch):
+        # Through A and C, once, when the block is built.
+        seen = []
+        original = linalg_module.require_hermitian
+
+        def spy(mat):
+            seen.append(np.array(mat, copy=True))
+            return original(mat)
+
+        monkeypatch.setattr(blocks_module, "require_hermitian", spy)
+        a, c = _symmetric(rng, 4), _symmetric(rng, 3)
+        BlockOperatorMatrix(A=a, B=(1.0 + 1j) * rng.uniform(size=(4, 3)), C=c)
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], a) and np.array_equal(seen[1], c)
+
+    def test_the_assembled_matrix_is_not_validated_again(self, rng, m3,
+                                                         monkeypatch):
+        def skew(n):
+            x = rng.uniform(-1.0, 1.0, (n, n))
+            return 1j * (x - x.T)
+
+        parts = [(m3.A, m3.B, m3.C),
+                 (_symmetric(rng, 4), (1.0 + 1j) * rng.uniform(size=(4, 3)),
+                  _symmetric(rng, 3)),
+                 (_symmetric(rng, 6) + skew(6),
+                  rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)),
+                  _symmetric(rng, 5) + skew(5))]
+        for _ in range(20):
+            blk = random_block(rng)
+            parts.append((blk.A, blk.B, blk.C))
+        for a, b, c in parts:
+            block = BlockOperatorMatrix(A=a, B=b, C=c)
+            assert _validated_matrices(monkeypatch, block) == []
+            block = BlockOperatorMatrix(A=a, B=b, C=c)
+            solved = _solved_matrices(monkeypatch, block)
+            assert len(solved) == 1
+            assert np.array_equal(solved[0], assemble(block))
+            # The result is the one validating M first would give.
+            checked = linalg_module.hermitian_eig(assemble(block))
+            assert block.eig_m.eigenvalues.tobytes() == \
+                checked.eigenvalues.tobytes()
+            assert block.eig_m.vectors.tobytes() == checked.vectors.tobytes()
 
 
 def complex_schur(block, shifts):

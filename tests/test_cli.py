@@ -177,7 +177,7 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert len(err.encode("utf-8")) < 300
 
-    @pytest.mark.parametrize("where", ["csv-cell", "rho-name"])
+    @pytest.mark.parametrize("where", ["csv-cell", "csv-path", "rho-name"])
     def test_long_echo_is_bounded(self, tmp_path, capsys, monkeypatch, where):
         long = "x" * 100_000
         if where == "csv-cell":
@@ -185,6 +185,10 @@ class TestExitCodes:
             payload = {"blocks": {"A": [[2, 0], [0, 10]], "B": "b.csv",
                                   "C": [[-1]]}}
             command, start = "enclose", "cannot parse entry 'xxx...xxxx'"
+        elif where == "csv-path":
+            payload = {"blocks": {"A": [[2, 0], [0, 10]], "B": long,
+                                  "C": [[-1]]}}
+            command, start = "enclose", "x: File name too long\n"
         else:
             payload = {"mhd": dict(MHD_PROBLEM["mhd"], rho=long)}
             command, start = "mhd", "unknown built-in 'xxx...xxxx' for rho"

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import reprlib
@@ -116,11 +117,14 @@ def reference_parse(rows):
         return isinstance(value, (int, float)) and not isinstance(value, bool)
 
     def parse_entry(entry):
-        if is_number(entry):
-            return complex(entry)
-        if (isinstance(entry, (list, tuple)) and len(entry) == 2
-                and all(is_number(p) for p in entry)):
-            return complex(entry[0], entry[1])
+        try:
+            if is_number(entry):
+                return complex(entry)
+            if (isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and all(is_number(p) for p in entry)):
+                return complex(entry[0], entry[1])
+        except OverflowError as exc:
+            raise ParseError(f"invalid matrix entry: {exc}") from exc
         raise ParseError("matrix entry must be a number or [re, im] pair, "
                          f"got {ECHO.repr(entry)}")
 
@@ -157,11 +161,40 @@ def random_entry(rng: random.Random, bad: float):
     return [rng.choice(NUMBERS), rng.choice(NUMBERS)]
 
 
+# Numbers a row of [re, im] pairs, converted by one call, must treat as the
+# entry loop does: a signed zero, an integer doubles round, one outside
+# double range, and a boolean.
+PAIR_SEEDS = [-0.0, 2 ** 53 + 1, 10 ** 400, True]
+
+
+def pair_rows(rng: random.Random):
+    """Equally long rows of [re, im] pairs, now and then with a seeded
+    number in one pair, a ragged last row or a non-list row."""
+    width = rng.randint(1, 4)
+    rows = [[[rng.choice(NUMBERS), rng.choice(NUMBERS)] for _ in range(width)]
+            for _ in range(rng.randint(1, 4))]
+    spoil = rng.random()
+    if spoil < 0.3:
+        pair = rng.choice(rng.choice(rows))
+        pair[rng.randrange(2)] = rng.choice(PAIR_SEEDS)
+    elif spoil < 0.35:
+        rows[-1] = rows[-1][:rng.randrange(width)]
+    elif spoil < 0.4:
+        rows[-1] = rows[-1] + [[1, 0]]
+    elif spoil < 0.5:
+        rows[rng.randrange(len(rows))] = rng.choice(
+            NUMBERS + NOT_NUMBERS + [((1, 0),) * width])
+    return rows
+
+
 def random_rows(rng: random.Random):
     """A matrix-like value: rows of numbers, of pairs or mixed, now and then
-    a bad entry, a ragged or empty row, a non-list row or a flat list."""
+    a bad entry, a ragged or empty row, a non-list row or a flat list; or
+    one of pair_rows."""
     shape = rng.random()
     bad = rng.choice([0.0, 0.0, 0.02, 0.2])
+    if shape > 0.6:
+        return pair_rows(rng)
     if shape < 0.03:
         return rng.choice([[], None, 3, "rows", {}])
     if shape < 0.12:
@@ -220,6 +253,22 @@ class TestCsvMatrix:
         path = write(tmp_path, "m.csv", "1,zap\n")
         with pytest.raises(ParseError):
             read_csv_matrix(path)
+
+    def test_missing_file_prints_its_path_whole_and_once(self, tmp_path):
+        path = tmp_path / "missing.csv"
+        with pytest.raises(ParseError) as info:
+            read_csv_matrix(path)
+        assert str(info.value) == (f"cannot read matrix file {path}: "
+                                   "No such file or directory")
+
+    def test_long_paths_are_cut_in_the_middle(self, tmp_path):
+        path = tmp_path / ("x" * 150) / ("y" * 150 + ".csv")
+        path.parent.mkdir()
+        path.write_text("1,\n")
+        with pytest.raises(ParseError) as info:
+            read_csv_matrix(path)
+        text = str(path)
+        assert str(info.value) == (f"{text[:98]}...{text[-98:]}:1: empty cell")
 
     def test_unreadable_file_rejected(self, tmp_path):
         (tmp_path / "m.csv").write_bytes(b"\xff\xfe1,2\n")
@@ -422,3 +471,80 @@ class TestDecoders:
             f'[[{d}, {e}], {f}]], "C": [[0, 0], [0, 0]]}}, "alpha": {g}}}')
         fast, slow = both_decoders(monkeypatch, path)
         assert fast == slow
+
+
+def pair_file(tmp_path, n1, n2):
+    """A problem file of [re, im] pairs with complex Hermitian A and C."""
+    rng = np.random.default_rng(3)
+
+    def pairs(mat):
+        return np.stack([mat.real, mat.imag], axis=-1).tolist()
+
+    def hermitian(n):
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return x + x.conj().T
+
+    b = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
+    return write(tmp_path, "p.json", {"blocks": {
+        "A": pairs(hermitian(n1)), "B": pairs(b), "C": pairs(hermitian(n2))}})
+
+
+class TestCollectorPause:
+    """load_problem builds its result with the cyclic collector paused and
+    leaves it as it found it."""
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["orjson", "stdlib"])
+    def test_loading_a_pair_file_collects_nothing(self, tmp_path, monkeypatch,
+                                                  fast):
+        if not fast:
+            monkeypatch.setattr(problems, "orjson", None)
+        path = pair_file(tmp_path, 200, 50)
+        phases = []
+
+        def record(phase, info):
+            phases.append(phase)
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            prob = load_problem(path)
+        finally:
+            gc.callbacks.remove(record)
+        assert prob.block.n1 == 200
+        assert phases == []
+
+    @pytest.mark.parametrize("name", ["valid", "flags", "nan", "bom",
+                                      "depth-2000-entry"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, tmp_path, name, enabled):
+        path = tmp_path / "p.json"
+        text = "{" + BLOCKS + "}" if name == "valid" else DECODER_INPUTS[name]
+        path.write_text(text)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            try:
+                load_problem(path)
+            except ParseError:
+                pass
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert after is enabled
+
+    @pytest.mark.skipif(problems.orjson is None, reason="orjson not installed")
+    def test_fallback_to_the_stdlib_decoder_restores_the_state(
+            self, tmp_path, monkeypatch):
+        states = []
+        original = problems.json.loads
+
+        def loads(*args, **kwargs):
+            states.append(gc.isenabled())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(problems.json, "loads", loads)
+        path = tmp_path / "p.json"
+        path.write_text(DECODER_INPUTS["flags"])
+        assert load_problem(path).flags["n"] == 2 ** 64
+        assert states == [False]
+        assert gc.isenabled()
