@@ -37,7 +37,6 @@ from .blocks import (
     SpectralLandmarks,
     assemble,
     best_relative_bound,
-    landmarks,
     minimal_b_for_a,
     relative_bound_margin,
     resolvent_block,
@@ -46,7 +45,6 @@ from .blocks import (
 from .enclosures import (
     EnclosureReport,
     QepEnclosure,
-    Window,
     dist_bound,
     eigenvalue_window,
     exclusion_window,

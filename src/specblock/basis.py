@@ -198,11 +198,13 @@ def _cluster_columns(block: BlockOperatorMatrix, index: int) -> np.ndarray:
     return block.eig_a.vectors[:, labels == labels[index]]
 
 
-def _check_range(marks: SpectralLandmarks, n_max: int) -> None:
-    """The first n_max eigenvalues above c and their partners in sigma(A) exist."""
+def _ladder(block: BlockOperatorMatrix, n_max: int) -> SpectralLandmarks:
+    """block.landmarks, once its first n_max rungs are known to exist."""
+    marks = block.landmarks
     if not 1 <= n_max <= marks.rungs:
         raise ArgumentError(
             f"n_max = {n_max} is outside 1..{marks.rungs}, the rungs above c")
+    return marks
 
 
 def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -226,13 +228,13 @@ def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
     return operator_norm(resid)
 
 
-def _first_component(block: BlockOperatorMatrix, marks: SpectralLandmarks,
+def _first_component(block: BlockOperatorMatrix,
                      n: int) -> tuple[float, np.ndarray]:
     """lambda_n, the n-th eigenvalue above c, and x_n, the normalized first
     component of its eigenvector in eig(M).  Raises PairingError when that
     component falls below PAIR_TOL."""
     dec_m = block.eig_m
-    idx = marks.first_above + n - 1
+    idx = block.landmarks.first_above + n - 1
     lam = float(dec_m.eigenvalues[idx])
     x = dec_m.vectors[:block.n1, idx]
     x_norm = float(np.linalg.norm(x))
@@ -242,8 +244,8 @@ def _first_component(block: BlockOperatorMatrix, marks: SpectralLandmarks,
     return lam, x / x_norm
 
 
-def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
-                     n_max: int, rb: RelativeBound) -> DecayReport:
+def projection_decay(block: BlockOperatorMatrix, n_max: int,
+                     rb: RelativeBound) -> DecayReport:
     """Compare eigenprojectors of A with Schur-complement spectral projectors.
 
     For each of the first ``n_max`` eigenvalues lambda_n above c: the
@@ -251,8 +253,9 @@ def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
     complement S(lambda_n) onto (-gamma_n, gamma_n), the eigenprojector E of
     A at mu_{kappa+n}, the operator norm of their difference, and the
     circle-maximized delta_n.  The circle is sampled at 128 equally spaced
-    angles.  Raises DegenerateGapError when gamma_n < assembled_tol, and
-    PairingError as bari_sum does.
+    angles.  The rungs are those of block.landmarks.  Raises
+    DegenerateGapError when gamma_n < assembled_tol, and PairingError as
+    bari_sum does.
 
     F_n is the projector onto span{x_n}, the normalized first component of
     the eigenvector of M at lambda_n, so S(lambda_n) is neither formed nor
@@ -267,7 +270,7 @@ def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
     bases alone (projector_distance): the cluster columns U of A and x_n give
     ‖U - x_n(x_n* U)‖ when U is one column and exactly 1 otherwise.
     """
-    _check_range(marks, n_max)
+    marks = _ladder(block, n_max)
     spec_a = block.eig_a.eigenvalues
     spec_m = block.eig_m.eigenvalues
     tol_full = block.assembled_tol()
@@ -282,14 +285,15 @@ def projection_decay(block: BlockOperatorMatrix, marks: SpectralLandmarks,
                 f"eigenvalue {lam:.12g} collides with a neighbour "
                 f"(gamma = {gamma:.3e})")
         mu = float(spec_a[marks.kappa + n - 1])
-        _, x = _first_component(block, marks, n)
+        _, x = _first_component(block, n)
         diff_norm = projector_distance(
             _cluster_columns(block, marks.kappa + n - 1), x[:, None])
         zs = lam + gamma * np.exp(1j * angles)
         dists = np.abs(zs[:, None] - spec_a[None, :]).min(axis=1)
-        delta = float(np.max(
-            rb.a / (lam - marks.c)
-            + np.abs(rb.a * zs + rb.b) / (dists * (lam - marks.c))))
+        with np.errstate(over="ignore"):  # delta = inf at extreme scales
+            delta = float(np.max(
+                rb.a / (lam - marks.c)
+                + np.abs(rb.a * zs + rb.b) / (dists * (lam - marks.c))))
         circle_dist_a = float(np.min(np.abs(np.abs(lam - spec_a) - gamma)))
         inside = int(np.sum(np.abs(spec_a - lam) < gamma))
         ratio = gamma / circle_dist_a if circle_dist_a > 0 else float("inf")
@@ -321,22 +325,21 @@ def aligned_term(x: np.ndarray, cols: np.ndarray) -> tuple[float, float]:
     return float(np.linalg.norm(y - x) ** 2), overlap
 
 
-def bari_sum(block: BlockOperatorMatrix, marks: SpectralLandmarks,
-             n_max: int) -> BariReport:
+def bari_sum(block: BlockOperatorMatrix, n_max: int) -> BariReport:
     """Partial sums of ‖y_{kappa+n} - x_n‖² with aligned eigenvectors of A.
 
-    x_n is the normalized first component of the n-th eigenvector above c;
-    y_{kappa+n} is its aligned projection onto the eigenspace of A at
-    mu_{kappa+n}.  ``gap_sum`` accumulates 1/(mu_{k+1} - mu_k)² over the
+    x_n is the normalized first component of the n-th eigenvector above c
+    (rung n of block.landmarks); y_{kappa+n} is its aligned projection onto
+    the eigenspace of A at mu_{kappa+n}.  ``gap_sum`` accumulates 1/(mu_{k+1} - mu_k)² over the
     leading gaps of sigma(A); ``converged`` flags that the last three
     increments each dropped below 1e-3 of the first.
     """
-    _check_range(marks, n_max)
+    marks = _ladder(block, n_max)
     spec_a = block.eig_a.eigenvalues
     records = []
     terms = []
     for n in range(1, n_max + 1):
-        lam, x = _first_component(block, marks, n)
+        lam, x = _first_component(block, n)
         mu = float(spec_a[marks.kappa + n - 1])
         cols = _cluster_columns(block, marks.kappa + n - 1)
         term, _ = aligned_term(x, cols)
@@ -345,7 +348,7 @@ def bari_sum(block: BlockOperatorMatrix, marks: SpectralLandmarks,
     partial_sums = np.cumsum(terms)
     gap_count = min(spec_a.size - 1, marks.kappa + n_max)
     gaps = np.diff(spec_a)[:gap_count]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         gap_sum = float(np.sum(1.0 / gaps ** 2)) if gaps.size else 0.0
     if len(terms) >= 4:
         first = terms[0]

@@ -38,7 +38,6 @@ __all__ = [
     "minimal_b_for_a",
     "relative_bound_margin",
     "best_relative_bound",
-    "landmarks",
 ]
 
 
@@ -153,6 +152,31 @@ class BlockOperatorMatrix:
         diagonal = np.concatenate([np.ones(self.n1), np.full(self.n2, 1j)])
         return _frozen_eig(diagonal_similarity(hermitian_part_eig(similar),
                                                diagonal))
+
+    @cached_property
+    def landmarks(self) -> SpectralLandmarks:
+        """c = max sigma(C), the first gap above it, and kappa there.
+
+        c_tilde is fixed deterministically as the midpoint of c and the
+        smallest assembled eigenvalue above c; kappa counts the negative
+        eigenvalues of the Schur complement at c_tilde.  Raises
+        LandmarkError when no eigenvalue of M lies above c, and
+        SingularShiftError from schur_complement; an error is not cached.
+        """
+        c = self.c
+        spec_m = self.eig_m.eigenvalues
+        above = spec_m[spec_m > c + self.assembled_tol()]
+        if above.size == 0:
+            raise LandmarkError(
+                "no spectrum of the assembled matrix above max sigma(C)")
+        c_tilde = 0.5 * (c + float(above[0]))
+        s = schur_complement(self, c_tilde)
+        kappa = int(np.sum(hermitian_eigvals(s) < -matrix_tol(s)))
+        return SpectralLandmarks(
+            c=c, c_tilde=c_tilde, kappa=kappa,
+            lambda_above_c=_frozen(np.array(above, dtype=float)),
+            rungs=min(int(above.size), self.n1 - kappa),
+            first_above=int(spec_m.size - above.size))
 
     @cached_property
     def coupling_in_c_basis(self) -> np.ndarray:
@@ -304,13 +328,17 @@ def minimal_b_for_a(block: BlockOperatorMatrix, a: float) -> RelativeBound:
 
 def relative_bound_margin(block: BlockOperatorMatrix,
                           rb: RelativeBound) -> float:
-    """lambda_min(aA + bI - BB*).
+    """lambda_min(aA + bI - BB*), +inf for an empty A.
 
     Nonnegative (up to round-off) iff (a, b) is a valid relative bound; near
-    zero iff b is minimal for this a.
+    zero iff b is minimal for this a.  Raises ArgumentError when
+    aA + bI - BB* overflows double precision.
     """
-    mat = rb.a * block.A + rb.b * np.eye(block.n1) - block.coupling_gram()
-    return float(hermitian_eigvals(mat)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = rb.a * block.A + rb.b * np.eye(block.n1) - block.coupling_gram()
+    if not np.all(np.isfinite(mat)):
+        raise ArgumentError("a A + b I - B B* overflows double precision")
+    return float(np.min(hermitian_eigvals(mat), initial=np.inf))
 
 
 def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
@@ -353,7 +381,8 @@ def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
     denom = max(mu, matrix_tol(block.A), BASE_TOL)
     a_max = lam_bbs / denom
     grid = np.linspace(0.0, a_max, 21)
-    offset = ((mu - c) / 2.0) ** 2
+    half = (mu - c) / 2.0
+    offset = half * half  # inf, not OverflowError, at extreme scales
     scale = (lam_bbs + a_max * max(-mu, float(spec_a[-1])) + offset
              + a_max * (a_max + abs(c)))
     stop_rise = 4.0 * (block.n1 + 4) * np.finfo(float).eps * scale
@@ -377,24 +406,3 @@ def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
         prev = disc[-1]
     return RelativeBound(float(grid[best]), max(0.0, float(tops[best])))
 
-
-def landmarks(block: BlockOperatorMatrix) -> SpectralLandmarks:
-    """Locate c = max sigma(C), the first gap above it, and count kappa there.
-
-    c_tilde is fixed deterministically as the midpoint of c and the smallest
-    assembled eigenvalue above c; kappa counts the negative eigenvalues of the
-    Schur complement at c_tilde.
-    """
-    c = block.c
-    spec_m = block.eig_m.eigenvalues
-    above = spec_m[spec_m > c + block.assembled_tol()]
-    if above.size == 0:
-        raise LandmarkError("no spectrum of the assembled matrix above max sigma(C)")
-    c_tilde = 0.5 * (c + float(above[0]))
-    s = schur_complement(block, c_tilde)
-    kappa = int(np.sum(hermitian_eigvals(s) < -matrix_tol(s)))
-    return SpectralLandmarks(
-        c=c, c_tilde=c_tilde, kappa=kappa,
-        lambda_above_c=np.array(above, dtype=float),
-        rungs=min(int(above.size), block.n1 - kappa),
-        first_above=int(spec_m.size - above.size))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import bari_sum, projection_decay, riesz_check
-from .blocks import BlockOperatorMatrix, RelativeBound, landmarks
+from .blocks import BlockOperatorMatrix, RelativeBound
 from .enclosures import (
     dist_bound,
     eigenvalue_window,
@@ -130,25 +130,30 @@ def windows(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
 
     checks = []
     for mu, incl, excl in zip(mus, incl_lams, excl_lams):
-        win = eigenvalue_window(mu, block.c, rb)
-        status = verdict(all(win.lo - SLACK <= lam <= win.hi + SLACK
-                             for lam in incl)) if incl else NOT_APPLICABLE
-        checks.append(Check(
-            name=f"inclusion-window/mu={mu:.6g}", anchor=INCL_ANCHOR,
-            inputs={"mu": mu, "c": block.c, "a": rb.a, "b": rb.b},
-            outputs={"lo": win.lo, "hi": win.hi, "applicable": incl},
-            status=status, tolerances={"margin": SLACK}))
+        inputs = {"mu": mu, "c": block.c, "a": rb.a, "b": rb.b}
+        name = f"inclusion-window/mu={mu:.6g}"
+        try:
+            win = eigenvalue_window(mu, block.c, rb)
+        except HypothesisError as exc:
+            checks.append(not_applicable(name, INCL_ANCHOR, str(exc)))
+        else:
+            status = verdict(all(win.lo - SLACK <= lam <= win.hi + SLACK
+                                 for lam in incl)) if incl else NOT_APPLICABLE
+            checks.append(Check(
+                name=name, anchor=INCL_ANCHOR, inputs=inputs,
+                outputs={"lo": win.lo, "hi": win.hi, "applicable": incl},
+                status=status, tolerances={"margin": SLACK}))
 
-        exw = exclusion_window(mu, block.c, rb)
-        if not exw.hypothesis_ok:
-            checks.append(not_applicable(f"exclusion-window/mu={mu:.6g}",
-                                         EXCL_ANCHOR, exw.reason))
+        name = f"exclusion-window/mu={mu:.6g}"
+        try:
+            exw = exclusion_window(mu, block.c, rb)
+        except HypothesisError as exc:
+            checks.append(not_applicable(name, EXCL_ANCHOR, str(exc)))
             continue
         intruding = [lam for lam in excl
                      if exw.lo + SLACK < lam < exw.hi - SLACK]
         checks.append(Check(
-            name=f"exclusion-window/mu={mu:.6g}", anchor=EXCL_ANCHOR,
-            inputs={"mu": mu, "c": block.c, "a": rb.a, "b": rb.b},
+            name=name, anchor=EXCL_ANCHOR, inputs=inputs,
             outputs={"lo": exw.lo, "hi": exw.hi,
                      "applicable": excl, "intruding": intruding},
             status=verdict(not intruding) if excl else NOT_APPLICABLE,
@@ -163,18 +168,19 @@ def resolvent_intervals(block: BlockOperatorMatrix,
     mus = _cluster_points(block)
     checks = []
     for mu1, mu2 in zip(mus, mus[1:]):
-        win = resolvent_interval(mu1, mu2, block.c, rb)
         name = f"resolvent-interval/mu1={mu1:.6g}"
-        if not win.hypothesis_ok:
-            checks.append(not_applicable(name, RES_ANCHOR, win.reason))
+        try:
+            win = resolvent_interval(mu1, mu2, block.c, rb)
+        except HypothesisError as exc:
+            checks.append(not_applicable(name, RES_ANCHOR, str(exc)))
             continue
-        inside = [float(lam) for lam in spec_m
-                  if win.lo + SLACK < lam < win.hi - SLACK]
+        inside = spec_m[(spec_m > win.lo + SLACK) & (spec_m < win.hi - SLACK)]
         checks.append(Check(
             name=name, anchor=RES_ANCHOR,
             inputs={"mu1": mu1, "mu2": mu2},
-            outputs={"lo": win.lo, "hi": win.hi, "eigenvalues_inside": inside},
-            status=verdict(not inside),
+            outputs={"lo": win.lo, "hi": win.hi,
+                     "eigenvalues_inside": inside.tolist()},
+            status=verdict(not inside.size),
             tolerances={"margin": SLACK}))
     return checks
 
@@ -184,11 +190,11 @@ def variational_ladder(block: BlockOperatorMatrix,
     """The two-sided variational bounds on every rung of the ladder above c."""
     name = "variational-bounds/ladder"
     try:
-        marks = landmarks(block)
-    except (LandmarkError, SingularShiftError) as exc:
+        marks = block.landmarks
+        intervals = variational_bounds(block.eig_a.eigenvalues, marks.c, rb,
+                                       marks.kappa, marks.rungs)
+    except (LandmarkError, SingularShiftError, HypothesisError) as exc:
         return [not_applicable(name, VAR_ANCHOR, str(exc))]
-    intervals = variational_bounds(block.eig_a.eigenvalues, marks.c, rb,
-                                   marks.kappa, marks.rungs)
     escapes = [float(lam) for lam, iv in zip(marks.lambda_above_c, intervals)
                if not iv.lo - SLACK <= lam <= iv.hi + SLACK]
     return [Check(
@@ -231,7 +237,7 @@ def angular(block: BlockOperatorMatrix, rb: RelativeBound,
     """Delta condition, graph test, angular operator and codim = kappa at the
     cut point alpha; None cuts at c~."""
     try:
-        marks = landmarks(block)
+        marks = block.landmarks
     except (LandmarkError, SingularShiftError):
         marks = None
     if alpha is None:
@@ -305,7 +311,7 @@ def basis(block: BlockOperatorMatrix, rb: RelativeBound,
     """Riesz frame bounds, projection decay and Bari sums on the first n_max
     rungs above c (fewer when the ladder is shorter)."""
     try:
-        marks = landmarks(block)
+        marks = block.landmarks
     except (LandmarkError, SingularShiftError) as exc:
         return [not_applicable("basis/landmarks", LANDMARKS_ANCHOR, str(exc))]
     n_avail = min(n_max, marks.rungs)
@@ -329,7 +335,7 @@ def basis(block: BlockOperatorMatrix, rb: RelativeBound,
                                      "no eigenvalues above c to track"))
         return checks
     try:
-        decay = projection_decay(block, marks, n_avail, rb=rb)
+        decay = projection_decay(block, n_avail, rb=rb)
         # for a general block monotone decay is no theorem: the bound decides
         checks.append(Check(
             name="basis/decay", anchor=DECAY_ANCHOR,
@@ -343,7 +349,7 @@ def basis(block: BlockOperatorMatrix, rb: RelativeBound,
     except (DegenerateGapError, PairingError) as exc:
         checks.append(not_applicable("basis/decay", DECAY_ANCHOR, str(exc)))
     try:
-        bari = bari_sum(block, marks, n_avail)
+        bari = bari_sum(block, n_avail)
         checks.append(Check(
             name="basis/bari", anchor=BARI_ANCHOR,
             inputs={"n_max": n_avail},

@@ -20,12 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checks
-from .blocks import best_relative_bound
+from .blocks import best_relative_bound, relative_bound_margin
 from .enclosures import soq_bracket
-from .errors import ParseError, SpecblockError
+from .errors import ArgumentError, ParseError, SpecblockError
 from .mhd import discretize, run_report, trial_space
 from .problems import ProblemFile, load_problem
 from .report import FAIL, Check, Report, digest_bytes, emit_json
+from .tolerance import BASE_TOL, matrix_tol
 from . import selftest as selftest_module
 
 DEFAULT_MHD_N = 64
@@ -39,8 +40,26 @@ def _resolve(problem: ProblemFile, n_interior: int):
     if block is None:
         disc = discretize(problem.profile, n_interior)
         block = disc.block
-    rb = problem.rb if problem.rb is not None else best_relative_bound(block)
-    return block, disc, rb
+    if problem.rb is None:
+        return block, disc, best_relative_bound(block)
+    return block, disc, _checked_rb(block, problem.rb)
+
+
+def _checked_rb(block, rb):
+    """A problem file's rb, once BB* ⪯ aA + bI holds for the block up to
+    BASE_TOL n1 max(a max|A| + b, max|BB*|): no theorem applies otherwise."""
+    pair = f"'rb' = [{rb.a:.6g}, {rb.b:.6g}]"
+    tol = max(rb.a * matrix_tol(block.A) + rb.b * BASE_TOL * block.n1,
+              matrix_tol(block.coupling_gram()))
+    try:
+        margin = relative_bound_margin(block, rb)
+    except ArgumentError as exc:
+        raise ParseError(f"{pair} cannot be checked: {exc}") from exc
+    if margin < -tol:
+        raise ParseError(
+            f"{pair} is not a relative bound for the blocks: "
+            f"lambda_min(aA + bI - BB*) = {margin:.3e} is below -{tol:.3e}")
+    return rb
 
 
 def cmd_enclose(problem: ProblemFile, n_interior: int = DEFAULT_MHD_N) -> list[Check]:

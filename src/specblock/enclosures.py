@@ -3,13 +3,14 @@
 Distance bound, inclusion/exclusion windows around eigenvalues of A,
 certified resolvent intervals, subspace-dimension counts, variational
 two-sided bounds, and second-order-spectrum enclosures on trial subspaces.
-Window hypotheses that fail produce structured "not applicable" results so
-parameter scans can proceed.
+Every unmet hypothesis, a window that overflows double precision included,
+raises HypothesisError, which the check builders report as not applicable.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ from .tolerance import ORTH_TOL, REAL_AXIS_REL, SLACK, SOQ_MARGIN_REL, scalar_to
 
 __all__ = [
     "EnclosureReport",
-    "Window",
     "QepEnclosure",
     "dist_bound",
     "eigenvalue_window",
@@ -51,26 +51,6 @@ class EnclosureReport:
     dist_to_A: float
     bound: float
     satisfied: bool
-
-
-@dataclass(frozen=True)
-class Window:
-    """Inclusion/exclusion/resolvent window with hypothesis bookkeeping.
-
-    ``lo``/``hi`` are None when the hypothesis fails; ``reason`` then says
-    which check failed.  Inclusion windows are closed, the other two open.
-    """
-
-    lo: float | None
-    hi: float | None
-    hypothesis_ok: bool
-    reason: str = ""
-
-    @property
-    def width(self) -> float:
-        if self.lo is None or self.hi is None:
-            return float("nan")
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -100,13 +80,21 @@ def dist_bound(lam: float, spec_a, spec_c, rb: RelativeBound) -> EnclosureReport
                            satisfied=bool(d_a <= bound + SLACK))
 
 
-def eigenvalue_window(mu: float, c: float, rb: RelativeBound) -> Window:
+def _window(lo: float, hi: float, kind: str, is_open: bool) -> Interval:
+    """[lo, hi], open when ``is_open``; an overflowed one certifies nothing."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise HypothesisError(f"the {kind} window overflows double precision")
+    return Interval(lo, hi, open_lo=is_open, open_hi=is_open)
+
+
+def eigenvalue_window(mu: float, c: float, rb: RelativeBound) -> Interval:
     """Closed inclusion window [alpha-, alpha+] around mu in sigma(A).
 
     alpha± = (mu + c + 2a)/2 ± sqrt(((mu - c)/2)² + a(a + c) + b).
     """
     mu, c = float(mu), float(c)
-    disc = ((mu - c) / 2.0) ** 2 + rb.a * (rb.a + c) + rb.b
+    half = (mu - c) / 2.0
+    disc = half * half + rb.a * (rb.a + c) + rb.b
     if disc < 0.0:
         if disc < -scalar_tol(mu, c, rb.a, rb.b):
             raise HypothesisError(
@@ -115,52 +103,52 @@ def eigenvalue_window(mu: float, c: float, rb: RelativeBound) -> Window:
         disc = 0.0
     root = math.sqrt(disc)
     mid = (mu + c + 2.0 * rb.a) / 2.0
-    return Window(lo=mid - root, hi=mid + root, hypothesis_ok=True)
+    return _window(mid - root, mid + root, "inclusion", is_open=False)
 
 
-def exclusion_window(mu: float, c: float, rb: RelativeBound) -> Window:
+def exclusion_window(mu: float, c: float, rb: RelativeBound) -> Interval:
     """Open spectral-free window (beta-, beta+) below mu in sigma(A).
 
     beta± = (mu + c)/2 ± sqrt(((mu - c)/2)² - (a mu + b)), subject to the
     strict discriminant hypothesis (mu - c)² > 4 a mu + 4 b.
     """
     mu, c = float(mu), float(c)
-    lhs = (mu - c) ** 2
+    diff = mu - c
+    lhs = diff * diff
     rhs = 4.0 * (rb.a * mu + rb.b)
     if lhs <= rhs + scalar_tol(lhs, rhs):
-        return Window(lo=None, hi=None, hypothesis_ok=False,
-                      reason="(mu - c)^2 does not exceed 4 a mu + 4 b")
-    root = math.sqrt(((mu - c) / 2.0) ** 2 - (rb.a * mu + rb.b))
+        raise HypothesisError("(mu - c)^2 does not exceed 4 a mu + 4 b")
+    half = diff / 2.0
+    root = math.sqrt(half * half - (rb.a * mu + rb.b))
     mid = (mu + c) / 2.0
-    return Window(lo=mid - root, hi=mid + root, hypothesis_ok=True)
+    return _window(mid - root, mid + root, "exclusion", is_open=True)
 
 
 def resolvent_interval(mu1: float, mu2: float, c: float,
-                       rb: RelativeBound) -> Window:
-    """Certified spectral-free interval (alpha1+, beta2+) between mu1 < mu2.
+                       rb: RelativeBound) -> Interval:
+    """Certified spectral-free open interval (alpha1+, beta2+) between
+    mu1 < mu2.
 
     Needs a + c < mu1 < mu2, beta2- < (mu1 + mu2)/2 and alpha1+ < beta2+;
     the caller is responsible for (mu1, mu2) being free of sigma(A).  Any
-    failed hypothesis returns hypothesis_ok = False with the reason.
+    failed hypothesis raises HypothesisError with the reason.
     """
     mu1, mu2, c = float(mu1), float(mu2), float(c)
-
-    def fail(reason: str) -> Window:
-        return Window(lo=None, hi=None, hypothesis_ok=False, reason=reason)
-
     if not mu1 < mu2:
-        return fail("mu1 must be below mu2")
+        raise HypothesisError("mu1 must be below mu2")
     if mu1 - (rb.a + c) <= scalar_tol(mu1, rb.a, c):
-        return fail("mu1 must exceed a + c")
+        raise HypothesisError("mu1 must exceed a + c")
     upper = eigenvalue_window(mu1, c, rb)
-    lower = exclusion_window(mu2, c, rb)
-    if not lower.hypothesis_ok:
-        return fail(f"exclusion window at mu2: {lower.reason}")
+    try:
+        lower = exclusion_window(mu2, c, rb)
+    except HypothesisError as exc:
+        raise HypothesisError(f"exclusion window at mu2: {exc}") from exc
     if not lower.lo < (mu1 + mu2) / 2.0:
-        return fail("beta2- must lie below the midpoint of (mu1, mu2)")
+        raise HypothesisError(
+            "beta2- must lie below the midpoint of (mu1, mu2)")
     if not upper.hi < lower.hi:
-        return fail("alpha1+ must lie below beta2+")
-    return Window(lo=upper.hi, hi=lower.hi, hypothesis_ok=True)
+        raise HypothesisError("alpha1+ must lie below beta2+")
+    return Interval(upper.hi, lower.hi, open_lo=True, open_hi=True)
 
 
 def subspace_dim_check(block: BlockOperatorMatrix, b2p: float,
@@ -184,7 +172,8 @@ def variational_bounds(spec_a, c: float, rb: RelativeBound, kappa: int,
     """Two-sided bounds [mu_{kappa+n}, upper_n] for the eigenvalues above c.
 
     upper_n = (mu_{kappa+n} + c)/2 + sqrt(((mu_{kappa+n} - c)/2)² +
-    a mu_{kappa+n} + b).
+    a mu_{kappa+n} + b).  Raises HypothesisError when a discriminant is
+    negative beyond round-off or an upper bound overflows double precision.
     """
     spec_a = np.sort(np.asarray(spec_a, dtype=float))
     if kappa < 0:
@@ -199,13 +188,17 @@ def variational_bounds(spec_a, c: float, rb: RelativeBound, kappa: int,
     out = []
     for n in range(1, n_max + 1):
         mu = float(spec_a[kappa + n - 1])
-        disc = ((mu - c) / 2.0) ** 2 + rb.a * mu + rb.b
+        half = (mu - c) / 2.0
+        disc = half * half + rb.a * mu + rb.b
         if disc < 0.0:
             if disc < -scalar_tol(mu, c, rb.a, rb.b):
                 raise HypothesisError(
                     "negative discriminant in the variational upper bound")
             disc = 0.0
         hi = (mu + c) / 2.0 + math.sqrt(disc)
+        if not math.isfinite(hi):
+            raise HypothesisError(
+                "the variational upper bound overflows double precision")
         out.append(Interval(mu, max(hi, mu)))
     return out
 
@@ -258,8 +251,12 @@ def resolvent_pairs(spec, c: float, rb: RelativeBound) -> list[tuple[float, floa
     """The consecutive points (mu1, mu2) of sorted ``spec`` whose
     resolvent-interval hypotheses hold, in ascending order."""
     spec = np.sort(np.asarray(spec, dtype=float)).tolist()
-    return [(mu1, mu2) for mu1, mu2 in zip(spec, spec[1:])
-            if resolvent_interval(mu1, mu2, c, rb).hypothesis_ok]
+    pairs = []
+    for mu1, mu2 in zip(spec, spec[1:]):
+        with suppress(HypothesisError):
+            resolvent_interval(mu1, mu2, c, rb)
+            pairs.append((mu1, mu2))
+    return pairs
 
 
 def soq_bracket(spec_a, c: float, rb: RelativeBound):
@@ -276,7 +273,7 @@ def soq_bracket(spec_a, c: float, rb: RelativeBound):
         return None
     a1p = eigenvalue_window(pairs[0][0], c, rb).hi
     ex = exclusion_window(pairs[-1][1], c, rb)
-    b4m = ex.lo if ex.lo is not None and ex.lo > a1p else ex.hi
+    b4m = ex.lo if ex.lo > a1p else ex.hi
     return float(a1p), float(b4m), float(ex.hi)
 
 

@@ -26,7 +26,6 @@ import numpy as np
 from .blocks import (
     BlockOperatorMatrix,
     RelativeBound,
-    landmarks,
     minimal_b_for_a,
     relative_bound_margin,
 )
@@ -344,7 +343,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
         status=PASS,
         tolerances={}))
 
-    marks = landmarks(block)
+    marks = block.landmarks
     checks.append(Check(
         name="mhd/landmarks",
         anchor="c = max sigma(C); (c, c~] in the resolvent set; "
@@ -428,7 +427,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
 
     n_decay = min(n_max, marks.rungs)
     if n_decay >= 1:
-        decay = projection_decay(block, marks, n_decay, rb=rb)
+        decay = projection_decay(block, n_decay, rb=rb)
         # ||E - F_n|| -> 0 read at finite n: within the bound and decreasing
         checks.append(Check(
             name="mhd/projection-decay",
@@ -441,7 +440,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
             tolerances={"bound": "(gamma/dist[circle, sigma(A)]) "
                                  "delta/(1 - delta)"}))
 
-        bari = bari_sum(block, marks, n_decay)
+        bari = bari_sum(block, n_decay)
         terms = [r.term for r in bari.records]
         checks.append(Check(
             name="mhd/bari-sums",

@@ -11,7 +11,8 @@ A problem file is a JSON object with exactly one of:
 
 A row of a matrix may mix numbers and [re, im] pairs.
 
-Optional keys: ``rb`` = [a, b] overriding the relative-bound scan, ``alpha``,
+Optional keys: ``rb`` = [a, b] overriding the relative-bound scan (the
+block commands reject a pair for which BB* ⪯ aA + bI fails), ``alpha``,
 ``n_max``, and a free-form ``flags`` object.  JSON booleans are not numbers
 here: ``true`` where a number is expected is a parse error.  Matrix entries,
 samples, ``rb``, ``alpha`` and ``g`` become doubles, so an integer outside
@@ -115,7 +116,7 @@ _ENTRY_ECHO.maxlist = 3
 _ENTRY_ECHO.maxdict = 2
 _ENTRY_ECHO.maxstring = 12
 _ENTRY_ECHO.maxlong = _ENTRY_ECHO.maxother = 16
-# The most characters of a CSV path that an error prints.
+# The most characters of a path that an error prints.
 _PATH_ECHO = 200
 
 
@@ -164,9 +165,12 @@ def parse_matrix_entries(rows) -> np.ndarray:
 
 
 def _path_echo(path: Path) -> str:
-    """A CSV path as its errors print it: whole up to _PATH_ECHO characters,
-    otherwise its start and end around "..."."""
-    text = str(path)
+    """A path as its errors print it: each non-printable character escaped
+    (a newline as \\n), then whole up to _PATH_ECHO characters, otherwise
+    its start and end around "..."."""
+    text = "".join(ch if ch.isprintable()
+                   else ch.encode("unicode_escape").decode("ascii")
+                   for ch in str(path))
     if len(text) <= _PATH_ECHO:
         return text
     half = (_PATH_ECHO - 3) // 2
@@ -305,10 +309,14 @@ def _unchecked_values(data):
 
 def load_problem(path) -> ProblemFile:
     path = Path(path)
+    name = _path_echo(path)
     try:
         raw = path.read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read problem file {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        # As in read_csv_matrix: a NUL in the path is a ValueError, and
+        # strerror, unlike the text of an OSError, does not repeat the path.
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(f"cannot read problem file {name}: {reason}") from exc
     # The decoded tree holds no cycles and reference counting frees it, but
     # its lists would set off many collections while it is built.
     collecting = gc.isenabled()
@@ -330,7 +338,7 @@ def load_problem(path) -> ProblemFile:
             # ValueErrors): an integer literal over Python's digit limit, and
             # nesting too deep.
             raise ParseError(
-                f"problem file {path} is not valid JSON: {exc}") from exc
+                f"problem file {name} is not valid JSON: {exc}") from exc
         return _build(data, raw, path)
     finally:
         if collecting:

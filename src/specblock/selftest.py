@@ -18,7 +18,6 @@ from .blocks import (
     SpectralLandmarks,
     assemble,
     best_relative_bound,
-    landmarks,
     minimal_b_for_a,
     relative_bound_margin,
     resolvent_block,
@@ -499,7 +498,7 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
         else:
             block = random_block(rng)
         try:
-            marks = landmarks(block)
+            marks = block.landmarks
         except (LandmarkError, SingularShiftError):
             skipped += 1
             continue
@@ -611,15 +610,15 @@ def basis_suite(rng, count: int = 60) -> list[Check]:
     for _ in range(count):
         block, rb, c = separated_block(rng)
         try:
-            marks = landmarks(block)
+            marks = block.landmarks
         except LandmarkError:
             continue
         n_avail = min(marks.rungs, 4)
         if n_avail < 1:
             continue
         try:
-            decay = projection_decay(block, marks, n_avail, rb=rb)
-            bari = bari_sum(block, marks, n_avail)
+            decay = projection_decay(block, n_avail, rb=rb)
+            bari = bari_sum(block, n_avail)
         except (DegenerateGapError, PairingError, SingularShiftError):
             continue
         for rec in decay.records:
@@ -699,7 +698,7 @@ def mhd_suite(marks64: SpectralLandmarks) -> list[Check]:
 
     rb = RelativeBound(a, b)
     slack = 10.0 / disc.N
-    marks = landmarks(disc.block)
+    marks = disc.block.landmarks
     spec_c = disc.block.eig_c.eigenvalues
     worst = -np.inf
     for lam in marks.lambda_above_c:
@@ -739,7 +738,7 @@ def mhd_suite(marks64: SpectralLandmarks) -> list[Check]:
         verdict(k_op.codim == marks.kappa),
         {}))
 
-    decay = projection_decay(disc.block, marks, 8, rb=rb)
+    decay = projection_decay(disc.block, 8, rb=rb)
     checks.append(Check(
         "mhd/projection-decay",
         "||E({mu_{kappa+n}}) - F_n(Delta_n)|| strictly decreasing and within "
@@ -749,7 +748,7 @@ def mhd_suite(marks64: SpectralLandmarks) -> list[Check]:
         verdict(decay.decreasing and decay.within_bound),
         {"slack": SLACK}))
 
-    bari = bari_sum(disc.block, marks, 8)
+    bari = bari_sum(disc.block, 8)
     terms = np.array([r.term for r in bari.records])
     gaps_model = 1.0 / np.diff(spec_a)[marks.kappa:marks.kappa + 8] ** 2
     ratio_ok = True
@@ -781,7 +780,7 @@ def mhd_suite(marks64: SpectralLandmarks) -> list[Check]:
     degenerate = constant_profile(kperp=0.0, kpar=0.0, g=0.0)
     disc_deg = discretize(degenerate, 32)
     b_norm = operator_norm(disc_deg.block.B)
-    marks_deg = landmarks(disc_deg.block)
+    marks_deg = disc_deg.block.landmarks
     sub_deg = spectral_subspace(disc_deg.block, marks_deg.c_tilde)
     k_deg = angular_operator(sub_deg)
     checks.append(Check(
@@ -797,7 +796,7 @@ def fixture_suite() -> list[Check]:
     block = fixture_block()
     spec_m = block.eig_m.eigenvalues
     eig_gap = float(np.max(np.abs(spec_m - np.array(FIXTURE_EIGS))))
-    marks = landmarks(block)
+    marks = block.landmarks
     rb = minimal_b_for_a(block, 0.0)
     spec_a = block.eig_a.eigenvalues
     delta6 = delta_condition(6.0, marks.c, spec_a, rb)
@@ -813,7 +812,7 @@ def fixture_suite() -> list[Check]:
     # 2x2 Schur evaluation.
     guard = BlockOperatorMatrix(A=np.diag([0.5, 20.0]), B=[[2.0], [0.0]],
                                 C=[[-2.0]])
-    gm = landmarks(guard)
+    gm = guard.landmarks
     ct = gm.c_tilde
     s_diag = (0.5 - ct - 4.0 / (-2.0 - ct), 20.0 - ct)
     kappa_oracle = sum(1 for v in s_diag if v < 0.0)
@@ -838,7 +837,7 @@ def variational_suite(rng, count: int = 80) -> list[Check]:
         if check.status == NOT_APPLICABLE:
             continue
         checked += check.inputs["n"]
-        ladder = landmarks(block).lambda_above_c.tolist()
+        ladder = block.landmarks.lambda_above_c.tolist()
         for lam, (lo, hi) in zip(ladder, check.outputs["intervals"]):
             worst = max(worst, lo - lam, lam - hi)
     return [Check(
@@ -868,7 +867,7 @@ def run(seed: int = 42) -> Report:
     # decompositions would otherwise stay resident through the later suites.
     disc64 = discretize(constant_profile(), 64)
     checks += soq_suite(rng, disc64)
-    marks64 = landmarks(disc64.block)
+    marks64 = disc64.block.landmarks
     del disc64
     checks += subspace_suite(rng)
     checks += basis_suite(rng)

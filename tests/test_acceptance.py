@@ -19,7 +19,6 @@ from specblock import (
     discretize,
     dist_bound,
     hermitian_eig,
-    landmarks,
     minimal_b_for_a,
     projection_decay,
     bari_sum,
@@ -82,7 +81,7 @@ def test_criterion_4_cubic_fixture():
     roots = cubic_fixture_roots()
     eig_gap = np.max(np.abs(hermitian_eig(assemble(block)).eigenvalues
                             - np.array(roots)))
-    marks = landmarks(block)
+    marks = block.landmarks
     rb = minimal_b_for_a(block, 0.0)
     delta6 = delta_condition(6.0, marks.c, [2.0, 10.0], rb)
     k_op = angular_operator(spectral_subspace(block, marks.c_tilde))
@@ -140,7 +139,7 @@ def test_criterion_7_mhd_constants():
         (2 * np.pi ** 2 * n ** 2 + 2) <= 0.02
         for n in (1, 2, 3))
 
-    marks = landmarks(disc.block)
+    marks = disc.block.landmarks
     spec_c = hermitian_eig(disc.block.C).eigenvalues
     rb = RelativeBound(a, b)
     slack = 10.0 / disc.N
@@ -160,16 +159,16 @@ def test_criterion_8_mhd_decay_and_bari():
     a, b, c = constants(profile)
     rb = RelativeBound(a, b)
     disc = discretize(profile, 128)
-    marks = landmarks(disc.block)
+    marks = disc.block.landmarks
 
-    decay = projection_decay(disc.block, marks, 8, rb=rb)
+    decay = projection_decay(disc.block, 8, rb=rb)
     norms = [r.proj_diff_norm for r in decay.records]
     decreasing = all(norms[i + 1] < norms[i] for i in range(7))
     bound_ok = all(r.proj_diff_norm <= r.bound + 1e-9
                    for r in decay.records if r.delta < 1.0)
     effective = sum(1 for r in decay.records if r.delta < 1.0)
 
-    bari = bari_sum(disc.block, marks, 8)
+    bari = bari_sum(disc.block, 8)
     terms = np.array([r.term for r in bari.records])
     spec_a = hermitian_eig(disc.block.A).eigenvalues
     model = 1.0 / np.diff(spec_a)[marks.kappa:marks.kappa + 8] ** 2

@@ -10,7 +10,6 @@ from specblock import (
     aligned_term,
     angular_operator,
     bari_sum,
-    landmarks,
     projection_decay,
     riesz_check,
     spectral_subspace,
@@ -54,7 +53,7 @@ class TestRieszCheck:
         assert rep.passed
 
     def test_cubic_fixture_frame_bounds(self, m3):
-        marks = landmarks(m3)
+        marks = m3.landmarks
         sub = spectral_subspace(m3, marks.c_tilde)
         k = angular_operator(sub)
         rep = riesz_check(m3, sub, k)
@@ -84,7 +83,7 @@ class TestRieszCheck:
         else:
             block, _, _ = separated_block(np.random.default_rng(5))
         assert block.real_form == (kind != "complex")
-        marks = landmarks(block)
+        marks = block.landmarks
         dec = block.eig_m
         above = np.nonzero(dec.eigenvalues > marks.c_tilde)[0]
         k = angular_operator(spectral_subspace(block, marks.c_tilde))
@@ -111,15 +110,13 @@ class TestRieszCheck:
 class TestProjectionDecay:
     def test_decoupled_difference_vanishes(self):
         block = decoupled_block()
-        marks = landmarks(block)
-        rep = projection_decay(block, marks, 2, rb=RelativeBound(0.0, 0.0))
+        rep = projection_decay(block, 2, rb=RelativeBound(0.0, 0.0))
         for rec in rep.records:
             assert rec.proj_diff_norm <= 1e-10
             assert rec.delta == pytest.approx(0.0, abs=1e-12)
 
     def test_cubic_fixture_within_bound(self, m3):
-        marks = landmarks(m3)
-        rep = projection_decay(m3, marks, 2, rb=RelativeBound(0.0, 2.0))
+        rep = projection_decay(m3, 2, rb=RelativeBound(0.0, 2.0))
         for rec in rep.records:
             assert np.isfinite(rec.proj_diff_norm)
             if rec.delta < 1.0 and rec.a_points_inside == 1:
@@ -127,8 +124,7 @@ class TestProjectionDecay:
 
     def test_projectors_match_direct_computation(self, m3):
         # rank-1 difference computed from oracle eigenvectors
-        marks = landmarks(m3)
-        rep = projection_decay(m3, marks, 1, rb=RelativeBound(0.0, 2.0))
+        rep = projection_decay(m3, 1, rb=RelativeBound(0.0, 2.0))
         rec = rep.records[0]
         assert rec.mu == pytest.approx(2.0, abs=1e-12)
         lam1 = cubic_fixture_roots()[1]
@@ -141,14 +137,12 @@ class TestProjectionDecay:
     def test_degenerate_gap_raises(self):
         block = BlockOperatorMatrix(A=np.diag([5.0, 5.0]),
                                     B=np.zeros((2, 1)), C=[[1.0]])
-        marks = landmarks(block)
         with pytest.raises(DegenerateGapError):
-            projection_decay(block, marks, 1, rb=RelativeBound(0.0, 0.0))
+            projection_decay(block, 1, rb=RelativeBound(0.0, 0.0))
 
     def test_range_validation(self, m3):
-        marks = landmarks(m3)
         with pytest.raises(ArgumentError):
-            projection_decay(m3, marks, 5, rb=RelativeBound(0.0, 2.0))
+            projection_decay(m3, 5, rb=RelativeBound(0.0, 2.0))
 
 
 def dense_projector_distance(u, v):
@@ -265,9 +259,9 @@ def test_projection_decay_matches_dense_projectors(make_block):
     # F_n is read from eig(M); the reference solves S(lambda_n) and keeps
     # its eigenvectors in (-gamma_n, gamma_n), which must be exactly one.
     block = make_block()
-    marks = landmarks(block)
+    marks = block.landmarks
     n_max = min(8, marks.rungs)
-    rep = projection_decay(block, marks, n_max, rb=best_relative_bound(block))
+    rep = projection_decay(block, n_max, rb=best_relative_bound(block))
     want, counts = reference_decay_norms(block, marks, n_max)
     assert len(rep.records) == n_max >= 4
     assert counts == [1] * n_max
@@ -279,9 +273,9 @@ def test_projection_decay_against_mpmath():
     # ‖E - F_n‖ at 50 digits from the float entries: eigenvectors of A and
     # of M by mp.eighe, F_n onto the first component of M's eigenvector.
     block = random_complex_block(n1=3, n2=2)
-    marks = landmarks(block)
+    marks = block.landmarks
     n_max = marks.rungs
-    rep = projection_decay(block, marks, n_max, rb=best_relative_bound(block))
+    rep = projection_decay(block, n_max, rb=best_relative_bound(block))
     assert n_max >= 2
 
     def mp_matrix(arr):
@@ -375,14 +369,12 @@ class TestAlignedTerm:
 class TestBariSum:
     def test_decoupled_all_terms_vanish(self):
         block = decoupled_block()
-        marks = landmarks(block)
-        rep = bari_sum(block, marks, 2)
+        rep = bari_sum(block, 2)
         assert np.allclose([r.term for r in rep.records], 0.0, atol=1e-20)
         assert rep.gap_sum == pytest.approx(1.0 / 64.0, abs=1e-12)
 
     def test_cubic_fixture_terms_match_direct_projector_arithmetic(self, m3):
-        marks = landmarks(m3)
-        rep = bari_sum(m3, marks, 2)
+        rep = bari_sum(m3, 2)
         roots = cubic_fixture_roots()
         # A = diag(2, 10): eigenprojectors select single coordinates
         for rec, lam, coord in zip(rep.records, roots[1:], (0, 1)):
@@ -398,18 +390,17 @@ class TestBariSum:
     def test_partial_sums_nondecreasing(self, rng):
         for _ in range(10):
             block, rb, _ = separated_block(rng)
-            marks = landmarks(block)
+            marks = block.landmarks
             n = min(3, int(marks.lambda_above_c.size), block.n1 - marks.kappa)
             if n < 1:
                 continue
-            rep = bari_sum(block, marks, n)
+            rep = bari_sum(block, n)
             assert np.all(np.diff(rep.partial_sums) >= -1e-15)
 
     def test_terms_bounded_by_projector_distance(self, m3):
         # ||y - x|| <= 2 ||(F - E) x|| <= 2 ||E - F||
-        marks = landmarks(m3)
-        decay = projection_decay(m3, marks, 2, rb=RelativeBound(0.0, 2.0))
-        bari = bari_sum(m3, marks, 2)
+        decay = projection_decay(m3, 2, rb=RelativeBound(0.0, 2.0))
+        bari = bari_sum(m3, 2)
         for d_rec, b_rec in zip(decay.records, bari.records):
             assert b_rec.term <= (2.0 * d_rec.proj_diff_norm) ** 2 + 1e-9
 
@@ -438,9 +429,9 @@ def random_complex_blocks():
 def test_bari_terms_match_dense_projectors(make_blocks):
     checked = 0
     for block in make_blocks():
-        marks = landmarks(block)
+        marks = block.landmarks
         n_max = min(6, marks.rungs)
-        rep = bari_sum(block, marks, n_max)
+        rep = bari_sum(block, n_max)
         want = dense_bari_terms(block, marks, n_max)
         for rec, ref in zip(rep.records, want):
             assert abs(np.sqrt(rec.term) - np.sqrt(ref)) <= 1e-13

@@ -11,7 +11,6 @@ from specblock import (
     best_relative_bound,
     eigenvalue_window,
     hermitian_eig,
-    landmarks,
     minimal_b_for_a,
     relative_bound_margin,
     resolvent_block,
@@ -417,7 +416,7 @@ class TestStackedRelativeBoundScan:
 
 class TestLandmarks:
     def test_cubic_fixture(self, m3):
-        marks = landmarks(m3)
+        marks = m3.landmarks
         roots = cubic_fixture_roots()
         assert marks.c == pytest.approx(-1.0, abs=1e-12)
         assert marks.c_tilde == pytest.approx(0.5 * (-1.0 + roots[1]), abs=1e-9)
@@ -426,7 +425,7 @@ class TestLandmarks:
 
     def test_decoupled(self):
         block = BlockOperatorMatrix(A=[[5.0]], B=[[0.0]], C=[[1.0]])
-        marks = landmarks(block)
+        marks = block.landmarks
         assert marks.c == 1.0
         assert marks.c_tilde == pytest.approx(3.0, abs=1e-12)
         assert marks.kappa == 0
@@ -436,7 +435,7 @@ class TestLandmarks:
         # both channels, confirmed by direct 2x2 arithmetic.
         block = BlockOperatorMatrix(A=np.diag([0.5, 20.0]), B=[[2.0], [0.0]],
                                     C=[[-2.0]])
-        marks = landmarks(block)
+        marks = block.landmarks
         ct = marks.c_tilde
         s_diag = (0.5 - ct - 4.0 / (-2.0 - ct), 20.0 - ct)
         oracle_kappa = sum(1 for v in s_diag if v < 0.0)
@@ -448,7 +447,7 @@ class TestLandmarks:
         for _ in range(40):
             block = random_block(rng)
             try:
-                marks = landmarks(block)
+                marks = block.landmarks
             except LandmarkError:
                 continue
             spec_m = hermitian_eig(assemble(block)).eigenvalues
@@ -457,8 +456,25 @@ class TestLandmarks:
 
     def test_no_spectrum_above_c(self):
         block = BlockOperatorMatrix(A=[[-5.0]], B=[[0.0]], C=[[1.0]])
-        with pytest.raises(LandmarkError):
-            landmarks(block)
+        for _ in range(2):  # the error is raised again, not cached
+            with pytest.raises(LandmarkError):
+                block.landmarks
+
+    def test_solved_once_per_block(self, monkeypatch):
+        calls = []
+        original = blocks_module.schur_complement
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(blocks_module, "schur_complement", counting)
+        block = BlockOperatorMatrix(A=np.diag([2.0, 10.0]), B=[[1.0], [1.0]],
+                                    C=[[-1.0]])
+        marks = block.landmarks
+        assert block.landmarks is marks
+        assert calls == [marks.c_tilde]
+        assert not marks.lambda_above_c.flags.writeable
 
 
 def test_schur_spectrum_equivalence(rng):

@@ -12,7 +12,7 @@ import inspect
 import numpy as np
 import pytest
 
-from specblock import BlockOperatorMatrix, RelativeBound, cli, landmarks, selftest
+from specblock import BlockOperatorMatrix, RelativeBound, checks, cli, selftest
 from specblock.blocks import assemble, minimal_b_for_a, schur_complement
 from specblock.checks import variational_ladder
 from specblock.enclosures import (
@@ -67,15 +67,19 @@ def reference_window_suite(rng, count):
                 worst_incl = max(worst_incl, win.lo - lam, lam - win.hi)
             mu_ex = exclusion_reference(spec_a, lam)
             if mu_ex is not None:
-                win = exclusion_window(mu_ex, c, rb)
-                if win.hypothesis_ok:
-                    excl_checked += 1
-                    intrusion = min(lam - win.lo, win.hi - lam)
-                    if intrusion > SLACK:
-                        worst_excl = max(worst_excl, intrusion)
+                try:
+                    win = exclusion_window(mu_ex, c, rb)
+                except HypothesisError:
+                    continue
+                excl_checked += 1
+                intrusion = min(lam - win.lo, win.hi - lam)
+                if intrusion > SLACK:
+                    worst_excl = max(worst_excl, intrusion)
         for i in range(spec_a.size - 1):
-            win = resolvent_interval(float(spec_a[i]), float(spec_a[i + 1]), c, rb)
-            if not win.hypothesis_ok:
+            try:
+                win = resolvent_interval(float(spec_a[i]), float(spec_a[i + 1]),
+                                         c, rb)
+            except HypothesisError:
                 continue
             res_checked += 1
             for lam in spec_m:
@@ -132,7 +136,7 @@ def reference_variational_suite(rng, count):
     for _ in range(count):
         block, rb, c = selftest.separated_block(rng)
         try:
-            marks = landmarks(block)
+            marks = block.landmarks
         except LandmarkError:
             continue
         spec_a = block.eig_a.eigenvalues
@@ -302,7 +306,7 @@ def test_cli_builds_no_check():
 class TestRungs:
     def test_equal_counts(self, m3):
         # two eigenvalues above c = -1, kappa = 0, n1 = 2
-        marks = landmarks(m3)
+        marks = m3.landmarks
         assert (marks.lambda_above_c.size, m3.n1 - marks.kappa) == (2, 2)
         assert marks.rungs == 2
         assert marks.first_above == 1
@@ -313,7 +317,7 @@ class TestRungs:
         # coupling makes S large), so kappa counts 0 instead of 1.
         block = BlockOperatorMatrix(A=np.diag([-2.0, -1.0, -2.0]),
                                     B=[[0.0], [900.0], [100.0]], C=[[-2.0]])
-        marks = landmarks(block)
+        marks = block.landmarks
         assert marks.kappa == 0
         assert marks.lambda_above_c.size == 2 < block.n1 - marks.kappa
         assert marks.rungs == 2
@@ -328,7 +332,7 @@ class TestRungs:
         for _ in range(200):
             block = selftest.random_block(rng)
             try:
-                marks = landmarks(block)
+                marks = block.landmarks
             except LandmarkError:
                 continue
             assert marks.lambda_above_c.size <= block.n1 - marks.kappa
@@ -336,3 +340,18 @@ class TestRungs:
             assert np.array_equal(
                 block.eig_m.eigenvalues[marks.first_above:],
                 marks.lambda_above_c)
+
+
+def test_overflowing_windows_are_not_applicable():
+    # ((mu - c)/2)^2 overflows for every point of sigma(A) at 1e160
+    block = BlockOperatorMatrix(A=np.diag([1e160, 3e160]), B=[[1.0], [1.0]],
+                                C=[[-1e160]])
+    rb = RelativeBound(0.0, 2.0)
+    found = (checks.windows(block, rb) + checks.resolvent_intervals(block, rb)
+             + variational_ladder(block, rb))
+    assert [c.family for c in found] == [
+        "inclusion-window", "exclusion-window", "inclusion-window",
+        "exclusion-window", "resolvent-interval", "variational-bounds"]
+    assert {c.status for c in found} == {"not-applicable"}
+    assert all(c.outputs["reason"].endswith("overflows double precision")
+               for c in found)

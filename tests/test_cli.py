@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "coupling Gram matrix B B* overflows" in err
         assert "finite" not in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["enclose", "angular", "basis", "soq"])
+    @pytest.mark.parametrize("a1, a2, c", [(1e160, 3e160, -1e160),
+                                           (1e-160, 3e-160, -1e-160)])
+    def test_extreme_scale_exits_0(self, tmp_path, capsys, command, a1, a2, c):
+        # ((mu - c)/2)^2 overflows at 1e160: the windows it opens are
+        # not-applicable, and no check fails
+        payload = {"blocks": {"A": [[a1, 0], [0, a2]], "B": [[1], [1]],
+                              "C": [[c]]}}
+        path = write_problem(tmp_path, "scaled.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_to_file(tmp_path, [command, "--input", path])
+        assert code == 0
+        assert rep["summary"]["fail"] == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["enclose", "basis"])
+    @pytest.mark.parametrize("rb, text", [
+        ([0, 1], "'rb' = [0, 1] is not a relative bound for the blocks: "
+                 "lambda_min(aA + bI - BB*) = -1.000e+00 is below"),
+        ([0, 0], "'rb' = [0, 0] is not a relative bound for the blocks: "
+                 "lambda_min(aA + bI - BB*) = -2.000e+00 is below"),
+        ([1e308, 0], "'rb' = [1e+308, 0] cannot be checked: "
+                     "a A + b I - B B* overflows double precision"),
+    ], ids=["b-too-small", "zero", "overflow"])
+    def test_file_rb_that_is_no_relative_bound_exits_2(self, tmp_path, capsys,
+                                                       command, rb, text):
+        # lambda_max(BB*) = 2 on M3, so BB* <= bI fails for b < 2
+        path = write_problem(tmp_path, "p.json", dict(M3_PROBLEM, rb=rb))
+        assert main([command, "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"specblock: error: {text}")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("args, problem", [
@@ -177,9 +212,12 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert len(err.encode("utf-8")) < 300
 
-    @pytest.mark.parametrize("where", ["csv-cell", "csv-path", "rho-name"])
+    @pytest.mark.parametrize("where", ["csv-cell", "csv-path", "rho-name",
+                                       "csv-newline", "path-newline",
+                                       "path-long"])
     def test_long_echo_is_bounded(self, tmp_path, capsys, monkeypatch, where):
         long = "x" * 100_000
+        path = None
         if where == "csv-cell":
             (tmp_path / "b.csv").write_text(long + "\n1\n")
             payload = {"blocks": {"A": [[2, 0], [0, 10]], "B": "b.csv",
@@ -189,10 +227,23 @@ class TestExitCodes:
             payload = {"blocks": {"A": [[2, 0], [0, 10]], "B": long,
                                   "C": [[-1]]}}
             command, start = "enclose", "x: File name too long\n"
+        elif where == "csv-newline":
+            payload = {"blocks": {"A": [[2, 0], [0, 10]], "B": "b\nc.csv",
+                                  "C": [[-1]]}}
+            command = "enclose"
+            start = "b\\nc.csv: No such file or directory\n"
+        elif where == "path-newline":
+            path = str(tmp_path / "no\nsuch.json")
+            command = "enclose"
+            start = "no\\nsuch.json: No such file or directory\n"
+        elif where == "path-long":
+            path = str(tmp_path / long)
+            command, start = "enclose", "x: File name too long\n"
         else:
             payload = {"mhd": dict(MHD_PROBLEM["mhd"], rho=long)}
             command, start = "mhd", "unknown built-in 'xxx...xxxx' for rho"
-        path = write_problem(tmp_path, "p.json", payload)
+        if path is None:
+            path = write_problem(tmp_path, "p.json", payload)
         argv = [command, "--input", path, "--out", str(tmp_path / "r")]
         fast = main(argv), capsys.readouterr().err
         monkeypatch.setattr(problems, "orjson", None)

@@ -63,6 +63,7 @@ class TestDistBound:
 class TestEigenvalueWindow:
     def test_degenerate_collapse(self):
         win = eigenvalue_window(4.0, 1.5, RelativeBound(0.0, 0.0))
+        assert not (win.open_lo or win.open_hi)
         assert win.lo == pytest.approx(1.5, abs=1e-12)
         assert win.hi == pytest.approx(4.0, abs=1e-12)
 
@@ -84,13 +85,12 @@ class TestEigenvalueWindow:
 class TestExclusionWindow:
     def test_degenerate_collapse(self):
         win = exclusion_window(4.0, 1.5, RelativeBound(0.0, 0.0))
-        assert win.hypothesis_ok
+        assert win.open_lo and win.open_hi
         assert win.lo == pytest.approx(1.5, abs=1e-12)
         assert win.hi == pytest.approx(4.0, abs=1e-12)
 
     def test_cubic_fixture_mu10(self):
         win = exclusion_window(10.0, -1.0, RB)
-        assert win.hypothesis_ok
         assert win.lo == pytest.approx(4.5 - np.sqrt(28.25), abs=1e-12)
         assert win.hi == pytest.approx(4.5 + np.sqrt(28.25), abs=1e-12)
         # applicable sub-range below mu = 10 is ((2+10)/2, 10] = (6, 10];
@@ -104,21 +104,19 @@ class TestExclusionWindow:
         # (mu - c)^2 = 9 > 8 = 4 a mu + 4 b, so the window exists and the
         # closed form gives (mu + c)/2 ± sqrt(9/4 - 2) = (0, 1)
         win = exclusion_window(2.0, -1.0, RB)
-        assert win.hypothesis_ok
         assert win.lo == pytest.approx(0.0, abs=1e-12)
         assert win.hi == pytest.approx(1.0, abs=1e-12)
 
     def test_hypothesis_failure_is_structured(self):
-        win = exclusion_window(2.0, 1.9, RB)
-        assert not win.hypothesis_ok
-        assert win.lo is None and win.hi is None
-        assert "4 a mu" in win.reason
+        with pytest.raises(HypothesisError,
+                           match=r"^\(mu - c\)\^2 does not exceed 4 a mu"):
+            exclusion_window(2.0, 1.9, RB)
 
 
 class TestResolventInterval:
     def test_cubic_fixture_bracket(self):
         win = resolvent_interval(2.0, 10.0, -1.0, RB)
-        assert win.hypothesis_ok
+        assert win.open_lo and win.open_hi
         assert win.lo == pytest.approx(0.5 + np.sqrt(4.25), abs=1e-12)
         assert win.hi == pytest.approx(4.5 + np.sqrt(28.25), abs=1e-12)
         for lam in cubic_fixture_roots():
@@ -126,24 +124,61 @@ class TestResolventInterval:
 
     def test_degenerate_collapse(self):
         win = resolvent_interval(3.0, 7.0, 1.0, RelativeBound(0.0, 0.0))
-        assert win.hypothesis_ok
         assert win.lo == pytest.approx(3.0, abs=1e-12)
         assert win.hi == pytest.approx(7.0, abs=1e-12)
 
     def test_narrow_gap_fails_ordering(self):
-        # alpha1+ = 2.5616 exceeds beta2+ = 1 + sqrt(2): the hypothesis flag
-        # must come back false
+        # alpha1+ = 2.5616 exceeds beta2+ = 1 + sqrt(2): the hypothesis
+        # fails
         alpha1p = 0.5 + np.sqrt(4.25)
         beta2p = 1.0 + np.sqrt(2.0)
         assert alpha1p > beta2p
-        win = resolvent_interval(2.0, 3.0, -1.0, RB)
-        assert not win.hypothesis_ok
-        assert "alpha1+" in win.reason
+        with pytest.raises(HypothesisError, match=r"alpha1\+"):
+            resolvent_interval(2.0, 3.0, -1.0, RB)
 
     def test_low_mu1_fails(self):
-        win = resolvent_interval(-0.5, 10.0, -1.0, RelativeBound(1.0, 0.0))
-        assert not win.hypothesis_ok
-        assert "a + c" in win.reason
+        with pytest.raises(HypothesisError, match=r"a \+ c"):
+            resolvent_interval(-0.5, 10.0, -1.0, RelativeBound(1.0, 0.0))
+
+
+def resolvent_holds(mu1, mu2, c, rb):
+    """The resolvent-interval hypotheses hold for (mu1, mu2)."""
+    try:
+        resolvent_interval(mu1, mu2, c, rb)
+    except HypothesisError:
+        return False
+    return True
+
+
+class TestOverflow:
+    # ((mu - c)/2)^2 = 1e320 is no double: a window that is not finite
+    # certifies nothing, and its hypothesis counts as unmet
+    RB = RelativeBound(0.0, 1.0)
+
+    def test_inclusion_window(self):
+        with pytest.raises(HypothesisError,
+                           match="^the inclusion window overflows"):
+            eigenvalue_window(1e160, -1e160, self.RB)
+
+    def test_exclusion_window(self):
+        with pytest.raises(HypothesisError,
+                           match="^the exclusion window overflows"):
+            exclusion_window(1e160, -1e160, self.RB)
+
+    def test_resolvent_interval(self):
+        with pytest.raises(HypothesisError,
+                           match="^the inclusion window overflows"):
+            resolvent_interval(1e160, 3e160, -1e160, self.RB)
+
+    def test_variational_bounds(self):
+        with pytest.raises(HypothesisError,
+                           match="^the variational upper bound overflows"):
+            variational_bounds([1e160, 3e160], -1e160, self.RB, 0)
+
+    def test_large_finite_windows_stay(self):
+        win = exclusion_window(1e150, -1e150, self.RB)
+        assert win.lo == pytest.approx(-1e150) and win.hi == 1e150
+        assert eigenvalue_window(1e150, -1e150, self.RB).hi == 1e150
 
 
 class TestSubspaceDimCheck:
@@ -160,9 +195,9 @@ class TestSubspaceDimCheck:
             B=np.array([[0.3], [0.3], [0.3], [0.3]]), C=[[-1.0]])
         rb = RelativeBound(0.0, 4 * 0.09)
         c = -1.0
-        first = resolvent_interval(2.0, 10.0, c, rb)
-        second = resolvent_interval(40.0, 90.0, c, rb)
-        assert first.hypothesis_ok and second.hypothesis_ok
+        # both pair windows exist: neither call raises HypothesisError
+        resolvent_interval(2.0, 10.0, c, rb)
+        resolvent_interval(40.0, 90.0, c, rb)
         b2p = exclusion_window(10.0, c, rb).hi
         a3p = eigenvalue_window(40.0, c, rb).hi
         assert b2p < a3p
@@ -185,9 +220,8 @@ class TestSubspaceDimCheck:
             block, rb, c = separated_block(rng)
             spec_a = hermitian_eig(block.A).eigenvalues
             valid = [i for i in range(spec_a.size - 1)
-                     if resolvent_interval(float(spec_a[i]),
-                                           float(spec_a[i + 1]), c,
-                                           rb).hypothesis_ok]
+                     if resolvent_holds(float(spec_a[i]),
+                                        float(spec_a[i + 1]), c, rb)]
             b2p = exclusion_window(float(spec_a[valid[0] + 1]), c, rb).hi
             a3p = eigenvalue_window(float(spec_a[valid[-1]]), c, rb).hi
             if not b2p < a3p:

@@ -546,11 +546,11 @@ class TestRealFormPipeline:
 
     @staticmethod
     def run_stages(block, rb):
-        from specblock import (angular_operator, landmarks, projection_decay,
+        from specblock import (angular_operator, projection_decay,
                                spectral_subspace)
-        marks = landmarks(block)
+        marks = block.landmarks
         angular_operator(spectral_subspace(block, marks.c_tilde))
-        projection_decay(block, marks, min(4, marks.rungs), rb=rb)
+        projection_decay(block, min(4, marks.rungs), rb=rb)
 
     def test_mhd_block_sends_float64(self, monkeypatch):
         from specblock import RelativeBound

@@ -12,7 +12,6 @@ from specblock import (
     discretize,
     essential_bands,
     hermitian_eig,
-    landmarks,
     minimal_b_for_a,
     profile_from_functions,
     relative_bound_margin,
@@ -139,7 +138,7 @@ class TestDiscretize:
         p = constant_profile()
         lead = {}
         for n in (64, 128):
-            marks = landmarks(discretize(p, n).block)
+            marks = discretize(p, n).block.landmarks
             lead[n] = marks.lambda_above_c[:5]
         rel = np.abs(lead[64] - lead[128]) / np.abs(lead[128])
         assert np.max(rel) <= 0.01
@@ -162,7 +161,7 @@ class TestRieszOnLeadingModes:
         from specblock import GraphSubspace, Interval, angular_operator, riesz_check
         disc = discretize(constant_profile(), 64)
         block = disc.block
-        marks = landmarks(block)
+        marks = block.landmarks
         dec = hermitian_eig(assemble(block))
         idx = np.nonzero(dec.eigenvalues > marks.c + 1e-9)[0][:10]
         cols = dec.vectors[:, idx]

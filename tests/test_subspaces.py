@@ -16,7 +16,6 @@ from specblock import (
     delta_condition,
     graph_test,
     hermitian_eig,
-    landmarks,
     operator_norm,
     shifted_matrix,
     spectral_subspace,
@@ -143,7 +142,7 @@ class TestAngularOperator:
 
     def test_first_block_factored_once(self, monkeypatch):
         block = golden_block()
-        sub = spectral_subspace(block, landmarks(block).c_tilde)
+        sub = spectral_subspace(block, block.landmarks.c_tilde)
         u = _solver_input(sub.basis_first)
         seen = []
         original = np.linalg.svd
@@ -207,7 +206,7 @@ def test_angular_operator_matches_the_dense_formulas(make_blocks):
     compared = 0
     for block in make_blocks():
         try:
-            marks = landmarks(block)
+            marks = block.landmarks
         except (LandmarkError, SingularShiftError):
             continue
         above = marks.lambda_above_c
