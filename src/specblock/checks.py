@@ -5,7 +5,8 @@ bound (a, b) in force, a cut point, a rung count, a trial space) and returns
 the checks of one family.  ``cli.cmd_enclose`` concatenates the ENCLOSE
 builders in that order; ``cli.cmd_angular``, ``cmd_basis`` and ``cmd_soq``
 return ``angular``, ``basis`` and ``soq``.  The selftest aggregates the same
-checks over its random instances, and ``mhd.run_report`` shares the anchors.
+checks over its random instances.  ``mhd.run_report`` builds the MHD checks
+on the anchors defined here, and the selftest reports five of them renamed.
 """
 
 from __future__ import annotations

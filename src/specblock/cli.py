@@ -100,7 +100,7 @@ def cmd_mhd(problem: ProblemFile, n_interior: int, n_max: int) -> list[Check]:
     squared = problem.flags.get("squared_bands", True)
     if not isinstance(squared, bool):
         raise ParseError("flag 'squared_bands' must be true or false")
-    return run_report(problem.profile, n_interior, n_max,
+    return run_report(discretize(problem.profile, n_interior), n_max,
                       squared_bands=squared)
 
 

@@ -155,12 +155,13 @@ def profile_from_functions(rho, va2, vs2, kperp, kpar, g: float = 0.0,
 
 @dataclass(frozen=True)
 class MhdDiscretization:
-    """Discretized blocks plus the grid."""
+    """Discretized blocks plus the grid and the profile they were built from."""
 
     N: int
     block: BlockOperatorMatrix
     x: np.ndarray
     h: float
+    profile: PlasmaProfile
 
 
 def _coupling_matrix(rho_i, coeff_i, mult_i, g, h):
@@ -229,7 +230,7 @@ def discretize(profile: PlasmaProfile, n_interior: int) -> MhdDiscretization:
                       [np.diag(c12), np.diag(c22)]])
 
     block = BlockOperatorMatrix(A=a_mat, B=b_mat, C=c_mat)
-    return MhdDiscretization(N=n, block=block, x=xi, h=h)
+    return MhdDiscretization(N=n, block=block, x=xi, h=h, profile=profile)
 
 
 def constants(profile: PlasmaProfile) -> tuple[float, float, float]:
@@ -250,8 +251,9 @@ def constants(profile: PlasmaProfile) -> tuple[float, float, float]:
                       + profile.vs2 ** 2 * profile.kpar ** 2) / w))
     flux = profile.rho * (w * profile.kperp + profile.vs2 * profile.kpar)
     dflux = np.gradient(flux, profile.x, edge_order=2)
-    b_core = float(np.max(k2 * profile.g ** 2
-                          - (profile.g / profile.rho) * dflux))
+    g = profile.g
+    with np.errstate(over="ignore"):  # g ** 2 would raise OverflowError
+        b_core = float(np.max(k2 * (g * g) - (g / profile.rho) * dflux))
     b = max(b_core - a * float(np.min(k2 * profile.va2)), 0.0)
     return a, b, c
 
@@ -304,21 +306,21 @@ def trial_space(disc: MhdDiscretization, m: int) -> np.ndarray:
     return q.astype(complex)
 
 
-def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
+def run_report(disc: MhdDiscretization, n_max: int,
                squared_bands: bool = True) -> list[Check]:
-    """Full pipeline: discretize, constants, landmarks, variational bounds,
-    angular operator at (c, inf), Riesz check, projection decay, Bari sums.
+    """Full pipeline on a discretization: constants, landmarks, variational
+    bounds, angular operator at (c, inf), Riesz check, projection decay on
+    up to n_max rungs, Bari sums.
 
     Returns one Check per stage; theorem checks at this scale use the
     relative slack 10/N since the closed-form constants belong to the
-    continuum operator.
+    continuum operator.  ``specblock mhd`` and the selftest both run it.
     """
     checks: list[Check] = []
-    disc = discretize(profile, n_interior)
     block = disc.block
     slack = 10.0 / disc.N
 
-    a_const, b_const, c_const = constants(profile)
+    a_const, b_const, c_const = constants(disc.profile)
     rb = RelativeBound(a_const, b_const)
     margin = relative_bound_margin(block, rb)
     b_disc = minimal_b_for_a(block, a_const).b
@@ -333,7 +335,7 @@ def run_report(profile: PlasmaProfile, n_interior: int, n_max: int,
         status=verdict(margin >= -slack * scale),
         tolerances={"slack": slack * scale}))
 
-    bands = essential_bands(profile, squared=squared_bands)
+    bands = essential_bands(disc.profile, squared=squared_bands)
     checks.append(Check(
         name="mhd/essential-bands",
         anchor="ranges of va^2 kpar(^2) and va^2 vs^2 kperp(^2)/(va^2 + vs^2)",

@@ -8,6 +8,8 @@ iteration orders are fixed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import __version__
@@ -24,7 +26,6 @@ from .blocks import (
     schur_complement,
 )
 from .checks import (
-    CODIM_ANCHOR,
     DIST_ANCHOR,
     dim_bracket,
     resolvent_intervals,
@@ -64,6 +65,7 @@ from .mhd import (
     constant_profile,
     constants,
     discretize,
+    run_report,
     trial_space,
 )
 from .report import FAIL, NOT_APPLICABLE, Check, Report, verdict
@@ -669,8 +671,11 @@ def basis_suite(rng, count: int = 60) -> list[Check]:
 
 
 def mhd_suite(marks64: SpectralLandmarks) -> list[Check]:
-    """The MHD checks; ``marks64`` are the landmarks of the constant profile
-    at N = 64, which the resolution-consistency check compares against."""
+    """The MHD checks.  Five are ``mhd.run_report``'s on the constant profile
+    at N = 128, renamed; the others are the selftest's own and read
+    run_report's outputs there and on the decoupled profile at N = 32.
+    ``marks64`` are the landmarks of the constant profile at N = 64, which
+    the resolution-consistency check compares against."""
     checks = []
     profile = constant_profile()
     a, b, c = constants(profile)
@@ -696,74 +701,25 @@ def mhd_suite(marks64: SpectralLandmarks) -> list[Check]:
         verdict(bool(np.all(rel <= 0.02))),
         {"rel": 0.02}))
 
-    rb = RelativeBound(a, b)
-    slack = 10.0 / disc.N
+    pipeline = {check.name: check for check in run_report(disc, 8)}
+    checks += [replace(pipeline[source], name=name) for source, name in (
+        ("mhd/dist-bound", "mhd/dist-bound-continuum"),
+        ("mhd/relative-bound", "mhd/constants-soundness"),
+        ("mhd/gap-growth", "mhd/gap-growth"),
+        ("mhd/angular-operator", "mhd/codim-kappa"),
+        ("mhd/projection-decay", "mhd/projection-decay"))]
+
     marks = disc.block.landmarks
-    spec_c = disc.block.eig_c.eigenvalues
-    worst = -np.inf
-    for lam in marks.lambda_above_c:
-        rep = dist_bound(float(lam), spec_a, spec_c, rb)
-        worst = max(worst, (rep.dist_to_A - rep.bound) / max(1.0, rep.bound))
-    checks.append(Check(
-        "mhd/dist-bound-continuum",
-        "dist[lambda, sigma(A)] <= |a lambda + b| / (dist[lambda, sigma(C)] - a) "
-        "with closed-form constants",
-        {}, {"worst_relative_excess": worst, "N": disc.N},
-        verdict(worst <= slack),
-        {"relative_slack": slack}))
-
-    margin = relative_bound_margin(disc.block, rb)
-    gram_top = float(hermitian_eigvals(disc.block.coupling_gram())[-1])
-    checks.append(Check(
-        "mhd/constants-soundness",
-        "B B* ⪯ a A + b I with closed-form constants, up to O(h)",
-        {}, {"margin": margin, "discrete_minimal_b": minimal_b_for_a(disc.block, a).b},
-        verdict(margin >= -slack * max(1.0, gram_top)),
-        {"slack": slack * max(1.0, gram_top)}))
-
-    resolved = disc.N // 4
-    gaps = np.diff(spec_a)[:resolved]
-    checks.append(Check(
-        "mhd/gap-growth",
-        "mu_{n+1} - mu_n increases over the resolved range",
-        {}, {"resolved": int(resolved)},
-        verdict(bool(np.all(np.diff(gaps) > 0.0))),
-        {}))
-
-    sub = spectral_subspace(disc.block, marks.c_tilde)
-    k_op = angular_operator(sub)
-    checks.append(Check(
-        "mhd/codim-kappa", CODIM_ANCHOR,
-        {}, {"codim": k_op.codim, "kappa": marks.kappa, "k_norm": k_op.norm},
-        verdict(k_op.codim == marks.kappa),
-        {}))
-
-    decay = projection_decay(disc.block, 8, rb=rb)
-    checks.append(Check(
-        "mhd/projection-decay",
-        "||E({mu_{kappa+n}}) - F_n(Delta_n)|| strictly decreasing and within "
-        "the explicit chain",
-        {}, {"norms": decay.norms, "deltas": [r.delta for r in decay.records],
-             "bounds": [r.bound for r in decay.records]},
-        verdict(decay.decreasing and decay.within_bound),
-        {"slack": SLACK}))
-
-    bari = bari_sum(disc.block, 8)
-    terms = np.array([r.term for r in bari.records])
-    gaps_model = 1.0 / np.diff(spec_a)[marks.kappa:marks.kappa + 8] ** 2
-    ratio_ok = True
-    quotients = []
-    for n in range(len(terms) - 1):
-        q = (terms[n + 1] / terms[n]) / (gaps_model[n + 1] / gaps_model[n])
-        quotients.append(float(q))
-        if not (1.0 / 3.0 <= q <= 3.0):
-            ratio_ok = False
+    bari = pipeline["mhd/bari-sums"].outputs
+    terms = np.array(bari["terms"])
+    gaps_model = 1.0 / np.diff(spec_a)[marks.kappa:marks.kappa + terms.size] ** 2
+    quotients = (terms[1:] / terms[:-1]) / (gaps_model[1:] / gaps_model[:-1])
     checks.append(Check(
         "mhd/bari-ratio",
         "increments of sum ||y_{kappa+n} - x_n||² track 1/(mu_{n+1} - mu_n)²",
-        {}, {"terms": terms.tolist(), "ratio_quotients": quotients,
-             "gap_sum": bari.gap_sum},
-        verdict(ratio_ok),
+        {}, {"terms": bari["terms"], "ratio_quotients": quotients.tolist(),
+             "gap_sum": bari["gap_sum"]},
+        verdict(bool(np.all((quotients >= 1.0 / 3.0) & (quotients <= 3.0)))),
         {"factor": 3.0}))
 
     lead128 = marks.lambda_above_c[:5]
@@ -777,17 +733,17 @@ def mhd_suite(marks64: SpectralLandmarks) -> list[Check]:
         {"rel": 0.01}))
 
     # Decoupled profile: no coupling, angular operator vanishes.
-    degenerate = constant_profile(kperp=0.0, kpar=0.0, g=0.0)
-    disc_deg = discretize(degenerate, 32)
+    disc_deg = discretize(constant_profile(kperp=0.0, kpar=0.0, g=0.0), 32)
     b_norm = operator_norm(disc_deg.block.B)
-    marks_deg = disc_deg.block.landmarks
-    sub_deg = spectral_subspace(disc_deg.block, marks_deg.c_tilde)
-    k_deg = angular_operator(sub_deg)
+    angular = next(check.outputs for check in run_report(disc_deg, 1)
+                   if check.name == "mhd/angular-operator")
     checks.append(Check(
         "mhd/decoupled-degenerate",
         "kperp = kpar = 0, g = 0: B = 0 and K = 0",
-        {}, {"coupling_norm": b_norm, "k_norm": k_deg.norm, "kappa": marks_deg.kappa},
-        verdict(b_norm == 0.0 and k_deg.norm <= 1e-12 and marks_deg.kappa == 0),
+        {}, {"coupling_norm": b_norm, "k_norm": angular["k_norm"],
+             "kappa": angular["kappa"]},
+        verdict(b_norm == 0.0 and angular["k_norm"] <= 1e-12
+                and angular["kappa"] == 0),
         {}))
     return checks
 

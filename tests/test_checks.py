@@ -8,6 +8,7 @@ must reproduce their outputs and consume the same random stream.
 """
 
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from specblock.enclosures import (
 )
 from specblock.errors import HypothesisError, LandmarkError
 from specblock.linalg import hermitian_eig, operator_norm, spectral_distance
-from specblock.mhd import constant_profile, constants, discretize, trial_space
+from specblock.mhd import (
+    constant_profile,
+    constants,
+    discretize,
+    run_report,
+    trial_space,
+)
 from specblock.report import PASS, Check, verdict
 from specblock.tolerance import SLACK, SOQ_MARGIN_REL
 
@@ -295,6 +302,30 @@ def test_selftest_discretizes_each_profile_once(monkeypatch):
     monkeypatch.setattr(selftest, "discretize", spy)
     selftest.run(seed=1)
     assert sorted(sizes) == [32, 64, 128]
+
+
+def test_selftest_mhd_checks_are_run_report_checks(monkeypatch):
+    """Five MHD checks of the selftest are run_report's on the same N = 128
+    discretization, renamed and otherwise equal."""
+    built = {}
+
+    def spy(profile, n_interior):
+        built[n_interior] = discretize(profile, n_interior)
+        return built[n_interior]
+
+    monkeypatch.setattr(selftest, "discretize", spy)
+    marks64 = discretize(constant_profile(), 64).block.landmarks
+    suite = {check.name: check for check in selftest.mhd_suite(marks64)}
+    pipeline = {check.name: check for check in run_report(built[128], 8)}
+    renamed = {"mhd/dist-bound": "mhd/dist-bound-continuum",
+               "mhd/relative-bound": "mhd/constants-soundness",
+               "mhd/gap-growth": "mhd/gap-growth",
+               "mhd/angular-operator": "mhd/codim-kappa",
+               "mhd/projection-decay": "mhd/projection-decay"}
+    for source, name in renamed.items():
+        assert suite[name] == replace(pipeline[source], name=name)
+    assert suite["mhd/bari-ratio"].outputs["terms"] \
+        == pipeline["mhd/bari-sums"].outputs["terms"]
 
 
 def test_cli_builds_no_check():

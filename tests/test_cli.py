@@ -139,6 +139,8 @@ class TestExitCodes:
         (["enclose"], {"blocks": {"A": [[2, 0], [0, 10]], "B": [[1], [1]],
                                   "C": [[[True, 0.0]]]}}),
         (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], g=True)}),
+        # g * g overflows in the constants; B B* overflows and is reported.
+        (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], g=1e200)}),
         (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n=True)}),
         (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n=9.7)}),
         (["mhd"], {"mhd": dict(MHD_PROBLEM["mhd"], grid_n="65")}),

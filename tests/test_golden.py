@@ -133,9 +133,10 @@ def test_run_report_decomposes_a_c_and_m_once_per_call(monkeypatch):
     spy_on(monkeypatch, linalg.hermitian_part_eig, seen)
     spy_on(monkeypatch, linalg.hermitian_part_eig_by_components, seen)
 
-    run_report(profile, 32, 4)
+    # A fresh discretization per call: a reused one answers from its caches.
+    run_report(discretize(profile, 32), 4)
     assert count_forms(seen, targets) == {"A": 1, "C": 1, "M": 1}
-    run_report(profile, 32, 4)
+    run_report(discretize(profile, 32), 4)
     assert count_forms(seen, targets) == {"A": 2, "C": 2, "M": 2}
 
 
@@ -145,7 +146,7 @@ def test_run_report_validates_a_and_c_once_per_call(monkeypatch):
     seen = []
     spy_on(monkeypatch, linalg.require_hermitian, seen)
 
-    run_report(profile, 32, 4)
+    run_report(discretize(profile, 32), 4)
     assert count_forms(seen, targets) == {"A": 1, "C": 1}
-    run_report(profile, 32, 4)
+    run_report(discretize(profile, 32), 4)
     assert count_forms(seen, targets) == {"A": 2, "C": 2}

@@ -190,12 +190,13 @@ class TestTrialSpace:
 
 class TestRunReport:
     def test_uniform_slab_all_pass(self):
-        checks = run_report(constant_profile(), 64, 6)
+        checks = run_report(discretize(constant_profile(), 64), 6)
         assert all(c.status == "pass" for c in checks), \
             [(c.name, c.status) for c in checks if c.status != "pass"]
 
     def test_decoupled_profile_trivially_passes(self):
-        checks = run_report(constant_profile(kperp=0.0, kpar=0.0), 32, 4)
+        checks = run_report(
+            discretize(constant_profile(kperp=0.0, kpar=0.0), 32), 4)
         by_name = {c.name: c for c in checks}
         assert by_name["mhd/angular-operator"].outputs["k_norm"] <= 1e-12
         assert all(c.status == "pass" for c in checks), \
