@@ -16,14 +16,7 @@ from .blocks import BlockOperatorMatrix, RelativeBound, SpectralLandmarks
 from .errors import ArgumentError, DegenerateGapError, PairingError
 from .linalg import hermitian_eigvals, operator_norm
 from .subspaces import AngularOperator, GraphSubspace
-from .tolerance import (
-    BARI_DIP,
-    EIGVEC_RESIDUAL_REL,
-    PAIR_TOL,
-    RIESZ_TOL,
-    SLACK,
-    ZERO_DECAY,
-)
+from .tolerance import EIGVEC_RESIDUAL_REL, PAIR_TOL, ZERO_DECAY
 
 __all__ = [
     "BasisReport",
@@ -47,7 +40,6 @@ class BasisReport:
     gram_max: float
     k_norm: float
     riesz_lower: float
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -70,11 +62,6 @@ class DecayRecord:
     circle_dist_a: float
     a_points_inside: int
 
-    @property
-    def within_bound(self) -> bool:
-        """delta < 1 implies ||E - F_n|| <= bound + SLACK."""
-        return self.delta >= 1.0 or self.proj_diff_norm <= self.bound + SLACK
-
 
 @dataclass(frozen=True)
 class DecayReport:
@@ -84,11 +71,6 @@ class DecayReport:
     @property
     def norms(self) -> list[float]:
         return [r.proj_diff_norm for r in self.records]
-
-    @property
-    def within_bound(self) -> bool:
-        """Every record with delta < 1 stays within its explicit bound."""
-        return all(r.within_bound for r in self.records)
 
     @property
     def decreasing(self) -> bool:
@@ -112,11 +94,6 @@ class BariReport:
     partial_sums: np.ndarray
     gap_sum: float
     converged: bool
-
-    @property
-    def nondecreasing(self) -> bool:
-        """The partial sums never dip by more than BARI_DIP."""
-        return bool(np.all(np.diff(self.partial_sums) >= -BARI_DIP))
 
 
 def _real_product(mat: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -149,8 +126,9 @@ def _assembled_product(block: BlockOperatorMatrix, first: np.ndarray,
 
 def riesz_check(block: BlockOperatorMatrix, subspace: GraphSubspace,
                 k_op: AngularOperator) -> BasisReport:
-    """Frame bounds of the first components against [1/(1 + ‖K‖²), 1],
-    up to RIESZ_TOL.
+    """Frame bounds of the first components: the extreme eigenvalues of
+    their Gram matrix and the lower bound 1/(1 + ‖K‖²) (``checks.riesz_bounds``
+    compares them).
 
     The subspace columns must be orthonormal eigenvectors of the assembled
     matrix with eigenvalues above max sigma(C); anything else is an input
@@ -177,9 +155,8 @@ def riesz_check(block: BlockOperatorMatrix, subspace: GraphSubspace,
     gram_min = float(gram_eigs[0])
     gram_max = float(gram_eigs[-1])
     riesz_lower = 1.0 / (1.0 + k_op.norm ** 2)
-    passed = gram_min >= riesz_lower - RIESZ_TOL and gram_max <= 1.0 + RIESZ_TOL
     return BasisReport(gram_min=gram_min, gram_max=gram_max, k_norm=k_op.norm,
-                       riesz_lower=riesz_lower, passed=bool(passed))
+                       riesz_lower=riesz_lower)
 
 
 def _isolation_radius(value: float, spectrum: np.ndarray) -> float:

@@ -13,7 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import bari_sum, projection_decay, riesz_check
+from .basis import (
+    BasisReport,
+    DecayReport,
+    bari_sum,
+    projection_decay,
+    riesz_check,
+)
 from .blocks import BlockOperatorMatrix, RelativeBound
 from .enclosures import (
     dist_bound,
@@ -24,21 +30,14 @@ from .enclosures import (
     resolvent_interval,
     resolvent_pairs,
     soq_enclosure,
+    soq_gaps,
     soq_misses,
     subspace_dim_check,
     variational_bounds,
 )
-from .errors import (
-    ArgumentError,
-    DegenerateGapError,
-    HypothesisError,
-    LandmarkError,
-    NotAGraphError,
-    PairingError,
-    SingularShiftError,
-)
+from .errors import ArgumentError, HypothesisError
 from .linalg import operator_norm
-from .report import FAIL, NOT_APPLICABLE, PASS, Check, not_applicable, verdict
+from .report import Check, holds, judge, not_applicable
 from .subspaces import (
     GRAPH,
     NOT_GRAPH,
@@ -80,6 +79,21 @@ SOQ_ANCHOR = ("sigma(M) ∩ [Re z - |Im z|^2/(b4p - Re z), "
               "Re z + |Im z|^2/(Re z - a1p)] nonempty for admitted z")
 
 
+def riesz_bounds(rep: BasisReport) -> list[tuple]:
+    """The Riesz frame bounds 1/(1 + ||K||^2) <= gram_min and gram_max <= 1,
+    as comparisons (judged with RIESZ_TOL of slack)."""
+    return [(rep.gram_min, rep.riesz_lower, ">=", 1.0),
+            (rep.gram_max, 1.0, "<=", 1.0)]
+
+
+def decay_bounds(decay: DecayReport) -> list[tuple]:
+    """||E - F_n|| <= bound_n on every rung with delta_n < 1, as a comparison
+    (judged with SLACK of slack); delta_n >= 1 claims nothing."""
+    claimed = [r for r in decay.records if not r.delta >= 1.0]
+    return [([r.proj_diff_norm for r in claimed], [r.bound for r in claimed],
+             "<=", 1.0)]
+
+
 def _above_c_plus_a(block: BlockOperatorMatrix, rb: RelativeBound) -> list[float]:
     """The eigenvalues of M above c + a: the distance bound and windows apply."""
     spec_m = block.eig_m.eigenvalues
@@ -104,12 +118,10 @@ def distance_bounds(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check
         except HypothesisError as exc:
             checks.append(not_applicable(name, DIST_ANCHOR, str(exc)))
             continue
-        checks.append(Check(
-            name=name, anchor=DIST_ANCHOR,
-            inputs={"lambda": lam, "a": rb.a, "b": rb.b},
-            outputs={"dist_to_A": rep.dist_to_A, "bound": rep.bound},
-            status=verdict(rep.satisfied),
-            tolerances={"slack": SLACK}))
+        checks.append(judge(
+            name, DIST_ANCHOR, {"lambda": lam, "a": rb.a, "b": rb.b},
+            {"dist_to_A": rep.dist_to_A, "bound": rep.bound},
+            slack=(SLACK, [(rep.dist_to_A, rep.bound, "<=", 1.0)])))
     return checks
 
 
@@ -138,12 +150,11 @@ def windows(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
         except HypothesisError as exc:
             checks.append(not_applicable(name, INCL_ANCHOR, str(exc)))
         else:
-            status = verdict(all(win.lo - SLACK <= lam <= win.hi + SLACK
-                                 for lam in incl)) if incl else NOT_APPLICABLE
-            checks.append(Check(
-                name=name, anchor=INCL_ANCHOR, inputs=inputs,
-                outputs={"lo": win.lo, "hi": win.hi, "applicable": incl},
-                status=status, tolerances={"margin": SLACK}))
+            checks.append(judge(
+                name, INCL_ANCHOR, inputs,
+                {"lo": win.lo, "hi": win.hi, "applicable": incl},
+                applies=bool(incl),
+                slack=(SLACK, [(incl, (win.lo, win.hi), "within", 1.0)])))
 
         name = f"exclusion-window/mu={mu:.6g}"
         try:
@@ -151,14 +162,14 @@ def windows(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
         except HypothesisError as exc:
             checks.append(not_applicable(name, EXCL_ANCHOR, str(exc)))
             continue
-        intruding = [lam for lam in excl
-                     if exw.lo + SLACK < lam < exw.hi - SLACK]
-        checks.append(Check(
-            name=name, anchor=EXCL_ANCHOR, inputs=inputs,
-            outputs={"lo": exw.lo, "hi": exw.hi,
-                     "applicable": excl, "intruding": intruding},
-            status=verdict(not intruding) if excl else NOT_APPLICABLE,
-            tolerances={"margin": SLACK}))
+        outside = (excl, (exw.lo, exw.hi), "outside", 1.0)
+        intruding = [lam for lam, ok in zip(excl, holds(outside, SLACK))
+                     if not ok]
+        checks.append(judge(
+            name, EXCL_ANCHOR, inputs,
+            {"lo": exw.lo, "hi": exw.hi,
+             "applicable": excl, "intruding": intruding},
+            applies=bool(excl), slack=(SLACK, [outside])))
     return checks
 
 
@@ -175,14 +186,12 @@ def resolvent_intervals(block: BlockOperatorMatrix,
         except HypothesisError as exc:
             checks.append(not_applicable(name, RES_ANCHOR, str(exc)))
             continue
-        inside = spec_m[(spec_m > win.lo + SLACK) & (spec_m < win.hi - SLACK)]
-        checks.append(Check(
-            name=name, anchor=RES_ANCHOR,
-            inputs={"mu1": mu1, "mu2": mu2},
-            outputs={"lo": win.lo, "hi": win.hi,
-                     "eigenvalues_inside": inside.tolist()},
-            status=verdict(not inside.size),
-            tolerances={"margin": SLACK}))
+        outside = (spec_m, (win.lo, win.hi), "outside", 1.0)
+        inside = spec_m[~holds(outside, SLACK)]
+        checks.append(judge(
+            name, RES_ANCHOR, {"mu1": mu1, "mu2": mu2},
+            {"lo": win.lo, "hi": win.hi, "eigenvalues_inside": inside.tolist()},
+            slack=(SLACK, [outside])))
     return checks
 
 
@@ -194,17 +203,16 @@ def variational_ladder(block: BlockOperatorMatrix,
         marks = block.landmarks
         intervals = variational_bounds(block.eig_a.eigenvalues, marks.c, rb,
                                        marks.kappa, marks.rungs)
-    except (LandmarkError, SingularShiftError, HypothesisError) as exc:
+    except HypothesisError as exc:
         return [not_applicable(name, VAR_ANCHOR, str(exc))]
-    escapes = [float(lam) for lam, iv in zip(marks.lambda_above_c, intervals)
-               if not iv.lo - SLACK <= lam <= iv.hi + SLACK]
-    return [Check(
-        name=name, anchor=VAR_ANCHOR,
-        inputs={"kappa": marks.kappa, "n": marks.rungs},
-        outputs={"escapes": escapes,
-                 "intervals": [[iv.lo, iv.hi] for iv in intervals]},
-        status=verdict(not escapes),
-        tolerances={"margin": SLACK})]
+    ladder = marks.lambda_above_c[:len(intervals)]
+    within = (ladder, ([iv.lo for iv in intervals], [iv.hi for iv in intervals]),
+              "within", 1.0)
+    return [judge(
+        name, VAR_ANCHOR, {"kappa": marks.kappa, "n": marks.rungs},
+        {"escapes": ladder[~holds(within, SLACK)].tolist(),
+         "intervals": [[iv.lo, iv.hi] for iv in intervals]},
+        slack=(SLACK, [within]))]
 
 
 def dim_bracket(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
@@ -220,12 +228,9 @@ def dim_bracket(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
         return [not_applicable(name, DIM_ANCHOR,
                                "bracket endpoints out of order")]
     count_m, count_a = subspace_dim_check(block, b2p, a3p)
-    return [Check(
-        name=name, anchor=DIM_ANCHOR,
-        inputs={"b2p": b2p, "a3p": a3p},
-        outputs={"count_M": count_m, "count_A": count_a},
-        status=verdict(count_m == count_a),
-        tolerances={})]
+    return [judge(name, DIM_ANCHOR, {"b2p": b2p, "a3p": a3p},
+                  {"count_M": count_m, "count_A": count_a},
+                  [(count_m, count_a, "==", None)])]
 
 
 # The families in the order ``specblock enclose`` reports them.
@@ -239,7 +244,7 @@ def angular(block: BlockOperatorMatrix, rb: RelativeBound,
     cut point alpha; None cuts at c~."""
     try:
         marks = block.landmarks
-    except (LandmarkError, SingularShiftError):
+    except HypothesisError:
         marks = None
     if alpha is None:
         if marks is None:
@@ -250,56 +255,46 @@ def angular(block: BlockOperatorMatrix, rb: RelativeBound,
     alpha = float(alpha)
 
     checks = []
-    delta = None
+    sufficient = False  # delta < 1/2: the subspace must be a graph
     try:
         delta = delta_condition(alpha, block.c, block.eig_a.eigenvalues, rb)
-        checks.append(Check(
-            name="angular/delta", anchor=DELTA_ANCHOR,
-            inputs={"alpha": alpha, "c": block.c, "a": rb.a, "b": rb.b},
-            outputs={"delta": delta},
-            status=PASS if delta < 0.5 else NOT_APPLICABLE,
-            tolerances={}))
+        sufficient = delta < 0.5
+        checks.append(judge(
+            "angular/delta", DELTA_ANCHOR,
+            {"alpha": alpha, "c": block.c, "a": rb.a, "b": rb.b},
+            {"delta": delta}, [(delta, 0.5, "<", 1.0)], applies=sufficient))
     except HypothesisError as exc:
         checks.append(not_applicable("angular/delta", DELTA_ANCHOR, str(exc)))
 
     try:
         sub = spectral_subspace(block, alpha)
-    except ArgumentError as exc:
+    except (HypothesisError, ArgumentError) as exc:
         checks.append(not_applicable("angular/graph", GRAPH_ANCHOR, str(exc)))
         return checks
     graph = graph_test(sub)
-    if graph.verdict == GRAPH:
-        graph_status = PASS
-    elif graph.verdict == NOT_GRAPH and delta is not None and delta < 0.5:
-        graph_status = FAIL  # contradicts the sufficient condition
-    else:
-        graph_status = NOT_APPLICABLE
-    checks.append(Check(
-        name="angular/graph", anchor=GRAPH_ANCHOR,
-        inputs={"alpha": alpha},
-        outputs={"verdict": graph.verdict, "sigma_min": graph.sigma_min,
-                 "dim": sub.dim},
-        status=graph_status, tolerances={"graph_tol": GRAPH_TOL}))
+    # graph_test's rule; an indeterminate sigma_min decides nothing
+    checks.append(judge(
+        "angular/graph", GRAPH_ANCHOR, {"alpha": alpha},
+        {"verdict": graph.verdict, "sigma_min": graph.sigma_min,
+         "dim": sub.dim},
+        [(graph.sigma_min, GRAPH_TOL, ">", 1.0)],
+        applies=graph.verdict == GRAPH
+        or (graph.verdict == NOT_GRAPH and sufficient)))
     try:
         k_op = angular_operator(sub)
-    except NotAGraphError as exc:
+    except HypothesisError as exc:
         checks.append(not_applicable("angular/operator", OP_ANCHOR, str(exc)))
         return checks
     residual = operator_norm(k_op.K @ sub.basis_first - sub.basis_second)
-    checks.append(Check(
-        name="angular/operator", anchor=OP_ANCHOR,
-        inputs={"alpha": alpha},
-        outputs={"norm": k_op.norm, "codim": k_op.codim,
-                 "graph_residual": residual},
-        status=verdict(residual <= GRAPH_RESIDUAL_TOL),
-        tolerances={"residual": GRAPH_RESIDUAL_TOL}))
+    checks.append(judge(
+        "angular/operator", OP_ANCHOR, {"alpha": alpha},
+        {"norm": k_op.norm, "codim": k_op.codim, "graph_residual": residual},
+        graph_residual_tol=(GRAPH_RESIDUAL_TOL, [(residual, 0.0, "<=", 1.0)])))
     if marks is not None and sub.dim == int(marks.lambda_above_c.size):
-        checks.append(Check(
-            name="angular/codim-kappa", anchor=CODIM_ANCHOR,
-            inputs={"alpha": alpha},
-            outputs={"codim": k_op.codim, "kappa": marks.kappa},
-            status=verdict(k_op.codim == marks.kappa),
-            tolerances={}))
+        checks.append(judge(
+            "angular/codim-kappa", CODIM_ANCHOR, {"alpha": alpha},
+            {"codim": k_op.codim, "kappa": marks.kappa},
+            [(k_op.codim, marks.kappa, "==", None)]))
     else:
         checks.append(not_applicable(
             "angular/codim-kappa", CODIM_ANCHOR,
@@ -313,7 +308,7 @@ def basis(block: BlockOperatorMatrix, rb: RelativeBound,
     rungs above c (fewer when the ladder is shorter)."""
     try:
         marks = block.landmarks
-    except (LandmarkError, SingularShiftError) as exc:
+    except HypothesisError as exc:
         return [not_applicable("basis/landmarks", LANDMARKS_ANCHOR, str(exc))]
     n_avail = min(n_max, marks.rungs)
     sub = spectral_subspace(block, marks.c_tilde)
@@ -321,14 +316,12 @@ def basis(block: BlockOperatorMatrix, rb: RelativeBound,
     try:
         k_op = angular_operator(sub)
         rep = riesz_check(block, sub, k_op)
-        checks.append(Check(
-            name="basis/riesz", anchor=RIESZ_ANCHOR,
-            inputs={"dim": sub.dim, "kappa": marks.kappa},
-            outputs={"gram_min": rep.gram_min, "gram_max": rep.gram_max,
-                     "riesz_lower": rep.riesz_lower, "k_norm": rep.k_norm},
-            status=verdict(rep.passed),
-            tolerances={"margin": RIESZ_TOL}))
-    except (NotAGraphError, ArgumentError) as exc:
+        checks.append(judge(
+            "basis/riesz", RIESZ_ANCHOR, {"dim": sub.dim, "kappa": marks.kappa},
+            {"gram_min": rep.gram_min, "gram_max": rep.gram_max,
+             "riesz_lower": rep.riesz_lower, "k_norm": rep.k_norm},
+            riesz_tol=(RIESZ_TOL, riesz_bounds(rep))))
+    except (HypothesisError, ArgumentError) as exc:
         checks.append(not_applicable("basis/riesz", RIESZ_ANCHOR, str(exc)))
 
     if n_avail < 1:
@@ -338,28 +331,23 @@ def basis(block: BlockOperatorMatrix, rb: RelativeBound,
     try:
         decay = projection_decay(block, n_avail, rb=rb)
         # for a general block monotone decay is no theorem: the bound decides
-        checks.append(Check(
-            name="basis/decay", anchor=DECAY_ANCHOR,
-            inputs={"n_max": n_avail},
-            outputs={"norms": decay.norms,
-                     "deltas": [r.delta for r in decay.records],
-                     "bounds": [r.bound for r in decay.records],
-                     "m_constant": decay.m_constant},
-            status=verdict(decay.within_bound),
-            tolerances={"slack": SLACK}))
-    except (DegenerateGapError, PairingError) as exc:
+        checks.append(judge(
+            "basis/decay", DECAY_ANCHOR, {"n_max": n_avail},
+            {"norms": decay.norms, "deltas": [r.delta for r in decay.records],
+             "bounds": [r.bound for r in decay.records],
+             "m_constant": decay.m_constant},
+            slack=(SLACK, decay_bounds(decay))))
+    except HypothesisError as exc:
         checks.append(not_applicable("basis/decay", DECAY_ANCHOR, str(exc)))
     try:
         bari = bari_sum(block, n_avail)
-        checks.append(Check(
-            name="basis/bari", anchor=BARI_ANCHOR,
-            inputs={"n_max": n_avail},
-            outputs={"terms": [r.term for r in bari.records],
-                     "partial_sum": float(bari.partial_sums[-1]),
-                     "gap_sum": bari.gap_sum, "converged": bari.converged},
-            status=verdict(bari.nondecreasing),
-            tolerances={}))
-    except (PairingError, SingularShiftError) as exc:
+        # no comparison yet: a finite sum of squares is finite
+        checks.append(judge(
+            "basis/bari", BARI_ANCHOR, {"n_max": n_avail},
+            {"terms": [r.term for r in bari.records],
+             "partial_sum": float(bari.partial_sums[-1]),
+             "gap_sum": bari.gap_sum, "converged": bari.converged}))
+    except HypothesisError as exc:
         checks.append(not_applicable("basis/bari", BARI_ANCHOR, str(exc)))
     return checks
 
@@ -373,19 +361,17 @@ def soq(block: BlockOperatorMatrix, q: np.ndarray, bracket) -> list[Check]:
                                "fewer than two valid pair windows")]
     a1p, b4m, b4p = bracket
     enclosures = soq_enclosure(block, q, a1p, b4m, b4p)
-    admitted = [e for e in enclosures if e.admitted]
-    misses = [{"re": e.z.real, "im": e.z.imag}
-              for e in soq_misses(enclosures, block.eig_m.eigenvalues)]
-    return [Check(
-        name="soq/enclosures", anchor=SOQ_ANCHOR,
-        inputs={"subspace_dim": q.shape[1], "a1p": a1p, "b4m": b4m, "b4p": b4p},
-        outputs={
-            "points": [{"re": e.z.real, "im": e.z.imag,
-                        "admitted": e.admitted,
-                        "interval": None if e.interval is None
-                        else [e.interval.lo, e.interval.hi]}
-                       for e in enclosures],
-            "admitted_count": len(admitted),
-            "misses": misses},
-        status=verdict(not misses) if admitted else NOT_APPLICABLE,
-        tolerances={"intersection_margin_rel": SOQ_MARGIN_REL})]
+    spec_m = block.eig_m.eigenvalues
+    admitted = sum(e.admitted for e in enclosures)
+    return [judge(
+        "soq/enclosures", SOQ_ANCHOR,
+        {"subspace_dim": q.shape[1], "a1p": a1p, "b4m": b4m, "b4p": b4p},
+        {"points": [{"re": e.z.real, "im": e.z.imag, "admitted": e.admitted,
+                     "interval": None if e.interval is None
+                     else [e.interval.lo, e.interval.hi]}
+                    for e in enclosures],
+         "admitted_count": admitted,
+         "misses": [{"re": e.z.real, "im": e.z.imag}
+                    for e in soq_misses(enclosures, spec_m)]},
+        applies=admitted > 0,
+        soq_margin_rel=(SOQ_MARGIN_REL, [soq_gaps(enclosures, spec_m)]))]

@@ -24,7 +24,8 @@ from .linalg import (
     orthonormality_defect,
     spectral_distance,
 )
-from .tolerance import ORTH_TOL, REAL_AXIS_REL, SLACK, SOQ_MARGIN_REL, scalar_tol
+from .report import holds
+from .tolerance import ORTH_TOL, REAL_AXIS_REL, SOQ_MARGIN_REL, scalar_tol
 
 __all__ = [
     "EnclosureReport",
@@ -40,6 +41,7 @@ __all__ = [
     "exclusion_reference",
     "soq_bracket",
     "resolvent_pairs",
+    "soq_gaps",
     "soq_misses",
 ]
 
@@ -50,7 +52,6 @@ class EnclosureReport:
 
     dist_to_A: float
     bound: float
-    satisfied: bool
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,7 @@ class QepEnclosure:
 
 
 def dist_bound(lam: float, spec_a, spec_c, rb: RelativeBound) -> EnclosureReport:
-    """Check dist[lam, sigma(A)] <= |a lam + b| / (dist[lam, sigma(C)] - a),
-    up to SLACK.
+    """dist[lam, sigma(A)] and its bound |a lam + b| / (dist[lam, sigma(C)] - a).
 
     Requires dist[lam, sigma(C)] > a (with margin); otherwise the hypothesis
     is violated and HypothesisError is raised.
@@ -76,8 +76,7 @@ def dist_bound(lam: float, spec_a, spec_c, rb: RelativeBound) -> EnclosureReport
             f"dist[lam, sigma(C)] = {d_c:.6g} does not exceed a = {rb.a:.6g}")
     bound = abs(rb.a * lam + rb.b) / (d_c - rb.a)
     d_a = spectral_distance(lam, spec_a)
-    return EnclosureReport(dist_to_A=d_a, bound=bound,
-                           satisfied=bool(d_a <= bound + SLACK))
+    return EnclosureReport(dist_to_A=d_a, bound=bound)
 
 
 def _window(lo: float, hi: float, kind: str, is_open: bool) -> Interval:
@@ -342,21 +341,27 @@ def soq_enclosure(block: BlockOperatorMatrix, subspace, a1p: float,
     return out
 
 
-def soq_misses(enclosures, spectrum) -> list[QepEnclosure]:
-    """The admitted enclosures whose interval meets no point of ``spectrum``.
-
-    A point within SOQ_MARGIN_REL * max(1, |Re z|) of an interval endpoint
-    counts as meeting it; points that were not admitted never miss.
-    """
+def soq_gaps(enclosures, spectrum) -> tuple:
+    """The comparison of the admitted enclosures with ``spectrum``, one
+    element each: the distance from the interval to its nearest point (0 for
+    a point inside) against 0, at scale max(1, |Re z|).  Judged with
+    SOQ_MARGIN_REL of slack, a point within SOQ_MARGIN_REL * max(1, |Re z|)
+    of an endpoint meets the interval."""
     spectrum = np.asarray(spectrum, dtype=float)
-    misses = []
+    gaps, scales = [], []
     for encl in enclosures:
-        if not encl.admitted:
-            continue
-        iv = encl.interval
-        margin = SOQ_MARGIN_REL * max(1.0, abs(encl.z.real))
-        near = iv.mask(spectrum) | (np.minimum(np.abs(spectrum - iv.lo),
-                                               np.abs(spectrum - iv.hi)) <= margin)
-        if not np.any(near):
-            misses.append(encl)
-    return misses
+        if encl.admitted:
+            iv = encl.interval
+            edge = np.minimum(np.abs(spectrum - iv.lo), np.abs(spectrum - iv.hi))
+            gaps.append(float(np.min(np.where(iv.mask(spectrum), 0.0, edge),
+                                     initial=np.inf)))
+            scales.append(max(1.0, abs(encl.z.real)))
+    return gaps, 0.0, "<=", scales
+
+
+def soq_misses(enclosures, spectrum) -> list[QepEnclosure]:
+    """The admitted enclosures whose interval meets no point of ``spectrum``
+    (see ``soq_gaps``); points that were not admitted never miss."""
+    admitted = [encl for encl in enclosures if encl.admitted]
+    met = holds(soq_gaps(enclosures, spectrum), SOQ_MARGIN_REL)
+    return [encl for encl, hit in zip(admitted, met) if not hit]

@@ -21,29 +21,29 @@ class NumericError(SpecblockError):
     """A numerical routine failed to meet its contract (e.g. no convergence)."""
 
 
-class SingularShiftError(SpecblockError):
-    """A spectral shift lands on, or too close to, spectrum it must avoid."""
-
-
 class HypothesisError(SpecblockError):
     """A theorem hypothesis is violated.
 
-    Distinct from a bound *failing*: callers that scan parameter grids catch
-    this to mark a check "not applicable" rather than "failed".
+    Distinct from a bound *failing*: callers catch this, and the particular
+    hypotheses below, to mark a check "not applicable" rather than "failed".
     """
 
 
-class LandmarkError(SpecblockError):
+class SingularShiftError(HypothesisError):
+    """A spectral shift lands on, or too close to, spectrum it must avoid."""
+
+
+class LandmarkError(HypothesisError):
     """No spectrum of the assembled matrix lies above max sigma(C)."""
 
 
-class NotAGraphError(SpecblockError):
+class NotAGraphError(HypothesisError):
     """A spectral subspace contains a vector with vanishing first component."""
 
 
-class DegenerateGapError(SpecblockError):
+class DegenerateGapError(HypothesisError):
     """An eigenvalue gap collapsed; isolation radii are undefined."""
 
 
-class PairingError(SpecblockError):
+class PairingError(HypothesisError):
     """An eigenvector could not be paired with a diagonal-block eigenvector."""

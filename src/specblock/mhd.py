@@ -36,13 +36,15 @@ from .checks import (
     DIST_ANCHOR,
     RIESZ_ANCHOR,
     VAR_ANCHOR,
+    decay_bounds,
+    riesz_bounds,
 )
 from .enclosures import dist_bound, variational_bounds
 from .errors import ArgumentError, HypothesisError, ProfileError
 from .linalg import Interval, hermitian_eigvals
-from .report import Check, NOT_APPLICABLE, PASS, verdict
+from .report import Check, judge
 from .subspaces import GRAPH, angular_operator, graph_test, spectral_subspace
-from .tolerance import RIESZ_TOL, scalar_tol
+from .tolerance import RIESZ_TOL, SLACK, scalar_tol
 
 __all__ = [
     "PlasmaProfile",
@@ -325,134 +327,103 @@ def run_report(disc: MhdDiscretization, n_max: int,
     margin = relative_bound_margin(block, rb)
     b_disc = minimal_b_for_a(block, a_const).b
     gram_top = float(hermitian_eigvals(block.coupling_gram())[-1])
-    scale = max(1.0, gram_top)
-    checks.append(Check(
-        name="mhd/relative-bound",
-        anchor="||B* x||^2 <= a <A x, x> + b ||x||^2",
-        inputs={"a": a_const, "b": b_const, "N": disc.N},
-        outputs={"lambda_min(aA + bI - BB*)": margin,
-                 "discrete_minimal_b": b_disc},
-        status=verdict(margin >= -slack * scale),
-        tolerances={"slack": slack * scale}))
+    checks.append(judge(
+        "mhd/relative-bound", "||B* x||^2 <= a <A x, x> + b ||x||^2",
+        {"a": a_const, "b": b_const, "N": disc.N},
+        {"lambda_min(aA + bI - BB*)": margin, "discrete_minimal_b": b_disc},
+        relative_slack=(slack, [(margin, 0.0, ">=", max(1.0, gram_top))])))
 
     bands = essential_bands(disc.profile, squared=squared_bands)
-    checks.append(Check(
-        name="mhd/essential-bands",
-        anchor="ranges of va^2 kpar(^2) and va^2 vs^2 kperp(^2)/(va^2 + vs^2)",
-        inputs={"squared_variant": squared_bands},
-        outputs={"band1": [bands[0].lo, bands[0].hi],
-                 "band2": [bands[1].lo, bands[1].hi]},
-        status=PASS,
-        tolerances={}))
+    checks.append(judge(
+        "mhd/essential-bands",
+        "ranges of va^2 kpar(^2) and va^2 vs^2 kperp(^2)/(va^2 + vs^2)",
+        {"squared_variant": squared_bands},
+        {"band1": [bands[0].lo, bands[0].hi],
+         "band2": [bands[1].lo, bands[1].hi]}))
 
     marks = block.landmarks
-    checks.append(Check(
-        name="mhd/landmarks",
-        anchor="c = max sigma(C); (c, c~] in the resolvent set; "
-               "kappa = dim L_(-inf,0)(S(c~))",
-        inputs={"c_closed_form": c_const},
-        outputs={"c_discrete": marks.c, "c_tilde": marks.c_tilde,
-                 "kappa": marks.kappa,
-                 "eigenvalues_above_c": int(marks.lambda_above_c.size)},
-        status=verdict(abs(marks.c - c_const) <= slack * max(1.0, abs(c_const))),
-        tolerances={"slack": slack * max(1.0, abs(c_const))}))
+    checks.append(judge(
+        "mhd/landmarks",
+        "c = max sigma(C); (c, c~] in the resolvent set; "
+        "kappa = dim L_(-inf,0)(S(c~))",
+        {"c_closed_form": c_const},
+        {"c_discrete": marks.c, "c_tilde": marks.c_tilde, "kappa": marks.kappa,
+         "eigenvalues_above_c": int(marks.lambda_above_c.size)},
+        relative_slack=(slack, [(abs(marks.c - c_const), 0.0, "<=",
+                                 max(1.0, abs(c_const)))])))
 
     spec_a = block.eig_a.eigenvalues
     spec_c = block.eig_c.eigenvalues
-    worst_slack = -float("inf")
-    dist_ok = True
-    applicable = 0
+    excess, bounds = [], []
     for lam in marks.lambda_above_c:
         try:
             rep = dist_bound(float(lam), spec_a, spec_c, rb)
         except HypothesisError:
             continue
-        applicable += 1
-        gap = rep.dist_to_A - rep.bound
-        worst_slack = max(worst_slack, gap)
-        if gap > slack * max(1.0, rep.bound):
-            dist_ok = False
-    checks.append(Check(
-        name="mhd/dist-bound",
-        anchor=DIST_ANCHOR,
-        inputs={"a": a_const, "b": b_const, "checked": applicable},
-        outputs={"worst_excess": worst_slack},
-        status=verdict(dist_ok) if applicable else NOT_APPLICABLE,
-        tolerances={"relative_slack": slack}))
+        excess.append(rep.dist_to_A - rep.bound)
+        bounds.append(max(1.0, rep.bound))
+    checks.append(judge(
+        "mhd/dist-bound", DIST_ANCHOR,
+        {"a": a_const, "b": b_const, "checked": len(excess)},
+        {"worst_excess": max(excess, default=-float("inf"))},
+        applies=bool(excess),
+        relative_slack=(slack, [(excess, 0.0, "<=", bounds)])))
 
     intervals = variational_bounds(spec_a, marks.c, rb, marks.kappa, marks.rungs)
-    var_ok = all(iv.lo - slack * max(1.0, abs(iv.lo)) <= lam
-                 <= iv.hi + slack * max(1.0, abs(iv.hi))
-                 for lam, iv in zip(marks.lambda_above_c.tolist(), intervals))
-    checks.append(Check(
-        name="mhd/variational-bounds",
-        anchor=VAR_ANCHOR,
-        inputs={"n_checked": marks.rungs},
-        outputs={"first_upper": intervals[0].hi if intervals else None},
-        status=verdict(var_ok) if marks.rungs else NOT_APPLICABLE,
-        tolerances={"relative_slack": slack}))
+    lows = np.array([iv.lo for iv in intervals])
+    highs = np.array([iv.hi for iv in intervals])
+    ladder = marks.lambda_above_c[:len(intervals)]
+    checks.append(judge(
+        "mhd/variational-bounds", VAR_ANCHOR, {"n_checked": marks.rungs},
+        {"first_upper": intervals[0].hi if intervals else None},
+        applies=marks.rungs > 0,
+        relative_slack=(slack, [
+            (ladder, lows, ">=", np.maximum(1.0, np.abs(lows))),
+            (ladder, highs, "<=", np.maximum(1.0, np.abs(highs)))])))
 
     resolved = max(2, disc.N // 4)
     gaps = np.diff(spec_a)[:resolved]
-    gaps_increasing = bool(np.all(np.diff(gaps) > 0.0)) if gaps.size > 1 else True
-    checks.append(Check(
-        name="mhd/gap-growth",
-        anchor="dist[mu_n, sigma(A) \\ {mu_n}] -> inf",
-        inputs={"resolved_range": int(gaps.size)},
-        outputs={"first_gap": float(gaps[0]) if gaps.size else None,
-                 "last_gap": float(gaps[-1]) if gaps.size else None},
-        status=verdict(gaps_increasing),
-        tolerances={}))
+    checks.append(judge(
+        "mhd/gap-growth", "dist[mu_n, sigma(A) \\ {mu_n}] -> inf",
+        {"resolved_range": int(gaps.size)},
+        {"first_gap": float(gaps[0]) if gaps.size else None,
+         "last_gap": float(gaps[-1]) if gaps.size else None},
+        [(np.diff(gaps), 0.0, ">", None)]))
 
     subspace = spectral_subspace(block, marks.c_tilde)
     graph = graph_test(subspace)
     k_op = angular_operator(subspace)
-    checks.append(Check(
-        name="mhd/angular-operator",
-        anchor=CODIM_ANCHOR,
-        inputs={"alpha": marks.c_tilde},
-        outputs={"graph_verdict": graph.verdict, "sigma_min": graph.sigma_min,
-                 "k_norm": k_op.norm, "codim": k_op.codim,
-                 "kappa": marks.kappa},
-        status=verdict(graph.verdict == GRAPH and k_op.codim == marks.kappa),
-        tolerances={}))
+    checks.append(judge(
+        "mhd/angular-operator", CODIM_ANCHOR, {"alpha": marks.c_tilde},
+        {"graph_verdict": graph.verdict, "sigma_min": graph.sigma_min,
+         "k_norm": k_op.norm, "codim": k_op.codim, "kappa": marks.kappa},
+        [(graph.verdict, GRAPH, "==", None), (k_op.codim, marks.kappa, "==", None)]))
 
     riesz = riesz_check(block, subspace, k_op)
-    checks.append(Check(
-        name="mhd/riesz-bounds",
-        anchor=RIESZ_ANCHOR,
-        inputs={},
-        outputs={"gram_min": riesz.gram_min, "gram_max": riesz.gram_max,
-                 "riesz_lower": riesz.riesz_lower},
-        status=verdict(riesz.passed),
-        tolerances={"tol": RIESZ_TOL}))
+    checks.append(judge(
+        "mhd/riesz-bounds", RIESZ_ANCHOR, {},
+        {"gram_min": riesz.gram_min, "gram_max": riesz.gram_max,
+         "riesz_lower": riesz.riesz_lower},
+        riesz_tol=(RIESZ_TOL, riesz_bounds(riesz))))
 
     n_decay = min(n_max, marks.rungs)
     if n_decay >= 1:
         decay = projection_decay(block, n_decay, rb=rb)
         # ||E - F_n|| -> 0 read at finite n: within the bound and decreasing
-        checks.append(Check(
-            name="mhd/projection-decay",
-            anchor=DECAY_ANCHOR,
-            inputs={"n_max": n_decay},
-            outputs={"norms": decay.norms,
-                     "deltas": [r.delta for r in decay.records],
-                     "m_constant": decay.m_constant},
-            status=verdict(decay.decreasing and decay.within_bound),
-            tolerances={"bound": "(gamma/dist[circle, sigma(A)]) "
-                                 "delta/(1 - delta)"}))
+        checks.append(judge(
+            "mhd/projection-decay", DECAY_ANCHOR, {"n_max": n_decay},
+            {"norms": decay.norms, "deltas": [r.delta for r in decay.records],
+             "m_constant": decay.m_constant},
+            [(decay.decreasing, True, "==", None)],
+            slack=(SLACK, decay_bounds(decay))))
 
         bari = bari_sum(block, n_decay)
-        terms = [r.term for r in bari.records]
-        checks.append(Check(
-            name="mhd/bari-sums",
-            anchor="sum ||y_{kappa+n} - x_n||^2 < inf; "
-                   "sum 1/(mu_{n+1} - mu_n)^2 < inf",
-            inputs={"n_max": n_decay},
-            outputs={"terms": terms,
-                     "partial_sum": float(bari.partial_sums[-1]),
-                     "gap_sum": bari.gap_sum,
-                     "converged": bari.converged},
-            status=verdict(bari.nondecreasing),
-            tolerances={}))
+        # no comparison yet: a finite sum of squares is finite
+        checks.append(judge(
+            "mhd/bari-sums",
+            "sum ||y_{kappa+n} - x_n||^2 < inf; sum 1/(mu_{n+1} - mu_n)^2 < inf",
+            {"n_max": n_decay},
+            {"terms": [r.term for r in bari.records],
+             "partial_sum": float(bari.partial_sums[-1]),
+             "gap_sum": bari.gap_sum, "converged": bari.converged}))
     return checks

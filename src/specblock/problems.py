@@ -25,23 +25,24 @@ The stdlib decoder, ``json.loads`` of the UTF-8 text, defines the format:
 what it accepts, the values it gives and every error text.  When orjson is
 installed (the ``fast`` extra), it decodes first, and its tree is used only
 when building from it succeeds.  If orjson rejects the bytes, or building
-raises ParseError or RecursionError, the stdlib decoder runs on the same
-bytes and its result or error is returned.  The two decoders differ in
-three ways, none of which shows in a result:
+raises ParseError, the stdlib decoder runs on the same bytes and its result
+or error is returned.  The two decoders differ in three ways, none of which
+shows in a result:
 
 * orjson rejects NaN, Infinity, lone surrogates and numbers beyond double
   range, which the stdlib decoder accepts or rejects with its own text;
 * orjson reads integer literals outside [-2^63, 2^64) as doubles, which
   ``grid_n`` and ``n_max`` refuse; matrix entries, samples, ``rb``,
   ``alpha`` and ``g`` become the same doubles either way;
-* the stdlib decoder raises RecursionError near the interpreter's
-  recursion limit, and orjson accepts any nesting.
+* orjson stops at 1024 levels of nesting, the stdlib decoder at a depth
+  that depends on the caller's stack.
 
 Matrices, samples and ``rb`` are bounded in depth by their type checks.
 The values the builder does not look into, ``flags`` and unknown keys at
-the top level and inside ``blocks``/``mhd``, are walked: if one nests more
-than 100 levels deep or holds a double of magnitude 2^63 or more (which may
-have been an integer literal), the stdlib decoder decides.
+the top level and inside ``blocks``/``mhd``, may nest 100 levels deep: a
+deeper one, and a RecursionError, are one ParseError on both paths.  If one
+holds a double of magnitude 2^63 or more (which may have been an integer
+literal), the stdlib decoder decides.
 
 The cyclic garbage collector is paused while a file is decoded and built,
 and left as it was found.  A decoded document holds no cycles and reference
@@ -91,8 +92,10 @@ _TOP_KEYS = frozenset({"blocks", "mhd", "rb", "alpha", "n_max"})
 _BLOCK_KEYS = ("A", "B", "C")
 _PROFILE_FIELDS = ("rho", "va2", "vs2", "kperp", "kpar")
 _MHD_KEYS = frozenset({"grid_n", "g", *_PROFILE_FIELDS})
-# Far below the nesting the stdlib decoder reaches before RecursionError.
+# How deep an unchecked value may nest: far below where the decoders stop.
 _UNCHECKED_DEPTH = 100
+_TOO_DEEP = (f"problem file {{}} nests deeper than {_UNCHECKED_DEPTH} levels "
+             "where it is not checked")
 
 # The types json.loads gives a JSON number; bool, a subclass of int, is not one.
 _NUMBER_TYPES = frozenset({int, float})
@@ -280,18 +283,35 @@ def _parse_mhd(data) -> PlasmaProfile:
         raise ParseError(f"invalid profile: {exc}") from exc
 
 
-def _stdlib_decides(value, depth: int = _UNCHECKED_DEPTH) -> bool:
-    """Whether the stdlib decoder may decode an unchecked value otherwise
-    than orjson did: it nests lists and objects more than ``depth`` deep, or
-    holds a float of magnitude 2^63 or more, which orjson also makes of an
-    integer literal outside [-2^63, 2^64)."""
+def _too_deep(value, depth: int = _UNCHECKED_DEPTH) -> bool:
+    """Whether lists and objects nest more than ``depth`` deep in value."""
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, list):
+        return False
+    return depth == 0 or any(_too_deep(v, depth - 1) for v in value)
+
+
+def _stdlib_decides(value) -> bool:
+    """Whether the stdlib decoder may decode an unchecked value, nested at
+    most _UNCHECKED_DEPTH deep, otherwise than orjson did: it holds a float
+    of magnitude 2^63 or more, which orjson also makes of an integer literal
+    outside [-2^63, 2^64)."""
     if type(value) is float:
         return abs(value) >= 2.0 ** 63
     if isinstance(value, dict):
         value = value.values()
     elif not isinstance(value, list):
         return False
-    return depth == 0 or any(_stdlib_decides(v, depth - 1) for v in value)
+    return any(map(_stdlib_decides, value))
+
+
+def _unchecked(data, name: str) -> list:
+    """The unchecked values of a decoded document, once none nests too deep."""
+    values = list(_unchecked_values(data))
+    if any(map(_too_deep, values)):
+        raise ParseError(_TOO_DEEP.format(name))
+    return values
 
 
 def _unchecked_values(data):
@@ -325,20 +345,20 @@ def load_problem(path) -> ProblemFile:
         if orjson is not None:
             try:
                 data = orjson.loads(raw)
-                if not any(map(_stdlib_decides, _unchecked_values(data))):
+                if not any(map(_stdlib_decides, _unchecked(data, name))):
                     return _build(data, raw, path)
-            except (orjson.JSONDecodeError, ParseError, RecursionError):
+            except (orjson.JSONDecodeError, ParseError):
                 pass
-        # The stdlib decoder runs in this frame, not in a helper: how deep it
-        # may nest depends on the depth of the stack it starts from.
         try:
             data = json.loads(raw.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            # Besides JSONDecodeError and UnicodeDecodeError (both
-            # ValueErrors): an integer literal over Python's digit limit, and
-            # nesting too deep.
+        except RecursionError as exc:
+            raise ParseError(_TOO_DEEP.format(name)) from exc
+        except ValueError as exc:
+            # JSONDecodeError, UnicodeDecodeError, and an integer literal
+            # over Python's digit limit
             raise ParseError(
                 f"problem file {name} is not valid JSON: {exc}") from exc
+        _unchecked(data, name)
         return _build(data, raw, path)
     finally:
         if collecting:

@@ -1,11 +1,12 @@
 """Structured check reports with deterministic JSON serialization.
 
 Every check carries a short name, the formula string it verifies (its
-anchor), the inputs and outputs that matter, a three-way status, and the
-tolerances in force.  Reports serialize to a canonical JSON text: keys in
-insertion order, floats as 17-significant-digit decimals, so that parsing
-and re-emitting a report reproduces it byte for byte and equal runs produce
-equal bytes.
+anchor), the inputs and outputs that matter, a three-way status, a signed
+margin and the tolerances in force.  ``judge`` is the one place a check's
+status and margin are decided, from its comparisons.  Reports serialize to a
+canonical JSON text: keys in insertion order, floats as 17-significant-digit
+decimals, so that parsing and re-emitting a report reproduces it byte for
+byte and equal runs produce equal bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +26,17 @@ NOT_APPLICABLE = "not-applicable"
 _STATUS_ORDER = {PASS: 0, NOT_APPLICABLE: 1, FAIL: 2}
 
 
+# The senses of a comparison (value, limit, sense, scale) besides "within"
+# and "outside", and the side of the limit the slack moves it to.
+_OPERATORS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+              ">": operator.gt, "==": operator.eq}
+_SIDE = {"<=": 1.0, "<": 1.0, ">=": -1.0, ">": -1.0}
+
+
 @dataclass
 class Check:
-    """One verified statement: name, formula anchor, data, status, tolerances."""
+    """One verified statement: name, formula anchor, data, status, tolerances
+    and margin (see ``judge``)."""
 
     name: str
     anchor: str
@@ -34,21 +44,99 @@ class Check:
     outputs: dict
     status: str
     tolerances: dict
+    margin: float | None = None
 
     @property
     def family(self) -> str:
         return self.name.split("/", 1)[0]
 
 
-def verdict(ok: bool) -> str:
-    """PASS when a theorem check holds, FAIL when it does not."""
-    return PASS if ok else FAIL
+def _evaluate(comparison, slack: float):
+    """Whether a comparison holds, element by element, and its slack-inclusive
+    distances to the limit over the scale (None for a count).
+
+    The sense is "<=", "<", ">=", ">" or "==", or "within" and "outside" with
+    a pair (lo, hi) as the limit: the closed interval the value must lie in
+    and the open one it must stay out of.  The slack times the scale widens
+    the limit: value <= limit + slack scale, value >= limit - slack scale,
+    the interval [lo - slack scale, hi + slack scale] and the interval
+    (lo + slack scale, hi - slack scale).  A scale of None makes a count:
+    exact, without slack or distance.
+    """
+    value, limit, sense, scale = comparison
+    if scale is None:
+        return _OPERATORS[sense](np.asarray(value), limit), None
+    value, scale = np.asarray(value, dtype=float), np.asarray(scale, dtype=float)
+    room = slack * scale
+    with np.errstate(invalid="ignore", over="ignore"):
+        if sense == "within":
+            lower, upper = limit[0] - room, limit[1] + room
+            ok = (lower <= value) & (value <= upper)
+            gap = np.minimum(value - lower, upper - value)
+        elif sense == "outside":
+            lower, upper = limit[0] + room, limit[1] - room
+            ok = ~((lower < value) & (value < upper))
+            gap = np.maximum(lower - value, value - upper)
+        else:
+            side = _SIDE[sense]
+            edge = limit + side * room
+            ok = _OPERATORS[sense](value, edge)
+            gap = side * (edge - value)
+        return ok, gap / scale
+
+
+def holds(comparison, slack: float = 0.0) -> np.ndarray:
+    """Element by element, whether a comparison holds under ``judge``'s rule."""
+    return np.asarray(_evaluate(comparison, slack)[0])
+
+
+def judge(name: str, anchor: str, inputs: dict, outputs: dict,
+          comparisons=(), applies: bool = True, **slack) -> Check:
+    """The check of a statement from its comparisons.
+
+    Each comparison is (value, limit, sense, scale); value, limit and scale
+    may be arrays.  ``comparisons`` are judged without slack, and each
+    keyword is one kind of slack, (amount, its comparisons), reported under
+    its name in ``tolerances``.  The check passes when every comparison holds
+    (see ``_evaluate``), and is not applicable, with no margin, when
+    ``applies`` is false.  Its margin is the smallest slack-inclusive
+    distance to a limit over that comparison's scale: at least 0 when the
+    check passes and below 0 when it fails (0 when a strict comparison fails
+    at its limit), and None when no finite distance bounds it (counts, no
+    comparisons, or only infinite limits).
+    """
+    ok = True
+    margin = math.inf
+    for amount, group in [(0.0, comparisons), *slack.values()]:
+        for comparison in group:
+            good, gap = _evaluate(comparison, amount)
+            ok = ok and bool(np.all(good))
+            if gap is not None:  # NaN distances bound nothing
+                margin = min(margin, float(np.nanmin(gap, initial=math.inf)))
+    return Check(name=name, anchor=anchor, inputs=inputs, outputs=outputs,
+                 status=(PASS if ok else FAIL) if applies else NOT_APPLICABLE,
+                 tolerances={kind: amount for kind, (amount, _) in slack.items()},
+                 margin=margin if applies and margin < math.inf else None)
+
+
+def aggregate(name: str, anchor: str, outputs: dict, found,
+              comparisons=()) -> Check:
+    """A check over builder checks: it fails when one of them failed or one
+    of ``comparisons`` fails; its margin is the smallest of theirs and its
+    tolerances are theirs."""
+    failed = sum(check.status == FAIL for check in found)
+    check = judge(name, anchor, {}, outputs,
+                  [(failed, 0, "==", None), *comparisons])
+    check.margin = min((c.margin for c in found if c.margin is not None),
+                       default=None)
+    for other in found:
+        check.tolerances.update(other.tolerances)
+    return check
 
 
 def not_applicable(name: str, anchor: str, reason: str) -> Check:
     """A check whose hypotheses do not hold; ``reason`` says which failed."""
-    return Check(name=name, anchor=anchor, inputs={}, outputs={"reason": reason},
-                 status=NOT_APPLICABLE, tolerances={})
+    return judge(name, anchor, {}, {"reason": reason}, applies=False)
 
 
 @dataclass
@@ -93,6 +181,7 @@ class Report:
                     "inputs": c.inputs,
                     "outputs": c.outputs,
                     "status": c.status,
+                    "margin": c.margin,
                     "tolerances": c.tolerances,
                 }
                 for c in self.checks

@@ -29,6 +29,7 @@ from .checks import (
     DIST_ANCHOR,
     dim_bracket,
     resolvent_intervals,
+    riesz_bounds,
     soq,
     variational_ladder,
     windows,
@@ -40,15 +41,7 @@ from .enclosures import (
     resolvent_pairs,
     soq_bracket,
 )
-from .errors import (
-    ArgumentError,
-    DegenerateGapError,
-    HypothesisError,
-    LandmarkError,
-    NotAGraphError,
-    PairingError,
-    SingularShiftError,
-)
+from .errors import ArgumentError, HypothesisError, NotAGraphError
 from .linalg import (
     Interval,
     general_eig,
@@ -68,7 +61,15 @@ from .mhd import (
     run_report,
     trial_space,
 )
-from .report import FAIL, NOT_APPLICABLE, Check, Report, verdict
+from .report import (
+    FAIL,
+    NOT_APPLICABLE,
+    Check,
+    Report,
+    aggregate,
+    holds,
+    judge,
+)
 from .subspaces import (
     GRAPH,
     angular_operator,
@@ -77,7 +78,7 @@ from .subspaces import (
     shifted_matrix,
     spectral_subspace,
 )
-from .tolerance import RIESZ_TOL, SLACK, SOQ_MARGIN_REL
+from .tolerance import RIESZ_TOL, SLACK
 
 __all__ = ["run", "random_block", "separated_block", "ladder_block"]
 
@@ -85,6 +86,11 @@ __all__ = ["run", "random_block", "separated_block", "ladder_block"]
 # x^3 - 11 x^2 + 6 x + 32, frozen from a bisection root isolation.
 FIXTURE_EIGS = (-1.3834072093172125, 2.2922294454081307, 10.091177763909084)
 FIXTURE_DELTA_AT_6 = 1.0 / 14.0
+
+
+def _up_to(tol: float, *defects) -> tuple:
+    """One kind of slack for ``judge``: each defect is at most tol."""
+    return tol, [(defect, 0.0, "<=", 1.0) for defect in defects]
 
 
 def fixture_block() -> BlockOperatorMatrix:
@@ -189,10 +195,7 @@ def numeric_core_suite(rng, count: int = 50) -> list[Check]:
         for j in range(n):
             res = float(np.linalg.norm(g @ vecs[:, j] - vals[j] * vecs[:, j]))
             worst_residual = max(worst_residual, res / max(norm_g, 1.0))
-    ok = (worst_orth <= 1e-10 and worst_trace <= 1e-9 and worst_weyl <= 1e-12
-          and worst_proj <= 1e-10 and worst_pinv <= 1e-8
-          and worst_agree <= 1e-8 and worst_residual <= 1e-8)
-    return [Check(
+    return [judge(
         "numeric-core/contracts",
         "Q*Q = I; trace(H) = sum of eigenvalues; eig(H + eI) = eig(H) + e; "
         "P² = P = P*; Moore-Penrose identities; residual ||Av - lv|| small",
@@ -201,10 +204,13 @@ def numeric_core_suite(rng, count: int = 50) -> list[Check]:
              "projector": worst_proj, "pseudo_inverse_rel": worst_pinv,
              "hermitian_vs_general": worst_agree,
              "general_residual_rel": worst_residual},
-        verdict(ok),
-        {"orthonormality": 1e-10, "trace_rel": 1e-9, "weyl_shift": 1e-12,
-         "projector": 1e-10, "pseudo_inverse_rel": 1e-8,
-         "hermitian_vs_general": 1e-8, "general_residual_rel": 1e-8})]
+        orthonormality=_up_to(1e-10, worst_orth),
+        trace_rel=_up_to(1e-9, worst_trace),
+        weyl_shift=_up_to(1e-12, worst_weyl),
+        projector=_up_to(1e-10, worst_proj),
+        pseudo_inverse_rel=_up_to(1e-8, worst_pinv),
+        hermitian_vs_general=_up_to(1e-8, worst_agree),
+        general_residual_rel=_up_to(1e-8, worst_residual))]
 
 
 def schur_suite(rng, count: int = 200) -> list[Check]:
@@ -232,14 +238,13 @@ def schur_suite(rng, count: int = 200) -> list[Check]:
         for lam in shifts[smallest <= 1e-9]:
             worst_converse = max(worst_converse,
                                  spectral_distance(float(lam), spec_m))
-    ok = worst_forward <= 1e-6 and worst_converse <= 1e-6
-    return [Check(
+    return [judge(
         "block-model/schur-spectrum",
         "sigma(S) ∩ rho(C) = sigma(M) ∩ rho(C)",
         {}, {"instances": count, "worst_zero_eig": worst_forward,
              "scan_points": scanned, "worst_converse_dist": worst_converse},
-        verdict(ok),
-        {"forward": 1e-6, "converse": 1e-6})]
+        forward=_up_to(1e-6, worst_forward),
+        converse=_up_to(1e-6, worst_converse))]
 
 
 def resolvent_suite(rng, count: int = 50) -> list[Check]:
@@ -257,19 +262,18 @@ def resolvent_suite(rng, count: int = 50) -> list[Check]:
                 continue
             try:
                 res = resolvent_block(block, candidate)
-            except SingularShiftError:
+            except HypothesisError:
                 continue
             direct = np.linalg.inv(full - candidate * np.eye(full.shape[0]))
             checked += 1
             worst = max(worst, operator_norm(res - direct)
                         / max(operator_norm(direct), 1e-30))
-    return [Check(
+    return [judge(
         "block-model/resolvent-blocks",
         "(M - aI)^{-1} = [[S^{-1}, -S^{-1}F], [-(C-aI)^{-1}B*S^{-1}, "
         "(C-aI)^{-1} + (C-aI)^{-1}B*S^{-1}F]]",
         {}, {"checked": checked, "worst_rel_err": worst},
-        verdict(worst <= 1e-8),
-        {"rel": 1e-8})]
+        rel=_up_to(1e-8, worst))]
 
 
 def relative_bound_suite(rng, count: int = 100) -> list[Check]:
@@ -283,14 +287,13 @@ def relative_bound_suite(rng, count: int = 100) -> list[Check]:
             worst_low = max(worst_low, -margin)
             if rb.b > 0.0:
                 worst_tight = max(worst_tight, abs(margin))
-    ok = worst_low <= 1e-9 and worst_tight <= 1e-6
-    return [Check(
+    return [judge(
         "block-model/relative-bound",
         "B B* ⪯ a A + b I with b minimal",
         {}, {"instances": count, "worst_violation": worst_low,
              "worst_tightness": worst_tight},
-        verdict(ok),
-        {"validity": 1e-9, "tightness": 1e-6})]
+        validity=_up_to(1e-9, worst_low),
+        tightness=_up_to(1e-6, worst_tight))]
 
 
 def dist_bound_suite(rng, count: int = 500) -> list[Check]:
@@ -313,22 +316,15 @@ def dist_bound_suite(rng, count: int = 500) -> list[Check]:
                 continue
             checked += 1
             worst_slack = max(worst_slack, rep.dist_to_A - rep.bound)
-    return [Check(
+    return [judge(
         "enclosures/dist-bound", DIST_ANCHOR,
         {}, {"instances": count, "eigenvalues_checked": checked,
              "worst_excess": worst_slack},
-        verdict(worst_slack <= SLACK),
-        {"slack": SLACK})]
+        slack=_up_to(SLACK, worst_slack))]
 
 
 def window_suite(rng, count: int = 200) -> list[Check]:
-    checks = []
-    worst_incl = 0.0
-    incl_checked = 0
-    worst_excl = 0.0
-    excl_checked = 0
-    worst_res = 0.0
-    res_checked = 0
+    incl, excl, res = [], [], []
     for idx in range(count):
         # cycle dense, weak and single-channel "pushed" couplings so the
         # exclusion and resolvent hypotheses all actually fire
@@ -349,46 +345,24 @@ def window_suite(rng, count: int = 200) -> list[Check]:
             block = random_block(rng)
             rb = minimal_b_for_a(block, 0.0)
         for check in windows(block, rb):
-            out = check.outputs
-            if check.family == "inclusion-window":
-                incl_checked += len(out["applicable"])
-                for lam in out["applicable"]:
-                    worst_incl = max(worst_incl, out["lo"] - lam, lam - out["hi"])
-            elif check.status != NOT_APPLICABLE:
-                excl_checked += len(out["applicable"])
-                # positive when lam intrudes into the open window
-                for lam in out["intruding"]:
-                    worst_excl = max(worst_excl,
-                                     min(lam - out["lo"], out["hi"] - lam))
-        for check in resolvent_intervals(block, rb):
-            if check.status == NOT_APPLICABLE:
-                continue
-            out = check.outputs
-            res_checked += 1
-            for lam in out["eigenvalues_inside"]:
-                worst_res = max(worst_res, min(lam - out["lo"], out["hi"] - lam))
-    checks.append(Check(
-        "enclosures/inclusion-windows",
-        "lambda in [mu, mu + r], (mu, mu + 2r) in rho(A) => "
-        "lambda in [alpha-, alpha+]",
-        {}, {"instances": count, "checked": incl_checked, "worst_escape": worst_incl},
-        verdict(worst_incl <= SLACK),
-        {"margin": SLACK}))
-    checks.append(Check(
-        "enclosures/exclusion-windows",
-        "lambda in (mu - r, mu], (mu - 2r, mu) in rho(A), "
-        "(mu - c)^2 > 4 a mu + 4b => lambda not in (beta-, beta+)",
-        {}, {"instances": count, "checked": excl_checked,
-             "worst_intrusion": worst_excl},
-        verdict(worst_excl <= 0.0),
-        {"margin": SLACK}))
-    checks.append(Check(
-        "enclosures/resolvent-windows",
-        "(alpha1+, beta2+) in rho(M)",
-        {}, {"instances": count, "windows": res_checked,
-             "worst_intrusion": worst_res},
-        verdict(worst_res <= 0.0),
-        {"margin": SLACK}))
+            (incl if check.family == "inclusion-window" else excl).append(check)
+        res += resolvent_intervals(block, rb)
+    applied = [sum(len(c.outputs.get("applicable", ())) for c in found)
+               for found in (incl, excl)]
+    checks = [
+        aggregate("enclosures/inclusion-windows",
+                  "lambda in [mu, mu + r], (mu, mu + 2r) in rho(A) => "
+                  "lambda in [alpha-, alpha+]",
+                  {"instances": count, "checked": applied[0]}, incl),
+        aggregate("enclosures/exclusion-windows",
+                  "lambda in (mu - r, mu], (mu - 2r, mu) in rho(A), "
+                  "(mu - c)^2 > 4 a mu + 4b => lambda not in (beta-, beta+)",
+                  {"instances": count, "checked": applied[1]}, excl),
+        aggregate("enclosures/resolvent-windows",
+                  "(alpha1+, beta2+) in rho(M)",
+                  {"instances": count,
+                   "windows": sum(c.status != NOT_APPLICABLE for c in res)},
+                  res)]
 
     # Degenerate a = b = 0 forms collapse exactly, and the inclusion window
     # endpoint is monotone in b.
@@ -413,36 +387,31 @@ def window_suite(rng, count: int = 200) -> list[Check]:
             continue
         worst_mono = max(worst_mono, lo_big.lo - lo_small.lo,
                          lo_small.hi - lo_big.hi)
-    checks.append(Check(
+    checks.append(judge(
         "enclosures/degenerate-forms",
         "a = b = 0: [alpha-, alpha+] = [c, mu] and (beta-, beta+) = (c, mu)",
-        {}, {"worst_gap": worst_deg},
-        verdict(worst_deg <= 1e-12), {"exact": 1e-12}))
-    checks.append(Check(
+        {}, {"worst_gap": worst_deg}, exact=_up_to(1e-12, worst_deg)))
+    checks.append(judge(
         "enclosures/window-monotonicity",
         "enlarging b never shrinks the inclusion window",
-        {}, {"worst_shrink": worst_mono},
-        verdict(worst_mono <= 1e-12), {"exact": 1e-12}))
+        {}, {"worst_shrink": worst_mono}, exact=_up_to(1e-12, worst_mono)))
     return checks
 
 
 def dim_check_suite(rng, count: int = 100) -> list[Check]:
-    mismatches = 0
-    nonempty = 0
+    found = []
     for _ in range(count):
         block, rb, _ = separated_block(rng)
-        check, = dim_bracket(block, rb)
-        if check.status == NOT_APPLICABLE:
-            continue
-        mismatches += check.status == FAIL
-        nonempty += check.outputs["count_M"] > 0
-    return [Check(
+        found += dim_bracket(block, rb)
+    counted = [c for c in found if c.status != NOT_APPLICABLE]
+    nonempty = sum(c.outputs["count_M"] > 0 for c in counted)
+    return [aggregate(
         "enclosures/dim-check",
         "dim L_[beta2+, alpha3+](M) = dim L_[beta2+, alpha3+](A), nonempty",
-        {}, {"instances": count, "mismatches": mismatches,
-             "nonempty_counts": nonempty},
-        verdict(mismatches == 0 and nonempty > 0),
-        {})]
+        {"instances": count,
+         "mismatches": sum(c.status == FAIL for c in counted),
+         "nonempty_counts": nonempty},
+        found, [(nonempty, 0, ">", None)])]
 
 
 def soq_suite(rng, disc64: MhdDiscretization,
@@ -470,22 +439,21 @@ def soq_suite(rng, disc64: MhdDiscretization,
     mhd, = soq(disc64.block, trial_space(disc64, 20), bracket)
     found.append(mhd)
     admitted = sum(ch.outputs.get("admitted_count", 0) for ch in found)
-    misses = sum(len(ch.outputs.get("misses", ())) for ch in found)
-    return [Check(
+    return [aggregate(
         "enclosures/soq",
         "sigma(M) ∩ [Re z - |Im z|²/(b4p - Re z), Re z + |Im z|²/(Re z - a1p)] "
         "nonempty for admitted z",
-        {}, {"instances": count, "admitted": admitted,
-             "mhd_admitted": mhd.outputs.get("admitted_count", 0),
-             "misses": misses},
-        verdict(misses == 0 and admitted > 0),
-        {"intersection_margin_rel": SOQ_MARGIN_REL})]
+        {"instances": count, "admitted": admitted,
+         "mhd_admitted": mhd.outputs.get("admitted_count", 0),
+         "misses": sum(len(ch.outputs.get("misses", ())) for ch in found)},
+        found, [(admitted, 0, ">", None)])]
 
 
 def subspace_suite(rng, count: int = 300) -> list[Check]:
     checks = []
     codim_fail = 0
-    gram_fail = 0
+    riesz_errors = 0
+    frames = []
     delta_checked = 0
     delta_fail = 0
     ext_worst = 0.0
@@ -501,7 +469,7 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
             block = random_block(rng)
         try:
             marks = block.landmarks
-        except (LandmarkError, SingularShiftError):
+        except HypothesisError:
             skipped += 1
             continue
         examined += 1
@@ -514,10 +482,9 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
         if k_op.codim != marks.kappa:
             codim_fail += 1
         try:
-            if not riesz_check(block, sub, k_op).passed:
-                gram_fail += 1
+            frames.append(riesz_bounds(riesz_check(block, sub, k_op)))
         except Exception:
-            gram_fail += 1
+            riesz_errors += 1
 
         spec_a = block.eig_a.eigenvalues
         full_spec = block.eig_m.eigenvalues
@@ -547,7 +514,7 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
             alpha_hi = 0.5 * (float(above[0]) + float(above[1]))
             try:
                 k_hi = angular_operator(spectral_subspace(block, alpha_hi))
-            except (NotAGraphError, ArgumentError):
+            except (HypothesisError, ArgumentError):
                 k_hi = None
             if k_hi is not None:
                 # ‖(K_c - K_alpha) P‖ for the orthonormal domain basis P of
@@ -569,51 +536,44 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
             tilde_spec = shifted.eig_m.eigenvalues
             shift_worst = max(shift_worst,
                               (float(spec_full[0]) - float(tilde_spec[0])) / scale)
-    checks.append(Check(
+    gram_fail = riesz_errors + sum(
+        not all(holds(bound, RIESZ_TOL) for bound in frame) for frame in frames)
+    checks.append(judge(
         "invariant-subspace/codim-kappa",
         "codim(Dom(K_c)) = kappa = dim L_(-inf,0)(S(c~))",
         {}, {"examined": examined, "skipped_no_spectrum_above_c": skipped,
              "failures": codim_fail},
-        verdict(codim_fail == 0 and examined > 0),
-        {}))
-    checks.append(Check(
+        [(codim_fail, 0, "==", None), (examined, 0, ">", None)]))
+    checks.append(judge(
         "invariant-subspace/gram-bounds",
         "eigenvalues of U*U in [1/(1 + ||K||²), 1]",
         {}, {"examined": examined, "failures": gram_fail},
-        verdict(gram_fail == 0),
-        {"margin": RIESZ_TOL}))
-    checks.append(Check(
+        [(riesz_errors, 0, "==", None)],
+        riesz_tol=(RIESZ_TOL, [bound for frame in frames for bound in frame])))
+    checks.append(judge(
         "invariant-subspace/delta-soundness",
         "delta < 1/2 => the subspace above alpha is a graph",
         {}, {"alphas_checked": delta_checked, "failures": delta_fail},
-        verdict(delta_fail == 0 and delta_checked > 0),
-        {}))
-    checks.append(Check(
+        [(delta_fail, 0, "==", None), (delta_checked, 0, ">", None)]))
+    checks.append(judge(
         "invariant-subspace/extension-consistency",
         "K_c restricted to Dom(K_alpha) agrees with K_alpha",
-        {}, {"worst_rel_gap": ext_worst},
-        verdict(ext_worst <= 1e-8),
-        {"rel": 1e-8}))
-    checks.append(Check(
+        {}, {"worst_rel_gap": ext_worst}, rel=_up_to(1e-8, ext_worst)))
+    checks.append(judge(
         "invariant-subspace/shifted-family",
         "A + tE((-inf, mu)) ⪰ mu I and min sigma(M~) >= min sigma(M)",
-        {}, {"worst_rel_defect": shift_worst},
-        verdict(shift_worst <= 1e-9),
-        {"rel": 1e-9}))
+        {}, {"worst_rel_defect": shift_worst}, rel=_up_to(1e-9, shift_worst)))
     return checks
 
 
 def basis_suite(rng, count: int = 60) -> list[Check]:
-    decay_checked = 0
-    decay_fail = 0
-    term_fail = 0
+    norms, bounds, terms, limits = [], [], [], []
     phase_worst = 0.0
-    nondec_fail = 0
     for _ in range(count):
         block, rb, c = separated_block(rng)
         try:
             marks = block.landmarks
-        except LandmarkError:
+        except HypothesisError:
             continue
         n_avail = min(marks.rungs, 4)
         if n_avail < 1:
@@ -621,20 +581,15 @@ def basis_suite(rng, count: int = 60) -> list[Check]:
         try:
             decay = projection_decay(block, n_avail, rb=rb)
             bari = bari_sum(block, n_avail)
-        except (DegenerateGapError, PairingError, SingularShiftError):
+        except HypothesisError:
             continue
-        for rec in decay.records:
-            if rec.delta < 1.0 and rec.a_points_inside == 1:
-                decay_checked += 1
-                if not rec.within_bound:
-                    decay_fail += 1
+        # the rungs the chain of bounds covers: delta < 1, one mu inside
         for b_rec, d_rec in zip(bari.records, decay.records):
             if d_rec.delta < 1.0 and d_rec.a_points_inside == 1:
-                limit = (2.0 * d_rec.bound) ** 2
-                if b_rec.term > limit + SLACK:
-                    term_fail += 1
-        if not bari.nondecreasing:
-            nondec_fail += 1
+                norms.append(d_rec.proj_diff_norm)
+                bounds.append(d_rec.bound)
+                terms.append(b_rec.term)
+                limits.append((2.0 * d_rec.bound) ** 2)
         # Alignment invariance under a random phase.
         cols = block.eig_a.vectors[:, [marks.kappa]]
         x = rng.normal(size=block.n1) + 1j * rng.normal(size=block.n1)
@@ -643,30 +598,28 @@ def basis_suite(rng, count: int = 60) -> list[Check]:
             base, _ = aligned_term(x, cols)
             rotated, _ = aligned_term(np.exp(1j * rng.uniform(0, 2 * np.pi)) * x,
                                       cols)
-        except PairingError:
+        except HypothesisError:
             continue
         phase_worst = max(phase_worst, abs(base - rotated))
+    decay = (norms, bounds, "<=", 1.0)
+    term = (terms, limits, "<=", 1.0)
     return [
-        Check(
+        judge(
             "basis-analysis/decay-bound",
             "||E - F_n|| <= (gamma_n / dist[circle, sigma(A)]) "
             "delta_n/(1 - delta_n)",
-            {}, {"checked": decay_checked, "failures": decay_fail},
-            verdict(decay_fail == 0 and decay_checked > 0),
-            {"slack": SLACK}),
-        Check(
+            {}, {"checked": len(norms),
+                 "failures": int(np.sum(~holds(decay, SLACK)))},
+            [(len(norms), 0, ">", None)], slack=(SLACK, [decay])),
+        judge(
             "basis-analysis/bari-terms",
-            "||y_{kappa+n} - x_n||² <= (2 M delta_n/(1 - delta_n))²; "
-            "partial sums nondecreasing",
-            {}, {"term_failures": term_fail, "nondecreasing_failures": nondec_fail},
-            verdict(term_fail == 0 and nondec_fail == 0),
-            {"slack": SLACK}),
-        Check(
+            "||y_{kappa+n} - x_n||² <= (2 M delta_n/(1 - delta_n))²",
+            {}, {"term_failures": int(np.sum(~holds(term, SLACK)))},
+            slack=(SLACK, [term])),
+        judge(
             "basis-analysis/phase-invariance",
             "||y - x|| is invariant under x -> e^{i theta} x",
-            {}, {"worst_gap": phase_worst},
-            verdict(phase_worst <= 1e-12),
-            {"exact": 1e-12}),
+            {}, {"worst_gap": phase_worst}, exact=_up_to(1e-12, phase_worst)),
     ]
 
 
@@ -680,26 +633,21 @@ def mhd_suite(marks64: SpectralLandmarks) -> list[Check]:
     profile = constant_profile()
     a, b, c = constants(profile)
     exact_c = 2.0 + np.sqrt(2.0)
-    closed = (abs(a - 2.5) <= 1e-12 and abs(b) <= 1e-12
-              and abs(c - exact_c) <= 1e-12)
-    checks.append(Check(
+    checks.append(judge(
         "mhd/closed-form-constants",
         "c = k²(va² + vs²)/2 + sqrt(k⁴(va² + vs²)²/4 - k² kpar² va² vs²); "
         "a = ((va² + vs²)² kperp² + vs⁴ kpar²)/(va² + vs²); b-display",
         {}, {"a": a, "b": b, "c": c},
-        verdict(closed),
-        {"exact": 1e-12}))
+        exact=_up_to(1e-12, abs(a - 2.5), abs(b), abs(c - exact_c))))
 
     disc = discretize(profile, 128)
     spec_a = disc.block.eig_a.eigenvalues
     continuum = np.array([2.0 * np.pi ** 2 * n ** 2 + 2.0 for n in (1, 2, 3)])
     rel = np.abs(spec_a[:3] - continuum) / continuum
-    checks.append(Check(
+    checks.append(judge(
         "mhd/sturm-liouville-eigs",
         "A-block eigenvalues approach 2 pi² n² + 2 for the uniform slab",
-        {}, {"relative_errors": rel.tolist()},
-        verdict(bool(np.all(rel <= 0.02))),
-        {"rel": 0.02}))
+        {}, {"relative_errors": rel.tolist()}, rel=_up_to(0.02, rel)))
 
     pipeline = {check.name: check for check in run_report(disc, 8)}
     checks += [replace(pipeline[source], name=name) for source, name in (
@@ -714,37 +662,34 @@ def mhd_suite(marks64: SpectralLandmarks) -> list[Check]:
     terms = np.array(bari["terms"])
     gaps_model = 1.0 / np.diff(spec_a)[marks.kappa:marks.kappa + terms.size] ** 2
     quotients = (terms[1:] / terms[:-1]) / (gaps_model[1:] / gaps_model[:-1])
-    checks.append(Check(
+    checks.append(judge(
         "mhd/bari-ratio",
-        "increments of sum ||y_{kappa+n} - x_n||² track 1/(mu_{n+1} - mu_n)²",
+        "increments of sum ||y_{kappa+n} - x_n||² track 1/(mu_{n+1} - mu_n)² "
+        "within a factor 3",
         {}, {"terms": bari["terms"], "ratio_quotients": quotients.tolist(),
              "gap_sum": bari["gap_sum"]},
-        verdict(bool(np.all((quotients >= 1.0 / 3.0) & (quotients <= 3.0)))),
-        {"factor": 3.0}))
+        [(quotients, (1.0 / 3.0, 3.0), "within", 1.0)]))
 
     lead128 = marks.lambda_above_c[:5]
     lead64 = marks64.lambda_above_c[:5]
     agree = np.abs(lead128 - lead64) / np.abs(lead128)
-    checks.append(Check(
+    checks.append(judge(
         "mhd/resolution-consistency",
         "leading eigenvalues above c agree across N = 64 and N = 128",
-        {}, {"relative_gaps": agree.tolist()},
-        verdict(bool(np.all(agree <= 0.01))),
-        {"rel": 0.01}))
+        {}, {"relative_gaps": agree.tolist()}, rel=_up_to(0.01, agree)))
 
     # Decoupled profile: no coupling, angular operator vanishes.
     disc_deg = discretize(constant_profile(kperp=0.0, kpar=0.0, g=0.0), 32)
     b_norm = operator_norm(disc_deg.block.B)
     angular = next(check.outputs for check in run_report(disc_deg, 1)
                    if check.name == "mhd/angular-operator")
-    checks.append(Check(
+    checks.append(judge(
         "mhd/decoupled-degenerate",
         "kperp = kpar = 0, g = 0: B = 0 and K = 0",
         {}, {"coupling_norm": b_norm, "k_norm": angular["k_norm"],
              "kappa": angular["kappa"]},
-        verdict(b_norm == 0.0 and angular["k_norm"] <= 1e-12
-                and angular["kappa"] == 0),
-        {}))
+        [(b_norm, 0.0, "==", None), (angular["kappa"], 0, "==", None)],
+        exact=_up_to(1e-12, angular["k_norm"])))
     return checks
 
 
@@ -757,12 +702,6 @@ def fixture_suite() -> list[Check]:
     spec_a = block.eig_a.eigenvalues
     delta6 = delta_condition(6.0, marks.c, spec_a, rb)
     k_op = angular_operator(spectral_subspace(block, marks.c_tilde))
-    ok = (eig_gap <= 1e-9
-          and abs(marks.c - (-1.0)) <= 1e-6
-          and abs(rb.b - 2.0) <= 1e-6
-          and marks.kappa == 0
-          and k_op.codim == 0
-          and abs(delta6 - FIXTURE_DELTA_AT_6) <= 1e-6)
 
     # The guarded landmark instance: kappa confirmed 0 by the direct
     # 2x2 Schur evaluation.
@@ -772,37 +711,31 @@ def fixture_suite() -> list[Check]:
     ct = gm.c_tilde
     s_diag = (0.5 - ct - 4.0 / (-2.0 - ct), 20.0 - ct)
     kappa_oracle = sum(1 for v in s_diag if v < 0.0)
-    ok = ok and gm.kappa == kappa_oracle == 0
-    return [Check(
+    return [judge(
         "fixtures/cubic",
         "eigenvalues solve x³ - 11x² + 6x + 32 = 0; c = -1; b_min(0) = 2; "
         "kappa = 0; codim(Dom(K_c)) = 0; delta(6) = 1/14",
         {}, {"eig_gap": eig_gap, "c": marks.c, "c_tilde": marks.c_tilde,
              "b_min": rb.b, "kappa": marks.kappa, "codim": k_op.codim,
              "delta_at_6": delta6, "guard_kappa": gm.kappa},
-        verdict(ok),
-        {"eigs": 1e-9, "derived": 1e-6})]
+        [(marks.kappa, 0, "==", None), (k_op.codim, 0, "==", None),
+         (gm.kappa, kappa_oracle, "==", None), (kappa_oracle, 0, "==", None)],
+        eigs=_up_to(1e-9, eig_gap),
+        derived=_up_to(1e-6, abs(marks.c - (-1.0)), abs(rb.b - 2.0),
+                       abs(delta6 - FIXTURE_DELTA_AT_6)))]
 
 
 def variational_suite(rng, count: int = 80) -> list[Check]:
-    worst = 0.0
-    checked = 0
+    found = []
     for _ in range(count):
         block, rb, _ = separated_block(rng)
-        check, = variational_ladder(block, rb)
-        if check.status == NOT_APPLICABLE:
-            continue
-        checked += check.inputs["n"]
-        ladder = block.landmarks.lambda_above_c.tolist()
-        for lam, (lo, hi) in zip(ladder, check.outputs["intervals"]):
-            worst = max(worst, lo - lam, lam - hi)
-    return [Check(
+        found += variational_ladder(block, rb)
+    checked = sum(c.inputs["n"] for c in found if c.status != NOT_APPLICABLE)
+    return [aggregate(
         "enclosures/variational-bounds",
         "mu_{kappa+n} <= lambda_n <= (mu_{kappa+n} + c)/2 + "
         "sqrt(((mu_{kappa+n} - c)/2)² + a mu_{kappa+n} + b)",
-        {}, {"checked": checked, "worst_escape": worst},
-        verdict(worst <= SLACK and checked > 0),
-        {"margin": SLACK})]
+        {"checked": checked}, found, [(checked, 0, ">", None)])]
 
 
 def run(seed: int = 42) -> Report:

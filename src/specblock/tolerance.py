@@ -27,7 +27,6 @@ HERMITIAN_REL = 1e-12       # |H - H*| / max|entry| of a Hermitian matrix
 PINV_REL = 1e-12            # singular value cut / sigma_max of pinv
 REAL_AXIS_REL = 1e-12       # |Im z| / max(1, |z|) snapped onto the real axis
 ZERO_DECAY = 1e-12          # projection-decay norms that count as zero
-BARI_DIP = 1e-15            # dip of Bari partial sums still nondecreasing
 
 
 def matrix_tol(mat) -> float:

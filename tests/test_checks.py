@@ -4,7 +4,9 @@ of the variational ladder, and where checks are built.
 ``reference_*`` below evaluate the window, dimension, variational and
 second-order statements point by point, independently of ``specblock.checks``.
 The selftest suites, which aggregate the checks the block commands report,
-must reproduce their outputs and consume the same random stream.
+must reproduce their outputs and margins and consume the same random stream.
+A margin is the least slack-inclusive distance to a limit (the aggregated
+checks compare at scale 1).
 """
 
 import inspect
@@ -38,13 +40,13 @@ from specblock.mhd import (
     run_report,
     trial_space,
 )
-from specblock.report import PASS, Check, verdict
+from specblock.report import PASS
 from specblock.tolerance import SLACK, SOQ_MARGIN_REL
 
 
 def reference_window_suite(rng, count):
-    worst_incl = worst_excl = worst_res = 0.0
-    incl_checked = excl_checked = res_checked = 0
+    incl_margins, excl_margins, res_margins = [], [], []
+    res_checked = 0
     for idx in range(count):
         if idx % 3 == 1:
             block, rb, c = selftest.separated_block(rng)
@@ -70,18 +72,17 @@ def reference_window_suite(rng, count):
             mu_in = inclusion_reference(spec_a, lam)
             if mu_in is not None:
                 win = eigenvalue_window(mu_in, c, rb)
-                incl_checked += 1
-                worst_incl = max(worst_incl, win.lo - lam, lam - win.hi)
+                incl_margins.append(min(lam - (win.lo - SLACK),
+                                        (win.hi + SLACK) - lam))
             mu_ex = exclusion_reference(spec_a, lam)
             if mu_ex is not None:
                 try:
                     win = exclusion_window(mu_ex, c, rb)
                 except HypothesisError:
                     continue
-                excl_checked += 1
-                intrusion = min(lam - win.lo, win.hi - lam)
-                if intrusion > SLACK:
-                    worst_excl = max(worst_excl, intrusion)
+                # positive when lam stays out of the open window
+                excl_margins.append(max((win.lo + SLACK) - lam,
+                                        lam - (win.hi - SLACK)))
         for i in range(spec_a.size - 1):
             try:
                 win = resolvent_interval(float(spec_a[i]), float(spec_a[i + 1]),
@@ -89,14 +90,15 @@ def reference_window_suite(rng, count):
             except HypothesisError:
                 continue
             res_checked += 1
-            for lam in spec_m:
-                if win.lo + SLACK < lam < win.hi - SLACK:
-                    worst_res = max(worst_res, min(lam - win.lo, win.hi - lam))
+            res_margins += [max((win.lo + SLACK) - lam, lam - (win.hi - SLACK))
+                            for lam in spec_m.tolist()]
     outputs = [
-        {"instances": count, "checked": incl_checked, "worst_escape": worst_incl},
-        {"instances": count, "checked": excl_checked,
-         "worst_intrusion": worst_excl},
-        {"instances": count, "windows": res_checked, "worst_intrusion": worst_res},
+        {"instances": count, "checked": len(incl_margins),
+         "margin": min(incl_margins, default=None)},
+        {"instances": count, "checked": len(excl_margins),
+         "margin": min(excl_margins, default=None)},
+        {"instances": count, "windows": res_checked,
+         "margin": min(res_margins, default=None)},
     ]
     # the degenerate-form and monotonicity draws, unchanged
     rb0 = RelativeBound(0.0, 0.0)
@@ -118,7 +120,8 @@ def reference_window_suite(rng, count):
             continue
         worst_mono = max(worst_mono, lo_big.lo - lo_small.lo,
                          lo_small.hi - lo_big.hi)
-    return outputs + [{"worst_gap": worst_deg}, {"worst_shrink": worst_mono}]
+    return outputs + [{"worst_gap": worst_deg, "margin": 1e-12 - worst_deg},
+                      {"worst_shrink": worst_mono, "margin": 1e-12 - worst_mono}]
 
 
 def reference_dim_check_suite(rng, count):
@@ -134,12 +137,11 @@ def reference_dim_check_suite(rng, count):
         mismatches += count_m != count_a
         nonempty += bool(count_m)
     return [{"instances": count, "mismatches": mismatches,
-             "nonempty_counts": nonempty}]
+             "nonempty_counts": nonempty, "margin": None}]
 
 
 def reference_variational_suite(rng, count):
-    worst = 0.0
-    checked = 0
+    margins = []
     for _ in range(count):
         block, rb, c = selftest.separated_block(rng)
         try:
@@ -154,14 +156,30 @@ def reference_variational_suite(rng, count):
         intervals = variational_bounds(spec_a, c, rb, marks.kappa, n_avail)
         for n in range(n_avail):
             lam = float(marks.lambda_above_c[n])
-            checked += 1
-            worst = max(worst, intervals[n].lo - lam, lam - intervals[n].hi)
-    return [{"checked": checked, "worst_escape": worst}]
+            margins.append(min(lam - (intervals[n].lo - SLACK),
+                               (intervals[n].hi + SLACK) - lam))
+    return [{"checked": len(margins), "margin": min(margins, default=None)}]
+
+
+def soq_margin(enclosures, spectrum):
+    """The least slack-inclusive distance, over the admitted enclosures, from
+    an interval to the spectrum, at scale max(1, |Re z|)."""
+    margins = []
+    for e in enclosures:
+        if e.admitted:
+            scale = max(1.0, abs(e.z.real))
+            dist = min(0.0 if e.interval.contains(float(lam))
+                       else min(abs(lam - e.interval.lo),
+                                abs(lam - e.interval.hi))
+                       for lam in spectrum)
+            margins.append((SOQ_MARGIN_REL * scale - dist) / scale)
+    return margins
 
 
 def reference_soq_suite(rng, count):
     misses = 0
     admitted_total = 0
+    margins = []
     for _ in range(count):
         block, rb, c = selftest.separated_block(rng)
         spec_a = block.eig_a.eigenvalues
@@ -182,6 +200,7 @@ def reference_soq_suite(rng, count):
         enclosures = soq_enclosure(block, q, a1p, b4m, b4p)
         admitted_total += sum(e.admitted for e in enclosures)
         misses += len(soq_misses(enclosures, spec_m))
+        margins += soq_margin(enclosures, spec_m)
     disc = discretize(constant_profile(), 64)
     a, b, c = constants(constant_profile())
     rb = RelativeBound(a, b)
@@ -195,14 +214,10 @@ def reference_soq_suite(rng, count):
         mhd_admitted = sum(e.admitted for e in enclosures)
         admitted_total += mhd_admitted
         misses += len(soq_misses(enclosures, spec_m))
-    return [Check(
-        "enclosures/soq",
-        "sigma(M) ∩ [Re z - |Im z|²/(b4p - Re z), Re z + |Im z|²/(Re z - a1p)] "
-        "nonempty for admitted z",
-        {}, {"instances": count, "admitted": admitted_total,
-             "mhd_admitted": mhd_admitted, "misses": misses},
-        verdict(misses == 0 and admitted_total > 0),
-        {"intersection_margin_rel": SOQ_MARGIN_REL})]
+        margins += soq_margin(enclosures, spec_m)
+    return {"instances": count, "admitted": admitted_total,
+            "mhd_admitted": mhd_admitted, "misses": misses,
+            "margin": min(margins, default=None)}, misses == 0 < admitted_total
 
 
 def reference_schur_suite(rng, count):
@@ -249,7 +264,8 @@ SUITES = [
 def test_suite_matches_the_per_point_reference(suite, reference, seed):
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     checks = suite(rng, count=30)
-    assert [c.outputs for c in checks] == reference(rng_ref, count=30)
+    assert ([{**c.outputs, "margin": c.margin} for c in checks]
+            == reference(rng_ref, count=30))
     assert all(c.status == PASS for c in checks)
     # the builders draw nothing: later suites see the same stream
     assert rng.bit_generator.state == rng_ref.bit_generator.state
@@ -259,8 +275,11 @@ def test_suite_matches_the_per_point_reference(suite, reference, seed):
 def test_soq_suite_matches_the_inline_reference(seed):
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     disc64 = discretize(constant_profile(), 64)
-    assert (selftest.soq_suite(rng, disc64, count=30)
-            == reference_soq_suite(rng_ref, count=30))
+    check, = selftest.soq_suite(rng, disc64, count=30)
+    want, ok = reference_soq_suite(rng_ref, count=30)
+    assert {**check.outputs, "margin": check.margin} == want
+    assert ok and check.status == PASS
+    assert check.tolerances == {"soq_margin_rel": SOQ_MARGIN_REL}
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -288,7 +307,7 @@ def test_schur_suite_matches_the_per_shift_reference(seed, decoupled, monkeypatc
     assert abs(got["worst_zero_eig"] - want["worst_zero_eig"]) <= 1e-11
     assert {k: v for k, v in got.items() if k != "worst_zero_eig"} == {
         k: v for k, v in want.items() if k != "worst_zero_eig"}
-    assert check.status == verdict(ok) == PASS
+    assert ok and check.status == PASS
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 

@@ -1,15 +1,20 @@
-"""Golden verdicts, report schemas and decomposition counts.
+"""Golden verdicts, report schemas, margins and decomposition counts.
 
 ``data/golden_verdicts.json`` holds the exit code and the (name, status) list
-of every check for fixed inputs: ``selftest --seed 42``, ``mhd`` at N = 64 on
-two profiles, and the four block commands on ``data/golden_block.json``.
+of every check for fixed inputs: ``selftest`` at seeds 42, 1, 7 and 14,
+``mhd`` at N = 64 on two profiles, and the four block commands on
+``data/golden_block.json``, ``soq`` also with ``--subspace-dim`` 8 and 9.
 Refactors must reproduce them; a changed verdict has to be a named bug fix.
-``data/golden_schema.json`` holds, for the same runs, each check's name,
-anchor and the sorted keys of its inputs, outputs and tolerances: no floats,
-so it holds on every platform.
+Seed 14 and the trial dimensions 8 and 9 pin known failures.
+``data/golden_schema.json`` holds, for the seed-42 selftest, the two MHD
+runs and the four block commands, each check's name, anchor and the sorted
+keys of its inputs, outputs and tolerances: no floats, so it holds on every
+platform.  Every golden run also has each pass or fail check carry a finite
+margin of the sign of its status, except the checks in NO_MARGIN.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -64,13 +69,61 @@ def test_block_commands(tmp_path, command):
 
 
 def golden_args(tmp_path, name):
-    """The command line of one golden run other than the selftest."""
+    """The command line of one golden run."""
     if name in MHD_PROBLEMS:
         path = tmp_path / "profile.json"
         path.write_text(json.dumps({"mhd": MHD_PROBLEMS[name]}))
         return ["mhd", "--input", str(path), "--n", "64"]
-    return [name.removeprefix("block-"), "--input",
-            str(DATA / "golden_block.json")]
+    if name.startswith("selftest-"):
+        return ["selftest", "--seed", name.removeprefix("selftest-")]
+    command, *dim = name.removeprefix("block-").split("-")
+    args = [command, "--input", str(DATA / "golden_block.json")]
+    return args + ["--subspace-dim", *dim] if dim else args
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory, selftest_42_runs):
+    """(exit code, report path) of a golden run, each run once per module."""
+    runs = {"selftest-42": selftest_42_runs[0]}
+
+    def run(name):
+        if name not in runs:
+            tmp = tmp_path_factory.mktemp(name)
+            out = tmp / "report.json"
+            runs[name] = main(golden_args(tmp, name) + ["--out", str(out)]), out
+        return runs[name]
+    return run
+
+
+@pytest.mark.parametrize("name", ["selftest-1", "selftest-7", "selftest-14",
+                                  "block-soq-8", "block-soq-9"])
+def test_pinned_runs(golden_run, name):
+    assert verdicts(*golden_run(name)) == GOLDEN[name]
+
+
+# Pass/fail checks without a margin: counts, and the Bari sums, which have
+# no comparison yet.
+NO_MARGIN = {
+    "angular/codim-kappa", "dim-check/bracket", "basis/bari",
+    "mhd/essential-bands", "mhd/gap-growth", "mhd/angular-operator",
+    "mhd/bari-sums", "enclosures/dim-check", "invariant-subspace/codim-kappa",
+    "invariant-subspace/delta-soundness", "mhd/codim-kappa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_margins_agree_with_statuses(golden_run, name):
+    checks = json.loads(golden_run(name)[1].read_text())["checks"]
+    for check in checks:
+        margin, status = check["margin"], check["status"]
+        if status == "not-applicable" or check["name"] in NO_MARGIN:
+            assert margin is None, check["name"]
+        else:
+            assert type(margin) is float and math.isfinite(margin), check
+            assert (margin >= 0.0) == (status == "pass"), check
+            assert margin != 0.0 or status == "pass"
+    if name == "block-soq-8":
+        assert checks[0]["name"] == "soq/enclosures" and checks[0]["margin"] < 0
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMA))

@@ -473,6 +473,37 @@ class TestDecoders:
         assert fast == slow
 
 
+def called_from(frames, function, *args):
+    """function(*args), called with ``frames`` more frames on the stack."""
+    if frames == 0:
+        return function(*args)
+    return called_from(frames - 1, function, *args)
+
+
+class TestNestingLimit:
+    """Whether a file is accepted depends on the file alone: an unchecked
+    value may nest 100 levels deep on both decode paths, at any depth of the
+    caller's stack."""
+
+    @pytest.mark.parametrize("depth", [100, 101, 990])
+    def test_same_outcome_at_any_stack_depth(self, tmp_path, monkeypatch,
+                                             depth):
+        path = tmp_path / "p.json"
+        # flags is the first level, its list the other depth - 1
+        path.write_text("{" + BLOCKS + f', "flags": {{"x": {deep(depth - 1)}}}}}')
+        outcomes = []
+        for fast in (True, False):
+            if not fast:
+                monkeypatch.setattr(problems, "orjson", None)
+            outcomes += [called_from(frames, decoded, path) for frames in (0, 40)]
+        assert outcomes == outcomes[:1] * 4
+        if depth > 100:
+            assert outcomes[0] == ("error", f"problem file {path} nests deeper "
+                                   "than 100 levels where it is not checked")
+        else:
+            assert outcomes[0][0] != "error"
+
+
 def pair_file(tmp_path, n1, n2):
     """A problem file of [re, im] pairs with complex Hermitian A and C."""
     rng = np.random.default_rng(3)
