@@ -16,7 +16,7 @@ from .blocks import BlockOperatorMatrix, RelativeBound, SpectralLandmarks
 from .errors import ArgumentError, DegenerateGapError, PairingError
 from .linalg import hermitian_eigvals, operator_norm
 from .subspaces import AngularOperator, GraphSubspace
-from .tolerance import EIGVEC_RESIDUAL_REL, PAIR_TOL, ZERO_DECAY
+from .tolerance import EIGVEC_RESIDUAL_REL, PAIR_TOL
 
 __all__ = [
     "BasisReport",
@@ -71,13 +71,6 @@ class DecayReport:
     @property
     def norms(self) -> list[float]:
         return [r.proj_diff_norm for r in self.records]
-
-    @property
-    def decreasing(self) -> bool:
-        """The norms strictly decrease, or all vanish (a decoupled problem)."""
-        norms = self.norms
-        return (max(norms) <= ZERO_DECAY
-                or all(b < a for a, b in zip(norms, norms[1:])))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,6 +28,9 @@ from .linalg import (
     stack_chunks,
 )
 from .tolerance import BASE_TOL, matrix_tol
+
+if TYPE_CHECKING:
+    from .subspaces import GraphSubspace
 
 __all__ = [
     "BlockOperatorMatrix",
@@ -177,6 +181,13 @@ class BlockOperatorMatrix:
             lambda_above_c=_frozen(np.array(above, dtype=float)),
             rungs=min(int(above.size), self.n1 - kappa),
             first_above=int(spec_m.size - above.size))
+
+    @cached_property
+    def graph_subspace(self) -> GraphSubspace:
+        """The spectral subspace of M above c~, whose angular operator K_c the
+        angular and basis checks read; an error is not cached."""
+        from .subspaces import spectral_subspace  # subspaces imports blocks
+        return spectral_subspace(self, self.landmarks.c_tilde)
 
     @cached_property
     def coupling_in_c_basis(self) -> np.ndarray:

@@ -5,8 +5,8 @@ bound (a, b) in force, a cut point, a rung count, a trial space) and returns
 the checks of one family.  ``cli.cmd_enclose`` concatenates the ENCLOSE
 builders in that order; ``cli.cmd_angular``, ``cmd_basis`` and ``cmd_soq``
 return ``angular``, ``basis`` and ``soq``.  The selftest aggregates the same
-checks over its random instances.  ``mhd.run_report`` builds the MHD checks
-on the anchors defined here, and the selftest reports five of them renamed.
+checks over its random instances.  ``mhd.run_report`` reports ``angular`` and
+``basis`` under MHD names and builds its other checks on the anchors here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import (
+    BariReport,
     BasisReport,
+    DecayRecord,
     DecayReport,
     bari_sum,
     projection_decay,
@@ -36,16 +38,8 @@ from .enclosures import (
     variational_bounds,
 )
 from .errors import ArgumentError, HypothesisError
-from .linalg import operator_norm
 from .report import Check, holds, judge, not_applicable
-from .subspaces import (
-    GRAPH,
-    NOT_GRAPH,
-    angular_operator,
-    delta_condition,
-    graph_test,
-    spectral_subspace,
-)
+from .subspaces import GRAPH, delta_condition, graph_test, spectral_subspace
 from .tolerance import (
     GRAPH_RESIDUAL_TOL,
     GRAPH_TOL,
@@ -86,12 +80,27 @@ def riesz_bounds(rep: BasisReport) -> list[tuple]:
             (rep.gram_max, 1.0, "<=", 1.0)]
 
 
+def _claimed(decay: DecayReport) -> list[DecayRecord]:
+    """The rungs the decay bound covers: delta_n < 1 and exactly one point of
+    sigma(A) inside the circle (DecayRecord); the others claim nothing."""
+    return [r for r in decay.records if r.delta < 1.0 and r.a_points_inside == 1]
+
+
 def decay_bounds(decay: DecayReport) -> list[tuple]:
-    """||E - F_n|| <= bound_n on every rung with delta_n < 1, as a comparison
-    (judged with SLACK of slack); delta_n >= 1 claims nothing."""
-    claimed = [r for r in decay.records if not r.delta >= 1.0]
+    """||E - F_n|| <= bound_n on the claimed rungs, as a comparison (judged
+    with SLACK of slack)."""
+    claimed = _claimed(decay)
     return [([r.proj_diff_norm for r in claimed], [r.bound for r in claimed],
              "<=", 1.0)]
+
+
+def bari_bounds(decay: DecayReport, bari: BariReport) -> list[tuple]:
+    """||y_{kappa+n} - x_n||^2 <= (2 bound_n)^2 on the claimed rungs, as a
+    comparison (judged with SLACK of slack): for the unit x_n and its aligned
+    y = Ex/||Ex||, ||y - x|| <= 2||(I - E)x|| <= 2||E - F_n|| <= 2 bound_n."""
+    claimed = _claimed(decay)
+    return [([bari.records[r.n - 1].term for r in claimed],
+             np.square([2.0 * r.bound for r in claimed]), "<=", 1.0)]
 
 
 def _above_c_plus_a(block: BlockOperatorMatrix, rb: RelativeBound) -> list[float]:
@@ -267,25 +276,26 @@ def angular(block: BlockOperatorMatrix, rb: RelativeBound,
         checks.append(not_applicable("angular/delta", DELTA_ANCHOR, str(exc)))
 
     try:
-        sub = spectral_subspace(block, alpha)
+        sub = (block.graph_subspace if marks is not None and alpha == marks.c_tilde
+               else spectral_subspace(block, alpha))
     except (HypothesisError, ArgumentError) as exc:
         checks.append(not_applicable("angular/graph", GRAPH_ANCHOR, str(exc)))
         return checks
     graph = graph_test(sub)
-    # graph_test's rule; an indeterminate sigma_min decides nothing
+    # graph_test's rule; delta < 1/2 makes an indeterminate sigma_min fail
     checks.append(judge(
         "angular/graph", GRAPH_ANCHOR, {"alpha": alpha},
         {"verdict": graph.verdict, "sigma_min": graph.sigma_min,
          "dim": sub.dim},
         [(graph.sigma_min, GRAPH_TOL, ">", 1.0)],
-        applies=graph.verdict == GRAPH
-        or (graph.verdict == NOT_GRAPH and sufficient)))
+        applies=graph.verdict == GRAPH or sufficient))
     try:
-        k_op = angular_operator(sub)
+        k_op = sub.angular
     except HypothesisError as exc:
         checks.append(not_applicable("angular/operator", OP_ANCHOR, str(exc)))
         return checks
-    residual = operator_norm(k_op.K @ sub.basis_first - sub.basis_second)
+    # the Frobenius norm bounds the operator norm from above
+    residual = float(np.linalg.norm(k_op.K @ sub.basis_first - sub.basis_second))
     checks.append(judge(
         "angular/operator", OP_ANCHOR, {"alpha": alpha},
         {"norm": k_op.norm, "codim": k_op.codim, "graph_residual": residual},
@@ -304,18 +314,17 @@ def angular(block: BlockOperatorMatrix, rb: RelativeBound,
 
 def basis(block: BlockOperatorMatrix, rb: RelativeBound,
           n_max: int) -> list[Check]:
-    """Riesz frame bounds, projection decay and Bari sums on the first n_max
-    rungs above c (fewer when the ladder is shorter)."""
+    """Riesz frame bounds, and the decay bound and Bari terms on the claimed
+    rungs among the first n_max above c (fewer when the ladder is shorter)."""
     try:
         marks = block.landmarks
     except HypothesisError as exc:
         return [not_applicable("basis/landmarks", LANDMARKS_ANCHOR, str(exc))]
     n_avail = min(n_max, marks.rungs)
-    sub = spectral_subspace(block, marks.c_tilde)
     checks = []
     try:
-        k_op = angular_operator(sub)
-        rep = riesz_check(block, sub, k_op)
+        sub = block.graph_subspace
+        rep = riesz_check(block, sub, sub.angular)
         checks.append(judge(
             "basis/riesz", RIESZ_ANCHOR, {"dim": sub.dim, "kappa": marks.kappa},
             {"gram_min": rep.gram_min, "gram_max": rep.gram_max,
@@ -328,6 +337,7 @@ def basis(block: BlockOperatorMatrix, rb: RelativeBound,
         checks.append(not_applicable("basis/decay", DECAY_ANCHOR,
                                      "no eigenvalues above c to track"))
         return checks
+    decay = DecayReport(records=(), m_constant=0.0)  # claims no rung
     try:
         decay = projection_decay(block, n_avail, rb=rb)
         # for a general block monotone decay is no theorem: the bound decides
@@ -335,18 +345,19 @@ def basis(block: BlockOperatorMatrix, rb: RelativeBound,
             "basis/decay", DECAY_ANCHOR, {"n_max": n_avail},
             {"norms": decay.norms, "deltas": [r.delta for r in decay.records],
              "bounds": [r.bound for r in decay.records],
+             "claimed": [r.n for r in _claimed(decay)],
              "m_constant": decay.m_constant},
             slack=(SLACK, decay_bounds(decay))))
     except HypothesisError as exc:
         checks.append(not_applicable("basis/decay", DECAY_ANCHOR, str(exc)))
     try:
         bari = bari_sum(block, n_avail)
-        # no comparison yet: a finite sum of squares is finite
         checks.append(judge(
             "basis/bari", BARI_ANCHOR, {"n_max": n_avail},
             {"terms": [r.term for r in bari.records],
              "partial_sum": float(bari.partial_sums[-1]),
-             "gap_sum": bari.gap_sum, "converged": bari.converged}))
+             "gap_sum": bari.gap_sum, "converged": bari.converged},
+            slack=(SLACK, bari_bounds(decay, bari))))
     except HypothesisError as exc:
         checks.append(not_applicable("basis/bari", BARI_ANCHOR, str(exc)))
     return checks

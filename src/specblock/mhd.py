@@ -19,32 +19,24 @@ the next three start between 1.3 and 1.9 and fall toward 1 as N grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .blocks import (
     BlockOperatorMatrix,
     RelativeBound,
+    SpectralLandmarks,
     minimal_b_for_a,
     relative_bound_margin,
 )
-from .basis import bari_sum, projection_decay, riesz_check
-from .checks import (
-    CODIM_ANCHOR,
-    DECAY_ANCHOR,
-    DIST_ANCHOR,
-    RIESZ_ANCHOR,
-    VAR_ANCHOR,
-    decay_bounds,
-    riesz_bounds,
-)
+from .checks import CODIM_ANCHOR, DIST_ANCHOR, VAR_ANCHOR, angular, basis
 from .enclosures import dist_bound, variational_bounds
 from .errors import ArgumentError, HypothesisError, ProfileError
 from .linalg import Interval, hermitian_eigvals
-from .report import Check, judge
-from .subspaces import GRAPH, angular_operator, graph_test, spectral_subspace
-from .tolerance import RIESZ_TOL, SLACK, scalar_tol
+from .report import (FAIL, NOT_APPLICABLE, PASS, Check, aggregate, judge,
+                     not_applicable)
+from .tolerance import ZERO_DECAY, scalar_tol
 
 __all__ = [
     "PlasmaProfile",
@@ -308,15 +300,45 @@ def trial_space(disc: MhdDiscretization, m: int) -> np.ndarray:
     return q.astype(complex)
 
 
+def _angular_operator(found: list[Check], marks: SpectralLandmarks) -> Check:
+    """The angular checks at c~ as one: it fails when one of them failed,
+    passes when codim = kappa passed, and does not apply otherwise."""
+    failed = sum(check.status == FAIL for check in found)
+    last = found[-1]  # angular/codim-kappa, or the check that stopped them
+    if not failed and last.status != PASS:
+        return not_applicable("mhd/angular-operator", CODIM_ANCHOR,
+                              last.outputs["reason"])
+    out = {key: value for check in found for key, value in check.outputs.items()}
+    return judge("mhd/angular-operator", CODIM_ANCHOR, {"alpha": marks.c_tilde}, {
+        "graph_verdict": out.get("verdict"), "sigma_min": out.get("sigma_min"),
+        "k_norm": out.get("norm"), "codim": out.get("codim"),
+        "kappa": marks.kappa}, [(failed, 0, "==", None)])
+
+
+def _projection_decay(decay: Check) -> Check:
+    """basis/decay, read at finite N as ||E - F_n|| -> 0: the norms also
+    decrease strictly, or all vanish (a decoupled problem)."""
+    if decay.status == NOT_APPLICABLE:
+        return replace(decay, name="mhd/projection-decay")
+    norms = decay.outputs["norms"]
+    decreasing = (max(norms) <= ZERO_DECAY
+                  or all(b < a for a, b in zip(norms, norms[1:])))
+    return aggregate("mhd/projection-decay", decay.anchor, decay.outputs,
+                     [decay], [(decreasing, True, "==", None)],
+                     inputs=decay.inputs)
+
+
 def run_report(disc: MhdDiscretization, n_max: int,
                squared_bands: bool = True) -> list[Check]:
     """Full pipeline on a discretization: constants, landmarks, variational
     bounds, angular operator at (c, inf), Riesz check, projection decay on
-    up to n_max rungs, Bari sums.
+    up to n_max rungs, Bari terms.
 
-    Returns one Check per stage; theorem checks at this scale use the
-    relative slack 10/N since the closed-form constants belong to the
-    continuum operator.  ``specblock mhd`` and the selftest both run it.
+    Returns one Check per stage.  The relative bound, landmark, distance and
+    variational checks use the relative slack 10/N, since the closed-form
+    constants belong to the continuum operator; the last four stages are
+    ``checks.angular`` at c~ and ``checks.basis`` with the closed-form
+    (a, b).  ``specblock mhd`` and the selftest both run it.
     """
     checks: list[Check] = []
     block = disc.block
@@ -390,40 +412,9 @@ def run_report(disc: MhdDiscretization, n_max: int,
          "last_gap": float(gaps[-1]) if gaps.size else None},
         [(np.diff(gaps), 0.0, ">", None)]))
 
-    subspace = spectral_subspace(block, marks.c_tilde)
-    graph = graph_test(subspace)
-    k_op = angular_operator(subspace)
-    checks.append(judge(
-        "mhd/angular-operator", CODIM_ANCHOR, {"alpha": marks.c_tilde},
-        {"graph_verdict": graph.verdict, "sigma_min": graph.sigma_min,
-         "k_norm": k_op.norm, "codim": k_op.codim, "kappa": marks.kappa},
-        [(graph.verdict, GRAPH, "==", None), (k_op.codim, marks.kappa, "==", None)]))
-
-    riesz = riesz_check(block, subspace, k_op)
-    checks.append(judge(
-        "mhd/riesz-bounds", RIESZ_ANCHOR, {},
-        {"gram_min": riesz.gram_min, "gram_max": riesz.gram_max,
-         "riesz_lower": riesz.riesz_lower},
-        riesz_tol=(RIESZ_TOL, riesz_bounds(riesz))))
-
-    n_decay = min(n_max, marks.rungs)
-    if n_decay >= 1:
-        decay = projection_decay(block, n_decay, rb=rb)
-        # ||E - F_n|| -> 0 read at finite n: within the bound and decreasing
-        checks.append(judge(
-            "mhd/projection-decay", DECAY_ANCHOR, {"n_max": n_decay},
-            {"norms": decay.norms, "deltas": [r.delta for r in decay.records],
-             "m_constant": decay.m_constant},
-            [(decay.decreasing, True, "==", None)],
-            slack=(SLACK, decay_bounds(decay))))
-
-        bari = bari_sum(block, n_decay)
-        # no comparison yet: a finite sum of squares is finite
-        checks.append(judge(
-            "mhd/bari-sums",
-            "sum ||y_{kappa+n} - x_n||^2 < inf; sum 1/(mu_{n+1} - mu_n)^2 < inf",
-            {"n_max": n_decay},
-            {"terms": [r.term for r in bari.records],
-             "partial_sum": float(bari.partial_sums[-1]),
-             "gap_sum": bari.gap_sum, "converged": bari.converged}))
+    checks.append(_angular_operator(angular(block, rb, None), marks))
+    renamed = {"basis/riesz": "mhd/riesz-bounds", "basis/bari": "mhd/bari-sums"}
+    for check in basis(block, rb, n_max):
+        checks.append(_projection_decay(check) if check.name == "basis/decay"
+                      else replace(check, name=renamed[check.name]))
     return checks

@@ -120,12 +120,12 @@ def judge(name: str, anchor: str, inputs: dict, outputs: dict,
 
 
 def aggregate(name: str, anchor: str, outputs: dict, found,
-              comparisons=()) -> Check:
+              comparisons=(), inputs=None) -> Check:
     """A check over builder checks: it fails when one of them failed or one
     of ``comparisons`` fails; its margin is the smallest of theirs and its
     tolerances are theirs."""
     failed = sum(check.status == FAIL for check in found)
-    check = judge(name, anchor, {}, outputs,
+    check = judge(name, anchor, inputs or {}, outputs,
                   [(failed, 0, "==", None), *comparisons])
     check.margin = min((c.margin for c in found if c.margin is not None),
                        default=None)

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .basis import aligned_term, bari_sum, projection_decay, riesz_check
+from .basis import aligned_term, riesz_check
 from .blocks import (
     BlockOperatorMatrix,
     RelativeBound,
@@ -27,6 +27,7 @@ from .blocks import (
 )
 from .checks import (
     DIST_ANCHOR,
+    basis,
     dim_bracket,
     resolvent_intervals,
     riesz_bounds,
@@ -474,8 +475,8 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
             continue
         examined += 1
         try:
-            sub = spectral_subspace(block, marks.c_tilde)
-            k_op = angular_operator(sub)
+            sub = block.graph_subspace
+            k_op = sub.angular
         except NotAGraphError:
             codim_fail += 1
             continue
@@ -567,31 +568,17 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
 
 
 def basis_suite(rng, count: int = 60) -> list[Check]:
-    norms, bounds, terms, limits = [], [], [], []
+    decays, baris = [], []
     phase_worst = 0.0
     for _ in range(count):
-        block, rb, c = separated_block(rng)
-        try:
-            marks = block.landmarks
-        except HypothesisError:
+        block, rb, _ = separated_block(rng)
+        found = basis(block, rb, 4)[1:]  # past basis/riesz: decay and Bari
+        if len(found) < 2 or any(c.status == NOT_APPLICABLE for c in found):
             continue
-        n_avail = min(marks.rungs, 4)
-        if n_avail < 1:
-            continue
-        try:
-            decay = projection_decay(block, n_avail, rb=rb)
-            bari = bari_sum(block, n_avail)
-        except HypothesisError:
-            continue
-        # the rungs the chain of bounds covers: delta < 1, one mu inside
-        for b_rec, d_rec in zip(bari.records, decay.records):
-            if d_rec.delta < 1.0 and d_rec.a_points_inside == 1:
-                norms.append(d_rec.proj_diff_norm)
-                bounds.append(d_rec.bound)
-                terms.append(b_rec.term)
-                limits.append((2.0 * d_rec.bound) ** 2)
+        decays.append(found[0])
+        baris.append(found[1])
         # Alignment invariance under a random phase.
-        cols = block.eig_a.vectors[:, [marks.kappa]]
+        cols = block.eig_a.vectors[:, [block.landmarks.kappa]]
         x = rng.normal(size=block.n1) + 1j * rng.normal(size=block.n1)
         x = x / np.linalg.norm(x)
         try:
@@ -601,21 +588,20 @@ def basis_suite(rng, count: int = 60) -> list[Check]:
         except HypothesisError:
             continue
         phase_worst = max(phase_worst, abs(base - rotated))
-    decay = (norms, bounds, "<=", 1.0)
-    term = (terms, limits, "<=", 1.0)
+    checked = sum(len(check.outputs["claimed"]) for check in decays)
     return [
-        judge(
+        aggregate(
             "basis-analysis/decay-bound",
             "||E - F_n|| <= (gamma_n / dist[circle, sigma(A)]) "
             "delta_n/(1 - delta_n)",
-            {}, {"checked": len(norms),
-                 "failures": int(np.sum(~holds(decay, SLACK)))},
-            [(len(norms), 0, ">", None)], slack=(SLACK, [decay])),
-        judge(
+            {"checked": checked,
+             "failures": sum(check.status == FAIL for check in decays)},
+            decays, [(checked, 0, ">", None)]),
+        aggregate(
             "basis-analysis/bari-terms",
             "||y_{kappa+n} - x_n||² <= (2 M delta_n/(1 - delta_n))²",
-            {}, {"term_failures": int(np.sum(~holds(term, SLACK)))},
-            slack=(SLACK, [term])),
+            {"term_failures": sum(check.status == FAIL for check in baris)},
+            baris),
         judge(
             "basis-analysis/phase-invariance",
             "||y - x|| is invariant under x -> e^{i theta} x",
@@ -701,7 +687,7 @@ def fixture_suite() -> list[Check]:
     rb = minimal_b_for_a(block, 0.0)
     spec_a = block.eig_a.eigenvalues
     delta6 = delta_condition(6.0, marks.c, spec_a, rb)
-    k_op = angular_operator(spectral_subspace(block, marks.c_tilde))
+    k_op = block.graph_subspace.angular
 
     # The guarded landmark instance: kappa confirmed 0 by the direct
     # 2x2 Schur evaluation.

@@ -67,6 +67,11 @@ class GraphSubspace:
         return np.linalg.svd(_solver_input(self.basis_first),
                              full_matrices=False)
 
+    @cached_property
+    def angular(self) -> AngularOperator:
+        """angular_operator(self), computed once; an error is not cached."""
+        return angular_operator(self)
+
     def stacked(self) -> np.ndarray:
         return np.vstack((self.basis_first, self.basis_second))
 

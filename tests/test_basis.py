@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ import mpmath
 
 from specblock.basis import DecayRecord, DecayReport, projector_distance
 from specblock.blocks import assemble, best_relative_bound, schur_complement
-from specblock.checks import decay_bounds, riesz_bounds
+from specblock import checks, mhd
+from specblock.basis import BariRecord, BariReport
+from specblock.checks import bari_bounds, decay_bounds, riesz_bounds
 from specblock.linalg import Interval, hermitian_eig
 from specblock.mhd import discretize, profile_from_functions
 from specblock.problems import load_problem
@@ -443,12 +447,13 @@ def test_bari_terms_match_dense_projectors(make_blocks):
     assert checked >= 4
 
 
-def decay_report(*records):
-    """DecayReport from (norm, delta, bound) triples."""
+def decay_report(*records, inside=1):
+    """DecayReport from (norm, delta, bound) triples, each circle holding
+    ``inside`` points of sigma(A)."""
     return DecayReport(records=tuple(
         DecayRecord(n=n, lam=0.0, mu=0.0, gamma=1.0, delta=delta,
                     proj_diff_norm=norm, bound=bound, circle_dist_a=1.0,
-                    a_points_inside=1)
+                    a_points_inside=inside)
         for n, (norm, delta, bound) in enumerate(records, start=1)),
         m_constant=1.0)
 
@@ -461,8 +466,10 @@ class TestVerdictRules:
         ([1e-3, 2e-3], False),
     ])
     def test_decreasing(self, norms, decreasing):
-        rep = decay_report(*[(x, 0.5, 1.0) for x in norms])
-        assert rep.decreasing is decreasing
+        # mhd/projection-decay is basis/decay plus this finite-N rule
+        check = mhd._projection_decay(judge("basis/decay", "", {},
+                                            {"norms": norms}))
+        assert (check.status == PASS) is decreasing
 
     @pytest.mark.parametrize("record, within", [
         ((1.0, 0.5, 1.0), True),
@@ -479,3 +486,52 @@ class TestVerdictRules:
             assert (check.status == PASS) is within
             # an infinite bound bounds nothing, so it sets no margin
             assert check.margin is None or (check.margin >= 0.0) is within
+
+    def test_decay_bound_needs_one_point_inside(self):
+        # a circle around two points of sigma(A) claims nothing
+        for inside in (0, 2):
+            rep = decay_report((5.0, 0.5, 1.0), inside=inside)
+            assert decay_bounds(rep) == [([], [], "<=", 1.0)]
+
+    @pytest.mark.parametrize("term, delta, inside, within", [
+        (1.0, 0.5, 1, True),                  # (2 * 0.5)^2 = 1
+        (1.0 + 0.5 * SLACK, 0.5, 1, True),
+        (1.0 + 2.0 * SLACK, 0.5, 1, False),
+        (5.0, 1.0, 1, True),                  # delta >= 1 claims nothing
+        (5.0, 0.5, 2, True),                  # two points inside: nothing
+    ])
+    def test_bari_terms(self, term, delta, inside, within):
+        decay = decay_report((0.0, 0.0, 0.0), (0.1, delta, 0.5), inside=inside)
+        bari = BariReport(records=(BariRecord(n=1, lam=0.0, mu=0.0, term=0.0),
+                                   BariRecord(n=2, lam=0.0, mu=0.0, term=term)),
+                          partial_sums=np.cumsum([0.0, term]), gap_sum=1.0,
+                          converged=False)
+        check = judge("basis/bari", "", {}, {},
+                      slack=(SLACK, bari_bounds(decay, bari)))
+        assert (check.status == PASS) is within
+        assert check.margin is None or (check.margin >= 0.0) is within
+
+
+GOLDEN_BLOCK = Path(__file__).parent / "data" / "golden_block.json"
+
+
+def test_basis_bari_fails_when_a_term_exceeds_its_limit(monkeypatch):
+    problem = load_problem(GOLDEN_BLOCK)
+    block = problem.block
+    rb = problem.rb or best_relative_bound(block)
+    found = {c.name: c for c in checks.basis(block, rb, 8)}
+    decay, bari = found["basis/decay"], found["basis/bari"]
+    assert decay.outputs["claimed"] and bari.status == PASS
+    assert bari.margin is not None and bari.margin >= 0.0
+    n = decay.outputs["claimed"][0]
+    limit = (2.0 * decay.outputs["bounds"][n - 1]) ** 2
+    real = bari_sum(block, 8)
+
+    def inflated(block, n_max):
+        records = list(real.records)
+        records[n - 1] = replace(records[n - 1], term=2.0 * limit)
+        return replace(real, records=tuple(records))
+
+    monkeypatch.setattr(checks, "bari_sum", inflated)
+    failed = {c.name: c for c in checks.basis(block, rb, 8)}["basis/bari"]
+    assert failed.status == "fail" and failed.margin < 0.0

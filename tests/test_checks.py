@@ -15,7 +15,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from specblock import BlockOperatorMatrix, RelativeBound, checks, cli, selftest
+from specblock import BlockOperatorMatrix, RelativeBound, checks, cli, mhd, selftest
+from specblock.basis import aligned_term, bari_sum, projection_decay
 from specblock.blocks import assemble, minimal_b_for_a, schur_complement
 from specblock.checks import variational_ladder
 from specblock.enclosures import (
@@ -37,10 +38,12 @@ from specblock.mhd import (
     constant_profile,
     constants,
     discretize,
+    profile_from_functions,
     run_report,
     trial_space,
 )
-from specblock.report import PASS
+from specblock.report import FAIL, NOT_APPLICABLE, PASS, judge, not_applicable
+from specblock.subspaces import INDETERMINATE, GraphTest
 from specblock.tolerance import SLACK, SOQ_MARGIN_REL
 
 
@@ -251,16 +254,60 @@ def reference_schur_suite(rng, count):
             "scan_points": scanned, "worst_converse_dist": worst_converse}, ok
 
 
+def reference_basis_suite(rng, count):
+    """The decay bound and the Bari term rung by rung, on every rung with
+    delta < 1 and one point of sigma(A) inside the circle, and the phase
+    invariance on the instances where both were computed."""
+    decay_gaps, term_gaps = [], []
+    phase_worst = 0.0
+    for _ in range(count):
+        block, rb, _ = selftest.separated_block(rng)
+        try:
+            marks = block.landmarks
+        except HypothesisError:
+            continue
+        n_avail = min(marks.rungs, 4)
+        if n_avail < 1:
+            continue
+        try:
+            decay = projection_decay(block, n_avail, rb=rb)
+            bari = bari_sum(block, n_avail)
+        except HypothesisError:
+            continue
+        for b_rec, d_rec in zip(bari.records, decay.records):
+            if d_rec.delta < 1.0 and d_rec.a_points_inside == 1:
+                limit = 2.0 * d_rec.bound
+                decay_gaps.append(d_rec.bound + SLACK - d_rec.proj_diff_norm)
+                term_gaps.append(limit * limit + SLACK - b_rec.term)
+        cols = block.eig_a.vectors[:, [marks.kappa]]
+        x = rng.normal(size=block.n1) + 1j * rng.normal(size=block.n1)
+        x = x / np.linalg.norm(x)
+        try:
+            base, _ = aligned_term(x, cols)
+            rotated, _ = aligned_term(np.exp(1j * rng.uniform(0, 2 * np.pi)) * x,
+                                      cols)
+        except HypothesisError:
+            continue
+        phase_worst = max(phase_worst, abs(base - rotated))
+    return [{"checked": len(decay_gaps),
+             "failures": sum(gap < 0.0 for gap in decay_gaps),
+             "margin": min(decay_gaps, default=None)},
+            {"term_failures": sum(gap < 0.0 for gap in term_gaps),
+             "margin": min(term_gaps, default=None)},
+            {"worst_gap": phase_worst, "margin": 1e-12 - phase_worst}]
+
+
 SUITES = [
     (selftest.window_suite, reference_window_suite),
     (selftest.dim_check_suite, reference_dim_check_suite),
     (selftest.variational_suite, reference_variational_suite),
+    (selftest.basis_suite, reference_basis_suite),
 ]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("suite, reference", SUITES,
-                         ids=["window", "dim-check", "variational"])
+                         ids=["window", "dim-check", "variational", "basis"])
 def test_suite_matches_the_per_point_reference(suite, reference, seed):
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     checks = suite(rng, count=30)
@@ -345,6 +392,62 @@ def test_selftest_mhd_checks_are_run_report_checks(monkeypatch):
         assert suite[name] == replace(pipeline[source], name=name)
     assert suite["mhd/bari-ratio"].outputs["terms"] \
         == pipeline["mhd/bari-sums"].outputs["terms"]
+
+
+@pytest.mark.parametrize("profile", [
+    constant_profile(grid_n=65),
+    profile_from_functions(lambda x: 1.0 + x, lambda x: 1.0 + 0.5 * np.sin(np.pi * x),
+                           1.0, 1.0, 1.0, g=0.3, grid_n=65),
+    constant_profile(grid_n=33, g=1e100),  # projection decay not applicable
+], ids=["constant", "linear-sinusoidal", "huge-g"])
+def test_mhd_checks_are_the_builders_checks(profile):
+    """Three MHD checks are checks.basis's on the same discretization,
+    renamed and otherwise equal; mhd/angular-operator reads checks.angular
+    at c~."""
+    disc = discretize(profile, 64 if profile.g < 1.0 else 16)
+    a, b, _ = constants(profile)
+    pipeline = {check.name: check for check in run_report(disc, 6)}
+    built = {check.name: check
+             for check in checks.basis(disc.block, RelativeBound(a, b), 6)}
+    for source, name in (("basis/riesz", "mhd/riesz-bounds"),
+                         ("basis/decay", "mhd/projection-decay"),
+                         ("basis/bari", "mhd/bari-sums")):
+        assert pipeline[name] == replace(built[source], name=name)
+    angular = checks.angular(disc.block, RelativeBound(a, b), None)
+    assert [c.name for c in angular][-1] == "angular/codim-kappa"
+    operator = pipeline["mhd/angular-operator"]
+    assert operator.status == angular[-1].status == PASS
+    assert operator.outputs["k_norm"] == angular[2].outputs["norm"]
+    assert operator.outputs["kappa"] == angular[-1].outputs["kappa"]
+
+
+def test_mhd_angular_operator_follows_the_angular_checks(m3):
+    passed = judge("angular/codim-kappa", "", {}, {"codim": 0, "kappa": 0},
+                   [(0, 0, "==", None)])
+    failed = judge("angular/operator", "", {}, {}, [(1.0, 0.0, "<=", 1.0)])
+    stopped = not_applicable("angular/operator", "", "no angular operator")
+    delta = not_applicable("angular/delta", "", "delta >= 1/2")
+    marks = m3.landmarks
+    assert mhd._angular_operator([delta, passed], marks).status == PASS
+    check = mhd._angular_operator([failed], marks)
+    assert check.status == FAIL and check.outputs["kappa"] == marks.kappa
+    check = mhd._angular_operator([delta, stopped], marks)
+    assert check.status == NOT_APPLICABLE
+    assert check.outputs["reason"] == "no angular operator"
+
+
+def test_indeterminate_graph_test_fails_under_the_delta_condition(
+        m3, monkeypatch):
+    # sigma_min between INDETERMINATE_TOL and GRAPH_TOL decides nothing,
+    # unless delta < 1/2 proves the subspace a graph
+    monkeypatch.setattr(checks, "graph_test", lambda sub: GraphTest(
+        verdict=INDETERMINATE, sigma_min=5e-9))
+    rb = minimal_b_for_a(m3, 0.0)
+    for alpha, delta, status in ((6.0, 1.0 / 14.0, FAIL),
+                                 (2.5, 8.0 / 7.0, NOT_APPLICABLE)):
+        found = {c.name: c for c in checks.angular(m3, rb, alpha)}
+        assert found["angular/delta"].outputs["delta"] == pytest.approx(delta)
+        assert found["angular/graph"].status == status
 
 
 def test_cli_builds_no_check():

@@ -381,6 +381,20 @@ class TestBasisSoqMhd:
         assert names["mhd/bari-sums"]["inputs"]["n_max"] == 2
         assert names["mhd/projection-decay"]["inputs"]["n_max"] == 2
 
+    @pytest.mark.parametrize("g", [1e20, 1e50, 1e100, 1e150])
+    def test_mhd_huge_g_decay_not_applicable(self, tmp_path, capsys, g):
+        # The huge coupling collides the rungs under assembled_tol: the
+        # projection decay claims nothing, and the report goes on.
+        path = write_problem(tmp_path, "mhd.json",
+                             {"mhd": dict(MHD_PROBLEM["mhd"], g=g)})
+        code, rep = run_to_file(tmp_path, ["mhd", "--input", path, "--n", "16"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        decay, = [c for c in rep["checks"]
+                  if c["name"] == "mhd/projection-decay"]
+        assert decay["status"] == "not-applicable"
+        assert "collides with a neighbour" in decay["outputs"]["reason"]
+
     def test_mhd_command_requires_profile(self, tmp_path, capsys):
         path = write_problem(tmp_path, "m3.json", M3_PROBLEM)
         assert main(["mhd", "--input", path]) == 2

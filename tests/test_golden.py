@@ -101,13 +101,12 @@ def test_pinned_runs(golden_run, name):
     assert verdicts(*golden_run(name)) == GOLDEN[name]
 
 
-# Pass/fail checks without a margin: counts, and the Bari sums, which have
-# no comparison yet.
+# Pass/fail checks without a margin: counts.
 NO_MARGIN = {
-    "angular/codim-kappa", "dim-check/bracket", "basis/bari",
-    "mhd/essential-bands", "mhd/gap-growth", "mhd/angular-operator",
-    "mhd/bari-sums", "enclosures/dim-check", "invariant-subspace/codim-kappa",
-    "invariant-subspace/delta-soundness", "mhd/codim-kappa",
+    "angular/codim-kappa", "dim-check/bracket", "mhd/essential-bands",
+    "mhd/gap-growth", "mhd/angular-operator", "enclosures/dim-check",
+    "invariant-subspace/codim-kappa", "invariant-subspace/delta-soundness",
+    "mhd/codim-kappa",
 }
 
 
@@ -203,3 +202,24 @@ def test_run_report_validates_a_and_c_once_per_call(monkeypatch):
     assert count_forms(seen, targets) == {"A": 1, "C": 1}
     run_report(discretize(profile, 32), 4)
     assert count_forms(seen, targets) == {"A": 2, "C": 2}
+
+
+def test_run_report_factors_the_first_component_block_once_per_call(
+        monkeypatch):
+    # The angular and basis checks share the block's subspace above c~ and
+    # its thin SVD (GraphSubspace.first_svd).
+    profile, _ = block_forms()
+    first = discretize(profile, 32).block.graph_subspace.basis_first
+    targets = {"U": [first, first.real]}
+    seen = []
+    svd = np.linalg.svd
+
+    def recording(mat, *args, **kwargs):
+        seen.append(np.array(mat, copy=True))
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    run_report(discretize(profile, 32), 4)
+    assert count_forms(seen, targets) == {"U": 1}
+    run_report(discretize(profile, 32), 4)
+    assert count_forms(seen, targets) == {"U": 2}
