@@ -4,9 +4,10 @@ Each builder takes a block and what the command resolved for it (the relative
 bound (a, b) in force, a cut point, a rung count, a trial space) and returns
 the checks of one family.  ``cli.cmd_enclose`` concatenates the ENCLOSE
 builders in that order; ``cli.cmd_angular``, ``cmd_basis`` and ``cmd_soq``
-return ``angular``, ``basis`` and ``soq``.  The selftest aggregates the same
-checks over its random instances.  ``mhd.run_report`` reports ``angular`` and
-``basis`` under MHD names and builds its other checks on the anchors here.
+return ``angular``, ``basis`` (``riesz`` and ``decay_and_bari``) and ``soq``.
+The selftest aggregates the same checks over its random instances, and
+``mhd.run_report`` reports ``angular_at_c_tilde`` (the angular checks at c~
+as one) and ``basis`` under MHD names, its other checks on the anchors here.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .enclosures import (
     variational_bounds,
 )
 from .errors import ArgumentError, HypothesisError
-from .report import Check, holds, judge, not_applicable
+from .report import FAIL, PASS, Check, holds, judge, not_applicable
 from .subspaces import GRAPH, delta_condition, graph_test, spectral_subspace
 from .tolerance import (
     GRAPH_RESIDUAL_TOL,
@@ -275,20 +276,20 @@ def angular(block: BlockOperatorMatrix, rb: RelativeBound,
     except HypothesisError as exc:
         checks.append(not_applicable("angular/delta", DELTA_ANCHOR, str(exc)))
 
+    at_c_tilde = marks is not None and alpha == marks.c_tilde
     try:
-        sub = (block.graph_subspace if marks is not None and alpha == marks.c_tilde
-               else spectral_subspace(block, alpha))
+        sub = block.graph_subspace if at_c_tilde else spectral_subspace(block, alpha)
     except (HypothesisError, ArgumentError) as exc:
         checks.append(not_applicable("angular/graph", GRAPH_ANCHOR, str(exc)))
         return checks
     graph = graph_test(sub)
-    # graph_test's rule; delta < 1/2 makes an indeterminate sigma_min fail
+    # graph_test's rule; at c~ and under delta < 1/2 only a graph passes
     checks.append(judge(
         "angular/graph", GRAPH_ANCHOR, {"alpha": alpha},
         {"verdict": graph.verdict, "sigma_min": graph.sigma_min,
          "dim": sub.dim},
         [(graph.sigma_min, GRAPH_TOL, ">", 1.0)],
-        applies=graph.verdict == GRAPH or sufficient))
+        applies=graph.verdict == GRAPH or sufficient or at_c_tilde))
     try:
         k_op = sub.angular
     except HypothesisError as exc:
@@ -312,31 +313,50 @@ def angular(block: BlockOperatorMatrix, rb: RelativeBound,
     return checks
 
 
-def basis(block: BlockOperatorMatrix, rb: RelativeBound,
-          n_max: int) -> list[Check]:
-    """Riesz frame bounds, and the decay bound and Bari terms on the claimed
-    rungs among the first n_max above c (fewer when the ladder is shorter)."""
-    try:
-        marks = block.landmarks
-    except HypothesisError as exc:
-        return [not_applicable("basis/landmarks", LANDMARKS_ANCHOR, str(exc))]
-    n_avail = min(n_max, marks.rungs)
-    checks = []
+def angular_at_c_tilde(block: BlockOperatorMatrix, rb: RelativeBound) -> Check:
+    """The angular checks at c~ as one: it fails when one of them failed,
+    passes when angular/codim-kappa passed, and does not apply otherwise."""
+    found = angular(block, rb, None)
+    failed = sum(check.status == FAIL for check in found)
+    last = found[-1]  # angular/codim-kappa, or the check that stopped them
+    if not failed and last.status != PASS:
+        return not_applicable("angular/c-tilde", CODIM_ANCHOR,
+                              last.outputs["reason"])
+    marks = block.landmarks
+    out = {key: value for check in found for key, value in check.outputs.items()}
+    return judge("angular/c-tilde", CODIM_ANCHOR, {"alpha": marks.c_tilde}, {
+        "graph_verdict": out.get("verdict"), "sigma_min": out.get("sigma_min"),
+        "k_norm": out.get("norm"), "codim": out.get("codim"),
+        "kappa": marks.kappa}, [(failed, 0, "==", None)])
+
+
+def riesz(block: BlockOperatorMatrix) -> list[Check]:
+    """Riesz frame bounds of the first components of the vectors above c~."""
     try:
         sub = block.graph_subspace
         rep = riesz_check(block, sub, sub.angular)
-        checks.append(judge(
-            "basis/riesz", RIESZ_ANCHOR, {"dim": sub.dim, "kappa": marks.kappa},
-            {"gram_min": rep.gram_min, "gram_max": rep.gram_max,
-             "riesz_lower": rep.riesz_lower, "k_norm": rep.k_norm},
-            riesz_tol=(RIESZ_TOL, riesz_bounds(rep))))
     except (HypothesisError, ArgumentError) as exc:
-        checks.append(not_applicable("basis/riesz", RIESZ_ANCHOR, str(exc)))
+        return [not_applicable("basis/riesz", RIESZ_ANCHOR, str(exc))]
+    return [judge(
+        "basis/riesz", RIESZ_ANCHOR,
+        {"dim": sub.dim, "kappa": block.landmarks.kappa},
+        {"gram_min": rep.gram_min, "gram_max": rep.gram_max,
+         "riesz_lower": rep.riesz_lower, "k_norm": rep.k_norm},
+        riesz_tol=(RIESZ_TOL, riesz_bounds(rep)))]
 
+
+def decay_and_bari(block: BlockOperatorMatrix, rb: RelativeBound,
+                   n_max: int) -> list[Check]:
+    """The decay bound and the Bari terms on the claimed rungs among the first
+    n_max above c (fewer when the ladder is shorter)."""
+    try:
+        n_avail = min(n_max, block.landmarks.rungs)
+    except HypothesisError as exc:
+        return [not_applicable("basis/decay", DECAY_ANCHOR, str(exc))]
     if n_avail < 1:
-        checks.append(not_applicable("basis/decay", DECAY_ANCHOR,
-                                     "no eigenvalues above c to track"))
-        return checks
+        return [not_applicable("basis/decay", DECAY_ANCHOR,
+                               "no eigenvalues above c to track")]
+    checks = []
     decay = DecayReport(records=(), m_constant=0.0)  # claims no rung
     try:
         decay = projection_decay(block, n_avail, rb=rb)
@@ -361,6 +381,16 @@ def basis(block: BlockOperatorMatrix, rb: RelativeBound,
     except HypothesisError as exc:
         checks.append(not_applicable("basis/bari", BARI_ANCHOR, str(exc)))
     return checks
+
+
+def basis(block: BlockOperatorMatrix, rb: RelativeBound,
+          n_max: int) -> list[Check]:
+    """``riesz`` and ``decay_and_bari``; one check without landmarks."""
+    try:
+        block.landmarks
+    except HypothesisError as exc:
+        return [not_applicable("basis/landmarks", LANDMARKS_ANCHOR, str(exc))]
+    return riesz(block) + decay_and_bari(block, rb, n_max)
 
 
 def soq(block: BlockOperatorMatrix, q: np.ndarray, bracket) -> list[Check]:

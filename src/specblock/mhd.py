@@ -26,16 +26,14 @@ import numpy as np
 from .blocks import (
     BlockOperatorMatrix,
     RelativeBound,
-    SpectralLandmarks,
     minimal_b_for_a,
     relative_bound_margin,
 )
-from .checks import CODIM_ANCHOR, DIST_ANCHOR, VAR_ANCHOR, angular, basis
+from .checks import DIST_ANCHOR, VAR_ANCHOR, angular_at_c_tilde, basis
 from .enclosures import dist_bound, variational_bounds
 from .errors import ArgumentError, HypothesisError, ProfileError
 from .linalg import Interval, hermitian_eigvals
-from .report import (FAIL, NOT_APPLICABLE, PASS, Check, aggregate, judge,
-                     not_applicable)
+from .report import NOT_APPLICABLE, Check, aggregate, judge
 from .tolerance import ZERO_DECAY, scalar_tol
 
 __all__ = [
@@ -300,21 +298,6 @@ def trial_space(disc: MhdDiscretization, m: int) -> np.ndarray:
     return q.astype(complex)
 
 
-def _angular_operator(found: list[Check], marks: SpectralLandmarks) -> Check:
-    """The angular checks at c~ as one: it fails when one of them failed,
-    passes when codim = kappa passed, and does not apply otherwise."""
-    failed = sum(check.status == FAIL for check in found)
-    last = found[-1]  # angular/codim-kappa, or the check that stopped them
-    if not failed and last.status != PASS:
-        return not_applicable("mhd/angular-operator", CODIM_ANCHOR,
-                              last.outputs["reason"])
-    out = {key: value for check in found for key, value in check.outputs.items()}
-    return judge("mhd/angular-operator", CODIM_ANCHOR, {"alpha": marks.c_tilde}, {
-        "graph_verdict": out.get("verdict"), "sigma_min": out.get("sigma_min"),
-        "k_norm": out.get("norm"), "codim": out.get("codim"),
-        "kappa": marks.kappa}, [(failed, 0, "==", None)])
-
-
 def _projection_decay(decay: Check) -> Check:
     """basis/decay, read at finite N as ||E - F_n|| -> 0: the norms also
     decrease strictly, or all vanish (a decoupled problem)."""
@@ -337,7 +320,7 @@ def run_report(disc: MhdDiscretization, n_max: int,
     Returns one Check per stage.  The relative bound, landmark, distance and
     variational checks use the relative slack 10/N, since the closed-form
     constants belong to the continuum operator; the last four stages are
-    ``checks.angular`` at c~ and ``checks.basis`` with the closed-form
+    ``checks.angular_at_c_tilde`` and ``checks.basis`` with the closed-form
     (a, b).  ``specblock mhd`` and the selftest both run it.
     """
     checks: list[Check] = []
@@ -412,9 +395,9 @@ def run_report(disc: MhdDiscretization, n_max: int,
          "last_gap": float(gaps[-1]) if gaps.size else None},
         [(np.diff(gaps), 0.0, ">", None)]))
 
-    checks.append(_angular_operator(angular(block, rb, None), marks))
-    renamed = {"basis/riesz": "mhd/riesz-bounds", "basis/bari": "mhd/bari-sums"}
-    for check in basis(block, rb, n_max):
+    renamed = {"angular/c-tilde": "mhd/angular-operator",
+               "basis/riesz": "mhd/riesz-bounds", "basis/bari": "mhd/bari-sums"}
+    for check in [angular_at_c_tilde(block, rb), *basis(block, rb, n_max)]:
         checks.append(_projection_decay(check) if check.name == "basis/decay"
                       else replace(check, name=renamed[check.name]))
     return checks

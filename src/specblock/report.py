@@ -111,8 +111,9 @@ def judge(name: str, anchor: str, inputs: dict, outputs: dict,
         for comparison in group:
             good, gap = _evaluate(comparison, amount)
             ok = ok and bool(np.all(good))
-            if gap is not None:  # NaN distances bound nothing
-                margin = min(margin, float(np.nanmin(gap, initial=math.inf)))
+            if gap is not None:  # fmin skips NaN distances: they bound nothing
+                margin = min(margin, float(np.fmin.reduce(np.ravel(gap),
+                                                          initial=math.inf)))
     return Check(name=name, anchor=anchor, inputs=inputs, outputs=outputs,
                  status=(PASS if ok else FAIL) if applies else NOT_APPLICABLE,
                  tolerances={kind: amount for kind, (amount, _) in slack.items()},

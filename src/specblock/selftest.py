@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .basis import aligned_term, riesz_check
+from .basis import aligned_term
 from .blocks import (
     BlockOperatorMatrix,
     RelativeBound,
@@ -27,10 +27,11 @@ from .blocks import (
 )
 from .checks import (
     DIST_ANCHOR,
-    basis,
+    angular_at_c_tilde,
+    decay_and_bari,
     dim_bracket,
     resolvent_intervals,
-    riesz_bounds,
+    riesz,
     soq,
     variational_ladder,
     windows,
@@ -42,7 +43,7 @@ from .enclosures import (
     resolvent_pairs,
     soq_bracket,
 )
-from .errors import ArgumentError, HypothesisError, NotAGraphError
+from .errors import ArgumentError, HypothesisError
 from .linalg import (
     Interval,
     general_eig,
@@ -65,10 +66,10 @@ from .mhd import (
 from .report import (
     FAIL,
     NOT_APPLICABLE,
+    PASS,
     Check,
     Report,
     aggregate,
-    holds,
     judge,
 )
 from .subspaces import (
@@ -79,7 +80,7 @@ from .subspaces import (
     shifted_matrix,
     spectral_subspace,
 )
-from .tolerance import RIESZ_TOL, SLACK
+from .tolerance import SLACK
 
 __all__ = ["run", "random_block", "separated_block", "ladder_block"]
 
@@ -451,16 +452,9 @@ def soq_suite(rng, disc64: MhdDiscretization,
 
 
 def subspace_suite(rng, count: int = 300) -> list[Check]:
-    checks = []
-    codim_fail = 0
-    riesz_errors = 0
-    frames = []
-    delta_checked = 0
-    delta_fail = 0
-    ext_worst = 0.0
-    shift_worst = 0.0
-    skipped = 0
-    examined = 0
+    checks, riesz_found = [], []
+    codim_fail = delta_checked = delta_fail = skipped = examined = 0
+    ext_worst = shift_worst = 0.0
     for idx in range(count):
         if idx % 4 == 3:
             block = ladder_block(rng)
@@ -474,23 +468,19 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
             skipped += 1
             continue
         examined += 1
-        try:
-            sub = block.graph_subspace
-            k_op = sub.angular
-        except NotAGraphError:
-            codim_fail += 1
-            continue
-        if k_op.codim != marks.kappa:
-            codim_fail += 1
-        try:
-            frames.append(riesz_bounds(riesz_check(block, sub, k_op)))
-        except Exception:
-            riesz_errors += 1
+        rb = minimal_b_for_a(block, 0.0)
+        at_c_tilde = angular_at_c_tilde(block, rb)
+        codim_fail += at_c_tilde.status != PASS
+        if at_c_tilde.outputs.get("k_norm") is None:
+            continue  # no K_c: the subspace above c~ is no graph, or none
+        k_op = block.graph_subspace.angular
+        riesz_found += riesz(block)
 
         spec_a = block.eig_a.eigenvalues
         full_spec = block.eig_m.eigenvalues
         above = full_spec[full_spec > marks.c]
-        rb = minimal_b_for_a(block, 0.0)
+        # Delta soundness runs only the graph test: checks.angular at each
+        # of the ~1,250 cuts of a run would double this suite's time.
         candidates = [0.5 * (above[i] + above[i + 1]) for i in range(len(above) - 1)]
         candidates.append(float(above[-1]) + 1.0 + float(rng.uniform(0.0, 2.0)))
         for alpha in candidates:
@@ -503,11 +493,9 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
             delta_checked += 1
             try:
                 kind = graph_test(spectral_subspace(block, float(alpha))).verdict
-            except Exception:
-                delta_fail += 1
-                continue
-            if kind != GRAPH:
-                delta_fail += 1
+            except (HypothesisError, ArgumentError):
+                kind = None
+            delta_fail += kind != GRAPH
 
         # Extension consistency: the angular operator above the first gap
         # restricts the one at c_tilde.
@@ -526,7 +514,6 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
 
         # Diagonal shift never lowers the spectral bottom.
         if block.n1 >= 2:
-            spec_full = full_spec
             lam_min_a = float(spec_a[0])
             mu = lam_min_a + float(rng.uniform(0.3, 0.9)) * max(
                 float(spec_a[-1]) - lam_min_a, 1.0)
@@ -536,21 +523,19 @@ def subspace_suite(rng, count: int = 300) -> list[Check]:
             shift_worst = max(shift_worst, (mu - tilde_a_min) / scale)
             tilde_spec = shifted.eig_m.eigenvalues
             shift_worst = max(shift_worst,
-                              (float(spec_full[0]) - float(tilde_spec[0])) / scale)
-    gram_fail = riesz_errors + sum(
-        not all(holds(bound, RIESZ_TOL) for bound in frame) for frame in frames)
+                              (float(full_spec[0]) - float(tilde_spec[0])) / scale)
+    gram_fail = sum(check.status != PASS for check in riesz_found)
     checks.append(judge(
         "invariant-subspace/codim-kappa",
         "codim(Dom(K_c)) = kappa = dim L_(-inf,0)(S(c~))",
         {}, {"examined": examined, "skipped_no_spectrum_above_c": skipped,
              "failures": codim_fail},
         [(codim_fail, 0, "==", None), (examined, 0, ">", None)]))
-    checks.append(judge(
+    checks.append(aggregate(
         "invariant-subspace/gram-bounds",
         "eigenvalues of U*U in [1/(1 + ||K||²), 1]",
-        {}, {"examined": examined, "failures": gram_fail},
-        [(riesz_errors, 0, "==", None)],
-        riesz_tol=(RIESZ_TOL, [bound for frame in frames for bound in frame])))
+        {"examined": examined, "failures": gram_fail}, riesz_found,
+        [(gram_fail, 0, "==", None)]))
     checks.append(judge(
         "invariant-subspace/delta-soundness",
         "delta < 1/2 => the subspace above alpha is a graph",
@@ -572,7 +557,7 @@ def basis_suite(rng, count: int = 60) -> list[Check]:
     phase_worst = 0.0
     for _ in range(count):
         block, rb, _ = separated_block(rng)
-        found = basis(block, rb, 4)[1:]  # past basis/riesz: decay and Bari
+        found = decay_and_bari(block, rb, 4)
         if len(found) < 2 or any(c.status == NOT_APPLICABLE for c in found):
             continue
         decays.append(found[0])

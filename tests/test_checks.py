@@ -2,9 +2,11 @@
 of the variational ladder, and where checks are built.
 
 ``reference_*`` below evaluate the window, dimension, variational and
-second-order statements point by point, independently of ``specblock.checks``.
-The selftest suites, which aggregate the checks the block commands report,
-must reproduce their outputs and margins and consume the same random stream.
+second-order statements point by point, independently of ``specblock.checks``,
+and ``reference_subspace_suite`` is the invariant-subspace suite as it was
+before it read the builders.  The selftest suites, which aggregate the checks
+the block commands report, must reproduce their outputs and margins and
+consume the same random stream.
 A margin is the least slack-inclusive distance to a limit (the aggregated
 checks compare at scale 1).
 """
@@ -15,10 +17,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from specblock import BlockOperatorMatrix, RelativeBound, checks, cli, mhd, selftest
-from specblock.basis import aligned_term, bari_sum, projection_decay
+from specblock import BlockOperatorMatrix, RelativeBound, checks, cli, selftest
+from specblock.basis import aligned_term, bari_sum, projection_decay, riesz_check
 from specblock.blocks import assemble, minimal_b_for_a, schur_complement
-from specblock.checks import variational_ladder
+from specblock.checks import riesz_bounds, variational_ladder
 from specblock.enclosures import (
     eigenvalue_window,
     exclusion_reference,
@@ -32,7 +34,12 @@ from specblock.enclosures import (
     subspace_dim_check,
     variational_bounds,
 )
-from specblock.errors import HypothesisError, LandmarkError
+from specblock.errors import (
+    ArgumentError,
+    HypothesisError,
+    LandmarkError,
+    NotAGraphError,
+)
 from specblock.linalg import hermitian_eig, operator_norm, spectral_distance
 from specblock.mhd import (
     constant_profile,
@@ -42,9 +49,26 @@ from specblock.mhd import (
     run_report,
     trial_space,
 )
-from specblock.report import FAIL, NOT_APPLICABLE, PASS, judge, not_applicable
-from specblock.subspaces import INDETERMINATE, GraphTest
-from specblock.tolerance import SLACK, SOQ_MARGIN_REL
+from specblock.report import (
+    FAIL,
+    NOT_APPLICABLE,
+    PASS,
+    holds,
+    judge,
+    not_applicable,
+)
+from specblock.subspaces import (
+    GRAPH,
+    INDETERMINATE,
+    NOT_GRAPH,
+    GraphTest,
+    angular_operator,
+    delta_condition,
+    graph_test,
+    shifted_matrix,
+    spectral_subspace,
+)
+from specblock.tolerance import RIESZ_TOL, SLACK, SOQ_MARGIN_REL
 
 
 def reference_window_suite(rng, count):
@@ -297,6 +321,130 @@ def reference_basis_suite(rng, count):
             {"worst_gap": phase_worst, "margin": 1e-12 - phase_worst}]
 
 
+def reference_subspace_suite(rng, count):
+    """The invariant-subspace suite with its own codim = kappa and Riesz
+    rules, as the selftest ran it before it read the builders."""
+    checks = []
+    codim_fail = 0
+    riesz_errors = 0
+    frames = []
+    delta_checked = 0
+    delta_fail = 0
+    ext_worst = 0.0
+    shift_worst = 0.0
+    skipped = 0
+    examined = 0
+    for idx in range(count):
+        if idx % 4 == 3:
+            block = selftest.ladder_block(rng)
+        elif idx % 4 == 2:
+            block, _, _ = selftest.separated_block(rng)
+        else:
+            block = selftest.random_block(rng)
+        try:
+            marks = block.landmarks
+        except HypothesisError:
+            skipped += 1
+            continue
+        examined += 1
+        try:
+            sub = block.graph_subspace
+            k_op = sub.angular
+        except NotAGraphError:
+            codim_fail += 1
+            continue
+        if k_op.codim != marks.kappa:
+            codim_fail += 1
+        try:
+            frames.append(riesz_bounds(riesz_check(block, sub, k_op)))
+        except (HypothesisError, ArgumentError):
+            riesz_errors += 1
+
+        spec_a = block.eig_a.eigenvalues
+        full_spec = block.eig_m.eigenvalues
+        above = full_spec[full_spec > marks.c]
+        rb = minimal_b_for_a(block, 0.0)
+        candidates = [0.5 * (above[i] + above[i + 1])
+                      for i in range(len(above) - 1)]
+        candidates.append(float(above[-1]) + 1.0 + float(rng.uniform(0.0, 2.0)))
+        for alpha in candidates:
+            try:
+                delta = delta_condition(float(alpha), marks.c, spec_a, rb)
+            except HypothesisError:
+                continue
+            if delta >= 0.5:
+                continue
+            delta_checked += 1
+            try:
+                kind = graph_test(spectral_subspace(block, float(alpha))).verdict
+            except (HypothesisError, ArgumentError):
+                delta_fail += 1
+                continue
+            if kind != GRAPH:
+                delta_fail += 1
+
+        if above.size >= 2:
+            alpha_hi = 0.5 * (float(above[0]) + float(above[1]))
+            try:
+                k_hi = angular_operator(spectral_subspace(block, alpha_hi))
+            except (HypothesisError, ArgumentError):
+                k_hi = None
+            if k_hi is not None:
+                gap = operator_norm((k_op.K - k_hi.K) @ k_hi.domain)
+                scale = max(1.0, k_op.norm, k_hi.norm)
+                ext_worst = max(ext_worst, gap / scale)
+
+        if block.n1 >= 2:
+            lam_min_a = float(spec_a[0])
+            mu = lam_min_a + float(rng.uniform(0.3, 0.9)) * max(
+                float(spec_a[-1]) - lam_min_a, 1.0)
+            shifted = shifted_matrix(block, mu)
+            tilde_a_min = float(shifted.eig_a.eigenvalues[0])
+            scale = max(1.0, abs(mu))
+            shift_worst = max(shift_worst, (mu - tilde_a_min) / scale)
+            tilde_spec = shifted.eig_m.eigenvalues
+            shift_worst = max(shift_worst,
+                              (float(full_spec[0]) - float(tilde_spec[0])) / scale)
+    gram_fail = riesz_errors + sum(
+        not all(holds(bound, RIESZ_TOL) for bound in frame) for frame in frames)
+    checks.append(judge(
+        "invariant-subspace/codim-kappa",
+        "codim(Dom(K_c)) = kappa = dim L_(-inf,0)(S(c~))",
+        {}, {"examined": examined, "skipped_no_spectrum_above_c": skipped,
+             "failures": codim_fail},
+        [(codim_fail, 0, "==", None), (examined, 0, ">", None)]))
+    checks.append(judge(
+        "invariant-subspace/gram-bounds",
+        "eigenvalues of U*U in [1/(1 + ||K||²), 1]",
+        {}, {"examined": examined, "failures": gram_fail},
+        [(riesz_errors, 0, "==", None)],
+        riesz_tol=(RIESZ_TOL, [bound for frame in frames for bound in frame])))
+    checks.append(judge(
+        "invariant-subspace/delta-soundness",
+        "delta < 1/2 => the subspace above alpha is a graph",
+        {}, {"alphas_checked": delta_checked, "failures": delta_fail},
+        [(delta_fail, 0, "==", None), (delta_checked, 0, ">", None)]))
+    checks.append(judge(
+        "invariant-subspace/extension-consistency",
+        "K_c restricted to Dom(K_alpha) agrees with K_alpha",
+        {}, {"worst_rel_gap": ext_worst},
+        rel=selftest._up_to(1e-8, ext_worst)))
+    checks.append(judge(
+        "invariant-subspace/shifted-family",
+        "A + tE((-inf, mu)) ⪰ mu I and min sigma(M~) >= min sigma(M)",
+        {}, {"worst_rel_defect": shift_worst},
+        rel=selftest._up_to(1e-9, shift_worst)))
+    return checks
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_subspace_suite_matches_its_former_rules(seed):
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert (selftest.subspace_suite(rng, count=30)
+            == reference_subspace_suite(rng_ref, count=30))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
 SUITES = [
     (selftest.window_suite, reference_window_suite),
     (selftest.dim_check_suite, reference_dim_check_suite),
@@ -401,15 +549,18 @@ def test_selftest_mhd_checks_are_run_report_checks(monkeypatch):
     constant_profile(grid_n=33, g=1e100),  # projection decay not applicable
 ], ids=["constant", "linear-sinusoidal", "huge-g"])
 def test_mhd_checks_are_the_builders_checks(profile):
-    """Three MHD checks are checks.basis's on the same discretization,
-    renamed and otherwise equal; mhd/angular-operator reads checks.angular
-    at c~."""
+    """Four MHD checks are checks.angular_at_c_tilde's and checks.basis's on
+    the same discretization, renamed and otherwise equal; the first reads
+    checks.angular at c~."""
     disc = discretize(profile, 64 if profile.g < 1.0 else 16)
     a, b, _ = constants(profile)
     pipeline = {check.name: check for check in run_report(disc, 6)}
-    built = {check.name: check
-             for check in checks.basis(disc.block, RelativeBound(a, b), 6)}
-    for source, name in (("basis/riesz", "mhd/riesz-bounds"),
+    rb = RelativeBound(a, b)
+    built = {check.name: check for check in
+             [checks.angular_at_c_tilde(disc.block, rb),
+              *checks.basis(disc.block, rb, 6)]}
+    for source, name in (("angular/c-tilde", "mhd/angular-operator"),
+                         ("basis/riesz", "mhd/riesz-bounds"),
                          ("basis/decay", "mhd/projection-decay"),
                          ("basis/bari", "mhd/bari-sums")):
         assert pipeline[name] == replace(built[source], name=name)
@@ -421,19 +572,66 @@ def test_mhd_checks_are_the_builders_checks(profile):
     assert operator.outputs["kappa"] == angular[-1].outputs["kappa"]
 
 
-def test_mhd_angular_operator_follows_the_angular_checks(m3):
+def test_mhd_angular_operator_follows_the_angular_checks(m3, monkeypatch):
+    """checks.angular_at_c_tilde, which run_report reports as
+    mhd/angular-operator, on given angular checks."""
     passed = judge("angular/codim-kappa", "", {}, {"codim": 0, "kappa": 0},
                    [(0, 0, "==", None)])
     failed = judge("angular/operator", "", {}, {}, [(1.0, 0.0, "<=", 1.0)])
     stopped = not_applicable("angular/operator", "", "no angular operator")
     delta = not_applicable("angular/delta", "", "delta >= 1/2")
     marks = m3.landmarks
-    assert mhd._angular_operator([delta, passed], marks).status == PASS
-    check = mhd._angular_operator([failed], marks)
+    rb = minimal_b_for_a(m3, 0.0)
+
+    def at_c_tilde(*found):
+        monkeypatch.setattr(checks, "angular", lambda block, rb, alpha: found)
+        return checks.angular_at_c_tilde(m3, rb)
+
+    check = at_c_tilde(delta, passed)
+    assert check.name == "angular/c-tilde" and check.status == PASS
+    check = at_c_tilde(failed)
     assert check.status == FAIL and check.outputs["kappa"] == marks.kappa
-    check = mhd._angular_operator([delta, stopped], marks)
+    check = at_c_tilde(delta, stopped)
     assert check.status == NOT_APPLICABLE
     assert check.outputs["reason"] == "no angular operator"
+
+
+@pytest.mark.parametrize("verdict, sigma_min", [(NOT_GRAPH, 0.0),
+                                                (INDETERMINATE, 5e-9)])
+def test_no_graph_at_c_tilde_fails_whatever_delta(m3, monkeypatch, verdict,
+                                                  sigma_min):
+    # the subspace above c~ is a graph by theorem; elsewhere only delta < 1/2
+    # claims one
+    monkeypatch.setattr(checks, "graph_test", lambda sub: GraphTest(
+        verdict=verdict, sigma_min=sigma_min))
+    rb = minimal_b_for_a(m3, 0.0)
+    found = {c.name: c for c in checks.angular(m3, rb, None)}
+    assert found["angular/delta"].outputs["delta"] >= 0.5
+    assert found["angular/graph"].status == FAIL
+    assert checks.angular_at_c_tilde(m3, rb).status == FAIL
+    found = {c.name: c for c in checks.angular(m3, rb, 2.5)}
+    assert found["angular/delta"].outputs["delta"] >= 0.5
+    assert found["angular/graph"].status == NOT_APPLICABLE
+    # the selftest counts every instance it examines as a codim failure
+    codim = selftest.subspace_suite(np.random.default_rng(1), count=8)[0]
+    assert codim.name == "invariant-subspace/codim-kappa"
+    assert codim.status == FAIL
+    assert codim.outputs["failures"] == codim.outputs["examined"] > 0
+
+
+def test_basis_suite_builds_no_riesz_check(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return riesz_check(*args)
+
+    monkeypatch.setattr(checks, "riesz_check", spy)
+    selftest.basis_suite(np.random.default_rng(1), count=10)
+    assert calls == []
+    block, _, _ = selftest.separated_block(np.random.default_rng(1))
+    checks.riesz(block)
+    assert len(calls) == 1
 
 
 def test_indeterminate_graph_test_fails_under_the_delta_condition(
