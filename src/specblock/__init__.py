@@ -65,7 +65,6 @@ from .subspaces import (
 )
 from .basis import (
     BariReport,
-    BasisReport,
     DecayReport,
     aligned_term,
     bari_sum,

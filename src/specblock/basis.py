@@ -1,6 +1,7 @@
 """Basis diagnostics for first components of eigenvectors above max sigma(C).
 
-Riesz frame bounds through the Gram matrix, the projection-decay comparison
+The residual of the Riccati equation of the angular operator, whose graph
+is invariant exactly when it vanishes; the projection-decay comparison
 between eigenprojectors of A and spectral projectors of the Schur complement
 (read from the eigenvectors of the assembled matrix), and Bari partial sums
 against aligned eigenvectors of A.
@@ -14,12 +15,11 @@ import numpy as np
 
 from .blocks import BlockOperatorMatrix, RelativeBound, SpectralLandmarks
 from .errors import ArgumentError, DegenerateGapError, PairingError
-from .linalg import hermitian_eigvals, operator_norm
-from .subspaces import AngularOperator, GraphSubspace
-from .tolerance import EIGVEC_RESIDUAL_REL, PAIR_TOL
+from .linalg import operator_norm
+from .subspaces import GraphSubspace
+from .tolerance import PAIR_TOL
 
 __all__ = [
-    "BasisReport",
     "DecayRecord",
     "DecayReport",
     "BariRecord",
@@ -30,16 +30,6 @@ __all__ = [
     "aligned_term",
     "bari_sum",
 ]
-
-
-@dataclass(frozen=True)
-class BasisReport:
-    """Gram-matrix frame bounds for the first components of eigenvectors."""
-
-    gram_min: float
-    gram_max: float
-    k_norm: float
-    riesz_lower: float
 
 
 @dataclass(frozen=True)
@@ -117,39 +107,32 @@ def _assembled_product(block: BlockOperatorMatrix, first: np.ndarray,
     return np.vstack((top, bottom))
 
 
-def riesz_check(block: BlockOperatorMatrix, subspace: GraphSubspace,
-                k_op: AngularOperator) -> BasisReport:
-    """Frame bounds of the first components: the extreme eigenvalues of
-    their Gram matrix and the lower bound 1/(1 + ‖K‖²) (``checks.riesz_bounds``
-    compares them).
+def riesz_check(block: BlockOperatorMatrix, subspace: GraphSubspace) -> float:
+    """The relative Riccati residual of a graph subspace,
+    rho = ||(K A - C K + K B K - B*) P||_F / (||M|| (1 + ||K||)^2), with K
+    its angular operator and P the orthonormal basis of Dom(K).
 
-    The subspace columns must be orthonormal eigenvectors of the assembled
-    matrix with eigenvalues above max sigma(C); anything else is an input
-    error.
+    The graph of K is M-invariant exactly when K solves K A - C K + K B K
+    - B* = 0 on Dom(K) (Tretter, Spectral Theory of Block Operator
+    Matrices, 2008); the angular operator and Riesz checks judge rho.  For
+    the orthonormal columns W = [U; V], R = M W - W diag(w* M w) and
+    U = P diag(s) Q*, KU = V turns the Riccati operator times U into
+    K R1 - R2, so rho is read from R without forming K A or K B K.  R is
+    divided by ||M|| = max|eigenvalue| before any norm, so rho has degree 0
+    in the scale of M, and M = 0 gives 0.  Raises NotAGraphError when the
+    subspace has no angular operator.
     """
+    k_op = subspace.angular
+    scale = float(np.max(np.abs(block.eig_m.eigenvalues)))
+    if scale == 0.0:
+        return 0.0  # M = 0: every subspace is invariant
     stacked = subspace.stacked()
-    if stacked.shape[1] == 0:
-        raise ArgumentError("subspace must contain at least one eigenvector")
-    c = block.c
-    # ‖M‖ = max|eigenvalue| for Hermitian M
-    scale = max(float(np.max(np.abs(block.eig_m.eigenvalues))), 1.0)
     mw = _assembled_product(block, subspace.basis_first, subspace.basis_second)
     rayleighs = np.real(np.sum(stacked.conj() * mw, axis=0))
-    residuals = np.linalg.norm(mw - stacked * rayleighs, axis=0)
-    for j, (rayleigh, residual) in enumerate(zip(rayleighs, residuals)):
-        if residual > EIGVEC_RESIDUAL_REL * scale:
-            raise ArgumentError(
-                f"column {j} is not an eigenvector (residual {residual:.3e})")
-        if rayleigh <= c:
-            raise ArgumentError(
-                f"column {j} has eigenvalue {rayleigh:.6g} <= c = {c:.6g}")
-    gram = subspace.basis_first.conj().T @ subspace.basis_first
-    gram_eigs = hermitian_eigvals(gram)
-    gram_min = float(gram_eigs[0])
-    gram_max = float(gram_eigs[-1])
-    riesz_lower = 1.0 / (1.0 + k_op.norm ** 2)
-    return BasisReport(gram_min=gram_min, gram_max=gram_max, k_norm=k_op.norm,
-                       riesz_lower=riesz_lower)
+    r = (mw - stacked * rayleighs) / scale
+    _, s, qh = subspace.first_svd
+    riccati = ((k_op.K @ r[:block.n1] - r[block.n1:]) @ qh.conj().T) / s
+    return float(np.linalg.norm(riccati)) / (1.0 + k_op.norm) ** 2
 
 
 def _isolation_radius(value: float, spectrum: np.ndarray) -> float:

@@ -190,6 +190,13 @@ class BlockOperatorMatrix:
         return spectral_subspace(self, self.landmarks.c_tilde)
 
     @cached_property
+    def riccati_residual(self) -> float:
+        """basis.riesz_check of graph_subspace, the invariance residual the
+        angular and basis checks at c~ read; an error is not cached."""
+        from . import basis  # basis imports blocks
+        return basis.riesz_check(self, self.graph_subspace)
+
+    @cached_property
     def coupling_in_c_basis(self) -> np.ndarray:
         """A factor W with W diag(d) W* = (B V_C) diag(d) (B V_C)* for real d.
 

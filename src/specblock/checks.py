@@ -16,7 +16,6 @@ import numpy as np
 
 from .basis import (
     BariReport,
-    BasisReport,
     DecayRecord,
     DecayReport,
     bari_sum,
@@ -41,13 +40,7 @@ from .enclosures import (
 from .errors import ArgumentError, HypothesisError
 from .report import FAIL, PASS, Check, holds, judge, not_applicable
 from .subspaces import GRAPH, delta_condition, graph_test, spectral_subspace
-from .tolerance import (
-    GRAPH_RESIDUAL_TOL,
-    GRAPH_TOL,
-    RIESZ_TOL,
-    SLACK,
-    SOQ_MARGIN_REL,
-)
+from .tolerance import EIGVEC_RESIDUAL_REL, GRAPH_TOL, SLACK, SOQ_MARGIN_REL
 
 DIST_ANCHOR = ("dist[lambda, sigma(A)] <= |a lambda + b| / "
                "(dist[lambda, sigma(C)] - a)")
@@ -62,7 +55,8 @@ SUBSPACE_ANCHOR = "L_(alpha, inf)(M) = {(x, K x)}"
 DELTA_ANCHOR = ("delta = a/(alpha - c) + |a alpha + b| / "
                 "(dist[alpha, sigma(A)] (alpha - c)) < 1/2")
 GRAPH_ANCHOR = "L_(alpha, inf)(M) is the graph of an operator"
-OP_ANCHOR = "K = V U+; codim(Dom(K)) = n1 - dim; ||K|| from the restriction"
+OP_ANCHOR = ("K = V U+; codim(Dom(K)) = n1 - dim; ||K|| from the restriction; "
+             "K A - C K + K B K - B* = 0 on Dom(K)")
 CODIM_ANCHOR = "codim(Dom(K_c)) = kappa"
 LANDMARKS_ANCHOR = "c = max sigma(C); kappa at c~"
 RIESZ_ANCHOR = ("(1 + ||K_c||^2)^{-1} sum |beta_n|^2 <= "
@@ -74,11 +68,7 @@ SOQ_ANCHOR = ("sigma(M) ∩ [Re z - |Im z|^2/(b4p - Re z), "
               "Re z + |Im z|^2/(Re z - a1p)] nonempty for admitted z")
 
 
-def riesz_bounds(rep: BasisReport) -> list[tuple]:
-    """The Riesz frame bounds 1/(1 + ||K||^2) <= gram_min and gram_max <= 1,
-    as comparisons (judged with RIESZ_TOL of slack)."""
-    return [(rep.gram_min, rep.riesz_lower, ">=", 1.0),
-            (rep.gram_max, 1.0, "<=", 1.0)]
+NO_RUNG = "no rung claimed"
 
 
 def _claimed(decay: DecayReport) -> list[DecayRecord]:
@@ -295,12 +285,13 @@ def angular(block: BlockOperatorMatrix, rb: RelativeBound,
     except HypothesisError as exc:
         checks.append(not_applicable("angular/operator", OP_ANCHOR, str(exc)))
         return checks
-    # the Frobenius norm bounds the operator norm from above
-    residual = float(np.linalg.norm(k_op.K @ sub.basis_first - sub.basis_second))
+    residual = (block.riccati_residual if at_c_tilde
+                else riesz_check(block, sub))
     checks.append(judge(
         "angular/operator", OP_ANCHOR, {"alpha": alpha},
-        {"norm": k_op.norm, "codim": k_op.codim, "graph_residual": residual},
-        graph_residual_tol=(GRAPH_RESIDUAL_TOL, [(residual, 0.0, "<=", 1.0)])))
+        {"norm": k_op.norm, "codim": k_op.codim, "riccati_residual": residual},
+        eigvec_residual_rel=(EIGVEC_RESIDUAL_REL,
+                             [(residual, 0.0, "<=", 1.0)])))
     if marks is not None and sub.dim == int(marks.lambda_above_c.size):
         checks.append(judge(
             "angular/codim-kappa", CODIM_ANCHOR, {"alpha": alpha},
@@ -326,29 +317,38 @@ def angular_at_c_tilde(block: BlockOperatorMatrix, rb: RelativeBound) -> Check:
     out = {key: value for check in found for key, value in check.outputs.items()}
     return judge("angular/c-tilde", CODIM_ANCHOR, {"alpha": marks.c_tilde}, {
         "graph_verdict": out.get("verdict"), "sigma_min": out.get("sigma_min"),
-        "k_norm": out.get("norm"), "codim": out.get("codim"),
-        "kappa": marks.kappa}, [(failed, 0, "==", None)])
+        "k_norm": out.get("norm"), "riccati_residual": out.get("riccati_residual"),
+        "codim": out.get("codim"), "kappa": marks.kappa},
+        [(failed, 0, "==", None)])
 
 
 def riesz(block: BlockOperatorMatrix) -> list[Check]:
-    """Riesz frame bounds of the first components of the vectors above c~."""
+    """The Riesz basis of the first components of the vectors above c~: it
+    holds when K_c solves its Riccati equation (block.riccati_residual).
+    Its frame bounds are outputs, s_min(U)^2 = 1/(1 + ||K_c||^2) and
+    s_max(U)^2 <= 1 for the orthonormal [U; V]."""
     try:
         sub = block.graph_subspace
-        rep = riesz_check(block, sub, sub.angular)
+        k_op = sub.angular
+        residual = block.riccati_residual
     except (HypothesisError, ArgumentError) as exc:
         return [not_applicable("basis/riesz", RIESZ_ANCHOR, str(exc))]
+    s = sub.first_svd[1]
     return [judge(
         "basis/riesz", RIESZ_ANCHOR,
         {"dim": sub.dim, "kappa": block.landmarks.kappa},
-        {"gram_min": rep.gram_min, "gram_max": rep.gram_max,
-         "riesz_lower": rep.riesz_lower, "k_norm": rep.k_norm},
-        riesz_tol=(RIESZ_TOL, riesz_bounds(rep)))]
+        {"gram_min": float(s[-1]) ** 2, "gram_max": float(s[0]) ** 2,
+         "riesz_lower": 1.0 / (1.0 + k_op.norm ** 2), "k_norm": k_op.norm,
+         "riccati_residual": residual},
+        eigvec_residual_rel=(EIGVEC_RESIDUAL_REL,
+                             [(residual, 0.0, "<=", 1.0)]))]
 
 
 def decay_and_bari(block: BlockOperatorMatrix, rb: RelativeBound,
                    n_max: int) -> list[Check]:
     """The decay bound and the Bari terms on the claimed rungs among the first
-    n_max above c (fewer when the ladder is shorter)."""
+    n_max above c (fewer when the ladder is shorter); both are not
+    applicable when no rung is claimed."""
     try:
         n_avail = min(n_max, block.landmarks.rungs)
     except HypothesisError as exc:
@@ -356,20 +356,22 @@ def decay_and_bari(block: BlockOperatorMatrix, rb: RelativeBound,
     if n_avail < 1:
         return [not_applicable("basis/decay", DECAY_ANCHOR,
                                "no eigenvalues above c to track")]
-    checks = []
-    decay = DecayReport(records=(), m_constant=0.0)  # claims no rung
     try:
         decay = projection_decay(block, n_avail, rb=rb)
-        # for a general block monotone decay is no theorem: the bound decides
-        checks.append(judge(
-            "basis/decay", DECAY_ANCHOR, {"n_max": n_avail},
-            {"norms": decay.norms, "deltas": [r.delta for r in decay.records],
-             "bounds": [r.bound for r in decay.records],
-             "claimed": [r.n for r in _claimed(decay)],
-             "m_constant": decay.m_constant},
-            slack=(SLACK, decay_bounds(decay))))
     except HypothesisError as exc:
-        checks.append(not_applicable("basis/decay", DECAY_ANCHOR, str(exc)))
+        return [not_applicable("basis/decay", DECAY_ANCHOR, str(exc)),
+                not_applicable("basis/bari", BARI_ANCHOR, NO_RUNG)]
+    claimed = _claimed(decay)
+    if not claimed:
+        return [not_applicable("basis/decay", DECAY_ANCHOR, NO_RUNG),
+                not_applicable("basis/bari", BARI_ANCHOR, NO_RUNG)]
+    # for a general block monotone decay is no theorem: the bound decides
+    checks = [judge(
+        "basis/decay", DECAY_ANCHOR, {"n_max": n_avail},
+        {"norms": decay.norms, "deltas": [r.delta for r in decay.records],
+         "bounds": [r.bound for r in decay.records],
+         "claimed": [r.n for r in claimed], "m_constant": decay.m_constant},
+        slack=(SLACK, decay_bounds(decay)))]
     try:
         bari = bari_sum(block, n_avail)
         checks.append(judge(

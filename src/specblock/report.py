@@ -110,7 +110,7 @@ def judge(name: str, anchor: str, inputs: dict, outputs: dict,
     for amount, group in [(0.0, comparisons), *slack.values()]:
         for comparison in group:
             good, gap = _evaluate(comparison, amount)
-            ok = ok and bool(np.all(good))
+            ok = ok and bool(good.all())
             if gap is not None:  # fmin skips NaN distances: they bound nothing
                 margin = min(margin, float(np.fmin.reduce(np.ravel(gap),
                                                           initial=math.inf)))

@@ -16,11 +16,9 @@ BASE_TOL = 1e-10            # scaled by matrix_tol and scalar_tol
 SLACK = 1e-9                # distance bound, window margins, decay bound
 GRAPH_TOL = 1e-8            # sigma_min(U) above it: a graph
 INDETERMINATE_TOL = 1e-10   # sigma_min(U) below it: not a graph
-RIESZ_TOL = 1e-8            # Gram eigenvalues against [1/(1 + ||K||^2), 1]
 PAIR_TOL = 1e-8             # smallest norm a vector can be aligned from
 ORTH_TOL = 1e-8             # orthonormality defect of a trial basis
-GRAPH_RESIDUAL_TOL = 1e-8   # ||K U - V|| of an angular operator
-EIGVEC_RESIDUAL_REL = 1e-6  # eigenvector residual / ||M|| in the Riesz check
+EIGVEC_RESIDUAL_REL = 1e-6  # Riccati residual / (||M|| (1 + ||K||)^2) of a graph
 SOQ_MARGIN_REL = 1e-6       # enclosure intersection margin / max(1, |Re z|)
 PHASE_ZERO_TOL = 1e-12      # smallest modulus that fixes an eigenvector phase
 HERMITIAN_REL = 1e-12       # |H - H*| / max|entry| of a Hermitian matrix

@@ -85,3 +85,28 @@ def eigvec3(m, lam):
             if best is None or np.linalg.norm(v) > np.linalg.norm(best):
                 best = v
     return best / np.linalg.norm(best)
+
+
+def riccati_residual(a, b, c, u, v):
+    """||(K A - C K + K B K - B*) P||_F / (||M|| (1 + ||K||)^2) for the graph
+    of K = V U⁺ spanned by the columns of [u; v], with P an orthonormal basis
+    of range(u) = Dom(K) and ||M|| the largest |eigenvalue| of the assembled
+    matrix: the Riccati equation applied directly, K from the pseudo-inverse."""
+    k = v @ np.linalg.pinv(u)
+    p = np.linalg.svd(u, full_matrices=False)[0]
+    m = np.block([[a, b], [b.conj().T, c]])
+    scale = np.max(np.abs(np.linalg.eigvalsh(m)))
+    riccati = (k @ a - c @ k + k @ b @ k - b.conj().T) @ p / scale
+    return np.linalg.norm(riccati) / (1.0 + np.linalg.norm(k, 2)) ** 2
+
+
+def rotate_last_column(w, angle, rng):
+    """A copy of the orthonormal columns w with the last one turned by
+    ``angle`` toward a random unit vector orthogonal to all of them: the
+    span moves off itself by exactly that principal angle."""
+    w = np.array(w, dtype=complex)
+    z = rng.normal(size=w.shape[0]) + 1j * rng.normal(size=w.shape[0])
+    z -= w @ (w.conj().T @ z)
+    z -= w @ (w.conj().T @ z)  # twice is enough (Kahan)
+    w[:, -1] = np.cos(angle) * w[:, -1] + np.sin(angle) * z / np.linalg.norm(z)
+    return w

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +11,9 @@ from specblock import (
     PairingError,
     RelativeBound,
     aligned_term,
-    angular_operator,
     bari_sum,
     projection_decay,
     riesz_check,
-    spectral_subspace,
 )
 from pathlib import Path
 
@@ -24,24 +23,28 @@ from specblock.basis import DecayRecord, DecayReport, projector_distance
 from specblock.blocks import assemble, best_relative_bound, schur_complement
 from specblock import checks, mhd
 from specblock.basis import BariRecord, BariReport
-from specblock.checks import bari_bounds, decay_bounds, riesz_bounds
+from specblock.checks import bari_bounds, decay_bounds
 from specblock.linalg import Interval, hermitian_eig
 from specblock.mhd import discretize, profile_from_functions
 from specblock.problems import load_problem
+from specblock import selftest
 from specblock.selftest import separated_block
 from specblock.report import PASS, judge
-from specblock.tolerance import RIESZ_TOL, SLACK
+from specblock.tolerance import EIGVEC_RESIDUAL_REL, SLACK
 
-from oracles import cubic_fixture_roots, eigvec3
+from oracles import (
+    cubic_fixture_roots,
+    eigvec3,
+    riccati_residual,
+    rotate_last_column,
+)
 
 M3_FULL = np.array([[2.0, 0.0, 1.0], [0.0, 10.0, 1.0], [1.0, 1.0, -1.0]])
 
 
-def frame_bounds_hold(rep):
-    """The Riesz check of ``rep`` as the builders judge it."""
-    check = judge("basis/riesz", "", {}, {},
-                  riesz_tol=(RIESZ_TOL, riesz_bounds(rep)))
-    return check.status == PASS
+def oracle_residual(block, sub):
+    return riccati_residual(block.A, block.B, block.C, sub.basis_first,
+                            sub.basis_second)
 
 
 def decoupled_block():
@@ -52,35 +55,38 @@ def decoupled_block():
 class TestRieszCheck:
     def test_decoupled_identity_gram(self):
         block = decoupled_block()
-        sub = spectral_subspace(block, 0.5)
-        k = angular_operator(sub)
-        rep = riesz_check(block, sub, k)
-        assert rep.gram_min == pytest.approx(1.0, abs=1e-12)
-        assert rep.gram_max == pytest.approx(1.0, abs=1e-12)
-        assert rep.riesz_lower == pytest.approx(1.0, abs=1e-12)
-        assert frame_bounds_hold(rep)
+        check, = checks.riesz(block)
+        assert check.status == PASS
+        assert check.outputs["gram_min"] == pytest.approx(1.0, abs=1e-12)
+        assert check.outputs["gram_max"] == pytest.approx(1.0, abs=1e-12)
+        assert check.outputs["riesz_lower"] == pytest.approx(1.0, abs=1e-12)
+        assert check.outputs["riccati_residual"] == 0.0
 
     def test_cubic_fixture_frame_bounds(self, m3):
-        marks = m3.landmarks
-        sub = spectral_subspace(m3, marks.c_tilde)
-        k = angular_operator(sub)
-        rep = riesz_check(m3, sub, k)
-        assert frame_bounds_hold(rep)
-        assert rep.gram_min >= 1.0 / (1.0 + k.norm ** 2) - 1e-8
-        assert rep.gram_max <= 1.0 + 1e-8
+        check, = checks.riesz(m3)
+        out = check.outputs
+        assert check.status == PASS
+        assert check.tolerances == {"eigvec_residual_rel": EIGVEC_RESIDUAL_REL}
+        # ||K||^2 = 1/s_min^2 - 1 for orthonormal [U; V]: the lower frame
+        # bound is attained, and s_max <= 1
+        assert out["gram_min"] == pytest.approx(out["riesz_lower"], rel=1e-12)
+        assert out["gram_max"] <= 1.0 + 1e-12
+        assert out["riccati_residual"] <= 1e-14
+        assert out["riccati_residual"] == m3.riccati_residual
 
     def test_rejects_non_eigenvector_columns(self, m3):
-        from specblock import GraphSubspace, Interval
+        from specblock import GraphSubspace
         q, _ = np.linalg.qr(np.arange(6.0).reshape(3, 2) + 1.0)
         fake = GraphSubspace(basis_first=q[:2].astype(complex),
                              basis_second=q[2:].astype(complex))
-        k = angular_operator(spectral_subspace(m3, 0.645))
-        with pytest.raises(ArgumentError):
-            riesz_check(m3, fake, k)
+        assert riesz_check(m3, fake) == pytest.approx(
+            oracle_residual(m3, fake), rel=1e-9)
+        assert riesz_check(m3, fake) > 1e-2
 
     @pytest.mark.parametrize("kind", ["imaginary-coupling", "real-coupling",
                                       "complex"])
     def test_perturbed_or_low_columns_rejected(self, kind, m3):
+        # one case per branch of the product M W (B = iR, B = R, complex)
         from specblock import GraphSubspace
         if kind == "imaginary-coupling":
             profile = profile_from_functions(lambda x: 1.0 + x, 1.0, 1.0, 1.0,
@@ -91,28 +97,59 @@ class TestRieszCheck:
         else:
             block, _, _ = separated_block(np.random.default_rng(5))
         assert block.real_form == (kind != "complex")
-        marks = block.landmarks
         dec = block.eig_m
-        above = np.nonzero(dec.eigenvalues > marks.c_tilde)[0]
-        k = angular_operator(spectral_subspace(block, marks.c_tilde))
+        above = np.nonzero(dec.eigenvalues > block.landmarks.c_tilde)[0]
 
-        def check(cols):
-            sub = GraphSubspace(basis_first=cols[:block.n1],
-                                basis_second=cols[block.n1:])
-            return riesz_check(block, sub, k)
+        def subspace(cols):
+            return GraphSubspace(basis_first=cols[:block.n1],
+                                 basis_second=cols[block.n1:])
 
-        assert frame_bounds_hold(check(dec.vectors[:, above]))
-        cols = dec.vectors[:, above]
-        j = cols.shape[1] - 1
-        cols[:, j] += 1e-2 * dec.vectors[:, 0]
-        cols[:, j] /= np.linalg.norm(cols[:, j])
-        with pytest.raises(ArgumentError,
-                           match=f"column {j} is not an eigenvector"):
-            check(cols)
-        cols = dec.vectors[:, above]
-        cols[:, j] = dec.vectors[:, 0]
-        with pytest.raises(ArgumentError, match=f"column {j} has eigenvalue"):
-            check(cols)
+        exact = subspace(dec.vectors[:, above])
+        assert riesz_check(block, exact) <= 1e-14
+        assert oracle_residual(block, exact) <= 1e-14
+        j = above.size - 1
+        for weight in (1e-2, 1.0):  # perturbed, then half a low eigenvector
+            cols = dec.vectors[:, above]
+            cols[:, j] += weight * dec.vectors[:, 0]
+            cols[:, j] /= np.linalg.norm(cols[:, j])
+            sub = subspace(cols)
+            assert riesz_check(block, sub) > EIGVEC_RESIDUAL_REL
+            assert riesz_check(block, sub) == pytest.approx(
+                oracle_residual(block, sub), rel=1e-6)
+
+    def test_zero_block_is_invariant(self):
+        from specblock import GraphSubspace
+        zero = BlockOperatorMatrix(A=np.zeros((2, 2)), B=np.zeros((2, 1)),
+                                   C=np.zeros((1, 1)))
+        sub = GraphSubspace(basis_first=np.eye(2, dtype=complex),
+                            basis_second=np.zeros((1, 2), dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert riesz_check(zero, sub) == 0.0
+
+    @pytest.mark.parametrize("source", ["golden", "mhd-64", *range(4)])
+    def test_residual_matches_the_direct_riccati_oracle(self, source):
+        # exact, and rotated off invariance by 1e-6 and 1e-3
+        from specblock import GraphSubspace
+        rng = np.random.default_rng(7)
+        if source == "golden":
+            block = golden_block()
+        elif source == "mhd-64":
+            profile = profile_from_functions(
+                lambda x: 1.0 + x, lambda x: 1.0 + 0.5 * np.sin(np.pi * x),
+                1.0, 1.0, 1.0, g=0.3, grid_n=65)
+            block = discretize(profile, 64).block
+        else:
+            block = selftest.random_block(np.random.default_rng(source))
+        sub = block.graph_subspace
+        assert block.riccati_residual <= 1e-14
+        assert oracle_residual(block, sub) <= 1e-14
+        for angle in (1e-6, 1e-3):
+            w = rotate_last_column(sub.stacked(), angle, rng)
+            turned = GraphSubspace(basis_first=w[:block.n1],
+                                   basis_second=w[block.n1:])
+            assert riesz_check(block, turned) == pytest.approx(
+                oracle_residual(block, turned), rel=1e-6)
 
 
 class TestProjectionDecay:

@@ -17,10 +17,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from specblock import BlockOperatorMatrix, RelativeBound, checks, cli, selftest
+from specblock import (
+    BlockOperatorMatrix,
+    RelativeBound,
+    basis,
+    checks,
+    cli,
+    selftest,
+)
 from specblock.basis import aligned_term, bari_sum, projection_decay, riesz_check
 from specblock.blocks import assemble, minimal_b_for_a, schur_complement
-from specblock.checks import riesz_bounds, variational_ladder
+from specblock.checks import variational_ladder
 from specblock.enclosures import (
     eigenvalue_window,
     exclusion_reference,
@@ -68,7 +75,7 @@ from specblock.subspaces import (
     shifted_matrix,
     spectral_subspace,
 )
-from specblock.tolerance import RIESZ_TOL, SLACK, SOQ_MARGIN_REL
+from specblock.tolerance import EIGVEC_RESIDUAL_REL, SLACK, SOQ_MARGIN_REL
 
 
 def reference_window_suite(rng, count):
@@ -281,7 +288,8 @@ def reference_schur_suite(rng, count):
 def reference_basis_suite(rng, count):
     """The decay bound and the Bari term rung by rung, on every rung with
     delta < 1 and one point of sigma(A) inside the circle, and the phase
-    invariance on the instances where both were computed."""
+    invariance on the instances where both were computed and a rung was
+    claimed."""
     decay_gaps, term_gaps = [], []
     phase_worst = 0.0
     for _ in range(count):
@@ -298,11 +306,15 @@ def reference_basis_suite(rng, count):
             bari = bari_sum(block, n_avail)
         except HypothesisError:
             continue
-        for b_rec, d_rec in zip(bari.records, decay.records):
-            if d_rec.delta < 1.0 and d_rec.a_points_inside == 1:
-                limit = 2.0 * d_rec.bound
-                decay_gaps.append(d_rec.bound + SLACK - d_rec.proj_diff_norm)
-                term_gaps.append(limit * limit + SLACK - b_rec.term)
+        claimed = [(b_rec, d_rec)
+                   for b_rec, d_rec in zip(bari.records, decay.records)
+                   if d_rec.delta < 1.0 and d_rec.a_points_inside == 1]
+        if not claimed:
+            continue
+        for b_rec, d_rec in claimed:
+            limit = 2.0 * d_rec.bound
+            decay_gaps.append(d_rec.bound + SLACK - d_rec.proj_diff_norm)
+            term_gaps.append(limit * limit + SLACK - b_rec.term)
         cols = block.eig_a.vectors[:, [marks.kappa]]
         x = rng.normal(size=block.n1) + 1j * rng.normal(size=block.n1)
         x = x / np.linalg.norm(x)
@@ -323,11 +335,11 @@ def reference_basis_suite(rng, count):
 
 def reference_subspace_suite(rng, count):
     """The invariant-subspace suite with its own codim = kappa and Riesz
-    rules, as the selftest ran it before it read the builders."""
+    rules, as the selftest ran it before it read the builders; the Riesz
+    rule reads the Riccati residual."""
     checks = []
     codim_fail = 0
-    riesz_errors = 0
-    frames = []
+    residuals = []
     delta_checked = 0
     delta_fail = 0
     ext_worst = 0.0
@@ -355,10 +367,7 @@ def reference_subspace_suite(rng, count):
             continue
         if k_op.codim != marks.kappa:
             codim_fail += 1
-        try:
-            frames.append(riesz_bounds(riesz_check(block, sub, k_op)))
-        except (HypothesisError, ArgumentError):
-            riesz_errors += 1
+        residuals.append(riesz_check(block, sub))
 
         spec_a = block.eig_a.eigenvalues
         full_spec = block.eig_m.eigenvalues
@@ -405,8 +414,8 @@ def reference_subspace_suite(rng, count):
             tilde_spec = shifted.eig_m.eigenvalues
             shift_worst = max(shift_worst,
                               (float(full_spec[0]) - float(tilde_spec[0])) / scale)
-    gram_fail = riesz_errors + sum(
-        not all(holds(bound, RIESZ_TOL) for bound in frame) for frame in frames)
+    bounds = [(residual, 0.0, "<=", 1.0) for residual in residuals]
+    gram_fail = sum(not holds(bound, EIGVEC_RESIDUAL_REL) for bound in bounds)
     checks.append(judge(
         "invariant-subspace/codim-kappa",
         "codim(Dom(K_c)) = kappa = dim L_(-inf,0)(S(c~))",
@@ -417,8 +426,7 @@ def reference_subspace_suite(rng, count):
         "invariant-subspace/gram-bounds",
         "eigenvalues of U*U in [1/(1 + ||K||²), 1]",
         {}, {"examined": examined, "failures": gram_fail},
-        [(riesz_errors, 0, "==", None)],
-        riesz_tol=(RIESZ_TOL, [bound for frame in frames for bound in frame])))
+        eigvec_residual_rel=(EIGVEC_RESIDUAL_REL, bounds)))
     checks.append(judge(
         "invariant-subspace/delta-soundness",
         "delta < 1/2 => the subspace above alpha is a graph",
@@ -626,7 +634,8 @@ def test_basis_suite_builds_no_riesz_check(monkeypatch):
         calls.append(args)
         return riesz_check(*args)
 
-    monkeypatch.setattr(checks, "riesz_check", spy)
+    # BlockOperatorMatrix.riccati_residual reads basis.riesz_check
+    monkeypatch.setattr(basis, "riesz_check", spy)
     selftest.basis_suite(np.random.default_rng(1), count=10)
     assert calls == []
     block, _, _ = selftest.separated_block(np.random.default_rng(1))

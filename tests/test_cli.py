@@ -340,6 +340,47 @@ class TestAngular:
         assert names["angular/codim-kappa"]["status"] == "pass"
         assert names["angular/codim-kappa"]["outputs"]["codim"] == 0
 
+    def test_zero_block_cut_below_its_spectrum(self, tmp_path, capsys):
+        # M = 0 above alpha = -1 is the whole space, no graph: the operator
+        # check does not apply, and nothing divides by ||M|| = 0
+        payload = {"blocks": {"A": [[0.0, 0.0], [0.0, 0.0]],
+                              "B": [[0.0], [0.0]], "C": [[0.0]]}}
+        path = write_problem(tmp_path, "zero.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_to_file(
+                tmp_path, ["angular", "--input", path, "--alpha", "-1"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        names = {c["name"]: c["status"] for c in rep["checks"]}
+        assert names["angular/operator"] == "not-applicable"
+
+    @pytest.mark.parametrize("k", [-600, 500])
+    def test_riccati_residual_has_degree_zero(self, tmp_path, k):
+        # the golden block times 2^k, an exact scaling
+        blocks = json.loads(Path(GOLDEN_BLOCK).read_text())["blocks"]
+
+        def checks(scale):
+            path = write_problem(tmp_path, "scaled.json", {"blocks": {
+                name: np.multiply(blocks[name], scale).tolist()
+                for name in "ABC"}})
+            found = {}
+            for command in ("angular", "basis"):
+                code, rep = run_to_file(tmp_path, [command, "--input", path])
+                assert code == 0
+                found.update({c["name"]: c for c in rep["checks"]})
+            return found
+
+        base, scaled = checks(1.0), checks(2.0 ** k)
+        for name in ("angular/delta", "angular/graph", "angular/operator",
+                     "angular/codim-kappa", "basis/riesz"):
+            assert scaled[name]["status"] == base[name]["status"], name
+        for name in ("angular/operator", "basis/riesz"):
+            residual = scaled[name]["outputs"]["riccati_residual"]
+            assert scaled[name]["status"] == "pass"
+            assert residual == pytest.approx(
+                base[name]["outputs"]["riccati_residual"], abs=1e-15)
+
 
 class TestBasisSoqMhd:
     def test_basis_fixture(self, tmp_path):

