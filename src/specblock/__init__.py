@@ -18,6 +18,7 @@ from .errors import (
     ProfileError,
     SingularShiftError,
     SpecblockError,
+    UnderflowError,
 )
 from .linalg import (
     Interval,

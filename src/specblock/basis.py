@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockOperatorMatrix, RelativeBound, SpectralLandmarks
-from .errors import ArgumentError, DegenerateGapError, PairingError
+from .errors import (
+    ArgumentError,
+    DegenerateGapError,
+    PairingError,
+    UnderflowError,
+)
 from .linalg import operator_norm
 from .subspaces import GraphSubspace
 from .tolerance import PAIR_TOL
@@ -79,31 +84,12 @@ class BariReport:
     converged: bool
 
 
-def _real_product(mat: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """mat @ w for a real mat and a complex w, as one real product with the
-    interleaved real and imaginary parts of w."""
-    w = np.ascontiguousarray(w, dtype=np.complex128)
-    return (mat @ w.view(np.float64)).view(np.complex128)
-
-
 def _assembled_product(block: BlockOperatorMatrix, first: np.ndarray,
                        second: np.ndarray) -> np.ndarray:
     """M W for the assembled M and W = [first; second], from the stored
-    blocks: [A W1 + B W2; B* W1 + C W2].  A real-form block multiplies by the
-    real A, C and R (B = R or B = iR) only."""
-    if not block.real_form:
-        top = block.A @ first + block.B @ second
-        bottom = block.B.conj().T @ first + block.C @ second
-        return np.vstack((top, bottom))
-    imaginary = bool(np.count_nonzero(block.B.imag))
-    r = block.B.imag if imaginary else block.B.real
-    b_w2 = _real_product(r, second)
-    bstar_w1 = _real_product(r.T, first)
-    if imaginary:
-        b_w2 *= 1j
-        bstar_w1 *= -1j
-    top = _real_product(block.A.real, first) + b_w2
-    bottom = bstar_w1 + _real_product(block.C.real, second)
+    blocks: [A W1 + B W2; B* W1 + C W2]."""
+    top = block.A @ first + block.B @ second
+    bottom = block.B.conj().T @ first + block.C @ second
     return np.vstack((top, bottom))
 
 
@@ -207,8 +193,9 @@ def projection_decay(block: BlockOperatorMatrix, n_max: int,
     A at mu_{kappa+n}, the operator norm of their difference, and the
     circle-maximized delta_n.  The circle is sampled at 128 equally spaced
     angles.  The rungs are those of block.landmarks.  Raises
-    DegenerateGapError when gamma_n < assembled_tol, and PairingError as
-    bari_sum does.
+    DegenerateGapError when gamma_n < assembled_tol, PairingError as
+    bari_sum does, and UnderflowError when the denominator
+    dist[z, sigma(A)] (lambda_n - c) of delta_n is 0 on the circle.
 
     F_n is the projector onto span{x_n}, the normalized first component of
     the eigenvector of M at lambda_n, so S(lambda_n) is neither formed nor
@@ -244,9 +231,14 @@ def projection_decay(block: BlockOperatorMatrix, n_max: int,
         zs = lam + gamma * np.exp(1j * angles)
         dists = np.abs(zs[:, None] - spec_a[None, :]).min(axis=1)
         with np.errstate(over="ignore"):  # delta = inf at extreme scales
-            delta = float(np.max(
-                rb.a / (lam - marks.c)
-                + np.abs(rb.a * zs + rb.b) / (dists * (lam - marks.c))))
+            denom = dists * (lam - marks.c)
+            if not denom.all():
+                raise UnderflowError(
+                    f"delta_{n} is undefined: dist[z, sigma(A)] (lambda - c) "
+                    f"is 0 on the circle around {lam:.12g}; the product "
+                    "underflows, or the circle meets sigma(A)")
+            delta = float(np.max(rb.a / (lam - marks.c)
+                                 + np.abs(rb.a * zs + rb.b) / denom))
         circle_dist_a = float(np.min(np.abs(np.abs(lam - spec_a) - gamma)))
         inside = int(np.sum(np.abs(spec_a - lam) < gamma))
         ratio = gamma / circle_dist_a if circle_dist_a > 0 else float("inf")

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import ArgumentError, LandmarkError, SingularShiftError
 from .linalg import (
     SpectralDecomposition,
+    _solver_input,
     as_matrix,
-    diagonal_similarity,
     hermitian_eig,  # noqa: F401  (bench/test_bench.py reads blocks.hermitian_eig)
     hermitian_eigvals,
     hermitian_part_eig,
@@ -50,6 +50,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _stored(mat: np.ndarray, given) -> np.ndarray:
+    """``mat``, validated from the caller's ``given``, as a read-only
+    contiguous array that shares no memory with it: float64 when its
+    imaginary part is all zero (-0.0 included), complex128 otherwise."""
+    mat = np.ascontiguousarray(_solver_input(mat))
+    if np.may_share_memory(mat, given):
+        mat = mat.copy()
+    return _frozen(mat)
+
+
 def _frozen_eig(dec: SpectralDecomposition) -> SpectralDecomposition:
     _frozen(dec.eigenvalues)
     _frozen(dec.vectors)
@@ -65,6 +75,10 @@ class BlockOperatorMatrix:
     block, on first use, and stay valid for the life of the block.  A and C
     are validated here and stored as their exact Hermitian parts, which
     eig_a and eig_c solve without checking them again.
+
+    Each block is stored as float64 when its imaginary part is all zero and
+    as complex128 otherwise, decided here once; every product, solve and
+    decomposition below takes its dtype from the stored blocks.
     """
 
     A: np.ndarray
@@ -75,15 +89,13 @@ class BlockOperatorMatrix:
         a = require_hermitian(self.A)
         c = require_hermitian(self.C)
         b = as_matrix(self.B)
-        if np.may_share_memory(b, self.B):
-            b = b.copy()
         if b.shape != (a.shape[0], c.shape[0]):
             raise ArgumentError(
                 f"coupling block has shape {b.shape}, expected "
                 f"({a.shape[0]}, {c.shape[0]})")
-        object.__setattr__(self, "A", _frozen(a))
-        object.__setattr__(self, "B", _frozen(b))
-        object.__setattr__(self, "C", _frozen(c))
+        object.__setattr__(self, "A", _stored(a, self.A))
+        object.__setattr__(self, "B", _stored(b, self.B))
+        object.__setattr__(self, "C", _stored(c, self.C))
 
     @property
     def n1(self) -> int:
@@ -125,37 +137,16 @@ class BlockOperatorMatrix:
         return float(self.eig_c.eigenvalues[-1])
 
     @cached_property
-    def real_form(self) -> bool:
-        """A and C are real and B is purely real or purely imaginary (B = R or
-        B = iR with R real); -0.0 counts as zero."""
-        return not (np.count_nonzero(self.A.imag)
-                    or np.count_nonzero(self.C.imag)
-                    or (np.count_nonzero(self.B.real)
-                        and np.count_nonzero(self.B.imag)))
-
-    @cached_property
     def eig_m(self) -> SpectralDecomposition:
-        """Eigendecomposition of the assembled matrix.
+        """Eigendecomposition of the assembled matrix, with float64
+        eigenvectors when A, B and C are all stored as float64.
 
-        For a real-form block with B = iR purely imaginary, M = D M' D*
-        with D = diag(I, iI) and the real symmetric M' = [[A, -R], [-R^T, C]];
-        M' is solved instead and each eigenvector w maps to [w1; i w2].  A
-        real B makes M itself real, which hermitian_part_eig solves as such.
-
-        Neither M nor M' is validated: A and C are stored as exact Hermitian
-        parts and the off-diagonal blocks are B and B* (or -R and -R^T), so
-        the matrix solved equals its adjoint entry for entry, and
-        require_hermitian would return (M + M*) / 2 = M, the same matrix bit
-        for bit wherever 2 M does not overflow.
+        M is not validated: A and C are stored as exact Hermitian parts and
+        the off-diagonal blocks are B and B*, so M equals its adjoint entry
+        for entry, and require_hermitian would return (M + M*) / 2 = M, the
+        same matrix bit for bit wherever 2 M does not overflow.
         """
-        r = self.B.imag
-        if (not self.real_form or np.count_nonzero(self.B.real)
-                or not np.count_nonzero(r)):
-            return _frozen_eig(hermitian_part_eig(assemble(self)))
-        similar = np.block([[self.A.real, -r], [-r.T, self.C.real]])
-        diagonal = np.concatenate([np.ones(self.n1), np.full(self.n2, 1j)])
-        return _frozen_eig(diagonal_similarity(hermitian_part_eig(similar),
-                                               diagonal))
+        return _frozen_eig(hermitian_part_eig(assemble(self)))
 
     @cached_property
     def landmarks(self) -> SpectralLandmarks:
@@ -198,16 +189,10 @@ class BlockOperatorMatrix:
 
     @cached_property
     def coupling_in_c_basis(self) -> np.ndarray:
-        """A factor W with W diag(d) W* = (B V_C) diag(d) (B V_C)* for real d.
-
-        W = B V_C, the coupling in the eigenbasis of C, in complex128.  A
-        real-form block has real eigenvectors V_C, and W is the float64
-        R Re(V_C) for B = R or B = iR: the factor i cancels in W diag(d) W*.
-        """
-        if not self.real_form:
-            return _frozen(self.B @ self.eig_c.vectors)
-        r = self.B.imag if np.count_nonzero(self.B.imag) else self.B.real
-        return _frozen(r @ self.eig_c.vectors.real)
+        """W = B V_C, the coupling in the eigenbasis of C: float64 when B
+        and C are stored as float64 (V_C is then real), complex128
+        otherwise."""
+        return _frozen(self.B @ self.eig_c.vectors)
 
     @cached_property
     def _gram(self) -> np.ndarray:
@@ -273,9 +258,9 @@ def schur_complement(block: BlockOperatorMatrix, lam,
     result detect spectrum of the assembled matrix away from sigma(C).  The
     inverse is applied in the eigenbasis of C:
     B (C - lam I)^{-1} B* = W diag(1/(gamma_i - lam)) W* with W the
-    block's coupling_in_c_basis.  For a real-form block W and A are real and
-    the result is float64, otherwise complex128; the real arithmetic may
-    differ from the complex one in the last digits.
+    block's coupling_in_c_basis.  The result is float64 when A and W are,
+    and complex128 otherwise: the dtype follows the stored blocks, and a
+    complex A keeps its imaginary part whatever the dtype of W.
 
     ``lam`` may be a 1-D array of shifts: the result is then the stack
     (k, n1, n1) of the Schur complements, each equal bit for bit to the one
@@ -295,9 +280,8 @@ def schur_complement(block: BlockOperatorMatrix, lam,
                 f"shift {float(lams[near.argmax()]):.12g} is within {tol:.3e} "
                 "of sigma(C)")
     w = block.coupling_in_c_basis
-    a = block.A.real if w.dtype == np.float64 else block.A
     gaps = spec_c - lams[:, None]
-    s = (a - lams[:, None, None] * np.eye(block.n1)
+    s = (block.A - lams[:, None, None] * np.eye(block.n1)
          - (w / gaps[:, None, :]) @ w.conj().T)
     s = 0.5 * (s + s.conj().swapaxes(-2, -1))
     return s if shifts.ndim else s[0]

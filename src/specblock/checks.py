@@ -37,7 +37,7 @@ from .enclosures import (
     subspace_dim_check,
     variational_bounds,
 )
-from .errors import ArgumentError, HypothesisError
+from .errors import ArgumentError, HypothesisError, UnderflowError
 from .report import FAIL, PASS, Check, holds, judge, not_applicable
 from .subspaces import GRAPH, delta_condition, graph_test, spectral_subspace
 from .tolerance import EIGVEC_RESIDUAL_REL, GRAPH_TOL, SLACK, SOQ_MARGIN_REL
@@ -358,6 +358,9 @@ def decay_and_bari(block: BlockOperatorMatrix, rb: RelativeBound,
                                "no eigenvalues above c to track")]
     try:
         decay = projection_decay(block, n_avail, rb=rb)
+    except UnderflowError as exc:  # neither statement can be evaluated
+        return [not_applicable("basis/decay", DECAY_ANCHOR, str(exc)),
+                not_applicable("basis/bari", BARI_ANCHOR, str(exc))]
     except HypothesisError as exc:
         return [not_applicable("basis/decay", DECAY_ANCHOR, str(exc)),
                 not_applicable("basis/bari", BARI_ANCHOR, NO_RUNG)]

@@ -47,3 +47,8 @@ class DegenerateGapError(HypothesisError):
 
 class PairingError(HypothesisError):
     """An eigenvector could not be paired with a diagonal-block eigenvector."""
+
+
+class UnderflowError(HypothesisError):
+    """A quantity a statement needs underflows double precision at the
+    block's scale."""

@@ -1,4 +1,4 @@
-"""Dense linear algebra kernel on complex matrices.
+"""Dense linear algebra kernel on real and complex matrices.
 
 Hermitian eigendecomposition with a reproducible phase convention, spectral
 projectors, an SVD pseudo-inverse, and a general eigensolver used for
@@ -6,16 +6,15 @@ companion-linearized quadratic eigenproblems.  LAPACK (through numpy)
 supplies the factorizations; this module owns validation, ordering and phase
 normalization so that results are deterministic for fixed input.
 
-Matrices are complex128 throughout.  A Hermitian eigensolve whose validated
-Hermitian part has an all-zero imaginary part runs the real symmetric LAPACK
-driver on the real part; its eigenvalues and vectors may differ from the
-complex driver's in the last digits, and the vectors are returned as
-complex128 under the same phase convention.  Real input, and complex input
-with an all-zero imaginary part, is validated in float64.  The SVDs behind
-``pseudo_inverse`` and ``operator_norm`` follow the same rule (the norm of a
-purely imaginary iY is taken from Y), with the same last-digit caveat and
-unchanged return types.  Blocks in real form also get float64 Schur
-complements (``blocks.schur_complement``).
+The dtype follows the data.  ``as_matrix`` and ``require_hermitian``
+return float64 for input with real entries and complex128 otherwise, and
+complex input with an all-zero imaginary part is validated in float64.  A
+Hermitian eigensolve or SVD whose input has an all-zero imaginary part runs
+the real LAPACK driver on the real part (``_solver_input``), and the
+eigenvectors it returns are float64 under the same phase convention: for
+real vectors the rule is a sign flip.  The real driver's results may differ
+from the complex driver's in the last digits.  ``pseudo_inverse`` and
+``general_eig`` still return complex128.
 
 ``hermitian_part_eig_by_components`` solves a matrix whose nonzero pattern
 falls apart into decoupled blocks one block at a time, and any other matrix
@@ -55,7 +54,6 @@ __all__ = [
     "hermitian_part_eig",
     "hermitian_part_eig_by_components",
     "hermitian_eigvals",
-    "diagonal_similarity",
     "spectral_projector",
     "pseudo_inverse",
     "general_eig",
@@ -99,55 +97,51 @@ class Interval:
         return f"{left}{self.lo:.12g}, {self.hi:.12g}{right}"
 
 
-def as_matrix(x, square: bool = False) -> np.ndarray:
-    """Validate ``x`` as a finite complex 2-D array and return it as complex128."""
-    mat = np.asarray(x, dtype=np.complex128)
-    if mat.ndim != 2:
-        raise ArgumentError(f"expected a 2-D array, got ndim = {mat.ndim}")
-    if mat.size and not np.all(np.isfinite(mat)):
-        raise ArgumentError("matrix entries must be finite (no NaN/Inf)")
-    if square and mat.shape[0] != mat.shape[1]:
-        raise ArgumentError(f"expected a square matrix, got shape {mat.shape}")
-    return mat
-
-
-def _square_stack(x) -> np.ndarray:
-    """``x`` as a finite square matrix or stack (k, n, n) of them: float64
-    when its entries are real numbers, complex128 otherwise."""
+def _finite(x, ndims: tuple, square: bool) -> np.ndarray:
+    """``x`` as a finite array of one of the ``ndims``, square in its last
+    two axes if asked: float64 when its entries are real numbers, complex128
+    otherwise."""
     arr = np.asarray(x)
     if arr.dtype != np.float64 and arr.dtype != np.complex128:
         arr = arr.astype(np.float64 if arr.dtype.kind in "biuf"
                          else np.complex128)
-    if arr.ndim not in (2, 3):
+    if arr.ndim not in ndims:
         raise ArgumentError(f"expected a 2-D array, got ndim = {arr.ndim}")
     if arr.size and not np.isfinite(arr).all():
         raise ArgumentError("matrix entries must be finite (no NaN/Inf)")
-    if arr.shape[-2] != arr.shape[-1]:
+    if square and arr.shape[-2] != arr.shape[-1]:
         raise ArgumentError(
             f"expected a square matrix, got shape {arr.shape[-2:]}")
     return arr
 
 
+def as_matrix(x, square: bool = False) -> np.ndarray:
+    """Validate ``x`` as a finite 2-D array: float64 when its entries are
+    real numbers, complex128 otherwise."""
+    return _finite(x, (2,), square)
+
+
 def require_hermitian(mat) -> np.ndarray:
     """Check Hermiticity within HERMITIAN_REL * max|entry| and return the
-    exact Hermitian part as complex128.
+    exact Hermitian part, in the dtype as_matrix gives the input.
 
     The returned matrix is (H + H*)/2, so downstream code can rely on exact
     symmetry.  A stack (k, n, n) is checked matrix by matrix, each against
     its own max|entry|, and the stack of Hermitian parts is returned.
     """
-    arr = _square_stack(mat)
+    arr = _finite(mat, (2, 3), True)
     if arr.size == 0:
-        return arr.astype(np.complex128)
-    if arr.dtype == np.float64 or not arr.imag.any():
-        part = arr.real
-        adj = part.swapaxes(-2, -1)
-    else:
-        part = arr
-        adj = arr.conj().swapaxes(-2, -1)
+        return arr.copy()
+    real = arr.dtype == np.float64 or not arr.imag.any()
+    part = arr.real if real else arr
     axes = None if arr.ndim == 2 else (-2, -1)
     tol = HERMITIAN_REL * np.abs(part).max(axis=axes)
-    defect = np.abs(part - adj).max(axis=axes)
+    if real:  # one float64 temporary, freed before the result exists
+        diff = part - part.swapaxes(-2, -1)
+        defect = np.abs(diff, out=diff).max(axis=axes)
+        del diff
+    else:
+        defect = np.abs(arr - arr.conj().swapaxes(-2, -1)).max(axis=axes)
     over = np.ravel(defect > tol)
     if over.any():
         first = over.argmax()
@@ -155,12 +149,10 @@ def require_hermitian(mat) -> np.ndarray:
             f"matrix is not Hermitian: defect {np.ravel(defect)[first]:.3e} "
             f"exceeds tol {np.ravel(tol)[first]:.3e}")
     if arr.dtype == np.float64:
-        sym = arr + adj
+        sym = arr + arr.swapaxes(-2, -1)
         sym *= 0.5
-        return sym.astype(np.complex128)
-    if part is not arr:
-        adj = arr.conj().swapaxes(-2, -1)
-    return 0.5 * (arr + adj)
+        return sym
+    return 0.5 * (arr + arr.conj().swapaxes(-2, -1))
 
 
 def stack_chunks(count: int, dim: int) -> list[slice]:
@@ -177,7 +169,8 @@ class SpectralDecomposition:
 
     ``eigenvalues`` ascend; ``vectors`` holds matching orthonormal
     eigenvectors as columns, phase-normalized so the first nonvanishing
-    component of every column is real positive.
+    component of every column is real positive; they are float64 when the
+    solved matrix was real.
     """
 
     eigenvalues: np.ndarray
@@ -196,9 +189,11 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     real positive; columns without one are returned unchanged.  Columns are
     unit vectors, so every column has a component well above the threshold.
 
-    The factor conj(p)/|p| is formed exactly as a numpy complex scalar
-    divided by a real one would be, (conj(p) + 0i) * (1/|p|), so the result
-    does not depend on whether columns are rotated one at a time or together.
+    Real columns keep their dtype and change sign at most.  For complex
+    columns the factor conj(p)/|p| is formed exactly as a numpy complex
+    scalar divided by a real one would be, (conj(p) + 0i) * (1/|p|), so the
+    result does not depend on whether columns are rotated one at a time or
+    together.
     """
     vectors = np.asarray(vectors)
     if vectors.size == 0:
@@ -206,6 +201,8 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     big = np.abs(vectors) > PHASE_ZERO_TOL
     found = big.any(axis=0)
     pivots = vectors[big.argmax(axis=0), np.arange(vectors.shape[1])]
+    if not np.iscomplexobj(vectors):
+        return vectors * np.where(found & (pivots < 0.0), -1.0, 1.0)
     pivots[~found] = 1.0
     recip = 1.0 / np.hypot(pivots.real, pivots.imag)
     re, im = pivots.real, -pivots.imag
@@ -219,7 +216,7 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
 
 def _solver_input(mat: np.ndarray) -> np.ndarray:
     """``mat`` as float64 when its imaginary part is all zero (-0.0
-    included), so LAPACK runs its real driver."""
+    included), so LAPACK runs its real driver; ``mat`` itself otherwise."""
     return mat if np.count_nonzero(mat.imag) else mat.real
 
 
@@ -234,14 +231,14 @@ def hermitian_part_eig(herm: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of ``herm``, which must already be the exact
     Hermitian part require_hermitian returned, such as a stored block of a
     BlockOperatorMatrix; it is not validated again.  hermitian_eig validates
-    its input and then solves it here."""
+    its input and then solves it here.  A real ``herm`` gets float64
+    vectors."""
     try:
         eigvals, eigvecs = np.linalg.eigh(_solver_input(herm))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
-    return SpectralDecomposition(
-        eigenvalues=np.asarray(eigvals, dtype=float),
-        vectors=_normalize_phases(eigvecs.astype(np.complex128, copy=False)))
+    return SpectralDecomposition(eigenvalues=np.asarray(eigvals, dtype=float),
+                                 vectors=_normalize_phases(eigvecs))
 
 
 def _pattern_labels(herm: np.ndarray) -> np.ndarray | None:
@@ -310,7 +307,7 @@ def hermitian_part_eig_by_components(herm: np.ndarray) -> SpectralDecomposition:
     order = np.argsort(values, kind="stable")
     column = np.empty(n, dtype=np.intp)
     column[order] = np.arange(n)
-    vectors = np.zeros((n, n), dtype=np.complex128)
+    vectors = np.zeros((n, n), dtype=solver_input.dtype)
     for idx, eigvecs in solved:
         vectors[idx[:, :, None], column[idx][:, None, :]] = eigvecs
     return SpectralDecomposition(eigenvalues=values[order],
@@ -322,7 +319,7 @@ def hermitian_eig(mat) -> SpectralDecomposition:
 
     Raises ArgumentError for non-Hermitian input and NumericError if the
     underlying iteration fails to converge.  Real-valued input is solved by
-    the real driver; the vectors are complex128 either way.
+    the real driver and gets float64 vectors.
     """
     herm = require_hermitian(mat)
     if herm.ndim != 2:
@@ -354,16 +351,6 @@ def hermitian_eigvals(mat) -> np.ndarray:
     return vals
 
 
-def diagonal_similarity(dec: SpectralDecomposition,
-                        diagonal) -> SpectralDecomposition:
-    """Decomposition of D H D* from ``dec`` = eig(H), for the diagonal unitary
-    D = diag(diagonal): the same eigenvalues, eigenvectors D v under the
-    phase convention."""
-    vectors = np.asarray(diagonal)[:, None] * dec.vectors
-    return SpectralDecomposition(eigenvalues=dec.eigenvalues,
-                                 vectors=_normalize_phases(vectors))
-
-
 def spectral_projector(dec: SpectralDecomposition, window: Interval) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with eigenvalue in ``window``."""
     cols = dec.vectors[:, dec.window_mask(window)]
@@ -393,7 +380,7 @@ def general_eig(mat, return_vectors: bool = False):
     """
     arr = as_matrix(mat, square=True)
     try:
-        eigvals, eigvecs = np.linalg.eig(arr)
+        eigvals, eigvecs = np.linalg.eig(arr.astype(np.complex128, copy=False))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"general eigensolve failed: {exc}") from exc
     order = np.lexsort((eigvals.imag, eigvals.real))
@@ -412,15 +399,11 @@ def spectral_distance(x, spectrum) -> float:
 
 
 def operator_norm(mat) -> float:
-    """Largest singular value; a purely imaginary iY has the norm of Y."""
+    """Largest singular value."""
     arr = as_matrix(mat)
     if arr.size == 0:
         return 0.0
-    if not np.count_nonzero(arr.imag):
-        arr = arr.real
-    elif not np.count_nonzero(arr.real):
-        arr = arr.imag
-    return float(np.linalg.norm(arr, 2))
+    return float(np.linalg.norm(_solver_input(arr), 2))
 
 
 def orthonormality_defect(cols) -> float:

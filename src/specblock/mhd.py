@@ -157,7 +157,8 @@ class MhdDiscretization:
 
 
 def _coupling_matrix(rho_i, coeff_i, mult_i, g, h):
-    """Matrix of (rho^{-1} D rho coeff + i g) (mult ·) after the rho-similarity.
+    """-R, for iR the matrix of (rho^{-1} D rho coeff + i g) (mult ·) after
+    the rho-similarity: the coupling in the real similar form (discretize).
 
     D = -i d/dx is realized by centered differences; the stencil is truncated
     at the ends (zero extension), an O(h) boundary effect on a block that
@@ -166,11 +167,11 @@ def _coupling_matrix(rho_i, coeff_i, mult_i, g, h):
     """
     n = rho_i.size
     prod = rho_i * coeff_i * mult_i
-    mat = np.zeros((n, n), dtype=complex)
+    mat = np.zeros((n, n))
     idx = np.arange(n - 1)
-    mat[idx, idx + 1] = -1j * prod[1:] / (2.0 * h * np.sqrt(rho_i[:-1] * rho_i[1:]))
-    mat[idx + 1, idx] = 1j * prod[:-1] / (2.0 * h * np.sqrt(rho_i[1:] * rho_i[:-1]))
-    mat[np.arange(n), np.arange(n)] = 1j * g * mult_i
+    mat[idx, idx + 1] = prod[1:] / (2.0 * h * np.sqrt(rho_i[:-1] * rho_i[1:]))
+    mat[idx + 1, idx] = -prod[:-1] / (2.0 * h * np.sqrt(rho_i[1:] * rho_i[:-1]))
+    mat[np.arange(n), np.arange(n)] = -g * mult_i
     return mat
 
 
@@ -185,6 +186,15 @@ def discretize(profile: PlasmaProfile, n_interior: int) -> MhdDiscretization:
     expressed in the rho-weighted similarity so the result is Hermitian.
     The eigenvalues above c converge at first order in h, not second (see
     the module docstring for the measured orders).
+
+    The discretized coupling is iR with R real.  The block is emitted in the
+    real similar form (A, -R, C) = D*(A, iR, C)D with the diagonal unitary
+    D = diag(I, iI), so it is stored, solved and multiplied in float64.  D
+    changes no eigenvalue of M, A, C or the Schur complements, no norm or
+    singular value of the coupling or the angular operator (K becomes
+    -iK), and only the phases of eigenvector components; every reported
+    quantity depends on none of these phases, so reports keep their values
+    up to round-off.
     """
     if n_interior < 8:
         raise ArgumentError("need at least 8 interior points")

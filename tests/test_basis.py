@@ -86,17 +86,20 @@ class TestRieszCheck:
     @pytest.mark.parametrize("kind", ["imaginary-coupling", "real-coupling",
                                       "complex"])
     def test_perturbed_or_low_columns_rejected(self, kind, m3):
-        # one case per branch of the product M W (B = iR, B = R, complex)
+        # B = iR with real A and C (the MHD coupling before the similarity
+        # to real form), B = R, and a complex block
         from specblock import GraphSubspace
         if kind == "imaginary-coupling":
             profile = profile_from_functions(lambda x: 1.0 + x, 1.0, 1.0, 1.0,
                                              1.0, g=0.3, grid_n=17)
-            block = discretize(profile, 16).block
+            real = discretize(profile, 16).block
+            block = BlockOperatorMatrix(A=real.A, B=-1j * real.B, C=real.C)
         elif kind == "real-coupling":
             block = m3
         else:
             block, _, _ = separated_block(np.random.default_rng(5))
-        assert block.real_form == (kind != "complex")
+        assert (block.eig_m.vectors.dtype == np.float64) == (
+            kind == "real-coupling")
         dec = block.eig_m
         above = np.nonzero(dec.eigenvalues > block.landmarks.c_tilde)[0]
 

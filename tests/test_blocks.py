@@ -503,11 +503,19 @@ def _symmetric(rng, n):
     return 0.5 * (x + x.T)
 
 
-def _imaginary_coupling_blocks(rng):
+def _mhd_blocks():
+    """MHD blocks, which discretize emits in the real similar form."""
     yield discretize(constant_profile(), 24).block
     profile = profile_from_functions(lambda x: 1.0 + x, 1.0, 1.0, 1.0, 1.0,
                                      g=0.3, grid_n=33)
     yield discretize(profile, 32).block
+
+
+def _imaginary_coupling_blocks(rng):
+    """Real A and C with B = iR: the MHD blocks with their coupling iR, and
+    random blocks."""
+    for block in _mhd_blocks():
+        yield BlockOperatorMatrix(A=block.A, B=-1j * block.B, C=block.C)
     for n1, n2 in ((1, 1), (3, 5), (8, 2), (12, 12)):
         yield BlockOperatorMatrix(A=_symmetric(rng, n1),
                                   B=1j * rng.uniform(-10.0, 10.0, (n1, n2)),
@@ -542,17 +550,30 @@ def _validated_matrices(monkeypatch, block):
     return seen
 
 
+def _similar(block):
+    """The real similar block (A, -R, C) = D*(A, iR, C)D, D = diag(I, iI)."""
+    return BlockOperatorMatrix(A=block.A, B=-block.B.imag, C=block.C)
+
+
+def _assert_phase_rule(vectors):
+    for col in vectors.T:
+        pivot = col[np.nonzero(np.abs(col) > PHASE_ZERO_TOL)[0][0]]
+        assert pivot.imag == 0.0 and pivot.real > 0.0
+
+
 class TestImaginaryCoupling:
-    """Real A, C and B = iR: eig(M) comes from the real symmetric
-    [[A, -R], [-R^T, C]] under diag(I, iI)."""
+    """Real A, C and B = iR take the general complex path: eig(M) solves the
+    complex assembled matrix.  The real similar block (A, -R, C) =
+    D*(A, iR, C)D with D = diag(I, iI) is solved in float64 and has the same
+    spectrum, with eigenvectors mapped by D."""
 
     def test_eigenpairs_of_the_assembled_matrix(self, rng, monkeypatch):
         for block in _imaginary_coupling_blocks(rng):
             assert not np.count_nonzero(block.B.real)
-            r = block.B.imag
-            similar = np.block([[block.A.real, -r], [-r.T, block.C.real]])
+            assert block.A.dtype == block.C.dtype == np.float64
             solved = _solved_matrices(monkeypatch, block)
-            assert len(solved) == 1 and np.array_equal(solved[0], similar)
+            assert len(solved) == 1
+            assert np.array_equal(solved[0], assemble(block))
             dec = block.eig_m
             full = assemble(block)
             tol = block.assembled_tol()
@@ -562,6 +583,10 @@ class TestImaginaryCoupling:
             assert np.linalg.norm(residual, 2) <= tol
             assert orthonormality_defect(dec.vectors) <= 1e-12 * full.shape[0]
             assert dec.vectors.dtype == np.complex128
+            similar = _similar(block)
+            assert similar.eig_m.vectors.dtype == np.float64
+            assert np.max(np.abs(similar.eig_m.eigenvalues
+                                 - dec.eigenvalues)) <= tol
             for arr in (dec.eigenvalues, dec.vectors):
                 with pytest.raises(ValueError):
                     arr[0, ...] = 0.0
@@ -570,12 +595,20 @@ class TestImaginaryCoupling:
                                                        monkeypatch):
         for block in _imaginary_coupling_blocks(rng):
             assert _validated_matrices(monkeypatch, block) == []
+            assert _validated_matrices(monkeypatch, _similar(block)) == []
 
     def test_phase_rule_holds_after_the_mapping(self, rng):
         for block in _imaginary_coupling_blocks(rng):
-            for col in block.eig_m.vectors.T:
-                pivot = col[np.nonzero(np.abs(col) > PHASE_ZERO_TOL)[0][0]]
-                assert pivot.imag == 0.0 and pivot.real > 0.0
+            _assert_phase_rule(block.eig_m.vectors)
+            dec = _similar(block).eig_m
+            _assert_phase_rule(dec.vectors)
+            # D maps eigenvectors of the similar block to those of M.
+            d = np.concatenate([np.ones(block.n1), np.full(block.n2, 1j)])
+            mapped = linalg_module._normalize_phases(d[:, None] * dec.vectors)
+            _assert_phase_rule(mapped)
+            full = assemble(block)
+            residual = full @ mapped - mapped * dec.eigenvalues
+            assert np.linalg.norm(residual, 2) <= block.assembled_tol()
 
     def test_mixed_input_takes_the_complex_path(self, rng, monkeypatch):
         a, c = _symmetric(rng, 4), _symmetric(rng, 3)
@@ -639,18 +672,22 @@ class TestImaginaryCoupling:
 
 
 def complex_schur(block, shifts):
-    """The complex128 Schur formula: (B V_C) diag(1/(gamma - lam)) (B V_C)*."""
+    """The complex128 Schur formula: (B V_C) diag(1/(gamma - lam)) (B V_C)*,
+    in complex arithmetic whatever the stored dtypes."""
     lams = np.asarray(shifts, dtype=float)
-    bv = block.B @ block.eig_c.vectors
+    bv = block.B.astype(complex) @ block.eig_c.vectors.astype(complex)
     gaps = block.eig_c.eigenvalues - lams[:, None]
-    s = (block.A - lams[:, None, None] * np.eye(block.n1)
+    s = (block.A.astype(complex) - lams[:, None, None] * np.eye(block.n1)
          - (bv / gaps[:, None, :]) @ bv.conj().T)
     return 0.5 * (s + s.conj().swapaxes(-2, -1))
 
 
 def _real_form_blocks(rng):
-    """Blocks with B = iR (MHD and random) and with a real B."""
-    yield from _imaginary_coupling_blocks(rng)
+    """Real A, B and C: the MHD blocks, the real similar forms of the B = iR
+    blocks, and random blocks with a real B."""
+    yield from _mhd_blocks()
+    for block in _imaginary_coupling_blocks(rng):
+        yield _similar(block)
     for n1, n2 in ((1, 1), (3, 5), (8, 2), (12, 12)):
         yield BlockOperatorMatrix(A=_symmetric(rng, n1),
                                   B=rng.uniform(-10.0, 10.0, (n1, n2)),
@@ -667,28 +704,37 @@ def _shifts_off_sigma_c(block, rng):
 
 
 class TestRealFormSchur:
-    """Real A and C with B = R or B = iR: the Schur complement is formed
-    from the real factor R Re(V_C) and returned as float64."""
+    """Real A, B and C: the Schur complement is formed from the real factor
+    B V_C and returned as float64; any complex block keeps complex
+    arithmetic."""
 
-    def test_real_form_predicate(self, rng, m3):
-        for block in _real_form_blocks(rng):
-            assert block.real_form
-        assert m3.real_form
+    def test_real_entries_are_stored_as_float64(self, rng, m3):
+        for block in [m3, *_real_form_blocks(rng)]:
+            assert block.A.dtype == block.B.dtype == block.C.dtype == np.float64
         a, c = _symmetric(rng, 4), _symmetric(rng, 3)
         r = rng.uniform(-10.0, 10.0, (4, 3))
+        signed = r.astype(complex)
+        signed.imag[:] = -0.0
+        block = BlockOperatorMatrix(A=a.astype(complex), B=signed, C=c)
+        assert block.A.dtype == block.B.dtype == np.float64
+        assert np.array_equal(block.B, r) and np.array_equal(block.A, a)
         x = rng.uniform(size=(4, 4))
         skew = 1j * (x - x.T)
-        for block in (BlockOperatorMatrix(A=a, B=r + 1j * r, C=c),
-                      BlockOperatorMatrix(A=a + skew, B=r, C=c),
-                      random_block(rng)):
-            assert not block.real_form
+        for block, stored in (
+                (BlockOperatorMatrix(A=a, B=r + 1j * r, C=c), "fcf"),
+                (BlockOperatorMatrix(A=a + skew, B=r, C=c), "cff"),
+                (BlockOperatorMatrix(A=a, B=1j * r, C=c), "fcf"),
+                (BlockOperatorMatrix(A=a + skew, B=1j * r, C=c), "ccf")):
+            kinds = "".join(arr.dtype.kind
+                            for arr in (block.A, block.B, block.C))
+            assert kinds == stored
 
     def test_float64_within_matrix_tol_of_the_complex_formula(self, rng):
         for block in _real_form_blocks(rng):
             shifts = _shifts_off_sigma_c(block, rng)
             w = block.coupling_in_c_basis
             assert w.dtype == np.float64
-            bv = block.B @ block.eig_c.vectors
+            bv = block.B.astype(complex) @ block.eig_c.vectors.astype(complex)
             d = rng.uniform(-1.0, 1.0, block.n2)
             gram = (bv * d) @ bv.conj().T
             assert np.max(np.abs((w * d) @ w.T - gram)) <= matrix_tol(gram)
@@ -710,3 +756,18 @@ class TestRealFormSchur:
             stack = schur_complement(block, shifts)
             assert stack.dtype == np.complex128
             assert np.array_equal(stack, complex_schur(block, shifts))
+
+    def test_a_complex_a_keeps_its_imaginary_part(self, rng):
+        # A real B and C give a float64 W; S still carries Im A.
+        for n1, n2 in ((2, 1), (4, 3), (9, 1)):
+            x = rng.uniform(-1.0, 1.0, (n1, n1))
+            block = BlockOperatorMatrix(
+                A=_symmetric(rng, n1) + 1j * (x - x.T),
+                B=rng.uniform(-3.0, 3.0, (n1, n2)), C=_symmetric(rng, n2))
+            assert block.coupling_in_c_basis.dtype == np.float64
+            shifts = _shifts_off_sigma_c(block, rng)
+            stack = schur_complement(block, shifts)
+            assert stack.dtype == np.complex128
+            for s, ref in zip(stack, complex_schur(block, shifts)):
+                assert np.array_equal(s.imag, block.A.imag)
+                assert np.max(np.abs(s - ref)) <= matrix_tol(ref)

@@ -382,6 +382,22 @@ class TestAngular:
                 base[name]["outputs"]["riccati_residual"], abs=1e-15)
 
 
+    def test_decay_underflow_is_not_applicable(self, tmp_path):
+        # The golden block times 2^-600: dist[z, sigma(A)] (lambda - c)
+        # underflows, so delta_n is 0/0; both statements say why.
+        blocks = json.loads(Path(GOLDEN_BLOCK).read_text())["blocks"]
+        path = write_problem(tmp_path, "tiny.json", {"blocks": {
+            name: np.multiply(blocks[name], 2.0 ** -600).tolist()
+            for name in "ABC"}})
+        code, rep = run_to_file(tmp_path, ["basis", "--input", path])
+        assert code == 0
+        found = {c["name"]: c for c in rep["checks"]}
+        for name in ("basis/decay", "basis/bari"):
+            assert found[name]["status"] == "not-applicable"
+            assert "underflows" in found[name]["outputs"]["reason"], name
+        assert found["basis/riesz"]["status"] == "pass"
+
+
 class TestBasisSoqMhd:
     def test_basis_fixture(self, tmp_path):
         path = write_problem(tmp_path, "m3.json", M3_PROBLEM)

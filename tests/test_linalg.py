@@ -21,7 +21,6 @@ from specblock import (
 from specblock.linalg import (
     STACK_BYTES,
     _normalize_phases,
-    diagonal_similarity,
     hermitian_part_eig,
     hermitian_part_eig_by_components,
     require_hermitian,
@@ -152,6 +151,20 @@ class TestPhaseNormalization:
         empty = np.zeros((0, 0), dtype=complex)
         assert _normalize_phases(empty).shape == (0, 0)
 
+    def test_real_columns_change_sign_only(self):
+        rng = np.random.default_rng(33)
+        v = rng.standard_normal((7, 9)) * 10.0 ** rng.uniform(-14.0, 3.0,
+                                                              (7, 9))
+        v[:3, 4] = -0.5 * PHASE_ZERO_TOL
+        v[:, 6] = -0.0
+        v[:, 7] = -0.5 * PHASE_ZERO_TOL  # vanishing: returned unchanged
+        got = _normalize_phases(v)
+        assert got.dtype == np.float64
+        assert got.tobytes() == loop_normalize_phases(v).tobytes()
+        assert np.array_equal(np.abs(got), np.abs(v))
+        assert np.array_equal(got[:, 6:8], v[:, 6:8])
+        assert_phase_rule(np.delete(got, [6, 7], axis=1))
+
 
 class TestWindowMask:
     def test_matches_pointwise_contains(self):
@@ -196,7 +209,7 @@ def assert_phase_rule(vectors):
 
 class TestRealPath:
     """Hermitian input with an all-zero imaginary part is solved by the real
-    symmetric driver; callers see the complex path's contract."""
+    symmetric driver and gets float64 eigenvectors under the phase rule."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
     def test_real_input_matches_complex_path(self, n):
@@ -206,7 +219,7 @@ class TestRealPath:
         tol = matrix_tol(h)
         assert np.max(np.abs(dec.eigenvalues - want)) <= tol
         assert np.max(np.abs(hermitian_eigvals(h) - want)) <= tol
-        assert dec.vectors.dtype == np.complex128
+        assert dec.vectors.dtype == np.float64
         residual = h @ dec.vectors - dec.vectors * dec.eigenvalues
         assert np.linalg.norm(residual, 2) <= tol
         assert orthonormality_defect(dec.vectors) <= 1e-12 * n
@@ -259,7 +272,8 @@ def error_text(fn, mat):
 
 class TestRealValidation:
     """Real input, and complex input with an all-zero imaginary part, is
-    validated in float64 under the complex rule's defect, scale and bits."""
+    validated in float64 under the complex rule's defect, scale and bits;
+    the Hermitian part keeps the input's dtype."""
 
     def zero_imaginary(self, real, signed):
         mat = real.astype(np.complex128)
@@ -276,7 +290,10 @@ class TestRealValidation:
                     self.zero_imaginary(real, True)):
             got = require_hermitian(mat)
             want = reference_require_hermitian(mat)
-            assert got.dtype == np.complex128
+            assert got.dtype == mat.dtype
+            if got.dtype == np.float64:
+                assert not np.count_nonzero(want.imag)
+                want = np.ascontiguousarray(want.real)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_same_error_texts(self):
@@ -300,8 +317,8 @@ class TestRealValidation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.dtype == np.complex128
-        assert peak - out.nbytes < 16 * n * n
+        assert out.dtype == np.float64
+        assert peak - out.nbytes < 8 * n * n
 
 
 def hermitian_stack(seed, k, n):
@@ -400,19 +417,6 @@ class TestStackedSolves:
         assert stack_chunks(0, 5) == [slice(0, STACK_BYTES // (16 * 25))]
 
 
-class TestDiagonalSimilarity:
-    def test_maps_eigenpairs_of_the_similar_matrix(self):
-        h = random_symmetric(6, 7)
-        d = np.array([1, 1, 1, 1j, 1j, -1, -1j])
-        m = d[:, None] * h * d.conj()[None, :]
-        dec = diagonal_similarity(hermitian_eig(h), d)
-        assert np.array_equal(dec.eigenvalues, hermitian_eig(h).eigenvalues)
-        residual = m @ dec.vectors - dec.vectors * dec.eigenvalues
-        assert np.linalg.norm(residual, 2) <= matrix_tol(h)
-        assert orthonormality_defect(dec.vectors) <= 1e-12 * 7
-        assert_phase_rule(dec.vectors)
-
-
 class TestSpectralProjector:
     def test_diagonal_window(self):
         dec = hermitian_eig(np.diag([2.0, 10.0]))
@@ -489,8 +493,8 @@ def spy_solvers(monkeypatch, names=("svd", "eigh", "eigvalsh")):
 
 class TestRealSingularValues:
     """pseudo_inverse, operator_norm and GraphSubspace.first_svd hand LAPACK
-    float64 when the imaginary part is all zero, and operator_norm the
-    imaginary part when the real part is; return types are unchanged."""
+    float64 when the imaginary part is all zero; return types are
+    unchanged."""
 
     @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5), (40, 7)])
     def test_real_valued_input_matches_the_complex_path(self, monkeypatch,
@@ -519,15 +523,6 @@ class TestRealSingularValues:
             assert np.max(np.abs(svals - want_s)) <= tol
         assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
 
-    def test_imaginary_norm_takes_the_imaginary_part(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        y = rng.uniform(-5.0, 5.0, (6, 4))
-        want = float(np.linalg.norm(y.astype(complex), 2))
-        seen = spy_solvers(monkeypatch, ("svd",))
-        assert operator_norm(1j * y) == operator_norm(y)
-        assert abs(operator_norm(-1j * y) - want) <= 1e-12 * want
-        assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
-
     def test_complex_input_keeps_the_complex_driver(self, monkeypatch):
         from specblock.subspaces import GraphSubspace
         x = random_hermitian(3, 5)[:, :3]
@@ -540,7 +535,7 @@ class TestRealSingularValues:
 
 
 class TestRealFormPipeline:
-    """A real-form block sends only float64 to the SVD and Hermitian
+    """A block stored in float64 sends only float64 to the SVD and Hermitian
     eigensolvers from landmarks through projection_decay; a complex block
     still sends complex128."""
 
@@ -607,7 +602,8 @@ class TestComponentEig:
         scale = np.max(np.abs(want))
         assert np.all(np.diff(dec.eigenvalues) >= 0.0)
         assert np.max(np.abs(dec.eigenvalues - want)) <= 1e-13 * scale
-        assert dec.vectors.dtype == np.complex128
+        assert dec.vectors.dtype == (np.complex128 if complex_entries
+                                     else np.float64)
         residual = herm @ dec.vectors - dec.vectors * dec.eigenvalues
         assert np.max(np.abs(residual)) <= 1e-13 * scale
         assert orthonormality_defect(dec.vectors) <= 1e-14

@@ -1,8 +1,12 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from specblock import (
     ArgumentError,
+    BlockOperatorMatrix,
     ProfileError,
     PlasmaProfile,
     RelativeBound,
@@ -15,9 +19,12 @@ from specblock import (
     minimal_b_for_a,
     profile_from_functions,
     relative_bound_margin,
+    best_relative_bound,
     run_report,
 )
-from specblock.mhd import trial_space
+from specblock import checks as checks_module
+from specblock.mhd import BUILTIN_FIELDS, trial_space
+from specblock.report import emit_json
 from specblock.tolerance import EIGVEC_RESIDUAL_REL
 
 
@@ -204,3 +211,105 @@ class TestRunReport:
         assert by_name["mhd/angular-operator"].outputs["k_norm"] <= 1e-12
         assert all(c.status == "pass" for c in checks), \
             [(c.name, c.status) for c in checks if c.status != "pass"]
+
+
+def _complex_twin(block):
+    """(A, iR, C) for a block stored in the real similar form (A, -R, C) =
+    D*(A, iR, C)D, D = diag(I, iI)."""
+    return BlockOperatorMatrix(A=block.A, B=-1j * block.B, C=block.C)
+
+
+def _floats(tree, path, out):
+    # emit_json may write an integral float without a fraction
+    if isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        out[path] = tree
+    elif isinstance(tree, dict):
+        for key, value in tree.items():
+            _floats(value, f"{path}/{key}", out)
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            _floats(value, f"{path}[{i}]", out)
+    return out
+
+
+def assert_same_report(real, twin):
+    """Statuses equal by position; every number within 1e-9 relative, or
+    1e-15 absolute for round-off-level terms such as Bari terms near 1e-7,
+    except the Riccati residual, which is <= 1e-12 on both sides."""
+    assert [(c.name, c.status) for c in real] == \
+        [(c.name, c.status) for c in twin]
+    for ours, theirs in zip(real, twin):
+        tree = [ours.inputs, ours.outputs, ours.margin]
+        want = _floats(json.loads(emit_json(tree)), ours.name, {})
+        got = _floats(json.loads(emit_json(
+            [theirs.inputs, theirs.outputs, theirs.margin])), ours.name, {})
+        assert got.keys() == want.keys(), set(got) ^ set(want)
+        for key, x in want.items():
+            y = got[key]
+            if key.endswith("/riccati_residual"):
+                assert max(x, y) <= 1e-12, key
+            else:
+                assert abs(x - y) <= 1e-9 * max(abs(x), abs(y)) + 1e-15, \
+                    (key, x, y)
+
+
+def _bench_profile(seed):
+    """The seeded profile of the mhd-profile benchmark workload."""
+    rng = np.random.default_rng(seed)
+    slope, wobble = rng.uniform(0.2, 0.8), rng.uniform(0.1, 0.4)
+    return profile_from_functions(
+        lambda x: 1.0 + slope * x,
+        lambda x: 1.0 + wobble * np.sin(np.pi * x), 1.0, 1.0, 1.0, g=0.3,
+        grid_n=257)
+
+
+def _real_block(seed):
+    """A separated block with real A, C and coupling, as the selftest builds
+    complex ones."""
+    rng = np.random.default_rng(seed)
+    n1, n2 = int(rng.integers(4, 9)), int(rng.integers(1, 5))
+    mus = 5.0 + np.cumsum(rng.uniform(6.0, 16.0, n1))
+    x = rng.uniform(-3.0, 3.0, (n2, n2))
+    c0 = 0.5 * (x + x.T)
+    c0 -= (np.linalg.eigvalsh(c0)[-1] - mus[0] + rng.uniform(4.0, 8.0)) \
+        * np.eye(n2)
+    r = rng.uniform(-1.5, 1.5, (n1, n2))
+    return BlockOperatorMatrix(A=np.diag(mus), B=-r, C=c0)
+
+
+class TestRealSimilarForm:
+    """discretize emits (A, -R, C) = D*(A, iR, C)D: every report equals the
+    one of the complex coupling iR up to round-off."""
+
+    @pytest.mark.parametrize("profile, n", [
+        (constant_profile(grid_n=65), 64),
+        (profile_from_functions(BUILTIN_FIELDS["linear"],
+                                BUILTIN_FIELDS["sinusoidal"], 1.0, 1.0, 1.0,
+                                g=0.3, grid_n=65), 64),
+        (_bench_profile(1), 256)])
+    def test_mhd_report_matches_the_complex_coupling(self, profile, n):
+        disc = discretize(profile, n)
+        twin = dataclasses.replace(disc, block=_complex_twin(disc.block))
+        assert twin.block.B.dtype == np.complex128
+        assert_same_report(run_report(disc, 6), run_report(twin, 6))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_real_blocks_match_the_complex_coupling(self, seed):
+        block = _real_block(seed)
+        twin = _complex_twin(block)
+        reports = []
+        for blk in (block, twin):
+            rb = best_relative_bound(blk)
+            reports.append([
+                *(c for build in checks_module.ENCLOSE for c in build(blk, rb)),
+                *checks_module.angular(blk, rb, None),
+                *checks_module.basis(blk, rb, 6)])
+        assert_same_report(*reports)
+
+    def test_the_mhd_pipeline_stays_in_float64(self):
+        block = discretize(_bench_profile(1), 64).block
+        for arr in (block.A, block.B, block.C, block.eig_m.vectors,
+                    block.graph_subspace.basis_first,
+                    block.graph_subspace.basis_second,
+                    block.graph_subspace.angular.K):
+            assert arr.dtype == np.float64
