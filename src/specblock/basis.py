@@ -213,7 +213,7 @@ def projection_decay(block: BlockOperatorMatrix, n_max: int,
     marks = _ladder(block, n_max)
     spec_a = block.eig_a.eigenvalues
     spec_m = block.eig_m.eigenvalues
-    tol_full = block.assembled_tol()
+    tol_full = block.assembled_tol
     angles = 2.0 * np.pi * np.arange(128) / 128
     records = []
     m_constant = 0.0

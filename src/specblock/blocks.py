@@ -23,6 +23,7 @@ from .linalg import (
     hermitian_eigvals,
     hermitian_part_eig,
     hermitian_part_eig_by_components,
+    hermitian_part_eigvals,
     require_hermitian,
     spectral_distance,
     stack_chunks,
@@ -160,13 +161,13 @@ class BlockOperatorMatrix:
         """
         c = self.c
         spec_m = self.eig_m.eigenvalues
-        above = spec_m[spec_m > c + self.assembled_tol()]
+        above = spec_m[spec_m > c + self.assembled_tol]
         if above.size == 0:
             raise LandmarkError(
                 "no spectrum of the assembled matrix above max sigma(C)")
         c_tilde = 0.5 * (c + float(above[0]))
         s = schur_complement(self, c_tilde)
-        kappa = int(np.sum(hermitian_eigvals(s) < -matrix_tol(s)))
+        kappa = int(np.sum(hermitian_part_eigvals(s) < -matrix_tol(s)))
         return SpectralLandmarks(
             c=c, c_tilde=c_tilde, kappa=kappa,
             lambda_above_c=_frozen(np.array(above, dtype=float)),
@@ -208,8 +209,10 @@ class BlockOperatorMatrix:
         """B B*, the Hermitian form behind ‖B*x‖²."""
         return self._gram
 
+    @cached_property
     def assembled_tol(self) -> float:
-        """matrix_tol of the assembled matrix, without assembling it."""
+        """matrix_tol of the assembled matrix, without assembling it, from
+        one scan of the blocks per block."""
         parts = [float(np.max(np.abs(x))) for x in (self.A, self.B, self.C)
                  if x.size]
         if not parts:
@@ -260,7 +263,8 @@ def schur_complement(block: BlockOperatorMatrix, lam,
     B (C - lam I)^{-1} B* = W diag(1/(gamma_i - lam)) W* with W the
     block's coupling_in_c_basis.  The result is float64 when A and W are,
     and complex128 otherwise: the dtype follows the stored blocks, and a
-    complex A keeps its imaginary part whatever the dtype of W.
+    complex A keeps its imaginary part whatever the dtype of W.  It is the
+    exact Hermitian part (S + S*)/2, which hermitian_part_eigvals solves.
 
     ``lam`` may be a 1-D array of shifts: the result is then the stack
     (k, n1, n1) of the Schur complements, each equal bit for bit to the one
@@ -295,12 +299,12 @@ def resolvent_block(block: BlockOperatorMatrix, alpha: float) -> np.ndarray:
     (C-αI)⁻¹ comes from the eigendecomposition of C.
     """
     alpha = float(alpha)
-    tol = block.assembled_tol()
+    tol = block.assembled_tol
     if spectral_distance(alpha, block.eig_m.eigenvalues) <= tol:
         raise SingularShiftError(
             f"shift {alpha:.12g} is within {tol:.3e} of the assembled spectrum")
     s = schur_complement(block, alpha, tol=tol)
-    if float(np.min(np.abs(hermitian_eigvals(s)))) <= matrix_tol(s):
+    if float(np.min(np.abs(hermitian_part_eigvals(s)))) <= matrix_tol(s):
         raise SingularShiftError("Schur complement is singular at this shift")
     s_inv = np.linalg.inv(s)
     vecs = block.eig_c.vectors

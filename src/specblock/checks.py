@@ -108,20 +108,20 @@ def _cluster_points(block: BlockOperatorMatrix) -> list[float]:
 
 def distance_bounds(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
     """One distance-bound check per eigenvalue of M above c + a."""
-    spec_a = block.eig_a.eigenvalues
-    spec_c = block.eig_c.eigenvalues
+    lams = _above_c_plus_a(block, rb)
+    rep = dist_bound(lams, block.eig_a.eigenvalues, block.eig_c.eigenvalues, rb)
     checks = []
-    for lam in _above_c_plus_a(block, rb):
+    for i, lam in enumerate(lams):
         name = f"dist-bound/lambda={lam:.6g}"
         try:
-            rep = dist_bound(lam, spec_a, spec_c, rb)
+            dist_to_a, bound = rep.at(i)
         except HypothesisError as exc:
             checks.append(not_applicable(name, DIST_ANCHOR, str(exc)))
             continue
         checks.append(judge(
             name, DIST_ANCHOR, {"lambda": lam, "a": rb.a, "b": rb.b},
-            {"dist_to_A": rep.dist_to_A, "bound": rep.bound},
-            slack=(SLACK, [(rep.dist_to_A, rep.bound, "<=", 1.0)])))
+            {"dist_to_A": dist_to_a, "bound": bound},
+            slack=(SLACK, [(dist_to_a, bound, "<=", 1.0)])))
     return checks
 
 

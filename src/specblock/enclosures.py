@@ -22,10 +22,10 @@ from .linalg import (
     as_matrix,
     general_eig,
     orthonormality_defect,
-    spectral_distance,
 )
 from .report import holds
-from .tolerance import ORTH_TOL, REAL_AXIS_REL, SOQ_MARGIN_REL, scalar_tol
+from .tolerance import (BASE_TOL, ORTH_TOL, REAL_AXIS_REL, SOQ_MARGIN_REL,
+                        scalar_tol)
 
 __all__ = [
     "EnclosureReport",
@@ -48,10 +48,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnclosureReport:
-    """dist[lam, sigma(A)] versus its certified bound at a single point."""
+    """dist[lam, sigma(A)] versus its certified bound at each point lam, and
+    where the hypothesis dist[lam, sigma(C)] > a holds."""
 
-    dist_to_A: float
-    bound: float
+    dist_to_A: np.ndarray
+    bound: np.ndarray
+    dist_to_C: np.ndarray
+    applies: np.ndarray
+    a: float
+
+    def at(self, i: int) -> tuple[float, float]:
+        """(dist_to_A, bound) at point i; HypothesisError where the
+        hypothesis fails."""
+        if not self.applies[i]:
+            raise HypothesisError(f"dist[lam, sigma(C)] = {self.dist_to_C[i]:.6g}"
+                                  f" does not exceed a = {self.a:.6g}")
+        return float(self.dist_to_A[i]), float(self.bound[i])
 
 
 @dataclass(frozen=True)
@@ -63,20 +75,29 @@ class QepEnclosure:
     admitted: bool
 
 
-def dist_bound(lam: float, spec_a, spec_c, rb: RelativeBound) -> EnclosureReport:
-    """dist[lam, sigma(A)] and its bound |a lam + b| / (dist[lam, sigma(C)] - a).
+def dist_bound(lams, spec_a, spec_c, rb: RelativeBound) -> EnclosureReport:
+    """dist[lam, sigma(A)] and its bound |a lam + b| / (dist[lam, sigma(C)] - a)
+    at each point of ``lams``, a scalar or a 1-D array.
 
-    Requires dist[lam, sigma(C)] > a (with margin); otherwise the hypothesis
-    is violated and HypothesisError is raised.
+    The bound requires dist[lam, sigma(C)] > a + scalar_tol(a, dist), and
+    ``applies`` says where that holds.  The arithmetic is elementwise, so each
+    point gets the bits it would get alone.
     """
-    lam = float(lam)
-    d_c = spectral_distance(lam, spec_c)
-    if d_c <= rb.a + scalar_tol(rb.a, d_c):
-        raise HypothesisError(
-            f"dist[lam, sigma(C)] = {d_c:.6g} does not exceed a = {rb.a:.6g}")
-    bound = abs(rb.a * lam + rb.b) / (d_c - rb.a)
-    d_a = spectral_distance(lam, spec_a)
-    return EnclosureReport(dist_to_A=d_a, bound=bound)
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+
+    def dist(spec):  # spectral_distance at each point; +inf for no spectrum
+        return np.min(np.abs(np.ravel(spec) - lams[:, None]), axis=1,
+                      initial=np.inf)
+
+    d_c = dist(spec_c)
+    # scalar_tol(a, d_c) at each point: rb.a >= 0, and an infinite d_c
+    # does not count
+    tol = BASE_TOL * np.maximum(max(1.0, rb.a),
+                                np.where(np.isfinite(d_c), d_c, 1.0))
+    with np.errstate(all="ignore"):  # not read where the bound does not apply
+        bound = np.abs(rb.a * lams + rb.b) / (d_c - rb.a)
+    return EnclosureReport(dist_to_A=dist(spec_a), bound=bound,
+                           dist_to_C=d_c, applies=~(d_c <= rb.a + tol), a=rb.a)
 
 
 def _window(lo: float, hi: float, kind: str, is_open: bool) -> Interval:

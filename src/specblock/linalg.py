@@ -54,6 +54,7 @@ __all__ = [
     "hermitian_part_eig",
     "hermitian_part_eig_by_components",
     "hermitian_eigvals",
+    "hermitian_part_eigvals",
     "spectral_projector",
     "pseudo_inverse",
     "general_eig",
@@ -189,20 +190,26 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     real positive; columns without one are returned unchanged.  Columns are
     unit vectors, so every column has a component well above the threshold.
 
-    Real columns keep their dtype and change sign at most.  For complex
-    columns the factor conj(p)/|p| is formed exactly as a numpy complex
-    scalar divided by a real one would be, (conj(p) + 0i) * (1/|p|), so the
-    result does not depend on whether columns are rotated one at a time or
-    together.
+    Real columns change sign at most, in place: the result is ``vectors``,
+    which callers take fresh from a solver, and no |v| is formed.  For
+    complex columns the factor conj(p)/|p| is formed exactly as a numpy
+    complex scalar divided by a real one would be, (conj(p) + 0i) * (1/|p|),
+    so the result does not depend on whether columns are rotated one at a
+    time or together.
     """
     vectors = np.asarray(vectors)
     if vectors.size == 0:
         return np.array(vectors, copy=True)
+    cols = np.arange(vectors.shape[1])
+    if not np.iscomplexobj(vectors):  # |v| > t iff v > t or v < -t
+        big = np.greater(vectors, PHASE_ZERO_TOL)
+        big |= np.less(vectors, -PHASE_ZERO_TOL)
+        rows = big.argmax(axis=0)
+        flip = big[rows, cols] & (vectors[rows, cols] < 0.0)
+        return np.multiply(vectors, np.where(flip, -1.0, 1.0), out=vectors)
     big = np.abs(vectors) > PHASE_ZERO_TOL
     found = big.any(axis=0)
-    pivots = vectors[big.argmax(axis=0), np.arange(vectors.shape[1])]
-    if not np.iscomplexobj(vectors):
-        return vectors * np.where(found & (pivots < 0.0), -1.0, 1.0)
+    pivots = vectors[big.argmax(axis=0), cols]
     pivots[~found] = 1.0
     recip = 1.0 / np.hypot(pivots.real, pivots.imag)
     re, im = pivots.real, -pivots.imag
@@ -217,7 +224,9 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
 def _solver_input(mat: np.ndarray) -> np.ndarray:
     """``mat`` as float64 when its imaginary part is all zero (-0.0
     included), so LAPACK runs its real driver; ``mat`` itself otherwise."""
-    return mat if np.count_nonzero(mat.imag) else mat.real
+    if not np.iscomplexobj(mat) or np.count_nonzero(mat.imag):
+        return mat
+    return mat.real
 
 
 def _eigvalsh(herm: np.ndarray) -> np.ndarray:
@@ -327,6 +336,19 @@ def hermitian_eig(mat) -> SpectralDecomposition:
     return hermitian_part_eig(herm)
 
 
+def _part_eigvals(herm: np.ndarray) -> np.ndarray:
+    """Eigenvalues of an exact Hermitian part, or of each in a stack, each
+    matrix by the LAPACK routine (real or complex) it would get alone."""
+    if herm.ndim == 2 or herm.dtype == np.float64:
+        return _eigvalsh(_solver_input(herm))
+    vals = np.empty(herm.shape[:2])
+    cplx = (herm.imag != 0.0).any(axis=(1, 2))
+    for mask, solver_input in ((cplx, herm), (~cplx, herm.real)):
+        if mask.any():
+            vals[mask] = _eigvalsh(solver_input[mask])
+    return vals
+
+
 def hermitian_eigvals(mat) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
 
@@ -338,17 +360,15 @@ def hermitian_eigvals(mat) -> np.ndarray:
     """
     arr = np.asarray(mat)
     if arr.ndim != 3:
-        return _eigvalsh(_solver_input(require_hermitian(arr)))
-    vals = np.empty(arr.shape[:2])
-    for part in stack_chunks(*arr.shape[:2]):
-        herm = require_hermitian(arr[part])
-        cplx = (herm.imag != 0.0).any(axis=(1, 2))
-        for mask, solver_input in ((cplx, herm), (~cplx, herm.real)):
-            if mask.all():
-                vals[part] = _eigvalsh(solver_input)
-            elif mask.any():
-                vals[part][mask] = _eigvalsh(solver_input[mask])
-    return vals
+        return _part_eigvals(require_hermitian(arr))
+    return np.concatenate([_part_eigvals(require_hermitian(arr[part]))
+                           for part in stack_chunks(*arr.shape[:2])])
+
+
+def hermitian_part_eigvals(herm) -> np.ndarray:
+    """hermitian_eigvals of an exact Hermitian part (or a stack of them) as
+    require_hermitian returns it, bit for bit: only finiteness is checked."""
+    return _part_eigvals(_finite(herm, (2, 3), True))
 
 
 def spectral_projector(dec: SpectralDecomposition, window: Interval) -> np.ndarray:

@@ -10,6 +10,7 @@ of the first-component block, computed once per subspace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,8 +20,8 @@ from .blocks import BlockOperatorMatrix, RelativeBound
 from .errors import ArgumentError, HypothesisError, NotAGraphError
 from .linalg import (
     Interval,
+    _eigvalsh,
     _solver_input,
-    operator_norm,
     spectral_distance,
     spectral_projector,
 )
@@ -90,8 +91,9 @@ class AngularOperator:
 
     ``domain`` is an orthonormal basis (n1 x dim) of Dom(K) = range of the
     first-component block; ``norm`` is the largest singular value of K, which
-    vanishes off its domain; ``codim`` is the codimension of Dom(K) in the
-    first component space.
+    vanishes off its domain, read from the factors angular_operator already
+    holds; ``codim`` is the codimension of Dom(K) in the first component
+    space.
     """
 
     K: np.ndarray
@@ -103,7 +105,7 @@ class AngularOperator:
 def spectral_subspace(block: BlockOperatorMatrix, alpha: float) -> GraphSubspace:
     """Orthonormal basis of the subspace spanned by eigenvalues above alpha."""
     alpha = float(alpha)
-    tol = block.assembled_tol()
+    tol = block.assembled_tol
     dec = block.eig_m
     if spectral_distance(alpha, dec.eigenvalues) <= tol:
         raise ArgumentError(
@@ -139,9 +141,13 @@ def angular_operator(subspace: GraphSubspace) -> AngularOperator:
     U must pass the graph test: a rank drop means the subspace contains a
     vector with vanishing first component and no angular operator exists.
     The domain of K is range(U), of codimension n1 - dim(subspace).  With
-    U = P diag(s) Q* from the subspace's SVD, K = (V Q diag(s)⁻¹) P*: the
-    graph test keeps every s above GRAPH_TOL, so nothing is truncated, and
-    P is the domain basis.
+    U = P diag(s) Q* from the subspace's SVD, K = X P* with
+    X = V Q diag(s)⁻¹: the graph test keeps every s above GRAPH_TOL, so
+    nothing is truncated, and P is the domain basis.  So ‖K‖ = ‖X‖, read
+    without a second SVD as t sqrt(lambda_max(Y*Y)), or of YY* when that is
+    smaller, with Y = X/t and t = max|X_ij|: accurate to O(m eps) relative
+    at every scale, where sqrt(1 - s²)/s would lose ‖K‖ to cancellation
+    once ‖K‖² nears eps.
     """
     v = subspace.basis_second
     n1, m = subspace.basis_first.shape
@@ -151,8 +157,12 @@ def angular_operator(subspace: GraphSubspace) -> AngularOperator:
             "subspace contains a vector with vanishing first component "
             f"(first-block rank {int(np.sum(s > GRAPH_TOL))} < subspace "
             f"dimension {m})")
-    k = ((v @ qh.conj().T) / s) @ p.conj().T
-    return AngularOperator(K=k, domain=p, norm=operator_norm(k), codim=n1 - m)
+    x = (v @ qh.conj().T) / s
+    t = float(np.max(np.abs(x), initial=0.0))
+    y = x / (t or 1.0)  # so its Gram matrix neither underflows nor overflows
+    gram = y @ y.conj().T if y.shape[0] < y.shape[1] else y.conj().T @ y
+    norm = t * math.sqrt(np.max(_eigvalsh(gram), initial=0.0))
+    return AngularOperator(K=x @ p.conj().T, domain=p, norm=norm, codim=n1 - m)
 
 
 def delta_condition(alpha: float, c: float, spec_a,

@@ -74,7 +74,7 @@ class TestBlockOperatorMatrix:
         from specblock.tolerance import matrix_tol
         for _ in range(5):
             block = random_block(rng)
-            assert block.assembled_tol() == matrix_tol(assemble(block))
+            assert block.assembled_tol == matrix_tol(assemble(block))
 
 
 class TestAssemble:
@@ -477,6 +477,34 @@ class TestLandmarks:
         assert not marks.lambda_above_c.flags.writeable
 
 
+    def test_schur_complements_are_not_validated_again(self, monkeypatch):
+        # schur_complement returns an exact Hermitian part: kappa and the
+        # resolvent's singularity test solve it without require_hermitian
+        rng = np.random.default_rng(17)
+        blocks = [block for block in (random_block(rng) for _ in range(30))
+                  if block.eig_m.eigenvalues[-1] > block.c + 1e-6]
+        kappas = [hermitian_eigvals(schur_complement(
+            block, block.landmarks.c_tilde)) for block in blocks]
+        calls = []
+        original = linalg_module.require_hermitian
+
+        def counting(mat):
+            calls.append(np.shape(mat))
+            return original(mat)
+
+        monkeypatch.setattr(linalg_module, "require_hermitian", counting)
+        monkeypatch.setattr(blocks_module, "require_hermitian", counting)
+        for block, vals in zip(blocks, kappas):
+            fresh = BlockOperatorMatrix(A=block.A, B=block.B, C=block.C)
+            calls.clear()
+            marks = fresh.landmarks
+            alpha = float(fresh.eig_m.eigenvalues[-1]) + 1.0
+            resolvent_block(fresh, alpha)
+            assert calls == []
+            assert marks.kappa == int(np.sum(
+                vals < -matrix_tol(schur_complement(block, marks.c_tilde))))
+
+
 def test_schur_spectrum_equivalence(rng):
     # both directions of the zero-eigenvalue criterion on random instances
     for _ in range(60):
@@ -576,7 +604,7 @@ class TestImaginaryCoupling:
             assert np.array_equal(solved[0], assemble(block))
             dec = block.eig_m
             full = assemble(block)
-            tol = block.assembled_tol()
+            tol = block.assembled_tol
             assert np.max(np.abs(dec.eigenvalues
                                  - np.linalg.eigvalsh(full))) <= tol
             residual = full @ dec.vectors - dec.vectors * dec.eigenvalues
@@ -608,7 +636,7 @@ class TestImaginaryCoupling:
             _assert_phase_rule(mapped)
             full = assemble(block)
             residual = full @ mapped - mapped * dec.eigenvalues
-            assert np.linalg.norm(residual, 2) <= block.assembled_tol()
+            assert np.linalg.norm(residual, 2) <= block.assembled_tol
 
     def test_mixed_input_takes_the_complex_path(self, rng, monkeypatch):
         a, c = _symmetric(rng, 4), _symmetric(rng, 3)

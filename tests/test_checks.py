@@ -263,7 +263,7 @@ def reference_schur_suite(rng, count):
         block = selftest.random_block(rng)
         spec_m = block.eig_m.eigenvalues
         spec_c = block.eig_c.eigenvalues
-        tol = block.assembled_tol()
+        tol = block.assembled_tol
         for lam in spec_m:
             if spectral_distance(float(lam), spec_c) <= 10.0 * tol:
                 continue

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,40 +26,153 @@ from specblock.enclosures import (
     soq_bracket,
     soq_misses,
 )
-from specblock.linalg import Interval
-from specblock.tolerance import SLACK, SOQ_MARGIN_REL
-from specblock.selftest import separated_block
+from specblock.blocks import best_relative_bound
+from specblock.linalg import Interval, spectral_distance
+from specblock.problems import load_problem
+from specblock.tolerance import SLACK, SOQ_MARGIN_REL, scalar_tol
+from specblock.selftest import random_block, separated_block
 
 from oracles import cubic_fixture_roots, poly_roots_durand_kerner
 
+GOLDEN_BLOCK = Path(__file__).parent / "data" / "golden_block.json"
 RB = RelativeBound(0.0, 2.0)  # minimal bound of the cubic fixture at a = 0
 
 
 class TestDistBound:
     def test_cubic_fixture_first_eigenvalue(self):
         lam1 = cubic_fixture_roots()[1]
-        rep = dist_bound(lam1, [2.0, 10.0], [-1.0], RB)
-        assert rep.dist_to_A == pytest.approx(lam1 - 2.0, abs=1e-12)
-        assert rep.bound == pytest.approx(2.0 / (lam1 + 1.0), abs=1e-12)
-        assert rep.dist_to_A <= rep.bound + SLACK
+        dist_to_a, bound = dist_bound(lam1, [2.0, 10.0], [-1.0], RB).at(0)
+        assert dist_to_a == pytest.approx(lam1 - 2.0, abs=1e-12)
+        assert bound == pytest.approx(2.0 / (lam1 + 1.0), abs=1e-12)
+        assert dist_to_a <= bound + SLACK
 
     def test_cubic_fixture_second_eigenvalue(self):
         lam2 = cubic_fixture_roots()[2]
-        rep = dist_bound(lam2, [2.0, 10.0], [-1.0], RB)
-        assert rep.dist_to_A == pytest.approx(lam2 - 10.0, abs=1e-12)
-        assert rep.bound == pytest.approx(2.0 / (lam2 + 1.0), abs=1e-12)
-        assert rep.dist_to_A <= rep.bound + SLACK
+        dist_to_a, bound = dist_bound(lam2, [2.0, 10.0], [-1.0], RB).at(0)
+        assert dist_to_a == pytest.approx(lam2 - 10.0, abs=1e-12)
+        assert bound == pytest.approx(2.0 / (lam2 + 1.0), abs=1e-12)
+        assert dist_to_a <= bound + SLACK
+
+    def test_both_fixture_eigenvalues_in_one_call(self):
+        lams = cubic_fixture_roots()[1:3]
+        rep = dist_bound(lams, [2.0, 10.0], [-1.0], RB)
+        assert rep.applies.all()
+        assert rep.dist_to_A.tolist() == [dist_bound(lam, [2.0, 10.0], [-1.0],
+                                                     RB).at(0)[0]
+                                          for lam in lams]
 
     def test_decoupled_pins_spectrum_to_a(self):
         # with a = b = 0 the bound is zero: spectrum away from C must be in A
-        rep = dist_bound(2.0, [2.0, 10.0], [-1.0], RelativeBound(0.0, 0.0))
-        assert rep.bound == 0.0
-        assert rep.dist_to_A <= 1e-9
-        assert rep.dist_to_A <= rep.bound + SLACK
+        dist_to_a, bound = dist_bound(2.0, [2.0, 10.0], [-1.0],
+                                      RelativeBound(0.0, 0.0)).at(0)
+        assert bound == 0.0
+        assert dist_to_a <= 1e-9
+        assert dist_to_a <= bound + SLACK
 
     def test_hypothesis_violation(self):
-        with pytest.raises(HypothesisError):
-            dist_bound(0.0, [2.0], [-1.0], RelativeBound(5.0, 0.0))
+        rep = dist_bound(0.0, [2.0], [-1.0], RelativeBound(5.0, 0.0))
+        assert not rep.applies[0]
+        with pytest.raises(HypothesisError, match="does not exceed a = 5"):
+            rep.at(0)
+
+
+def scalar_dist_bound(lam, spec_a, spec_c, rb):
+    """The distance bound at one point, one Python float at a time:
+    (dist_to_A, bound), or the HypothesisError message where
+    dist[lam, sigma(C)] <= a + scalar_tol(a, dist[lam, sigma(C)])."""
+    lam = float(lam)
+    d_c = spectral_distance(lam, spec_c)
+    if d_c <= rb.a + scalar_tol(rb.a, d_c):
+        return (f"dist[lam, sigma(C)] = {d_c:.6g} does not exceed "
+                f"a = {rb.a:.6g}")
+    return spectral_distance(lam, spec_a), abs(rb.a * lam + rb.b) / (d_c - rb.a)
+
+
+def assert_matches_scalar_loop(lams, spec_a, spec_c, rb):
+    """dist_bound over ``lams`` equals the scalar loop bit for bit, its
+    hypothesis messages included; returns how many points broke it."""
+    rep = dist_bound(lams, spec_a, spec_c, rb)
+    broken = 0
+    for i, lam in enumerate(lams):
+        want = scalar_dist_bound(lam, spec_a, spec_c, rb)
+        if isinstance(want, str):
+            broken += 1
+            assert not rep.applies[i]
+            with pytest.raises(HypothesisError) as exc:
+                rep.at(i)
+            assert str(exc.value) == want
+        else:
+            assert rep.applies[i]
+            assert [x.hex() for x in rep.at(i)] == [x.hex() for x in want]
+    return broken
+
+
+def sweep_block(seed, n1=200, n2=100):
+    """A complex block built like the block-sweep benchmark's: A with
+    spectrum 1 + k^2/2, C topped at -2, a coupling of scale 0.3."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian(spectrum):
+        n = spectrum.size
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, r = np.linalg.qr(z)
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        mat = (u * spectrum) @ u.conj().T
+        return 0.5 * (mat + mat.conj().T)
+
+    gamma = -2.0 - np.sort(rng.uniform(0.0, 10.0, n2))
+    gamma[0] = -2.0
+    a = hermitian(1.0 + np.arange(n1) ** 2 / 2.0)
+    c = hermitian(gamma)
+    b = 0.3 * (rng.standard_normal((n1, n2))
+               + 1j * rng.standard_normal((n1, n2))) / np.sqrt(2.0)
+    return BlockOperatorMatrix(A=a, B=b, C=c)
+
+
+def bound_cases(block):
+    """Points and relative bounds that exercise both sides of the
+    hypothesis: every eigenvalue of M, the points of sigma(A) and sigma(C),
+    under the best bound and under a's that cut through the points."""
+    spec_a = block.eig_a.eigenvalues
+    spec_c = block.eig_c.eigenvalues
+    lams = np.concatenate([block.eig_m.eigenvalues, spec_a, spec_c])
+    d_c = np.min(np.abs(spec_c - lams[:, None]), axis=1)
+    rbs = [best_relative_bound(block), RelativeBound(0.0, 0.0),
+           RelativeBound(float(np.median(d_c)), 1.0),
+           RelativeBound(float(d_c.max()), 0.5)]
+    return lams, spec_a, spec_c, rbs
+
+
+class TestDistBoundArray:
+    """One dist_bound call over many points equals the scalar loop."""
+
+    @pytest.mark.parametrize("make_block", [
+        lambda: load_problem(GOLDEN_BLOCK).block,
+        lambda: sweep_block(3),
+    ], ids=["golden", "complex-n1-200"])
+    def test_blocks(self, make_block):
+        lams, spec_a, spec_c, rbs = bound_cases(make_block())
+        broken = [assert_matches_scalar_loop(lams, spec_a, spec_c, rb)
+                  for rb in rbs]
+        assert broken[1] == lams.size - np.count_nonzero(
+            np.min(np.abs(spec_c - lams[:, None]), axis=1) > 1e-10)
+        assert 0 < broken[2] < lams.size
+
+    def test_random_blocks(self):
+        rng = np.random.default_rng(24)
+        broken = 0
+        for _ in range(50):
+            lams, spec_a, spec_c, rbs = bound_cases(random_block(rng))
+            for rb in rbs:
+                broken += assert_matches_scalar_loop(lams, spec_a, spec_c, rb)
+        assert broken > 0
+
+    def test_empty_spectra(self):
+        rb = RelativeBound(0.5, 1.0)
+        assert assert_matches_scalar_loop([1.0, 3.0], [2.0], [], rb) == 0
+        assert assert_matches_scalar_loop([1.0, 3.0], [], [-1.0], rb) == 0
+        rep = dist_bound([], [2.0], [-1.0], rb)
+        assert rep.dist_to_A.size == rep.bound.size == rep.applies.size == 0
 
 
 class TestEigenvalueWindow:

@@ -246,3 +246,37 @@ def test_run_report_multiplies_m_by_the_subspace_once_per_call(monkeypatch):
     assert len(calls) == 1
     run_report(discretize(profile, 32), 4)
     assert len(calls) == 2
+
+
+def test_run_report_reads_held_factorizations(monkeypatch):
+    # ‖K‖ comes from the first-block SVD, the discrete minimal b from the
+    # relative-bound margin's solve, and one dist_bound covers every
+    # eigenvalue above c: one SVD in all, and no operator_norm or
+    # minimal_b_for_a
+    profile, _ = block_forms()
+    disc = discretize(profile, 64)
+    calls = {"svd": 0, "operator_norm": 0, "minimal_b_for_a": 0,
+             "dist_bound": 0}
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    inner = getattr(np.linalg, "_linalg", None)
+    if inner is not None:  # numpy.linalg.norm calls svd from in here
+        monkeypatch.setattr(inner, "svd", counting_svd)
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("specblock"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if attr in calls and callable(value):
+                def counting(*args, _name=attr, _fn=value, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, attr, counting)
+    run_report(disc, 6)
+    assert calls == {"svd": 1, "operator_norm": 0, "minimal_b_for_a": 0,
+                     "dist_bound": 1}

@@ -23,9 +23,13 @@ from specblock.linalg import (
     _normalize_phases,
     hermitian_part_eig,
     hermitian_part_eig_by_components,
+    hermitian_part_eigvals,
     require_hermitian,
     stack_chunks,
 )
+from specblock import linalg as linalg_module
+from specblock.blocks import schur_complement
+from specblock.selftest import random_block
 from specblock.tolerance import PHASE_ZERO_TOL, matrix_tol
 
 from oracles import cubic_fixture_roots, eigvec3
@@ -158,12 +162,28 @@ class TestPhaseNormalization:
         v[:3, 4] = -0.5 * PHASE_ZERO_TOL
         v[:, 6] = -0.0
         v[:, 7] = -0.5 * PHASE_ZERO_TOL  # vanishing: returned unchanged
-        got = _normalize_phases(v)
+        given = v.copy()
+        got = _normalize_phases(given)
+        assert got is given  # real columns are flipped in place
         assert got.dtype == np.float64
         assert got.tobytes() == loop_normalize_phases(v).tobytes()
         assert np.array_equal(np.abs(got), np.abs(v))
         assert np.array_equal(got[:, 6:8], v[:, 6:8])
         assert_phase_rule(np.delete(got, [6, 7], axis=1))
+
+    def test_real_columns_need_no_float_temporary(self):
+        n = 300
+        v = np.linalg.eigh(random_symmetric(34, n))[1]
+        want = loop_normalize_phases(v)
+        tracemalloc.start()
+        try:
+            got = _normalize_phases(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        # two n x n boolean masks at most, no n x n float64 (8 n^2 bytes)
+        assert peak <= 2 * n * n + 64 * n
 
 
 class TestWindowMask:
@@ -415,6 +435,50 @@ class TestStackedSolves:
     def test_small_stacks_take_one_chunk(self):
         assert stack_chunks(21, 16) == [slice(0, STACK_BYTES // (16 * 256))]
         assert stack_chunks(0, 5) == [slice(0, STACK_BYTES // (16 * 25))]
+
+
+class TestHermitianPartEigvals:
+    """The values-only solve of an exact Hermitian part: hermitian_eigvals'
+    bits without validating again, and the same finiteness error."""
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_equals_the_validating_solve(self, k):
+        stack = hermitian_stack(40 + k, k, 6)
+        for mats in (stack, stack.real.copy()):
+            herm = require_hermitian(mats)
+            assert (hermitian_part_eigvals(herm).tobytes()
+                    == hermitian_eigvals(mats).tobytes())
+            assert (hermitian_part_eigvals(herm[0]).tobytes()
+                    == hermitian_eigvals(mats[0]).tobytes())
+
+    def test_schur_complements(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            block = random_block(rng)
+            spec_c = block.eig_c.eigenvalues
+            shifts = np.linspace(float(spec_c[0]) - 3.0,
+                                 float(spec_c[-1]) + 3.0, 9)
+            shifts = shifts[np.min(np.abs(spec_c - shifts[:, None]),
+                                   axis=1) > 1e-3]
+            s = schur_complement(block, shifts)
+            assert (hermitian_part_eigvals(s).tobytes()
+                    == hermitian_eigvals(s).tobytes())
+
+    def test_validates_nothing_but_finiteness(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg_module, "require_hermitian",
+                            lambda mat: calls.append(mat))
+        herm = require_hermitian(hermitian_stack(3, 4, 5))
+        hermitian_part_eigvals(herm)
+        assert calls == []
+        herm[2, 1, 1] = np.inf
+        assert (error_text(hermitian_part_eigvals, herm)
+                == "matrix entries must be finite (no NaN/Inf)")
+
+    def test_empty(self):
+        assert hermitian_part_eigvals(np.zeros((0, 0))).shape == (0,)
+        assert hermitian_part_eigvals(
+            np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3)
 
 
 class TestSpectralProjector:

@@ -24,12 +24,18 @@ from specblock import checks
 from specblock.blocks import best_relative_bound
 from specblock.errors import LandmarkError, SingularShiftError
 from specblock.linalg import _solver_input
-from specblock.mhd import discretize, profile_from_functions
+from specblock.mhd import (
+    BUILTIN_FIELDS,
+    constant_profile,
+    discretize,
+    profile_from_functions,
+)
 from specblock.problems import load_problem
 from specblock.selftest import random_block
 from specblock.tolerance import GRAPH_TOL
 
 from oracles import cubic_fixture_roots
+from test_mhd import _bench_profile
 
 RB = RelativeBound(0.0, 2.0)
 
@@ -165,7 +171,7 @@ class TestAngularOperator:
         assert factorings_of_u() == 1
         checks.angular(block, best_relative_bound(block), None)
         assert factorings_of_u() == 2
-        assert len(seen) > 2  # the spy also sees operator_norm's SVDs
+        assert len(seen) == 2  # U once per subspace object, nothing else
 
 
 def former_angular_operator(sub):
@@ -233,6 +239,98 @@ def test_angular_operator_matches_the_dense_formulas(make_blocks):
             gap_ref = operator_norm((k_c.K - k_hi.K) @ proj_hi)
             assert abs(gap - gap_ref) <= 1e-12 * max(1.0, k_c.norm, k_hi.norm)
     assert compared >= 1
+
+
+def _scaled_coupling(block, factor):
+    return BlockOperatorMatrix(A=block.A, B=factor * block.B, C=block.C)
+
+
+def _mhd_64(name):
+    fields = {"constant": ("constant", "constant", 0.0),
+              "linear-sinusoidal": ("linear", "sinusoidal", 0.3)}[name]
+    rho, va2, g = fields
+    return discretize(profile_from_functions(
+        BUILTIN_FIELDS[rho], BUILTIN_FIELDS[va2], 1.0, 1.0, 1.0, g=g,
+        grid_n=65), 64).block
+
+
+def _seeded_complex_blocks(count=4):
+    """The first ``count`` seeded random blocks whose subspace above c~ is a
+    graph."""
+    found = []
+    for seed in range(100):
+        block = random_block(np.random.default_rng(seed))
+        try:
+            if graph_test(block.graph_subspace).verdict == "graph":
+                found.append(block)
+        except (LandmarkError, SingularShiftError):
+            continue
+        if len(found) == count:
+            return found
+    raise AssertionError("too few graph subspaces among the seeded blocks")
+
+
+def _graph_with(s, t):
+    """[U; V] with U = P diag(s) Q* and V = R diag(t) Q*, s^2 + t^2 = 1:
+    orthonormal columns, sigma(U) = s and ‖K‖ = max t/s."""
+    rng = np.random.default_rng(5)
+
+    def isometry(n, m):
+        z = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        return np.linalg.qr(z)[0]
+
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    p, r, q = isometry(7, s.size), isometry(6, s.size), isometry(s.size, s.size)
+    return GraphSubspace(basis_first=(p * s) @ q.conj().T,
+                         basis_second=(r * t) @ q.conj().T)
+
+
+class TestAngularNormOracle:
+    """‖K‖ from the factors of the first-block SVD against numpy's 2-norm of
+    the assembled K, within 1e-12 relative at every scale of K."""
+
+    @staticmethod
+    def assert_norm(sub):
+        k_op = angular_operator(sub)
+        ref = float(np.linalg.norm(k_op.K, 2))
+        assert abs(k_op.norm - ref) <= 1e-12 * ref, (k_op.norm, ref)
+        return k_op.norm
+
+    @pytest.mark.parametrize("make_block", [
+        golden_block,
+        lambda: _mhd_64("constant"),
+        lambda: _mhd_64("linear-sinusoidal"),
+        lambda: discretize(_bench_profile(1), 256).block,
+        lambda: _scaled_coupling(golden_block(), 1e-9),
+    ], ids=["golden", "mhd-constant-64", "mhd-linear-sinusoidal-64",
+            "mhd-bench-256", "golden-coupling-1e-9"])
+    def test_blocks(self, make_block):
+        assert self.assert_norm(make_block().graph_subspace) > 0.0
+
+    def test_seeded_complex_blocks(self):
+        for block in _seeded_complex_blocks():
+            assert block.B.dtype == np.complex128
+            self.assert_norm(block.graph_subspace)
+
+    def test_near_non_graph_subspace(self):
+        s = np.array([1.0, 0.5, 0.01, 1e-6])
+        sub = _graph_with(s, np.sqrt(1.0 - s * s))
+        assert graph_test(sub).sigma_min == pytest.approx(1e-6, rel=1e-6)
+        norm = self.assert_norm(sub)
+        assert norm == pytest.approx(np.sqrt(1.0 - 1e-12) / 1e-6, rel=1e-9)
+
+    def test_tiny_k(self):
+        # s = 1 in double precision, so sqrt(1 - s^2)/s reads 0, and
+        # ‖K‖^2 = 1e-340 underflows unless X is scaled first
+        sub = _graph_with([1.0, 1.0], [1e-170, 3e-171])
+        assert self.assert_norm(sub) == pytest.approx(1e-170, rel=1e-12)
+
+    def test_decoupled_profile(self):
+        block = discretize(constant_profile(kperp=0.0, kpar=0.0), 32).block
+        k_op = angular_operator(block.graph_subspace)
+        assert k_op.norm <= 1e-12
+        assert k_op.norm == pytest.approx(np.linalg.norm(k_op.K, 2),
+                                          rel=1e-12, abs=1e-300)
 
 
 class TestDeltaCondition:
