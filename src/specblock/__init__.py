@@ -25,7 +25,6 @@ from .linalg import (
     SpectralDecomposition,
     general_eig,
     hermitian_eig,
-    hermitian_eigvals,
     operator_norm,
     orthonormality_defect,
     pseudo_inverse,

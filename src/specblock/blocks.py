@@ -20,7 +20,6 @@ from .linalg import (
     _solver_input,
     as_matrix,
     hermitian_eig,  # noqa: F401  (bench/test_bench.py reads blocks.hermitian_eig)
-    hermitian_eigvals,
     hermitian_part_eig,
     hermitian_part_eig_by_components,
     hermitian_part_eigvals,
@@ -198,7 +197,11 @@ class BlockOperatorMatrix:
     @cached_property
     def _gram(self) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
+            # (G + G*)/2 as require_hermitian forms it, in place: a second
+            # n1 x n1 result would raise the peak memory of the MHD jobs.
             gram = self.B @ self.B.conj().T
+            gram += gram.conj().T
+            gram *= 0.5
         if gram.size and not np.all(np.isfinite(gram)):
             raise ArgumentError(
                 "the coupling Gram matrix B B* overflows: entries of B are "
@@ -206,8 +209,17 @@ class BlockOperatorMatrix:
         return _frozen(gram)
 
     def coupling_gram(self) -> np.ndarray:
-        """B B*, the Hermitian form behind ‖B*x‖²."""
+        """B B*, the Hermitian form behind ‖B*x‖², stored as the exact
+        Hermitian part (G + G*)/2 of the product G, as require_hermitian
+        returns it: B B* - a A and a A + b I - B B* are solved unchecked."""
         return self._gram
+
+    @cached_property
+    def coupling_top(self) -> float:
+        """lambda_max(B B*), one values solve per block; 0.0 for empty A."""
+        if self.n1 == 0:
+            return 0.0
+        return float(hermitian_part_eigvals(self._gram)[-1])
 
     @cached_property
     def assembled_tol(self) -> float:
@@ -328,7 +340,7 @@ def minimal_b_for_a(block: BlockOperatorMatrix, a: float) -> RelativeBound:
         raise ArgumentError("a must be nonnegative")
     if block.n1 == 0:
         return RelativeBound(float(a), 0.0)
-    lam_max = float(hermitian_eigvals(_gram_gap(block, a))[-1])
+    lam_max = float(hermitian_part_eigvals(_gram_gap(block, a))[-1])
     return RelativeBound(float(a), max(0.0, lam_max))
 
 
@@ -344,7 +356,7 @@ def relative_bound_margin(block: BlockOperatorMatrix,
         mat = rb.a * block.A + rb.b * np.eye(block.n1) - block.coupling_gram()
     if not np.all(np.isfinite(mat)):
         raise ArgumentError("a A + b I - B B* overflows double precision")
-    return float(np.min(hermitian_eigvals(mat), initial=np.inf))
+    return float(np.min(hermitian_part_eigvals(mat), initial=np.inf))
 
 
 def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
@@ -359,10 +371,11 @@ def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
     is the pair at a = 0.  An empty A or a zero coupling gives (0, 0).
 
     disc is convex in a: lambda_max of the affine family BB* - aA is
-    convex, and so are max(0, .) of it and a(a + c).  The grid is solved
-    left to right in the chunks of stack_chunks (one chunk up to n1 = 55),
-    and the scan stops after the chunk in which disc rises by more than
-    4 eps_s from one point to a valid next point k, with
+    convex, and so are max(0, .) of it and a(a + c).  Point 0 reads its
+    top from the block's coupling_top, since BB* - 0 A is BB*; points 1 to
+    20 are solved left to right in the chunks of stack_chunks (one chunk up
+    to n1 = 57), and the scan stops after the chunk in which disc rises by
+    more than 4 eps_s from one point to a valid next point k, with
     eps_s = (n1 + 4) eps S and
     S = lambda_max(BB*) + a_max max|sigma(A)| + ((mu - c)/2)^2
         + a_max (a_max + |c|),
@@ -373,12 +386,13 @@ def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
     exceeds (2 n1 + 10) eps S.  The steps of the grid agree to a relative
     21 eps, so by convexity every later exact disc exceeds disc(k) by more
     than 2 (n1 + 3) eps S, and every later computed disc is above the
-    computed disc(k) the scan has already seen.  The result is therefore
-    the full scan's (a, b) bit for bit.  If S overflows, the scan is full.
+    computed disc(k) the scan has already seen.  The result is therefore,
+    bit for bit, the (a, b) of the full scan that reads point 0 the same
+    way.  If S overflows, the scan is full.
     """
     if block.n1 == 0:
         return RelativeBound(0.0, 0.0)
-    lam_bbs = float(hermitian_eigvals(block.coupling_gram())[-1])
+    lam_bbs = block.coupling_top
     if lam_bbs <= 0.0:
         return RelativeBound(0.0, 0.0)
     spec_a = block.eig_a.eigenvalues
@@ -393,11 +407,16 @@ def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
              + a_max * (a_max + abs(c)))
     stop_rise = 4.0 * (block.n1 + 4) * np.finfo(float).eps * scale
     tops = np.empty(grid.size)
+    tops[0] = lam_bbs
     best, best_width, prev = 0, np.inf, np.nan
-    for part in stack_chunks(grid.size, block.n1):
+    parts = [slice(0, 1)] + [slice(part.start + 1, part.stop + 1)
+                             for part in stack_chunks(grid.size - 1, block.n1)]
+    for part in parts:
         a = grid[part]
-        top = hermitian_eigvals(_gram_gap(block, a[:, None, None]))[:, -1]
-        tops[part] = top
+        if part.start:
+            tops[part] = hermitian_part_eigvals(
+                _gram_gap(block, a[:, None, None]))[:, -1]
+        top = tops[part]
         # disc overflows to inf at extreme scales; such a point cannot win.
         with np.errstate(over="ignore", invalid="ignore"):
             disc = offset + a * (a + c) + np.where(top > 0.0, top, 0.0)

@@ -20,14 +20,15 @@ from the complex driver's in the last digits.  ``pseudo_inverse`` and
 falls apart into decoupled blocks one block at a time, and any other matrix
 as ``hermitian_part_eig`` does.
 
-``require_hermitian`` and ``hermitian_eigvals`` also take a stack (k, n, n)
-of matrices, such as one matrix per shift of a scan.  Each matrix is checked
-on its own scale and solved by the LAPACK routine it would get alone, and the
-results equal k single calls bit for bit; the stack saves the per-call
-overhead, which dominates at n <= 16.  A stack is validated and solved in
-chunks of at most STACK_BYTES of complex128 matrices (``stack_chunks``):
-without that cap, a stack of large matrices costs a multiple of their memory
-in temporaries and runs slower than a loop once it spills the cache.
+``require_hermitian`` validates one 2-D matrix from outside the program and
+returns its exact Hermitian part; matrices built from such parts and real
+scalars go straight to the ``hermitian_part_*`` solvers, which check
+finiteness only.  ``hermitian_part_eigvals`` also takes a stack (k, n, n),
+such as one matrix per shift of a scan, and equals k single calls bit for
+bit without their per-call overhead, which dominates at n <= 16.  Callers
+solve long stacks in chunks of at most STACK_BYTES of complex128 matrices
+(``stack_chunks``): larger stacks cost a multiple of their memory in
+temporaries and run slower than a loop once they spill the cache.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import ArgumentError, NumericError
 from .tolerance import HERMITIAN_REL, PHASE_ZERO_TOL, PINV_REL
 
-# Budget of one validated chunk of a stack: at n = 200 it holds one complex
+# Budget of one chunk of a stacked solve: at n = 200 it holds one complex
 # matrix, so scans over blocks that large keep the memory of a loop.
 STACK_BYTES = 1 << 20
 
@@ -53,7 +54,6 @@ __all__ = [
     "hermitian_eig",
     "hermitian_part_eig",
     "hermitian_part_eig_by_components",
-    "hermitian_eigvals",
     "hermitian_part_eigvals",
     "spectral_projector",
     "pseudo_inverse",
@@ -127,33 +127,29 @@ def require_hermitian(mat) -> np.ndarray:
     exact Hermitian part, in the dtype as_matrix gives the input.
 
     The returned matrix is (H + H*)/2, so downstream code can rely on exact
-    symmetry.  A stack (k, n, n) is checked matrix by matrix, each against
-    its own max|entry|, and the stack of Hermitian parts is returned.
+    symmetry.
     """
-    arr = _finite(mat, (2, 3), True)
+    arr = as_matrix(mat, square=True)
     if arr.size == 0:
         return arr.copy()
     real = arr.dtype == np.float64 or not arr.imag.any()
     part = arr.real if real else arr
-    axes = None if arr.ndim == 2 else (-2, -1)
-    tol = HERMITIAN_REL * np.abs(part).max(axis=axes)
+    tol = HERMITIAN_REL * np.abs(part).max()
     if real:  # one float64 temporary, freed before the result exists
-        diff = part - part.swapaxes(-2, -1)
-        defect = np.abs(diff, out=diff).max(axis=axes)
+        diff = part - part.T
+        defect = np.abs(diff, out=diff).max()
         del diff
     else:
-        defect = np.abs(arr - arr.conj().swapaxes(-2, -1)).max(axis=axes)
-    over = np.ravel(defect > tol)
-    if over.any():
-        first = over.argmax()
+        defect = np.abs(arr - arr.conj().T).max()
+    if defect > tol:
         raise ArgumentError(
-            f"matrix is not Hermitian: defect {np.ravel(defect)[first]:.3e} "
-            f"exceeds tol {np.ravel(tol)[first]:.3e}")
+            f"matrix is not Hermitian: defect {defect:.3e} "
+            f"exceeds tol {tol:.3e}")
     if arr.dtype == np.float64:
-        sym = arr + arr.swapaxes(-2, -1)
+        sym = arr + arr.T
         sym *= 0.5
         return sym
-    return 0.5 * (arr + arr.conj().swapaxes(-2, -1))
+    return 0.5 * (arr + arr.conj().T)
 
 
 def stack_chunks(count: int, dim: int) -> list[slice]:
@@ -330,15 +326,16 @@ def hermitian_eig(mat) -> SpectralDecomposition:
     underlying iteration fails to converge.  Real-valued input is solved by
     the real driver and gets float64 vectors.
     """
-    herm = require_hermitian(mat)
-    if herm.ndim != 2:
-        raise ArgumentError(f"expected a 2-D array, got ndim = {herm.ndim}")
-    return hermitian_part_eig(herm)
+    return hermitian_part_eig(require_hermitian(mat))
 
 
-def _part_eigvals(herm: np.ndarray) -> np.ndarray:
-    """Eigenvalues of an exact Hermitian part, or of each in a stack, each
-    matrix by the LAPACK routine (real or complex) it would get alone."""
+def hermitian_part_eigvals(herm) -> np.ndarray:
+    """Ascending eigenvalues of an exact Hermitian part as require_hermitian
+    returns it, or the (k, n) rows of a stack of them, each matrix solved by
+    the LAPACK routine (real or complex) it would get alone; only finiteness
+    is checked.  They may differ from hermitian_part_eig's in the last
+    digits."""
+    herm = _finite(herm, (2, 3), True)
     if herm.ndim == 2 or herm.dtype == np.float64:
         return _eigvalsh(_solver_input(herm))
     vals = np.empty(herm.shape[:2])
@@ -347,28 +344,6 @@ def _part_eigvals(herm: np.ndarray) -> np.ndarray:
         if mask.any():
             vals[mask] = _eigvalsh(solver_input[mask])
     return vals
-
-
-def hermitian_eigvals(mat) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
-
-    Validates like hermitian_eig.  The values come from a different LAPACK
-    path than hermitian_eig's and may differ from them in the last digits.
-    A stack (k, n, n) gives the (k, n) array whose row i is
-    hermitian_eigvals(mat[i]); each chunk of ``stack_chunks`` is validated
-    at once and solved by one LAPACK call per routine (real or complex).
-    """
-    arr = np.asarray(mat)
-    if arr.ndim != 3:
-        return _part_eigvals(require_hermitian(arr))
-    return np.concatenate([_part_eigvals(require_hermitian(arr[part]))
-                           for part in stack_chunks(*arr.shape[:2])])
-
-
-def hermitian_part_eigvals(herm) -> np.ndarray:
-    """hermitian_eigvals of an exact Hermitian part (or a stack of them) as
-    require_hermitian returns it, bit for bit: only finiteness is checked."""
-    return _part_eigvals(_finite(herm, (2, 3), True))
 
 
 def spectral_projector(dec: SpectralDecomposition, window: Interval) -> np.ndarray:
@@ -396,11 +371,12 @@ def general_eig(mat, return_vectors: bool = False):
 
     Ordered by ascending real part, ties broken by ascending imaginary part.
     With ``return_vectors`` the matching (unit, phase-normalized) eigenvector
-    columns are returned as well.
+    columns are returned as well; without, no eigenvectors are computed.
     """
-    arr = as_matrix(mat, square=True)
+    arr = as_matrix(mat, square=True).astype(np.complex128, copy=False)
     try:
-        eigvals, eigvecs = np.linalg.eig(arr.astype(np.complex128, copy=False))
+        eigvals, eigvecs = (np.linalg.eig(arr) if return_vectors
+                            else (np.linalg.eigvals(arr), None))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"general eigensolve failed: {exc}") from exc
     order = np.lexsort((eigvals.imag, eigvals.real))

@@ -27,7 +27,7 @@ from .blocks import BlockOperatorMatrix, RelativeBound, relative_bound_margin
 from .checks import DIST_ANCHOR, VAR_ANCHOR, angular_at_c_tilde, basis
 from .enclosures import dist_bound, variational_bounds
 from .errors import ArgumentError, ProfileError
-from .linalg import Interval, hermitian_eigvals
+from .linalg import Interval
 from .report import NOT_APPLICABLE, Check, aggregate, judge
 from .tolerance import ZERO_DECAY, scalar_tol
 
@@ -326,8 +326,9 @@ def run_report(disc: MhdDiscretization, n_max: int,
     constants belong to the continuum operator; the last four stages are
     ``checks.angular_at_c_tilde`` and ``checks.basis`` with the closed-form
     (a, b).  ``specblock mhd`` and the selftest both run it.  The discrete
-    minimal b is read from the relative-bound margin's eigensolve, and one
-    dist_bound call covers every eigenvalue above c.
+    minimal b is read from the relative-bound margin's eigensolve, its
+    slack scale from the block's cached lambda_max(BB*), and one dist_bound
+    call covers every eigenvalue above c.
     """
     checks: list[Check] = []
     block = disc.block
@@ -338,12 +339,12 @@ def run_report(disc: MhdDiscretization, n_max: int,
     margin = relative_bound_margin(block, rb)
     # minimal_b_for_a(block, a).b = lambda_max(BB* - aA) = b - margin
     b_disc = max(0.0, b_const - margin)
-    gram_top = float(hermitian_eigvals(block.coupling_gram())[-1])
     checks.append(judge(
         "mhd/relative-bound", "||B* x||^2 <= a <A x, x> + b ||x||^2",
         {"a": a_const, "b": b_const, "N": disc.N},
         {"lambda_min(aA + bI - BB*)": margin, "discrete_minimal_b": b_disc},
-        relative_slack=(slack, [(margin, 0.0, ">=", max(1.0, gram_top))])))
+        relative_slack=(slack, [(margin, 0.0, ">=",
+                                 max(1.0, block.coupling_top))])))
 
     bands = essential_bands(disc.profile, squared=squared_bands)
     checks.append(judge(

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,19 @@ from specblock import (
 )
 from specblock import blocks as blocks_module
 from specblock import linalg as linalg_module
-from specblock.linalg import hermitian_eigvals, orthonormality_defect
+from specblock.linalg import (
+    hermitian_part_eigvals,
+    orthonormality_defect,
+    require_hermitian,
+)
 from specblock.mhd import constant_profile, discretize, profile_from_functions
+from specblock.problems import load_problem
 from specblock.selftest import random_block
 from specblock.tolerance import BASE_TOL, PHASE_ZERO_TOL, matrix_tol
 
 from oracles import cubic_fixture_roots, herm2x2_eigs
+
+GOLDEN_BLOCK = Path(__file__).parent / "data" / "golden_block.json"
 
 M3_FULL = np.array([[2.0, 0.0, 1.0], [0.0, 10.0, 1.0], [1.0, 1.0, -1.0]])
 
@@ -62,6 +71,39 @@ class TestBlockOperatorMatrix:
         twin = BlockOperatorMatrix(A=m3.A, B=m3.B, C=m3.C)
         assert twin.eig_m is not m3.eig_m
         assert np.array_equal(twin.eig_m.vectors, m3.eig_m.vectors)
+
+    def test_coupling_gram_is_the_exact_hermitian_part(self, rng):
+        blocks = [random_block(rng) for _ in range(20)]
+        blocks += [golden_block(), large_complex_block(7),
+                   discretize(constant_profile(), 24).block]
+        for block in blocks:
+            product = block.B @ block.B.conj().T
+            want = 0.5 * (product + product.conj().T)
+            gram = block.coupling_gram()
+            assert gram.dtype == product.dtype
+            assert gram.tobytes() == want.tobytes()
+            assert np.array_equal(gram, gram.conj().T)
+            top = np.linalg.eigvalsh(want)[-1]
+            assert type(block.coupling_top) is float
+            assert block.coupling_top == top
+            assert np.float64(block.coupling_top).tobytes() == top.tobytes()
+        empty = BlockOperatorMatrix(A=np.zeros((0, 0)), B=np.zeros((0, 2)),
+                                    C=np.eye(2))
+        assert empty.coupling_top == 0.0
+
+    def test_coupling_top_is_solved_once(self, monkeypatch):
+        block = golden_block()
+        solves = []
+        original = np.linalg.eigvalsh
+
+        def spy(mat, *args, **kwargs):
+            solves.append(np.shape(mat))
+            return original(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        top = block.coupling_top
+        assert block.coupling_top is top
+        assert solves == [(block.n1, block.n1)]
 
     def test_c_is_the_top_of_sigma_c(self, m3, rng):
         assert m3.c == -1.0
@@ -224,6 +266,23 @@ class TestRelativeBound:
         with pytest.raises(ArgumentError):
             minimal_b_for_a(m3, -1.0)
 
+    def test_overflow_raises_argument_error(self, m3):
+        # The derived matrices are solved without validation; their
+        # finiteness checks keep the texts.  numpy warns of the overflow in
+        # B B* - a A first.
+        with np.errstate(over="ignore"):
+            with pytest.raises(ArgumentError) as info:
+                minimal_b_for_a(m3, 1e308)
+        assert str(info.value) == "matrix entries must be finite (no NaN/Inf)"
+        with pytest.raises(ArgumentError) as info:
+            relative_bound_margin(m3, RelativeBound(1e308, 0.0))
+        assert str(info.value) == "a A + b I - B B* overflows double precision"
+        # B B* is finite here, but not its Hermitian part (G + G*)/2.
+        big = BlockOperatorMatrix(A=np.eye(2), B=[[1e154], [1e154]], C=[[0.0]])
+        assert np.isfinite(big.B @ big.B.T).all()
+        with pytest.raises(ArgumentError, match="coupling Gram matrix B B"):
+            big.coupling_top
+
     def test_margin_and_tightness(self, rng):
         for _ in range(30):
             block = random_block(rng)
@@ -263,23 +322,32 @@ class TestRelativeBound:
         assert best_relative_bound(block) == RelativeBound(0.0, 0.0)
 
 
+def reference_gram_top(block):
+    """lambda_max(B B*) of the validated product, with no help from the
+    block's caches."""
+    product = block.B @ block.B.conj().T
+    return float(hermitian_part_eigvals(require_hermitian(product))[-1])
+
+
 def scan_grid(block):
-    """The 21 grid points of the scan and disc at each, one a at a time
-    through minimal_b_for_a."""
-    lam_bbs = float(hermitian_eigvals(block.coupling_gram())[-1])
+    """The 21 grid points of the scan and disc at each: a = 0 reads
+    lambda_max(B B*), since B B* - 0 A is B B*, and every other point goes
+    through minimal_b_for_a, one a at a time."""
+    lam_bbs = reference_gram_top(block)
     mu = float(block.eig_a.eigenvalues[0])
     c = block.c
     denom = max(mu, matrix_tol(block.A), BASE_TOL)
     points = []
     for a in np.linspace(0.0, lam_bbs / denom, 21):
-        rb = minimal_b_for_a(block, float(a))
+        rb = (minimal_b_for_a(block, float(a)) if a
+              else RelativeBound(0.0, max(0.0, lam_bbs)))
         points.append((rb, ((mu - c) / 2.0) ** 2 + rb.a * (rb.a + c) + rb.b))
     return points
 
 
 def reference_best_relative_bound(block):
-    """The full scan, one a at a time through minimal_b_for_a."""
-    if float(hermitian_eigvals(block.coupling_gram())[-1]) <= 0.0:
+    """The full scan, one a at a time."""
+    if reference_gram_top(block) <= 0.0:
         return RelativeBound(0.0, 0.0)
     points = scan_grid(block)
     best, best_width = points[0][0], np.inf
@@ -287,6 +355,21 @@ def reference_best_relative_bound(block):
         if disc >= 0.0 and 2.0 * np.sqrt(disc) < best_width:
             best, best_width = rb, 2.0 * np.sqrt(disc)
     return best
+
+
+def golden_block():
+    return load_problem(GOLDEN_BLOCK).block
+
+
+def large_complex_block(seed):
+    """n1 = 200, n2 = 100 with a complex coupling and A >= 100 - O(30)."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((200, 200))
+    c = rng.standard_normal((100, 100))
+    return BlockOperatorMatrix(
+        A=a + a.T + 100.0 * np.eye(200),
+        B=rng.standard_normal((200, 100)) + 1j * rng.standard_normal((200, 100)),
+        C=c + c.T)
 
 
 def scan_block(seed, spectrum_a, top_c, n2=20, coupling=0.3):
@@ -304,7 +387,7 @@ def scan_block(seed, spectrum_a, top_c, n2=20, coupling=0.3):
 
 def count_grid_solves(monkeypatch, block):
     """best_relative_bound(block) and the number of matrices it hands to
-    eigvalsh besides B B*."""
+    eigvalsh besides B B*, which the fresh block solves once for a = 0."""
     solved = []
     original = np.linalg.eigvalsh
 
@@ -334,16 +417,27 @@ class TestStackedRelativeBoundScan:
         assert interior >= 10
 
     def test_matches_the_per_a_loop_on_a_large_block(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((200, 200))
-        c = rng.standard_normal((100, 100))
-        block = BlockOperatorMatrix(
-            A=a + a.T + 100.0 * np.eye(200),
-            B=rng.standard_normal((200, 100)) + 1j * rng.standard_normal((200, 100)),
-            C=c + c.T)
+        block = large_complex_block(7)
         rb = best_relative_bound(block)
         assert rb == reference_best_relative_bound(block)
         assert rb.a > 0.0 and rb.b > 0.0
+
+    def test_matches_the_per_a_loop_on_the_golden_block(self):
+        block = golden_block()
+        assert best_relative_bound(block) == reference_best_relative_bound(block)
+
+    def test_matches_the_per_a_loop_with_a_zero_row_in_b(self, rng):
+        block = random_block(rng)
+        while block.n1 < 3:
+            block = random_block(rng)
+        b = np.array(block.B)
+        b[1] = 0.0
+        lift = 5.0 - block.eig_a.eigenvalues[0]
+        for a in (block.A, block.A + lift * np.eye(block.n1)):
+            zero_row = BlockOperatorMatrix(A=a, B=b, C=block.C)
+            assert not zero_row.coupling_gram()[1].any()
+            assert (best_relative_bound(zero_row)
+                    == reference_best_relative_bound(zero_row))
 
     # Chunks of 18, 4 and 1 grid matrices; top_c places the argmin of disc
     # at the first point, inside the grid or at the last point.
@@ -358,7 +452,7 @@ class TestStackedRelativeBoundScan:
         index = [p.a for p, _ in scan_grid(block)].index(rb.a)
         assert {"first": index == 0, "interior": 0 < index < 20,
                 "last": index == 20}[where]
-        assert solved == 21 if where == "last" else solved < 21
+        assert solved == 20 if where == "last" else solved < 20
 
     @pytest.mark.parametrize("n1", [60, 120, 200])
     def test_negative_disc_points_are_skipped(self, n1):
@@ -369,7 +463,8 @@ class TestStackedRelativeBoundScan:
         a = np.diag(np.concatenate([[-1.0], rng.uniform(1.0, 10.0, n1 - 1)]))
         b = rng.standard_normal((n1, 6))
         b[0] = 0.0
-        a_max = float(hermitian_eigvals(b @ b.T)[-1]) / matrix_tol(a)
+        a_max = (float(hermitian_part_eigvals(require_hermitian(b @ b.T))[-1])
+                 / matrix_tol(a))
         top = 1.0 + 2.0 * np.linspace(0.0, a_max, 21)[1]
         block = BlockOperatorMatrix(A=a, B=b,
                                     C=np.diag(-top - np.arange(6.0)))
@@ -402,16 +497,17 @@ class TestStackedRelativeBoundScan:
         assert scan_grid(block)[-1][0].a <= 1e-6
         assert best_relative_bound(block) == reference_best_relative_bound(block)
 
-    def test_block_sweep_shape_solves_three_grid_points(self, monkeypatch):
+    def test_block_sweep_shape_solves_two_grid_points(self, monkeypatch):
         # The shape of the benchmark's block-sweep input: A with the ladder
         # 1 + k^2/2, max sigma(C) = -2 and B of scale 0.3.  The minimum of
-        # disc is at grid point 1, and the rise to point 2 ends the scan.
+        # disc is at grid point 1, and the rise to point 2 ends the scan;
+        # point 0 reads lambda_max(B B*).
         block = scan_block(43, 1.0 + np.arange(200) ** 2 / 2.0, -2.0,
                            n2=100, coupling=0.3 / np.sqrt(2.0))
         rb, solved = count_grid_solves(monkeypatch, block)
         assert rb == reference_best_relative_bound(block)
         assert rb.a == scan_grid(block)[1][0].a
-        assert solved <= 3
+        assert solved == 2
 
 
 class TestLandmarks:
@@ -483,8 +579,8 @@ class TestLandmarks:
         rng = np.random.default_rng(17)
         blocks = [block for block in (random_block(rng) for _ in range(30))
                   if block.eig_m.eigenvalues[-1] > block.c + 1e-6]
-        kappas = [hermitian_eigvals(schur_complement(
-            block, block.landmarks.c_tilde)) for block in blocks]
+        kappas = [hermitian_part_eigvals(require_hermitian(schur_complement(
+            block, block.landmarks.c_tilde))) for block in blocks]
         calls = []
         original = linalg_module.require_hermitian
 

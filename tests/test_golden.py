@@ -26,6 +26,7 @@ import pytest
 from specblock import assemble, basis, discretize, linalg, run_report
 from specblock.cli import main
 from specblock.mhd import profile_from_functions
+from specblock.problems import load_problem
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_verdicts.json").read_text())
@@ -207,6 +208,42 @@ def test_run_report_validates_a_and_c_once_per_call(monkeypatch):
     assert count_forms(seen, targets) == {"A": 1, "C": 1}
     run_report(discretize(profile, 32), 4)
     assert count_forms(seen, targets) == {"A": 2, "C": 2}
+
+
+def test_run_report_validates_nothing_but_a_and_c(tmp_path, monkeypatch):
+    # B B* and the matrices built from it and A are exact Hermitian parts:
+    # the relative-bound margin and lambda_max(B B*) solve them unchecked.
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(
+        {"mhd": MHD_PROBLEMS["mhd-linear-sinusoidal-64"]}))
+    profile = load_problem(str(path)).profile
+    disc = discretize(profile, 64)
+    seen = []
+    spy_on(monkeypatch, linalg.require_hermitian, seen)
+    run_report(discretize(profile, 64), 6)
+    assert len(seen) == 2
+    assert count_forms(seen, {"A": [disc.block.A], "C": [disc.block.C]}) == {
+        "A": 1, "C": 1}
+
+
+def test_enclose_solves_the_coupling_gram_once(tmp_path, monkeypatch):
+    # lambda_max(B B*) sets a_max and is the top of the scan's grid point
+    # a = 0: one cached values solve serves both.
+    path = DATA / "golden_block.json"
+    b = load_problem(str(path)).block.B
+    gram = linalg.require_hermitian(b @ b.conj().T)
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(mat, *args, **kwargs):
+        mats = np.asarray(mat).reshape(-1, *np.shape(mat)[-2:])
+        solves.extend(x for x in mats
+                      if x.shape == gram.shape and np.array_equal(x, gram))
+        return eigvalsh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    main(["enclose", "--input", str(path), "--out", str(tmp_path / "r.json")])
+    assert len(solves) == 1
 
 
 def test_run_report_factors_the_first_component_block_once_per_call(

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from specblock import (
     Interval,
     general_eig,
     hermitian_eig,
-    hermitian_eigvals,
     operator_norm,
     orthonormality_defect,
     pseudo_inverse,
@@ -27,8 +27,16 @@ from specblock.linalg import (
     require_hermitian,
     stack_chunks,
 )
+from specblock import checks, enclosures
 from specblock import linalg as linalg_module
-from specblock.blocks import schur_complement
+from specblock.blocks import (
+    BlockOperatorMatrix,
+    best_relative_bound,
+    schur_complement,
+)
+from specblock.cli import cmd_soq
+from specblock.enclosures import soq_bracket
+from specblock.problems import load_problem
 from specblock.selftest import random_block
 from specblock.tolerance import PHASE_ZERO_TOL, matrix_tol
 
@@ -199,22 +207,6 @@ class TestWindowMask:
                     assert got.tolist() == want
 
 
-class TestHermitianEigvals:
-    def test_agrees_with_full_decomposition(self):
-        for seed in range(6):
-            h = random_hermitian(seed, 2 + seed)
-            vals = hermitian_eigvals(h)
-            full = hermitian_eig(h).eigenvalues
-            scale = max(1.0, float(np.max(np.abs(full))))
-            assert np.max(np.abs(vals - full)) <= 1e-12 * scale
-
-    def test_validates_like_hermitian_eig(self):
-        with pytest.raises(ArgumentError):
-            hermitian_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ArgumentError):
-            hermitian_eigvals(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
 def random_symmetric(seed, n):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-10, 10, (n, n))
@@ -238,7 +230,8 @@ class TestRealPath:
         want = np.linalg.eigvalsh(h.astype(np.complex128))
         tol = matrix_tol(h)
         assert np.max(np.abs(dec.eigenvalues - want)) <= tol
-        assert np.max(np.abs(hermitian_eigvals(h) - want)) <= tol
+        assert (np.max(np.abs(hermitian_part_eigvals(require_hermitian(h))
+                               - want)) <= tol)
         assert dec.vectors.dtype == np.float64
         residual = h @ dec.vectors - dec.vectors * dec.eigenvalues
         assert np.linalg.norm(residual, 2) <= tol
@@ -262,13 +255,13 @@ class TestRealPath:
         assert np.signbit(require_hermitian(signed).imag).any()
         for mat in (real, signed):
             hermitian_eig(mat)
-            hermitian_eigvals(mat)
+            hermitian_part_eigvals(require_hermitian(mat))
         assert seen == [np.float64] * 4
         seen.clear()
         tiny = 1e-300j * np.array([[0.0, 1.0], [-1.0, 0.0]])
         for mat in (random_hermitian(4, 6), tiny):
             hermitian_eig(mat)
-            hermitian_eigvals(mat)
+            hermitian_part_eigvals(require_hermitian(mat))
         assert seen == [np.complex128] * 4
 
 
@@ -355,25 +348,25 @@ def hermitian_stack(seed, k, n):
     return stack
 
 
+def hermitian_parts(stack):
+    """The stack of require_hermitian's Hermitian parts, slice by slice."""
+    return np.stack([require_hermitian(mat) for mat in stack])
+
+
 class TestStackedSolves:
-    """A stack (k, n, n) is validated and solved slice by slice, bit for bit
-    like k single calls."""
+    """A stack (k, n, n) of exact Hermitian parts is solved slice by slice,
+    bit for bit like k single calls."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_equals_single_calls(self, k, n):
         stack = hermitian_stack(10 * n + k, k, n)
-        vals = hermitian_eigvals(stack)
-        herm = require_hermitian(stack)
-        assert vals.shape == (k, n)
-        for i in range(k):
-            assert np.array_equal(vals[i], hermitian_eigvals(stack[i]))
-            assert np.array_equal(herm[i].view(np.uint64),
-                                  require_hermitian(stack[i]).view(np.uint64))
-        real = stack.real.copy()
-        for i in range(k):
-            assert np.array_equal(hermitian_eigvals(real)[i],
-                                  hermitian_eigvals(real[i]))
+        for herm in (hermitian_parts(stack), hermitian_parts(stack.real)):
+            vals = hermitian_part_eigvals(herm)
+            assert vals.shape == (k, n)
+            for i in range(k):
+                assert (vals[i].tobytes()
+                        == hermitian_part_eigvals(herm[i]).tobytes())
 
     def test_each_slice_gets_its_own_solver(self, monkeypatch):
         seen = []
@@ -383,28 +376,25 @@ class TestStackedSolves:
             seen.append((np.asarray(a).dtype, np.asarray(a).shape[0]))
             return original(a, *args, **kwargs)
 
+        herm = hermitian_parts(hermitian_stack(3, 6, 4))
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        hermitian_eigvals(hermitian_stack(3, 6, 4))
+        hermitian_part_eigvals(herm)
         assert sorted(seen, key=str) == sorted(
             [(np.complex128, 2), (np.float64, 4)], key=str)
 
     def test_empty_stack(self):
-        assert hermitian_eigvals(np.zeros((0, 3, 3))).shape == (0, 3)
-        assert require_hermitian(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        assert hermitian_part_eigvals(np.zeros((0, 3, 3))).shape == (0, 3)
         with pytest.raises(ArgumentError):
-            hermitian_eigvals(np.zeros((0, 2, 3)))
+            hermitian_part_eigvals(np.zeros((0, 2, 3)))
+        with pytest.raises(ArgumentError, match=re.escape("ndim = 3")):
+            require_hermitian(np.zeros((0, 3, 3)))
 
     def test_bad_slice_raises_the_single_call_text(self):
-        stack = hermitian_stack(5, 4, 5)
-        stack[2, 0, 1] += 1e-6
-        want = error_text(hermitian_eigvals, stack[2])
-        assert want.startswith("matrix is not Hermitian")
-        assert error_text(hermitian_eigvals, stack) == want
-        assert error_text(require_hermitian, stack) == want
-        stack = hermitian_stack(5, 4, 5)
-        stack[3, 2, 2] = np.inf
-        assert (error_text(hermitian_eigvals, stack)
-                == error_text(hermitian_eigvals, stack[3]))
+        herm = hermitian_parts(hermitian_stack(5, 4, 5))
+        herm[3, 2, 2] = np.inf
+        want = error_text(hermitian_part_eigvals, herm[3])
+        assert want == "matrix entries must be finite (no NaN/Inf)"
+        assert error_text(hermitian_part_eigvals, herm) == want
 
     def test_full_decomposition_takes_one_matrix(self):
         with pytest.raises(ArgumentError, match=re.escape("ndim = 3")):
@@ -425,12 +415,14 @@ class TestStackedSolves:
         stack = hermitian_stack(8, k, n)
         if dtype == np.float64:
             stack = stack.real.copy()
-        vals = hermitian_eigvals(stack)
-        assert max(sizes) <= STACK_BYTES
+        herm = hermitian_parts(stack)
         # one complex matrix fills a chunk at this order
         assert stack_chunks(k, n) == [slice(i, i + 1) for i in range(k)]
+        vals = np.concatenate([hermitian_part_eigvals(herm[part])
+                               for part in stack_chunks(k, n)])
+        assert max(sizes) <= STACK_BYTES
         assert len(sizes) == k
-        assert np.array_equal(vals[5], hermitian_eigvals(stack[5]))
+        assert np.array_equal(vals[5], hermitian_part_eigvals(herm[5]))
 
     def test_small_stacks_take_one_chunk(self):
         assert stack_chunks(21, 16) == [slice(0, STACK_BYTES // (16 * 256))]
@@ -438,18 +430,27 @@ class TestStackedSolves:
 
 
 class TestHermitianPartEigvals:
-    """The values-only solve of an exact Hermitian part: hermitian_eigvals'
-    bits without validating again, and the same finiteness error."""
+    """The values-only solve of an exact Hermitian part: the validating
+    solve's bits without validating again, and the same finiteness error."""
+
+    def test_agrees_with_full_decomposition(self):
+        for seed in range(6):
+            h = require_hermitian(random_hermitian(seed, 2 + seed))
+            vals = hermitian_part_eigvals(h)
+            full = hermitian_part_eig(h).eigenvalues
+            scale = max(1.0, float(np.max(np.abs(full))))
+            assert np.max(np.abs(vals - full)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("k", [1, 7])
     def test_equals_the_validating_solve(self, k):
         stack = hermitian_stack(40 + k, k, 6)
         for mats in (stack, stack.real.copy()):
-            herm = require_hermitian(mats)
-            assert (hermitian_part_eigvals(herm).tobytes()
-                    == hermitian_eigvals(mats).tobytes())
-            assert (hermitian_part_eigvals(herm[0]).tobytes()
-                    == hermitian_eigvals(mats[0]).tobytes())
+            herm = hermitian_parts(mats)
+            want = [hermitian_part_eigvals(require_hermitian(mat)).tobytes()
+                    for mat in mats]
+            rows = hermitian_part_eigvals(herm)
+            assert [row.tobytes() for row in rows] == want
+            assert hermitian_part_eigvals(herm[0]).tobytes() == want[0]
 
     def test_schur_complements(self):
         rng = np.random.default_rng(41)
@@ -462,13 +463,13 @@ class TestHermitianPartEigvals:
                                    axis=1) > 1e-3]
             s = schur_complement(block, shifts)
             assert (hermitian_part_eigvals(s).tobytes()
-                    == hermitian_eigvals(s).tobytes())
+                    == hermitian_part_eigvals(hermitian_parts(s)).tobytes())
 
     def test_validates_nothing_but_finiteness(self, monkeypatch):
+        herm = hermitian_parts(hermitian_stack(3, 4, 5))
         calls = []
         monkeypatch.setattr(linalg_module, "require_hermitian",
                             lambda mat: calls.append(mat))
-        herm = require_hermitian(hermitian_stack(3, 4, 5))
         hermitian_part_eigvals(herm)
         assert calls == []
         herm[2, 1, 1] = np.inf
@@ -770,6 +771,36 @@ class TestGeneralEig:
     def test_rejects_non_square(self):
         with pytest.raises(ArgumentError):
             general_eig(np.ones((2, 3)))
+
+    def test_values_alone_equal_the_values_with_vectors(self, monkeypatch):
+        # The soq companions of the golden block (28 x 28) and of a seeded
+        # block with n1 = 200 and a 40-column trial space (80 x 80).
+        companions = []
+        original = enclosures.general_eig
+
+        def recording(mat, *args, **kwargs):
+            companions.append(np.array(mat, copy=True))
+            return original(mat, *args, **kwargs)
+
+        monkeypatch.setattr(enclosures, "general_eig", recording)
+        golden = Path(__file__).parent / "data" / "golden_block.json"
+        cmd_soq(load_problem(str(golden)), None)
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((200, 200))
+                            + 1j * rng.standard_normal((200, 200)))
+        a = (q * (1.0 + np.arange(200) ** 2 / 2.0)) @ q.conj().T
+        block = BlockOperatorMatrix(
+            A=0.5 * (a + a.conj().T),
+            B=0.2 * (rng.standard_normal((200, 100))
+                     + 1j * rng.standard_normal((200, 100))),
+            C=np.diag(-2.0 - np.sort(rng.uniform(0.0, 10.0, 100))))
+        bracket = soq_bracket(block.eig_a.eigenvalues, block.c,
+                              best_relative_bound(block))
+        checks.soq(block, np.eye(300, dtype=complex)[:, :40], bracket)
+        assert [m.shape for m in companions] == [(28, 28), (80, 80)]
+        for m in companions:
+            with_vectors = general_eig(m, return_vectors=True)[0]
+            assert general_eig(m).tobytes() == with_vectors.tobytes()
 
 
 def test_spectral_distance():
