@@ -119,6 +119,13 @@ class BlockOperatorMatrix:
         return _frozen(np.cumsum(gaps))
 
     @cached_property
+    def a_points(self) -> np.ndarray:
+        """sigma(A) as points, which the windows, pairs and brackets read:
+        the lowest eigenvalue of each a_clusters label, ascending."""
+        labels = self.a_clusters
+        return _frozen(self.eig_a.eigenvalues[np.diff(labels, prepend=-1) > 0])
+
+    @cached_property
     def eig_c(self) -> SpectralDecomposition:
         """Eigendecomposition of C.
 
@@ -195,7 +202,10 @@ class BlockOperatorMatrix:
         return _frozen(self.B @ self.eig_c.vectors)
 
     @cached_property
-    def _gram(self) -> np.ndarray:
+    def coupling_gram(self) -> np.ndarray:
+        """B B*, the Hermitian form behind ‖B*x‖², stored as the exact
+        Hermitian part (G + G*)/2 of the product G, as require_hermitian
+        returns it: B B* - a A and a A + b I - B B* are solved unchecked."""
         with np.errstate(over="ignore", invalid="ignore"):
             # (G + G*)/2 as require_hermitian forms it, in place: a second
             # n1 x n1 result would raise the peak memory of the MHD jobs.
@@ -208,18 +218,12 @@ class BlockOperatorMatrix:
                 "too large for double precision")
         return _frozen(gram)
 
-    def coupling_gram(self) -> np.ndarray:
-        """B B*, the Hermitian form behind ‖B*x‖², stored as the exact
-        Hermitian part (G + G*)/2 of the product G, as require_hermitian
-        returns it: B B* - a A and a A + b I - B B* are solved unchecked."""
-        return self._gram
-
     @cached_property
     def coupling_top(self) -> float:
         """lambda_max(B B*), one values solve per block; 0.0 for empty A."""
         if self.n1 == 0:
             return 0.0
-        return float(hermitian_part_eigvals(self._gram)[-1])
+        return float(hermitian_part_eigvals(self.coupling_gram)[-1])
 
     @cached_property
     def assembled_tol(self) -> float:
@@ -330,18 +334,23 @@ def resolvent_block(block: BlockOperatorMatrix, alpha: float) -> np.ndarray:
 
 
 def _gram_gap(block: BlockOperatorMatrix, a) -> np.ndarray:
-    """B B* - a A; an array ``a`` of shape (k, 1, 1) gives the stack."""
-    return block.coupling_gram() - a * block.A
+    """B B* - a A, ArgumentError if it overflows; an array ``a`` of shape
+    (k, 1, 1) gives the stack."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = block.coupling_gram - a * block.A
+    if not np.all(np.isfinite(gap)):
+        raise ArgumentError("B B* - a A overflows double precision")
+    return gap
 
 
 def minimal_b_for_a(block: BlockOperatorMatrix, a: float) -> RelativeBound:
-    """Least b ≥ 0 with B B* ⪯ a A + b I, i.e. max(0, lambda_max(BB* - aA))."""
+    """Least b ≥ 0 with B B* ⪯ a A + b I, i.e. max(0, lambda_max(BB* - aA));
+    a = 0 reads the block's coupling_top, since BB* - 0 A is BB*."""
     if a < 0.0:
         raise ArgumentError("a must be nonnegative")
-    if block.n1 == 0:
-        return RelativeBound(float(a), 0.0)
-    lam_max = float(hermitian_part_eigvals(_gram_gap(block, a))[-1])
-    return RelativeBound(float(a), max(0.0, lam_max))
+    top = block.coupling_top if a == 0.0 else np.max(
+        hermitian_part_eigvals(_gram_gap(block, a)), initial=0.0)
+    return RelativeBound(float(a), max(0.0, float(top)))
 
 
 def relative_bound_margin(block: BlockOperatorMatrix,
@@ -353,7 +362,7 @@ def relative_bound_margin(block: BlockOperatorMatrix,
     aA + bI - BB* overflows double precision.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mat = rb.a * block.A + rb.b * np.eye(block.n1) - block.coupling_gram()
+        mat = rb.a * block.A + rb.b * np.eye(block.n1) - block.coupling_gram
     if not np.all(np.isfinite(mat)):
         raise ArgumentError("a A + b I - B B* overflows double precision")
     return float(np.min(hermitian_part_eigvals(mat), initial=np.inf))
@@ -368,7 +377,8 @@ def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
     width 2 sqrt(disc(a)) at mu = min sigma(A), where
     disc(a) = ((mu - c)/2)^2 + a(a + c) + b(a).  Points with disc < 0 are
     skipped, ties go to the smallest a, and with no valid point the result
-    is the pair at a = 0.  An empty A or a zero coupling gives (0, 0).
+    is the pair at a = 0, as it is when a_max overflows double precision.
+    An empty A or a zero coupling gives (0, 0).
 
     disc is convex in a: lambda_max of the affine family BB* - aA is
     convex, and so are max(0, .) of it and a(a + c).  Point 0 reads its
@@ -390,16 +400,16 @@ def best_relative_bound(block: BlockOperatorMatrix) -> RelativeBound:
     bit for bit, the (a, b) of the full scan that reads point 0 the same
     way.  If S overflows, the scan is full.
     """
-    if block.n1 == 0:
-        return RelativeBound(0.0, 0.0)
     lam_bbs = block.coupling_top
-    if lam_bbs <= 0.0:
+    if lam_bbs <= 0.0:  # an empty A included
         return RelativeBound(0.0, 0.0)
     spec_a = block.eig_a.eigenvalues
     mu = float(spec_a[0])
     c = block.c
     denom = max(mu, matrix_tol(block.A), BASE_TOL)
     a_max = lam_bbs / denom
+    if not np.isfinite(a_max):
+        return RelativeBound(0.0, lam_bbs)
     grid = np.linspace(0.0, a_max, 21)
     half = (mu - c) / 2.0
     offset = half * half  # inf, not OverflowError, at extreme scales

@@ -26,9 +26,7 @@ from .blocks import BlockOperatorMatrix, RelativeBound
 from .enclosures import (
     dist_bound,
     eigenvalue_window,
-    exclusion_reference,
     exclusion_window,
-    inclusion_reference,
     resolvent_interval,
     resolvent_pairs,
     soq_enclosure,
@@ -36,6 +34,7 @@ from .enclosures import (
     soq_misses,
     subspace_dim_check,
     variational_bounds,
+    window_owners,
 )
 from .errors import ArgumentError, HypothesisError, UnderflowError
 from .report import FAIL, PASS, Check, holds, judge, not_applicable
@@ -100,12 +99,6 @@ def _above_c_plus_a(block: BlockOperatorMatrix, rb: RelativeBound) -> list[float
     return [float(lam) for lam in spec_m[spec_m > block.c + rb.a + SLACK]]
 
 
-def _cluster_points(block: BlockOperatorMatrix) -> list[float]:
-    """sigma(A) up to round-off: each cluster is represented by its lowest point."""
-    _, first = np.unique(block.a_clusters, return_index=True)
-    return [float(block.eig_a.eigenvalues[i]) for i in first]
-
-
 def distance_bounds(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
     """One distance-bound check per eigenvalue of M above c + a."""
     lams = _above_c_plus_a(block, rb)
@@ -126,20 +119,15 @@ def distance_bounds(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check
 
 
 def windows(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
-    """The inclusion and the exclusion window of each cluster of sigma(A),
-    interleaved, with the eigenvalues of M above c + a each one applies to."""
-    spec_a = block.eig_a.eigenvalues
-    labels = block.a_clusters
-    mus = _cluster_points(block)
-    incl_lams = [[] for _ in mus]
-    excl_lams = [[] for _ in mus]
-    for lam in _above_c_plus_a(block, rb):
-        mu = inclusion_reference(spec_a, lam)
-        if mu is not None:
-            incl_lams[labels[np.searchsorted(spec_a, mu)]].append(lam)
-        mu = exclusion_reference(spec_a, lam)
-        if mu is not None:
-            excl_lams[labels[np.searchsorted(spec_a, mu)]].append(lam)
+    """The inclusion and the exclusion window of each point of
+    ``block.a_points``, interleaved, with the eigenvalues of M above c + a
+    that ``enclosures.window_owners`` gives each one."""
+    spec_a, labels = block.eig_a.eigenvalues, block.a_clusters
+    mus = block.a_points.tolist()
+    tops = spec_a[np.diff(labels, append=labels[-1:] + 1) > 0]
+    lams = np.array(_above_c_plus_a(block, rb))
+    incl_lams, excl_lams = ([lams[owner == k].tolist() for k in range(len(mus))]
+                            for owner in window_owners(block.a_points, tops, lams))
 
     checks = []
     for mu, incl, excl in zip(mus, incl_lams, excl_lams):
@@ -177,7 +165,7 @@ def resolvent_intervals(block: BlockOperatorMatrix,
                         rb: RelativeBound) -> list[Check]:
     """One resolvent-interval check per consecutive pair of cluster points."""
     spec_m = block.eig_m.eigenvalues
-    mus = _cluster_points(block)
+    mus = block.a_points.tolist()
     checks = []
     for mu1, mu2 in zip(mus, mus[1:]):
         name = f"resolvent-interval/mu1={mu1:.6g}"
@@ -218,7 +206,7 @@ def variational_ladder(block: BlockOperatorMatrix,
 def dim_bracket(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
     """The dimension count between the first and last valid resolvent pair."""
     name = "dim-check/bracket"
-    pairs = resolvent_pairs(_cluster_points(block), block.c, rb)
+    pairs = resolvent_pairs(block.a_points, block.c, rb)
     if len(pairs) < 2:
         return [not_applicable(name, DIM_ANCHOR,
                                "fewer than two valid pair windows")]

@@ -50,7 +50,7 @@ def _checked_rb(block, rb):
     BASE_TOL n1 max(a max|A| + b, max|BB*|): no theorem applies otherwise."""
     pair = f"'rb' = [{rb.a:.6g}, {rb.b:.6g}]"
     tol = max(rb.a * matrix_tol(block.A) + rb.b * BASE_TOL * block.n1,
-              matrix_tol(block.coupling_gram()))
+              matrix_tol(block.coupling_gram))
     try:
         margin = relative_bound_margin(block, rb)
     except ArgumentError as exc:
@@ -88,7 +88,7 @@ def cmd_soq(problem: ProblemFile, subspace_dim: int | None,
     block, disc, rb = _resolve(problem, n_interior)
     dim_full = block.n1 + block.n2
     m = min(subspace_dim or dim_full, dim_full)
-    bracket = soq_bracket(block.eig_a.eigenvalues, block.c, rb)
+    bracket = soq_bracket(block.a_points, block.c, rb)
     q = (np.eye(dim_full, dtype=complex)[:, :m] if disc is None
          else trial_space(disc, m))
     return checks.soq(block, q, bracket)

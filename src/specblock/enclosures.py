@@ -3,6 +3,8 @@
 Distance bound, inclusion/exclusion windows around eigenvalues of A,
 certified resolvent intervals, subspace-dimension counts, variational
 two-sided bounds, and second-order-spectrum enclosures on trial subspaces.
+The windows, pairs and brackets read sigma(A) as one point per cluster
+(``BlockOperatorMatrix.a_points``); ``window_owners`` assigns the windows.
 Every unmet hypothesis, a window that overflows double precision included,
 raises HypothesisError, which the check builders report as not applicable.
 """
@@ -37,8 +39,7 @@ __all__ = [
     "subspace_dim_check",
     "variational_bounds",
     "soq_enclosure",
-    "inclusion_reference",
-    "exclusion_reference",
+    "window_owners",
     "soq_bracket",
     "resolvent_pairs",
     "soq_gaps",
@@ -223,48 +224,29 @@ def variational_bounds(spec_a, c: float, rb: RelativeBound, kappa: int,
     return out
 
 
-def inclusion_reference(spec_a, lam: float) -> float | None:
-    """The element of sigma(A) the inclusion window applies to at ``lam``.
+def window_owners(bottoms, tops, lams) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the clusters whose inclusion and exclusion windows apply
+    at each point of ``lams``, given the ascending cluster ``bottoms`` and
+    ``tops`` of sigma(A); -1 where none applies.
 
-    Returns the largest mu <= lam such that (mu, mu + 2(lam - mu)) misses
-    sigma(A), i.e. lam sits in the left half of the gap above mu (or above
-    the top of sigma(A)); None when no such mu exists.
+    Inclusion: the highest cluster with bottom <= lam, when it is the last
+    or lam is at most the midpoint of the gap above it.  Exclusion: the
+    lowest cluster with top >= lam, when it is the first or lam exceeds the
+    midpoint of the gap below it.  Each midpoint is widened by scalar_tol of
+    the gap's ends.  A lam inside a cluster's span gets both of its windows.
     """
-    spec_a = np.sort(np.asarray(spec_a, dtype=float))
-    lam = float(lam)
-    idx = int(np.searchsorted(spec_a, lam, side="right")) - 1
-    if idx < 0:
-        return None
-    mu = float(spec_a[idx])
-    above = spec_a[spec_a > mu + scalar_tol(mu)]
-    if above.size == 0:
-        return mu
-    nxt = float(above[0])
-    if lam <= 0.5 * (mu + nxt) + scalar_tol(mu, nxt):
-        return mu
-    return None
-
-
-def exclusion_reference(spec_a, lam: float) -> float | None:
-    """The element of sigma(A) the exclusion window applies to at ``lam``.
-
-    Returns the smallest mu >= lam such that lam in (mu - r, mu] is
-    compatible with (mu - 2r, mu) missing sigma(A): lam must sit strictly in
-    the right half of the gap below mu (or below the bottom of sigma(A)).
-    """
-    spec_a = np.sort(np.asarray(spec_a, dtype=float))
-    lam = float(lam)
-    idx = int(np.searchsorted(spec_a, lam, side="left"))
-    if idx >= spec_a.size:
-        return None
-    mu = float(spec_a[idx])
-    below = spec_a[spec_a < mu - scalar_tol(mu)]
-    if below.size == 0:
-        return mu
-    prev = float(below[-1])
-    if lam > 0.5 * (prev + mu) + scalar_tol(prev, mu):
-        return mu
-    return None
+    bottoms, tops, lams = (np.asarray(x, dtype=float)
+                           for x in (bottoms, tops, lams))
+    lo, hi = tops[:-1], bottoms[1:]  # the gaps between clusters
+    mid = 0.5 * (lo + hi) + BASE_TOL * np.maximum(
+        1.0, np.maximum(np.abs(lo), np.abs(hi)))  # scalar_tol(lo, hi)
+    last = bottoms.size - 1
+    incl = np.searchsorted(bottoms, lams, side="right") - 1
+    incl_ok = (incl >= 0) & (lams <= np.append(mid, np.inf)[incl])
+    excl = np.searchsorted(tops, lams, side="left")
+    excl_ok = (excl <= last) & (
+        lams > np.insert(mid, 0, -np.inf)[np.minimum(excl, last)])
+    return np.where(incl_ok, incl, -1), np.where(excl_ok, excl, -1)
 
 
 def resolvent_pairs(spec, c: float, rb: RelativeBound) -> list[tuple[float, float]]:
@@ -282,11 +264,11 @@ def resolvent_pairs(spec, c: float, rb: RelativeBound) -> list[tuple[float, floa
 def soq_bracket(spec_a, c: float, rb: RelativeBound):
     """Disc geometry (a1p, b4m, b4p) from the first and last valid pair windows.
 
-    Needs at least two consecutive pairs of sigma(A) passing the
-    resolvent-interval hypotheses.  b4m falls back onto b4p whenever the
-    lower exclusion endpoint sits left of a1p (the usual case for separated
-    spectra), keeping the disc over (a1p, b4p).  Returns None when fewer than
-    two pairs validate.
+    Needs at least two consecutive pairs of the points ``spec_a`` of sigma(A),
+    a block's a_points, passing the resolvent-interval hypotheses.  b4m falls
+    back onto b4p whenever the lower exclusion endpoint sits left of a1p (the
+    usual case for separated spectra), keeping the disc over (a1p, b4p).
+    Returns None when fewer than two pairs validate.
     """
     pairs = resolvent_pairs(spec_a, c, rb)
     if len(pairs) < 2:

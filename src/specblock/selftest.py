@@ -133,7 +133,7 @@ def separated_block(rng, max_halvings: int = 40):
     for _ in range(max_halvings):
         block = BlockOperatorMatrix(A=a_mat, B=b_mat, C=c_mat)
         rb = best_relative_bound(block)
-        if len(resolvent_pairs(block.eig_a.eigenvalues, block.c, rb)) >= 2:
+        if len(resolvent_pairs(block.a_points, block.c, rb)) >= 2:
             return block, rb, block.c
         b_mat = 0.5 * b_mat
     raise RuntimeError("failed to build a separated instance")
@@ -417,7 +417,7 @@ def soq_suite(rng, disc64: MhdDiscretization,
     found = []
     for _ in range(count):
         block, rb, c = separated_block(rng)
-        bracket = soq_bracket(block.eig_a.eigenvalues, c, rb)
+        bracket = soq_bracket(block.a_points, c, rb)
         if bracket is None:
             continue
         a1p, _, b4p = bracket
@@ -433,7 +433,7 @@ def soq_suite(rng, disc64: MhdDiscretization,
         found += soq(block, q, bracket)
     # The magnetohydrodynamics discretization with a 20-mode trial space.
     a, b, c = constants(constant_profile())
-    bracket = soq_bracket(disc64.block.eig_a.eigenvalues, c, RelativeBound(a, b))
+    bracket = soq_bracket(disc64.block.a_points, c, RelativeBound(a, b))
     mhd, = soq(disc64.block, trial_space(disc64, 20), bracket)
     found.append(mhd)
     admitted = sum(ch.outputs.get("admitted_count", 0) for ch in found)

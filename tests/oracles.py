@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's code paths: scalar root isolation by
 bisection, closed-form 2x2 eigenvalues, hand-expanded cofactor determinants
-and cross-product eigenvectors for 3x3 matrices.
+and cross-product eigenvectors for 3x3 matrices, and the window assignment
+one lambda at a time that ``enclosures.window_owners`` does as one array call.
 """
 
 import numpy as np
@@ -110,3 +111,46 @@ def rotate_last_column(w, angle, rng):
     z -= w @ (w.conj().T @ z)  # twice is enough (Kahan)
     w[:, -1] = np.cos(angle) * w[:, -1] + np.sin(angle) * z / np.linalg.norm(z)
     return w
+
+
+def _gap_tol(*values):
+    """BASE_TOL * max(1, |values|), the scalar tolerance of the windows."""
+    return 1e-10 * max([1.0] + [abs(float(v)) for v in values])
+
+
+def inclusion_reference(spec_a, lam):
+    """The point mu of sigma(A) whose inclusion window applies at ``lam``, one
+    lam at a time: the largest mu <= lam with lam in the left half of the gap
+    above mu (or above the top of sigma(A)); None when there is none."""
+    spec_a = np.sort(np.asarray(spec_a, dtype=float))
+    idx = int(np.searchsorted(spec_a, lam, side="right")) - 1
+    if idx < 0:
+        return None
+    mu = float(spec_a[idx])
+    above = spec_a[spec_a > mu + _gap_tol(mu)]
+    if above.size == 0:
+        return mu
+    nxt = float(above[0])
+    return mu if lam <= 0.5 * (mu + nxt) + _gap_tol(mu, nxt) else None
+
+
+def exclusion_reference(spec_a, lam):
+    """The point mu of sigma(A) whose exclusion window applies at ``lam``, one
+    lam at a time: the smallest mu >= lam with lam strictly in the right half
+    of the gap below mu (or below the bottom of sigma(A)); None otherwise."""
+    spec_a = np.sort(np.asarray(spec_a, dtype=float))
+    idx = int(np.searchsorted(spec_a, lam, side="left"))
+    if idx >= spec_a.size:
+        return None
+    mu = float(spec_a[idx])
+    below = spec_a[spec_a < mu - _gap_tol(mu)]
+    if below.size == 0:
+        return mu
+    prev = float(below[-1])
+    return mu if lam > 0.5 * (prev + mu) + _gap_tol(prev, mu) else None
+
+
+def cluster_tops(block):
+    """The highest eigenvalue of A of each a_clusters label, ascending."""
+    spec, labels = block.eig_a.eigenvalues, block.a_clusters
+    return np.array([spec[labels == k].max() for k in range(block.a_points.size)])

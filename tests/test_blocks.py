@@ -60,17 +60,32 @@ class TestBlockOperatorMatrix:
                            atol=1e-9)
 
     def test_blocks_and_cached_spectra_are_read_only(self, m3):
-        for arr in (m3.A, m3.B, m3.C, m3.coupling_gram(), m3.eig_a.vectors,
+        for arr in (m3.A, m3.B, m3.C, m3.coupling_gram, m3.eig_a.vectors,
                     m3.eig_m.eigenvalues, m3.coupling_in_c_basis):
             with pytest.raises(ValueError):
                 arr[0, ...] = 0.0
 
     def test_decompositions_are_cached_per_block(self, m3):
         assert m3.eig_m is m3.eig_m
-        assert m3.coupling_gram() is m3.coupling_gram()
+        assert m3.coupling_gram is m3.coupling_gram
         twin = BlockOperatorMatrix(A=m3.A, B=m3.B, C=m3.C)
         assert twin.eig_m is not m3.eig_m
         assert np.array_equal(twin.eig_m.vectors, m3.eig_m.vectors)
+
+    def test_a_points_are_the_lowest_member_of_each_cluster(self, rng):
+        # matrix_tol(A) = 1e-10 * 5 * 9: {1, 1 + 1e-13}, {5, 5 + 1e-12}, {9}
+        clustered = BlockOperatorMatrix(
+            A=np.diag([5.0 + 1e-12, 1.0, 9.0, 1.0 + 1e-13, 5.0]),
+            B=np.ones((5, 1)), C=[[0.0]])
+        assert clustered.a_points.tolist() == [1.0, 5.0, 9.0]
+        blocks = [clustered, golden_block(), *(random_block(rng) for _ in range(5))]
+        for block in blocks:
+            spec, labels = block.eig_a.eigenvalues, block.a_clusters
+            want = [spec[labels == k].min() for k in range(labels[-1] + 1)]
+            assert block.a_points.tolist() == want
+            assert block.a_points is block.a_points
+            with pytest.raises(ValueError):
+                block.a_points[0] = 0.0
 
     def test_coupling_gram_is_the_exact_hermitian_part(self, rng):
         blocks = [random_block(rng) for _ in range(20)]
@@ -79,7 +94,7 @@ class TestBlockOperatorMatrix:
         for block in blocks:
             product = block.B @ block.B.conj().T
             want = 0.5 * (product + product.conj().T)
-            gram = block.coupling_gram()
+            gram = block.coupling_gram
             assert gram.dtype == product.dtype
             assert gram.tobytes() == want.tobytes()
             assert np.array_equal(gram, gram.conj().T)
@@ -262,18 +277,28 @@ class TestRelativeBound:
         assert hi < 0
         assert minimal_b_for_a(m3, 1.0).b == 0.0
 
+    def test_a_zero_reads_the_cached_coupling_top(self, rng, monkeypatch):
+        blocks = [random_block(rng) for _ in range(5)] + [golden_block()]
+        tops = [block.coupling_top for block in blocks]
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("B B* - 0 A solved again")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unexpected)
+        for block, top in zip(blocks, tops):
+            assert minimal_b_for_a(block, 0.0) == RelativeBound(0.0, max(0.0, top))
+
     def test_negative_a_rejected(self, m3):
         with pytest.raises(ArgumentError):
             minimal_b_for_a(m3, -1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_raises_argument_error(self, m3):
-        # The derived matrices are solved without validation; their
-        # finiteness checks keep the texts.  numpy warns of the overflow in
-        # B B* - a A first.
-        with np.errstate(over="ignore"):
-            with pytest.raises(ArgumentError) as info:
-                minimal_b_for_a(m3, 1e308)
-        assert str(info.value) == "matrix entries must be finite (no NaN/Inf)"
+        # The derived matrices are solved without validation; an overflow
+        # in forming them raises with its cause, and numpy does not warn.
+        with pytest.raises(ArgumentError) as info:
+            minimal_b_for_a(m3, 1e308)
+        assert str(info.value) == "B B* - a A overflows double precision"
         with pytest.raises(ArgumentError) as info:
             relative_bound_margin(m3, RelativeBound(1e308, 0.0))
         assert str(info.value) == "a A + b I - B B* overflows double precision"
@@ -435,7 +460,7 @@ class TestStackedRelativeBoundScan:
         lift = 5.0 - block.eig_a.eigenvalues[0]
         for a in (block.A, block.A + lift * np.eye(block.n1)):
             zero_row = BlockOperatorMatrix(A=a, B=b, C=block.C)
-            assert not zero_row.coupling_gram()[1].any()
+            assert not zero_row.coupling_gram[1].any()
             assert (best_relative_bound(zero_row)
                     == reference_best_relative_bound(zero_row))
 

@@ -30,9 +30,7 @@ from specblock.blocks import assemble, minimal_b_for_a, schur_complement
 from specblock.checks import variational_ladder
 from specblock.enclosures import (
     eigenvalue_window,
-    exclusion_reference,
     exclusion_window,
-    inclusion_reference,
     resolvent_interval,
     resolvent_pairs,
     soq_bracket,
@@ -40,6 +38,7 @@ from specblock.enclosures import (
     soq_misses,
     subspace_dim_check,
     variational_bounds,
+    window_owners,
 )
 from specblock.errors import (
     ArgumentError,
@@ -77,6 +76,8 @@ from specblock.subspaces import (
 )
 from specblock.tolerance import EIGVEC_RESIDUAL_REL, SLACK, SOQ_MARGIN_REL
 
+from oracles import cluster_tops
+
 
 def reference_window_suite(rng, count):
     incl_margins, excl_margins, res_margins = [], [], []
@@ -101,17 +102,17 @@ def reference_window_suite(rng, count):
             c = float(block.eig_c.eigenvalues[-1])
         spec_a = block.eig_a.eigenvalues
         spec_m = block.eig_m.eigenvalues
-        for lam in spec_m[spec_m > c + rb.a + SLACK]:
-            lam = float(lam)
-            mu_in = inclusion_reference(spec_a, lam)
-            if mu_in is not None:
-                win = eigenvalue_window(mu_in, c, rb)
+        lams = spec_m[spec_m > c + rb.a + SLACK]
+        mus = block.a_points
+        owners = zip(*window_owners(mus, cluster_tops(block), lams))
+        for lam, (k_in, k_ex) in zip(lams.tolist(), owners):
+            if k_in >= 0:
+                win = eigenvalue_window(mus[k_in], c, rb)
                 incl_margins.append(min(lam - (win.lo - SLACK),
                                         (win.hi + SLACK) - lam))
-            mu_ex = exclusion_reference(spec_a, lam)
-            if mu_ex is not None:
+            if k_ex >= 0:
                 try:
-                    win = exclusion_window(mu_ex, c, rb)
+                    win = exclusion_window(mus[k_ex], c, rb)
                 except HypothesisError:
                     continue
                 # positive when lam stays out of the open window

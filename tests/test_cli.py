@@ -89,6 +89,20 @@ class TestExitCodes:
         assert "finite" not in err
         assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("coupling", [1e149, 2e149])
+    def test_relative_bound_scan_at_overflowing_a_max_exits_0(
+            self, tmp_path, capsys, coupling):
+        # a_max = lambda_max(BB*) / 2e-10 is 5e307 for 1e149 and overflows
+        # for 2e149, where the scan keeps the pair at a = 0
+        payload = {"blocks": {"A": [[1e-300, 0], [0, 1]], "B": [[coupling], [0]],
+                              "C": [[-1]]}}
+        path = write_problem(tmp_path, "p.json", payload)
+        code, rep = run_to_file(tmp_path, ["enclose", "--input", path])
+        assert code == 0
+        assert rep["summary"] == {"pass": 4, "fail": 0, "not_applicable": 5}
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("command", ["enclose", "angular", "basis", "soq"])
     @pytest.mark.parametrize("a1, a2, c", [(1e160, 3e160, -1e160),
                                            (1e-160, 3e-160, -1e-160)])
@@ -308,6 +322,25 @@ class TestEnclose:
         assert verdicts[0] == verdicts[1]
         names = [name for name, _ in verdicts[1]]
         assert len(names) == len(set(names))
+
+    def test_eigenvalue_inside_a_cluster_span_reads_its_exclusion_window(
+            self, tmp_path):
+        # Shifted by 1e9, the two lowest eigenvalues of A, 1e9 + 1 and
+        # 1e9 + 1.5, are one cluster, and the eigenvalue 1e9 + 1.083 of M
+        # between them falls to its exclusion window as well.
+        raw = json.loads(Path(GOLDEN_BLOCK).read_text())
+        for key in ("A", "C"):
+            for i, row in enumerate(raw["blocks"][key]):
+                row[i][0] += 1e9
+        path = write_problem(tmp_path, "shifted.json", raw)
+        _, rep = run_to_file(tmp_path, ["enclose", "--input", path])
+        check, = [c for c in rep["checks"]
+                  if c["name"] == "exclusion-window/mu=1e+09"
+                  and c["inputs"]["mu"] == 1e9 + 1]
+        assert check["status"] == "pass"
+        lam, = check["outputs"]["applicable"]
+        assert lam == pytest.approx(1e9 + 1.083, abs=1e-3)
+        assert not check["outputs"]["intruding"]
 
     def test_every_check_carries_anchor(self, tmp_path):
         path = write_problem(tmp_path, "m3.json", M3_PROBLEM)

@@ -20,11 +20,10 @@ from specblock import (
 )
 from specblock.enclosures import (
     QepEnclosure,
-    exclusion_reference,
-    inclusion_reference,
     resolvent_pairs,
     soq_bracket,
     soq_misses,
+    window_owners,
 )
 from specblock.blocks import best_relative_bound
 from specblock.linalg import Interval, spectral_distance
@@ -32,7 +31,13 @@ from specblock.problems import load_problem
 from specblock.tolerance import SLACK, SOQ_MARGIN_REL, scalar_tol
 from specblock.selftest import random_block, separated_block
 
-from oracles import cubic_fixture_roots, poly_roots_durand_kerner
+from oracles import (
+    cluster_tops,
+    cubic_fixture_roots,
+    exclusion_reference,
+    inclusion_reference,
+    poly_roots_durand_kerner,
+)
 
 GOLDEN_BLOCK = Path(__file__).parent / "data" / "golden_block.json"
 RB = RelativeBound(0.0, 2.0)  # minimal bound of the cubic fixture at a = 0
@@ -498,20 +503,62 @@ class TestSoqMisses:
         assert soq_misses(encls, spectrum) == expected
 
 
+def owner_mismatches(block):
+    """The points at which window_owners names another cluster than the
+    per-point reference does: the eigenvalues of A and M, the midpoints of
+    sigma(A) and points a hair to either side of them."""
+    spec_a = block.eig_a.eigenvalues
+    mids = 0.5 * (spec_a[1:] + spec_a[:-1])
+    lams = np.concatenate([spec_a, block.eig_m.eigenvalues, mids,
+                           np.nextafter(mids, -np.inf), mids * (1 + 1e-9),
+                           [spec_a[0] - 1.0, spec_a[-1] + 1.0]])
+    incl, excl = window_owners(block.a_points, cluster_tops(block), lams)
+
+    def label(mu):
+        if mu is None:
+            return -1
+        return int(block.a_clusters[np.searchsorted(spec_a, mu)])
+
+    return sum(label(inclusion_reference(spec_a, lam)) != k_in
+               or label(exclusion_reference(spec_a, lam)) != k_ex
+               for lam, k_in, k_ex in zip(lams.tolist(), incl, excl))
+
+
 class TestPairingHelpers:
     def test_inclusion_reference(self):
-        spec = [2.0, 10.0]
-        assert inclusion_reference(spec, 2.5) == 2.0   # left half of the gap
-        assert inclusion_reference(spec, 7.0) is None  # right half
-        assert inclusion_reference(spec, 11.0) == 10.0  # above the top
-        assert inclusion_reference(spec, 1.0) is None  # below the bottom
+        # left half of the gap, right half, above the top, below the bottom
+        incl, _ = window_owners([2.0, 10.0], [2.0, 10.0], [2.5, 7.0, 11.0, 1.0])
+        assert incl.tolist() == [0, -1, 1, -1]
 
     def test_exclusion_reference(self):
-        spec = [2.0, 10.0]
-        assert exclusion_reference(spec, 7.0) == 10.0
-        assert exclusion_reference(spec, 2.5) is None
-        assert exclusion_reference(spec, 1.0) == 2.0
-        assert exclusion_reference(spec, 11.0) is None
+        _, excl = window_owners([2.0, 10.0], [2.0, 10.0], [7.0, 2.5, 1.0, 11.0])
+        assert excl.tolist() == [1, -1, 0, -1]
+
+    def test_a_point_gets_both_of_its_windows(self):
+        incl, excl = window_owners([2.0, 10.0], [2.0, 10.0], [2.0, 10.0])
+        assert incl.tolist() == excl.tolist() == [0, 1]
+
+    def test_cluster_span_gets_both_windows(self):
+        # cluster 1 spans [10, 10.5]: every point in it reads both windows
+        lams = [10.0, 10.2, 10.5, 10.6, 9.9]
+        incl, excl = window_owners([2.0, 10.0], [2.0, 10.5], lams)
+        assert incl.tolist() == [1, 1, 1, 1, -1]
+        assert excl.tolist() == [1, 1, 1, -1, 1]
+
+    def test_no_clusters(self):
+        incl, excl = window_owners([], [], [1.0, 2.0])
+        assert incl.tolist() == excl.tolist() == [-1, -1]
+
+    @pytest.mark.parametrize("make_block", [
+        lambda: load_problem(GOLDEN_BLOCK).block,
+        lambda: sweep_block(1),
+    ], ids=["golden", "complex-n1-200"])
+    def test_owners_match_the_per_point_reference(self, make_block):
+        assert owner_mismatches(make_block()) == 0
+
+    def test_owners_match_the_per_point_reference_on_random_blocks(self):
+        rng = np.random.default_rng(26)
+        assert sum(owner_mismatches(random_block(rng)) for _ in range(50)) == 0
 
     def test_soq_bracket_on_ladder(self):
         block = BlockOperatorMatrix(
