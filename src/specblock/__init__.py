@@ -64,10 +64,8 @@ from .subspaces import (
     spectral_subspace,
 )
 from .basis import (
-    BariReport,
     DecayReport,
     aligned_term,
-    bari_sum,
     projection_decay,
     riesz_check,
 )

@@ -1,10 +1,10 @@
 """Basis diagnostics for first components of eigenvectors above max sigma(C).
 
 The residual of the Riccati equation of the angular operator, whose graph
-is invariant exactly when it vanishes; the projection-decay comparison
-between eigenprojectors of A and spectral projectors of the Schur complement
-(read from the eigenvectors of the assembled matrix), and Bari partial sums
-against aligned eigenvectors of A.
+is invariant exactly when it vanishes, and one walk over the rungs above c
+that compares eigenprojectors of A with spectral projectors of the Schur
+complement (read from the eigenvectors of the assembled matrix) and takes
+the Bari term of each rung against the aligned eigenvector of A.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockOperatorMatrix, RelativeBound, SpectralLandmarks
+from .blocks import BlockOperatorMatrix, RelativeBound
 from .errors import (
     ArgumentError,
     DegenerateGapError,
@@ -27,24 +27,22 @@ from .tolerance import PAIR_TOL
 __all__ = [
     "DecayRecord",
     "DecayReport",
-    "BariRecord",
-    "BariReport",
     "riesz_check",
     "projector_distance",
     "projection_decay",
     "aligned_term",
-    "bari_sum",
 ]
 
 
 @dataclass(frozen=True)
 class DecayRecord:
-    """Projection-decay data for one eigenvalue above c.
+    """Projection-decay data and the Bari term for one eigenvalue above c.
 
     ``bound`` is the explicit chain (gamma / dist[circle, sigma(A)]) *
     delta/(1 - delta), infinite when delta >= 1.  ``a_points_inside`` counts
     spectrum of A strictly inside the comparison circle; the chain assumes
-    exactly one.
+    exactly one.  ``term`` is ||y_{kappa+n} - x_n||^2 (aligned_term), None
+    when x_n cannot be aligned.
     """
 
     n: int
@@ -56,32 +54,27 @@ class DecayRecord:
     bound: float
     circle_dist_a: float
     a_points_inside: int
+    term: float | None
 
 
 @dataclass(frozen=True)
 class DecayReport:
+    """The records of projection_decay, one per rung, in rung order.
+
+    ``m_constant`` is the largest gamma_n / dist[circle, sigma(A)];
+    ``gap_sum`` accumulates 1/(mu_{k+1} - mu_k)^2 over the leading
+    kappa + n_max gaps of sigma(A); ``unaligned`` is the PairingError text of
+    the first rung whose x_n cannot be aligned, None when every rung aligns.
+    """
+
     records: tuple
     m_constant: float
+    gap_sum: float
+    unaligned: str | None
 
     @property
     def norms(self) -> list[float]:
         return [r.proj_diff_norm for r in self.records]
-
-
-@dataclass(frozen=True)
-class BariRecord:
-    n: int
-    lam: float
-    mu: float
-    term: float
-
-
-@dataclass(frozen=True)
-class BariReport:
-    records: tuple
-    partial_sums: np.ndarray
-    gap_sum: float
-    converged: bool
 
 
 def _assembled_product(block: BlockOperatorMatrix, first: np.ndarray,
@@ -130,22 +123,6 @@ def _isolation_radius(value: float, spectrum: np.ndarray) -> float:
     return 0.5 * float(np.min(np.abs(rest - value)))
 
 
-def _cluster_columns(block: BlockOperatorMatrix, index: int) -> np.ndarray:
-    """Orthonormal eigenvectors of A spanning the cluster of its index-th
-    eigenvalue."""
-    labels = block.a_clusters
-    return block.eig_a.vectors[:, labels == labels[index]]
-
-
-def _ladder(block: BlockOperatorMatrix, n_max: int) -> SpectralLandmarks:
-    """block.landmarks, once its first n_max rungs are known to exist."""
-    marks = block.landmarks
-    if not 1 <= n_max <= marks.rungs:
-        raise ArgumentError(
-            f"n_max = {n_max} is outside 1..{marks.rungs}, the rungs above c")
-    return marks
-
-
 def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
     """‖E - F‖ for the orthogonal projectors E = UU* and F = VV* onto the
     spans of the orthonormal columns ``u`` and ``v``, without forming them.
@@ -167,35 +144,25 @@ def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
     return operator_norm(resid)
 
 
-def _first_component(block: BlockOperatorMatrix,
-                     n: int) -> tuple[float, np.ndarray]:
-    """lambda_n, the n-th eigenvalue above c, and x_n, the normalized first
-    component of its eigenvector in eig(M).  Raises PairingError when that
-    component falls below PAIR_TOL."""
-    dec_m = block.eig_m
-    idx = block.landmarks.first_above + n - 1
-    lam = float(dec_m.eigenvalues[idx])
-    x = dec_m.vectors[:block.n1, idx]
-    x_norm = float(np.linalg.norm(x))
-    if x_norm < PAIR_TOL:
-        raise PairingError(
-            f"eigenvector at {lam:.12g} has vanishing first component")
-    return lam, x / x_norm
-
-
 def projection_decay(block: BlockOperatorMatrix, n_max: int,
                      rb: RelativeBound) -> DecayReport:
-    """Compare eigenprojectors of A with Schur-complement spectral projectors.
+    """Compare eigenprojectors of A with Schur-complement spectral projectors,
+    and take the Bari term of each rung, in one walk over the rungs.
 
     For each of the first ``n_max`` eigenvalues lambda_n above c: the
     isolation radius gamma_n, the spectral projector F_n of the Schur
     complement S(lambda_n) onto (-gamma_n, gamma_n), the eigenprojector E of
-    A at mu_{kappa+n}, the operator norm of their difference, and the
-    circle-maximized delta_n.  The circle is sampled at 128 equally spaced
-    angles.  The rungs are those of block.landmarks.  Raises
-    DegenerateGapError when gamma_n < assembled_tol, PairingError as
-    bari_sum does, and UnderflowError when the denominator
-    dist[z, sigma(A)] (lambda_n - c) of delta_n is 0 on the circle.
+    A at mu_{kappa+n}, the operator norm of their difference, the
+    circle-maximized delta_n, and the Bari term ||y_{kappa+n} - x_n||^2 of
+    x_n against its aligned projection y onto the range of E.  The circle is
+    sampled at 128 equally spaced angles.  The rungs are those of
+    block.landmarks; n_max outside 1..rungs raises ArgumentError.  Raises
+    DegenerateGapError when gamma_n < assembled_tol, PairingError when the
+    first component of the eigenvector at lambda_n falls below PAIR_TOL, and
+    UnderflowError when the denominator dist[z, sigma(A)] (lambda_n - c) of
+    delta_n is 0 on the circle.  An x_n that aligned_term cannot align
+    raises nothing: its term is None and the report keeps the first such
+    text.
 
     F_n is the projector onto span{x_n}, the normalized first component of
     the eigenvector of M at lambda_n, so S(lambda_n) is neither formed nor
@@ -210,13 +177,18 @@ def projection_decay(block: BlockOperatorMatrix, n_max: int,
     bases alone (projector_distance): the cluster columns U of A and x_n give
     ‖U - x_n(x_n* U)‖ when U is one column and exactly 1 otherwise.
     """
-    marks = _ladder(block, n_max)
+    marks = block.landmarks
+    if not 1 <= n_max <= marks.rungs:
+        raise ArgumentError(
+            f"n_max = {n_max} is outside 1..{marks.rungs}, the rungs above c")
     spec_a = block.eig_a.eigenvalues
+    labels = block.a_clusters
     spec_m = block.eig_m.eigenvalues
     tol_full = block.assembled_tol
     angles = 2.0 * np.pi * np.arange(128) / 128
     records = []
     m_constant = 0.0
+    unaligned = None
     for n in range(1, n_max + 1):
         lam = float(marks.lambda_above_c[n - 1])
         gamma = _isolation_radius(lam, spec_m)
@@ -224,10 +196,21 @@ def projection_decay(block: BlockOperatorMatrix, n_max: int,
             raise DegenerateGapError(
                 f"eigenvalue {lam:.12g} collides with a neighbour "
                 f"(gamma = {gamma:.3e})")
-        mu = float(spec_a[marks.kappa + n - 1])
-        _, x = _first_component(block, n)
-        diff_norm = projector_distance(
-            _cluster_columns(block, marks.kappa + n - 1), x[:, None])
+        k = marks.kappa + n - 1
+        mu = float(spec_a[k])
+        x = block.eig_m.vectors[:block.n1, marks.first_above + n - 1]
+        x_norm = float(np.linalg.norm(x))
+        if x_norm < PAIR_TOL:
+            raise PairingError(
+                f"eigenvector at {lam:.12g} has vanishing first component")
+        x = x / x_norm
+        cols = block.eig_a.vectors[:, labels == labels[k]]
+        diff_norm = projector_distance(cols, x[:, None])
+        try:
+            term, _ = aligned_term(x, cols)
+        except PairingError as exc:
+            term = None
+            unaligned = unaligned or str(exc)
         zs = lam + gamma * np.exp(1j * angles)
         dists = np.abs(zs[:, None] - spec_a[None, :]).min(axis=1)
         with np.errstate(over="ignore"):  # delta = inf at extreme scales
@@ -247,8 +230,12 @@ def projection_decay(block: BlockOperatorMatrix, n_max: int,
         records.append(DecayRecord(
             n=n, lam=lam, mu=mu, gamma=gamma, delta=delta,
             proj_diff_norm=diff_norm, bound=bound,
-            circle_dist_a=circle_dist_a, a_points_inside=inside))
-    return DecayReport(records=tuple(records), m_constant=m_constant)
+            circle_dist_a=circle_dist_a, a_points_inside=inside, term=term))
+    gaps = np.diff(spec_a)[:min(spec_a.size - 1, marks.kappa + n_max)]
+    with np.errstate(divide="ignore", over="ignore"):
+        gap_sum = float(np.sum(1.0 / gaps ** 2)) if gaps.size else 0.0
+    return DecayReport(records=tuple(records), m_constant=m_constant,
+                       gap_sum=gap_sum, unaligned=unaligned)
 
 
 def aligned_term(x: np.ndarray, cols: np.ndarray) -> tuple[float, float]:
@@ -268,37 +255,3 @@ def aligned_term(x: np.ndarray, cols: np.ndarray) -> tuple[float, float]:
             f"projected component has norm {overlap:.3e}; cannot align")
     y = (cols @ coeffs) / overlap
     return float(np.linalg.norm(y - x) ** 2), overlap
-
-
-def bari_sum(block: BlockOperatorMatrix, n_max: int) -> BariReport:
-    """Partial sums of ‖y_{kappa+n} - x_n‖² with aligned eigenvectors of A.
-
-    x_n is the normalized first component of the n-th eigenvector above c
-    (rung n of block.landmarks); y_{kappa+n} is its aligned projection onto
-    the eigenspace of A at mu_{kappa+n}.  ``gap_sum`` accumulates 1/(mu_{k+1} - mu_k)² over the
-    leading gaps of sigma(A); ``converged`` flags that the last three
-    increments each dropped below 1e-3 of the first.
-    """
-    marks = _ladder(block, n_max)
-    spec_a = block.eig_a.eigenvalues
-    records = []
-    terms = []
-    for n in range(1, n_max + 1):
-        lam, x = _first_component(block, n)
-        mu = float(spec_a[marks.kappa + n - 1])
-        cols = _cluster_columns(block, marks.kappa + n - 1)
-        term, _ = aligned_term(x, cols)
-        records.append(BariRecord(n=n, lam=lam, mu=mu, term=term))
-        terms.append(term)
-    partial_sums = np.cumsum(terms)
-    gap_count = min(spec_a.size - 1, marks.kappa + n_max)
-    gaps = np.diff(spec_a)[:gap_count]
-    with np.errstate(divide="ignore", over="ignore"):
-        gap_sum = float(np.sum(1.0 / gaps ** 2)) if gaps.size else 0.0
-    if len(terms) >= 4:
-        first = terms[0]
-        converged = all(t <= 1e-3 * first + 1e-30 for t in terms[-3:])
-    else:
-        converged = False
-    return BariReport(records=tuple(records), partial_sums=partial_sums,
-                      gap_sum=gap_sum, converged=bool(converged))

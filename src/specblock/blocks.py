@@ -161,8 +161,14 @@ class BlockOperatorMatrix:
 
         c_tilde is fixed deterministically as the midpoint of c and the
         smallest assembled eigenvalue above c; kappa counts the negative
-        eigenvalues of the Schur complement at c_tilde.  Raises
-        LandmarkError when no eigenvalue of M lies above c, and
+        eigenvalues of the Schur complement at c_tilde by their sign alone.
+        On (c, inf), S'(lambda) <= -I, so every eigenvalue curve of S falls
+        at slope <= -1 and vanishes exactly at eigenvalues of M: a curve at
+        s != 0 at c_tilde meets an eigenvalue of M, or c, within |s| of
+        c_tilde.  Every eigenvalue of S(c_tilde) thus lies at least
+        dist(c_tilde, {c} ∪ sigma(M)) from 0, and its sign needs no
+        tolerance.
+        Raises LandmarkError when no eigenvalue of M lies above c, and
         SingularShiftError from schur_complement; an error is not cached.
         """
         c = self.c
@@ -173,7 +179,7 @@ class BlockOperatorMatrix:
                 "no spectrum of the assembled matrix above max sigma(C)")
         c_tilde = 0.5 * (c + float(above[0]))
         s = schur_complement(self, c_tilde)
-        kappa = int(np.sum(hermitian_part_eigvals(s) < -matrix_tol(s)))
+        kappa = int(np.sum(hermitian_part_eigvals(s) < 0.0))
         return SpectralLandmarks(
             c=c, c_tilde=c_tilde, kappa=kappa,
             lambda_above_c=_frozen(np.array(above, dtype=float)),

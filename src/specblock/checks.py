@@ -14,14 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import (
-    BariReport,
-    DecayRecord,
-    DecayReport,
-    bari_sum,
-    projection_decay,
-    riesz_check,
-)
+from .basis import DecayRecord, DecayReport, projection_decay, riesz_check
 from .blocks import BlockOperatorMatrix, RelativeBound
 from .enclosures import (
     dist_bound,
@@ -84,12 +77,12 @@ def decay_bounds(decay: DecayReport) -> list[tuple]:
              "<=", 1.0)]
 
 
-def bari_bounds(decay: DecayReport, bari: BariReport) -> list[tuple]:
+def bari_bounds(decay: DecayReport) -> list[tuple]:
     """||y_{kappa+n} - x_n||^2 <= (2 bound_n)^2 on the claimed rungs, as a
     comparison (judged with SLACK of slack): for the unit x_n and its aligned
     y = Ex/||Ex||, ||y - x|| <= 2||(I - E)x|| <= 2||E - F_n|| <= 2 bound_n."""
     claimed = _claimed(decay)
-    return [([bari.records[r.n - 1].term for r in claimed],
+    return [([r.term for r in claimed],
              np.square([2.0 * r.bound for r in claimed]), "<=", 1.0)]
 
 
@@ -335,8 +328,9 @@ def riesz(block: BlockOperatorMatrix) -> list[Check]:
 def decay_and_bari(block: BlockOperatorMatrix, rb: RelativeBound,
                    n_max: int) -> list[Check]:
     """The decay bound and the Bari terms on the claimed rungs among the first
-    n_max above c (fewer when the ladder is shorter); both are not
-    applicable when no rung is claimed."""
+    n_max above c (fewer when the ladder is shorter), both read from one
+    projection_decay report; both are not applicable when no rung is
+    claimed, and the Bari terms also when a rung's x_n cannot be aligned."""
     try:
         n_avail = min(n_max, block.landmarks.rungs)
     except HypothesisError as exc:
@@ -363,17 +357,17 @@ def decay_and_bari(block: BlockOperatorMatrix, rb: RelativeBound,
          "bounds": [r.bound for r in decay.records],
          "claimed": [r.n for r in claimed], "m_constant": decay.m_constant},
         slack=(SLACK, decay_bounds(decay)))]
-    try:
-        bari = bari_sum(block, n_avail)
-        checks.append(judge(
-            "basis/bari", BARI_ANCHOR, {"n_max": n_avail},
-            {"terms": [r.term for r in bari.records],
-             "partial_sum": float(bari.partial_sums[-1]),
-             "gap_sum": bari.gap_sum, "converged": bari.converged},
-            slack=(SLACK, bari_bounds(decay, bari))))
-    except HypothesisError as exc:
-        checks.append(not_applicable("basis/bari", BARI_ANCHOR, str(exc)))
-    return checks
+    if decay.unaligned is not None:
+        return checks + [not_applicable("basis/bari", BARI_ANCHOR,
+                                        decay.unaligned)]
+    terms = [r.term for r in decay.records]
+    converged = (len(terms) >= 4
+                 and all(t <= 1e-3 * terms[0] + 1e-30 for t in terms[-3:]))
+    return checks + [judge(
+        "basis/bari", BARI_ANCHOR, {"n_max": n_avail},
+        {"terms": terms, "partial_sum": float(np.cumsum(terms)[-1]),
+         "gap_sum": decay.gap_sum, "converged": converged},
+        slack=(SLACK, bari_bounds(decay)))]
 
 
 def basis(block: BlockOperatorMatrix, rb: RelativeBound,

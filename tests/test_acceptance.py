@@ -21,7 +21,6 @@ from specblock import (
     hermitian_eig,
     minimal_b_for_a,
     projection_decay,
-    bari_sum,
     spectral_subspace,
 )
 from specblock import selftest
@@ -167,8 +166,7 @@ def test_criterion_8_mhd_decay_and_bari():
                    for r in decay.records if r.delta < 1.0)
     effective = sum(1 for r in decay.records if r.delta < 1.0)
 
-    bari = bari_sum(disc.block, 8)
-    terms = np.array([r.term for r in bari.records])
+    terms = np.array([r.term for r in decay.records])
     spec_a = hermitian_eig(disc.block.A).eigenvalues
     model = 1.0 / np.diff(spec_a)[marks.kappa:marks.kappa + 8] ** 2
     quotients = [(terms[n + 1] / terms[n]) / (model[n + 1] / model[n])

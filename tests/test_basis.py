@@ -11,7 +11,6 @@ from specblock import (
     PairingError,
     RelativeBound,
     aligned_term,
-    bari_sum,
     projection_decay,
     riesz_check,
 )
@@ -22,7 +21,6 @@ import mpmath
 from specblock.basis import DecayRecord, DecayReport, projector_distance
 from specblock.blocks import assemble, best_relative_bound, schur_complement
 from specblock import checks, mhd
-from specblock.basis import BariRecord, BariReport
 from specblock.checks import bari_bounds, decay_bounds
 from specblock.linalg import Interval, hermitian_eig
 from specblock.mhd import discretize, profile_from_functions
@@ -415,14 +413,16 @@ class TestAlignedTerm:
 
 
 class TestBariSum:
+    """The Bari terms and gap sum of projection_decay's walk."""
+
     def test_decoupled_all_terms_vanish(self):
         block = decoupled_block()
-        rep = bari_sum(block, 2)
+        rep = projection_decay(block, 2, rb=RelativeBound(0.0, 0.0))
         assert np.allclose([r.term for r in rep.records], 0.0, atol=1e-20)
         assert rep.gap_sum == pytest.approx(1.0 / 64.0, abs=1e-12)
 
     def test_cubic_fixture_terms_match_direct_projector_arithmetic(self, m3):
-        rep = bari_sum(m3, 2)
+        rep = projection_decay(m3, 2, rb=RelativeBound(0.0, 2.0))
         roots = cubic_fixture_roots()
         # A = diag(2, 10): eigenprojectors select single coordinates
         for rec, lam, coord in zip(rep.records, roots[1:], (0, 1)):
@@ -442,15 +442,15 @@ class TestBariSum:
             n = min(3, int(marks.lambda_above_c.size), block.n1 - marks.kappa)
             if n < 1:
                 continue
-            rep = bari_sum(block, n)
-            assert np.all(np.diff(rep.partial_sums) >= -1e-15)
+            rep = projection_decay(block, n, rb=rb)
+            partial_sums = np.cumsum([r.term for r in rep.records])
+            assert np.all(np.diff(partial_sums) >= -1e-15)
 
     def test_terms_bounded_by_projector_distance(self, m3):
         # ||y - x|| <= 2 ||(F - E) x|| <= 2 ||E - F||
         decay = projection_decay(m3, 2, rb=RelativeBound(0.0, 2.0))
-        bari = bari_sum(m3, 2)
-        for d_rec, b_rec in zip(decay.records, bari.records):
-            assert b_rec.term <= (2.0 * d_rec.proj_diff_norm) ** 2 + 1e-9
+        for rec in decay.records:
+            assert rec.term <= (2.0 * rec.proj_diff_norm) ** 2 + 1e-9
 
 
 def dense_bari_terms(block, marks, n_max):
@@ -479,7 +479,7 @@ def test_bari_terms_match_dense_projectors(make_blocks):
     for block in make_blocks():
         marks = block.landmarks
         n_max = min(6, marks.rungs)
-        rep = bari_sum(block, n_max)
+        rep = projection_decay(block, n_max, rb=best_relative_bound(block))
         want = dense_bari_terms(block, marks, n_max)
         for rec, ref in zip(rep.records, want):
             assert abs(np.sqrt(rec.term) - np.sqrt(ref)) <= 1e-13
@@ -487,15 +487,18 @@ def test_bari_terms_match_dense_projectors(make_blocks):
     assert checked >= 4
 
 
-def decay_report(*records, inside=1):
+def decay_report(*records, inside=1, terms=None):
     """DecayReport from (norm, delta, bound) triples, each circle holding
-    ``inside`` points of sigma(A)."""
+    ``inside`` points of sigma(A), with the Bari terms ``terms`` (all 0.0
+    when None)."""
+    terms = terms or [0.0] * len(records)
     return DecayReport(records=tuple(
         DecayRecord(n=n, lam=0.0, mu=0.0, gamma=1.0, delta=delta,
                     proj_diff_norm=norm, bound=bound, circle_dist_a=1.0,
-                    a_points_inside=inside)
-        for n, (norm, delta, bound) in enumerate(records, start=1)),
-        m_constant=1.0)
+                    a_points_inside=inside, term=term)
+        for n, ((norm, delta, bound), term)
+        in enumerate(zip(records, terms), start=1)),
+        m_constant=1.0, gap_sum=1.0, unaligned=None)
 
 
 class TestVerdictRules:
@@ -541,13 +544,10 @@ class TestVerdictRules:
         (5.0, 0.5, 2, True),                  # two points inside: nothing
     ])
     def test_bari_terms(self, term, delta, inside, within):
-        decay = decay_report((0.0, 0.0, 0.0), (0.1, delta, 0.5), inside=inside)
-        bari = BariReport(records=(BariRecord(n=1, lam=0.0, mu=0.0, term=0.0),
-                                   BariRecord(n=2, lam=0.0, mu=0.0, term=term)),
-                          partial_sums=np.cumsum([0.0, term]), gap_sum=1.0,
-                          converged=False)
+        decay = decay_report((0.0, 0.0, 0.0), (0.1, delta, 0.5), inside=inside,
+                             terms=[0.0, term])
         check = judge("basis/bari", "", {}, {},
-                      slack=(SLACK, bari_bounds(decay, bari)))
+                      slack=(SLACK, bari_bounds(decay)))
         assert (check.status == PASS) is within
         assert check.margin is None or (check.margin >= 0.0) is within
 
@@ -565,13 +565,13 @@ def test_basis_bari_fails_when_a_term_exceeds_its_limit(monkeypatch):
     assert bari.margin is not None and bari.margin >= 0.0
     n = decay.outputs["claimed"][0]
     limit = (2.0 * decay.outputs["bounds"][n - 1]) ** 2
-    real = bari_sum(block, 8)
+    real = projection_decay(block, 8, rb=rb)
 
-    def inflated(block, n_max):
+    def inflated(block, n_max, rb):
         records = list(real.records)
         records[n - 1] = replace(records[n - 1], term=2.0 * limit)
         return replace(real, records=tuple(records))
 
-    monkeypatch.setattr(checks, "bari_sum", inflated)
+    monkeypatch.setattr(checks, "projection_decay", inflated)
     failed = {c.name: c for c in checks.basis(block, rb, 8)}["basis/bari"]
     assert failed.status == "fail" and failed.margin < 0.0

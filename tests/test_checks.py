@@ -12,7 +12,9 @@ checks compare at scale 1).
 """
 
 import inspect
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from specblock import (
     cli,
     selftest,
 )
-from specblock.basis import aligned_term, bari_sum, projection_decay, riesz_check
+from specblock.basis import aligned_term, projection_decay, riesz_check
 from specblock.blocks import assemble, minimal_b_for_a, schur_complement
 from specblock.checks import variational_ladder
 from specblock.enclosures import (
@@ -55,6 +57,7 @@ from specblock.mhd import (
     run_report,
     trial_space,
 )
+from specblock.problems import load_problem
 from specblock.report import (
     FAIL,
     NOT_APPLICABLE,
@@ -74,9 +77,17 @@ from specblock.subspaces import (
     shifted_matrix,
     spectral_subspace,
 )
-from specblock.tolerance import EIGVEC_RESIDUAL_REL, SLACK, SOQ_MARGIN_REL
+from specblock.tolerance import (
+    EIGVEC_RESIDUAL_REL,
+    SLACK,
+    SOQ_MARGIN_REL,
+    matrix_tol,
+)
 
 from oracles import cluster_tops
+from test_golden import MHD_PROBLEMS
+
+GOLDEN_BLOCK = Path(__file__).parent / "data" / "golden_block.json"
 
 
 def reference_window_suite(rng, count):
@@ -304,18 +315,18 @@ def reference_basis_suite(rng, count):
             continue
         try:
             decay = projection_decay(block, n_avail, rb=rb)
-            bari = bari_sum(block, n_avail)
         except HypothesisError:
             continue
-        claimed = [(b_rec, d_rec)
-                   for b_rec, d_rec in zip(bari.records, decay.records)
-                   if d_rec.delta < 1.0 and d_rec.a_points_inside == 1]
+        if decay.unaligned is not None:
+            continue
+        claimed = [rec for rec in decay.records
+                   if rec.delta < 1.0 and rec.a_points_inside == 1]
         if not claimed:
             continue
-        for b_rec, d_rec in claimed:
-            limit = 2.0 * d_rec.bound
-            decay_gaps.append(d_rec.bound + SLACK - d_rec.proj_diff_norm)
-            term_gaps.append(limit * limit + SLACK - b_rec.term)
+        for rec in claimed:
+            limit = 2.0 * rec.bound
+            decay_gaps.append(rec.bound + SLACK - rec.proj_diff_norm)
+            term_gaps.append(limit * limit + SLACK - rec.term)
         cols = block.eig_a.vectors[:, [marks.kappa]]
         x = rng.normal(size=block.n1) + 1j * rng.normal(size=block.n1)
         x = x / np.linalg.norm(x)
@@ -672,35 +683,74 @@ class TestRungs:
         assert marks.rungs == 2
         assert marks.first_above == 1
 
-    def test_fewer_eigenvalues_above_c_than_n1_minus_kappa(self):
+    def test_kappa_counts_a_negative_eigenvalue_inside_matrix_tol(self):
         # The uncoupled point -2 = c of sigma(A) gives S(c~) the eigenvalue
         # c - c~ = -0.006, inside matrix_tol(S(c~)) = 0.04 (the strong
-        # coupling makes S large), so kappa counts 0 instead of 1.
+        # coupling makes S large).  Its sign alone counts: kappa = 1, and the
+        # two eigenvalues above c are the n1 - kappa rungs of the ladder.
         block = BlockOperatorMatrix(A=np.diag([-2.0, -1.0, -2.0]),
                                     B=[[0.0], [900.0], [100.0]], C=[[-2.0]])
         marks = block.landmarks
-        assert marks.kappa == 0
-        assert marks.lambda_above_c.size == 2 < block.n1 - marks.kappa
+        s = schur_complement(block, marks.c_tilde)
+        assert -matrix_tol(s) < hermitian_eig(s).eigenvalues[0] < 0.0
+        assert marks.kappa == 1
+        assert marks.lambda_above_c.size == 2 == block.n1 - marks.kappa
         assert marks.rungs == 2
         assert marks.first_above == 2
         check, = variational_ladder(block, minimal_b_for_a(block, 0.0))
         assert check.inputs["n"] == 2 and len(check.outputs["intervals"]) == 2
+        assert check.status == PASS
 
     def test_never_more_eigenvalues_above_c_than_n1_minus_kappa(self, rng):
         # By inertia, sigma(M) ∩ (c~, inf) has n1 - kappa - dim ker S(c~)
-        # points; the kappa threshold only ever drops a negative eigenvalue
-        # of S(c~), so the count above c cannot exceed n1 - kappa.
+        # points, and c~ lies in a gap of sigma(M), so the count above c is
+        # exactly n1 - kappa.
         for _ in range(200):
             block = selftest.random_block(rng)
             try:
                 marks = block.landmarks
             except LandmarkError:
                 continue
-            assert marks.lambda_above_c.size <= block.n1 - marks.kappa
+            assert marks.lambda_above_c.size == block.n1 - marks.kappa
             assert marks.rungs == marks.lambda_above_c.size
             assert np.array_equal(
                 block.eig_m.eigenvalues[marks.first_above:],
                 marks.lambda_above_c)
+
+
+def sylvester_blocks(tmp_path):
+    """Blocks of every kind the programs see: selftest draws, the golden
+    block, both golden MHD profiles at N = 64, and the block whose S(c~) has
+    a negative eigenvalue inside matrix_tol."""
+    rng = np.random.default_rng(2718)
+    blocks = [selftest.random_block(rng) for _ in range(100)]
+    blocks += [selftest.ladder_block(rng) for _ in range(50)]
+    blocks += [selftest.separated_block(rng)[0] for _ in range(50)]
+    blocks.append(load_problem(GOLDEN_BLOCK).block)
+    for name, problem in MHD_PROBLEMS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"mhd": problem}))
+        blocks.append(discretize(load_problem(path).profile, 64).block)
+    blocks.append(BlockOperatorMatrix(A=np.diag([-2.0, -1.0, -2.0]),
+                                      B=[[0.0], [900.0], [100.0]], C=[[-2.0]]))
+    return blocks
+
+
+def test_kappa_is_the_sylvester_count(tmp_path):
+    # Haynsworth: In(M - c~) = In(C - c~) + In(S(c~)), and C - c~ < 0 has
+    # n2 negative eigenvalues, so kappa = #{lambda in sigma(M) : lambda < c~}
+    # - n2.  The count reads eig(M), independently of S(c~).
+    checked = 0
+    for block in sylvester_blocks(tmp_path):
+        try:
+            marks = block.landmarks
+        except LandmarkError:
+            continue
+        below = int(np.sum(block.eig_m.eigenvalues < marks.c_tilde))
+        assert marks.kappa == below - block.n2
+        assert marks.lambda_above_c.size == block.n1 - marks.kappa
+        checked += 1
+    assert checked >= 150
 
 
 def test_overflowing_windows_are_not_applicable():

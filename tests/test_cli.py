@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specblock import BlockOperatorMatrix, problems, selftest
+from specblock import BlockOperatorMatrix, basis, problems, selftest
 from specblock.cli import main
+from specblock.errors import PairingError
 from specblock.report import emit_json
 from specblock.selftest import fixture_block
 
@@ -355,6 +356,12 @@ class TestEnclose:
         assert code == 0
 
 
+# S(c~) has the eigenvalue c - c~ = -0.006, inside matrix_tol(S(c~)) = 0.04:
+# counted by its sign, kappa = 1.
+SMALL_NEGATIVE_S = {"blocks": {"A": [[-2, 0, 0], [0, -1, 0], [0, 0, -2]],
+                               "B": [[0], [900], [100]], "C": [[-2]]}}
+
+
 class TestAngular:
     def test_codim_one_at_alpha_six(self, tmp_path):
         path = write_problem(tmp_path, "m3.json", M3_PROBLEM)
@@ -365,6 +372,15 @@ class TestAngular:
         assert names["angular/operator"]["outputs"]["codim"] == 1
         assert names["angular/delta"]["outputs"]["delta"] == pytest.approx(
             1.0 / 14.0, abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["enclose", "angular"])
+    def test_kappa_from_the_sign_of_s(self, tmp_path, command):
+        # A tolerance count of kappa = 0 failed the variational ladder and
+        # codim(Dom K_c) = kappa, with codim 1.
+        path = write_problem(tmp_path, "small-s.json", SMALL_NEGATIVE_S)
+        code, rep = run_to_file(tmp_path, [command, "--input", path])
+        assert code == 0
+        assert rep["summary"]["fail"] == 0
 
     def test_default_alpha_uses_landmark(self, tmp_path):
         path = write_problem(tmp_path, "m3.json", M3_PROBLEM)
@@ -437,6 +453,31 @@ class TestBasisSoqMhd:
         code, rep = run_to_file(tmp_path, ["basis", "--input", path])
         assert code == 0
         assert rep["summary"]["fail"] == 0
+
+    def test_unaligned_rung_leaves_decay_judged(self, tmp_path, monkeypatch):
+        # aligned_term fails on rung 2 of the golden block, and the walk goes
+        # on to the later rungs: basis/bari says why, and basis/decay is the
+        # check of the unpatched run, byte for byte.
+        _, base = run_to_file(tmp_path, ["basis", "--input", GOLDEN_BLOCK])
+        real, calls = basis.aligned_term, []
+
+        def failing_on_rung_2(x, cols):
+            calls.append(None)
+            if len(calls) == 2:
+                raise PairingError("projected component has norm 0; "
+                                   "cannot align")
+            return real(x, cols)
+
+        monkeypatch.setattr(basis, "aligned_term", failing_on_rung_2)
+        code, rep = run_to_file(tmp_path, ["basis", "--input", GOLDEN_BLOCK])
+        assert code == 0 and len(calls) >= 3
+        found = {c["name"]: c for c in rep["checks"]}
+        was = {c["name"]: c for c in base["checks"]}
+        assert found["basis/bari"]["status"] == "not-applicable"
+        assert found["basis/bari"]["outputs"]["reason"] == (
+            "projected component has norm 0; cannot align")
+        assert was["basis/bari"]["status"] == "pass"
+        assert emit_json(found["basis/decay"]) == emit_json(was["basis/decay"])
 
     def test_soq_full_dimension_degenerates(self, tmp_path):
         # a ladder with two valid pair windows; full-space trial basis
