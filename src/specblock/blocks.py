@@ -1,9 +1,11 @@
 """Block operator matrices [[A, B], [B*, C]] and their Schur complements.
 
 The diagonal blocks A and C are Hermitian; B couples the second component
-space into the first.  Everything here is finite-dimensional: the domain
-conditions of the unbounded theory hold automatically and are recorded, not
-checked.
+space into the first.  A block computes each decomposition it needs once
+and caches it; ``fill_spectra`` fills those caches for many blocks at once
+from stacked solves, to the same bits.  Everything here is
+finite-dimensional: the domain conditions of the unbounded theory hold
+automatically and are recorded, not checked.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ArgumentError, LandmarkError, SingularShiftError
+from .errors import (ArgumentError, LandmarkError, NumericError,
+                     SingularShiftError)
 from .linalg import (
     SpectralDecomposition,
+    _pattern_labels,
     _solver_input,
     as_matrix,
     hermitian_eig,  # noqa: F401  (bench/test_bench.py reads blocks.hermitian_eig)
@@ -37,6 +41,7 @@ __all__ = [
     "RelativeBound",
     "SpectralLandmarks",
     "assemble",
+    "fill_spectra",
     "schur_complement",
     "resolvent_block",
     "minimal_b_for_a",
@@ -58,12 +63,6 @@ def _stored(mat: np.ndarray, given) -> np.ndarray:
     if np.may_share_memory(mat, given):
         mat = mat.copy()
     return _frozen(mat)
-
-
-def _frozen_eig(dec: SpectralDecomposition) -> SpectralDecomposition:
-    _frozen(dec.eigenvalues)
-    _frozen(dec.vectors)
-    return dec
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class BlockOperatorMatrix:
     @cached_property
     def eig_a(self) -> SpectralDecomposition:
         """Eigendecomposition of A."""
-        return _frozen_eig(hermitian_part_eig(self.A))
+        return hermitian_part_eig(self.A).freeze()
 
     @cached_property
     def a_clusters(self) -> np.ndarray:
@@ -136,7 +135,7 @@ class BlockOperatorMatrix:
         differ from the dense solve's in the last digits.  Any other C is
         solved densely by hermitian_part_eig.
         """
-        return _frozen_eig(hermitian_part_eig_by_components(self.C))
+        return hermitian_part_eig_by_components(self.C).freeze()
 
     @property
     def c(self) -> float:
@@ -153,7 +152,7 @@ class BlockOperatorMatrix:
         for entry, and require_hermitian would return (M + M*) / 2 = M, the
         same matrix bit for bit wherever 2 M does not overflow.
         """
-        return _frozen_eig(hermitian_part_eig(assemble(self)))
+        return hermitian_part_eig(assemble(self)).freeze()
 
     @cached_property
     def landmarks(self) -> SpectralLandmarks:
@@ -271,8 +270,80 @@ class SpectralLandmarks:
 
 
 def assemble(block: BlockOperatorMatrix) -> np.ndarray:
-    """Full (n1+n2)-dimensional Hermitian matrix [[A, B], [B*, C]]."""
-    return np.block([[block.A, block.B], [block.B.conj().T, block.C]])
+    """Full (n1+n2)-dimensional Hermitian matrix [[A, B], [B*, C]], complex
+    when one of the blocks is stored as complex."""
+    n1 = block.n1
+    full = np.empty((n1 + block.n2,) * 2,
+                    dtype=np.result_type(block.A, block.B, block.C))
+    full[:n1, :n1] = block.A
+    full[:n1, n1:] = block.B
+    full[n1:, :n1] = block.B.conj().T
+    full[n1:, n1:] = block.C
+    return full
+
+
+def _gram_to_solve(block: BlockOperatorMatrix) -> np.ndarray | None:
+    """B B*, or None where coupling_top solves nothing (an empty A) or
+    raises (B B* overflows)."""
+    if block.n1 == 0:
+        return None
+    try:
+        return block.coupling_gram
+    except ArgumentError:
+        return None
+
+
+# The matrix each cached property solves, or None where fill_spectra leaves
+# the property to itself: a C whose nonzero pattern splits is solved by
+# components (hermitian_part_eig_by_components).
+_SOLVED_BY = {
+    "eig_a": lambda block: block.A,
+    "eig_c": lambda block: (block.C if _pattern_labels(block.C) is None
+                            else None),
+    "eig_m": assemble,
+    "coupling_top": _gram_to_solve,
+}
+
+
+def fill_spectra(blocks, names) -> None:
+    """Fill the cached properties ``names``, among eig_a, eig_c, eig_m and
+    coupling_top, of each of ``blocks`` from stacked solves.
+
+    Each value is, bit for bit, the one the property would compute: the
+    matrices the property solves are grouped by shape and by the dtype
+    _solver_input gives them, and each group goes to np.linalg.eigh, or for
+    coupling_top to hermitian_part_eigvals, in the chunks of stack_chunks;
+    LAPACK solves each matrix of a stack as it solves that matrix alone.  A
+    property already computed is left as it is.  So is a property that
+    _SOLVED_BY leaves to itself, and every property of a chunk whose solve
+    fails: when read, it solves alone and raises the error.
+    """
+    for name in names:
+        groups: dict[tuple, list] = {}
+        for block in blocks:
+            if name in block.__dict__:  # where cached_property keeps a value
+                continue
+            mat = _SOLVED_BY[name](block)
+            if mat is not None:
+                mat = _solver_input(mat)
+                groups.setdefault((mat.shape, mat.dtype), []).append(
+                    (block, mat))
+        for (shape, _), members in groups.items():
+            for part in stack_chunks(len(members), shape[0]):
+                chunk = members[part]
+                stack = np.stack([mat for _, mat in chunk])
+                try:
+                    if name == "coupling_top":
+                        values = hermitian_part_eigvals(stack)[:, -1].tolist()
+                    else:
+                        vals, vecs = np.linalg.eigh(stack)
+                        values = [
+                            SpectralDecomposition(vals[k], vecs[k]).freeze()
+                            for k in range(len(chunk))]
+                except (np.linalg.LinAlgError, NumericError):
+                    continue
+                for (block, _), value in zip(chunk, values):
+                    block.__dict__[name] = value
 
 
 def schur_complement(block: BlockOperatorMatrix, lam,

@@ -12,7 +12,6 @@ raises HypothesisError, which the check builders report as not applicable.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .linalg import (
 )
 from .report import holds
 from .tolerance import (BASE_TOL, ORTH_TOL, REAL_AXIS_REL, SOQ_MARGIN_REL,
-                        scalar_tol)
+                        scalar_tol, scalar_tols)
 
 __all__ = [
     "EnclosureReport",
@@ -251,14 +250,40 @@ def window_owners(bottoms, tops, lams) -> tuple[np.ndarray, np.ndarray]:
 
 def resolvent_pairs(spec, c: float, rb: RelativeBound) -> list[tuple[float, float]]:
     """The consecutive points (mu1, mu2) of sorted ``spec`` whose
-    resolvent-interval hypotheses hold, in ascending order."""
-    spec = np.sort(np.asarray(spec, dtype=float)).tolist()
-    pairs = []
-    for mu1, mu2 in zip(spec, spec[1:]):
-        with suppress(HypothesisError):
-            resolvent_interval(mu1, mu2, c, rb)
-            pairs.append((mu1, mu2))
-    return pairs
+    resolvent-interval hypotheses hold, in ascending order.
+
+    The hypotheses are resolvent_interval's, tested on all pairs at once
+    with the same arithmetic, so each pair gets the verdict it gets alone.
+    """
+    spec = np.sort(np.asarray(spec, dtype=float))
+    mu1, mu2 = spec[:-1], spec[1:]
+    c, a, b = float(c), rb.a, rb.b
+    with np.errstate(all="ignore"):  # inf and NaN fail a test, as alone
+        # eigenvalue_window(mu1): a discriminant negative beyond round-off
+        # fails below, the rest is clamped at 0
+        half = (mu1 - c) / 2.0
+        disc = half * half + a * (a + c) + b
+        root = np.sqrt(np.where(disc < 0.0, 0.0, disc))
+        mid = (mu1 + c + 2.0 * a) / 2.0
+        alpha_lo, alpha_hi = mid - root, mid + root
+        # exclusion_window(mu2)
+        diff = mu2 - c
+        lhs = diff * diff
+        shift = a * mu2 + b
+        rhs = 4.0 * shift
+        half = diff / 2.0
+        root = np.sqrt(half * half - shift)
+        mid = (mu2 + c) / 2.0
+        beta_lo, beta_hi = mid - root, mid + root
+        met = np.logical_and.reduce([
+            mu1 < mu2, beta_lo < (mu1 + mu2) / 2.0, alpha_hi < beta_hi,
+            *np.isfinite([alpha_lo, alpha_hi, beta_lo, beta_hi])])
+        unmet = np.logical_or.reduce([
+            mu1 - (a + c) <= scalar_tols(mu1, a, c),
+            disc < -scalar_tols(mu1, c, a, b),
+            lhs <= rhs + np.maximum(scalar_tols(lhs), scalar_tols(rhs))])
+    return [(x, y) for x, y, good in zip(mu1.tolist(), mu2.tolist(),
+                                         (met & ~unmet).tolist()) if good]
 
 
 def soq_bracket(spec_a, c: float, rb: RelativeBound):

@@ -20,6 +20,11 @@ from the complex driver's in the last digits.  ``pseudo_inverse`` and
 falls apart into decoupled blocks one block at a time, and any other matrix
 as ``hermitian_part_eig`` does.
 
+A ``SpectralDecomposition`` keeps the eigenvectors as the solver returned
+them and phase-normalizes them on the first read of ``vectors``, so a caller
+that reads only eigenvalues pays for no normalization; the result is the
+same bits the eager normalization gave.
+
 ``require_hermitian`` validates one 2-D matrix from outside the program and
 returns its exact Hermitian part; matrices built from such parts and real
 scalars go straight to the ``hermitian_part_*`` solvers, which check
@@ -107,7 +112,12 @@ def _finite(x, ndims: tuple, square: bool) -> np.ndarray:
         arr = arr.astype(np.float64 if arr.dtype.kind in "biuf"
                          else np.complex128)
     if arr.ndim not in ndims:
-        raise ArgumentError(f"expected a 2-D array, got ndim = {arr.ndim}")
+        rows, cols = ("n", "n") if square else ("m", "n")
+        shapes = {2: f"a matrix ({rows}, {cols})",
+                  3: f"a stack (k, {rows}, {cols}) of matrices"}
+        raise ArgumentError(
+            f"expected {' or '.join(shapes[d] for d in ndims)}, "
+            f"got ndim = {arr.ndim}")
     if arr.size and not np.isfinite(arr).all():
         raise ArgumentError("matrix entries must be finite (no NaN/Inf)")
     if square and arr.shape[-2] != arr.shape[-1]:
@@ -160,18 +170,43 @@ def stack_chunks(count: int, dim: int) -> list[slice]:
     return [slice(start, start + per) for start in range(0, max(count, 1), per)]
 
 
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     ``eigenvalues`` ascend; ``vectors`` holds matching orthonormal
     eigenvectors as columns, phase-normalized so the first nonvanishing
     component of every column is real positive; they are float64 when the
-    solved matrix was real.
+    solved matrix was real.  The solver's columns are kept as they came and
+    normalized on the first read of ``vectors``, which forms them once.
     """
 
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
+    __slots__ = ("eigenvalues", "_raw", "_vectors", "_read_only")
+
+    def __init__(self, eigenvalues: np.ndarray, raw_vectors: np.ndarray):
+        """``raw_vectors`` are the solver's columns, which the first read of
+        ``vectors`` normalizes in place when they are real."""
+        self.eigenvalues = eigenvalues
+        self._raw = raw_vectors
+        self._vectors = None
+        self._read_only = False
+
+    @property
+    def vectors(self) -> np.ndarray:
+        if self._vectors is None:
+            vectors = _normalize_phases(self._raw)
+            if self._read_only:
+                vectors.flags.writeable = False
+            self._vectors, self._raw = vectors, None
+        return self._vectors
+
+    def freeze(self) -> SpectralDecomposition:
+        """Make the eigenvalues read-only, and the vectors too, now or when
+        they are formed; returns the decomposition."""
+        self.eigenvalues.flags.writeable = False
+        self._read_only = True
+        if self._vectors is not None:
+            self._vectors.flags.writeable = False
+        return self
 
     @property
     def dim(self) -> int:
@@ -242,8 +277,7 @@ def hermitian_part_eig(herm: np.ndarray) -> SpectralDecomposition:
         eigvals, eigvecs = np.linalg.eigh(_solver_input(herm))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
-    return SpectralDecomposition(eigenvalues=np.asarray(eigvals, dtype=float),
-                                 vectors=_normalize_phases(eigvecs))
+    return SpectralDecomposition(np.asarray(eigvals, dtype=float), eigvecs)
 
 
 def _pattern_labels(herm: np.ndarray) -> np.ndarray | None:
@@ -315,8 +349,7 @@ def hermitian_part_eig_by_components(herm: np.ndarray) -> SpectralDecomposition:
     vectors = np.zeros((n, n), dtype=solver_input.dtype)
     for idx, eigvecs in solved:
         vectors[idx[:, :, None], column[idx][:, None, :]] = eigvecs
-    return SpectralDecomposition(eigenvalues=values[order],
-                                 vectors=_normalize_phases(vectors))
+    return SpectralDecomposition(values[order], vectors)
 
 
 def hermitian_eig(mat) -> SpectralDecomposition:

@@ -4,11 +4,21 @@ Runs every library invariant on fixtures and seeded random instances and
 returns one Check per property family.  Deterministic for a fixed seed: the
 generator is PCG64, no timing or environment data enters the output, and all
 iteration orders are fixed.
+
+The families whose draws do not depend on what they compute (schur,
+resolvent, relative-bound, dist-bound, window, variational, dim-check and
+soq) draw a chunk of instances before they solve any, and solve the spectra
+each family reads as stacks (``blocks.fill_spectra``).  The stream and the
+report are those of solving each instance as it is drawn.  The subspace and
+basis families draw after skipping instances on computed values (no
+spectrum above c, no angular operator, an unmet hypothesis), so they take
+one instance at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +30,7 @@ from .blocks import (
     SpectralLandmarks,
     assemble,
     best_relative_bound,
+    fill_spectra,
     minimal_b_for_a,
     relative_bound_margin,
     resolvent_block,
@@ -55,6 +66,7 @@ from .linalg import (
     pseudo_inverse,
     spectral_distance,
     spectral_projector,
+    stack_chunks,
 )
 from .mhd import (
     MhdDiscretization,
@@ -115,28 +127,59 @@ def random_block(rng, n_max: int = 8, scale: float = 10.0) -> BlockOperatorMatri
                                C=_random_hermitian(rng, n2, scale))
 
 
+class _SeparatedDraw(NamedTuple):
+    """The numbers separated_block draws: sigma(A), C before its shift
+    below sigma(A), the gap of that shift, and the first coupling."""
+
+    mus: np.ndarray
+    c0: np.ndarray
+    drop: float
+    b_mat: np.ndarray
+
+
+def _draw_separated(rng) -> _SeparatedDraw:
+    """separated_block's draws, in its order."""
+    n1 = int(rng.integers(4, 9))
+    n2 = int(rng.integers(1, 5))
+    mus = 5.0 + np.cumsum(rng.uniform(6.0, 16.0, n1))
+    c0 = _random_hermitian(rng, n2, 3.0)
+    drop = rng.uniform(4.0, 8.0)
+    b_mat = rng.uniform(-3, 3, (n1, n2)) + 1j * rng.uniform(-3, 3, (n1, n2))
+    return _SeparatedDraw(mus, c0, drop, b_mat)
+
+
+def _first_separated(draw: _SeparatedDraw) -> BlockOperatorMatrix:
+    """The block of ``draw`` before any halving: sigma(C) topped ``drop``
+    below min sigma(A)."""
+    top = float(hermitian_part_eig(draw.c0).eigenvalues[-1])
+    shift = top - (draw.mus[0] - draw.drop)
+    return BlockOperatorMatrix(A=np.diag(draw.mus), B=draw.b_mat,
+                               C=draw.c0 - shift * np.eye(draw.c0.shape[0]))
+
+
+def _settle_separated(block: BlockOperatorMatrix, max_halvings: int = 40):
+    """(block, rb, c) from ``block`` with its coupling halved until at least
+    two consecutive pair windows validate; they always do in the decoupled
+    limit."""
+    for _ in range(max_halvings):
+        rb = best_relative_bound(block)
+        if len(resolvent_pairs(block.a_points, block.c, rb)) >= 2:
+            return block, rb, block.c
+        block = replace(block, B=0.5 * block.B)
+    raise RuntimeError("failed to build a separated instance")
+
+
 def separated_block(rng, max_halvings: int = 40):
     """Instance with well-separated sigma(A), sigma(C) topped below it, and a
     coupling weak enough that at least two consecutive pair windows validate.
 
     Returns (block, rb, c).  The coupling is halved until the hypotheses
-    hold; they always do in the decoupled limit.
+    hold; they always do in the decoupled limit.  It draws first
+    (_draw_separated) and then builds (_first_separated, _settle_separated),
+    which draws nothing.
     """
-    n1 = int(rng.integers(4, 9))
-    n2 = int(rng.integers(1, 5))
-    mus = 5.0 + np.cumsum(rng.uniform(6.0, 16.0, n1))
-    a_mat = np.diag(mus)
-    c0 = _random_hermitian(rng, n2, 3.0)
-    top = float(hermitian_part_eig(c0).eigenvalues[-1])
-    c_mat = c0 - (top - (mus[0] - rng.uniform(4.0, 8.0))) * np.eye(n2)
-    b_mat = rng.uniform(-3, 3, (n1, n2)) + 1j * rng.uniform(-3, 3, (n1, n2))
-    for _ in range(max_halvings):
-        block = BlockOperatorMatrix(A=a_mat, B=b_mat, C=c_mat)
-        rb = best_relative_bound(block)
-        if len(resolvent_pairs(block.a_points, block.c, rb)) >= 2:
-            return block, rb, block.c
-        b_mat = 0.5 * b_mat
-    raise RuntimeError("failed to build a separated instance")
+    return _settle_separated(_first_separated(_draw_separated(rng)),
+                            max_halvings)
 
 
 def ladder_block(rng) -> BlockOperatorMatrix:
@@ -151,6 +194,56 @@ def ladder_block(rng) -> BlockOperatorMatrix:
     c_mat = c0 - (top - (shift - rng.uniform(1.0, 5.0))) * np.eye(n2)
     b_mat = rng.uniform(-2, 2, (n1, n2)) + 1j * rng.uniform(-2, 2, (n1, n2))
     return BlockOperatorMatrix(A=a_mat, B=b_mat, C=c_mat)
+
+
+# The largest assembled orders the generators draw: random_block at its
+# default n_max = 8, and separated_block with n1 <= 8 and n2 <= 4.
+_RANDOM_ORDER = 16
+_SEPARATED_ORDER = 12
+
+
+def _stacked(draw, count: int, order: int, prepare):
+    """The instances ``prepare`` makes of ``draw(idx)`` for idx = 0 .. count
+    - 1, in order, one at a time.
+
+    For a family whose draws do not depend on what it computes: it draws a
+    chunk of instances before it solves any, and ``prepare`` builds the
+    chunk's instances and solves their spectra as stacks.  Solving draws
+    nothing, so the stream is the one of solving each instance as it is
+    drawn.  A solved instance stores its blocks and the eigenvectors of A, C
+    and M, less than four matrices of its assembled ``order``, so a chunk is
+    one stack_chunks slice at twice that order: at most STACK_BYTES stay
+    resident.  An instance handed out is let go, so it is freed when the
+    family is done with it.
+    """
+    for part in stack_chunks(count, 2 * order):
+        found = prepare([draw(idx)
+                         for idx in range(part.start, min(part.stop, count))])
+        found.reverse()
+        while found:
+            yield found.pop()
+
+
+def _filled(instances: list, names) -> list:
+    """``instances``, blocks or tuples that start with one, after
+    fill_spectra filled ``names`` of their blocks."""
+    fill_spectra([inst if isinstance(inst, BlockOperatorMatrix) else inst[0]
+                  for inst in instances], names)
+    return instances
+
+
+def _separated(draws) -> list[tuple]:
+    """separated_block's (block, rb, c) for each of ``draws``: the eig_a,
+    eig_c and coupling_top of the first blocks, which best_relative_bound
+    reads, are solved as stacks."""
+    firsts = _filled([_first_separated(draw) for draw in draws],
+                     ("eig_a", "eig_c", "coupling_top"))
+    return [_settle_separated(block) for block in firsts]
+
+
+def _separated_filled(draws) -> list[tuple]:
+    """_separated, with eig_m solved as stacks too."""
+    return _filled(_separated(draws), ("eig_m",))
 
 
 def numeric_core_suite(rng, count: int = 50) -> list[Check]:
@@ -220,8 +313,8 @@ def schur_suite(rng, count: int = 200) -> list[Check]:
     worst_forward = 0.0
     worst_converse = 0.0
     scanned = 0
-    for _ in range(count):
-        block = random_block(rng)
+    for block in _stacked(lambda _: random_block(rng), count, _RANDOM_ORDER,
+                          lambda blocks: _filled(blocks, ("eig_m", "eig_c"))):
         spec_m = block.eig_m.eigenvalues
         spec_c = block.eig_c.eigenvalues
         tol = block.assembled_tol
@@ -253,13 +346,18 @@ def schur_suite(rng, count: int = 200) -> list[Check]:
 def resolvent_suite(rng, count: int = 50) -> list[Check]:
     worst = 0.0
     checked = 0
-    for _ in range(count):
-        block = random_block(rng)
+
+    def draw(_):  # a block, then how far above and below sigma(M) to shift
+        return random_block(rng), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+
+    for block, above, below in _stacked(
+            draw, count, _RANDOM_ORDER,
+            lambda draws: _filled(draws, ("eig_m", "eig_c"))):
         full = assemble(block)
         spec_m = block.eig_m.eigenvalues
         spec_c = block.eig_c.eigenvalues
-        alpha = float(spec_m[-1] + rng.uniform(0.5, 3.0))
-        for candidate in (alpha, float(spec_m[0] - rng.uniform(0.5, 3.0))):
+        alpha = float(spec_m[-1] + above)
+        for candidate in (alpha, float(spec_m[0] - below)):
             if (spectral_distance(candidate, spec_m) <= 1e-3
                     or spectral_distance(candidate, spec_c) <= 1e-3):
                 continue
@@ -282,9 +380,11 @@ def resolvent_suite(rng, count: int = 50) -> list[Check]:
 def relative_bound_suite(rng, count: int = 100) -> list[Check]:
     worst_low = 0.0
     worst_tight = 0.0
-    for _ in range(count):
-        block = random_block(rng)
-        for a in (0.0, float(rng.uniform(0.0, 2.0))):
+    for block, a_drawn in _stacked(
+            lambda _: (random_block(rng), float(rng.uniform(0.0, 2.0))),
+            count, _RANDOM_ORDER,
+            lambda draws: _filled(draws, ("coupling_top",))):
+        for a in (0.0, a_drawn):
             rb = minimal_b_for_a(block, a)
             margin = relative_bound_margin(block, rb)
             worst_low = max(worst_low, -margin)
@@ -304,8 +404,10 @@ def dist_bound_suite(rng, count: int = 500) -> list[Check]:
     distance bound with the bounded-coupling constants (0, ||B||²)."""
     worst_slack = -np.inf
     checked = 0
-    for _ in range(count):
-        block = random_block(rng)
+    for block in _stacked(
+            lambda _: random_block(rng), count, _RANDOM_ORDER,
+            lambda blocks: _filled(blocks, ("coupling_top", "eig_m", "eig_a",
+                                            "eig_c"))):
         rb = minimal_b_for_a(block, 0.0)
         rep = dist_bound(block.eig_m.eigenvalues, block.eig_a.eigenvalues,
                          block.eig_c.eigenvalues, rb)
@@ -321,27 +423,42 @@ def dist_bound_suite(rng, count: int = 500) -> list[Check]:
         slack=_up_to(SLACK, worst_slack))]
 
 
+def _window_instance(rng, idx: int):
+    """Cycle dense, weak and single-channel "pushed" couplings so the
+    exclusion and resolvent hypotheses all actually fire; a weak coupling
+    comes as separated_block's draws."""
+    if idx % 3 == 1:
+        return _draw_separated(rng)
+    if idx % 3 == 2:
+        c = float(rng.uniform(-10.0, 5.0))
+        d = float(rng.uniform(0.5, 2.0))
+        g = float(rng.uniform(2.0, 5.0))
+        mu1 = c + d
+        lo = g * g / 4.0 + g * d / 2.0
+        hi = (g + d) ** 2 / 4.0
+        beta = np.sqrt(rng.uniform(lo, hi))
+        return BlockOperatorMatrix(A=np.diag([mu1, mu1 + g]),
+                                   B=[[beta], [0.0]], C=[[c]])
+    return random_block(rng)
+
+
+def _window_instances(draws) -> list[tuple]:
+    """(block, rb) of each of _window_instance's draws, spectra solved as
+    stacks: the weak couplings are settled as separated_block settles them,
+    the others take minimal_b_for_a at a = 0."""
+    weak = [isinstance(drawn, _SeparatedDraw) for drawn in draws]
+    firsts = _filled([_first_separated(drawn) if is_weak else drawn
+                      for drawn, is_weak in zip(draws, weak)],
+                     ("eig_a", "eig_c", "coupling_top"))
+    return _filled([_settle_separated(block)[:2] if is_weak
+                    else (block, minimal_b_for_a(block, 0.0))
+                    for block, is_weak in zip(firsts, weak)], ("eig_m",))
+
+
 def window_suite(rng, count: int = 200) -> list[Check]:
     incl, excl, res = [], [], []
-    for idx in range(count):
-        # cycle dense, weak and single-channel "pushed" couplings so the
-        # exclusion and resolvent hypotheses all actually fire
-        if idx % 3 == 1:
-            block, rb, _ = separated_block(rng)
-        elif idx % 3 == 2:
-            c = float(rng.uniform(-10.0, 5.0))
-            d = float(rng.uniform(0.5, 2.0))
-            g = float(rng.uniform(2.0, 5.0))
-            mu1 = c + d
-            lo = g * g / 4.0 + g * d / 2.0
-            hi = (g + d) ** 2 / 4.0
-            beta = np.sqrt(rng.uniform(lo, hi))
-            block = BlockOperatorMatrix(A=np.diag([mu1, mu1 + g]),
-                                        B=[[beta], [0.0]], C=[[c]])
-            rb = minimal_b_for_a(block, 0.0)
-        else:
-            block = random_block(rng)
-            rb = minimal_b_for_a(block, 0.0)
+    for block, rb in _stacked(lambda idx: _window_instance(rng, idx), count,
+                              _RANDOM_ORDER, _window_instances):
         for check in windows(block, rb):
             (incl if check.family == "inclusion-window" else excl).append(check)
         res += resolvent_intervals(block, rb)
@@ -398,8 +515,8 @@ def window_suite(rng, count: int = 200) -> list[Check]:
 
 def dim_check_suite(rng, count: int = 100) -> list[Check]:
     found = []
-    for _ in range(count):
-        block, rb, _ = separated_block(rng)
+    for block, rb, _ in _stacked(lambda _: _draw_separated(rng), count,
+                                 _SEPARATED_ORDER, _separated_filled):
         found += dim_bracket(block, rb)
     counted = [c for c in found if c.status != NOT_APPLICABLE]
     nonempty = sum(c.outputs["count_M"] > 0 for c in counted)
@@ -415,15 +532,23 @@ def dim_check_suite(rng, count: int = 100) -> list[Check]:
 def soq_suite(rng, disc64: MhdDiscretization,
               count: int = 100) -> list[Check]:
     found = []
-    for _ in range(count):
-        block, rb, c = separated_block(rng)
-        bracket = soq_bracket(block.a_points, c, rb)
-        if bracket is None:
-            continue
-        a1p, _, b4p = bracket
+
+    def draw(_):  # separated_block's draws, then noise of the order of M
+        drawn = _draw_separated(rng)
+        n = drawn.mus.size + drawn.c0.shape[0]
+        return drawn, _random_hermitian(rng, n, 1.0)
+
+    def prepare(draws):
+        settled = _separated_filled([drawn for drawn, _ in draws])
+        return [(*inst, noise) for inst, (_, noise) in zip(settled, draws)]
+
+    for block, rb, c, noise in _stacked(draw, count, _SEPARATED_ORDER, prepare):
+        # Never None: separated_block validated two pairs at these
+        # (a_points, c, rb), so every instance draws its noise.
+        a1p, _, b4p = bracket = soq_bracket(block.a_points, c, rb)
         full = assemble(block)
         n = full.shape[0]
-        noise = _random_hermitian(rng, n, 1.0) / np.sqrt(n)
+        noise = noise / np.sqrt(n)
         pert = full + 0.02 * operator_norm(full) * noise
         dec = hermitian_part_eig(0.5 * (pert + pert.conj().T))
         sel = (dec.eigenvalues > a1p - 5.0) & (dec.eigenvalues < b4p + 5.0)
@@ -694,8 +819,8 @@ def fixture_suite() -> list[Check]:
 
 def variational_suite(rng, count: int = 80) -> list[Check]:
     found = []
-    for _ in range(count):
-        block, rb, _ = separated_block(rng)
+    for block, rb, _ in _stacked(lambda _: _draw_separated(rng), count,
+                                 _SEPARATED_ORDER, _separated_filled):
         found += variational_ladder(block, rb)
     checked = sum(c.inputs["n"] for c in found if c.status != NOT_APPLICABLE)
     return [aggregate(

@@ -10,6 +10,8 @@ the input changes one.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 BASE_TOL = 1e-10            # scaled by matrix_tol and scalar_tol
@@ -36,11 +38,23 @@ def matrix_tol(mat) -> float:
     return BASE_TOL * dim * float(np.max(np.abs(arr)))
 
 
-def scalar_tol(*values: float) -> float:
-    """Comparison tolerance for scalar hypothesis checks, scaled to the data."""
+def _scale(values) -> float:
+    """max(1, |v|) over the finite ``values``."""
     scale = 1.0
     for value in values:
         v = abs(float(value))
-        if np.isfinite(v) and v > scale:
+        if math.isfinite(v) and v > scale:
             scale = v
-    return BASE_TOL * scale
+    return scale
+
+
+def scalar_tol(*values: float) -> float:
+    """Comparison tolerance for scalar hypothesis checks, scaled to the data."""
+    return BASE_TOL * _scale(values)
+
+
+def scalar_tols(values, *scalars: float) -> np.ndarray:
+    """scalar_tol(v, *scalars) at each element v of the array ``values``."""
+    sizes = np.abs(values)
+    return BASE_TOL * np.maximum(np.where(sizes < np.inf, sizes, 0.0),
+                                 _scale(scalars))

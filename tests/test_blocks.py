@@ -28,6 +28,7 @@ from specblock.linalg import (
 )
 from specblock.mhd import constant_profile, discretize, profile_from_functions
 from specblock.problems import load_problem
+from specblock import selftest
 from specblock.selftest import random_block
 from specblock.tolerance import BASE_TOL, PHASE_ZERO_TOL, matrix_tol
 
@@ -154,6 +155,134 @@ class TestAssemble:
         assert got[0] == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-12)
         assert got[1] == pytest.approx(1.0 + np.sqrt(2.0), abs=1e-12)
         assert np.allclose(got, [lo, hi], atol=1e-12)
+
+    def test_equals_np_block_bit_for_bit(self, rng, m3):
+        blocks = [random_block(rng) for _ in range(4)] + [
+            m3, discretize(constant_profile(), 8).block,
+            load_problem(str(GOLDEN_BLOCK)).block,
+            # complex A with a real coupling, and the reverse
+            BlockOperatorMatrix(A=[[1.0, 1j], [-1j, 2.0]], B=[[0.5], [-0.0]],
+                                C=[[3.0]]),
+            BlockOperatorMatrix(A=np.diag([1.0, 2.0]), B=[[0.5j], [-0.0]],
+                                C=[[3.0]])]
+        for block in blocks:
+            want = np.block([[block.A, block.B], [block.B.conj().T, block.C]])
+            got = assemble(block)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+SPECTRA = ("eig_a", "eig_c", "eig_m", "coupling_top")
+
+
+def stack_fill_instances(rng):
+    """Random, separated, ladder and pushed instances; the fixture and the
+    pushed blocks are float64, a separated C may have order 1, and the MHD
+    C's nonzero pattern splits into 2x2 blocks."""
+    found = [random_block(rng) for _ in range(6)]
+    found += [selftest.separated_block(rng)[0] for _ in range(6)]
+    found += [selftest.ladder_block(rng) for _ in range(6)]
+    found += [selftest._window_instance(rng, 2) for _ in range(6)]
+    found += [selftest.fixture_block(),
+              discretize(constant_profile(), 8).block,
+              BlockOperatorMatrix(A=np.diag([1.0, 3.0]), B=[[0.5], [0.25j]],
+                                  C=[[-2.0]])]
+    return found
+
+
+def twin(block):
+    return BlockOperatorMatrix(A=block.A, B=block.B, C=block.C)
+
+
+def assert_same_spectra(filled, single, names=SPECTRA):
+    for name in names:
+        got, want = getattr(filled, name), getattr(single, name)
+        if name == "coupling_top":
+            assert got.hex() == want.hex()
+            continue
+        for arr in ("eigenvalues", "vectors"):
+            a, b = getattr(got, arr), getattr(want, arr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert not a.flags.writeable
+
+
+class TestFillSpectra:
+    """blocks.fill_spectra fills the cached spectra from stacked solves, to
+    the bits of the single solves."""
+
+    def test_equals_the_single_solves(self, rng):
+        blocks = stack_fill_instances(rng)
+        singles = [twin(block) for block in blocks]
+        assert any(b.n2 == 1 for b in blocks)
+        real = [b for b in blocks
+                if all(x.dtype == np.float64 for x in (b.A, b.B, b.C))]
+        assert len(real) > 6 and len(real) < len(blocks)
+        blocks_module.fill_spectra(blocks, SPECTRA)
+        split = blocks[-2]
+        for block, single in zip(blocks, singles):
+            filled = [name for name in SPECTRA if name in block.__dict__]
+            assert filled == [name for name in SPECTRA
+                              if block is not split or name != "eig_c"]
+            assert_same_spectra(block, single)
+
+    def test_split_pattern_stays_on_components(self, monkeypatch):
+        block = discretize(constant_profile(), 8).block
+        blocks_module.fill_spectra([block], ("eig_c",))
+        assert "eig_c" not in block.__dict__
+        calls = []
+        solve = linalg_module.hermitian_part_eig_by_components
+        monkeypatch.setattr(blocks_module, "hermitian_part_eig_by_components",
+                            lambda c: calls.append(1) or solve(c))
+        block.eig_c
+        assert calls == [1]
+
+    def test_one_stacked_call_per_group(self, rng, monkeypatch):
+        blocks = [random_block(rng) for _ in range(40)]
+        blocks += [selftest._window_instance(rng, 2) for _ in range(3)]
+        stacks = []
+        eigh = np.linalg.eigh
+
+        def spy(mat):
+            stacks.append((mat.shape[1], mat.dtype.name))
+            assert mat.ndim == 3
+            return eigh(mat)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        blocks_module.fill_spectra(blocks, ("eig_m",))
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        want = {(b.n1 + b.n2, b.eig_m.vectors.dtype.name) for b in blocks}
+        assert (3, "float64") in want
+        assert sorted(stacks) == sorted(want)
+
+    def test_fills_only_what_is_asked_and_keeps_what_is_cached(self, rng):
+        block = random_block(rng)
+        eig_a = block.eig_a
+        blocks_module.fill_spectra([block], ("eig_a", "coupling_top"))
+        assert block.eig_a is eig_a
+        assert "coupling_top" in block.__dict__
+        assert "eig_m" not in block.__dict__ and "eig_c" not in block.__dict__
+
+    def test_a_failed_stack_is_left_to_the_single_solves(self, rng,
+                                                         monkeypatch):
+        blocks = [random_block(rng) for _ in range(3)]
+        eigh = np.linalg.eigh
+
+        def failing(mat):
+            if mat.ndim == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(mat)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        blocks_module.fill_spectra(blocks, ("eig_a", "eig_m"))
+        assert all(name not in b.__dict__ for b in blocks
+                   for name in ("eig_a", "eig_m"))
+        assert_same_spectra(blocks[0], twin(blocks[0]), ("eig_a", "eig_m"))
+
+    def test_overflowing_coupling_is_left_to_coupling_top(self):
+        block = BlockOperatorMatrix(A=np.eye(2), B=[[1e200], [1.0]],
+                                    C=[[0.0]])
+        blocks_module.fill_spectra([block], ("coupling_top",))
+        assert "coupling_top" not in block.__dict__
+        with pytest.raises(ArgumentError, match="overflows"):
+            block.coupling_top
 
 
 class TestSchurComplement:

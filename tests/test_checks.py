@@ -766,3 +766,34 @@ def test_overflowing_windows_are_not_applicable():
     assert {c.status for c in found} == {"not-applicable"}
     assert all(c.outputs["reason"].endswith("overflows double precision")
                for c in found)
+
+
+def selftest_report(tmp_path, seed, name):
+    """(exit code, report bytes) of ``specblock selftest --seed seed``."""
+    out = tmp_path / name
+    return cli.main(["selftest", "--seed", str(seed), "--out", str(out)]), \
+        out.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 14, 42])
+def test_stacked_fill_only_fills_caches(seed, tmp_path, monkeypatch,
+                                        selftest_42_runs):
+    # The families solve their instances as stacks through fill_spectra;
+    # with it a no-op every cached spectrum is solved alone, and the report
+    # must keep its bytes.  Seed 14 keeps its known enclosures/soq failure.
+    if seed == 42:
+        code, path = selftest_42_runs[0]
+        stacked = code, path.read_bytes()
+    else:
+        filled = []
+        fill = selftest.fill_spectra
+        monkeypatch.setattr(selftest, "fill_spectra", lambda blocks, names: (
+            filled.append(len(blocks)), fill(blocks, names)))
+        stacked = selftest_report(tmp_path, seed, "stacked.json")
+        assert len(filled) > 10 and sum(filled) > 1000
+    monkeypatch.setattr(selftest, "fill_spectra", lambda blocks, names: None)
+    assert selftest_report(tmp_path, seed, "single.json") == stacked
+    soq, = [c for c in json.loads(stacked[1])["checks"]
+            if c["name"] == "enclosures/soq"]
+    assert (stacked[0], soq["status"]) == ((1, "fail") if seed == 14
+                                           else (0, "pass"))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specblock import BlockOperatorMatrix, basis, problems, selftest
+from specblock import BlockOperatorMatrix, basis, linalg, problems, selftest
 from specblock.cli import main
 from specblock.errors import PairingError
 from specblock.report import emit_json
@@ -537,6 +537,21 @@ class TestBasisSoqMhd:
             tmp_path, ["enclose", "--input", path, "--n", "16"])
         assert code == 0
         assert rep["summary"]["fail"] == 0
+
+
+@pytest.mark.parametrize("command, normalized", [
+    ("enclose", 1), ("soq", 0), ("angular", 2), ("basis", 3)])
+def test_eigenvectors_are_normalized_only_where_read(tmp_path, monkeypatch,
+                                                     command, normalized):
+    # enclose reads the vectors of C (for the Schur complement at c~), the
+    # angular checks those of C and M, basis also those of A; soq none.
+    calls = []
+    normalize = linalg._normalize_phases
+    monkeypatch.setattr(linalg, "_normalize_phases",
+                        lambda v: calls.append(1) or normalize(v))
+    assert main([command, "--input", GOLDEN_BLOCK,
+                 "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == normalized
 
 
 class TestOutputPlumbing:

@@ -301,6 +301,70 @@ class TestOverflow:
         assert eigenvalue_window(1e150, -1e150, self.RB).hi == 1e150
 
 
+def scalar_pairs(spec, c, rb):
+    """resolvent_pairs as the loop over resolvent_interval it was."""
+    spec = np.sort(np.asarray(spec, dtype=float)).tolist()
+    return [(mu1, mu2) for mu1, mu2 in zip(spec, spec[1:])
+            if resolvent_holds(mu1, mu2, c, rb)]
+
+
+class TestResolventPairsArray:
+    """resolvent_pairs tests all pairs at once; each pair must get the
+    verdict resolvent_interval gives it alone."""
+
+    def assert_matches(self, spec, c, rb):
+        got = resolvent_pairs(spec, c, rb)
+        assert got == scalar_pairs(spec, c, rb)
+        assert all(type(x) is float for pair in got for x in pair)
+        return got
+
+    def test_random_spectra(self):
+        rng = np.random.default_rng(41)
+        held = failed = 0
+        for trial in range(3000):
+            spec = rng.uniform(-20.0, 60.0, int(rng.integers(0, 10)))
+            if trial % 4 == 1 and spec.size > 2:
+                spec[2] = spec[0]  # equal points
+            c = float(rng.uniform(-30.0, 30.0))
+            rb = RelativeBound(float(rng.uniform(0.0, 3.0)) * (trial % 3 > 0),
+                               float(rng.uniform(0.0, 50.0)))
+            got = self.assert_matches(spec, c, rb)
+            held += len(got)
+            failed += max(spec.size - 1, 0) - len(got)
+        assert held > 1000 and failed > 1000
+
+    def test_equal_points(self):
+        rb = RelativeBound(0.0, 1.0)
+        assert self.assert_matches([2.0, 10.0, 10.0, 40.0], -1.0, rb) == [
+            (2.0, 10.0), (10.0, 40.0)]
+        assert self.assert_matches([5.0, 5.0], -1.0, rb) == []
+
+    def test_overflowing_values(self):
+        rb = RelativeBound(0.0, 1.0)
+        for spec, c in (([1e160, 3e160], -1e160), ([1e150, 3e150], -1e150),
+                        ([1e154, 1.5e154, 1e308], 0.0),
+                        ([-1e308, 1e308], -1.7e308)):
+            self.assert_matches(spec, c, rb)
+        huge_b = RelativeBound(1.0, 1e308)
+        self.assert_matches([2.0, 10.0, 1e300], -1.0, huge_b)
+        assert self.assert_matches([1e160, 3e160], -1e160, rb) == []
+
+    def test_negative_discriminants(self):
+        # a = 1, c = -10: a(a + c) = -9 outweighs ((mu - c)/2)^2 for mu
+        # below -4; at mu = -4 - 1e-13 the deficit is round-off, clamped
+        rb = RelativeBound(1.0, 0.0)
+        with pytest.raises(HypothesisError, match="negative discriminant"):
+            eigenvalue_window(-8.5, -10.0, rb)
+        mu = -4.0 - 1e-13
+        half = (mu + 10.0) / 2.0
+        assert half * half - 9.0 < 0.0
+        assert eigenvalue_window(mu, -10.0, rb).width == 0.0
+        for spec in ([-8.5, 30.0], [mu, 30.0], [-8.5, mu, 12.0, 40.0],
+                     np.linspace(-8.9, 50.0, 40)):
+            self.assert_matches(spec, -10.0, rb)
+        assert self.assert_matches([mu, 30.0], -10.0, rb) == [(mu, 30.0)]
+
+
 class TestSubspaceDimCheck:
     def test_decoupled_counts_match(self):
         block = BlockOperatorMatrix(A=np.diag([2.0, 10.0, 40.0]),

@@ -194,6 +194,55 @@ class TestPhaseNormalization:
         assert peak <= 2 * n * n + 64 * n
 
 
+class TestLazyNormalization:
+    """A decomposition keeps the solver's columns and normalizes them on the
+    first read of ``vectors``, to the bits the eager normalization gave."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_vectors_equal_the_eager_normalization(self, real):
+        for n in (1, 2, 7, 16):
+            h = random_symmetric(n, n) if real else random_hermitian(n, n)
+            herm = require_hermitian(h)
+            _, raw = np.linalg.eigh(linalg_module._solver_input(herm))
+            want = _normalize_phases(raw)
+            dec = hermitian_part_eig(herm)
+            assert dec.vectors.dtype == want.dtype
+            assert dec.vectors.tobytes() == want.tobytes()
+            assert dec.vectors is dec.vectors
+
+    def test_by_components_vectors_equal_the_eager_normalization(self):
+        herm = np.zeros((5, 5))
+        herm[:2, :2] = [[1.0, 2.0], [2.0, -1.0]]
+        herm[2:, 2:] = random_symmetric(3, 3)
+        dec = hermitian_part_eig_by_components(herm)
+        raw = dec._raw.copy()  # the scattered columns, as yet unnormalized
+        assert dec.vectors.tobytes() == _normalize_phases(raw).tobytes()
+
+    def test_normalized_once_and_only_when_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg_module, "_normalize_phases",
+                            lambda v: calls.append(1) or _normalize_phases(v))
+        dec = hermitian_eig(random_hermitian(3, 6))
+        dec.eigenvalues, dec.dim
+        assert calls == []
+        dec.vectors, dec.vectors
+        assert calls == [1]
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_freeze_covers_vectors_formed_before_and_after(self, read_first):
+        dec = hermitian_eig(random_hermitian(4, 5))
+        if read_first:
+            dec.vectors
+        assert dec.freeze() is dec
+        for arr in (dec.eigenvalues, dec.vectors):
+            with pytest.raises(ValueError):
+                arr[0, ...] = 0.0
+
+    def test_unfrozen_vectors_stay_writable(self):
+        dec = hermitian_eig(random_symmetric(5, 4))
+        assert dec.vectors.flags.writeable and dec.eigenvalues.flags.writeable
+
+
 class TestWindowMask:
     def test_matches_pointwise_contains(self):
         dec = hermitian_eig(np.diag([-1.0, 0.0, 0.0, 2.0, 3.5]))
@@ -399,6 +448,15 @@ class TestStackedSolves:
     def test_full_decomposition_takes_one_matrix(self):
         with pytest.raises(ArgumentError, match=re.escape("ndim = 3")):
             hermitian_eig(hermitian_stack(1, 2, 3))
+
+    def test_wrong_ndim_names_the_accepted_shapes(self):
+        assert error_text(hermitian_part_eigvals, np.zeros(3)) == (
+            "expected a matrix (n, n) or a stack (k, n, n) of matrices, "
+            "got ndim = 1")
+        assert error_text(require_hermitian, np.zeros((1, 2, 2))) == (
+            "expected a matrix (n, n), got ndim = 3")
+        assert error_text(pseudo_inverse, np.zeros(3)) == (
+            "expected a matrix (m, n), got ndim = 1")
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     def test_no_solve_exceeds_the_byte_budget(self, monkeypatch, dtype):
