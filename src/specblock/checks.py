@@ -197,14 +197,14 @@ def variational_ladder(block: BlockOperatorMatrix,
 
 
 def dim_bracket(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
-    """The dimension count between the first and last valid resolvent pair."""
+    """The dimension count from the first certified resolvent interval's end
+    to the last one's start."""
     name = "dim-check/bracket"
     pairs = resolvent_pairs(block.a_points, block.c, rb)
     if len(pairs) < 2:
         return [not_applicable(name, DIM_ANCHOR,
                                "fewer than two valid pair windows")]
-    b2p = exclusion_window(pairs[0][1], block.c, rb).hi
-    a3p = eigenvalue_window(pairs[-1][0], block.c, rb).hi
+    b2p, a3p = pairs[0][2].hi, pairs[-1][2].lo
     if not b2p < a3p:
         return [not_applicable(name, DIM_ANCHOR,
                                "bracket endpoints out of order")]

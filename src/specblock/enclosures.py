@@ -5,6 +5,8 @@ certified resolvent intervals, subspace-dimension counts, variational
 two-sided bounds, and second-order-spectrum enclosures on trial subspaces.
 The windows, pairs and brackets read sigma(A) as one point per cluster
 (``BlockOperatorMatrix.a_points``); ``window_owners`` assigns the windows.
+The brackets read the intervals ``resolvent_pairs`` certifies, and array
+tolerances come from ``scalar_tols``, the one array form of ``scalar_tol``.
 Every unmet hypothesis, a window that overflows double precision included,
 raises HypothesisError, which the check builders report as not applicable.
 """
@@ -12,6 +14,7 @@ raises HypothesisError, which the check builders report as not applicable.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +28,8 @@ from .linalg import (
     orthonormality_defect,
 )
 from .report import holds
-from .tolerance import (BASE_TOL, ORTH_TOL, REAL_AXIS_REL, SOQ_MARGIN_REL,
-                        scalar_tol, scalar_tols)
+from .tolerance import (ORTH_TOL, REAL_AXIS_REL, SOQ_MARGIN_REL, scalar_tol,
+                        scalar_tols)
 
 __all__ = [
     "EnclosureReport",
@@ -90,14 +93,11 @@ def dist_bound(lams, spec_a, spec_c, rb: RelativeBound) -> EnclosureReport:
                       initial=np.inf)
 
     d_c = dist(spec_c)
-    # scalar_tol(a, d_c) at each point: rb.a >= 0, and an infinite d_c
-    # does not count
-    tol = BASE_TOL * np.maximum(max(1.0, rb.a),
-                                np.where(np.isfinite(d_c), d_c, 1.0))
     with np.errstate(all="ignore"):  # not read where the bound does not apply
         bound = np.abs(rb.a * lams + rb.b) / (d_c - rb.a)
+    applies = ~(d_c <= rb.a + scalar_tols(d_c, rb.a))
     return EnclosureReport(dist_to_A=dist(spec_a), bound=bound,
-                           dist_to_C=d_c, applies=~(d_c <= rb.a + tol), a=rb.a)
+                           dist_to_C=d_c, applies=applies, a=rb.a)
 
 
 def _window(lo: float, hi: float, kind: str, is_open: bool) -> Interval:
@@ -237,8 +237,7 @@ def window_owners(bottoms, tops, lams) -> tuple[np.ndarray, np.ndarray]:
     bottoms, tops, lams = (np.asarray(x, dtype=float)
                            for x in (bottoms, tops, lams))
     lo, hi = tops[:-1], bottoms[1:]  # the gaps between clusters
-    mid = 0.5 * (lo + hi) + BASE_TOL * np.maximum(
-        1.0, np.maximum(np.abs(lo), np.abs(hi)))  # scalar_tol(lo, hi)
+    mid = 0.5 * (lo + hi) + np.maximum(scalar_tols(lo), scalar_tols(hi))
     last = bottoms.size - 1
     incl = np.searchsorted(bottoms, lams, side="right") - 1
     incl_ok = (incl >= 0) & (lams <= np.append(mid, np.inf)[incl])
@@ -248,60 +247,33 @@ def window_owners(bottoms, tops, lams) -> tuple[np.ndarray, np.ndarray]:
     return np.where(incl_ok, incl, -1), np.where(excl_ok, excl, -1)
 
 
-def resolvent_pairs(spec, c: float, rb: RelativeBound) -> list[tuple[float, float]]:
-    """The consecutive points (mu1, mu2) of sorted ``spec`` whose
-    resolvent-interval hypotheses hold, in ascending order.
-
-    The hypotheses are resolvent_interval's, tested on all pairs at once
-    with the same arithmetic, so each pair gets the verdict it gets alone.
-    """
-    spec = np.sort(np.asarray(spec, dtype=float))
-    mu1, mu2 = spec[:-1], spec[1:]
-    c, a, b = float(c), rb.a, rb.b
-    with np.errstate(all="ignore"):  # inf and NaN fail a test, as alone
-        # eigenvalue_window(mu1): a discriminant negative beyond round-off
-        # fails below, the rest is clamped at 0
-        half = (mu1 - c) / 2.0
-        disc = half * half + a * (a + c) + b
-        root = np.sqrt(np.where(disc < 0.0, 0.0, disc))
-        mid = (mu1 + c + 2.0 * a) / 2.0
-        alpha_lo, alpha_hi = mid - root, mid + root
-        # exclusion_window(mu2)
-        diff = mu2 - c
-        lhs = diff * diff
-        shift = a * mu2 + b
-        rhs = 4.0 * shift
-        half = diff / 2.0
-        root = np.sqrt(half * half - shift)
-        mid = (mu2 + c) / 2.0
-        beta_lo, beta_hi = mid - root, mid + root
-        met = np.logical_and.reduce([
-            mu1 < mu2, beta_lo < (mu1 + mu2) / 2.0, alpha_hi < beta_hi,
-            *np.isfinite([alpha_lo, alpha_hi, beta_lo, beta_hi])])
-        unmet = np.logical_or.reduce([
-            mu1 - (a + c) <= scalar_tols(mu1, a, c),
-            disc < -scalar_tols(mu1, c, a, b),
-            lhs <= rhs + np.maximum(scalar_tols(lhs), scalar_tols(rhs))])
-    return [(x, y) for x, y, good in zip(mu1.tolist(), mu2.tolist(),
-                                         (met & ~unmet).tolist()) if good]
+def resolvent_pairs(spec, c: float,
+                    rb: RelativeBound) -> list[tuple[float, float, Interval]]:
+    """(mu1, mu2, resolvent_interval(mu1, mu2, c, rb)) for each pair of
+    consecutive points of sorted ``spec`` whose resolvent-interval hypotheses
+    hold, in ascending order."""
+    spec = np.sort(np.asarray(spec, dtype=float)).tolist()
+    pairs = []
+    for mu1, mu2 in zip(spec, spec[1:]):
+        with suppress(HypothesisError):
+            pairs.append((mu1, mu2, resolvent_interval(mu1, mu2, c, rb)))
+    return pairs
 
 
 def soq_bracket(spec_a, c: float, rb: RelativeBound):
-    """Disc geometry (a1p, b4m, b4p) from the first and last valid pair windows.
-
-    Needs at least two consecutive pairs of the points ``spec_a`` of sigma(A),
-    a block's a_points, passing the resolvent-interval hypotheses.  b4m falls
-    back onto b4p whenever the lower exclusion endpoint sits left of a1p (the
+    """Disc geometry (a1p, b4m, b4p): a1p opens the first certified resolvent
+    interval of the points ``spec_a`` of sigma(A) (a block's a_points), b4p
+    closes the last, and b4m is the lower end of the exclusion window at the
+    last pair's mu2.  b4m falls back onto b4p when it sits left of a1p (the
     usual case for separated spectra), keeping the disc over (a1p, b4p).
     Returns None when fewer than two pairs validate.
     """
     pairs = resolvent_pairs(spec_a, c, rb)
     if len(pairs) < 2:
         return None
-    a1p = eigenvalue_window(pairs[0][0], c, rb).hi
-    ex = exclusion_window(pairs[-1][1], c, rb)
-    b4m = ex.lo if ex.lo > a1p else ex.hi
-    return float(a1p), float(b4m), float(ex.hi)
+    a1p, b4p = pairs[0][2].lo, pairs[-1][2].hi
+    b4m = exclusion_window(pairs[-1][1], c, rb).lo
+    return a1p, (b4m if b4m > a1p else b4p), b4p
 
 
 def _merge_conjugates(values: np.ndarray) -> list[complex]:

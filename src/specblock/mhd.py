@@ -239,8 +239,7 @@ def constants(profile: PlasmaProfile) -> tuple[float, float, float]:
     w = profile.va2 + profile.vs2
     k2 = profile.k2
     disc = (k2 * w / 2.0) ** 2 - k2 * profile.kpar ** 2 * profile.va2 * profile.vs2
-    min_disc = float(np.min(disc)) if disc.size else 0.0
-    if min_disc < -scalar_tol(float(np.max(np.abs(disc))) if disc.size else 1.0):
+    if float(np.min(disc)) < -scalar_tol(float(np.max(np.abs(disc)))):
         raise ProfileError("negative discriminant in the c closed form")
     c = float(np.max(k2 * w / 2.0 + np.sqrt(np.maximum(disc, 0.0))))
     a = float(np.max((w ** 2 * profile.kperp ** 2

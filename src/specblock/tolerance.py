@@ -3,9 +3,10 @@
 Exact statements of the underlying analysis (strict inequalities, membership
 of resolvent sets, ...) are realised as tolerance-guarded comparisons.
 ``matrix_tol`` and ``scalar_tol`` scale the base tolerance BASE_TOL to the
-data; the fixed tolerances below are used as they stand.  Every computation
-and report that uses a tolerance reads it from here, and no setting outside
-the input changes one.
+data, and ``scalar_tols`` is the one array form of ``scalar_tol``; the fixed
+tolerances below are used as they stand.  Every computation and report that
+uses a tolerance reads it from here, and no setting outside the input
+changes one.
 """
 
 from __future__ import annotations

@@ -4,9 +4,13 @@ These deliberately avoid the library's code paths: scalar root isolation by
 bisection, closed-form 2x2 eigenvalues, hand-expanded cofactor determinants
 and cross-product eigenvectors for 3x3 matrices, and the window assignment
 one lambda at a time that ``enclosures.window_owners`` does as one array call.
+``bracket_reference`` solves the four windows that the dimension bracket and
+the soq disc read from the certified resolvent intervals.
 """
 
 import numpy as np
+
+from specblock.enclosures import eigenvalue_window, exclusion_window
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -154,3 +158,19 @@ def cluster_tops(block):
     """The highest eigenvalue of A of each a_clusters label, ascending."""
     spec, labels = block.eig_a.eigenvalues, block.a_clusters
     return np.array([spec[labels == k].max() for k in range(block.a_points.size)])
+
+
+def bracket_reference(pairs, c, rb):
+    """((b2p, a3p), (a1p, b4m, b4p)) from the pairs (mu1, mu2, ...) of
+    ``enclosures.resolvent_pairs``, one window solve per endpoint: b2p and
+    b4p end the exclusion windows at the first and last mu2, a3p and a1p end
+    the inclusion windows at the last and first mu1.  None for fewer than two
+    pairs."""
+    if len(pairs) < 2:
+        return None
+    b2p = exclusion_window(pairs[0][1], c, rb).hi
+    a3p = eigenvalue_window(pairs[-1][0], c, rb).hi
+    a1p = eigenvalue_window(pairs[0][0], c, rb).hi
+    ex = exclusion_window(pairs[-1][1], c, rb)
+    b4m = ex.lo if ex.lo > a1p else ex.hi
+    return (b2p, a3p), (a1p, b4m, ex.hi)

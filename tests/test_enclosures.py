@@ -25,13 +25,16 @@ from specblock.enclosures import (
     soq_misses,
     window_owners,
 )
+from specblock import checks, enclosures
 from specblock.blocks import best_relative_bound
 from specblock.linalg import Interval, spectral_distance
 from specblock.problems import load_problem
+from specblock.report import NOT_APPLICABLE
 from specblock.tolerance import SLACK, SOQ_MARGIN_REL, scalar_tol
 from specblock.selftest import random_block, separated_block
 
 from oracles import (
+    bracket_reference,
     cluster_tops,
     cubic_fixture_roots,
     exclusion_reference,
@@ -302,20 +305,30 @@ class TestOverflow:
 
 
 def scalar_pairs(spec, c, rb):
-    """resolvent_pairs as the loop over resolvent_interval it was."""
+    """The consecutive pairs of sorted ``spec`` whose resolvent_interval call
+    succeeds, one pair at a time."""
     spec = np.sort(np.asarray(spec, dtype=float)).tolist()
     return [(mu1, mu2) for mu1, mu2 in zip(spec, spec[1:])
             if resolvent_holds(mu1, mu2, c, rb)]
 
 
-class TestResolventPairsArray:
-    """resolvent_pairs tests all pairs at once; each pair must get the
-    verdict resolvent_interval gives it alone."""
+def pairs_with_intervals(spec, c, rb):
+    """resolvent_pairs(spec, c, rb) as (mu1, mu2) pairs, after asserting
+    that each returned interval is resolvent_interval(mu1, mu2, c, rb)."""
+    got = resolvent_pairs(spec, c, rb)
+    for mu1, mu2, win in got:
+        assert win == resolvent_interval(mu1, mu2, c, rb)
+        assert all(type(x) is float for x in (mu1, mu2, win.lo, win.hi))
+    return [(mu1, mu2) for mu1, mu2, _ in got]
+
+
+class TestResolventPairs:
+    """resolvent_pairs keeps the pairs whose resolvent interval exists, each
+    with that interval."""
 
     def assert_matches(self, spec, c, rb):
-        got = resolvent_pairs(spec, c, rb)
+        got = pairs_with_intervals(spec, c, rb)
         assert got == scalar_pairs(spec, c, rb)
-        assert all(type(x) is float for pair in got for x in pair)
         return got
 
     def test_random_spectra(self):
@@ -394,9 +407,9 @@ class TestSubspaceDimCheck:
         # consecutive pair validates; a level at 10.05 breaks the pair it
         # opens with 10 (alpha1+ would pass beta2+)
         rb = RelativeBound(0.0, 4 * 0.09)
-        assert resolvent_pairs([90.0, 2.0, 40.0, 10.0], -1.0, rb) \
+        assert pairs_with_intervals([90.0, 2.0, 40.0, 10.0], -1.0, rb) \
             == [(2.0, 10.0), (10.0, 40.0), (40.0, 90.0)]
-        assert resolvent_pairs([2.0, 10.0, 10.05, 40.0, 90.0], -1.0, rb) \
+        assert pairs_with_intervals([2.0, 10.0, 10.05, 40.0, 90.0], -1.0, rb) \
             == [(2.0, 10.0), (10.05, 40.0), (40.0, 90.0)]
 
     def test_separated_instances(self, rng):
@@ -635,3 +648,90 @@ class TestPairingHelpers:
         assert a1p == pytest.approx(eigenvalue_window(2.0, -1.0, rb).hi)
         assert b4p == pytest.approx(exclusion_window(90.0, -1.0, rb).hi)
         assert a1p < b4m <= b4p
+
+
+def ladder_block(levels, coupling=0.3):
+    """The ladder of test_four_level_ladder on ``levels``: A diagonal, C =
+    [[-1]], one coupling column of ``coupling``."""
+    return BlockOperatorMatrix(A=np.diag(levels),
+                               B=np.full((len(levels), 1), coupling), C=[[-1.0]])
+
+
+def bracket_cases():
+    """(block, rb, c) on which the brackets are compared with the reference:
+    the golden block, the four-level ladder, the block-sweep's n1 = 200
+    block, 50 separated draws, and three cases with fewer than two pairs."""
+    golden = load_problem(GOLDEN_BLOCK).block
+    ladder = ladder_block([2.0, 10.0, 40.0, 90.0])
+    sweep = sweep_block(1)
+    cases = [(golden, best_relative_bound(golden), golden.c),
+             (ladder, RelativeBound(0.0, 0.36), -1.0),
+             (sweep, best_relative_bound(sweep), sweep.c)]
+    rng = np.random.default_rng(30)
+    cases += [separated_block(rng) for _ in range(50)]
+    two_levels = ladder_block([2.0, 10.0])
+    cases += [(two_levels, RelativeBound(0.0, 0.36), -1.0),
+              (ladder, RelativeBound(0.0, 1e4), -1.0),
+              (ladder_block([5.0]), RelativeBound(0.0, 0.36), -1.0)]
+    return cases
+
+
+def hexes(*values):
+    return [float(x).hex() for x in values]
+
+
+class TestBrackets:
+    """dim_bracket and soq_bracket read the certified resolvent intervals:
+    the same bits as solving the four windows again."""
+
+    def test_brackets_match_the_window_reference(self):
+        short = 0
+        for block, rb, c in bracket_cases():
+            assert c == block.c
+            pairs = resolvent_pairs(block.a_points, c, rb)
+            ref = bracket_reference(pairs, c, rb)
+            bracket = soq_bracket(block.a_points, c, rb)
+            dim, = checks.dim_bracket(block, rb)
+            if ref is None:
+                short += 1
+                assert bracket is None
+                assert dim.status == NOT_APPLICABLE
+                assert dim.outputs["reason"] == "fewer than two valid pair windows"
+                continue
+            (b2p, a3p), disc = ref
+            assert hexes(*bracket) == hexes(*disc)
+            assert all(type(x) is float for x in bracket)
+            if b2p < a3p:
+                assert hexes(dim.inputs["b2p"], dim.inputs["a3p"]) \
+                    == hexes(b2p, a3p)
+            else:
+                assert dim.outputs["reason"] == "bracket endpoints out of order"
+        assert short == 3
+
+    def test_window_calls(self, monkeypatch):
+        ladder = ladder_block([2.0, 10.0, 40.0, 90.0])
+        rb = RelativeBound(0.0, 0.36)
+        pairs = resolvent_pairs(ladder.a_points, -1.0, rb)
+        assert len(pairs) == 3
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        # the pairs are solved once, outside the spies; every window call
+        # left is the bracket's own
+        for module in (checks, enclosures):
+            monkeypatch.setattr(module, "resolvent_pairs",
+                                lambda *args: pairs)
+            for name in ("eigenvalue_window", "exclusion_window",
+                         "resolvent_interval"):
+                spy(module, name)
+        checks.dim_bracket(ladder, rb)
+        assert calls == []
+        enclosures.soq_bracket(ladder.a_points, -1.0, rb)
+        assert calls == ["exclusion_window"]
