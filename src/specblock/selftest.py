@@ -13,6 +13,14 @@ report are those of solving each instance as it is drawn.  The subspace and
 basis families draw after skipping instances on computed values (no
 spectrum above c, no angular operator, an unmet hypothesis), so they take
 one instance at a time.
+
+Those two families, the suffix, run in a child process on Linux: ``run``
+forks it first, and the child makes the draws of every earlier family
+(``_fast_forward``, which solves nothing) before it runs the suffix from
+the generator state a sequential run would reach.  The parent runs the
+earlier families, the prefix, and the MHD suite meanwhile, then reads the
+child's checks from a pipe.  Elsewhere the suffix runs in-process after
+the prefix.  The report is the same either way.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, forked
 from .basis import aligned_term
 from .blocks import (
     BlockOperatorMatrix,
@@ -137,7 +145,7 @@ class _SeparatedDraw(NamedTuple):
     b_mat: np.ndarray
 
 
-def _draw_separated(rng) -> _SeparatedDraw:
+def _draw_separated(rng, _idx: int = 0) -> _SeparatedDraw:
     """separated_block's draws, in its order."""
     n1 = int(rng.integers(4, 9))
     n2 = int(rng.integers(1, 5))
@@ -202,9 +210,9 @@ _RANDOM_ORDER = 16
 _SEPARATED_ORDER = 12
 
 
-def _stacked(draw, count: int, order: int, prepare):
-    """The instances ``prepare`` makes of ``draw(idx)`` for idx = 0 .. count
-    - 1, in order, one at a time.
+def _stacked(rng, draw, count: int, order: int, prepare):
+    """The instances ``prepare`` makes of ``draw(rng, idx)`` for idx = 0 ..
+    count - 1, in order, one at a time.
 
     For a family whose draws do not depend on what it computes: it draws a
     chunk of instances before it solves any, and ``prepare`` builds the
@@ -217,7 +225,7 @@ def _stacked(draw, count: int, order: int, prepare):
     family is done with it.
     """
     for part in stack_chunks(count, 2 * order):
-        found = prepare([draw(idx)
+        found = prepare([draw(rng, idx)
                          for idx in range(part.start, min(part.stop, count))])
         found.reverse()
         while found:
@@ -246,6 +254,23 @@ def _separated_filled(draws) -> list[tuple]:
     return _filled(_separated(draws), ("eig_m",))
 
 
+def _draw_block(rng, _idx: int) -> BlockOperatorMatrix:
+    return random_block(rng)
+
+
+def _draw_core(rng, _idx: int):
+    """numeric_core_suite's draws for one instance, in its order: a Hermitian
+    h, the index of the eigenvalue its projector starts at, a matrix to
+    pseudo-invert and a general one."""
+    n = int(rng.integers(2, 12))
+    h = _random_hermitian(rng, n)
+    start = int(rng.integers(0, n))
+    cols = int(rng.integers(1, n + 1))
+    x = rng.uniform(-5, 5, (n, cols)) + 1j * rng.uniform(-5, 5, (n, cols))
+    g = rng.uniform(-5, 5, (n, n)) + 1j * rng.uniform(-5, 5, (n, n))
+    return h, start, x, g
+
+
 def numeric_core_suite(rng, count: int = 50) -> list[Check]:
     worst_orth = 0.0
     worst_trace = 0.0
@@ -254,9 +279,9 @@ def numeric_core_suite(rng, count: int = 50) -> list[Check]:
     worst_pinv = 0.0
     worst_agree = 0.0
     worst_residual = 0.0
-    for _ in range(count):
-        n = int(rng.integers(2, 12))
-        h = _random_hermitian(rng, n)
+    for idx in range(count):
+        h, start, x, g = _draw_core(rng, idx)
+        n = h.shape[0]
         dec = hermitian_eig(h)
         q = dec.vectors
         worst_orth = max(worst_orth, orthonormality_defect(q))
@@ -266,14 +291,12 @@ def numeric_core_suite(rng, count: int = 50) -> list[Check]:
             shifted = hermitian_eig(h + eps * np.eye(n)).eigenvalues
             worst_weyl = max(worst_weyl,
                              float(np.max(np.abs(shifted - dec.eigenvalues - eps))))
-        lo = float(dec.eigenvalues[int(rng.integers(0, n))])
+        lo = float(dec.eigenvalues[start])
         proj = spectral_projector(dec, Interval(lo, float("inf")))
         worst_proj = max(
             worst_proj,
             operator_norm(proj @ proj - proj),
             operator_norm(proj - proj.conj().T))
-        cols = int(rng.integers(1, n + 1))
-        x = rng.uniform(-5, 5, (n, cols)) + 1j * rng.uniform(-5, 5, (n, cols))
         pinv = pseudo_inverse(x)
         scale = max(1.0, operator_norm(x))
         worst_pinv = max(
@@ -285,7 +308,6 @@ def numeric_core_suite(rng, count: int = 50) -> list[Check]:
         gen = general_eig(h)
         worst_agree = max(worst_agree,
                           float(np.max(np.abs(np.sort(gen.real) - dec.eigenvalues))))
-        g = rng.uniform(-5, 5, (n, n)) + 1j * rng.uniform(-5, 5, (n, n))
         vals, vecs = general_eig(g, return_vectors=True)
         norm_g = operator_norm(g)
         for j in range(n):
@@ -313,7 +335,7 @@ def schur_suite(rng, count: int = 200) -> list[Check]:
     worst_forward = 0.0
     worst_converse = 0.0
     scanned = 0
-    for block in _stacked(lambda _: random_block(rng), count, _RANDOM_ORDER,
+    for block in _stacked(rng, _draw_block, count, _RANDOM_ORDER,
                           lambda blocks: _filled(blocks, ("eig_m", "eig_c"))):
         spec_m = block.eig_m.eigenvalues
         spec_c = block.eig_c.eigenvalues
@@ -343,15 +365,16 @@ def schur_suite(rng, count: int = 200) -> list[Check]:
         converse=_up_to(1e-6, worst_converse))]
 
 
+def _draw_resolvent(rng, _idx: int) -> tuple:
+    """A block, then how far above and below sigma(M) to shift."""
+    return random_block(rng), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+
+
 def resolvent_suite(rng, count: int = 50) -> list[Check]:
     worst = 0.0
     checked = 0
-
-    def draw(_):  # a block, then how far above and below sigma(M) to shift
-        return random_block(rng), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
-
     for block, above, below in _stacked(
-            draw, count, _RANDOM_ORDER,
+            rng, _draw_resolvent, count, _RANDOM_ORDER,
             lambda draws: _filled(draws, ("eig_m", "eig_c"))):
         full = assemble(block)
         spec_m = block.eig_m.eigenvalues
@@ -377,12 +400,16 @@ def resolvent_suite(rng, count: int = 50) -> list[Check]:
         rel=_up_to(1e-8, worst))]
 
 
+def _draw_relative(rng, _idx: int) -> tuple:
+    """A block, then the second a at which to take the minimal b."""
+    return random_block(rng), float(rng.uniform(0.0, 2.0))
+
+
 def relative_bound_suite(rng, count: int = 100) -> list[Check]:
     worst_low = 0.0
     worst_tight = 0.0
     for block, a_drawn in _stacked(
-            lambda _: (random_block(rng), float(rng.uniform(0.0, 2.0))),
-            count, _RANDOM_ORDER,
+            rng, _draw_relative, count, _RANDOM_ORDER,
             lambda draws: _filled(draws, ("coupling_top",))):
         for a in (0.0, a_drawn):
             rb = minimal_b_for_a(block, a)
@@ -405,7 +432,7 @@ def dist_bound_suite(rng, count: int = 500) -> list[Check]:
     worst_slack = -np.inf
     checked = 0
     for block in _stacked(
-            lambda _: random_block(rng), count, _RANDOM_ORDER,
+            rng, _draw_block, count, _RANDOM_ORDER,
             lambda blocks: _filled(blocks, ("coupling_top", "eig_m", "eig_a",
                                             "eig_c"))):
         rb = minimal_b_for_a(block, 0.0)
@@ -455,10 +482,19 @@ def _window_instances(draws) -> list[tuple]:
                     for block, is_weak in zip(firsts, weak)], ("eig_m",))
 
 
+def _draw_degenerate(rng, _idx: int) -> tuple:
+    """One draw of window_suite's degenerate-forms loop: mu, c below it, and
+    a relative bound (a, b) with an increment db of b."""
+    mu = float(rng.uniform(-10.0, 10.0))
+    c = mu - float(rng.uniform(0.1, 10.0))
+    return (mu, c, float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 5.0)),
+            float(rng.uniform(0.0, 5.0)))
+
+
 def window_suite(rng, count: int = 200) -> list[Check]:
     incl, excl, res = [], [], []
-    for block, rb in _stacked(lambda idx: _window_instance(rng, idx), count,
-                              _RANDOM_ORDER, _window_instances):
+    for block, rb in _stacked(rng, _window_instance, count, _RANDOM_ORDER,
+                              _window_instances):
         for check in windows(block, rb):
             (incl if check.family == "inclusion-window" else excl).append(check)
         res += resolvent_intervals(block, rb)
@@ -484,16 +520,12 @@ def window_suite(rng, count: int = 200) -> list[Check]:
     rb0 = RelativeBound(0.0, 0.0)
     worst_deg = 0.0
     worst_mono = 0.0
-    for _ in range(50):
-        mu = float(rng.uniform(-10.0, 10.0))
-        c = mu - float(rng.uniform(0.1, 10.0))
+    for idx in range(50):
+        mu, c, a, b, db = _draw_degenerate(rng, idx)
         win = eigenvalue_window(mu, c, rb0)
         worst_deg = max(worst_deg, abs(win.lo - c), abs(win.hi - mu))
         exw = exclusion_window(mu, c, rb0)
         worst_deg = max(worst_deg, abs(exw.lo - c), abs(exw.hi - mu))
-        a = float(rng.uniform(0.0, 1.0))
-        b = float(rng.uniform(0.0, 5.0))
-        db = float(rng.uniform(0.0, 5.0))
         try:
             lo_small = eigenvalue_window(mu, c, RelativeBound(a, b))
             lo_big = eigenvalue_window(mu, c, RelativeBound(a, b + db))
@@ -515,7 +547,7 @@ def window_suite(rng, count: int = 200) -> list[Check]:
 
 def dim_check_suite(rng, count: int = 100) -> list[Check]:
     found = []
-    for block, rb, _ in _stacked(lambda _: _draw_separated(rng), count,
+    for block, rb, _ in _stacked(rng, _draw_separated, count,
                                  _SEPARATED_ORDER, _separated_filled):
         found += dim_bracket(block, rb)
     counted = [c for c in found if c.status != NOT_APPLICABLE]
@@ -529,20 +561,23 @@ def dim_check_suite(rng, count: int = 100) -> list[Check]:
         found, [(nonempty, 0, ">", None)])]
 
 
+def _draw_soq(rng, _idx: int) -> tuple:
+    """separated_block's draws, then noise of the order of M."""
+    drawn = _draw_separated(rng)
+    n = drawn.mus.size + drawn.c0.shape[0]
+    return drawn, _random_hermitian(rng, n, 1.0)
+
+
 def soq_suite(rng, disc64: MhdDiscretization,
               count: int = 100) -> list[Check]:
     found = []
-
-    def draw(_):  # separated_block's draws, then noise of the order of M
-        drawn = _draw_separated(rng)
-        n = drawn.mus.size + drawn.c0.shape[0]
-        return drawn, _random_hermitian(rng, n, 1.0)
 
     def prepare(draws):
         settled = _separated_filled([drawn for drawn, _ in draws])
         return [(*inst, noise) for inst, (_, noise) in zip(settled, draws)]
 
-    for block, rb, c, noise in _stacked(draw, count, _SEPARATED_ORDER, prepare):
+    for block, rb, c, noise in _stacked(rng, _draw_soq, count,
+                                        _SEPARATED_ORDER, prepare):
         # Never None: separated_block validated two pairs at these
         # (a_points, c, rb), so every instance draws its noise.
         a1p, _, b4p = bracket = soq_bracket(block.a_points, c, rb)
@@ -819,7 +854,7 @@ def fixture_suite() -> list[Check]:
 
 def variational_suite(rng, count: int = 80) -> list[Check]:
     found = []
-    for block, rb, _ in _stacked(lambda _: _draw_separated(rng), count,
+    for block, rb, _ in _stacked(rng, _draw_separated, count,
                                  _SEPARATED_ORDER, _separated_filled):
         found += variational_ladder(block, rb)
     checked = sum(c.inputs["n"] for c in found if c.status != NOT_APPLICABLE)
@@ -830,11 +865,11 @@ def variational_suite(rng, count: int = 80) -> list[Check]:
         {"checked": checked}, found, [(checked, 0, ">", None)])]
 
 
-def run(seed: int = 42) -> Report:
-    """Run every suite on the given seed and assemble the report."""
-    rng = np.random.default_rng(seed)
-    checks: list[Check] = []
-    checks += fixture_suite()
+def _prefix(rng) -> tuple[list[Check], SpectralLandmarks]:
+    """The checks of the suites that draw independently of what they
+    compute, in run's order, and the landmarks of the N = 64 constant
+    profile, which mhd_suite reads."""
+    checks = fixture_suite()
     checks += numeric_core_suite(rng)
     checks += schur_suite(rng)
     checks += resolvent_suite(rng)
@@ -844,14 +879,58 @@ def run(seed: int = 42) -> Report:
     checks += variational_suite(rng)
     checks += dim_check_suite(rng)
     # The N = 64 constant profile serves the SOQ and the MHD suites, so its
-    # eig(M) is solved once.  Only its landmarks outlive the SOQ suite: the
+    # eig(M) is solved once.  Only its landmarks outlive this function: the
     # decompositions would otherwise stay resident through the later suites.
     disc64 = discretize(constant_profile(), 64)
     checks += soq_suite(rng, disc64)
-    marks64 = disc64.block.landmarks
-    del disc64
-    checks += subspace_suite(rng)
-    checks += basis_suite(rng)
-    checks += mhd_suite(marks64)
+    return checks, disc64.block.landmarks
+
+
+# Every draw _prefix makes, in its order and at its counts: (draw, count).
+_PREFIX_DRAWS = ((_draw_core, 50), (_draw_block, 200), (_draw_resolvent, 50),
+                 (_draw_relative, 100), (_draw_block, 500),
+                 (_window_instance, 200), (_draw_degenerate, 50),
+                 (_draw_separated, 80), (_draw_separated, 100),
+                 (_draw_soq, 100))
+
+
+def _fast_forward(rng) -> None:
+    """Make _prefix's draws and solve nothing: rng ends in the state _prefix
+    leaves it in, because none of its draws depends on what it computes."""
+    for draw, count in _PREFIX_DRAWS:
+        for idx in range(count):
+            draw(rng, idx)
+
+
+def _suffix(rng) -> list[Check]:
+    """The checks of the suites that draw after skips on computed values."""
+    return subspace_suite(rng) + basis_suite(rng)
+
+
+def _served_suffix(seed: int) -> list[Check]:
+    """The suffix's checks at ``seed``, from a fresh generator brought to
+    the state the prefix leaves."""
+    rng = np.random.default_rng(seed)
+    _fast_forward(rng)
+    return _suffix(rng)
+
+
+def run(seed: int = 42) -> Report:
+    """Run every suite on the given seed and assemble the report.
+
+    On Linux a forked child runs the suffix while this process runs the
+    prefix and the MHD suite; no child outlives the call, whether it returns
+    or raises.  Elsewhere the suffix runs here, after those two; it draws
+    from where the prefix leaves rng, and the MHD suite draws nothing."""
+    child = forked.start(_served_suffix, seed)
+    try:
+        rng = np.random.default_rng(seed)
+        checks, marks64 = _prefix(rng)
+        mhd = mhd_suite(marks64)
+        checks += _suffix(rng) if child is None else child.result()
+        checks += mhd
+    finally:
+        if child is not None:
+            child.close()
     return Report(tool="specblock", version=__version__, command="selftest",
                   input_digest=f"selftest-seed-{seed}", checks=checks)

@@ -13,6 +13,7 @@ checks compare at scale 1).
 
 import inspect
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -527,6 +528,8 @@ def test_schur_suite_matches_the_per_shift_reference(seed, decoupled, monkeypatc
 
 
 def test_selftest_discretizes_each_profile_once(monkeypatch):
+    # In-process, so that a forked child's calls would be counted too.
+    monkeypatch.delattr(os, "fork", raising=False)
     sizes = []
 
     def spy(profile, n_interior):
@@ -781,6 +784,9 @@ def test_stacked_fill_only_fills_caches(seed, tmp_path, monkeypatch,
     # The families solve their instances as stacks through fill_spectra;
     # with it a no-op every cached spectrum is solved alone, and the report
     # must keep its bytes.  Seed 14 keeps its known enclosures/soq failure.
+    # The runs here are in-process, so that a forked child's calls would be
+    # counted too; the seed-42 reference comes from the two-process run.
+    monkeypatch.delattr(os, "fork", raising=False)
     if seed == 42:
         code, path = selftest_42_runs[0]
         stacked = code, path.read_bytes()
