@@ -34,6 +34,7 @@ from .linalg import (
 from .tolerance import BASE_TOL, matrix_tol
 
 if TYPE_CHECKING:
+    from .enclosures import Ladder
     from .subspaces import GraphSubspace
 
 __all__ = [
@@ -119,10 +120,19 @@ class BlockOperatorMatrix:
 
     @cached_property
     def a_points(self) -> np.ndarray:
-        """sigma(A) as points, which the windows, pairs and brackets read:
+        """sigma(A) as points, which the ladder is built over:
         the lowest eigenvalue of each a_clusters label, ascending."""
         labels = self.a_clusters
         return _frozen(self.eig_a.eigenvalues[np.diff(labels, prepend=-1) > 0])
+
+    def ladder(self, rb: RelativeBound) -> Ladder:
+        """The enclosures.Ladder over a_points at c and ``rb``, built once
+        per rb and kept beside the cached spectra."""
+        from .enclosures import Ladder  # enclosures imports blocks
+        ladders = self.__dict__.setdefault("_ladders", {})
+        if rb not in ladders:
+            ladders[rb] = Ladder.build(self.a_points, self.c, rb)
+        return ladders[rb]
 
     @cached_property
     def eig_c(self) -> SpectralDecomposition:

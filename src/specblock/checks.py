@@ -5,6 +5,9 @@ bound (a, b) in force, a cut point, a rung count, a trial space) and returns
 the checks of one family.  ``cli.cmd_enclose`` concatenates the ENCLOSE
 builders in that order; ``cli.cmd_angular``, ``cmd_basis`` and ``cmd_soq``
 return ``angular``, ``basis`` (``riesz`` and ``decay_and_bari``) and ``soq``.
+The window, resolvent-interval and dimension families read the block's one
+ladder at the relative bound (``BlockOperatorMatrix.ladder``), as the soq
+disc does, and solve no window of their own.
 The selftest aggregates the same checks over its random instances, and
 ``mhd.run_report`` reports ``angular_at_c_tilde`` (the angular checks at c~
 as one) and ``basis`` under MHD names, its other checks on the anchors here.
@@ -18,10 +21,6 @@ from .basis import DecayRecord, DecayReport, projection_decay, riesz_check
 from .blocks import BlockOperatorMatrix, RelativeBound
 from .enclosures import (
     dist_bound,
-    eigenvalue_window,
-    exclusion_window,
-    resolvent_interval,
-    resolvent_pairs,
     soq_enclosure,
     soq_gaps,
     soq_misses,
@@ -112,24 +111,24 @@ def distance_bounds(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check
 
 
 def windows(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
-    """The inclusion and the exclusion window of each point of
-    ``block.a_points``, interleaved, with the eigenvalues of M above c + a
-    that ``enclosures.window_owners`` gives each one."""
+    """The inclusion and the exclusion window of each point of the block's
+    ladder at rb, interleaved, with the eigenvalues of M above c + a that
+    ``enclosures.window_owners`` gives each one."""
+    ladder = block.ladder(rb)
     spec_a, labels = block.eig_a.eigenvalues, block.a_clusters
-    mus = block.a_points.tolist()
     tops = spec_a[np.diff(labels, append=labels[-1:] + 1) > 0]
     lams = np.array(_above_c_plus_a(block, rb))
-    incl_lams, excl_lams = ([lams[owner == k].tolist() for k in range(len(mus))]
+    incl_lams, excl_lams = ([lams[owner == k].tolist()
+                             for k in range(len(ladder.points))]
                             for owner in window_owners(block.a_points, tops, lams))
 
     checks = []
-    for mu, incl, excl in zip(mus, incl_lams, excl_lams):
+    for mu, incl, excl, win, exw in zip(ladder.points, incl_lams, excl_lams,
+                                        ladder.inclusion, ladder.exclusion):
         inputs = {"mu": mu, "c": block.c, "a": rb.a, "b": rb.b}
         name = f"inclusion-window/mu={mu:.6g}"
-        try:
-            win = eigenvalue_window(mu, block.c, rb)
-        except HypothesisError as exc:
-            checks.append(not_applicable(name, INCL_ANCHOR, str(exc)))
+        if isinstance(win, str):
+            checks.append(not_applicable(name, INCL_ANCHOR, win))
         else:
             checks.append(judge(
                 name, INCL_ANCHOR, inputs,
@@ -138,10 +137,8 @@ def windows(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
                 slack=(SLACK, [(incl, (win.lo, win.hi), "within", 1.0)])))
 
         name = f"exclusion-window/mu={mu:.6g}"
-        try:
-            exw = exclusion_window(mu, block.c, rb)
-        except HypothesisError as exc:
-            checks.append(not_applicable(name, EXCL_ANCHOR, str(exc)))
+        if isinstance(exw, str):
+            checks.append(not_applicable(name, EXCL_ANCHOR, exw))
             continue
         outside = (excl, (exw.lo, exw.hi), "outside", 1.0)
         intruding = [lam for lam, ok in zip(excl, holds(outside, SLACK))
@@ -156,16 +153,16 @@ def windows(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
 
 def resolvent_intervals(block: BlockOperatorMatrix,
                         rb: RelativeBound) -> list[Check]:
-    """One resolvent-interval check per consecutive pair of cluster points."""
+    """One resolvent-interval check per consecutive pair of the block's
+    ladder at rb."""
     spec_m = block.eig_m.eigenvalues
-    mus = block.a_points.tolist()
+    ladder = block.ladder(rb)
     checks = []
-    for mu1, mu2 in zip(mus, mus[1:]):
+    for mu1, mu2, win in zip(ladder.points, ladder.points[1:],
+                             ladder.intervals):
         name = f"resolvent-interval/mu1={mu1:.6g}"
-        try:
-            win = resolvent_interval(mu1, mu2, block.c, rb)
-        except HypothesisError as exc:
-            checks.append(not_applicable(name, RES_ANCHOR, str(exc)))
+        if isinstance(win, str):
+            checks.append(not_applicable(name, RES_ANCHOR, win))
             continue
         outside = (spec_m, (win.lo, win.hi), "outside", 1.0)
         inside = spec_m[~holds(outside, SLACK)]
@@ -197,14 +194,14 @@ def variational_ladder(block: BlockOperatorMatrix,
 
 
 def dim_bracket(block: BlockOperatorMatrix, rb: RelativeBound) -> list[Check]:
-    """The dimension count from the first certified resolvent interval's end
-    to the last one's start."""
+    """The dimension count from the end of the first certified resolvent
+    interval of the block's ladder at rb to the start of the last."""
     name = "dim-check/bracket"
-    pairs = resolvent_pairs(block.a_points, block.c, rb)
-    if len(pairs) < 2:
+    found = block.ladder(rb).certified
+    if len(found) < 2:
         return [not_applicable(name, DIM_ANCHOR,
                                "fewer than two valid pair windows")]
-    b2p, a3p = pairs[0][2].hi, pairs[-1][2].lo
+    b2p, a3p = found[0][1].hi, found[-1][1].lo
     if not b2p < a3p:
         return [not_applicable(name, DIM_ANCHOR,
                                "bracket endpoints out of order")]
@@ -383,7 +380,7 @@ def basis(block: BlockOperatorMatrix, rb: RelativeBound,
 def soq(block: BlockOperatorMatrix, q: np.ndarray, bracket) -> list[Check]:
     """Second-order-spectrum enclosures on the trial space spanned by the
     orthonormal columns of q, inside the disc of bracket = (a1p, b4m, b4p)
-    from ``enclosures.soq_bracket``; None has no disc."""
+    from ``enclosures.soq_bracket`` of a ladder; None has no disc."""
     if bracket is None:
         return [not_applicable("soq/enclosures", SOQ_ANCHOR,
                                "fewer than two valid pair windows")]

@@ -88,7 +88,7 @@ def cmd_soq(problem: ProblemFile, subspace_dim: int | None,
     block, disc, rb = _resolve(problem, n_interior)
     dim_full = block.n1 + block.n2
     m = min(subspace_dim or dim_full, dim_full)
-    bracket = soq_bracket(block.a_points, block.c, rb)
+    bracket = soq_bracket(block.ladder(rb))
     q = (np.eye(dim_full, dtype=complex)[:, :m] if disc is None
          else trial_space(disc, m))
     return checks.soq(block, q, bracket)

@@ -3,9 +3,10 @@
 Distance bound, inclusion/exclusion windows around eigenvalues of A,
 certified resolvent intervals, subspace-dimension counts, variational
 two-sided bounds, and second-order-spectrum enclosures on trial subspaces.
-The windows, pairs and brackets read sigma(A) as one point per cluster
-(``BlockOperatorMatrix.a_points``); ``window_owners`` assigns the windows.
-The brackets read the intervals ``resolvent_pairs`` certifies, and array
+A ``Ladder`` solves each window of sigma(A), read as one point per cluster
+(``BlockOperatorMatrix.a_points``), and each resolvent interval between
+consecutive points once; the window, interval and dimension checks and the
+soq disc read it, and ``window_owners`` assigns the windows.  Array
 tolerances come from ``scalar_tols``, the one array form of ``scalar_tol``.
 Every unmet hypothesis, a window that overflows double precision included,
 raises HypothesisError, which the check builders report as not applicable.
@@ -14,7 +15,6 @@ raises HypothesisError, which the check builders report as not applicable.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +33,7 @@ from .tolerance import (ORTH_TOL, REAL_AXIS_REL, SOQ_MARGIN_REL, scalar_tol,
 
 __all__ = [
     "EnclosureReport",
+    "Ladder",
     "QepEnclosure",
     "dist_bound",
     "eigenvalue_window",
@@ -43,7 +44,6 @@ __all__ = [
     "soq_enclosure",
     "window_owners",
     "soq_bracket",
-    "resolvent_pairs",
     "soq_gaps",
     "soq_misses",
 ]
@@ -144,31 +144,75 @@ def exclusion_window(mu: float, c: float, rb: RelativeBound) -> Interval:
     return _window(mid - root, mid + root, "exclusion", is_open=True)
 
 
-def resolvent_interval(mu1: float, mu2: float, c: float,
-                       rb: RelativeBound) -> Interval:
+def resolvent_interval(mu1: float, mu2: float, c: float, rb: RelativeBound,
+                       upper: Interval | str | None = None,
+                       lower: Interval | str | None = None) -> Interval:
     """Certified spectral-free open interval (alpha1+, beta2+) between
     mu1 < mu2.
 
     Needs a + c < mu1 < mu2, beta2- < (mu1 + mu2)/2 and alpha1+ < beta2+;
     the caller is responsible for (mu1, mu2) being free of sigma(A).  Any
-    failed hypothesis raises HypothesisError with the reason.
+    failed hypothesis raises HypothesisError with the reason.  The inclusion
+    window at mu1 (``upper``) and the exclusion window at mu2 (``lower``)
+    are solved here unless a Ladder passes them as it holds them.
     """
     mu1, mu2, c = float(mu1), float(mu2), float(c)
     if not mu1 < mu2:
         raise HypothesisError("mu1 must be below mu2")
     if mu1 - (rb.a + c) <= scalar_tol(mu1, rb.a, c):
         raise HypothesisError("mu1 must exceed a + c")
-    upper = eigenvalue_window(mu1, c, rb)
-    try:
-        lower = exclusion_window(mu2, c, rb)
-    except HypothesisError as exc:
-        raise HypothesisError(f"exclusion window at mu2: {exc}") from exc
+    upper = _solved(eigenvalue_window, mu1, c, rb) if upper is None else upper
+    if isinstance(upper, str):
+        raise HypothesisError(upper)
+    lower = _solved(exclusion_window, mu2, c, rb) if lower is None else lower
+    if isinstance(lower, str):
+        raise HypothesisError(f"exclusion window at mu2: {lower}")
     if not lower.lo < (mu1 + mu2) / 2.0:
         raise HypothesisError(
             "beta2- must lie below the midpoint of (mu1, mu2)")
     if not upper.hi < lower.hi:
         raise HypothesisError("alpha1+ must lie below beta2+")
     return Interval(upper.hi, lower.hi, open_lo=True, open_hi=True)
+
+
+def _solved(solve, *args) -> Interval | str:
+    """solve(*args), or the text of the HypothesisError it raises."""
+    try:
+        return solve(*args)
+    except HypothesisError as exc:
+        return str(exc)
+
+
+@dataclass(frozen=True)
+class Ladder:
+    """The inclusion and the exclusion window at each of the ascending
+    ``points`` of sigma(A), and the resolvent interval of each consecutive
+    pair from the windows at its ends, each solved once at (c, rb); a piece
+    that does not exist is the text of the HypothesisError its solve raised.
+    """
+
+    points: tuple[float, ...]
+    inclusion: tuple[Interval | str, ...]
+    exclusion: tuple[Interval | str, ...]
+    intervals: tuple[Interval | str, ...]  # (points[k], points[k + 1])
+
+    @classmethod
+    def build(cls, points, c: float, rb: RelativeBound) -> Ladder:
+        """The ladder over ``points``, sorted first."""
+        points = tuple(np.sort(np.asarray(points, dtype=float)).tolist())
+        incl = tuple(_solved(eigenvalue_window, mu, c, rb) for mu in points)
+        excl = tuple(_solved(exclusion_window, mu, c, rb) for mu in points)
+        return cls(points, incl, excl, tuple(
+            _solved(resolvent_interval, mu1, mu2, c, rb, upper, lower)
+            for mu1, mu2, upper, lower
+            in zip(points, points[1:], incl, excl[1:])))
+
+    @property
+    def certified(self) -> list[tuple[int, Interval]]:
+        """(k, interval) of each pair (points[k], points[k + 1]) whose
+        resolvent interval exists, ascending."""
+        return [(k, win) for k, win in enumerate(self.intervals)
+                if isinstance(win, Interval)]
 
 
 def subspace_dim_check(block: BlockOperatorMatrix, b2p: float,
@@ -247,33 +291,20 @@ def window_owners(bottoms, tops, lams) -> tuple[np.ndarray, np.ndarray]:
     return np.where(incl_ok, incl, -1), np.where(excl_ok, excl, -1)
 
 
-def resolvent_pairs(spec, c: float,
-                    rb: RelativeBound) -> list[tuple[float, float, Interval]]:
-    """(mu1, mu2, resolvent_interval(mu1, mu2, c, rb)) for each pair of
-    consecutive points of sorted ``spec`` whose resolvent-interval hypotheses
-    hold, in ascending order."""
-    spec = np.sort(np.asarray(spec, dtype=float)).tolist()
-    pairs = []
-    for mu1, mu2 in zip(spec, spec[1:]):
-        with suppress(HypothesisError):
-            pairs.append((mu1, mu2, resolvent_interval(mu1, mu2, c, rb)))
-    return pairs
-
-
-def soq_bracket(spec_a, c: float, rb: RelativeBound):
+def soq_bracket(ladder: Ladder):
     """Disc geometry (a1p, b4m, b4p): a1p opens the first certified resolvent
-    interval of the points ``spec_a`` of sigma(A) (a block's a_points), b4p
-    closes the last, and b4m is the lower end of the exclusion window at the
-    last pair's mu2.  b4m falls back onto b4p when it sits left of a1p (the
-    usual case for separated spectra), keeping the disc over (a1p, b4p).
-    Returns None when fewer than two pairs validate.
+    interval of ``ladder``, b4p closes the last, and b4m is the lower end of
+    the exclusion window at the last pair's upper point.  b4m falls back onto
+    b4p when it sits left of a1p (the usual case for separated spectra),
+    keeping the disc over (a1p, b4p).  Returns None when fewer than two
+    pairs validate.
     """
-    pairs = resolvent_pairs(spec_a, c, rb)
-    if len(pairs) < 2:
+    found = ladder.certified
+    if len(found) < 2:
         return None
-    a1p, b4p = pairs[0][2].lo, pairs[-1][2].hi
-    b4m = exclusion_window(pairs[-1][1], c, rb).lo
-    return a1p, (b4m if b4m > a1p else b4p), b4p
+    a1p, (last, top) = found[0][1].lo, found[-1]
+    b4m = ladder.exclusion[last + 1].lo
+    return a1p, (b4m if b4m > a1p else top.hi), top.hi
 
 
 def _merge_conjugates(values: np.ndarray) -> list[complex]:

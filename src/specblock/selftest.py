@@ -56,10 +56,10 @@ from .checks import (
     windows,
 )
 from .enclosures import (
+    Ladder,
     dist_bound,
     eigenvalue_window,
     exclusion_window,
-    resolvent_pairs,
     soq_bracket,
 )
 from .errors import ArgumentError, HypothesisError
@@ -168,10 +168,10 @@ def _first_separated(draw: _SeparatedDraw) -> BlockOperatorMatrix:
 def _settle_separated(block: BlockOperatorMatrix, max_halvings: int = 40):
     """(block, rb, c) from ``block`` with its coupling halved until at least
     two consecutive pair windows validate; they always do in the decoupled
-    limit."""
+    limit.  The block returned keeps its ladder at rb."""
     for _ in range(max_halvings):
         rb = best_relative_bound(block)
-        if len(resolvent_pairs(block.a_points, block.c, rb)) >= 2:
+        if len(block.ladder(rb).certified) >= 2:
             return block, rb, block.c
         block = replace(block, B=0.5 * block.B)
     raise RuntimeError("failed to build a separated instance")
@@ -576,11 +576,11 @@ def soq_suite(rng, disc64: MhdDiscretization,
         settled = _separated_filled([drawn for drawn, _ in draws])
         return [(*inst, noise) for inst, (_, noise) in zip(settled, draws)]
 
-    for block, rb, c, noise in _stacked(rng, _draw_soq, count,
+    for block, rb, _, noise in _stacked(rng, _draw_soq, count,
                                         _SEPARATED_ORDER, prepare):
-        # Never None: separated_block validated two pairs at these
-        # (a_points, c, rb), so every instance draws its noise.
-        a1p, _, b4p = bracket = soq_bracket(block.a_points, c, rb)
+        # Never None: separated_block validated two pairs on the ladder the
+        # block keeps at rb, so every instance draws its noise.
+        a1p, _, b4p = bracket = soq_bracket(block.ladder(rb))
         full = assemble(block)
         n = full.shape[0]
         noise = noise / np.sqrt(n)
@@ -593,7 +593,9 @@ def soq_suite(rng, disc64: MhdDiscretization,
         found += soq(block, q, bracket)
     # The magnetohydrodynamics discretization with a 20-mode trial space.
     a, b, c = constants(constant_profile())
-    bracket = soq_bracket(disc64.block.a_points, c, RelativeBound(a, b))
+    # bracketed with the closed-form c, not block.c: a ladder of its own
+    bracket = soq_bracket(Ladder.build(disc64.block.a_points, c,
+                                       RelativeBound(a, b)))
     mhd, = soq(disc64.block, trial_space(disc64, 20), bracket)
     found.append(mhd)
     admitted = sum(ch.outputs.get("admitted_count", 0) for ch in found)

@@ -4,13 +4,16 @@ These deliberately avoid the library's code paths: scalar root isolation by
 bisection, closed-form 2x2 eigenvalues, hand-expanded cofactor determinants
 and cross-product eigenvectors for 3x3 matrices, and the window assignment
 one lambda at a time that ``enclosures.window_owners`` does as one array call.
-``bracket_reference`` solves the four windows that the dimension bracket and
-the soq disc read from the certified resolvent intervals.
+``bracket_reference`` finds the certified pairs one resolvent_interval call
+at a time and solves the four windows that the dimension bracket and the soq
+disc read from the block's ladder.
 """
 
 import numpy as np
 
-from specblock.enclosures import eigenvalue_window, exclusion_window
+from specblock.enclosures import (eigenvalue_window, exclusion_window,
+                                  resolvent_interval)
+from specblock.errors import HypothesisError
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -160,12 +163,20 @@ def cluster_tops(block):
     return np.array([spec[labels == k].max() for k in range(block.a_points.size)])
 
 
-def bracket_reference(pairs, c, rb):
-    """((b2p, a3p), (a1p, b4m, b4p)) from the pairs (mu1, mu2, ...) of
-    ``enclosures.resolvent_pairs``, one window solve per endpoint: b2p and
-    b4p end the exclusion windows at the first and last mu2, a3p and a1p end
-    the inclusion windows at the last and first mu1.  None for fewer than two
-    pairs."""
+def bracket_reference(points, c, rb):
+    """((b2p, a3p), (a1p, b4m, b4p)) from the consecutive pairs of sorted
+    ``points`` whose resolvent_interval call succeeds, one window solve per
+    endpoint: b2p and b4p end the exclusion windows at the first and last
+    mu2, a3p and a1p end the inclusion windows at the last and first mu1.
+    None for fewer than two pairs."""
+    points = np.sort(np.asarray(points, dtype=float)).tolist()
+    pairs = []
+    for mu1, mu2 in zip(points, points[1:]):
+        try:
+            resolvent_interval(mu1, mu2, c, rb)
+        except HypothesisError:
+            continue
+        pairs.append((mu1, mu2))
     if len(pairs) < 2:
         return None
     b2p = exclusion_window(pairs[0][1], c, rb).hi

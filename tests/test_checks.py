@@ -35,8 +35,6 @@ from specblock.enclosures import (
     eigenvalue_window,
     exclusion_window,
     resolvent_interval,
-    resolvent_pairs,
-    soq_bracket,
     soq_enclosure,
     soq_misses,
     subspace_dim_check,
@@ -85,7 +83,7 @@ from specblock.tolerance import (
     matrix_tol,
 )
 
-from oracles import cluster_tops
+from oracles import bracket_reference, cluster_tops
 from test_golden import MHD_PROBLEMS
 
 GOLDEN_BLOCK = Path(__file__).parent / "data" / "golden_block.json"
@@ -175,9 +173,7 @@ def reference_dim_check_suite(rng, count):
     mismatches = nonempty = 0
     for _ in range(count):
         block, rb, c = selftest.separated_block(rng)
-        pairs = resolvent_pairs(block.eig_a.eigenvalues, c, rb)
-        b2p = exclusion_window(pairs[0][1], c, rb).hi
-        a3p = eigenvalue_window(pairs[-1][0], c, rb).hi
+        (b2p, a3p), _ = bracket_reference(block.eig_a.eigenvalues, c, rb)
         if not b2p < a3p:
             continue
         count_m, count_a = subspace_dim_check(block, b2p, a3p)
@@ -229,11 +225,10 @@ def reference_soq_suite(rng, count):
     margins = []
     for _ in range(count):
         block, rb, c = selftest.separated_block(rng)
-        spec_a = block.eig_a.eigenvalues
-        bracket = soq_bracket(spec_a, c, rb)
-        if bracket is None:
+        ref = bracket_reference(block.eig_a.eigenvalues, c, rb)
+        if ref is None:
             continue
-        a1p, b4m, b4p = bracket
+        a1p, b4m, b4p = ref[1]
         full = assemble(block)
         spec_m = block.eig_m.eigenvalues
         n = full.shape[0]
@@ -251,12 +246,11 @@ def reference_soq_suite(rng, count):
     disc = discretize(constant_profile(), 64)
     a, b, c = constants(constant_profile())
     rb = RelativeBound(a, b)
-    spec_a = disc.block.eig_a.eigenvalues
     spec_m = disc.block.eig_m.eigenvalues
-    bracket = soq_bracket(spec_a, c, rb)
+    ref = bracket_reference(disc.block.eig_a.eigenvalues, c, rb)
     mhd_admitted = 0
-    if bracket is not None:
-        a1p, b4m, b4p = bracket
+    if ref is not None:
+        a1p, b4m, b4p = ref[1]
         enclosures = soq_enclosure(disc.block, trial_space(disc, 20), a1p, b4m, b4p)
         mhd_admitted = sum(e.admitted for e in enclosures)
         admitted_total += mhd_admitted

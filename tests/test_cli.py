@@ -1,11 +1,14 @@
 import json
+import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specblock import BlockOperatorMatrix, basis, linalg, problems, selftest
+from specblock import (BlockOperatorMatrix, basis, enclosures, linalg,
+                       problems, selftest)
 from specblock.cli import main
 from specblock.errors import PairingError
 from specblock.report import emit_json
@@ -354,6 +357,58 @@ class TestEnclose:
         statuses = {c["status"] for c in rep["checks"]}
         assert "not-applicable" in statuses  # single-pair fixture
         assert code == 0
+
+
+def spied_solves(monkeypatch) -> list[tuple[str, float]]:
+    """(name, first argument) of every window and resolvent-interval solve,
+    from spies bound in each specblock module that holds the solve."""
+    calls = []
+    for name in ("eigenvalue_window", "exclusion_window", "resolvent_interval"):
+        real = getattr(enclosures, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append((_name, args[0]))
+            return _real(*args, **kwargs)
+        for mod_name, module in list(sys.modules.items()):
+            if (mod_name.partition(".")[0] == "specblock"
+                    and vars(module).get(name) is real):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def solved_at(calls, name) -> Counter:
+    return Counter(mu for solved, mu in calls if solved == name)
+
+
+class TestOneLadder:
+    """Through cli.main on the golden block, each window and each resolvent
+    interval is solved once per (block, rb)."""
+
+    POINTS = 10
+
+    def test_enclose_solves_each_window_and_interval_once(self, tmp_path,
+                                                          monkeypatch):
+        calls = spied_solves(monkeypatch)
+        code, _ = run_to_file(tmp_path, ["enclose", "--input", GOLDEN_BLOCK])
+        assert code == 0
+        points = problems.load_problem(GOLDEN_BLOCK).block.a_points.tolist()
+        assert len(points) == self.POINTS
+        assert solved_at(calls, "eigenvalue_window") == Counter(points)
+        assert solved_at(calls, "exclusion_window") == Counter(points)
+        assert solved_at(calls, "resolvent_interval") == Counter(points[:-1])
+        assert len(calls) == 3 * self.POINTS - 1
+
+    def test_soq_solves_at_most_one_window_of_each_kind_per_point(
+            self, tmp_path, monkeypatch):
+        calls = spied_solves(monkeypatch)
+        code, rep = run_to_file(tmp_path, ["soq", "--input", GOLDEN_BLOCK,
+                                           "--subspace-dim", "10"])
+        assert code == 0 and rep["checks"][0]["status"] == "pass"
+        for name in ("eigenvalue_window", "exclusion_window",
+                     "resolvent_interval"):
+            counts = solved_at(calls, name)
+            assert counts and max(counts.values()) == 1
+            assert len(counts) <= self.POINTS
 
 
 # S(c~) has the eigenvalue c - c~ = -0.006, inside matrix_tol(S(c~)) = 0.04:

@@ -19,8 +19,8 @@ from specblock import (
     variational_bounds,
 )
 from specblock.enclosures import (
+    Ladder,
     QepEnclosure,
-    resolvent_pairs,
     soq_bracket,
     soq_misses,
     window_owners,
@@ -313,18 +313,39 @@ def scalar_pairs(spec, c, rb):
 
 
 def pairs_with_intervals(spec, c, rb):
-    """resolvent_pairs(spec, c, rb) as (mu1, mu2) pairs, after asserting
-    that each returned interval is resolvent_interval(mu1, mu2, c, rb)."""
-    got = resolvent_pairs(spec, c, rb)
-    for mu1, mu2, win in got:
-        assert win == resolvent_interval(mu1, mu2, c, rb)
-        assert all(type(x) is float for x in (mu1, mu2, win.lo, win.hi))
-    return [(mu1, mu2) for mu1, mu2, _ in got]
+    """The certified pairs of Ladder.build(spec, c, rb) as (mu1, mu2), after
+    asserting that each interval is resolvent_interval(mu1, mu2, c, rb), and
+    that each piece that does not exist holds the reason a solve of its own
+    raises."""
+    ladder = Ladder.build(spec, c, rb)
+    assert list(ladder.points) == np.sort(np.asarray(spec, dtype=float)).tolist()
+    got = []
+    for k, (mu1, mu2, win) in enumerate(zip(ladder.points, ladder.points[1:],
+                                            ladder.intervals)):
+        assert win == solved_or_reason(resolvent_interval, mu1, mu2, c, rb)
+        if isinstance(win, Interval):
+            assert (k, win) in ladder.certified
+            assert all(type(x) is float for x in (mu1, mu2, win.lo, win.hi))
+            got.append((mu1, mu2))
+    assert len(ladder.certified) == len(got)
+    for mu, incl, excl in zip(ladder.points, ladder.inclusion,
+                              ladder.exclusion):
+        assert incl == solved_or_reason(eigenvalue_window, mu, c, rb)
+        assert excl == solved_or_reason(exclusion_window, mu, c, rb)
+    return got
+
+
+def solved_or_reason(solve, *args):
+    """solve(*args), or the text of the HypothesisError it raises."""
+    try:
+        return solve(*args)
+    except HypothesisError as exc:
+        return str(exc)
 
 
 class TestResolventPairs:
-    """resolvent_pairs keeps the pairs whose resolvent interval exists, each
-    with that interval."""
+    """The ladder keeps the pairs whose resolvent interval exists, each with
+    that interval, and the reason of each pair that has none."""
 
     def assert_matches(self, spec, c, rb):
         got = pairs_with_intervals(spec, c, rb)
@@ -510,7 +531,7 @@ class TestSoqEnclosure:
         for _ in range(25):
             block, rb, c = separated_block(rng)
             spec_a = hermitian_eig(block.A).eigenvalues
-            bracket = soq_bracket(spec_a, c, rb)
+            bracket = soq_bracket(Ladder.build(spec_a, c, rb))
             if bracket is None:
                 continue
             a1p, b4m, b4p = bracket
@@ -642,7 +663,7 @@ class TestPairingHelpers:
             A=np.diag([2.0, 10.0, 40.0, 90.0]),
             B=np.array([[0.3], [0.3], [0.3], [0.3]]), C=[[-1.0]])
         rb = RelativeBound(0.0, 0.36)
-        bracket = soq_bracket([2.0, 10.0, 40.0, 90.0], -1.0, rb)
+        bracket = soq_bracket(block.ladder(rb))
         assert bracket is not None
         a1p, b4m, b4p = bracket
         assert a1p == pytest.approx(eigenvalue_window(2.0, -1.0, rb).hi)
@@ -681,16 +702,15 @@ def hexes(*values):
 
 
 class TestBrackets:
-    """dim_bracket and soq_bracket read the certified resolvent intervals:
-    the same bits as solving the four windows again."""
+    """dim_bracket and soq_bracket read the certified resolvent intervals of
+    the block's ladder: the same bits as solving the four windows again."""
 
     def test_brackets_match_the_window_reference(self):
         short = 0
         for block, rb, c in bracket_cases():
             assert c == block.c
-            pairs = resolvent_pairs(block.a_points, c, rb)
-            ref = bracket_reference(pairs, c, rb)
-            bracket = soq_bracket(block.a_points, c, rb)
+            ref = bracket_reference(block.a_points, c, rb)
+            bracket = soq_bracket(block.ladder(rb))
             dim, = checks.dim_bracket(block, rb)
             if ref is None:
                 short += 1
@@ -709,10 +729,10 @@ class TestBrackets:
         assert short == 3
 
     def test_window_calls(self, monkeypatch):
-        ladder = ladder_block([2.0, 10.0, 40.0, 90.0])
+        block = ladder_block([2.0, 10.0, 40.0, 90.0])
         rb = RelativeBound(0.0, 0.36)
-        pairs = resolvent_pairs(ladder.a_points, -1.0, rb)
-        assert len(pairs) == 3
+        ladder = block.ladder(rb)
+        assert len(ladder.certified) == 3
         calls = []
 
         def spy(module, name):
@@ -723,15 +743,21 @@ class TestBrackets:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
 
-        # the pairs are solved once, outside the spies; every window call
-        # left is the bracket's own
+        # the ladder is built once, outside the spies; the families and the
+        # brackets read it and solve no window of their own
         for module in (checks, enclosures):
-            monkeypatch.setattr(module, "resolvent_pairs",
-                                lambda *args: pairs)
             for name in ("eigenvalue_window", "exclusion_window",
                          "resolvent_interval"):
-                spy(module, name)
-        checks.dim_bracket(ladder, rb)
+                if hasattr(module, name):
+                    spy(module, name)
+        checks.dim_bracket(block, rb)
+        enclosures.soq_bracket(block.ladder(rb))
+        checks.windows(block, rb)
+        checks.resolvent_intervals(block, rb)
         assert calls == []
-        enclosures.soq_bracket(ladder.a_points, -1.0, rb)
-        assert calls == ["exclusion_window"]
+        assert block.ladder(rb) is ladder
+        # another rb is another ladder: each window and each pair once
+        block.ladder(RelativeBound(0.0, 0.5))
+        assert sorted(calls) == sorted(["eigenvalue_window"] * 4
+                                       + ["exclusion_window"] * 4
+                                       + ["resolvent_interval"] * 3)

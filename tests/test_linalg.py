@@ -35,7 +35,7 @@ from specblock.blocks import (
     schur_complement,
 )
 from specblock.cli import cmd_soq
-from specblock.enclosures import soq_bracket
+from specblock.enclosures import Ladder, soq_bracket
 from specblock.problems import load_problem
 from specblock.selftest import random_block
 from specblock.tolerance import PHASE_ZERO_TOL, matrix_tol
@@ -852,8 +852,8 @@ class TestGeneralEig:
             B=0.2 * (rng.standard_normal((200, 100))
                      + 1j * rng.standard_normal((200, 100))),
             C=np.diag(-2.0 - np.sort(rng.uniform(0.0, 10.0, 100))))
-        bracket = soq_bracket(block.eig_a.eigenvalues, block.c,
-                              best_relative_bound(block))
+        bracket = soq_bracket(Ladder.build(block.eig_a.eigenvalues, block.c,
+                                           best_relative_bound(block)))
         checks.soq(block, np.eye(300, dtype=complex)[:, :40], bracket)
         assert [m.shape for m in companions] == [(28, 28), (80, 80)]
         for m in companions:
