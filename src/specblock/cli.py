@@ -7,7 +7,8 @@
 Reads a problem file, runs the requested pipeline, and emits a JSON report
 to stdout or --out (plus per-family CSV tables under --csv).  Exit codes:
 0 when no check failed (hypothesis failures count as not-applicable),
-1 when any theorem check failed, 2 for unreadable or invalid input.
+1 when any theorem check failed, 2 for unreadable or invalid input and for
+a report or CSV table that cannot be written.
 """
 
 from __future__ import annotations
@@ -71,8 +72,11 @@ def cmd_enclose(problem: ProblemFile, n_interior: int = DEFAULT_MHD_N) -> list[C
 def cmd_angular(problem: ProblemFile, alpha: float | None,
                 n_interior: int = DEFAULT_MHD_N) -> list[Check]:
     """The angular checks at --alpha, else the problem's alpha, else c~."""
+    alpha = problem.alpha if alpha is None else alpha
+    if alpha is not None and not np.isfinite(alpha):
+        raise ArgumentError(f"'alpha' must be finite, not {alpha}")
     block, _, rb = _resolve(problem, n_interior)
-    return checks.angular(block, rb, problem.alpha if alpha is None else alpha)
+    return checks.angular(block, rb, alpha)
 
 
 def cmd_basis(problem: ProblemFile, n_max: int | None,
@@ -198,17 +202,16 @@ def main(argv=None) -> int:
             report = Report(tool="specblock", version=__version__,
                             command=args.command, input_digest=digest,
                             checks=found)
+        text = report.to_json()
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        if args.csv:
+            _write_csv(report, Path(args.csv))
     except (SpecblockError, OSError) as exc:
         print(f"specblock: error: {exc}", file=sys.stderr)
         return 2
-
-    text = report.to_json()
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    if args.csv:
-        _write_csv(report, Path(args.csv))
     return 1 if report.worst_status() == FAIL else 0
 
 

@@ -5,22 +5,21 @@ returns one Check per property family.  Deterministic for a fixed seed: the
 generator is PCG64, no timing or environment data enters the output, and all
 iteration orders are fixed.
 
-The families whose draws do not depend on what they compute (schur,
-resolvent, relative-bound, dist-bound, window, variational, dim-check and
-soq) draw a chunk of instances before they solve any, and solve the spectra
-each family reads as stacks (``blocks.fill_spectra``).  The stream and the
-report are those of solving each instance as it is drawn.  The subspace and
-basis families draw after skipping instances on computed values (no
-spectrum above c, no angular operator, an unmet hypothesis), so they take
-one instance at a time.
+The families whose draws do not depend on what they compute, the prefix,
+are functions of the instances they are given: ``_PREFIX`` lists each with
+its draw and count in report order, and ``run`` makes all their draws
+first.  They solve the spectra they read as stacks (``blocks.fill_spectra``),
+and the report is the one of solving each instance as it is drawn.  The
+subspace and basis families, the suffix, skip instances on computed values
+(no spectrum above c, no angular operator, an unmet hypothesis), so they
+draw from the generator themselves, one instance at a time, from where the
+prefix's draws leave it.
 
-Those two families, the suffix, run in a child process on Linux: ``run``
-forks it first, and the child makes the draws of every earlier family
-(``_fast_forward``, which solves nothing) before it runs the suffix from
-the generator state a sequential run would reach.  The parent runs the
-earlier families, the prefix, and the MHD suite meanwhile, then reads the
-child's checks from a pipe.  Elsewhere the suffix runs in-process after
-the prefix.  The report is the same either way.
+On Linux ``run`` forks once the prefix is drawn: the child runs the suffix
+from the generator it inherits, while the parent runs the prefix families
+and the MHD suite, then reads the child's checks from a pipe.  Elsewhere
+the suffix runs in-process after them.  The generator is read in the same
+order either way, so the report is the same.
 """
 
 from __future__ import annotations
@@ -210,23 +209,23 @@ _RANDOM_ORDER = 16
 _SEPARATED_ORDER = 12
 
 
-def _stacked(rng, draw, count: int, order: int, prepare):
-    """The instances ``prepare`` makes of ``draw(rng, idx)`` for idx = 0 ..
-    count - 1, in order, one at a time.
+def _stacked(instances: list, order: int, prepare):
+    """The instances ``prepare`` makes of ``instances``, in order, one at a
+    time; ``instances`` ends empty.
 
-    For a family whose draws do not depend on what it computes: it draws a
-    chunk of instances before it solves any, and ``prepare`` builds the
-    chunk's instances and solves their spectra as stacks.  Solving draws
-    nothing, so the stream is the one of solving each instance as it is
-    drawn.  A solved instance stores its blocks and the eigenvectors of A, C
-    and M, less than four matrices of its assembled ``order``, so a chunk is
-    one stack_chunks slice at twice that order: at most STACK_BYTES stay
-    resident.  An instance handed out is let go, so it is freed when the
-    family is done with it.
+    ``prepare`` builds a chunk's instances and solves their spectra as
+    stacks.  A solved instance stores its blocks and the eigenvectors of A,
+    C and M, less than four matrices of its assembled ``order``, so a chunk
+    is one stack_chunks slice at twice that order: at most STACK_BYTES stay
+    resident.  A chunk is taken out of ``instances`` before it is solved,
+    and an instance handed out is let go, so each is freed when the family
+    is done with it.
     """
+    count = len(instances)
+    instances.reverse()
     for part in stack_chunks(count, 2 * order):
-        found = prepare([draw(rng, idx)
-                         for idx in range(part.start, min(part.stop, count))])
+        found = prepare([instances.pop()
+                         for _ in range(part.start, min(part.stop, count))])
         found.reverse()
         while found:
             yield found.pop()
@@ -271,7 +270,7 @@ def _draw_core(rng, _idx: int):
     return h, start, x, g
 
 
-def numeric_core_suite(rng, count: int = 50) -> list[Check]:
+def numeric_core_suite(instances: list) -> list[Check]:
     worst_orth = 0.0
     worst_trace = 0.0
     worst_weyl = 0.0
@@ -279,8 +278,7 @@ def numeric_core_suite(rng, count: int = 50) -> list[Check]:
     worst_pinv = 0.0
     worst_agree = 0.0
     worst_residual = 0.0
-    for idx in range(count):
-        h, start, x, g = _draw_core(rng, idx)
+    for h, start, x, g in instances:
         n = h.shape[0]
         dec = hermitian_eig(h)
         q = dec.vectors
@@ -317,7 +315,7 @@ def numeric_core_suite(rng, count: int = 50) -> list[Check]:
         "numeric-core/contracts",
         "Q*Q = I; trace(H) = sum of eigenvalues; eig(H + eI) = eig(H) + e; "
         "P² = P = P*; Moore-Penrose identities; residual ||Av - lv|| small",
-        {}, {"instances": count, "orthonormality": worst_orth,
+        {}, {"instances": len(instances), "orthonormality": worst_orth,
              "trace_rel": worst_trace, "weyl_shift": worst_weyl,
              "projector": worst_proj, "pseudo_inverse_rel": worst_pinv,
              "hermitian_vs_general": worst_agree,
@@ -331,12 +329,13 @@ def numeric_core_suite(rng, count: int = 50) -> list[Check]:
         general_residual_rel=_up_to(1e-8, worst_residual))]
 
 
-def schur_suite(rng, count: int = 200) -> list[Check]:
+def schur_suite(blocks: list) -> list[Check]:
+    count = len(blocks)
     worst_forward = 0.0
     worst_converse = 0.0
     scanned = 0
-    for block in _stacked(rng, _draw_block, count, _RANDOM_ORDER,
-                          lambda blocks: _filled(blocks, ("eig_m", "eig_c"))):
+    for block in _stacked(blocks, _RANDOM_ORDER,
+                          lambda chunk: _filled(chunk, ("eig_m", "eig_c"))):
         spec_m = block.eig_m.eigenvalues
         spec_c = block.eig_c.eigenvalues
         tol = block.assembled_tol
@@ -370,12 +369,12 @@ def _draw_resolvent(rng, _idx: int) -> tuple:
     return random_block(rng), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
 
 
-def resolvent_suite(rng, count: int = 50) -> list[Check]:
+def resolvent_suite(draws: list) -> list[Check]:
     worst = 0.0
     checked = 0
     for block, above, below in _stacked(
-            rng, _draw_resolvent, count, _RANDOM_ORDER,
-            lambda draws: _filled(draws, ("eig_m", "eig_c"))):
+            draws, _RANDOM_ORDER,
+            lambda chunk: _filled(chunk, ("eig_m", "eig_c"))):
         full = assemble(block)
         spec_m = block.eig_m.eigenvalues
         spec_c = block.eig_c.eigenvalues
@@ -405,12 +404,13 @@ def _draw_relative(rng, _idx: int) -> tuple:
     return random_block(rng), float(rng.uniform(0.0, 2.0))
 
 
-def relative_bound_suite(rng, count: int = 100) -> list[Check]:
+def relative_bound_suite(draws: list) -> list[Check]:
+    count = len(draws)
     worst_low = 0.0
     worst_tight = 0.0
     for block, a_drawn in _stacked(
-            rng, _draw_relative, count, _RANDOM_ORDER,
-            lambda draws: _filled(draws, ("coupling_top",))):
+            draws, _RANDOM_ORDER,
+            lambda chunk: _filled(chunk, ("coupling_top",))):
         for a in (0.0, a_drawn):
             rb = minimal_b_for_a(block, a)
             margin = relative_bound_margin(block, rb)
@@ -426,15 +426,16 @@ def relative_bound_suite(rng, count: int = 100) -> list[Check]:
         tightness=_up_to(1e-6, worst_tight))]
 
 
-def dist_bound_suite(rng, count: int = 500) -> list[Check]:
+def dist_bound_suite(blocks: list) -> list[Check]:
     """Theorem suite: every assembled eigenvalue away from sigma(C) obeys the
     distance bound with the bounded-coupling constants (0, ||B||²)."""
+    count = len(blocks)
     worst_slack = -np.inf
     checked = 0
     for block in _stacked(
-            rng, _draw_block, count, _RANDOM_ORDER,
-            lambda blocks: _filled(blocks, ("coupling_top", "eig_m", "eig_a",
-                                            "eig_c"))):
+            blocks, _RANDOM_ORDER,
+            lambda chunk: _filled(chunk, ("coupling_top", "eig_m", "eig_a",
+                                          "eig_c"))):
         rb = minimal_b_for_a(block, 0.0)
         rep = dist_bound(block.eig_m.eigenvalues, block.eig_a.eigenvalues,
                          block.eig_c.eigenvalues, rb)
@@ -483,24 +484,24 @@ def _window_instances(draws) -> list[tuple]:
 
 
 def _draw_degenerate(rng, _idx: int) -> tuple:
-    """One draw of window_suite's degenerate-forms loop: mu, c below it, and
-    a relative bound (a, b) with an increment db of b."""
+    """One draw of degenerate_suite: mu, c below it, and a relative bound
+    (a, b) with an increment db of b."""
     mu = float(rng.uniform(-10.0, 10.0))
     c = mu - float(rng.uniform(0.1, 10.0))
     return (mu, c, float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 5.0)),
             float(rng.uniform(0.0, 5.0)))
 
 
-def window_suite(rng, count: int = 200) -> list[Check]:
+def window_suite(draws: list) -> list[Check]:
+    count = len(draws)
     incl, excl, res = [], [], []
-    for block, rb in _stacked(rng, _window_instance, count, _RANDOM_ORDER,
-                              _window_instances):
+    for block, rb in _stacked(draws, _RANDOM_ORDER, _window_instances):
         for check in windows(block, rb):
             (incl if check.family == "inclusion-window" else excl).append(check)
         res += resolvent_intervals(block, rb)
     applied = [sum(len(c.outputs.get("applicable", ())) for c in found)
                for found in (incl, excl)]
-    checks = [
+    return [
         aggregate("enclosures/inclusion-windows",
                   "lambda in [mu, mu + r], (mu, mu + 2r) in rho(A) => "
                   "lambda in [alpha-, alpha+]",
@@ -515,13 +516,14 @@ def window_suite(rng, count: int = 200) -> list[Check]:
                    "windows": sum(c.status != NOT_APPLICABLE for c in res)},
                   res)]
 
-    # Degenerate a = b = 0 forms collapse exactly, and the inclusion window
-    # endpoint is monotone in b.
+
+def degenerate_suite(draws: list) -> list[Check]:
+    """Degenerate a = b = 0 forms collapse exactly, and the inclusion window
+    endpoint is monotone in b."""
     rb0 = RelativeBound(0.0, 0.0)
     worst_deg = 0.0
     worst_mono = 0.0
-    for idx in range(50):
-        mu, c, a, b, db = _draw_degenerate(rng, idx)
+    for mu, c, a, b, db in draws:
         win = eigenvalue_window(mu, c, rb0)
         worst_deg = max(worst_deg, abs(win.lo - c), abs(win.hi - mu))
         exw = exclusion_window(mu, c, rb0)
@@ -534,21 +536,21 @@ def window_suite(rng, count: int = 200) -> list[Check]:
             continue
         worst_mono = max(worst_mono, lo_big.lo - lo_small.lo,
                          lo_small.hi - lo_big.hi)
-    checks.append(judge(
-        "enclosures/degenerate-forms",
-        "a = b = 0: [alpha-, alpha+] = [c, mu] and (beta-, beta+) = (c, mu)",
-        {}, {"worst_gap": worst_deg}, exact=_up_to(1e-12, worst_deg)))
-    checks.append(judge(
-        "enclosures/window-monotonicity",
-        "enlarging b never shrinks the inclusion window",
-        {}, {"worst_shrink": worst_mono}, exact=_up_to(1e-12, worst_mono)))
-    return checks
+    return [
+        judge("enclosures/degenerate-forms",
+              "a = b = 0: [alpha-, alpha+] = [c, mu] and (beta-, beta+) = "
+              "(c, mu)",
+              {}, {"worst_gap": worst_deg}, exact=_up_to(1e-12, worst_deg)),
+        judge("enclosures/window-monotonicity",
+              "enlarging b never shrinks the inclusion window",
+              {}, {"worst_shrink": worst_mono},
+              exact=_up_to(1e-12, worst_mono))]
 
 
-def dim_check_suite(rng, count: int = 100) -> list[Check]:
+def dim_check_suite(draws: list) -> list[Check]:
+    count = len(draws)
     found = []
-    for block, rb, _ in _stacked(rng, _draw_separated, count,
-                                 _SEPARATED_ORDER, _separated_filled):
+    for block, rb, _ in _stacked(draws, _SEPARATED_ORDER, _separated_filled):
         found += dim_bracket(block, rb)
     counted = [c for c in found if c.status != NOT_APPLICABLE]
     nonempty = sum(c.outputs["count_M"] > 0 for c in counted)
@@ -568,16 +570,15 @@ def _draw_soq(rng, _idx: int) -> tuple:
     return drawn, _random_hermitian(rng, n, 1.0)
 
 
-def soq_suite(rng, disc64: MhdDiscretization,
-              count: int = 100) -> list[Check]:
+def soq_suite(draws: list, disc64: MhdDiscretization) -> list[Check]:
+    count = len(draws)
     found = []
 
-    def prepare(draws):
-        settled = _separated_filled([drawn for drawn, _ in draws])
-        return [(*inst, noise) for inst, (_, noise) in zip(settled, draws)]
+    def prepare(chunk):
+        settled = _separated_filled([drawn for drawn, _ in chunk])
+        return [(*inst, noise) for inst, (_, noise) in zip(settled, chunk)]
 
-    for block, rb, _, noise in _stacked(rng, _draw_soq, count,
-                                        _SEPARATED_ORDER, prepare):
+    for block, rb, _, noise in _stacked(draws, _SEPARATED_ORDER, prepare):
         # Never None: separated_block validated two pairs on the ladder the
         # block keeps at rb, so every instance draws its noise.
         a1p, _, b4p = bracket = soq_bracket(block.ladder(rb))
@@ -854,10 +855,9 @@ def fixture_suite() -> list[Check]:
                        abs(delta6 - FIXTURE_DELTA_AT_6)))]
 
 
-def variational_suite(rng, count: int = 80) -> list[Check]:
+def variational_suite(draws: list) -> list[Check]:
     found = []
-    for block, rb, _ in _stacked(rng, _draw_separated, count,
-                                 _SEPARATED_ORDER, _separated_filled):
+    for block, rb, _ in _stacked(draws, _SEPARATED_ORDER, _separated_filled):
         found += variational_ladder(block, rb)
     checked = sum(c.inputs["n"] for c in found if c.status != NOT_APPLICABLE)
     return [aggregate(
@@ -867,41 +867,37 @@ def variational_suite(rng, count: int = 80) -> list[Check]:
         {"checked": checked}, found, [(checked, 0, ">", None)])]
 
 
-def _prefix(rng) -> tuple[list[Check], SpectralLandmarks]:
-    """The checks of the suites that draw independently of what they
-    compute, in run's order, and the landmarks of the N = 64 constant
-    profile, which mhd_suite reads."""
+# The prefix families after fixture_suite, in report order, each with the
+# draw that makes its instances and how many it makes.  A family is named,
+# not held, so that what is bound to the name is called: a stub, or a span
+# wrapped around the family.
+_PREFIX = (("numeric_core_suite", _draw_core, 50),
+           ("schur_suite", _draw_block, 200),
+           ("resolvent_suite", _draw_resolvent, 50),
+           ("relative_bound_suite", _draw_relative, 100),
+           ("dist_bound_suite", _draw_block, 500),
+           ("window_suite", _window_instance, 200),
+           ("degenerate_suite", _draw_degenerate, 50),
+           ("variational_suite", _draw_separated, 80),
+           ("dim_check_suite", _draw_separated, 100),
+           ("soq_suite", _draw_soq, 100))
+
+
+def _prefix(drawn: list[list]) -> tuple[list[Check], SpectralLandmarks]:
+    """The prefix's checks, in report order, from ``drawn``, the instances of
+    each family of _PREFIX in its order, and the landmarks of the N = 64
+    constant profile, which mhd_suite reads.  ``drawn`` ends empty, so each
+    family's instances are freed once it is done with them."""
     checks = fixture_suite()
-    checks += numeric_core_suite(rng)
-    checks += schur_suite(rng)
-    checks += resolvent_suite(rng)
-    checks += relative_bound_suite(rng)
-    checks += dist_bound_suite(rng)
-    checks += window_suite(rng)
-    checks += variational_suite(rng)
-    checks += dim_check_suite(rng)
-    # The N = 64 constant profile serves the SOQ and the MHD suites, so its
-    # eig(M) is solved once.  Only its landmarks outlive this function: the
-    # decompositions would otherwise stay resident through the later suites.
+    for family, _, _ in _PREFIX[:-1]:
+        checks += globals()[family](drawn.pop(0))
+    # The last family, soq_suite, shares the N = 64 constant profile with
+    # the MHD suite, so its eig(M) is solved once.  Only its landmarks
+    # outlive this function: the decompositions would otherwise stay
+    # resident through the later suites.
     disc64 = discretize(constant_profile(), 64)
-    checks += soq_suite(rng, disc64)
+    checks += soq_suite(drawn.pop(0), disc64)
     return checks, disc64.block.landmarks
-
-
-# Every draw _prefix makes, in its order and at its counts: (draw, count).
-_PREFIX_DRAWS = ((_draw_core, 50), (_draw_block, 200), (_draw_resolvent, 50),
-                 (_draw_relative, 100), (_draw_block, 500),
-                 (_window_instance, 200), (_draw_degenerate, 50),
-                 (_draw_separated, 80), (_draw_separated, 100),
-                 (_draw_soq, 100))
-
-
-def _fast_forward(rng) -> None:
-    """Make _prefix's draws and solve nothing: rng ends in the state _prefix
-    leaves it in, because none of its draws depends on what it computes."""
-    for draw, count in _PREFIX_DRAWS:
-        for idx in range(count):
-            draw(rng, idx)
 
 
 def _suffix(rng) -> list[Check]:
@@ -909,25 +905,20 @@ def _suffix(rng) -> list[Check]:
     return subspace_suite(rng) + basis_suite(rng)
 
 
-def _served_suffix(seed: int) -> list[Check]:
-    """The suffix's checks at ``seed``, from a fresh generator brought to
-    the state the prefix leaves."""
-    rng = np.random.default_rng(seed)
-    _fast_forward(rng)
-    return _suffix(rng)
-
-
 def run(seed: int = 42) -> Report:
     """Run every suite on the given seed and assemble the report.
 
-    On Linux a forked child runs the suffix while this process runs the
-    prefix and the MHD suite; no child outlives the call, whether it returns
-    or raises.  Elsewhere the suffix runs here, after those two; it draws
-    from where the prefix leaves rng, and the MHD suite draws nothing."""
-    child = forked.start(_served_suffix, seed)
+    The prefix's draws come first, all of them.  Then, on Linux, a forked
+    child runs the suffix from the generator they leave while this process
+    runs the prefix families on their instances and the MHD suite; no child
+    outlives the call, whether it returns or raises.  Elsewhere the suffix
+    runs here, after those two; they draw nothing."""
+    rng = np.random.default_rng(seed)
+    drawn = [[draw(rng, idx) for idx in range(count)]
+             for _, draw, count in _PREFIX]
+    child = forked.start(_suffix, rng)
     try:
-        rng = np.random.default_rng(seed)
-        checks, marks64 = _prefix(rng)
+        checks, marks64 = _prefix(drawn)
         mhd = mhd_suite(marks64)
         checks += _suffix(rng) if child is None else child.result()
         checks += mhd

@@ -26,6 +26,7 @@ from specblock import (
 from specblock import selftest
 
 from oracles import cubic_fixture_roots
+from test_selftest import prefix_checks
 
 
 def report(criterion, ok, detail):
@@ -42,7 +43,7 @@ def all_pass(checks):
 def test_criterion_1_distance_bound_suite():
     rng = np.random.default_rng(42)
     start = time.monotonic()
-    checks = selftest.dist_bound_suite(rng, count=500)
+    checks = prefix_checks(rng, "dist_bound_suite", 500)
     elapsed = time.monotonic() - start
     ok, bad = all_pass(checks)
     worst = checks[0].outputs["worst_excess"]
@@ -54,7 +55,8 @@ def test_criterion_1_distance_bound_suite():
 def test_criterion_2_window_suite():
     rng = np.random.default_rng(42)
     start = time.monotonic()
-    checks = selftest.window_suite(rng, count=200)
+    checks = (prefix_checks(rng, "window_suite", 200)
+              + prefix_checks(rng, "degenerate_suite", 50))
     elapsed = time.monotonic() - start
     ok, bad = all_pass(checks)
     by_name = {c.name.split("/")[-1]: c for c in checks}
@@ -67,7 +69,7 @@ def test_criterion_2_window_suite():
 
 def test_criterion_3_dimension_counts():
     rng = np.random.default_rng(42)
-    checks = selftest.dim_check_suite(rng, count=100)
+    checks = prefix_checks(rng, "dim_check_suite", 100)
     ok, bad = all_pass(checks)
     out = checks[0].outputs
     report(3, ok and out["mismatches"] == 0,
@@ -112,8 +114,8 @@ def test_criterion_5_invariant_subspaces():
 def test_criterion_6_soq_suite():
     rng = np.random.default_rng(42)
     start = time.monotonic()
-    checks = selftest.soq_suite(rng, discretize(constant_profile(), 64),
-                                count=100)
+    checks = prefix_checks(rng, "soq_suite", 100,
+                           discretize(constant_profile(), 64))
     elapsed = time.monotonic() - start
     out = checks[0].outputs
     ok = (checks[0].status == "pass" and elapsed < 120.0

@@ -85,6 +85,7 @@ from specblock.tolerance import (
 
 from oracles import bracket_reference, cluster_tops
 from test_golden import MHD_PROBLEMS
+from test_selftest import prefix_checks
 
 GOLDEN_BLOCK = Path(__file__).parent / "data" / "golden_block.json"
 
@@ -461,9 +462,13 @@ def test_subspace_suite_matches_its_former_rules(seed):
 
 
 SUITES = [
-    (selftest.window_suite, reference_window_suite),
-    (selftest.dim_check_suite, reference_dim_check_suite),
-    (selftest.variational_suite, reference_variational_suite),
+    # the window instances, then the 50 draws of the degenerate forms
+    (lambda rng, count: prefix_checks(rng, "window_suite", count)
+     + prefix_checks(rng, "degenerate_suite", 50), reference_window_suite),
+    (lambda rng, count: prefix_checks(rng, "dim_check_suite", count),
+     reference_dim_check_suite),
+    (lambda rng, count: prefix_checks(rng, "variational_suite", count),
+     reference_variational_suite),
     (selftest.basis_suite, reference_basis_suite),
 ]
 
@@ -485,7 +490,7 @@ def test_suite_matches_the_per_point_reference(suite, reference, seed):
 def test_soq_suite_matches_the_inline_reference(seed):
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     disc64 = discretize(constant_profile(), 64)
-    check, = selftest.soq_suite(rng, disc64, count=30)
+    check, = prefix_checks(rng, "soq_suite", 30, disc64)
     want, ok = reference_soq_suite(rng_ref, count=30)
     assert {**check.outputs, "margin": check.margin} == want
     assert ok and check.status == PASS
@@ -508,7 +513,7 @@ def test_schur_suite_matches_the_per_shift_reference(seed, decoupled, monkeypatc
     if decoupled:
         monkeypatch.setattr(selftest, "random_block", decoupled_random_block)
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    check, = selftest.schur_suite(rng, count=30)
+    check, = prefix_checks(rng, "schur_suite", 30)
     want, ok = reference_schur_suite(rng_ref, count=30)
     got = check.outputs
     # eigvalsh and eigh round differently: the worst near-zero eigenvalue

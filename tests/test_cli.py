@@ -189,6 +189,43 @@ class TestExitCodes:
             assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("where, value", [
+        ("flag", "nan"), ("flag", "inf"),
+        ("file", "NaN"), ("file", "Infinity"), ("file", "1e400")])
+    def test_non_finite_alpha_exits_2(self, tmp_path, capsys, where, value):
+        # Above a cut at NaN or inf the subspace is empty, and the graph and
+        # operator checks would pass on it, proving nothing.  orjson rejects
+        # these file values, so the stdlib decoder reads them.
+        args = ["angular", "--input", GOLDEN_BLOCK, "--alpha", value]
+        if where == "file":
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps(M3_PROBLEM)[:-1]
+                            + f', "alpha": {value}}}')
+            args = ["angular", "--input", str(path)]
+        out = tmp_path / "r.json"
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specblock: error: 'alpha' must be finite")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_largest_double_alpha_is_valid(self, tmp_path):
+        code, rep = run_to_file(tmp_path, ["angular", "--input", GOLDEN_BLOCK,
+                                           "--alpha", "1e308"])
+        assert code == 0
+        assert rep["checks"][0]["inputs"]["alpha"] == 1e308
+
+    @pytest.mark.parametrize("option, target", [
+        ("--out", "."), ("--out", "missing/r.json"), ("--csv", "taken")])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch,
+                                       option, target):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        assert main(["enclose", "--input", GOLDEN_BLOCK, option, target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specblock: error: ") and "Traceback" not in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("text", UNREPRESENTABLE.values(),
                              ids=UNREPRESENTABLE.keys())
     def test_unrepresentable_input_exits_2(self, tmp_path, capsys, text):

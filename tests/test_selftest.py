@@ -1,17 +1,19 @@
-"""The selftest on two processes: a forked child runs the subspace and basis
-suites (the suffix) from the generator state the earlier suites (the prefix)
-leave, while the parent runs the prefix and the MHD suite.
+"""The selftest on two processes: the parent makes every draw of the earlier
+suites (the prefix) and then forks; the child runs the subspace and basis
+suites (the suffix) from the generator it inherits, while the parent runs
+the prefix families on their instances and the MHD suite.
 
-The child reaches that state by replaying the prefix's draws without solving
-anything; the report is the one of running every suite in-process, in order;
-and no child outlives ``selftest.run``, whether it returns or raises.  The
-fork itself is ``specblock.forked``, tested at the end.
+Every prefix draw is made once, in the parent; the report is the one of
+running every suite in-process, in order; and no child outlives
+``selftest.run``, whether it returns or raises.  The fork itself is
+``specblock.forked``, tested at the end.
 """
 
 import os
 import signal
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from specblock import cli, forked, selftest
 
 FORKS = sys.platform.startswith("linux") and hasattr(os, "fork")
 PREFIX = selftest._prefix
+TABLE = selftest._PREFIX
 needs_fork = pytest.mark.skipif(not FORKS, reason="the suffix runs in-process")
 
 
@@ -35,12 +38,54 @@ def report(tmp_path, seed, name):
         out.read_bytes()
 
 
-@pytest.mark.parametrize("seed", [0, 14, 42])
-def test_fast_forward_lands_where_the_prefix_ends(seed):
-    ran, replayed = np.random.default_rng(seed), np.random.default_rng(seed)
-    selftest._prefix(ran)
-    selftest._fast_forward(replayed)
-    assert replayed.bit_generator.state == ran.bit_generator.state
+def prefix_checks(rng, family, count, *args):
+    """The checks of the prefix family named ``family`` on ``count``
+    instances drawn from rng by its own draw in _PREFIX."""
+    draw, = [draw for name, draw, _ in TABLE if name == family]
+    instances = [draw(rng, idx) for idx in range(count)]
+    return getattr(selftest, family)(instances, *args)
+
+
+@pytest.mark.parametrize("forks", [True, False], ids=["forked", "in-process"])
+def test_each_prefix_draw_runs_its_count_in_the_parent(forks, monkeypatch):
+    parent, calls = os.getpid(), []
+
+    def spy(position, draw):
+        def counted(rng, idx):
+            # raised in a child, this comes back through the pipe
+            assert os.getpid() == parent, "a prefix draw ran in the child"
+            calls.append((position, idx))
+            return draw(rng, idx)
+        return counted
+
+    monkeypatch.setattr(selftest, "_PREFIX", tuple(
+        (family, spy(position, draw), count)
+        for position, (family, draw, count) in enumerate(TABLE)))
+    if not forks:
+        monkeypatch.delattr(os, "fork", raising=False)
+    selftest.run(5)
+    assert calls == [(position, idx) for position, (_, _, count)
+                     in enumerate(TABLE) for idx in range(count)]
+    assert_no_child()
+
+
+def test_stacked_lets_go_of_each_instance_it_hands_out():
+    rng = np.random.default_rng(3)
+    blocks = [selftest.random_block(rng) for _ in range(40)]
+    freed = [weakref.ref(block) for block in blocks]
+
+    def prepare(chunk):
+        # taken out of the list before it is solved
+        assert not any(block is held for block in chunk for held in blocks)
+        return selftest._filled(chunk, ("eig_m",))
+
+    handed = 0  # not enumerate, whose reused result tuple holds the block
+    for block in selftest._stacked(blocks, 16, prepare):
+        assert block.eig_m is not None
+        del block
+        assert freed[handed]() is None
+        handed += 1
+    assert handed == len(freed) and blocks == []
 
 
 @pytest.mark.parametrize("seed", [14, 42])
@@ -64,13 +109,14 @@ def test_in_process_run_writes_the_same_bytes(seed, tmp_path, monkeypatch,
 
 
 class TestLifecycle:
-    """The prefix and the MHD suite are stubbed out unless a case restores
-    the prefix; the suffix is real or stubbed per case, and runs in the
-    child where the platform forks."""
+    """The prefix, its draws and its families, and the MHD suite are stubbed
+    out unless a case restores the prefix; the suffix is real or stubbed per
+    case, and runs in the child where the platform forks."""
 
     @pytest.fixture(autouse=True)
     def cheap_prefix(self, monkeypatch):
-        monkeypatch.setattr(selftest, "_prefix", lambda rng: ([], None))
+        monkeypatch.setattr(selftest, "_PREFIX", ())
+        monkeypatch.setattr(selftest, "_prefix", lambda drawn: ([], None))
         monkeypatch.setattr(selftest, "mhd_suite", lambda marks64: [])
 
     def test_returns_the_suffix_checks(self, monkeypatch):
@@ -92,10 +138,11 @@ class TestLifecycle:
 
     @needs_fork
     def test_prefix_exception_kills_the_child(self, monkeypatch):
-        def fail(rng, count=50):
+        def fail(instances):
             raise ArithmeticError("prefix")
 
         monkeypatch.setattr(selftest, "_suffix", lambda rng: time.sleep(60))
+        monkeypatch.setattr(selftest, "_PREFIX", TABLE)
         monkeypatch.setattr(selftest, "_prefix", PREFIX)
         monkeypatch.setattr(selftest, "numeric_core_suite", fail)
         start = time.perf_counter()
