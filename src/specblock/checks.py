@@ -219,7 +219,8 @@ ENCLOSE = (distance_bounds, windows, resolvent_intervals, variational_ladder,
 def angular(block: BlockOperatorMatrix, rb: RelativeBound,
             alpha: float | None) -> list[Check]:
     """Delta condition, graph test, angular operator and codim = kappa at the
-    cut point alpha; None cuts at c~."""
+    cut point alpha; None cuts at c~.  Above all of sigma(M) the subspace is
+    {0}, and the graph and operator checks do not apply to it."""
     try:
         marks = block.landmarks
     except HypothesisError:
@@ -250,6 +251,13 @@ def angular(block: BlockOperatorMatrix, rb: RelativeBound,
     except (HypothesisError, ArgumentError) as exc:
         checks.append(not_applicable("angular/graph", GRAPH_ANCHOR, str(exc)))
         return checks
+    no_codim = "alpha does not isolate the full half line above c"
+    if sub.dim == 0:  # {0} is the graph of K = 0 on {0}: nothing to prove
+        empty = f"no eigenvalue of M lies above alpha = {alpha:.12g}"
+        return checks + [
+            not_applicable("angular/graph", GRAPH_ANCHOR, empty),
+            not_applicable("angular/operator", OP_ANCHOR, empty),
+            not_applicable("angular/codim-kappa", CODIM_ANCHOR, no_codim)]
     graph = graph_test(sub)
     # graph_test's rule; at c~ and under delta < 1/2 only a graph passes
     checks.append(judge(
@@ -276,9 +284,8 @@ def angular(block: BlockOperatorMatrix, rb: RelativeBound,
             {"codim": k_op.codim, "kappa": marks.kappa},
             [(k_op.codim, marks.kappa, "==", None)]))
     else:
-        checks.append(not_applicable(
-            "angular/codim-kappa", CODIM_ANCHOR,
-            "alpha does not isolate the full half line above c"))
+        checks.append(not_applicable("angular/codim-kappa", CODIM_ANCHOR,
+                                     no_codim))
     return checks
 
 

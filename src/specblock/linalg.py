@@ -1,29 +1,25 @@
 """Dense linear algebra kernel on real and complex matrices.
 
-Hermitian eigendecomposition with a reproducible phase convention, spectral
-projectors, an SVD pseudo-inverse, and a general eigensolver used for
-companion-linearized quadratic eigenproblems.  LAPACK (through numpy)
-supplies the factorizations; this module owns validation, ordering and phase
-normalization so that results are deterministic for fixed input.
+Hermitian eigendecomposition, spectral projectors, an SVD pseudo-inverse,
+and a general eigensolver used for companion-linearized quadratic
+eigenproblems.  LAPACK (through numpy) supplies the factorizations; this
+module owns validation and ordering.  Eigenvectors are the columns LAPACK
+returned, with whatever unit phase it gave them: every quantity the program
+reports depends on spectral subspaces, not on the phase of a column, and
+LAPACK is deterministic for fixed input, so results are too.
 
 The dtype follows the data.  ``as_matrix`` and ``require_hermitian``
 return float64 for input with real entries and complex128 otherwise, and
 complex input with an all-zero imaginary part is validated in float64.  A
 Hermitian eigensolve or SVD whose input has an all-zero imaginary part runs
 the real LAPACK driver on the real part (``_solver_input``), and the
-eigenvectors it returns are float64 under the same phase convention: for
-real vectors the rule is a sign flip.  The real driver's results may differ
+eigenvectors it returns are float64.  The real driver's results may differ
 from the complex driver's in the last digits.  ``pseudo_inverse`` and
 ``general_eig`` still return complex128.
 
 ``hermitian_part_eig_by_components`` solves a matrix whose nonzero pattern
 falls apart into decoupled blocks one block at a time, and any other matrix
 as ``hermitian_part_eig`` does.
-
-A ``SpectralDecomposition`` keeps the eigenvectors as the solver returned
-them and phase-normalizes them on the first read of ``vectors``, so a caller
-that reads only eigenvalues pays for no normalization; the result is the
-same bits the eager normalization gave.
 
 ``require_hermitian`` validates one 2-D matrix from outside the program and
 returns its exact Hermitian part; matrices built from such parts and real
@@ -44,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericError
-from .tolerance import HERMITIAN_REL, PHASE_ZERO_TOL, PINV_REL
+from .tolerance import HERMITIAN_REL, PINV_REL
 
 # Budget of one chunk of a stacked solve: at n = 200 it holds one complex
 # matrix, so scans over blocks that large keep the memory of a loop.
@@ -174,82 +170,25 @@ class SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     ``eigenvalues`` ascend; ``vectors`` holds matching orthonormal
-    eigenvectors as columns, phase-normalized so the first nonvanishing
-    component of every column is real positive; they are float64 when the
-    solved matrix was real.  The solver's columns are kept as they came and
-    normalized on the first read of ``vectors``, which forms them once.
+    eigenvectors as columns, as the solver returned them: float64 when the
+    solved matrix was real, and each column fixed only up to a unit factor.
     """
 
-    __slots__ = ("eigenvalues", "_raw", "_vectors", "_read_only")
+    __slots__ = ("eigenvalues", "vectors")
 
-    def __init__(self, eigenvalues: np.ndarray, raw_vectors: np.ndarray):
-        """``raw_vectors`` are the solver's columns, which the first read of
-        ``vectors`` normalizes in place when they are real."""
+    def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray):
         self.eigenvalues = eigenvalues
-        self._raw = raw_vectors
-        self._vectors = None
-        self._read_only = False
-
-    @property
-    def vectors(self) -> np.ndarray:
-        if self._vectors is None:
-            vectors = _normalize_phases(self._raw)
-            if self._read_only:
-                vectors.flags.writeable = False
-            self._vectors, self._raw = vectors, None
-        return self._vectors
+        self.vectors = vectors
 
     def freeze(self) -> SpectralDecomposition:
-        """Make the eigenvalues read-only, and the vectors too, now or when
-        they are formed; returns the decomposition."""
+        """Make the eigenvalues and the vectors read-only; returns the
+        decomposition."""
         self.eigenvalues.flags.writeable = False
-        self._read_only = True
-        if self._vectors is not None:
-            self._vectors.flags.writeable = False
+        self.vectors.flags.writeable = False
         return self
-
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.size)
 
     def window_mask(self, window: Interval) -> np.ndarray:
         return np.asarray(window.mask(self.eigenvalues), dtype=bool)
-
-
-def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first component above PHASE_ZERO_TOL is
-    real positive; columns without one are returned unchanged.  Columns are
-    unit vectors, so every column has a component well above the threshold.
-
-    Real columns change sign at most, in place: the result is ``vectors``,
-    which callers take fresh from a solver, and no |v| is formed.  For
-    complex columns the factor conj(p)/|p| is formed exactly as a numpy
-    complex scalar divided by a real one would be, (conj(p) + 0i) * (1/|p|),
-    so the result does not depend on whether columns are rotated one at a
-    time or together.
-    """
-    vectors = np.asarray(vectors)
-    if vectors.size == 0:
-        return np.array(vectors, copy=True)
-    cols = np.arange(vectors.shape[1])
-    if not np.iscomplexobj(vectors):  # |v| > t iff v > t or v < -t
-        big = np.greater(vectors, PHASE_ZERO_TOL)
-        big |= np.less(vectors, -PHASE_ZERO_TOL)
-        rows = big.argmax(axis=0)
-        flip = big[rows, cols] & (vectors[rows, cols] < 0.0)
-        return np.multiply(vectors, np.where(flip, -1.0, 1.0), out=vectors)
-    big = np.abs(vectors) > PHASE_ZERO_TOL
-    found = big.any(axis=0)
-    pivots = vectors[big.argmax(axis=0), cols]
-    pivots[~found] = 1.0
-    recip = 1.0 / np.hypot(pivots.real, pivots.imag)
-    re, im = pivots.real, -pivots.imag
-    factors = np.empty_like(pivots)
-    factors.real = (re + im * 0.0) * recip
-    factors.imag = (im - re * 0.0) * recip
-    out = vectors * factors
-    out[:, ~found] = vectors[:, ~found]
-    return out
 
 
 def _solver_input(mat: np.ndarray) -> np.ndarray:
@@ -316,9 +255,10 @@ def hermitian_part_eig_by_components(herm: np.ndarray) -> SpectralDecomposition:
     result bit for bit.  Otherwise each connected component of the pattern
     is solved on its own, all components of one size by one stacked LAPACK
     call, and each eigenvector is zero off its component.  The eigenvalues
-    are sorted stably and the vectors phase-normalized as hermitian_part_eig
-    does; both may differ from the dense solve's in the last digits, and
-    eigenvalues shared by two components get eigenvectors confined to one.
+    are sorted stably; both they and the eigenvectors may differ from the
+    dense solve's in the last digits, the eigenvectors also by a unit factor
+    per column, and eigenvalues shared by two components get eigenvectors
+    confined to one.
     """
     labels = _pattern_labels(herm)
     if labels is None:
@@ -403,8 +343,9 @@ def general_eig(mat, return_vectors: bool = False):
     """Eigenvalues of a general square complex matrix, with multiplicity.
 
     Ordered by ascending real part, ties broken by ascending imaginary part.
-    With ``return_vectors`` the matching (unit, phase-normalized) eigenvector
-    columns are returned as well; without, no eigenvectors are computed.
+    With ``return_vectors`` the matching unit eigenvector columns are
+    returned as well, as LAPACK gave them; without, no eigenvectors are
+    computed.
     """
     arr = as_matrix(mat, square=True).astype(np.complex128, copy=False)
     try:
@@ -416,7 +357,7 @@ def general_eig(mat, return_vectors: bool = False):
     eigvals = eigvals[order]
     if not return_vectors:
         return eigvals
-    return eigvals, _normalize_phases(eigvecs[:, order])
+    return eigvals, eigvecs[:, order]
 
 
 def spectral_distance(x, spectrum) -> float:

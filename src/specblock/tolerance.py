@@ -23,7 +23,6 @@ PAIR_TOL = 1e-8             # smallest norm a vector can be aligned from
 ORTH_TOL = 1e-8             # orthonormality defect of a trial basis
 EIGVEC_RESIDUAL_REL = 1e-6  # Riccati residual / (||M|| (1 + ||K||)^2) of a graph
 SOQ_MARGIN_REL = 1e-6       # enclosure intersection margin / max(1, |Re z|)
-PHASE_ZERO_TOL = 1e-12      # smallest modulus that fixes an eigenvector phase
 HERMITIAN_REL = 1e-12       # |H - H*| / max|entry| of a Hermitian matrix
 PINV_REL = 1e-12            # singular value cut / sigma_max of pinv
 REAL_AXIS_REL = 1e-12       # |Im z| / max(1, |z|) snapped onto the real axis

@@ -383,7 +383,7 @@ def reference_subspace_suite(rng, count):
         rb = minimal_b_for_a(block, 0.0)
         candidates = [0.5 * (above[i] + above[i + 1])
                       for i in range(len(above) - 1)]
-        candidates.append(float(above[-1]) + 1.0 + float(rng.uniform(0.0, 2.0)))
+        rng.uniform(0.0, 2.0)  # subspace_suite's draw: no cut above sigma(M)
         for alpha in candidates:
             try:
                 delta = delta_condition(float(alpha), marks.c, spec_a, rb)

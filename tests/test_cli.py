@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specblock import (BlockOperatorMatrix, basis, enclosures, linalg,
+from specblock import (BlockOperatorMatrix, basis, enclosures,
                        problems, selftest)
 from specblock.cli import main
 from specblock.errors import PairingError
@@ -193,8 +193,7 @@ class TestExitCodes:
         ("flag", "nan"), ("flag", "inf"),
         ("file", "NaN"), ("file", "Infinity"), ("file", "1e400")])
     def test_non_finite_alpha_exits_2(self, tmp_path, capsys, where, value):
-        # Above a cut at NaN or inf the subspace is empty, and the graph and
-        # operator checks would pass on it, proving nothing.  orjson rejects
+        # A cut at NaN or inf is no point of the real line.  orjson rejects
         # these file values, so the stdlib decoder reads them.
         args = ["angular", "--input", GOLDEN_BLOCK, "--alpha", value]
         if where == "file":
@@ -481,6 +480,28 @@ class TestAngular:
         assert names["angular/codim-kappa"]["status"] == "pass"
         assert names["angular/codim-kappa"]["outputs"]["codim"] == 0
 
+    @pytest.mark.parametrize("where, alpha", [
+        ("flag", "100"), ("flag", "1e308"), ("file", "100")])
+    def test_cut_above_the_spectrum_proves_nothing(self, tmp_path, where,
+                                                   alpha):
+        # Above all of sigma(M) the subspace is {0}: the graph and operator
+        # checks have nothing to judge, so neither applies.
+        args = ["angular", "--input", GOLDEN_BLOCK, "--alpha", alpha]
+        if where == "file":
+            payload = json.loads(Path(GOLDEN_BLOCK).read_text())
+            args = ["angular", "--input", write_problem(
+                tmp_path, "p.json", dict(payload, alpha=float(alpha)))]
+        code, rep = run_to_file(tmp_path, args)
+        assert code == 0
+        found = {c["name"]: c for c in rep["checks"]}
+        assert found["angular/delta"]["status"] == "pass"
+        for name in ("angular/graph", "angular/operator",
+                     "angular/codim-kappa"):
+            assert found[name]["status"] == "not-applicable"
+        for name in ("angular/graph", "angular/operator"):
+            assert found[name]["outputs"]["reason"].startswith(
+                "no eigenvalue of M lies above alpha")
+
     def test_zero_block_cut_below_its_spectrum(self, tmp_path, capsys):
         # M = 0 above alpha = -1 is the whole space, no graph: the operator
         # check does not apply, and nothing divides by ||M|| = 0
@@ -629,21 +650,6 @@ class TestBasisSoqMhd:
             tmp_path, ["enclose", "--input", path, "--n", "16"])
         assert code == 0
         assert rep["summary"]["fail"] == 0
-
-
-@pytest.mark.parametrize("command, normalized", [
-    ("enclose", 1), ("soq", 0), ("angular", 2), ("basis", 3)])
-def test_eigenvectors_are_normalized_only_where_read(tmp_path, monkeypatch,
-                                                     command, normalized):
-    # enclose reads the vectors of C (for the Schur complement at c~), the
-    # angular checks those of C and M, basis also those of A; soq none.
-    calls = []
-    normalize = linalg._normalize_phases
-    monkeypatch.setattr(linalg, "_normalize_phases",
-                        lambda v: calls.append(1) or normalize(v))
-    assert main([command, "--input", GOLDEN_BLOCK,
-                 "--out", str(tmp_path / "out.json")]) == 0
-    assert len(calls) == normalized
 
 
 class TestOutputPlumbing:

@@ -20,7 +20,6 @@ from specblock import (
 
 from specblock.linalg import (
     STACK_BYTES,
-    _normalize_phases,
     hermitian_part_eig,
     hermitian_part_eig_by_components,
     hermitian_part_eigvals,
@@ -38,7 +37,7 @@ from specblock.cli import cmd_soq
 from specblock.enclosures import Ladder, soq_bracket
 from specblock.problems import load_problem
 from specblock.selftest import random_block
-from specblock.tolerance import PHASE_ZERO_TOL, matrix_tol
+from specblock.tolerance import matrix_tol
 
 from oracles import cubic_fixture_roots, eigvec3
 
@@ -74,8 +73,8 @@ class TestHermitianEig:
     def test_diagonal(self):
         dec = hermitian_eig(np.diag([2.0, 10.0]))
         assert np.allclose(dec.eigenvalues, [2.0, 10.0])
-        # phase normalization pins the standard basis exactly
-        assert np.allclose(dec.vectors, np.eye(2))
+        # the standard basis, each column up to a unit factor
+        assert np.allclose(np.abs(dec.vectors), np.eye(2))
 
     def test_cubic_fixture_against_root_oracle(self):
         roots = cubic_fixture_roots()
@@ -95,11 +94,6 @@ class TestHermitianEig:
         a = hermitian_eig(h)
         b = hermitian_eig(h)
         assert np.array_equal(a.vectors, b.vectors)
-        for j in range(6):
-            col = a.vectors[:, j]
-            pivot = col[np.nonzero(np.abs(col) > 1e-12)[0][0]]
-            assert pivot.imag == pytest.approx(0.0, abs=1e-14)
-            assert pivot.real > 0
 
     def test_reconstruction_residual(self):
         for seed in range(8):
@@ -120,119 +114,23 @@ class TestHermitianEig:
                                                  rel=1e-9, abs=1e-9)
 
 
-def loop_normalize_phases(vectors):
-    """Column-by-column reference for the phase convention."""
-    out = np.array(vectors, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nonzero = np.nonzero(np.abs(col) > PHASE_ZERO_TOL)[0]
-        if nonzero.size == 0:
-            continue
-        pivot = col[nonzero[0]]
-        out[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return out
-
-
-class TestPhaseNormalization:
-    def test_matches_column_loop_bytes(self):
-        rng = np.random.default_rng(31)
-        for trial in range(300):
-            n, m = int(rng.integers(1, 24)), int(rng.integers(1, 24))
-            v = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-            v *= 10.0 ** rng.uniform(-14.0, 3.0, (n, m))
-            # leading entries below the threshold, then a vanishing column
-            v[:int(rng.integers(0, n + 1)), int(rng.integers(0, m))] = \
-                0.5 * PHASE_ZERO_TOL * (1.0 - 1.0j)
-            zero = complex(-0.0, -0.0) if trial % 3 else 0.0
-            v[:, int(rng.integers(0, m))] = zero
-            if trial % 2:
-                v = np.asfortranarray(v)
-            got = _normalize_phases(v)
-            want = loop_normalize_phases(v)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-
-    def test_general_eig_vectors_match_column_loop(self):
-        rng = np.random.default_rng(32)
-        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        _, vecs = np.linalg.eig(g)
-        assert (_normalize_phases(vecs).tobytes()
-                == loop_normalize_phases(vecs).tobytes())
-
-    def test_empty(self):
-        empty = np.zeros((0, 0), dtype=complex)
-        assert _normalize_phases(empty).shape == (0, 0)
-
-    def test_real_columns_change_sign_only(self):
-        rng = np.random.default_rng(33)
-        v = rng.standard_normal((7, 9)) * 10.0 ** rng.uniform(-14.0, 3.0,
-                                                              (7, 9))
-        v[:3, 4] = -0.5 * PHASE_ZERO_TOL
-        v[:, 6] = -0.0
-        v[:, 7] = -0.5 * PHASE_ZERO_TOL  # vanishing: returned unchanged
-        given = v.copy()
-        got = _normalize_phases(given)
-        assert got is given  # real columns are flipped in place
-        assert got.dtype == np.float64
-        assert got.tobytes() == loop_normalize_phases(v).tobytes()
-        assert np.array_equal(np.abs(got), np.abs(v))
-        assert np.array_equal(got[:, 6:8], v[:, 6:8])
-        assert_phase_rule(np.delete(got, [6, 7], axis=1))
-
-    def test_real_columns_need_no_float_temporary(self):
-        n = 300
-        v = np.linalg.eigh(random_symmetric(34, n))[1]
-        want = loop_normalize_phases(v)
-        tracemalloc.start()
-        try:
-            got = _normalize_phases(v)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got.tobytes() == want.tobytes()
-        # two n x n boolean masks at most, no n x n float64 (8 n^2 bytes)
-        assert peak <= 2 * n * n + 64 * n
-
-
-class TestLazyNormalization:
-    """A decomposition keeps the solver's columns and normalizes them on the
-    first read of ``vectors``, to the bits the eager normalization gave."""
+class TestSpectralDecomposition:
+    """A decomposition is the solver's eigenvalues and columns as they came;
+    freeze() makes both read-only."""
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_vectors_equal_the_eager_normalization(self, real):
+    def test_vectors_are_the_solver_columns(self, real):
         for n in (1, 2, 7, 16):
             h = random_symmetric(n, n) if real else random_hermitian(n, n)
             herm = require_hermitian(h)
-            _, raw = np.linalg.eigh(linalg_module._solver_input(herm))
-            want = _normalize_phases(raw)
+            vals, vecs = np.linalg.eigh(linalg_module._solver_input(herm))
             dec = hermitian_part_eig(herm)
-            assert dec.vectors.dtype == want.dtype
-            assert dec.vectors.tobytes() == want.tobytes()
-            assert dec.vectors is dec.vectors
+            assert dec.vectors.dtype == vecs.dtype
+            assert dec.eigenvalues.tobytes() == vals.tobytes()
+            assert dec.vectors.tobytes() == vecs.tobytes()
 
-    def test_by_components_vectors_equal_the_eager_normalization(self):
-        herm = np.zeros((5, 5))
-        herm[:2, :2] = [[1.0, 2.0], [2.0, -1.0]]
-        herm[2:, 2:] = random_symmetric(3, 3)
-        dec = hermitian_part_eig_by_components(herm)
-        raw = dec._raw.copy()  # the scattered columns, as yet unnormalized
-        assert dec.vectors.tobytes() == _normalize_phases(raw).tobytes()
-
-    def test_normalized_once_and_only_when_read(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(linalg_module, "_normalize_phases",
-                            lambda v: calls.append(1) or _normalize_phases(v))
-        dec = hermitian_eig(random_hermitian(3, 6))
-        dec.eigenvalues, dec.dim
-        assert calls == []
-        dec.vectors, dec.vectors
-        assert calls == [1]
-
-    @pytest.mark.parametrize("read_first", [False, True])
-    def test_freeze_covers_vectors_formed_before_and_after(self, read_first):
+    def test_freeze_makes_both_arrays_read_only(self):
         dec = hermitian_eig(random_hermitian(4, 5))
-        if read_first:
-            dec.vectors
         assert dec.freeze() is dec
         for arr in (dec.eigenvalues, dec.vectors):
             with pytest.raises(ValueError):
@@ -262,15 +160,9 @@ def random_symmetric(seed, n):
     return 0.5 * (x + x.T)
 
 
-def assert_phase_rule(vectors):
-    for col in vectors.T:
-        pivot = col[np.nonzero(np.abs(col) > PHASE_ZERO_TOL)[0][0]]
-        assert pivot.imag == 0.0 and pivot.real > 0.0
-
-
 class TestRealPath:
     """Hermitian input with an all-zero imaginary part is solved by the real
-    symmetric driver and gets float64 eigenvectors under the phase rule."""
+    symmetric driver and gets float64 eigenvectors."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
     def test_real_input_matches_complex_path(self, n):
@@ -285,8 +177,6 @@ class TestRealPath:
         residual = h @ dec.vectors - dec.vectors * dec.eigenvalues
         assert np.linalg.norm(residual, 2) <= tol
         assert orthonormality_defect(dec.vectors) <= 1e-12 * n
-        assert_phase_rule(dec.vectors)
-        assert np.array_equal(dec.vectors, loop_normalize_phases(dec.vectors))
 
     def test_solvers_receive_float64_for_real_input(self, monkeypatch):
         seen = []
@@ -730,7 +620,6 @@ class TestComponentEig:
         residual = herm @ dec.vectors - dec.vectors * dec.eigenvalues
         assert np.max(np.abs(residual)) <= 1e-13 * scale
         assert orthonormality_defect(dec.vectors) <= 1e-14
-        assert_phase_rule(dec.vectors)
         # Each eigenvector lives on one component, and each component
         # carries as many eigenvectors as it has indices.
         support = np.abs(dec.vectors) > 0.0
