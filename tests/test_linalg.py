@@ -115,8 +115,7 @@ class TestHermitianEig:
 
 
 class TestSpectralDecomposition:
-    """A decomposition is the solver's eigenvalues and columns as they came;
-    freeze() makes both read-only."""
+    """A decomposition is the solver's eigenvalues and columns as they came."""
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_vectors_are_the_solver_columns(self, real):
@@ -129,16 +128,25 @@ class TestSpectralDecomposition:
             assert dec.eigenvalues.tobytes() == vals.tobytes()
             assert dec.vectors.tobytes() == vecs.tobytes()
 
-    def test_freeze_makes_both_arrays_read_only(self):
+    def test_unfrozen_vectors_stay_writable(self):
+        dec = hermitian_eig(random_symmetric(5, 4))
+        assert dec.vectors.flags.writeable and dec.eigenvalues.flags.writeable
+
+
+class TestLazyNormalization:
+    """The vectors were once normalized on their first read; they are now the
+    solver's columns, set at construction. freeze() must still cover both
+    arrays whether or not ``vectors`` was read before it."""
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_freeze_covers_vectors_formed_before_and_after(self, read_first):
         dec = hermitian_eig(random_hermitian(4, 5))
+        if read_first:
+            dec.vectors
         assert dec.freeze() is dec
         for arr in (dec.eigenvalues, dec.vectors):
             with pytest.raises(ValueError):
                 arr[0, ...] = 0.0
-
-    def test_unfrozen_vectors_stay_writable(self):
-        dec = hermitian_eig(random_symmetric(5, 4))
-        assert dec.vectors.flags.writeable and dec.eigenvalues.flags.writeable
 
 
 class TestWindowMask:
