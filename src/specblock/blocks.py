@@ -20,12 +20,9 @@ from .errors import (ArgumentError, LandmarkError, NumericError,
                      SingularShiftError)
 from .linalg import (
     SpectralDecomposition,
-    _pattern_labels,
-    _solver_input,
     as_matrix,
     hermitian_eig,  # noqa: F401  (bench/test_bench.py reads blocks.hermitian_eig)
     hermitian_part_eig,
-    hermitian_part_eig_by_components,
     hermitian_part_eigvals,
     require_hermitian,
     spectral_distance,
@@ -60,7 +57,9 @@ def _stored(mat: np.ndarray, given) -> np.ndarray:
     """``mat``, validated from the caller's ``given``, as a read-only
     contiguous array that shares no memory with it: float64 when its
     imaginary part is all zero (-0.0 included), complex128 otherwise."""
-    mat = np.ascontiguousarray(_solver_input(mat))
+    if np.iscomplexobj(mat) and not np.count_nonzero(mat.imag):
+        mat = mat.real
+    mat = np.ascontiguousarray(mat)
     if np.may_share_memory(mat, given):
         mat = mat.copy()
     return _frozen(mat)
@@ -136,16 +135,13 @@ class BlockOperatorMatrix:
 
     @cached_property
     def eig_c(self) -> SpectralDecomposition:
-        """Eigendecomposition of C.
+        """Eigendecomposition of C, solved densely by hermitian_part_eig.
 
-        A C whose nonzero pattern falls apart into decoupled blocks, such as
-        the pointwise 2x2 multiplication block of the MHD discretization, is
-        solved block by block (hermitian_part_eig_by_components): its
-        eigenvectors are zero off their block, and its eigenvalues may
-        differ from the dense solve's in the last digits.  Any other C is
-        solved densely by hermitian_part_eig.
+        A block built by mhd.discretize is given it in the cache instead:
+        discretize solves its pointwise 2x2 C on the index pairs it built,
+        so each eigenvector is zero off its pair.
         """
-        return hermitian_part_eig_by_components(self.C).freeze()
+        return hermitian_part_eig(self.C).freeze()
 
     @property
     def c(self) -> float:
@@ -304,12 +300,10 @@ def _gram_to_solve(block: BlockOperatorMatrix) -> np.ndarray | None:
 
 
 # The matrix each cached property solves, or None where fill_spectra leaves
-# the property to itself: a C whose nonzero pattern splits is solved by
-# components (hermitian_part_eig_by_components).
+# the property to itself (_gram_to_solve).
 _SOLVED_BY = {
     "eig_a": lambda block: block.A,
-    "eig_c": lambda block: (block.C if _pattern_labels(block.C) is None
-                            else None),
+    "eig_c": lambda block: block.C,
     "eig_m": assemble,
     "coupling_top": _gram_to_solve,
 }
@@ -320,11 +314,11 @@ def fill_spectra(blocks, names) -> None:
     coupling_top, of each of ``blocks`` from stacked solves.
 
     Each value is, bit for bit, the one the property would compute: the
-    matrices the property solves are grouped by shape and by the dtype
-    _solver_input gives them, and each group goes to np.linalg.eigh, or for
-    coupling_top to hermitian_part_eigvals, in the chunks of stack_chunks;
-    LAPACK solves each matrix of a stack as it solves that matrix alone.  A
-    property already computed is left as it is.  So is a property that
+    matrices the property solves are grouped by shape, and each group goes
+    to hermitian_part_eig, or for coupling_top to hermitian_part_eigvals, in
+    the chunks of stack_chunks; those solve each matrix of a stack as they
+    solve it alone.  A property already computed, such as the eig_c that
+    mhd.discretize gives its block, is left as it is.  So is a property that
     _SOLVED_BY leaves to itself, and every property of a chunk whose solve
     fails: when read, it solves alone and raises the error.
     """
@@ -335,22 +329,17 @@ def fill_spectra(blocks, names) -> None:
                 continue
             mat = _SOLVED_BY[name](block)
             if mat is not None:
-                mat = _solver_input(mat)
-                groups.setdefault((mat.shape, mat.dtype), []).append(
-                    (block, mat))
-        for (shape, _), members in groups.items():
+                groups.setdefault(mat.shape, []).append((block, mat))
+        for shape, members in groups.items():
             for part in stack_chunks(len(members), shape[0]):
                 chunk = members[part]
                 stack = np.stack([mat for _, mat in chunk])
                 try:
-                    if name == "coupling_top":
-                        values = hermitian_part_eigvals(stack)[:, -1].tolist()
-                    else:
-                        vals, vecs = np.linalg.eigh(stack)
-                        values = [
-                            SpectralDecomposition(vals[k], vecs[k]).freeze()
-                            for k in range(len(chunk))]
-                except (np.linalg.LinAlgError, NumericError):
+                    values = (
+                        hermitian_part_eigvals(stack)[:, -1].tolist()
+                        if name == "coupling_top" else
+                        [dec.freeze() for dec in hermitian_part_eig(stack)])
+                except NumericError:
                     continue
                 for (block, _), value in zip(chunk, values):
                     block.__dict__[name] = value

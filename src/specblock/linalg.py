@@ -2,8 +2,10 @@
 
 Hermitian eigendecomposition, spectral projectors, an SVD pseudo-inverse,
 and a general eigensolver used for companion-linearized quadratic
-eigenproblems.  LAPACK (through numpy) supplies the factorizations; this
-module owns validation and ordering.  Eigenvectors are the columns LAPACK
+eigenproblems.  LAPACK (through numpy) supplies the factorizations, and
+this module is the program's one door to it: every Hermitian eigensolve,
+SVD and general eigensolve of the package is called here, and a LAPACK
+failure leaves it as NumericError.  Eigenvectors are the columns LAPACK
 returned, with whatever unit phase it gave them: every quantity the program
 reports depends on spectral subspaces, not on the phase of a column, and
 LAPACK is deterministic for fixed input, so results are too.
@@ -12,24 +14,21 @@ The dtype follows the data.  ``as_matrix`` and ``require_hermitian``
 return float64 for input with real entries and complex128 otherwise, and
 complex input with an all-zero imaginary part is validated in float64.  A
 Hermitian eigensolve or SVD whose input has an all-zero imaginary part runs
-the real LAPACK driver on the real part (``_solver_input``), and the
-eigenvectors it returns are float64.  The real driver's results may differ
-from the complex driver's in the last digits.  ``pseudo_inverse`` and
-``general_eig`` still return complex128.
-
-``hermitian_part_eig_by_components`` solves a matrix whose nonzero pattern
-falls apart into decoupled blocks one block at a time, and any other matrix
-as ``hermitian_part_eig`` does.
+the real LAPACK driver on the real part, and the eigenvectors it returns
+are float64.  The real driver's results may differ from the complex
+driver's in the last digits.  ``pseudo_inverse`` and ``general_eig`` still
+return complex128.
 
 ``require_hermitian`` validates one 2-D matrix from outside the program and
 returns its exact Hermitian part; matrices built from such parts and real
 scalars go straight to the ``hermitian_part_*`` solvers, which check
-finiteness only.  ``hermitian_part_eigvals`` also takes a stack (k, n, n),
-such as one matrix per shift of a scan, and equals k single calls bit for
-bit without their per-call overhead, which dominates at n <= 16.  Callers
-solve long stacks in chunks of at most STACK_BYTES of complex128 matrices
-(``stack_chunks``): larger stacks cost a multiple of their memory in
-temporaries and run slower than a loop once they spill the cache.
+finiteness at most.  Both take a matrix or a stack (k, n, n), such as one
+matrix per shift of a scan or one per block of a batch, and solve each
+matrix of a stack by the driver it would get alone, bit for bit as k single
+calls and without their per-call overhead, which dominates at n <= 16.
+Callers solve long stacks in chunks of at most STACK_BYTES of complex128
+matrices (``stack_chunks``): larger stacks cost a multiple of their memory
+in temporaries and run slower than a loop once they spill the cache.
 """
 
 from __future__ import annotations
@@ -54,9 +53,9 @@ __all__ = [
     "stack_chunks",
     "hermitian_eig",
     "hermitian_part_eig",
-    "hermitian_part_eig_by_components",
     "hermitian_part_eigvals",
     "spectral_projector",
+    "thin_svd",
     "pseudo_inverse",
     "general_eig",
     "spectral_distance",
@@ -199,97 +198,45 @@ def _solver_input(mat: np.ndarray) -> np.ndarray:
     return mat.real
 
 
-def _eigvalsh(herm: np.ndarray) -> np.ndarray:
+def _lapack(task: str, solve, *args, **kwargs):
+    """``solve(*args, **kwargs)``, a numpy.linalg routine, with its
+    LinAlgError raised as NumericError ("<task> failed: ...")."""
     try:
-        return np.asarray(np.linalg.eigvalsh(herm), dtype=float)
+        return solve(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
+        raise NumericError(f"{task} failed: {exc}") from exc
 
 
-def hermitian_part_eig(herm: np.ndarray) -> SpectralDecomposition:
+def _hermitian_solve(solve, herm: np.ndarray) -> list[tuple]:
+    """``solve`` (np.linalg.eigh or eigvalsh) of the matrix or stack ``herm``
+    as (rows, result) pairs covering it: each matrix goes to the driver it
+    gets alone (_solver_input), so a stack that mixes real and complex
+    matrices is solved as two stacks, ``rows`` selecting each one's."""
+    if herm.ndim == 2 or not np.iscomplexobj(herm):
+        groups = [(slice(None), _solver_input(herm))]
+    else:
+        cplx = herm.imag.any(axis=(1, 2))
+        groups = [(rows, part[rows]) for rows, part
+                  in ((~cplx, herm.real), (cplx, herm)) if rows.any()]
+    return [(rows, _lapack("Hermitian eigensolve", solve, part))
+            for rows, part in groups]
+
+
+def hermitian_part_eig(herm: np.ndarray):
     """Full eigendecomposition of ``herm``, which must already be the exact
     Hermitian part require_hermitian returned, such as a stored block of a
     BlockOperatorMatrix; it is not validated again.  hermitian_eig validates
     its input and then solves it here.  A real ``herm`` gets float64
-    vectors."""
-    try:
-        eigvals, eigvecs = np.linalg.eigh(_solver_input(herm))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
-    return SpectralDecomposition(np.asarray(eigvals, dtype=float), eigvecs)
-
-
-def _pattern_labels(herm: np.ndarray) -> np.ndarray | None:
-    """The connected component of each index in the graph of the nonzero
-    pattern of the square ``herm`` (i ~ j when herm[i, j] != 0), labelled by
-    its smallest index; None when the pattern is connected.
-
-    Every label starts at its own index, drops to the least label among
-    itself and its neighbours, then jumps to the label of that label, until
-    no label moves.  A label only falls and always names an index of the
-    same component, and at the fixed point neighbours share their label.
-    """
-    n = herm.shape[0]
-    pattern = herm != 0
-    if n < 2 or pattern.all():
-        return None
-    pattern[np.diag_indices(n)] = True
-    rows, cols = np.nonzero(pattern)
-    starts = np.searchsorted(rows, np.arange(n))
-    labels = np.arange(n)
-    while True:
-        hooked = np.minimum.reduceat(labels[cols], starts)
-        hooked = hooked[hooked]
-        if np.array_equal(hooked, labels):
-            break
-        labels = hooked
-    return labels if labels.any() else None
-
-
-def hermitian_part_eig_by_components(herm: np.ndarray) -> SpectralDecomposition:
-    """hermitian_part_eig for an exact Hermitian part whose nonzero pattern
-    may fall apart into decoupled diagonal blocks, such as a pointwise 2x2
-    multiplication operator stored as one dense matrix.
-
-    A connected pattern goes to hermitian_part_eig, so the result is its
-    result bit for bit.  Otherwise each connected component of the pattern
-    is solved on its own, all components of one size by one stacked LAPACK
-    call, and each eigenvector is zero off its component.  The eigenvalues
-    are sorted stably; both they and the eigenvectors may differ from the
-    dense solve's in the last digits, the eigenvectors also by a unit factor
-    per column, and eigenvalues shared by two components get eigenvectors
-    confined to one.
-    """
-    labels = _pattern_labels(herm)
-    if labels is None:
-        return hermitian_part_eig(herm)
-    solver_input = _solver_input(herm)
-    n = herm.shape[0]
-    # Indices grouped by component, ascending within each; firsts[k] is where
-    # component k starts in members.  (np.unique would import numpy.ma.)
-    members = np.argsort(labels, kind="stable")
-    firsts = np.flatnonzero(np.diff(labels[members], prepend=-1))
-    sizes = np.diff(firsts, append=n)
-    values = np.empty(n)
-    solved = []
-    for size in sorted(set(sizes.tolist())):
-        # idx[k] holds the indices of the k-th component of this size, in
-        # ascending order; its eigenvalues take the slots idx[k] of values.
-        idx = members[firsts[sizes == size][:, None] + np.arange(size)]
-        try:
-            eigvals, eigvecs = np.linalg.eigh(
-                solver_input[idx[:, :, None], idx[:, None, :]])
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"Hermitian eigensolve failed: {exc}") from exc
-        values[idx] = eigvals
-        solved.append((idx, eigvecs))
-    order = np.argsort(values, kind="stable")
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)
-    vectors = np.zeros((n, n), dtype=solver_input.dtype)
-    for idx, eigvecs in solved:
-        vectors[idx[:, :, None], column[idx][:, None, :]] = eigvecs
-    return SpectralDecomposition(values[order], vectors)
+    vectors.  A stack (k, n, n) gives the list of the k decompositions, each
+    equal bit for bit to the one its matrix gets alone."""
+    solved = _hermitian_solve(np.linalg.eigh, herm)
+    if herm.ndim == 2:
+        return SpectralDecomposition(*solved[0][1])
+    decs = [None] * herm.shape[0]
+    for rows, (vals, vecs) in solved:
+        for k, index in enumerate(np.arange(len(decs))[rows]):
+            decs[index] = SpectralDecomposition(vals[k], vecs[k])
+    return decs
 
 
 def hermitian_eig(mat) -> SpectralDecomposition:
@@ -304,19 +251,21 @@ def hermitian_eig(mat) -> SpectralDecomposition:
 
 def hermitian_part_eigvals(herm) -> np.ndarray:
     """Ascending eigenvalues of an exact Hermitian part as require_hermitian
-    returns it, or the (k, n) rows of a stack of them, each matrix solved by
-    the LAPACK routine (real or complex) it would get alone; only finiteness
-    is checked.  They may differ from hermitian_part_eig's in the last
-    digits."""
+    returns it, or the (k, n) rows of a stack of them, each matrix solved as
+    it would be alone; only finiteness is checked.  They may differ from
+    hermitian_part_eig's in the last digits."""
     herm = _finite(herm, (2, 3), True)
-    if herm.ndim == 2 or herm.dtype == np.float64:
-        return _eigvalsh(_solver_input(herm))
-    vals = np.empty(herm.shape[:2])
-    cplx = (herm.imag != 0.0).any(axis=(1, 2))
-    for mask, solver_input in ((cplx, herm), (~cplx, herm.real)):
-        if mask.any():
-            vals[mask] = _eigvalsh(solver_input[mask])
+    vals = np.empty(herm.shape[:-1])
+    for rows, got in _hermitian_solve(np.linalg.eigvalsh, herm):
+        vals[rows] = got
     return vals
+
+
+def thin_svd(mat) -> tuple:
+    """numpy's thin SVD (P, s, Q*) of the 2-D ``mat``, in float64 when its
+    imaginary part is all zero; NumericError when LAPACK fails."""
+    return _lapack("singular value decomposition", np.linalg.svd,
+                   _solver_input(mat), full_matrices=False)
 
 
 def spectral_projector(dec: SpectralDecomposition, window: Interval) -> np.ndarray:
@@ -331,7 +280,7 @@ def pseudo_inverse(mat) -> np.ndarray:
     arr = as_matrix(mat)
     if arr.size == 0:
         return np.zeros((arr.shape[1], arr.shape[0]), dtype=np.complex128)
-    u, s, vh = np.linalg.svd(_solver_input(arr), full_matrices=False)
+    u, s, vh = thin_svd(arr)
     keep = s > PINV_REL * s[0] if s[0] > 0.0 else np.zeros(s.shape, dtype=bool)
     if not np.any(keep):
         return np.zeros((arr.shape[1], arr.shape[0]), dtype=np.complex128)
@@ -348,11 +297,10 @@ def general_eig(mat, return_vectors: bool = False):
     computed.
     """
     arr = as_matrix(mat, square=True).astype(np.complex128, copy=False)
-    try:
-        eigvals, eigvecs = (np.linalg.eig(arr) if return_vectors
-                            else (np.linalg.eigvals(arr), None))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"general eigensolve failed: {exc}") from exc
+    eigvals, eigvecs = (_lapack("general eigensolve", np.linalg.eig, arr)
+                        if return_vectors else
+                        (_lapack("general eigensolve", np.linalg.eigvals, arr),
+                         None))
     order = np.lexsort((eigvals.imag, eigvals.real))
     eigvals = eigvals[order]
     if not return_vectors:
@@ -373,7 +321,8 @@ def operator_norm(mat) -> float:
     arr = as_matrix(mat)
     if arr.size == 0:
         return 0.0
-    return float(np.linalg.norm(_solver_input(arr), 2))
+    return float(_lapack("singular value decomposition", np.linalg.norm,
+                         _solver_input(arr), 2))
 
 
 def orthonormality_defect(cols) -> float:

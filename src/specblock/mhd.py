@@ -27,7 +27,7 @@ from .blocks import BlockOperatorMatrix, RelativeBound, relative_bound_margin
 from .checks import DIST_ANCHOR, VAR_ANCHOR, angular_at_c_tilde, basis
 from .enclosures import dist_bound, variational_bounds
 from .errors import ArgumentError, ProfileError
-from .linalg import Interval
+from .linalg import Interval, SpectralDecomposition, hermitian_part_eig
 from .report import NOT_APPLICABLE, Check, aggregate, judge
 from .tolerance import ZERO_DECAY, scalar_tol
 
@@ -169,15 +169,34 @@ def _coupling_matrix(out, rho_i, coeff_i, mult_i, g, h):
     out[np.arange(n), np.arange(n)] = -g * mult_i
 
 
+def _pairwise_eig(c: np.ndarray) -> SpectralDecomposition:
+    """eig(c) for the pointwise 2x2 block ``c`` of order 2n: its n blocks on
+    the pairs (i, n + i) solved as one stack, the eigenvalues sorted stably,
+    and each eigenvector zero off its pair."""
+    n = c.shape[0] // 2
+    pairs = np.arange(2 * n).reshape(2, n).T  # row i is (i, n + i)
+    decs = hermitian_part_eig(c[pairs[:, :, None], pairs[:, None, :]])
+    values = np.empty(2 * n)
+    values[pairs] = [dec.eigenvalues for dec in decs]
+    order = np.argsort(values, kind="stable")
+    column = np.argsort(order)  # the column of each eigenvalue in order
+    vectors = np.zeros((2 * n, 2 * n), dtype=c.dtype)
+    vectors[pairs[:, :, None], column[pairs][:, None, :]] = [
+        dec.vectors for dec in decs]
+    return SpectralDecomposition(values[order], vectors).freeze()
+
+
 def discretize(profile: PlasmaProfile, n_interior: int) -> MhdDiscretization:
     """Conservative finite-difference discretization on N interior points.
 
     A acts as -((rho w u')')/rho + k² va² u with w = va² + vs² and Dirichlet
     ends, using midpoint-averaged coefficients; C is the pointwise 2x2
-    multiplication block; B couples through the centered first derivative,
-    whose stencil is cut off at the two ends (_coupling_matrix).  The
-    lower-left block of the assembly is B* exactly, and all blocks are
-    expressed in the rho-weighted similarity so the result is Hermitian.
+    multiplication block on the index pairs (i, N + i), and the block is
+    given its eig_c from one stacked solve of those N 2x2 blocks
+    (_pairwise_eig); B couples through the centered first derivative, whose
+    stencil is cut off at the two ends (_coupling_matrix).  The lower-left
+    block of the assembly is B* exactly, and all blocks are expressed in
+    the rho-weighted similarity so the result is Hermitian.
     The eigenvalues above c converge at first order in h, not second (see
     the module docstring for the measured orders).
 
@@ -226,6 +245,8 @@ def discretize(profile: PlasmaProfile, n_interior: int) -> MhdDiscretization:
     c_mat[second, second] = kpar_i ** 2 * vs2_i
 
     block = BlockOperatorMatrix(A=a_mat, B=b_mat, C=c_mat)
+    del a_mat, b_mat, c_mat  # the block holds copies; free these first
+    block.__dict__["eig_c"] = _pairwise_eig(block.C)  # eig_c's cache
     return MhdDiscretization(N=n, block=block, x=xi, h=h, profile=profile)
 
 

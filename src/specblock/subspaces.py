@@ -20,10 +20,10 @@ from .blocks import BlockOperatorMatrix, RelativeBound
 from .errors import ArgumentError, HypothesisError, NotAGraphError
 from .linalg import (
     Interval,
-    _eigvalsh,
-    _solver_input,
+    hermitian_part_eigvals,
     spectral_distance,
     spectral_projector,
+    thin_svd,
 )
 from .tolerance import GRAPH_TOL, INDETERMINATE_TOL, scalar_tol
 
@@ -63,10 +63,9 @@ class GraphSubspace:
     @cached_property
     def first_svd(self):
         """Thin SVD U = P diag(s) Q* of the first-component block U, computed
-        once as numpy's (P, s, Q*); a block with an all-zero imaginary part is
-        solved in float64."""
-        return np.linalg.svd(_solver_input(self.basis_first),
-                             full_matrices=False)
+        once as linalg.thin_svd's (P, s, Q*): in float64 when U has an
+        all-zero imaginary part."""
+        return thin_svd(self.basis_first)
 
     @cached_property
     def angular(self) -> AngularOperator:
@@ -161,7 +160,7 @@ def angular_operator(subspace: GraphSubspace) -> AngularOperator:
     t = float(np.max(np.abs(x), initial=0.0))
     y = x / (t or 1.0)  # so its Gram matrix neither underflows nor overflows
     gram = y @ y.conj().T if y.shape[0] < y.shape[1] else y.conj().T @ y
-    norm = t * math.sqrt(np.max(_eigvalsh(gram), initial=0.0))
+    norm = t * math.sqrt(np.max(hermitian_part_eigvals(gram), initial=0.0))
     return AngularOperator(K=x @ p.conj().T, domain=p, norm=norm, codim=n1 - m)
 
 

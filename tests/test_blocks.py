@@ -217,24 +217,40 @@ class TestFillSpectra:
         real = [b for b in blocks
                 if all(x.dtype == np.float64 for x in (b.A, b.B, b.C))]
         assert len(real) > 6 and len(real) < len(blocks)
+        mhd = blocks[-2]
+        given = mhd.eig_c
         blocks_module.fill_spectra(blocks, SPECTRA)
-        split = blocks[-2]
         for block, single in zip(blocks, singles):
-            filled = [name for name in SPECTRA if name in block.__dict__]
-            assert filled == [name for name in SPECTRA
-                              if block is not split or name != "eig_c"]
-            assert_same_spectra(block, single)
+            assert [name for name in SPECTRA if name in block.__dict__] \
+                == list(SPECTRA)
+            # discretize gave the MHD block its eig_c, which is kept
+            assert_same_spectra(block, single, [
+                name for name in SPECTRA if block is not mhd or name != "eig_c"])
+        assert mhd.eig_c is given
 
-    def test_split_pattern_stays_on_components(self, monkeypatch):
-        block = discretize(constant_profile(), 8).block
-        blocks_module.fill_spectra([block], ("eig_c",))
-        assert "eig_c" not in block.__dict__
-        calls = []
-        solve = linalg_module.hermitian_part_eig_by_components
-        monkeypatch.setattr(blocks_module, "hermitian_part_eig_by_components",
-                            lambda c: calls.append(1) or solve(c))
-        block.eig_c
-        assert calls == [1]
+    def test_a_chunk_mixing_real_and_complex_runs_both_drivers(
+            self, monkeypatch):
+        # M is real for even i and complex for odd i, all of order 3: one
+        # chunk of eig_m, solved as two stacks, one per driver.
+        blocks = [BlockOperatorMatrix(A=np.diag([1.0 + i, 3.0 + i]),
+                                      B=[[0.5], [0.25j if i % 2 else 0.25]],
+                                      C=[[-2.0 - i]]) for i in range(6)]
+        singles = [twin(block) for block in blocks]
+        stacks = []
+        eigh = np.linalg.eigh
+
+        def spy(mat):
+            stacks.append((mat.shape, mat.dtype.name))
+            return eigh(mat)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        blocks_module.fill_spectra(blocks, ("eig_m",))
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert sorted(stacks) == [((3, 3, 3), "complex128"),
+                                  ((3, 3, 3), "float64")]
+        for block, single in zip(blocks, singles):
+            assert_same_spectra(block, single, ("eig_m",))
+        assert {b.eig_m.vectors.dtype.name for b in blocks} == {
+            "complex128", "float64"}
 
     def test_one_stacked_call_per_group(self, rng, monkeypatch):
         blocks = [random_block(rng) for _ in range(40)]

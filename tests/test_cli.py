@@ -225,6 +225,19 @@ class TestExitCodes:
         assert err.startswith("specblock: error: ") and "Traceback" not in err
         assert err.count("\n") == 1
 
+    def test_lapack_failure_in_an_svd_exits_2(self, tmp_path, capsys,
+                                              monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        out = tmp_path / "r.json"
+        assert main(["angular", "--input", GOLDEN_BLOCK,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "specblock: error: singular value decomposition failed: "
+            "SVD did not converge\n")
+
     @pytest.mark.parametrize("text", UNREPRESENTABLE.values(),
                              ids=UNREPRESENTABLE.keys())
     def test_unrepresentable_input_exits_2(self, tmp_path, capsys, text):

@@ -181,21 +181,25 @@ def count_forms(seen, targets):
 
 def test_run_report_decomposes_a_c_and_m_once_per_call(monkeypatch):
     profile, targets = block_forms()
+    # Every full eigendecomposition ends in hermitian_part_eig: eig_a calls
+    # it on the stored Hermitian part of A, eig_m on the assembled M, and
+    # discretize on the stack of the N pointwise 2x2 blocks of C, on the
+    # index pairs (i, N + i).  A dense solve of C would count "dense C".
+    c = targets.pop("C")[0]
+    n = c.shape[0] // 2
+    pairs = np.stack([np.arange(n), np.arange(n, 2 * n)], axis=1)
+    targets["C"] = [c[pairs[:, :, None], pairs[:, None, :]]]
+    targets["dense C"] = [c]
     seen = []
-    # Every full eigendecomposition ends in hermitian_part_eig or in the
-    # block-wise hermitian_part_eig_by_components: eig_a calls the first on
-    # the stored Hermitian part of A, hermitian_eig on the validated M, and
-    # eig_c the second on C.  This C is the pointwise 2x2 block, so its
-    # block-wise solve never reaches hermitian_part_eig; a dense fallback
-    # would count C twice.
     spy_on(monkeypatch, linalg.hermitian_part_eig, seen)
-    spy_on(monkeypatch, linalg.hermitian_part_eig_by_components, seen)
 
     # A fresh discretization per call: a reused one answers from its caches.
     run_report(discretize(profile, 32), 4)
-    assert count_forms(seen, targets) == {"A": 1, "C": 1, "M": 1}
+    assert count_forms(seen, targets) == {"A": 1, "M": 1, "C": 1,
+                                          "dense C": 0}
     run_report(discretize(profile, 32), 4)
-    assert count_forms(seen, targets) == {"A": 2, "C": 2, "M": 2}
+    assert count_forms(seen, targets) == {"A": 2, "M": 2, "C": 2,
+                                          "dense C": 0}
 
 
 def test_run_report_validates_a_and_c_once_per_call(monkeypatch):

@@ -1,3 +1,4 @@
+import ast
 import re
 import tracemalloc
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from specblock import (
     ArgumentError,
     Interval,
+    NumericError,
     general_eig,
     hermitian_eig,
     operator_norm,
@@ -21,7 +23,6 @@ from specblock import (
 from specblock.linalg import (
     STACK_BYTES,
     hermitian_part_eig,
-    hermitian_part_eig_by_components,
     hermitian_part_eigvals,
     require_hermitian,
     stack_chunks,
@@ -347,6 +348,26 @@ class TestStackedSolves:
         with pytest.raises(ArgumentError, match=re.escape("ndim = 3")):
             hermitian_eig(hermitian_stack(1, 2, 3))
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_full_decompositions_equal_single_calls(self, k, n):
+        stack = hermitian_stack(20 * n + k, k, n)
+        for herm in (hermitian_parts(stack), hermitian_parts(stack.real)):
+            decs = hermitian_part_eig(herm)
+            assert len(decs) == k
+            for i, dec in enumerate(decs):
+                want = hermitian_part_eig(herm[i])
+                for arr in ("eigenvalues", "vectors"):
+                    a, b = getattr(dec, arr), getattr(want, arr)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if k > 1 and n > 1:  # the stack mixes complex and real matrices
+            dtypes = {dec.vectors.dtype.name for dec in
+                      hermitian_part_eig(hermitian_parts(stack))}
+            assert dtypes == {"complex128", "float64"}
+
+    def test_empty_stack_of_decompositions(self):
+        assert hermitian_part_eig(np.zeros((0, 3, 3))) == []
+
     def test_wrong_ndim_names_the_accepted_shapes(self):
         assert error_text(hermitian_part_eigvals, np.zeros(3)) == (
             "expected a matrix (n, n) or a stack (k, n, n) of matrices, "
@@ -592,60 +613,17 @@ class TestRealFormPipeline:
         assert svd_inputs == {np.dtype(np.complex128)}
 
 
-def scattered_blocks(seed, sizes, complex_entries=True):
-    """Exact Hermitian part with dense random blocks of the given sizes on
-    scattered index sets, zero between them; returns it and the index sets."""
-    rng = np.random.default_rng(seed)
-    n = sum(sizes)
-    perm = rng.permutation(n)
-    herm = np.zeros((n, n), dtype=complex)
-    groups = np.split(perm, np.cumsum(sizes)[:-1])
-    for group in groups:
-        k = group.size
-        z = rng.uniform(-5, 5, (k, k))
-        if complex_entries:
-            z = z + 1j * rng.uniform(-5, 5, (k, k))
-        herm[np.ix_(group, group)] = 0.5 * (z + z.conj().T)
-    return require_hermitian(herm), groups
-
-
 class TestComponentEig:
-    """hermitian_part_eig_by_components solves the connected components of
-    the nonzero pattern on their own, and a connected pattern densely."""
+    """C is solved densely, whatever its nonzero pattern; the MHD block is
+    given the eig_c of its pointwise 2x2 components by discretize."""
 
-    @pytest.mark.parametrize("sizes", [(1, 2, 2, 3, 3), (4, 1, 1, 6),
-                                       (2,) * 9])
-    @pytest.mark.parametrize("complex_entries", [True, False])
-    def test_mixed_components(self, sizes, complex_entries):
-        herm, groups = scattered_blocks(sum(sizes), sizes, complex_entries)
-        dec = hermitian_part_eig_by_components(herm)
-        want = np.linalg.eigvalsh(herm)
-        scale = np.max(np.abs(want))
-        assert np.all(np.diff(dec.eigenvalues) >= 0.0)
-        assert np.max(np.abs(dec.eigenvalues - want)) <= 1e-13 * scale
-        assert dec.vectors.dtype == (np.complex128 if complex_entries
-                                     else np.float64)
-        residual = herm @ dec.vectors - dec.vectors * dec.eigenvalues
-        assert np.max(np.abs(residual)) <= 1e-13 * scale
-        assert orthonormality_defect(dec.vectors) <= 1e-14
-        # Each eigenvector lives on one component, and each component
-        # carries as many eigenvectors as it has indices.
-        support = np.abs(dec.vectors) > 0.0
-        owners = [int(np.argmax([support[g, j].any() for g in groups]))
-                  for j in range(herm.shape[0])]
-        for j, owner in enumerate(owners):
-            outside = np.setdiff1d(np.arange(herm.shape[0]), groups[owner])
-            assert not support[outside, j].any()
-        assert sorted(np.bincount(owners, minlength=len(groups))) \
-            == sorted(g.size for g in groups)
-
-    def test_diagonal(self):
-        diag = np.array([3.0, -1.0, 2.0, -1.0, 0.0, 7.5])
-        dec = hermitian_part_eig_by_components(np.diag(diag).astype(complex))
-        assert np.array_equal(dec.eigenvalues, np.sort(diag))
-        # Ties keep the index order: -1.0 at index 1 comes before index 3.
-        order = np.argsort(diag, kind="stable")
-        assert np.array_equal(dec.vectors, np.eye(6)[:, order])
+    def test_split_pattern_is_the_dense_solve(self):
+        herm = np.kron(np.eye(3), [[1.0, 2.0], [2.0, -1.0]])
+        got = BlockOperatorMatrix(A=np.eye(1), B=np.ones((1, 6)), C=herm).eig_c
+        want = hermitian_part_eig(herm)
+        for arr in ("eigenvalues", "vectors"):
+            a, b = getattr(got, arr), getattr(want, arr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("kind", ["dense", "scattered-path", "one", "empty"])
     def test_connected_pattern_is_the_dense_solve(self, kind):
@@ -663,10 +641,12 @@ class TestComponentEig:
             herm = np.array([[2.5 + 0j]])
         else:
             herm = np.zeros((0, 0), dtype=complex)
-        got = hermitian_part_eig_by_components(herm)
+        n = herm.shape[0]
+        got = BlockOperatorMatrix(A=np.eye(2), B=np.ones((2, n)), C=herm).eig_c
         want = hermitian_part_eig(herm)
-        assert np.array_equal(got.eigenvalues, want.eigenvalues)
-        assert np.array_equal(got.vectors, want.vectors)
+        for arr in ("eigenvalues", "vectors"):
+            a, b = getattr(got, arr), getattr(want, arr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_mhd_coupling_block(self):
         from specblock.mhd import discretize, profile_from_functions
@@ -756,6 +736,76 @@ class TestGeneralEig:
         for m in companions:
             with_vectors = general_eig(m, return_vectors=True)[0]
             assert general_eig(m).tobytes() == with_vectors.tobytes()
+
+
+def failing_lapack(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+class TestLapackFailures:
+    """A LAPACK failure leaves linalg as NumericError, whichever of its
+    solvers met it, and names the kind of solve."""
+
+    SOLVES = {
+        "eigh-matrix": ("eigh", "Hermitian eigensolve",
+                        lambda: hermitian_part_eig(np.eye(3))),
+        "eigh-stack": ("eigh", "Hermitian eigensolve",
+                       lambda: hermitian_part_eig(np.zeros((2, 3, 3)))),
+        "eigh-validated": ("eigh", "Hermitian eigensolve",
+                           lambda: hermitian_eig(np.eye(3))),
+        "eigvalsh": ("eigvalsh", "Hermitian eigensolve",
+                     lambda: hermitian_part_eigvals(np.eye(3))),
+        "svd-thin": ("svd", "singular value decomposition",
+                     lambda: linalg_module.thin_svd(np.ones((3, 2)))),
+        "svd-pinv": ("svd", "singular value decomposition",
+                     lambda: pseudo_inverse(np.ones((3, 2)))),
+        "norm": ("norm", "singular value decomposition",
+                 lambda: operator_norm(np.ones((3, 2)))),
+        "eig": ("eig", "general eigensolve",
+                lambda: general_eig(np.eye(3), return_vectors=True)),
+        "eigvals": ("eigvals", "general eigensolve",
+                    lambda: general_eig(np.eye(3))),
+    }
+
+    @pytest.mark.parametrize("case", SOLVES)
+    def test_raised_as_numeric_error(self, monkeypatch, case):
+        name, task, solve = self.SOLVES[case]
+        monkeypatch.setattr(np.linalg, name, failing_lapack)
+        with pytest.raises(NumericError) as info:
+            solve()
+        assert str(info.value) == f"{task} failed: did not converge"
+
+
+LAPACK_SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals", "svd"}
+
+
+def lapack_references(path):
+    """(line, name) of every np.linalg or numpy.linalg solver of
+    LAPACK_SOLVERS that the module at ``path`` names, by attribute or by
+    import."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr in LAPACK_SOLVERS
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"):
+            found.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").endswith("linalg") and node.level == 0):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in LAPACK_SOLVERS]
+    return found
+
+
+def test_lapack_is_reached_through_linalg_only():
+    package = Path(linalg_module.__file__).parent
+    outside = {path.name: lapack_references(path)
+               for path in sorted(package.glob("*.py"))
+               if path.name != "linalg.py"}
+    assert len(outside) > 10
+    assert {name: refs for name, refs in outside.items() if refs} == {}
+    # the scan sees the solvers where they are called
+    assert {name for _, name in lapack_references(
+        package / "linalg.py")} == LAPACK_SOLVERS
 
 
 def test_spectral_distance():

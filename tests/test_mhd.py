@@ -27,6 +27,8 @@ from specblock.mhd import BUILTIN_FIELDS, trial_space
 from specblock.report import emit_json
 from specblock.tolerance import EIGVEC_RESIDUAL_REL
 
+from test_phases import assert_close
+
 
 class TestPlasmaProfile:
     def test_rejects_nonpositive_density(self):
@@ -313,3 +315,58 @@ class TestRealSimilarForm:
                     block.graph_subspace.basis_second,
                     block.graph_subspace.angular.K):
             assert arr.dtype == np.float64
+
+
+# Both golden profiles, the decoupled one (C = 0) and one whose kperp
+# vanishes on the first 30 of 65 samples, so that some pairs of C are
+# diagonal; all at N = 64.
+PAIRWISE_PROFILES = {
+    "constant": constant_profile(grid_n=65),
+    "linear-sinusoidal": profile_from_functions(
+        BUILTIN_FIELDS["linear"], BUILTIN_FIELDS["sinusoidal"], 1.0, 1.0,
+        1.0, g=0.3, grid_n=65),
+    "decoupled": profile_from_functions(
+        BUILTIN_FIELDS["linear"], BUILTIN_FIELDS["sinusoidal"], 1.0, 0.0,
+        0.0, g=0.3, grid_n=65),
+    "partial-kperp": profile_from_functions(
+        BUILTIN_FIELDS["linear"], BUILTIN_FIELDS["sinusoidal"], 1.0,
+        lambda x: (np.arange(x.size) >= 30).astype(float), 1.0, g=0.3,
+        grid_n=65),
+}
+
+
+class TestPairwiseEigC:
+    """discretize gives its block eig(C) from the N pointwise 2x2 blocks of
+    C on the index pairs (i, N + i); numpy's dense solve is the oracle."""
+
+    @pytest.mark.parametrize("name", PAIRWISE_PROFILES)
+    def test_matches_the_dense_solve(self, name):
+        block = discretize(PAIRWISE_PROFILES[name], 64).block
+        assert "eig_c" in block.__dict__
+        c, dec, n = block.C, block.eig_c, 64
+        vals, vecs = dec.eigenvalues, dec.vectors
+        tol = 2 * n * np.finfo(float).eps * np.max(np.abs(c))
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(c))) <= tol
+        assert np.all(np.diff(vals) >= 0.0)
+        assert vecs.dtype == np.float64 and not vecs.flags.writeable
+        gram = vecs.T @ vecs
+        assert np.max(np.abs(gram - np.eye(2 * n))) <= 4 * np.finfo(float).eps
+        assert np.max(np.abs(c @ vecs - vecs * vals)) <= tol
+        # each column is zero off one pair (i, N + i)
+        for j in range(2 * n):
+            rows = np.flatnonzero(vecs[:, j])
+            assert rows.size == 1 or rows.tolist() == [rows[0], rows[0] + n]
+        if name == "decoupled":
+            assert not c.any()
+
+    @pytest.mark.parametrize("name", PAIRWISE_PROFILES)
+    def test_report_equals_the_dense_solves(self, name):
+        plain = discretize(PAIRWISE_PROFILES[name], 64)
+        dense = discretize(PAIRWISE_PROFILES[name], 64)
+        dense.block.__dict__.pop("eig_c")  # read again: a dense solve of C
+        want, got = run_report(plain, 6), run_report(dense, 6)
+        assert ([(c.name, c.status) for c in got]
+                == [(c.name, c.status) for c in want])
+        for ours, theirs in zip(got, want):
+            assert_close(dataclasses.asdict(ours), dataclasses.asdict(theirs),
+                         theirs.name)

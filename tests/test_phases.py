@@ -5,6 +5,8 @@ keep whatever factor LAPACK gave each column.  Every statement checked is
 about spectral subspaces, so multiplying the cached columns of eig(A),
 eig(C) and eig(M) by random unit factors (random signs for float64 columns)
 must leave every verdict and, up to round-off, every number as it was.
+The MHD block is given its eig(C) by discretize, and that one is rotated
+too.
 """
 
 import dataclasses
@@ -63,7 +65,8 @@ def reports(build, rotate):
     """The checks of enclose, angular, basis and soq on a block, and of
     run_report on a discretization."""
     block, disc = build()
-    assert not set(DECOMPOSITIONS) & set(block.__dict__)
+    given = {"eig_c"} if disc is not None else set()
+    assert set(DECOMPOSITIONS) & set(block.__dict__) == given
     if rotate:
         rotate_phases(block, np.random.default_rng(7))
     rb = best_relative_bound(block)
